@@ -1,6 +1,7 @@
 # Convenience wrappers around dune.  `make check` is the PR verify: build,
 # test, and smoke the multi-core evaluation path (--jobs 2).
-.PHONY: all test bench bench-json bench-diff bench-history check fuzz triage chaos obs
+.PHONY: all test bench bench-json bench-diff bench-history check fuzz triage chaos obs \
+	ledger-compare
 
 all:
 	dune build
@@ -28,6 +29,32 @@ bench-diff:
 RANGE ?= BENCH_2.json..BENCH_$(N).json
 bench-history:
 	dune exec bin/bench_diff.exe -- --history $(RANGE)
+
+# The repository benchmark, this checkout against an older revision:
+#   make ledger-compare OLD=<rev>
+# exports OLD into a fresh directory under $TMPDIR (default /tmp) and
+# builds it there, then follows ledger/README.md's recipe — ten pairs at
+# seeds 5000-5009, each `ledger.exe run` covering all three workloads,
+# alternating which side runs first — and ends with `ledger.exe compare`,
+# which exits non-zero on a regression.  About half an hour.
+ledger-compare:
+	@git rev-parse --verify --quiet "$(OLD)^{commit}" > /dev/null || \
+	  { echo "usage: make ledger-compare OLD=<rev>" >&2; exit 2; }
+	dune build ./ledger/ledger.exe
+	set -e; new=$$(pwd); old=$$(mktemp -d -t cet-ledger-compare.XXXXXX); \
+	git archive "$(OLD)" | tar -x -C $$old; \
+	(cd $$old && dune build --root . ./ledger/ledger.exe); \
+	for i in 0 1 2 3 4 5 6 7 8 9; do \
+	  seed=$$((5000 + i)); \
+	  if [ $$((i % 2)) = 0 ]; then order="old new"; else order="new old"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = old ]; then root=$$old; else root=$$new; fi; \
+	    (cd $$root && ./_build/default/ledger/ledger.exe run --seed $$seed \
+	      --out $$old/ledger-$$side.jsonl); \
+	  done; \
+	done; \
+	echo "results: $$old/ledger-old.jsonl $$old/ledger-new.jsonl"; \
+	./_build/default/ledger/ledger.exe compare $$old/ledger-old.jsonl $$old/ledger-new.jsonl
 
 check:
 	dune build @check

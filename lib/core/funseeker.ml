@@ -37,56 +37,138 @@ let empty_result =
     resync_errors = 0;
   }
 
-(* Greatest candidate start <= addr, with the extent ending at the next
-   candidate (or the end of .text). *)
-let owner_extent starts text_end addr =
+(* Index of the greatest start <= [addr] (the function owning [addr]), or
+   -1 when [addr] precedes every start.  [hint] is an earlier answer (or
+   -1): sites arrive in address order, so a walk of a step or two from it
+   usually finds the owner; past four steps, or when [addr] lies before
+   the hint, a binary search takes over. *)
+let owner_index (starts : int array) hint addr =
   let n = Array.length starts in
-  let rec search lo hi =
-    if lo >= hi then lo - 1
-    else
-      let mid = (lo + hi) / 2 in
-      if starts.(mid) <= addr then search (mid + 1) hi else search lo mid
+  let lo = ref (if hint >= 0 && starts.(hint) <= addr then hint + 1 else 0) in
+  let steps = ref 0 in
+  while !steps < 4 && !lo < n && starts.(!lo) <= addr do
+    incr lo;
+    incr steps
+  done;
+  if !lo < n && starts.(!lo) <= addr then begin
+    (* every start below [lo] is <= addr: search [lo, n) for the first
+       one above it *)
+    let hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if starts.(mid) <= addr then lo := mid + 1 else hi := mid
+    done
+  end;
+  !lo - 1
+
+(* The reference table: for every jump target, the functions that
+   reference it by a call or a jump — as one int, since SELECTTAILCALL
+   only asks whether a function other than the jump's own is among them.
+   Open addressing over a power-of-two capacity at least twice the number
+   of jumps; [vals] holds the owner state of each slot. *)
+let vacant = -3
+let unreferenced = -2 (* no referencing site lies inside a function *)
+let several = -1
+(* otherwise: the start index of the single referencing function *)
+
+type refs = { keys : int array; vals : int array; mask : int }
+
+let refs_create njmps =
+  let cap = ref 16 in
+  while !cap < 2 * njmps do
+    cap := 2 * !cap
+  done;
+  { keys = Array.make !cap 0; vals = Array.make !cap vacant; mask = !cap - 1 }
+
+(* Slot of [target]: where it is, or the vacant slot where it would go. *)
+let refs_slot r target =
+  let i = ref (((target * 0x2545F4914F6CDD1D) lsr 29) land r.mask) in
+  while r.vals.(!i) <> vacant && r.keys.(!i) <> target do
+    i := (!i + 1) land r.mask
+  done;
+  !i
+
+let select_tail_calls_ix ?on_vote ~starts ~jmp_sites ~jmp_tgts ~call_sites ~call_tgts
+    ~text_end () =
+  let nstarts = Array.length starts in
+  let njmps = Array.length jmp_sites in
+  (* Only jump targets are ever asked "who references you": enter them
+     all, then a call to any other address is skipped after one probe. *)
+  let refs = refs_create njmps in
+  let jmp_slot =
+    Array.map
+      (fun target ->
+        let i = refs_slot refs target in
+        if refs.vals.(i) = vacant then begin
+          refs.keys.(i) <- target;
+          refs.vals.(i) <- unreferenced
+        end;
+        i)
+      jmp_tgts
   in
-  let idx = search 0 n in
-  if idx < 0 then None
-  else
-    let lo = starts.(idx) in
-    let hi = if idx + 1 < n then starts.(idx + 1) else text_end in
-    Some (lo, hi)
+  let add_ref i o =
+    if o >= 0 then begin
+      let cur = refs.vals.(i) in
+      if cur = unreferenced then refs.vals.(i) <- o else if cur <> o then refs.vals.(i) <- several
+    end
+  in
+  let hint = ref (-1) in
+  Array.iteri
+    (fun k site ->
+      let i = refs_slot refs call_tgts.(k) in
+      if refs.vals.(i) <> vacant then begin
+        hint := owner_index starts !hint site;
+        add_ref i !hint
+      end)
+    call_sites;
+  let jmp_owner = Array.make njmps (-1) in
+  hint := -1;
+  for k = 0 to njmps - 1 do
+    hint := owner_index starts !hint jmp_sites.(k);
+    jmp_owner.(k) <- !hint;
+    add_ref jmp_slot.(k) !hint
+  done;
+  let selected = Array.make njmps 0 in
+  let nsel = ref 0 in
+  for k = 0 to njmps - 1 do
+    let o = jmp_owner.(k) in
+    if o >= 0 then begin
+      let site = jmp_sites.(k) and target = jmp_tgts.(k) in
+      let lo = starts.(o) in
+      let hi = if o + 1 < nstarts then starts.(o + 1) else text_end in
+      let beyond = target < lo || target >= hi in
+      (* The jump's own function is among the target's referencing ones,
+         so another one exists exactly when there are several. *)
+      let outside_refs = refs.vals.(jmp_slot.(k)) = several in
+      let selected_here = beyond && outside_refs in
+      (match on_vote with
+      | None -> ()
+      | Some f -> f ~site ~target ~lo ~hi ~beyond ~outside_refs ~selected:selected_here);
+      if selected_here then begin
+        selected.(!nsel) <- target;
+        incr nsel
+      end
+    end
+  done;
+  Linear.sort_dedup_ints (Array.sub selected 0 !nsel)
 
 let select_tail_calls ?on_vote ~candidates ~jmp_refs ~call_refs ~text_end () =
-  let starts = Array.of_list candidates in
-  Array.sort Int.compare starts;
-  let owner addr = owner_extent starts text_end addr in
-  (* target -> function starts that reference it (by call or jump) *)
-  let refs : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-  let add_ref site target =
-    match owner site with
-    | None -> ()
-    | Some (src, _) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt refs target) in
-      if not (List.mem src cur) then Hashtbl.replace refs target (src :: cur)
-  in
-  List.iter (fun (site, target) -> add_ref site target) call_refs;
-  List.iter (fun (site, target) -> add_ref site target) jmp_refs;
-  List.filter_map
-    (fun (site, target) ->
-      match owner site with
-      | None -> None
-      | Some (lo, hi) ->
-        let beyond = target < lo || target >= hi in
-        let outside_refs =
-          match Hashtbl.find_opt refs target with
-          | None -> false
-          | Some srcs -> List.exists (fun s -> s <> lo) srcs
-        in
-        let selected = beyond && outside_refs in
-        (match on_vote with
-        | None -> ()
-        | Some f -> f ~site ~target ~lo ~hi ~beyond ~outside_refs ~selected);
-        if selected then Some target else None)
-    jmp_refs
-  |> List.sort_uniq Int.compare
+  let sites refs = Array.of_list (List.map fst refs) in
+  let tgts refs = Array.of_list (List.map snd refs) in
+  Array.to_list
+    (select_tail_calls_ix ?on_vote
+       ~starts:(Linear.sort_dedup_ints (Array.of_list candidates))
+       ~jmp_sites:(sites jmp_refs) ~jmp_tgts:(tgts jmp_refs) ~call_sites:(sites call_refs)
+       ~call_tgts:(tgts call_refs) ~text_end ())
+
+(* Position of [v] in the sorted array [a], or -1. *)
+let find_sorted (a : int array) v =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length a && a.(!lo) = v then !lo else -1
 
 (* FILTERENDBR proper: drop end-branches after indirect-return call sites
    and at exception landing pads.  Split out of the analysis core so the
@@ -111,17 +193,30 @@ let filter_endbr ?diag ?st ?prov reader ~(ix : Substrate.indexes) ~filtered_ir ~
           (Printexc.to_string e);
         { Parse.plt_lo = 0; plt_hi = 0; entries = [] })
   in
-  (* The value is the call-site address, so a provenance record can name
-     the call responsible for a filtered end-branch. *)
-  let ir_returns = Hashtbl.create 8 in
-  Array.iteri
-    (fun k target ->
-      if Parse.in_plt plt_map target then
-        match Parse.plt_name plt_map target with
-        | Some name when List.mem name Parse.indirect_return_imports ->
-          Hashtbl.replace ir_returns ix.Substrate.call_rets.(k) ix.Substrate.call_sites.(k)
-        | _ -> ())
-    ix.Substrate.call_tgts;
+  (* The indirect-return PLT slots, resolved once per binary; then the
+     return addresses of the calls into them, ascending (call sites are in
+     address order), with [ir_calls] naming the call responsible for each
+     so a provenance record can cite it. *)
+  let ir_slots =
+    List.filter_map
+      (fun (slot, name) ->
+        if Parse.in_plt plt_map slot && List.mem name Parse.indirect_return_imports then
+          Some slot
+        else None)
+      plt_map.Parse.entries
+    |> Array.of_list |> Linear.sort_dedup_ints
+  in
+  let ir_calls =
+    if Array.length ir_slots = 0 then [||]
+    else begin
+      let ks = ref [] in
+      for k = Array.length ix.Substrate.call_tgts - 1 downto 0 do
+        if find_sorted ir_slots ix.Substrate.call_tgts.(k) >= 0 then ks := k :: !ks
+      done;
+      Array.of_list !ks
+    end
+  in
+  let ir_rets = Array.map (fun k -> ix.Substrate.call_rets.(k)) ir_calls in
   (* Drop end-branches heading exception landing pads. *)
   let pads =
     match (st, diag) with
@@ -134,41 +229,31 @@ let filter_endbr ?diag ?st ?prov reader ~(ix : Substrate.indexes) ~filtered_ir ~
   let n = ref 0 in
   Array.iter
     (fun e ->
-      match Hashtbl.find_opt ir_returns e with
-      | Some call_site ->
+      let r = find_sorted ir_rets e in
+      if r >= 0 then begin
         incr filtered_ir;
         Option.iter
           (fun p ->
-            Provenance.record_filter p e
-              (Provenance.Filtered_indirect_return { call_site }))
+            let call_site = ix.Substrate.call_sites.(ir_calls.(r)) in
+            Provenance.record_filter p e (Provenance.Filtered_indirect_return { call_site }))
           prov
-      | None ->
-        if Linear.mem_sorted pads e then begin
-          incr filtered_lp;
-          Option.iter
-            (fun p -> Provenance.record_filter p e Provenance.Filtered_landing_pad)
-            prov
-        end
-        else begin
-          Option.iter (fun p -> Provenance.record_filter p e Provenance.Kept) prov;
-          keep.(!n) <- e;
-          incr n
-        end)
+      end
+      else if Linear.mem_sorted pads e then begin
+        incr filtered_lp;
+        Option.iter (fun p -> Provenance.record_filter p e Provenance.Filtered_landing_pad) prov
+      end
+      else begin
+        Option.iter (fun p -> Provenance.record_filter p e Provenance.Kept) prov;
+        keep.(!n) <- e;
+        incr n
+      end)
     endbrs;
   Array.sub keep 0 !n
 
-(* SELECTTAILCALL over the jump set, returning the selected count too. *)
+(* SELECTTAILCALL over the substrate's index arrays, returning the
+   selected count too.  Calls leaving .text need no filtering here: only
+   references to jump targets, which are in .text, are ever consulted. *)
 let select_phase ?prov (fx : Substrate.facts) ~(ix : Substrate.indexes) ~base_candidates =
-  let jmp_refs =
-    List.init (Array.length ix.Substrate.jmp_sites) (fun k ->
-        (ix.Substrate.jmp_sites.(k), ix.Substrate.jmp_tgts.(k)))
-  in
-  let call_refs = ref [] in
-  for k = Array.length ix.Substrate.call_sites - 1 downto 0 do
-    let target = ix.Substrate.call_tgts.(k) in
-    if Substrate.in_text fx target then
-      call_refs := (ix.Substrate.call_sites.(k), target) :: !call_refs
-  done;
   let on_vote =
     match prov with
     | None -> None
@@ -186,16 +271,14 @@ let select_phase ?prov (fx : Substrate.facts) ~(ix : Substrate.indexes) ~base_ca
             })
   in
   let selected =
-    select_tail_calls ?on_vote
-      ~candidates:(Array.to_list base_candidates)
-      ~jmp_refs ~call_refs:!call_refs
-      ~text_end:(Substrate.text_end fx) ()
+    select_tail_calls_ix ?on_vote ~starts:base_candidates ~jmp_sites:ix.Substrate.jmp_sites
+      ~jmp_tgts:ix.Substrate.jmp_tgts ~call_sites:ix.Substrate.call_sites
+      ~call_tgts:ix.Substrate.call_tgts ~text_end:(Substrate.text_end fx) ()
   in
   (match prov with
   | None -> ()
-  | Some p -> List.iter (Provenance.mark_selected p) selected);
-  ( Linear.merge_sorted_dedup base_candidates (Array.of_list selected),
-    List.length selected )
+  | Some p -> Array.iter (Provenance.mark_selected p) selected);
+  (Linear.merge_sorted_dedup base_candidates selected, Array.length selected)
 
 (* The analysis core over the sweep-level facts plus the (possibly
    memoised) index arrays.  Note what is *not* here: the instruction

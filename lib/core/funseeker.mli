@@ -122,10 +122,37 @@ val select_tail_calls :
   text_end:int ->
   unit ->
   int list
-(** SELECTTAILCALL in isolation (exposed for tests): given candidate
-    function starts, jump references and call references as
-    [(site, target)], keep the jump targets that (1) land beyond the extent
-    of the function containing the jump, and (2) are referenced from at
-    least one other function.  [on_vote] observes every vote with its
-    clause outcomes — the provenance recorder's hook; omitted, the
-    selection is exactly the production path. *)
+(** SELECTTAILCALL in isolation, over lists: given candidate function
+    starts, jump references and call references as [(site, target)], keep
+    the jump targets that (1) land beyond the extent of the function
+    containing the jump, and (2) are referenced from at least one other
+    function.  Sorted, distinct.  A thin wrapper over
+    {!select_tail_calls_ix}. *)
+
+val select_tail_calls_ix :
+  ?on_vote:
+    (site:int ->
+    target:int ->
+    lo:int ->
+    hi:int ->
+    beyond:bool ->
+    outside_refs:bool ->
+    selected:bool ->
+    unit) ->
+  starts:int array ->
+  jmp_sites:int array ->
+  jmp_tgts:int array ->
+  call_sites:int array ->
+  call_tgts:int array ->
+  text_end:int ->
+  unit ->
+  int array
+(** SELECTTAILCALL as the analysis runs it, on the substrate's arrays:
+    [starts] are the candidate function starts, sorted ascending; jump and
+    call references are parallel site/target arrays.  Each function
+    extends from its start to the next one (the last to [text_end]); a
+    site before every start belongs to no function and casts no vote.
+    [on_vote] observes every vote, in jump order, with its clause outcomes
+    — the provenance recorder's hook; omitted, the selection is exactly
+    the production path.  Returns the selected targets, sorted and
+    distinct. *)

@@ -39,32 +39,6 @@ let buf_contents b = Array.sub b.arr 0 b.len
    size/4 makes a doubling copy rare without over-reserving tiny regions. *)
 let buf_hint size = (size / 4) + 16
 
-(* The byte-at-a-time sweep over [Decoder.decode]: the differential-testing
-   oracle for the scratch-core rewrite below.  Kept verbatim. *)
-let sweep_reference_impl arch base code =
-  let size = String.length code in
-  let insns = buf_create (buf_hint size) in
-  let errors = ref 0 in
-  let off = ref 0 in
-  let tick = ref 0 in
-  let desynced = ref false in
-  while !off < size do
-    incr tick;
-    if !tick land deadline_mask = 0 then Cet_util.Deadline.check "disasm.sweep";
-    match Decoder.decode arch code ~base ~off:!off with
-    | Ok ins ->
-      desynced := false;
-      buf_push insns ins;
-      off := !off + ins.Decoder.len
-    | Error _ ->
-      if not !desynced then incr errors;
-      desynced := true;
-      incr off
-  done;
-  { arch; base; size; code; insns = buf_contents insns; resync_errors = !errors }
-
-let sweep_reference arch ?(base = 0) code = sweep_reference_impl arch base code
-
 let sweep_impl arch base code =
   let size = String.length code in
   let insns = buf_create (buf_hint size) in
@@ -107,96 +81,19 @@ let sweep_text reader =
 
 (* Offsets of every end-branch byte pattern: F3 0F 1E FA/FB.  The pattern
    cannot appear inside another instruction's opcode bytes the compilers
-   emit, and a false hit inside immediate data merely adds a resync point.
-
-   [anchor_offsets_naive] is the per-byte oracle; production callers use
-   the SWAR scan in {!Prescan}. *)
-let anchor_offsets_naive arch code =
-  let want = match arch with Arch.X64 -> '\xfa' | Arch.X86 -> '\xfb' in
-  let out = ref [] in
-  let n = String.length code in
-  for i = n - 4 downto 0 do
-    if
-      code.[i] = '\xf3' && code.[i + 1] = '\x0f' && code.[i + 2] = '\x1e'
-      && code.[i + 3] = want
-    then out := i :: !out
-  done;
-  Array.of_list !out
-
+   emit, and a false hit inside immediate data merely adds a resync point. *)
 let anchor_offsets = Prescan.anchor_offsets
 
-(* Anchored-sweep oracle: the original trust-tracking loop, decoding every
-   byte position even inside untrusted runs. *)
-let sweep_anchored_reference_impl arch base code =
-  let size = String.length code in
-  let anchors = anchor_offsets_naive arch code in
-  let nanchors = Array.length anchors in
-  (* First anchor index >= off; [anchors] is sorted ascending, so the same
-     binary search answers both "next anchor after" and membership. *)
-  let anchor_lower_bound off =
-    let lo = ref 0 and hi = ref nanchors in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if anchors.(mid) < off then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let next_anchor_after off =
-    let i = anchor_lower_bound (off + 1) in
-    if i < nanchors then Some anchors.(i) else None
-  in
-  let at_anchor off =
-    let i = anchor_lower_bound off in
-    i < nanchors && anchors.(i) = off
-  in
-  let insns = buf_create (buf_hint size) in
-  let errors = ref 0 in
-  let off = ref 0 in
-  let tick = ref 0 in
-  (* Trust tracking (probabilistic-disassembly-lite): once a decode fails,
-     everything up to the next end-branch anchor is suspected inline data
-     and its (garbage) instructions are withheld from the stream, so no
-     bogus branch targets are harvested from it. *)
-  let trusted = ref true in
-  while !off < size do
-    incr tick;
-    if !tick land deadline_mask = 0 then Cet_util.Deadline.check "disasm.sweep_anchored";
-    if at_anchor !off then trusted := true;
-    match Decoder.decode arch code ~base ~off:!off with
-    | Ok ins -> (
-      let stop = !off + ins.Decoder.len in
-      match next_anchor_after !off with
-      | Some a when a < stop ->
-        (* The instruction would swallow an end-branch marker: the sweep
-           is desynchronised (inline data) — resynchronise at the anchor.
-           Only a trusted->untrusted transition counts as a new event;
-           stumbling again inside an already-suspect run does not. *)
-        if !trusted then incr errors;
-        off := a;
-        trusted := true
-      | _ ->
-        if !trusted then buf_push insns ins;
-        off := stop)
-    | Error _ ->
-      if !trusted then incr errors;
-      trusted := false;
-      incr off
-  done;
-  { arch; base; size; code; insns = buf_contents insns; resync_errors = !errors }
-
-let sweep_anchored_reference arch ?(base = 0) code =
-  sweep_anchored_reference_impl arch base code
-
-(* Production anchored sweep: scratch-core decode plus prescan-driven
-   resynchronisation.  The reference loop's untrusted runs decode every
-   byte position while withholding the (garbage) instructions and counting
-   no further errors — observationally they only move [off] to the next
-   anchor.  An untrusted decode can never skip past an anchor (an Ok that
-   would straddle one jumps *to* it, an error advances one byte), so the
-   rewrite jumps straight there: inline-data runs cost a binary search
-   instead of a decode per byte.  A consequence worth stating: [trusted]
-   is always true at the top of this loop, which is why the flag itself
-   has disappeared. *)
+(* Anchored sweep: scan-core decode plus prescan-driven resynchronisation.
+   The original trust-tracking loop (kept as a test oracle) decodes every
+   byte position of an untrusted run while withholding the (garbage)
+   instructions and counting no further errors — observationally that
+   only moves [off] to the next anchor.  An untrusted decode can never
+   skip past an anchor (an Ok that would straddle one jumps *to* it, an
+   error advances one byte), so this loop jumps straight there:
+   inline-data runs cost a binary search instead of a decode per byte,
+   and [trusted] is always true at the top of the loop, which is why the
+   flag itself has disappeared. *)
 let sweep_anchored_impl arch base code =
   let size = String.length code in
   let anchors = Prescan.anchor_offsets arch code in
@@ -282,12 +179,68 @@ let extract_ints (t : t) (f : Decoder.ins -> int) =
     t.insns;
   Array.sub !arr 0 !len
 
-(* In-place sort + dedup of an address array (monomorphic Int.compare). *)
+(* Monomorphic bottom-up merge sort: insertion-sorted runs of 16, then
+   merge passes ping-ponging between [a] and one scratch array.  Worst
+   case n log n, and no comparison closure — [Array.sort Int.compare]
+   (a heap sort through an indirect call) cost several times more on
+   the index builds' few-thousand-element target arrays. *)
+let sort_run = 16
+
+let sort_ints (a : int array) =
+  let n = Array.length a in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + sort_run) in
+    for i = !lo + 1 to hi - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done;
+    lo := hi
+  done;
+  if n > sort_run then begin
+    let src = ref a and dst = ref (Array.make n 0) in
+    let width = ref sort_run in
+    while !width < n do
+      let s = !src and d = !dst in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + !width) in
+        let hi = min n (mid + !width) in
+        let i = ref !lo and j = ref mid and k = ref !lo in
+        while !i < mid && !j < hi do
+          let x = s.(!i) and y = s.(!j) in
+          if x <= y then begin
+            d.(!k) <- x;
+            incr i
+          end
+          else begin
+            d.(!k) <- y;
+            incr j
+          end;
+          incr k
+        done;
+        Array.blit s !i d !k (mid - !i);
+        Array.blit s !j d (!k + mid - !i) (hi - !j);
+        lo := hi
+      done;
+      src := d;
+      dst := s;
+      width := 2 * !width
+    done;
+    if !src != a then Array.blit !src 0 a 0 n
+  end
+
+(* In-place sort + dedup of an address array. *)
 let sort_dedup_ints a =
   let n = Array.length a in
   if n <= 1 then a
   else begin
-    Array.sort Int.compare a;
+    sort_ints a;
     let w = ref 1 in
     for r = 1 to n - 1 do
       if a.(r) <> a.(!w - 1) then begin

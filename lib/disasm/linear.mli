@@ -35,28 +35,9 @@ val sweep_anchored : Cet_x86.Arch.t -> ?base:int -> string -> t
 
 val sweep_text_anchored : Cet_elf.Reader.t -> t
 
-(** {2 Differential-testing oracles}
-
-    The production sweeps run on the allocation-free scratch decoder
-    ({!Cet_x86.Decoder.scan}) with SWAR-prescanned anchors; these are the
-    original byte-at-a-time implementations, kept verbatim so property
-    tests can pin the rewrite to exact result equality.  Not memoised,
-    not telemetry-instrumented — do not use outside tests. *)
-
-val sweep_reference : Cet_x86.Arch.t -> ?base:int -> string -> t
-(** {!sweep} over [Decoder.decode], one instruction record at a time. *)
-
-val sweep_anchored_reference : Cet_x86.Arch.t -> ?base:int -> string -> t
-(** {!sweep_anchored} with the original trust-tracking loop that decodes
-    every byte position of untrusted runs instead of jumping to the next
-    anchor. *)
-
 val anchor_offsets : Cet_x86.Arch.t -> string -> int array
 (** Offsets of every end-branch byte pattern (F3 0F 1E FA/FB), ascending —
     the SWAR scan ({!Prescan.anchor_offsets}). *)
-
-val anchor_offsets_naive : Cet_x86.Arch.t -> string -> int array
-(** The per-byte oracle for {!anchor_offsets}. *)
 
 val in_range : t -> int -> bool
 (** Is the address inside the swept region? *)

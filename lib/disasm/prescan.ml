@@ -1,84 +1,31 @@
-(* SWAR candidate prescan: classify code 8 bytes at a time.
+(* SWAR end-branch prescan: find the ENDBR anchors 8 bytes at a time.
 
-   The side tables FunSeeker consumes are built from a handful of byte
-   patterns — the ENDBR marker [F3 0F 1E FA/FB], direct calls [E8] and
-   direct jumps [E9]/[EB] (plus [0F 8x] near-Jcc, which shares the [0F]
-   escape byte).  A 64-bit word of [.text] that contains none of those
-   five byte values cannot start or finish any index-relevant
-   instruction, so the classifier loads one word per 8 bytes
-   ([String.get_int64_ne]) and computes "contains a candidate byte"
-   branchlessly with the classic SWAR zero-byte test:
+   The anchored sweep resynchronises at every end-branch byte pattern
+   [F3 0F 1E FA/FB].  Instead of testing the pattern at every byte, the
+   scan loads one 64-bit word per 8 bytes ([String.get_int64_ne]) and asks
+   branchlessly whether it holds an [F3] at all, with the classic SWAR
+   zero-byte test:
 
      zero_in(x) = (x - 0x0101..01) land (lnot x) land 0x8080..80
 
-   applied to [x lxor broadcast(b)] for each class byte [b].  The result
-   is a one-flag-per-word bitmap the sweep consults to skip whole words
-   of classification work, and the same kernel drives the allocation-free
-   [anchor_offsets] scan (find [F3]-carrying words, verify the 4-byte
-   pattern only there).
+   applied to [x lxor broadcast(F3)].  Only the rare words that do hold
+   one descend to the 4-byte pattern check.
 
    Everything here is straight-line [Int64] arithmetic kept inside the
-   loop bodies so the compiler's local unboxing applies; the allocation
+   loop body so the compiler's local unboxing applies; the allocation
    budget is enforced by test_prescan.ml. *)
 
 let ones = 0x0101010101010101L
 let highs = 0x8080808080808080L
 
-(* broadcast b = b * 0x0101..01, precomputed for the class bytes *)
+(* broadcast F3 = F3 * 0x0101..01 *)
 let b_f3 = 0xF3F3F3F3F3F3F3F3L
-let b_e8 = 0xE8E8E8E8E8E8E8E8L
-let b_e9 = 0xE9E9E9E9E9E9E9E9L
-let b_eb = 0xEBEBEBEBEBEBEBEBL
-let b_0f = 0x0F0F0F0F0F0F0F0FL
 
 (* [zero_in (x lxor broadcast b)] <> 0L iff some byte of [x] equals [b]. *)
 let[@inline] zero_in x =
   Int64.logand (Int64.logand (Int64.sub x ones) (Int64.lognot x)) highs
 
 let[@inline] has_byte w b = zero_in (Int64.logxor w b)
-
-let candidate_byte c =
-  match c with '\xF3' | '\xE8' | '\xE9' | '\xEB' | '\x0F' -> true | _ -> false
-
-(* One class byte per 8-byte word of [code]: '\001' when the word holds at
-   least one candidate byte.  The sub-word tail gets its own flag byte so
-   [word_index (n-1)] is always in bounds. *)
-let classes code =
-  let n = String.length code in
-  let nwords = n lsr 3 in
-  let ncls = (n + 7) lsr 3 in
-  let cls = Bytes.make (max ncls 1) '\000' in
-  for w = 0 to nwords - 1 do
-    let x = String.get_int64_ne code (w lsl 3) in
-    let m =
-      Int64.logor
-        (Int64.logor
-           (Int64.logor (has_byte x b_f3) (has_byte x b_e8))
-           (Int64.logor (has_byte x b_e9) (has_byte x b_eb)))
-        (has_byte x b_0f)
-    in
-    if m <> 0L then Bytes.unsafe_set cls w '\001'
-  done;
-  for i = nwords lsl 3 to n - 1 do
-    if candidate_byte (String.unsafe_get code i) then
-      Bytes.unsafe_set cls (i lsr 3) '\001'
-  done;
-  cls
-
-(* Does the byte window [off, off + len) touch a flagged word?  Instruction
-   windows are at most 15 bytes, so this reads at most 3 class bytes. *)
-let[@inline] window_has_candidate cls ~off ~len =
-  len > 0
-  &&
-  let w1 = (off + len - 1) lsr 3 in
-  let w = ref (off lsr 3) in
-  let hit = ref false in
-  while (not !hit) && !w <= w1 do
-    if Bytes.unsafe_get cls !w <> '\000' then hit := true else incr w
-  done;
-  !hit
-
-(* ---- End-branch pattern scan ----------------------------------------- *)
 
 (* Doubling int buffer for the anchor offsets (monomorphic, no lists). *)
 type ibuf = { mutable arr : int array; mutable len : int }

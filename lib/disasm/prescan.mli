@@ -1,34 +1,10 @@
-(** SWAR candidate prescan over code bytes (DESIGN.md §13).
+(** SWAR end-branch prescan over code bytes (DESIGN.md §13).
 
-    Classifies a code region 8 bytes at a time with 64-bit loads and
-    branchless byte-class tests.  The candidate byte class is
-    [{F3, E8, E9, EB, 0F}] — the ENDBR prefix byte, the direct
-    call/jump opcodes, and the two-byte escape of [0F 8x] near-Jcc: a
-    word containing none of them cannot start or end any instruction the
-    derived index tables harvest, so the sweep can skip its
-    classification work, and the anchored sweep can find its end-branch
-    anchors without a per-byte scan.
-
-    The prescan never influences instruction *boundaries* of the plain
-    linear sweep (decode lengths chain, so every instruction is still
-    decoded); it gates the side-table work and drives the anchored
-    sweep's resynchronisation jumps. *)
-
-val classes : string -> Bytes.t
-(** [classes code] is a one-byte-per-8-byte-word bitmap: byte [w] is
-    non-zero iff [code.[8w .. 8w+7]] (clipped to the string) contains a
-    candidate byte.  Always at least one byte long. *)
-
-val window_has_candidate : Bytes.t -> off:int -> len:int -> bool
-(** Does the window [off, off+len) of the classified string touch a
-    flagged word?  [false] when [len <= 0].  Conservative by word
-    granularity: may answer [true] for a window whose own bytes are all
-    non-candidates (sharing a word with one), never [false] for a window
-    containing a candidate. *)
-
-val candidate_byte : char -> bool
-(** Membership in the candidate byte class (the per-byte oracle the SWAR
-    path is differentially tested against). *)
+    Finds the anchored sweep's resynchronisation points — every end-branch
+    byte pattern — 8 bytes at a time with 64-bit loads and a branchless
+    byte-class test, instead of a per-byte pattern match.  The prescan
+    never influences the instruction boundaries of the plain linear
+    sweep. *)
 
 val anchor_offsets : Cet_x86.Arch.t -> string -> int array
 (** Offsets of every end-branch byte pattern ([F3 0F 1E FA] on x86-64,

@@ -155,19 +155,15 @@ let indexes_of_sweep (sw : Linear.t) =
 
 (* ---- Stream-free scan ------------------------------------------------ *)
 
-(* The scratch-core scan: the same instruction walk as the sweeps, but
+(* The stream-free scan: the same instruction walk as the sweeps, but
    classification lands directly in the index buffers — no [Decoder.ins]
    records, no instruction array.  FunSeeker's analysis consumes only the
    indexes plus {!facts}, so its DISASSEMBLE phase runs through here and
-   never materialises the stream the baselines need.
-
-   The SWAR prescan ({!Prescan}) gates the side-table work: decode still
-   visits every instruction (boundaries chain, and [resync_errors] must
-   match the sweep exactly), but words without a candidate byte skip the
-   classification entirely, and the anchored walk takes its
-   resynchronisation jumps from the prescanned anchor array.  Differential
-   tests pin [scan_section] to [indexes_of_sweep]-over-the-sweep equality
-   on the corpus and on random bytes. *)
+   never materialises the stream the baselines need.  Every decoded
+   instruction is harvested on its int tag (three compares); the anchored
+   walk takes its resynchronisation jumps from the SWAR anchor array.
+   Differential tests pin [scan_section] to [indexes_of_sweep]-over-the-
+   sweep equality on the corpus and on random bytes. *)
 
 let scan_deadline_mask = 4095
 
@@ -182,9 +178,6 @@ let scan_section arch ~anchored rd (sec : Reader.section) =
   let want_endbr =
     match arch with Arch.X64 -> Decoder.tag_endbr64 | Arch.X86 -> Decoder.tag_endbr32
   in
-  (* Prescan bitmaps are built over the payload string; window queries
-     below translate image offsets back to payload-relative ones. *)
-  let cls = Prescan.classes sec.Reader.data in
   let eb = ibuf_create () in
   let cs = ibuf_create () and cr = ibuf_create () and ct = ibuf_create () in
   let js = ibuf_create () and jt = ibuf_create () in
@@ -218,9 +211,8 @@ let scan_section arch ~anchored rd (sec : Reader.section) =
       if Decoder.scan arch s buf ~limit ~base ~off:!off then begin
         desynced := false;
         incr insns;
-        let ilen = Decoder.scratch_len s in
-        if Prescan.window_has_candidate cls ~off:(!off - pos) ~len:ilen then harvest ();
-        off := !off + ilen
+        harvest ();
+        off := !off + Decoder.scratch_len s
       end
       else begin
         if not !desynced then incr errors;
@@ -260,8 +252,7 @@ let scan_section arch ~anchored rd (sec : Reader.section) =
         end
         else begin
           incr insns;
-          if Prescan.window_has_candidate cls ~off:(!off - pos) ~len:(Decoder.scratch_len s)
-          then harvest ();
+          harvest ();
           off := stop
         end
       end

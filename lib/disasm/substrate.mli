@@ -73,8 +73,8 @@ val sweep_anchored : t -> Linear.t
 val indexes : ?anchored:bool -> t -> indexes
 (** The derived index arrays of the (plain or anchored) sweep.  When the
     corresponding sweep is already memoised they are built in one pass
-    over its instruction stream; otherwise the SWAR-prescanned
-    scratch-core scan produces them directly from the code bytes, never
+    over its instruction stream; otherwise the stream-free scan over the
+    decoder's scan core produces them directly from the code bytes, never
     materialising the stream — the results are identical either way. *)
 
 val indexes_of_sweep : Linear.t -> indexes

@@ -54,9 +54,8 @@ val image : t -> string
 val section_view : t -> section -> string * int * int
 (** [section_view t s] is [(buf, pos, len)] such that the section payload
     is [buf.[pos .. pos+len-1]] — the raw image slice when one backs the
-    section (no copy), [s.data] itself otherwise.  The SWAR prescan and
-    the scratch-core sweep consume sections through this instead of
-    [data]. *)
+    section (no copy), [s.data] itself otherwise.  The stream-free scan
+    consumes [.text] through this instead of [data]. *)
 
 val symbols : t -> Symbol.t list
 (** [.symtab] contents (empty for stripped binaries). *)

@@ -13,424 +13,6 @@ type kind =
 
 type ins = { addr : int; len : int; kind : kind }
 
-exception Bad of string
-
-type cursor = { code : string; limit : int; mutable p : int }
-
-let u8 c =
-  if c.p >= c.limit then raise (Bad "truncated");
-  let v = Char.code c.code.[c.p] in
-  c.p <- c.p + 1;
-  v
-
-let peek c = if c.p >= c.limit then raise (Bad "truncated") else Char.code c.code.[c.p]
-
-let skip c n =
-  if c.p + n > c.limit then raise (Bad "truncated");
-  c.p <- c.p + n
-
-let i32 c =
-  let a = u8 c in
-  let b = u8 c in
-  let d = u8 c in
-  let e = u8 c in
-  let v = a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24) in
-  if v >= 0x80000000 then v - 0x100000000 else v
-
-let i8 c =
-  let v = u8 c in
-  if v >= 0x80 then v - 0x100 else v
-
-type prefixes = {
-  opsize : bool;  (* 0x66 *)
-  addrsize : bool;  (* 0x67 *)
-  rep : bool;  (* 0xF3 *)
-  repn : bool;  (* 0xF2 *)
-  notrack : bool;  (* 0x3E (DS segment override reused by CET) *)
-  rex_w : bool;
-}
-
-(* Memory-operand summary extracted from ModRM/SIB: the reg/extension field
-   and, for the bare disp32 form, the displacement (for GOT-slot targets). *)
-type modrm_info = { reg_field : int; is_mem : bool; bare_disp : int option }
-
-let parse_modrm c =
-  let m = u8 c in
-  let md = m lsr 6 in
-  let reg_field = (m lsr 3) land 7 in
-  let rm = m land 7 in
-  if md = 3 then { reg_field; is_mem = false; bare_disp = None }
-  else begin
-    let bare = ref None in
-    (if rm = 4 then begin
-       let sib = u8 c in
-       let sib_base = sib land 7 in
-       if md = 0 && sib_base = 5 then skip c 4 (* disp32, indexed: not bare *)
-     end
-     else if md = 0 && rm = 5 then bare := Some (i32 c));
-    (match md with
-    | 1 -> skip c 1
-    | 2 -> skip c 4
-    | _ -> ());
-    { reg_field; is_mem = true; bare_disp = !bare }
-  end
-
-(* Skip an immediate whose size follows the 'z' rule (2 with 0x66, else 4). *)
-let skip_imm_z c pfx = skip c (if pfx.opsize then 2 else 4)
-
-let decode_two_byte arch c pfx =
-  let op = u8 c in
-  match op with
-  | 0x05 when arch = Arch.X64 -> Other (* syscall *)
-  | 0x0B -> Other (* ud2 *)
-  | 0x1E ->
-    (* F3 0F 1E FA/FB are ENDBR64/ENDBR32; other forms are reserved NOPs. *)
-    if pfx.rep && peek c = 0xFA then begin
-      skip c 1;
-      Endbr64
-    end
-    else if pfx.rep && peek c = 0xFB then begin
-      skip c 1;
-      Endbr32
-    end
-    else begin
-      ignore (parse_modrm c);
-      Other
-    end
-  | 0x1F ->
-    ignore (parse_modrm c);
-    Other (* multi-byte NOP *)
-  | _ when op >= 0x40 && op <= 0x4F ->
-    ignore (parse_modrm c);
-    Other (* cmovcc *)
-  | _ when op >= 0x80 && op <= 0x8F ->
-    (* jcc rel32 *)
-    if pfx.opsize then raise (Bad "jcc rel16");
-    let rel = i32 c in
-    Jcc_direct rel
-  | _ when op >= 0x90 && op <= 0x9F ->
-    ignore (parse_modrm c);
-    Other (* setcc *)
-  | 0xA2 -> Other (* cpuid *)
-  | 0xAF ->
-    ignore (parse_modrm c);
-    Other (* imul *)
-  | 0xB6 | 0xB7 | 0xBE | 0xBF ->
-    ignore (parse_modrm c);
-    Other (* movzx / movsx *)
-  | 0xC8 | 0xC9 | 0xCA | 0xCB | 0xCC | 0xCD | 0xCE | 0xCF -> Other (* bswap *)
-  | _ -> raise (Bad (Printf.sprintf "two-byte opcode 0f %02x" op))
-
-let decode_one_byte arch c pfx =
-  let x86 = arch = Arch.X86 in
-  let op = u8 c in
-  let modrm_only () =
-    ignore (parse_modrm c);
-    Other
-  in
-  match op with
-  | _ when op < 0x40 && op land 7 <= 5 && op <> 0x0F ->
-    (* add/or/adc/sbb/and/sub/xor/cmp families *)
-    (match op land 7 with
-    | 0 | 1 | 2 | 3 -> modrm_only ()
-    | 4 ->
-      skip c 1;
-      Other
-    | 5 ->
-      skip_imm_z c pfx;
-      Other
-    | _ -> assert false)
-  | 0x06 | 0x07 | 0x0E | 0x16 | 0x17 | 0x1E | 0x1F ->
-    if x86 then Other (* push/pop segment *) else raise (Bad "seg push in 64-bit")
-  | 0x27 | 0x2F | 0x37 | 0x3F ->
-    if x86 then Other (* daa/das/aaa/aas *) else raise (Bad "bcd op in 64-bit")
-  | _ when op >= 0x40 && op <= 0x4F ->
-    if x86 then Other (* inc/dec reg *) else raise (Bad "stray rex")
-  | _ when op >= 0x50 && op <= 0x5F -> Other (* push/pop reg *)
-  | 0x60 | 0x61 -> if x86 then Other else raise (Bad "pusha in 64-bit")
-  | 0x62 -> if x86 then modrm_only () else raise (Bad "bound/evex")
-  | 0x63 -> modrm_only () (* arpl (x86) / movsxd (x64) *)
-  | 0x68 ->
-    if pfx.opsize then begin
-      skip c 2;
-      Other
-    end
-    else begin
-      let v = i32 c in
-      if x86 then Addr_ref (v land 0xFFFFFFFF) else Other
-    end
-  | 0x69 ->
-    ignore (parse_modrm c);
-    skip_imm_z c pfx;
-    Other
-  | 0x6A ->
-    skip c 1;
-    Other
-  | 0x6B ->
-    ignore (parse_modrm c);
-    skip c 1;
-    Other
-  | 0x6C | 0x6D | 0x6E | 0x6F -> Other (* ins/outs *)
-  | _ when op >= 0x70 && op <= 0x7F ->
-    let rel = i8 c in
-    Jcc_direct rel
-  | 0x80 ->
-    ignore (parse_modrm c);
-    skip c 1;
-    Other
-  | 0x81 ->
-    ignore (parse_modrm c);
-    skip_imm_z c pfx;
-    Other
-  | 0x82 ->
-    if x86 then begin
-      ignore (parse_modrm c);
-      skip c 1;
-      Other
-    end
-    else raise (Bad "op 82 in 64-bit")
-  | 0x83 ->
-    ignore (parse_modrm c);
-    skip c 1;
-    Other
-  | 0x84 | 0x85 | 0x86 | 0x87 | 0x88 | 0x89 | 0x8A | 0x8B | 0x8C | 0x8E ->
-    modrm_only ()
-  | 0x8D ->
-    (* lea: a bare-disp operand materialises a code/data address
-       (RIP-relative on x86-64, absolute on x86). *)
-    let m = parse_modrm c in
-    (match m.bare_disp with Some d -> Addr_ref d | None -> Other)
-  | 0x8F -> modrm_only () (* pop r/m *)
-  | _ when op >= 0x90 && op <= 0x97 -> Other (* nop / xchg *)
-  | 0x98 | 0x99 -> Other
-  | 0x9A ->
-    if x86 then begin
-      skip c 6;
-      Other (* callf ptr16:32 *)
-    end
-    else raise (Bad "callf in 64-bit")
-  | 0x9B | 0x9C | 0x9D | 0x9E | 0x9F -> Other
-  | 0xA0 | 0xA1 | 0xA2 | 0xA3 ->
-    skip c (if x86 then 4 else 8);
-    Other (* mov moffs *)
-  | 0xA4 | 0xA5 | 0xA6 | 0xA7 -> Other
-  | 0xA8 ->
-    skip c 1;
-    Other
-  | 0xA9 ->
-    skip_imm_z c pfx;
-    Other
-  | _ when op >= 0xAA && op <= 0xAF -> Other (* stos/lods/scas *)
-  | _ when op >= 0xB0 && op <= 0xB7 ->
-    skip c 1;
-    Other
-  | _ when op >= 0xB8 && op <= 0xBF ->
-    if pfx.rex_w || pfx.opsize then begin
-      skip c (if pfx.rex_w then 8 else 2);
-      Other
-    end
-    else begin
-      let v = i32 c in
-      if x86 then Addr_ref (v land 0xFFFFFFFF) else Other
-    end
-  | 0xC0 | 0xC1 ->
-    ignore (parse_modrm c);
-    skip c 1;
-    Other
-  | 0xC2 ->
-    skip c 2;
-    Ret
-  | 0xC3 -> Ret
-  | 0xC4 | 0xC5 -> if x86 then modrm_only () else raise (Bad "vex prefix")
-  | 0xC6 ->
-    ignore (parse_modrm c);
-    skip c 1;
-    Other
-  | 0xC7 ->
-    ignore (parse_modrm c);
-    skip_imm_z c pfx;
-    Other
-  | 0xC8 ->
-    skip c 3;
-    Other (* enter *)
-  | 0xC9 -> Other (* leave *)
-  | 0xCA ->
-    skip c 2;
-    Ret
-  | 0xCB -> Ret
-  | 0xCC -> Other (* int3 *)
-  | 0xCD ->
-    skip c 1;
-    Other
-  | 0xCE -> if x86 then Other else raise (Bad "into in 64-bit")
-  | 0xCF -> Other (* iret *)
-  | 0xD0 | 0xD1 | 0xD2 | 0xD3 -> modrm_only ()
-  | 0xD4 | 0xD5 ->
-    if x86 then begin
-      skip c 1;
-      Other
-    end
-    else raise (Bad "aam/aad in 64-bit")
-  | 0xD7 -> Other
-  | _ when op >= 0xD8 && op <= 0xDF -> modrm_only () (* x87 *)
-  | 0xE0 | 0xE1 | 0xE2 | 0xE3 ->
-    let rel = i8 c in
-    Jcc_direct rel (* loopcc / jcxz *)
-  | 0xE4 | 0xE5 | 0xE6 | 0xE7 ->
-    skip c 1;
-    Other (* in/out imm8 *)
-  | 0xE8 ->
-    if pfx.opsize then raise (Bad "call rel16");
-    let rel = i32 c in
-    Call_direct rel
-  | 0xE9 ->
-    if pfx.opsize then raise (Bad "jmp rel16");
-    let rel = i32 c in
-    Jmp_direct rel
-  | 0xEA ->
-    if x86 then begin
-      skip c 6;
-      Other
-    end
-    else raise (Bad "jmpf in 64-bit")
-  | 0xEB ->
-    let rel = i8 c in
-    Jmp_direct rel
-  | 0xEC | 0xED | 0xEE | 0xEF -> Other (* in/out *)
-  | 0xF1 -> Other (* int1 *)
-  | 0xF4 -> Halt
-  | 0xF5 -> Other (* cmc *)
-  | 0xF6 ->
-    let m = parse_modrm c in
-    if m.reg_field <= 1 then skip c 1;
-    Other
-  | 0xF7 ->
-    let m = parse_modrm c in
-    if m.reg_field <= 1 then skip_imm_z c pfx;
-    Other
-  | _ when op >= 0xF8 && op <= 0xFD -> Other (* clc..std *)
-  | 0xFE ->
-    let m = parse_modrm c in
-    if m.reg_field > 1 then raise (Bad "fe group");
-    Other
-  | 0xFF ->
-    let m = parse_modrm c in
-    (* For the bare-disp32 memory form, [m.bare_disp] carries the raw
-       displacement: absolute slot on x86, RIP-relative on x64.  The caller
-       resolves it once the instruction length is known. *)
-    (match m.reg_field with
-    | 0 | 1 -> Other (* inc/dec r/m *)
-    | 2 -> Call_indirect { goto = m.bare_disp }
-    | 3 -> if x86 then Other else raise (Bad "callf m in 64-bit")
-    | 4 -> Jmp_indirect { notrack = pfx.notrack; goto = m.bare_disp }
-    | 5 -> if x86 then Other else raise (Bad "jmpf m in 64-bit")
-    | 6 -> Other (* push r/m *)
-    | _ -> raise (Bad "ff /7"))
-  | 0x0F | 0x26 | 0x2E | 0x36 | 0x3E | 0x64 | 0x65 | 0x66 | 0x67 | 0xF0 | 0xF2 | 0xF3 ->
-    (* Normally consumed before dispatch; reachable only when a legacy
-       prefix follows REX (hardware would ignore the REX).  Reject. *)
-    raise (Bad "legacy prefix after REX")
-  | _ -> raise (Bad (Printf.sprintf "opcode %02x" op))
-
-let decode arch code ~base ~off =
-  let limit = String.length code in
-  if off < 0 || off >= limit then Error "offset out of range"
-  else begin
-    let c = { code; limit; p = off } in
-    let vaddr = base + off in
-    try
-      let opsize = ref false
-      and addrsize = ref false
-      and rep = ref false
-      and repn = ref false
-      and notrack = ref false
-      and rex_w = ref false in
-      let rec prefixes n =
-        if n > 14 then raise (Bad "prefix overflow");
-        match peek c with
-        | 0x66 ->
-          skip c 1;
-          opsize := true;
-          prefixes (n + 1)
-        | 0x67 ->
-          skip c 1;
-          addrsize := true;
-          prefixes (n + 1)
-        | 0xF3 ->
-          skip c 1;
-          rep := true;
-          prefixes (n + 1)
-        | 0xF2 ->
-          skip c 1;
-          repn := true;
-          prefixes (n + 1)
-        | 0xF0 ->
-          skip c 1;
-          prefixes (n + 1)
-        | 0x3E ->
-          skip c 1;
-          notrack := true;
-          prefixes (n + 1)
-        | 0x26 | 0x2E | 0x36 | 0x64 | 0x65 ->
-          skip c 1;
-          prefixes (n + 1)
-        | b when arch = Arch.X64 && b >= 0x40 && b <= 0x4F ->
-          skip c 1;
-          rex_w := b land 8 <> 0;
-          (* REX must be last before the opcode. *)
-          ()
-        | _ -> ()
-      in
-      prefixes 0;
-      let pfx =
-        {
-          opsize = !opsize;
-          addrsize = !addrsize;
-          rep = !rep;
-          repn = !repn;
-          notrack = !notrack;
-          rex_w = !rex_w;
-        }
-      in
-      if pfx.addrsize then raise (Bad "address-size prefix unsupported");
-      let raw_kind =
-        if peek c = 0x0F then begin
-          skip c 1;
-          decode_two_byte arch c pfx
-        end
-        else decode_one_byte arch c pfx
-      in
-      let len = c.p - off in
-      let next = vaddr + len in
-      let resolve_slot d = match arch with Arch.X86 -> d | Arch.X64 -> next + d in
-      let kind =
-        match raw_kind with
-        | Call_direct rel -> Call_direct (next + rel)
-        | Jmp_direct rel -> Jmp_direct (next + rel)
-        | Jcc_direct rel -> Jcc_direct (next + rel)
-        | Call_indirect { goto = Some d } -> Call_indirect { goto = Some (resolve_slot d) }
-        | Jmp_indirect { notrack; goto = Some d } ->
-          Jmp_indirect { notrack; goto = Some (resolve_slot d) }
-        | Addr_ref d ->
-          (* On x86-64 the only Addr_ref producer is RIP-relative lea;
-             on x86 all producers carry absolute operands. *)
-          Addr_ref (resolve_slot d)
-        | k -> k
-      in
-      Ok { addr = vaddr; len; kind }
-    with
-    | Bad msg -> Error msg
-  end
-
-(* ---- Allocation-free scratch core ------------------------------------ *)
-
-(* [scan] is the hot-loop twin of [decode]: the same instruction walk, but
-   results land in a caller-owned mutable scratch record and classification
-   is an int tag — no cursor, no prefix refs, no [Ok]/[ins]/constructor
-   blocks.  [decode] above is deliberately left untouched as the
-   byte-at-a-time differential-testing oracle; test_prescan.ml pins the two
-   to exact agreement (success, length, kind) on random bytes. *)
-
 let tag_other = 0
 let tag_endbr64 = 1
 let tag_endbr32 = 2
@@ -443,6 +25,169 @@ let tag_ret = 8
 let tag_halt = 9
 let tag_addr_ref = 10
 
+(* ---- Opcode tables ---------------------------------------------------- *)
+
+(* Every opcode of the decoded subset is one of a dozen operand shapes.
+   The one-byte map and the [0F] map are stored end to end (index [op] and
+   [256 + op]); each entry is a shape plus an info byte carrying the tag
+   of the plain forms (low nibble) and the immediate that follows the
+   opcode or its ModRM operand (high nibble: a byte count, or [imm_z]). *)
+type shape =
+  | Bad  (** outside the decoded subset *)
+  | Fixed  (** opcode, then the immediate *)
+  | Modrm  (** ModRM (+ SIB, displacement), then the immediate *)
+  | Rel8  (** 8-bit relative branch *)
+  | Rel32  (** 32-bit relative branch; the 66 (rel16) form is rejected *)
+  | Imm32_ref  (** x86 [push imm] / [mov r, imm]: a 32-bit immediate is an address *)
+  | Imm_v  (** x86-64 [mov r, imm]: 8 bytes under REX.W, 2 under 66, else 4 *)
+  | Lea  (** [lea]: a bare disp32 operand is an address *)
+  | Group3  (** F6/F7: the immediate follows only for /0 and /1 *)
+  | Group4  (** FE: only /0 and /1 exist *)
+  | Group5  (** FF: the reg field picks the operation (the [ff] row) *)
+  | Endbr  (** 0F 1E: ENDBR64/32 under F3 with ModRM FA/FB, else a hint NOP *)
+
+(* Immediate size code for "2 under a 66 prefix, else 4". *)
+let imm_z = 15
+
+(* Prefix-map entries: the flag bits a prefix sets, plus its class. *)
+let pf_opsize = 1
+let pf_rep = 2
+let pf_rexw = 4
+let pf_notrack = 8
+let px_legacy = 16 (* counts toward the 14-prefix limit *)
+let px_rex = 32 (* x86-64 only; must be last before the opcode *)
+let px_reject = 64 (* 67 (address size): outside the subset *)
+
+(* ModRM length rule, one entry per ModRM byte: the displacement length
+   (low 3 bits), whether a SIB byte follows, and whether the operand is
+   the bare disp32 form (RIP-relative on x86-64, absolute on x86). *)
+let mr_sib = 8
+let mr_bare = 16
+
+let modrm_rule =
+  String.init 256 (fun m ->
+      let md = m lsr 6 and rm = m land 7 in
+      let disp = match md with 1 -> 1 | 2 -> 4 | 0 when rm = 5 -> 4 | _ -> 0 in
+      let sib = if md <> 3 && rm = 4 then mr_sib else 0 in
+      let bare = if md = 0 && rm = 5 then mr_bare else 0 in
+      Char.chr (disp lor sib lor bare))
+
+type tables = {
+  prefix : string;  (** byte -> prefix-map entry, 0 for an opcode byte *)
+  shape : shape array;  (** one-byte map at [op], 0F map at [256 + op] *)
+  info : string;  (** tag lor (immediate lsl 4), same indexing *)
+  ff : string;  (** FF reg field -> tag, ['\255'] where undefined *)
+  rip_relative : bool;  (** bare disp32 and lea operands are RIP-relative *)
+}
+
+let build arch =
+  let x86 = arch = Arch.X86 in
+  let prefix = Bytes.make 256 '\000' in
+  let set_prefix e bytes = List.iter (fun b -> Bytes.set prefix b (Char.chr e)) bytes in
+  set_prefix px_legacy [ 0x26; 0x2E; 0x36; 0x64; 0x65; 0xF0; 0xF2 ];
+  set_prefix (px_legacy lor pf_opsize) [ 0x66 ];
+  set_prefix (px_legacy lor pf_rep) [ 0xF3 ];
+  set_prefix (px_legacy lor pf_notrack) [ 0x3E ];
+  set_prefix px_reject [ 0x67 ];
+  if not x86 then
+    for b = 0x40 to 0x4F do
+      Bytes.set prefix b (Char.chr (px_rex lor if b land 8 <> 0 then pf_rexw else 0))
+    done;
+  let shape = Array.make 512 Bad and info = Bytes.make 512 '\000' in
+  let set ?(tag = tag_other) ?(imm = 0) sh ops =
+    List.iter
+      (fun op ->
+        shape.(op) <- sh;
+        Bytes.set info op (Char.chr (tag lor (imm lsl 4))))
+      ops
+  in
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let only_x86 ops = if x86 then ops else [] in
+  let only_x64 ops = if x86 then [] else ops in
+  (* One-byte map.  ALU families 00-3F: /r forms, then AL,imm8 and
+     eAX,imm-z. *)
+  List.iter
+    (fun row ->
+      set Modrm (range row (row + 3));
+      set Fixed ~imm:1 [ row + 4 ];
+      set Fixed ~imm:imm_z [ row + 5 ])
+    [ 0x00; 0x08; 0x10; 0x18; 0x20; 0x28; 0x30; 0x38 ];
+  set Fixed (only_x86 [ 0x06; 0x07; 0x0E; 0x16; 0x17; 0x1E; 0x1F ]) (* push/pop seg *);
+  set Fixed (only_x86 [ 0x27; 0x2F; 0x37; 0x3F ]) (* daa/das/aaa/aas *);
+  set Fixed (only_x86 (range 0x40 0x4F)) (* inc/dec r; REX on x86-64 *);
+  set Fixed (range 0x50 0x5F) (* push/pop r *);
+  set Fixed (only_x86 [ 0x60; 0x61 ]);
+  set Modrm (only_x86 [ 0x62 ]) (* bound; EVEX on x86-64 *);
+  set Modrm [ 0x63 ] (* arpl / movsxd *);
+  if x86 then set Imm32_ref [ 0x68 ] else set Fixed ~imm:imm_z [ 0x68 ];
+  set Modrm ~imm:imm_z [ 0x69 ];
+  set Fixed ~imm:1 [ 0x6A ];
+  set Modrm ~imm:1 [ 0x6B ];
+  set Fixed (range 0x6C 0x6F) (* ins/outs *);
+  set Rel8 ~tag:tag_jcc_direct (range 0x70 0x7F);
+  set Modrm ~imm:1 ([ 0x80; 0x83 ] @ only_x86 [ 0x82 ]);
+  set Modrm ~imm:imm_z [ 0x81 ];
+  set Modrm (range 0x84 0x8C @ [ 0x8E; 0x8F ]);
+  set Lea [ 0x8D ];
+  set Fixed (range 0x90 0x99 @ range 0x9B 0x9F);
+  set Fixed ~imm:6 (only_x86 [ 0x9A ]) (* callf ptr16:32 *);
+  set Fixed ~imm:(if x86 then 4 else 8) (range 0xA0 0xA3) (* mov moffs *);
+  set Fixed (range 0xA4 0xA7 @ range 0xAA 0xAF) (* string ops *);
+  set Fixed ~imm:1 [ 0xA8 ];
+  set Fixed ~imm:imm_z [ 0xA9 ];
+  set Fixed ~imm:1 (range 0xB0 0xB7);
+  set (if x86 then Imm32_ref else Imm_v) (range 0xB8 0xBF);
+  set Modrm ~imm:1 [ 0xC0; 0xC1; 0xC6 ];
+  set Fixed ~tag:tag_ret ~imm:2 [ 0xC2; 0xCA ];
+  set Fixed ~tag:tag_ret [ 0xC3; 0xCB ];
+  set Modrm (only_x86 [ 0xC4; 0xC5 ]) (* les/lds; VEX on x86-64 *);
+  set Modrm ~imm:imm_z [ 0xC7 ];
+  set Fixed ~imm:3 [ 0xC8 ] (* enter *);
+  set Fixed ([ 0xC9; 0xCC; 0xCF ] @ only_x86 [ 0xCE ]);
+  set Fixed ~imm:1 [ 0xCD ];
+  set Modrm (range 0xD0 0xD3 @ range 0xD8 0xDF) (* shifts, x87 *);
+  set Fixed ~imm:1 (only_x86 [ 0xD4; 0xD5 ]) (* aam/aad *);
+  set Fixed [ 0xD7 ];
+  set Rel8 ~tag:tag_jcc_direct (range 0xE0 0xE3) (* loopcc / jcxz *);
+  set Fixed ~imm:1 (range 0xE4 0xE7) (* in/out imm8 *);
+  set Rel32 ~tag:tag_call_direct [ 0xE8 ];
+  set Rel32 ~tag:tag_jmp_direct [ 0xE9 ];
+  set Fixed ~imm:6 (only_x86 [ 0xEA ]) (* jmpf ptr16:32 *);
+  set Rel8 ~tag:tag_jmp_direct [ 0xEB ];
+  set Fixed (range 0xEC 0xEF @ [ 0xF1; 0xF5 ] @ range 0xF8 0xFD);
+  set Fixed ~tag:tag_halt [ 0xF4 ];
+  set Group3 ~imm:1 [ 0xF6 ];
+  set Group3 ~imm:imm_z [ 0xF7 ];
+  set Group4 [ 0xFE ];
+  set Group5 [ 0xFF ];
+  (* 0F map. *)
+  let two ops = List.map (fun op -> 256 + op) ops in
+  set Fixed (two (only_x64 [ 0x05 ] @ [ 0x0B; 0xA2 ] @ range 0xC8 0xCF))
+  (* syscall, ud2, cpuid, bswap *);
+  set Endbr (two [ 0x1E ]);
+  set Modrm (two ([ 0x1F; 0xAF; 0xB6; 0xB7; 0xBE; 0xBF ] @ range 0x40 0x4F @ range 0x90 0x9F))
+  (* nop r/m, imul, movzx/movsx, cmovcc, setcc *);
+  set Rel32 ~tag:tag_jcc_direct (two (range 0x80 0x8F));
+  let bad = '\255' and other = Char.chr tag_other in
+  let far = if x86 then other else bad in
+  let ff =
+    String.of_seq
+      (List.to_seq
+         [ other; other; Char.chr tag_call_indirect; far; Char.chr tag_jmp_indirect; far; other; bad ])
+  in
+  {
+    prefix = Bytes.to_string prefix;
+    shape;
+    info = Bytes.to_string info;
+    ff;
+    rip_relative = not x86;
+  }
+
+let tables_x64 = build Arch.X64
+let tables_x86 = build Arch.X86
+
+(* ---- The scan core ---------------------------------------------------- *)
+
 type scratch = {
   mutable s_addr : int;  (* virtual address of the scanned instruction *)
   mutable s_len : int;
@@ -450,10 +195,7 @@ type scratch = {
   mutable s_target : int;  (* payload of direct/addr-ref/goto tags *)
   mutable s_has_target : bool;  (* indirect tags: [goto] present *)
   mutable s_notrack : bool;
-  (* walk state *)
-  mutable s_pos : int;
-  mutable s_limit : int;
-  (* modrm result slots (valid right after [scan_modrm]) *)
+  (* ModRM result slots (valid right after [modrm]) *)
   mutable s_mreg : int;
   mutable s_mbare : bool;
   mutable s_mdisp : int;
@@ -467,8 +209,6 @@ let scratch () =
     s_target = 0;
     s_has_target = false;
     s_notrack = false;
-    s_pos = 0;
-    s_limit = 0;
     s_mreg = 0;
     s_mbare = false;
     s_mdisp = 0;
@@ -482,391 +222,150 @@ let scratch_target s = s.s_target
 (* Constant exception: raising it allocates nothing. *)
 exception Scan_fail
 
-let sc_u8 s code =
-  if s.s_pos >= s.s_limit then raise_notrace Scan_fail;
-  let v = Char.code (String.unsafe_get code s.s_pos) in
-  s.s_pos <- s.s_pos + 1;
-  v
+let[@inline] byte code p = Char.code (String.unsafe_get code p)
 
-let sc_peek s code =
-  if s.s_pos >= s.s_limit then raise_notrace Scan_fail;
-  Char.code (String.unsafe_get code s.s_pos)
+(* Every read is guarded by [need]: [p + n] bytes must lie below [limit]
+   (which is at most [String.length code], so the reads that follow are
+   in bounds). *)
+let[@inline] need p n limit = if p + n > limit then raise_notrace Scan_fail
+let[@inline] i32 code p = Int32.to_int (String.get_int32_le code p)
+let[@inline] i8 code p = (byte code p lxor 0x80) - 0x80
 
-let sc_skip s n =
-  if s.s_pos + n > s.s_limit then raise_notrace Scan_fail;
-  s.s_pos <- s.s_pos + n
+let[@inline] imm_len info pfx =
+  let n = info lsr 4 in
+  if n <> imm_z then n else if pfx land pf_opsize <> 0 then 2 else 4
 
-let sc_i32 s code =
-  let a = sc_u8 s code in
-  let b = sc_u8 s code in
-  let d = sc_u8 s code in
-  let e = sc_u8 s code in
-  let v = a lor (b lsl 8) lor (d lsl 16) lor (e lsl 24) in
-  if v >= 0x80000000 then v - 0x100000000 else v
-
-let sc_i8 s code =
-  let v = sc_u8 s code in
-  if v >= 0x80 then v - 0x100 else v
-
-(* Prefix flags, bit-packed (mirrors the [prefixes] record). *)
-let pf_opsize = 1
-let pf_rep = 2
-let pf_rexw = 4
-let pf_notrack = 8
-
-let scan_modrm s code =
-  let m = sc_u8 s code in
-  let md = m lsr 6 in
+(* The ModRM operand at [p]: records the reg field and any bare disp32 in
+   [s], returns the position after the SIB byte and displacement. *)
+let modrm s code limit p =
+  need p 1 limit;
+  let m = byte code p in
+  let r = Char.code (String.unsafe_get modrm_rule m) in
   s.s_mreg <- (m lsr 3) land 7;
-  s.s_mbare <- false;
-  if md <> 3 then begin
-    let rm = m land 7 in
-    (if rm = 4 then begin
-       let sib = sc_u8 s code in
-       if md = 0 && sib land 7 = 5 then sc_skip s 4
-     end
-     else if md = 0 && rm = 5 then begin
-       s.s_mdisp <- sc_i32 s code;
-       s.s_mbare <- true
-     end);
-    match md with 1 -> sc_skip s 1 | 2 -> sc_skip s 4 | _ -> ()
-  end
-
-let sc_skip_imm_z s pfx = sc_skip s (if pfx land pf_opsize <> 0 then 2 else 4)
-
-(* Sets [s_tag]/[s_target]/[s_has_target]; direct targets are still
-   relative here (resolved by [scan] once the length is known). *)
-let scan_two_byte arch s code pfx =
-  let op = sc_u8 s code in
-  if op = 0x05 && arch = Arch.X64 then s.s_tag <- tag_other
-  else if op = 0x0B then s.s_tag <- tag_other
-  else if op = 0x1E then
-    if pfx land pf_rep <> 0 && sc_peek s code = 0xFA then begin
-      sc_skip s 1;
-      s.s_tag <- tag_endbr64
-    end
-    else if pfx land pf_rep <> 0 && sc_peek s code = 0xFB then begin
-      sc_skip s 1;
-      s.s_tag <- tag_endbr32
-    end
+  let q =
+    if r land mr_sib = 0 then p + 1 + (r land 7)
     else begin
-      scan_modrm s code;
-      s.s_tag <- tag_other
+      need p 2 limit;
+      (* mod 00 with SIB base 101: a disp32 follows the SIB byte *)
+      p + 2 + if m < 0x40 && byte code (p + 1) land 7 = 5 then 4 else r land 7
     end
-  else if op = 0x1F then begin
-    scan_modrm s code;
-    s.s_tag <- tag_other
-  end
-  else if op >= 0x40 && op <= 0x4F then begin
-    scan_modrm s code;
-    s.s_tag <- tag_other
-  end
-  else if op >= 0x80 && op <= 0x8F then begin
-    if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
-    s.s_target <- sc_i32 s code;
-    s.s_tag <- tag_jcc_direct
-  end
-  else if op >= 0x90 && op <= 0x9F then begin
-    scan_modrm s code;
-    s.s_tag <- tag_other
-  end
-  else if op = 0xA2 then s.s_tag <- tag_other
-  else if op = 0xAF then begin
-    scan_modrm s code;
-    s.s_tag <- tag_other
-  end
-  else if op = 0xB6 || op = 0xB7 || op = 0xBE || op = 0xBF then begin
-    scan_modrm s code;
-    s.s_tag <- tag_other
-  end
-  else if op >= 0xC8 && op <= 0xCF then s.s_tag <- tag_other
-  else raise_notrace Scan_fail
-
-let scan_one_byte arch s code pfx =
-  let x86 = arch = Arch.X86 in
-  let op = sc_u8 s code in
-  let modrm_only () =
-    scan_modrm s code;
-    s.s_tag <- tag_other
   in
-  let other () = s.s_tag <- tag_other in
-  if op < 0x40 && op land 7 <= 5 && op <> 0x0F then begin
-    match op land 7 with
-    | 0 | 1 | 2 | 3 -> modrm_only ()
-    | 4 ->
-      sc_skip s 1;
-      other ()
-    | 5 ->
-      sc_skip_imm_z s pfx;
-      other ()
-    | _ -> assert false
+  need q 0 limit;
+  if r land mr_bare <> 0 then begin
+    s.s_mbare <- true;
+    s.s_mdisp <- i32 code (p + 1)
   end
-  else
-    match op with
-    | 0x06 | 0x07 | 0x0E | 0x16 | 0x17 | 0x1E | 0x1F ->
-      if x86 then other () else raise_notrace Scan_fail
-    | 0x27 | 0x2F | 0x37 | 0x3F -> if x86 then other () else raise_notrace Scan_fail
-    | _ when op >= 0x40 && op <= 0x4F ->
-      if x86 then other () else raise_notrace Scan_fail
-    | _ when op >= 0x50 && op <= 0x5F -> other ()
-    | 0x60 | 0x61 -> if x86 then other () else raise_notrace Scan_fail
-    | 0x62 -> if x86 then modrm_only () else raise_notrace Scan_fail
-    | 0x63 -> modrm_only ()
-    | 0x68 ->
-      if pfx land pf_opsize <> 0 then begin
-        sc_skip s 2;
-        other ()
-      end
-      else begin
-        let v = sc_i32 s code in
-        if x86 then begin
-          s.s_target <- v land 0xFFFFFFFF;
-          s.s_tag <- tag_addr_ref
-        end
-        else other ()
-      end
-    | 0x69 ->
-      scan_modrm s code;
-      sc_skip_imm_z s pfx;
-      other ()
-    | 0x6A ->
-      sc_skip s 1;
-      other ()
-    | 0x6B ->
-      scan_modrm s code;
-      sc_skip s 1;
-      other ()
-    | 0x6C | 0x6D | 0x6E | 0x6F -> other ()
-    | _ when op >= 0x70 && op <= 0x7F ->
-      s.s_target <- sc_i8 s code;
-      s.s_tag <- tag_jcc_direct
-    | 0x80 ->
-      scan_modrm s code;
-      sc_skip s 1;
-      other ()
-    | 0x81 ->
-      scan_modrm s code;
-      sc_skip_imm_z s pfx;
-      other ()
-    | 0x82 ->
-      if x86 then begin
-        scan_modrm s code;
-        sc_skip s 1;
-        other ()
-      end
-      else raise_notrace Scan_fail
-    | 0x83 ->
-      scan_modrm s code;
-      sc_skip s 1;
-      other ()
-    | 0x84 | 0x85 | 0x86 | 0x87 | 0x88 | 0x89 | 0x8A | 0x8B | 0x8C | 0x8E ->
-      modrm_only ()
-    | 0x8D ->
-      scan_modrm s code;
-      if s.s_mbare then begin
-        s.s_target <- s.s_mdisp;
-        s.s_tag <- tag_addr_ref
-      end
-      else other ()
-    | 0x8F -> modrm_only ()
-    | _ when op >= 0x90 && op <= 0x97 -> other ()
-    | 0x98 | 0x99 -> other ()
-    | 0x9A ->
-      if x86 then begin
-        sc_skip s 6;
-        other ()
-      end
-      else raise_notrace Scan_fail
-    | 0x9B | 0x9C | 0x9D | 0x9E | 0x9F -> other ()
-    | 0xA0 | 0xA1 | 0xA2 | 0xA3 ->
-      sc_skip s (if x86 then 4 else 8);
-      other ()
-    | 0xA4 | 0xA5 | 0xA6 | 0xA7 -> other ()
-    | 0xA8 ->
-      sc_skip s 1;
-      other ()
-    | 0xA9 ->
-      sc_skip_imm_z s pfx;
-      other ()
-    | _ when op >= 0xAA && op <= 0xAF -> other ()
-    | _ when op >= 0xB0 && op <= 0xB7 ->
-      sc_skip s 1;
-      other ()
-    | _ when op >= 0xB8 && op <= 0xBF ->
-      if pfx land (pf_rexw lor pf_opsize) <> 0 then begin
-        sc_skip s (if pfx land pf_rexw <> 0 then 8 else 2);
-        other ()
-      end
-      else begin
-        let v = sc_i32 s code in
-        if x86 then begin
-          s.s_target <- v land 0xFFFFFFFF;
-          s.s_tag <- tag_addr_ref
-        end
-        else other ()
-      end
-    | 0xC0 | 0xC1 ->
-      scan_modrm s code;
-      sc_skip s 1;
-      other ()
-    | 0xC2 ->
-      sc_skip s 2;
-      s.s_tag <- tag_ret
-    | 0xC3 -> s.s_tag <- tag_ret
-    | 0xC4 | 0xC5 -> if x86 then modrm_only () else raise_notrace Scan_fail
-    | 0xC6 ->
-      scan_modrm s code;
-      sc_skip s 1;
-      other ()
-    | 0xC7 ->
-      scan_modrm s code;
-      sc_skip_imm_z s pfx;
-      other ()
-    | 0xC8 ->
-      sc_skip s 3;
-      other ()
-    | 0xC9 -> other ()
-    | 0xCA ->
-      sc_skip s 2;
-      s.s_tag <- tag_ret
-    | 0xCB -> s.s_tag <- tag_ret
-    | 0xCC -> other ()
-    | 0xCD ->
-      sc_skip s 1;
-      other ()
-    | 0xCE -> if x86 then other () else raise_notrace Scan_fail
-    | 0xCF -> other ()
-    | 0xD0 | 0xD1 | 0xD2 | 0xD3 -> modrm_only ()
-    | 0xD4 | 0xD5 ->
-      if x86 then begin
-        sc_skip s 1;
-        other ()
-      end
-      else raise_notrace Scan_fail
-    | 0xD7 -> other ()
-    | _ when op >= 0xD8 && op <= 0xDF -> modrm_only ()
-    | 0xE0 | 0xE1 | 0xE2 | 0xE3 ->
-      s.s_target <- sc_i8 s code;
-      s.s_tag <- tag_jcc_direct
-    | 0xE4 | 0xE5 | 0xE6 | 0xE7 ->
-      sc_skip s 1;
-      other ()
-    | 0xE8 ->
-      if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
-      s.s_target <- sc_i32 s code;
-      s.s_tag <- tag_call_direct
-    | 0xE9 ->
-      if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
-      s.s_target <- sc_i32 s code;
-      s.s_tag <- tag_jmp_direct
-    | 0xEA ->
-      if x86 then begin
-        sc_skip s 6;
-        other ()
-      end
-      else raise_notrace Scan_fail
-    | 0xEB ->
-      s.s_target <- sc_i8 s code;
-      s.s_tag <- tag_jmp_direct
-    | 0xEC | 0xED | 0xEE | 0xEF -> other ()
-    | 0xF1 -> other ()
-    | 0xF4 -> s.s_tag <- tag_halt
-    | 0xF5 -> other ()
-    | 0xF6 ->
-      scan_modrm s code;
-      if s.s_mreg <= 1 then sc_skip s 1;
-      other ()
-    | 0xF7 ->
-      scan_modrm s code;
-      if s.s_mreg <= 1 then sc_skip_imm_z s pfx;
-      other ()
-    | _ when op >= 0xF8 && op <= 0xFD -> other ()
-    | 0xFE ->
-      scan_modrm s code;
-      if s.s_mreg > 1 then raise_notrace Scan_fail;
-      other ()
-    | 0xFF -> (
-      scan_modrm s code;
-      match s.s_mreg with
-      | 0 | 1 -> other ()
-      | 2 ->
-        s.s_tag <- tag_call_indirect;
-        s.s_has_target <- s.s_mbare;
-        if s.s_mbare then s.s_target <- s.s_mdisp
-      | 3 -> if x86 then other () else raise_notrace Scan_fail
-      | 4 ->
-        s.s_tag <- tag_jmp_indirect;
-        s.s_has_target <- s.s_mbare;
-        if s.s_mbare then s.s_target <- s.s_mdisp
-      | 5 -> if x86 then other () else raise_notrace Scan_fail
-      | 6 -> other ()
-      | _ -> raise_notrace Scan_fail)
-    | _ ->
-      (* Includes legacy prefixes reached after REX, exactly like [decode]. *)
-      raise_notrace Scan_fail
+  else s.s_mbare <- false;
+  q
 
 let scan arch (s : scratch) code ~limit ~base ~off =
   if limit < 0 || limit > String.length code then
     invalid_arg "Decoder.scan: limit out of range";
   if off < 0 || off >= limit then false
   else begin
-    s.s_pos <- off;
-    s.s_limit <- limit;
-    s.s_tag <- tag_other;
+    let t = match arch with Arch.X64 -> tables_x64 | Arch.X86 -> tables_x86 in
+    s.s_addr <- base + off;
     s.s_target <- 0;
     s.s_has_target <- false;
-    s.s_notrack <- false;
-    s.s_addr <- base + off;
     try
-      (* Prefix loop (flag bits instead of refs); REX stops it. *)
-      let pfx = ref 0 in
-      let n = ref 0 in
-      let stop = ref false in
-      while not !stop do
-        if !n > 14 then raise_notrace Scan_fail;
-        (match sc_peek s code with
-        | 0x66 ->
-          sc_skip s 1;
-          pfx := !pfx lor pf_opsize
-        | 0x67 ->
-          sc_skip s 1;
-          (* address-size prefix: unsupported downstream, matching [decode]'s
-             post-prefix rejection *)
-          raise_notrace Scan_fail
-        | 0xF3 ->
-          sc_skip s 1;
-          pfx := !pfx lor pf_rep
-        | 0xF2 -> sc_skip s 1
-        | 0xF0 -> sc_skip s 1
-        | 0x3E ->
-          sc_skip s 1;
-          pfx := !pfx lor pf_notrack;
-          s.s_notrack <- true
-        | 0x26 | 0x2E | 0x36 | 0x64 | 0x65 -> sc_skip s 1
-        | b when arch = Arch.X64 && b >= 0x40 && b <= 0x4F ->
-          sc_skip s 1;
-          if b land 8 <> 0 then pfx := !pfx lor pf_rexw;
-          stop := true
-        | _ -> stop := true);
-        if not !stop then incr n
+      (* Prefix run: legacy prefixes (at most 14), then an optional REX. *)
+      let p = ref off and pfx = ref 0 and n = ref 0 in
+      let e = ref (Char.code (String.unsafe_get t.prefix (byte code off))) in
+      while !e land px_legacy <> 0 do
+        if !n = 14 then raise_notrace Scan_fail;
+        incr n;
+        pfx := !pfx lor !e;
+        incr p;
+        need !p 1 limit;
+        e := Char.code (String.unsafe_get t.prefix (byte code !p))
       done;
-      if sc_peek s code = 0x0F then begin
-        sc_skip s 1;
-        scan_two_byte arch s code !pfx
-      end
-      else scan_one_byte arch s code !pfx;
-      s.s_len <- s.s_pos - off;
-      (* Resolve direct/RIP-relative payloads against the end address. *)
-      let next = base + s.s_pos in
+      if !e <> 0 then begin
+        if !e land px_reject <> 0 then raise_notrace Scan_fail;
+        pfx := !pfx lor !e;
+        incr p
+      end;
+      let pfx = !pfx in
+      s.s_notrack <- pfx land pf_notrack <> 0;
+      (* Opcode, through the 0F escape into the second map. *)
+      need !p 1 limit;
+      let op = byte code !p in
+      incr p;
+      let idx =
+        if op <> 0x0F then op
+        else begin
+          need !p 1 limit;
+          let op2 = byte code !p in
+          incr p;
+          256 + op2
+        end
+      in
+      let p = !p in
+      let info = Char.code (String.unsafe_get t.info idx) in
+      s.s_tag <- info land 15;
+      let q =
+        match Array.unsafe_get t.shape idx with
+        | Bad -> raise_notrace Scan_fail
+        | Fixed -> p + imm_len info pfx
+        | Modrm -> modrm s code limit p + imm_len info pfx
+        | Rel8 ->
+          need p 1 limit;
+          s.s_target <- i8 code p;
+          p + 1
+        | Rel32 ->
+          if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
+          need p 4 limit;
+          s.s_target <- i32 code p;
+          p + 4
+        | Imm32_ref ->
+          if pfx land pf_opsize <> 0 then p + 2
+          else begin
+            need p 4 limit;
+            s.s_tag <- tag_addr_ref;
+            s.s_target <- i32 code p land 0xFFFFFFFF;
+            p + 4
+          end
+        | Imm_v ->
+          p + if pfx land pf_rexw <> 0 then 8 else if pfx land pf_opsize <> 0 then 2 else 4
+        | Lea ->
+          let q = modrm s code limit p in
+          if s.s_mbare then begin
+            s.s_tag <- tag_addr_ref;
+            s.s_target <- s.s_mdisp
+          end;
+          q
+        | Group3 ->
+          let q = modrm s code limit p in
+          if s.s_mreg <= 1 then q + imm_len info pfx else q
+        | Group4 ->
+          let q = modrm s code limit p in
+          if s.s_mreg > 1 then raise_notrace Scan_fail;
+          q
+        | Group5 ->
+          let q = modrm s code limit p in
+          let tag = Char.code (String.unsafe_get t.ff s.s_mreg) in
+          if tag = 255 then raise_notrace Scan_fail;
+          s.s_tag <- tag;
+          if (tag = tag_call_indirect || tag = tag_jmp_indirect) && s.s_mbare then begin
+            s.s_has_target <- true;
+            s.s_target <- s.s_mdisp
+          end;
+          q
+        | Endbr ->
+          need p 1 limit;
+          let m = byte code p in
+          let q = modrm s code limit p in
+          if pfx land pf_rep <> 0 then
+            if m = 0xFA then s.s_tag <- tag_endbr64
+            else if m = 0xFB then s.s_tag <- tag_endbr32;
+          q
+      in
+      need q 0 limit;
+      s.s_len <- q - off;
+      (* Resolve direct and RIP-relative payloads against the end address. *)
       let tag = s.s_tag in
-      if tag = tag_call_direct || tag = tag_jmp_direct || tag = tag_jcc_direct
-      then s.s_target <- next + s.s_target
-      else if
-        (tag = tag_call_indirect || tag = tag_jmp_indirect) && s.s_has_target
-        && arch = Arch.X64
-      then s.s_target <- next + s.s_target
-      else if tag = tag_addr_ref && arch = Arch.X64 then
-        s.s_target <- next + s.s_target;
+      if tag >= tag_call_direct && tag <= tag_jcc_direct then s.s_target <- base + q + s.s_target
+      else if t.rip_relative && (s.s_has_target || tag = tag_addr_ref) then
+        s.s_target <- base + q + s.s_target;
       true
     with Scan_fail -> false
   end
@@ -889,6 +388,12 @@ let scratch_ins (s : scratch) =
     else Addr_ref s.s_target
   in
   { addr = s.s_addr; len = s.s_len; kind }
+
+let decode arch code ~base ~off =
+  let s = scratch () in
+  if scan arch s code ~limit:(String.length code) ~base ~off then Ok (scratch_ins s)
+  else if off < 0 || off >= String.length code then Error "offset out of range"
+  else Error "undecodable instruction"
 
 let kind_to_string = function
   | Endbr64 -> "endbr64"

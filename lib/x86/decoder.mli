@@ -1,10 +1,13 @@
 (** Table-driven x86 / x86-64 instruction length decoder and classifier.
 
     This is the disassembler front-end used by the linear sweep (§IV-B of the
-    paper).  It decodes legacy prefixes, REX (x86-64), one- and two-byte
-    opcode maps, ModRM/SIB and displacement/immediate fields — enough to
-    measure every instruction the synthetic compiler emits plus the common
-    encodings around them — and classifies each instruction into the
+    paper).  One scan core walks legacy prefixes and REX (x86-64) through a
+    256-entry prefix map, then dispatches the opcode through 256-entry
+    one-byte and [0F] two-byte maps whose entries name the operand shape
+    (plain, ModRM, immediate, relative branch, or one of a few special
+    forms); a shared 256-entry ModRM rule gives the SIB/displacement
+    length.  That covers every instruction the synthetic compiler emits
+    plus the common encodings around them, and classifies each into the
     categories the FunSeeker algorithm cares about. *)
 
 type kind =
@@ -31,20 +34,20 @@ val decode :
   Arch.t -> string -> base:int -> off:int -> (ins, string) result
 (** [decode arch code ~base ~off] decodes the instruction at byte offset
     [off] of section contents [code], whose first byte lives at virtual
-    address [base].  Absolute targets of direct branches are computed from
-    the instruction address.  Returns [Error _] on bytes outside the decoded
-    subset or on truncation; the linear sweep then resynchronises at
-    [off + 1] exactly as the paper prescribes. *)
+    address [base]: {!scan} followed by {!scratch_ins}.  Absolute targets
+    of direct branches are computed from the instruction address.  Returns
+    [Error _] on bytes outside the decoded subset or on truncation; the
+    linear sweep then resynchronises at [off + 1] exactly as the paper
+    prescribes. *)
 
 val kind_to_string : kind -> string
 
-(** {1 Allocation-free scratch core}
+(** {1 Allocation-free scan core}
 
-    [scan] is the hot-loop twin of [decode]: the same instruction walk over
-    the same opcode subset, but the result lands in a caller-owned mutable
-    {!scratch} record and classification is an int tag, so a successful scan
-    allocates nothing.  [decode] stays as the byte-at-a-time oracle; the two
-    are pinned to exact agreement by differential tests. *)
+    The result lands in a caller-owned mutable {!scratch} record and
+    classification is an int tag, so a successful scan allocates nothing.
+    The retired byte-at-a-time decoder lives on in the tests as the
+    differential oracle the core is pinned to. *)
 
 type scratch
 (** Mutable decode result slots, reused across calls.  Not thread-safe;
@@ -54,9 +57,10 @@ val scratch : unit -> scratch
 
 val scan : Arch.t -> scratch -> string -> limit:int -> base:int -> off:int -> bool
 (** [scan arch s code ~limit ~base ~off] decodes the instruction at [off]
-    (reading no byte at or past [limit]) into [s].  Returns [false] where
-    [decode] returns [Error _] (and when [off >= limit]).  Raises
-    [Invalid_argument] if [limit] is outside [0 .. String.length code]. *)
+    (reading no byte at or past [limit]) into [s].  Returns [false] on
+    bytes outside the decoded subset, on truncation at [limit], and when
+    [off >= limit].  Raises [Invalid_argument] if [limit] is outside
+    [0 .. String.length code]. *)
 
 val scratch_addr : scratch -> int
 (** Virtual address of the last successfully scanned instruction. *)
@@ -70,7 +74,7 @@ val scratch_target : scratch -> int
     instruction had a bare-disp32 memory operand (cf. {!scratch_ins}). *)
 
 val scratch_ins : scratch -> ins
-(** Materialise the last scan as a [decode]-style record (allocates). *)
+(** Materialise the last scan as an {!ins} record (allocates). *)
 
 (** Tag constants for {!scratch_tag}. *)
 

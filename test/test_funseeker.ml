@@ -75,6 +75,87 @@ let test_stc_same_function_multiple_sites () =
   in
   check Alcotest.(list int) "nothing" [] selected
 
+(* The array core against the retired list implementation: equal
+   selections and the identical [on_vote] call sequence. *)
+
+let recorder () =
+  let votes = ref [] in
+  let on_vote ~site ~target ~lo ~hi ~beyond ~outside_refs ~selected =
+    votes := (site, target, lo, hi, beyond, outside_refs, selected) :: !votes
+  in
+  (votes, on_vote)
+
+let stc_matches_oracle ~candidates ~jmp_refs ~call_refs ~text_end =
+  let oracle_votes, on_oracle = recorder () and votes, on_vote = recorder () in
+  let want =
+    Oracle_tailcall.select_tail_calls ~on_vote:on_oracle ~candidates ~jmp_refs ~call_refs
+      ~text_end ()
+  in
+  let got = FS.select_tail_calls ~on_vote ~candidates ~jmp_refs ~call_refs ~text_end () in
+  want = got && !oracle_votes = !votes
+
+(* Small address ranges, so owners, extents and shared targets collide
+   often; candidates arrive unsorted and with duplicates. *)
+let test_stc_vs_oracle_random =
+  let addr = QCheck.Gen.int_range 0 120 in
+  let refs = QCheck.Gen.(list_size (int_range 0 25) (pair addr addr)) in
+  QCheck.Test.make ~name:"select_tail_calls = list oracle (random)" ~count:1000
+    (QCheck.make
+       ~print:(fun (c, (j, (k, e))) ->
+         let pairs l = String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l) in
+         Printf.sprintf "cands [%s] jmps [%s] calls [%s] end %d"
+           (String.concat ";" (List.map string_of_int c)) (pairs j) (pairs k) e)
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 12) addr)
+           (pair refs (pair refs (int_range 100 140)))))
+    (fun (candidates, (jmp_refs, (call_refs, text_end))) ->
+      stc_matches_oracle ~candidates ~jmp_refs ~call_refs ~text_end)
+
+(* On real binaries, fed exactly as the analysis feeds it: the E' U C
+   candidates, the substrate's jump arrays, and every direct call (the
+   oracle gets the in-.text calls only, as the list-based phase built
+   them). *)
+let test_stc_vs_oracle_corpus () =
+  let module Substrate = Cet_disasm.Substrate in
+  List.iter
+    (fun (name, (bytes, _)) ->
+      List.iter
+        (fun anchored ->
+          let st = Substrate.of_bytes bytes in
+          let ix = Substrate.indexes ~anchored st and fx = Substrate.facts ~anchored st in
+          let starts =
+            Array.of_list (FS.analyze_st ~config:FS.config2 ~anchored st).FS.functions
+          in
+          let jmp_refs =
+            List.init (Array.length ix.Substrate.jmp_sites) (fun k ->
+                (ix.Substrate.jmp_sites.(k), ix.Substrate.jmp_tgts.(k)))
+          in
+          let call_refs =
+            List.filter
+              (fun (_, t) -> Substrate.in_text fx t)
+              (List.init (Array.length ix.Substrate.call_sites) (fun k ->
+                   (ix.Substrate.call_sites.(k), ix.Substrate.call_tgts.(k))))
+          in
+          let text_end = Substrate.text_end fx in
+          let oracle_votes, on_oracle = recorder () and votes, on_vote = recorder () in
+          let want =
+            Oracle_tailcall.select_tail_calls ~on_vote:on_oracle
+              ~candidates:(Array.to_list starts) ~jmp_refs ~call_refs ~text_end ()
+          in
+          let got =
+            FS.select_tail_calls_ix ~on_vote ~starts ~jmp_sites:ix.Substrate.jmp_sites
+              ~jmp_tgts:ix.Substrate.jmp_tgts ~call_sites:ix.Substrate.call_sites
+              ~call_tgts:ix.Substrate.call_tgts ~text_end ()
+          in
+          let tag = Printf.sprintf "%s anchored=%b" name anchored in
+          check Alcotest.(list int) (tag ^ " selection") want (Array.to_list got);
+          check Alcotest.int (tag ^ " vote count") (List.length !oracle_votes)
+            (List.length !votes);
+          check Alcotest.bool (tag ^ " vote sequence") true (!oracle_votes = !votes))
+        [ false; true ])
+    (Lazy.force Test_substrate.corpus)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end on synthetic binaries                                   *)
 (* ------------------------------------------------------------------ *)
@@ -343,6 +424,9 @@ let suite =
         Alcotest.test_case "two jumping functions" `Quick test_stc_two_jumping_functions;
         Alcotest.test_case "backward target" `Quick test_stc_backward_target;
         Alcotest.test_case "same-function sites" `Quick test_stc_same_function_multiple_sites;
+        QCheck_alcotest.to_alcotest test_stc_vs_oracle_random;
+        Alcotest.test_case "select_tail_calls = list oracle (corpus)" `Quick
+          test_stc_vs_oracle_corpus;
       ] );
     ( "funseeker.end_to_end",
       [

@@ -1,39 +1,64 @@
-(* Differential tests for the SWAR prescan sweep core (PR 6).
+(* Differential tests for the table-driven scan core and the sweeps built
+   on it.
 
-   The byte-at-a-time [Decoder.decode] and the reference sweeps are the
-   oracles; the scratch-core [Decoder.scan], the SWAR [anchor_offsets],
-   and the rewritten sweeps must agree with them exactly — on random
-   bytes, not just well-formed code, because the linear sweep's whole job
-   is resynchronising through garbage. *)
+   The retired byte-at-a-time decoder ([Oracle_decoder]) and the
+   reference sweeps over it ([Oracle_sweep]) are the oracles; the
+   production [Decoder.scan], the SWAR [anchor_offsets], and the
+   production sweeps must agree with them exactly — on every offset of
+   real code, on random bytes, and on bytes biased toward the edges of
+   the opcode tables, because the linear sweep's whole job is
+   resynchronising through garbage. *)
 
 module Arch = Cet_x86.Arch
 module Decoder = Cet_x86.Decoder
 module Linear = Cet_disasm.Linear
-module Prescan = Cet_disasm.Prescan
 
 let check = Alcotest.check
 
 let arches = [ ("x64", Arch.X64); ("x86", Arch.X86) ]
 
-(* --- scan vs decode, every offset --------------------------------------- *)
+(* --- scan vs the oracle decoder ----------------------------------------- *)
 
-let ins_equal (a : Decoder.ins) (b : Decoder.ins) =
-  a.Decoder.addr = b.Decoder.addr && a.Decoder.len = b.Decoder.len
-  && a.Decoder.kind = b.Decoder.kind
+(* The scratch view of an oracle kind: tag and, where the kind carries
+   one, the payload [scratch_target] must hold. *)
+let tag_payload (k : Decoder.kind) =
+  match k with
+  | Decoder.Other -> (Decoder.tag_other, None)
+  | Endbr64 -> (Decoder.tag_endbr64, None)
+  | Endbr32 -> (Decoder.tag_endbr32, None)
+  | Call_direct t -> (Decoder.tag_call_direct, Some t)
+  | Jmp_direct t -> (Decoder.tag_jmp_direct, Some t)
+  | Jcc_direct t -> (Decoder.tag_jcc_direct, Some t)
+  | Call_indirect { goto } -> (Decoder.tag_call_indirect, goto)
+  | Jmp_indirect { goto; _ } -> (Decoder.tag_jmp_indirect, goto)
+  | Ret -> (Decoder.tag_ret, None)
+  | Halt -> (Decoder.tag_halt, None)
+  | Addr_ref a -> (Decoder.tag_addr_ref, Some a)
+
+(* Scan [code] at [off] reading nothing at or past [limit], and decode
+   the same bytes with the oracle.  Success, address, length, tag and
+   payload must agree; [scratch_ins] equality adds [has_target] (the
+   [goto] option) and [notrack]. *)
+let agrees_at s arch code ~limit ~base ~off =
+  let scanned = Decoder.scan arch s code ~limit ~base ~off in
+  let visible = if limit = String.length code then code else String.sub code 0 limit in
+  match Oracle_decoder.decode arch visible ~base ~off with
+  | Error _ -> not scanned
+  | Ok ins ->
+    let tag, payload = tag_payload ins.Oracle_decoder.kind in
+    scanned
+    && Decoder.scratch_addr s = ins.Oracle_decoder.addr
+    && Decoder.scratch_len s = ins.Oracle_decoder.len
+    && Decoder.scratch_tag s = tag
+    && (match payload with None -> true | Some t -> Decoder.scratch_target s = t)
+    && Decoder.scratch_ins s = ins
 
 let scan_agrees arch code =
   let s = Decoder.scratch () in
   let n = String.length code in
-  let base = 0x401000 in
-  let ok = ref true in
   for off = 0 to n - 1 do
-    let scanned = Decoder.scan arch s code ~limit:n ~base ~off in
-    (match (scanned, Decoder.decode arch code ~base ~off) with
-    | true, Ok ins -> if not (ins_equal ins (Decoder.scratch_ins s)) then ok := false
-    | false, Error _ -> ()
-    | true, Error _ | false, Ok _ -> ok := false);
-    if not !ok then
-      QCheck.Test.fail_reportf "scan/decode disagree at off %d in %S" off code
+    if not (agrees_at s arch code ~limit:n ~base:0x401000 ~off) then
+      QCheck.Test.fail_reportf "scan/oracle disagree at off %d in %S" off code
   done;
   true
 
@@ -46,6 +71,27 @@ let test_scan_vs_decode =
         QCheck.(string_of_size Gen.(int_range 0 96))
         (scan_agrees arch))
     arches
+
+(* Every offset of every [.text] of the substrate test corpus (both
+   compilers and arches, C++, inline data), each decoded as x86 and as
+   x86-64. *)
+let test_scan_vs_decode_corpus () =
+  let s = Decoder.scratch () in
+  List.iter
+    (fun (name, (bytes, _)) ->
+      match Cet_elf.Reader.find_section (Cet_elf.Reader.read bytes) ".text" with
+      | None -> Alcotest.failf "%s: no .text" name
+      | Some sec ->
+        let code = sec.Cet_elf.Reader.data in
+        let n = String.length code in
+        List.iter
+          (fun (aname, arch) ->
+            for off = 0 to n - 1 do
+              if not (agrees_at s arch code ~limit:n ~base:sec.Cet_elf.Reader.vaddr ~off) then
+                Alcotest.failf "%s as %s: scan/oracle disagree at offset %d" name aname off
+            done)
+          arches)
+    (Lazy.force Test_substrate.corpus)
 
 (* Directed bytes covering the fiddlier decode arms: every prefix in
    front of every interesting opcode, plus truncations. *)
@@ -71,7 +117,7 @@ let directed_bytes =
 
 let test_scan_directed () =
   List.iter
-    (fun (name, arch) ->
+    (fun (_, arch) ->
       List.iter
         (fun code ->
           ignore (scan_agrees arch code);
@@ -80,8 +126,79 @@ let test_scan_directed () =
           for len = 0 to String.length code - 1 do
             ignore (scan_agrees arch (String.sub code 0 len))
           done)
-        directed_bytes;
-      ignore name)
+        directed_bytes)
+    arches
+
+(* --- edge-biased instruction generator ---------------------------------- *)
+
+let legacy_prefixes = "\x66\x67\xf2\xf3\xf0\x3e\x26\x2e\x36\x64\x65"
+
+(* Instruction-shaped bytes that lean on the table edges: a prefix run
+   (random, or exactly 14, 15 or 16 long; 67 only sometimes, since it
+   rejects outright), a REX byte before and/or after it, an opcode (one-
+   byte, 0F-escaped, or 0F 1E with FA/FB), and a ModRM/SIB operand in
+   any mod/rm form with the SIB base-101 case, followed by random
+   displacement/immediate bytes.  The limit then cuts the buffer
+   anywhere, so every displacement form is also seen truncated. *)
+let edge_gen =
+  QCheck.Gen.(
+    let prefix_byte ~with_67 =
+      map (fun i -> legacy_prefixes.[i]) (int_range 0 (String.length legacy_prefixes - 1))
+      >|= fun c -> if c = '\x67' && not with_67 then '\x66' else c
+    in
+    let prefix_run =
+      bool >>= fun with_67 ->
+      frequency [ (6, int_range 0 4); (1, int_range 5 13); (3, oneofl [ 14; 15; 16 ]) ]
+      >>= fun n -> string_size ~gen:(prefix_byte ~with_67) (return n)
+    in
+    let rex = map (fun r -> String.make 1 (Char.chr (0x40 + r))) (int_range 0 15) in
+    let opt g = frequency [ (1, g); (1, return "") ] in
+    let opcode =
+      frequency
+        [
+          (4, map (fun b -> String.make 1 (Char.chr b)) (int_range 0 255));
+          (3, map (fun b -> "\x0f" ^ String.make 1 (Char.chr b)) (int_range 0 255));
+          (2, map (fun m -> "\x0f\x1e" ^ String.make 1 (Char.chr m)) (oneofl [ 0xfa; 0xfb; 0xfa; 0x00; 0x05; 0x44 ]));
+          (2, oneofl [ "\x8d"; "\xff"; "\xf6"; "\xf7"; "\xfe"; "\x69"; "\xc7"; "\x8b"; "\x81" ]);
+        ]
+    in
+    let modrm =
+      int_range 0 3 >>= fun md ->
+      int_range 0 7 >>= fun reg ->
+      oneofl [ 0; 1; 2; 3; 4; 4; 5; 5; 6; 7 ] >>= fun rm ->
+      int_range 0 255 >>= fun sib_rest ->
+      bool >|= fun sib_base5 ->
+      let m = Char.chr ((md lsl 6) lor (reg lsl 3) lor rm) in
+      if md <> 3 && rm = 4 then
+        let sib = if sib_base5 then sib_rest land 0xF8 lor 5 else sib_rest in
+        Printf.sprintf "%c%c" m (Char.chr sib)
+      else String.make 1 m
+    in
+    opt rex >>= fun rex_before ->
+    prefix_run >>= fun pfx ->
+    opt rex >>= fun rex_after ->
+    opcode >>= fun op ->
+    opt modrm >>= fun mr ->
+    string_size ~gen:char (int_range 0 10) >>= fun tail ->
+    let code = rex_before ^ pfx ^ rex_after ^ op ^ mr ^ tail in
+    let n = String.length code in
+    frequency [ (1, return n); (2, int_range 0 n) ] >|= fun limit -> (code, limit))
+
+let test_scan_edges =
+  List.map
+    (fun (name, arch) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "scan = decode on table edges (%s)" name)
+        ~count:3000
+        (QCheck.make ~print:(fun (c, l) -> Printf.sprintf "%S limit %d" c l) edge_gen)
+        (fun (code, limit) ->
+          let s = Decoder.scratch () in
+          for off = 0 to limit - 1 do
+            if not (agrees_at s arch code ~limit ~base:0x8048000 ~off) then
+              QCheck.Test.fail_reportf "disagree at off %d" off
+          done;
+          (* off = limit, and past it: both must refuse. *)
+          not (Decoder.scan arch s code ~limit ~base:0 ~off:limit)))
     arches
 
 (* --- code generators ---------------------------------------------------- *)
@@ -118,7 +235,7 @@ let sweep_equal name (a : Linear.t) (b : Linear.t) code =
     QCheck.Test.fail_reportf "%s: %d insns <> %d on %S" name na nb code;
   Array.iteri
     (fun i ia ->
-      if not (ins_equal ia b.Linear.insns.(i)) then
+      if ia <> b.Linear.insns.(i) then
         QCheck.Test.fail_reportf "%s: insn %d differs on %S" name i code)
     a.Linear.insns;
   true
@@ -132,7 +249,7 @@ let test_sweep_vs_reference =
         (fun code ->
           sweep_equal "sweep"
             (Linear.sweep arch ~base:0x1000 code)
-            (Linear.sweep_reference arch ~base:0x1000 code)
+            (Oracle_sweep.sweep_reference arch ~base:0x1000 code)
             code))
     arches
 
@@ -145,7 +262,7 @@ let test_anchored_vs_reference =
         (fun code ->
           sweep_equal "sweep_anchored"
             (Linear.sweep_anchored arch ~base:0x1000 code)
-            (Linear.sweep_anchored_reference arch ~base:0x1000 code)
+            (Oracle_sweep.sweep_anchored_reference arch ~base:0x1000 code)
             code))
     arches
 
@@ -158,7 +275,7 @@ let test_anchors_vs_naive =
         ~name:(Printf.sprintf "SWAR anchor_offsets = naive (%s)" name)
         ~count:500 (planted arch)
         (fun code ->
-          Linear.anchor_offsets arch code = Linear.anchor_offsets_naive arch code))
+          Linear.anchor_offsets arch code = Oracle_sweep.anchor_offsets_naive arch code))
     arches
 
 (* Directed anchor placements: offset 0, every phase relative to the
@@ -172,7 +289,7 @@ let test_anchors_directed () =
         check
           Alcotest.(list int)
           (Printf.sprintf "%s anchors in %S" aname code)
-          (Array.to_list (Linear.anchor_offsets_naive arch code))
+          (Array.to_list (Oracle_sweep.anchor_offsets_naive arch code))
           (Array.to_list (Linear.anchor_offsets arch code))
       in
       case "";
@@ -194,48 +311,14 @@ let test_anchors_directed () =
       case (endbr Arch.X64 ^ endbr Arch.X86))
     arches
 
-(* --- word-class bitmap vs the per-byte oracle ---------------------------- *)
-
-let word_flagged code w =
-  let lo = w * 8 and n = String.length code in
-  let hi = min (lo + 7) (n - 1) in
-  let rec go i = i <= hi && (Prescan.candidate_byte code.[i] || go (i + 1)) in
-  go lo
-
-let test_classes_vs_oracle =
-  QCheck.Test.make ~name:"prescan classes = per-byte oracle" ~count:500
-    QCheck.(string_of_size Gen.(int_range 0 64))
-    (fun code ->
-      let cls = Prescan.classes code in
-      let nwords = (String.length code + 7) / 8 in
-      Bytes.length cls = max nwords 1
-      && List.for_all
-           (fun w -> Bytes.get cls w <> '\000' = word_flagged code w)
-           (List.init nwords Fun.id))
-
-let test_window_conservative =
-  QCheck.Test.make ~name:"window_has_candidate never misses" ~count:500
-    QCheck.(
-      pair (string_of_size Gen.(int_range 1 64)) (pair small_nat small_nat))
-    (fun (code, (off, len)) ->
-      let n = String.length code in
-      let off = off mod n and len = 1 + (len mod 15) in
-      let len = min len (n - off) in
-      let cls = Prescan.classes code in
-      let any_candidate =
-        let rec go i = i < off + len && (Prescan.candidate_byte code.[i] || go (i + 1)) in
-        go off
-      in
-      (* conservative: a window containing a candidate is always flagged *)
-      (not any_candidate) || Prescan.window_has_candidate cls ~off ~len)
-
 (* --- allocation budget --------------------------------------------------- *)
 
-(* The prescan kernels must not allocate per word: [classes] one bitmap,
-   [anchor_offsets] the result array (plus doubling steps).  The budget is
-   bytes-proportional headroom far under one word per scanned word, so a
-   boxed-Int64 regression in the loop bodies (8+ words per iteration)
-   trips it immediately. *)
+(* [anchor_offsets] allocates only its result array (plus doubling
+   steps), so its budget is headroom far under one word per 8-byte code
+   word: a boxed-Int64 regression in the loop body (8+ words per
+   iteration) trips it immediately.  A successful [scan] allocates
+   nothing at all: the whole loop over the buffer must cost zero minor
+   words. *)
 let test_prescan_allocation_budget () =
   let code =
     String.concat ""
@@ -249,26 +332,34 @@ let test_prescan_allocation_budget () =
     Gc.minor_words () -. before
   in
   let n_words = float_of_int (String.length code / 8) in
-  let cls_words = measure (fun () -> Prescan.classes code) in
   let anchor_words = measure (fun () -> Linear.anchor_offsets Arch.X64 code) in
-  (* classes: the bitmap itself is ~n/8/8 words; budget 1 word per code
-     word catches any boxing in the loop. *)
-  if cls_words /. n_words > 1.0 then
-    Alcotest.failf "Prescan.classes allocates %.2f minor words per code word"
-      (cls_words /. n_words);
   if anchor_words /. n_words > 1.0 then
     Alcotest.failf "anchor_offsets allocates %.2f minor words per code word"
-      (anchor_words /. n_words)
+      (anchor_words /. n_words);
+  let s = Decoder.scratch () in
+  let n = String.length code in
+  let scan_loop () =
+    let off = ref 0 in
+    while !off < n do
+      if Decoder.scan Arch.X64 s code ~limit:n ~base:0 ~off:!off then
+        off := !off + Decoder.scratch_len s
+      else incr off
+    done
+  in
+  let scan_words = measure scan_loop in
+  if scan_words > 0.0 then
+    Alcotest.failf "the scan loop allocates %.0f minor words" scan_words
 
 let suite =
   [
     ( "prescan",
       List.map QCheck_alcotest.to_alcotest
         (test_scan_vs_decode @ test_sweep_vs_reference @ test_anchored_vs_reference
-       @ test_anchors_vs_naive
-        @ [ test_classes_vs_oracle; test_window_conservative ])
+       @ test_anchors_vs_naive @ test_scan_edges)
       @ [
           Alcotest.test_case "scan = decode directed" `Quick test_scan_directed;
+          Alcotest.test_case "scan = decode on corpus offsets" `Quick
+            test_scan_vs_decode_corpus;
           Alcotest.test_case "anchor offsets directed" `Quick test_anchors_directed;
           Alcotest.test_case "prescan allocation budget" `Quick
             test_prescan_allocation_budget;

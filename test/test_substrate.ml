@@ -182,7 +182,7 @@ let test_sweep_allocation_budget () =
 
 (* --- stream-free scan vs sweep-derived products ------------------------ *)
 
-(* The SWAR-prescanned scan (what a substrate runs when no sweep is
+(* The stream-free scan (what a substrate runs when no sweep is
    cached) and the sweep-derived path must be observationally identical:
    same index arrays, same facts, plain and anchored. *)
 let check_scan_matches tag bytes =
@@ -244,8 +244,8 @@ let image_with_text arch text =
     }
 
 (* Random bytes with candidate patterns (end branches, direct calls and
-   jumps) planted at random spots, so both scan loops do real work and
-   the window gate has plenty of positive and negative words. *)
+   jumps) planted at random spots, so both scan loops have real index
+   entries to harvest and anchors to resynchronise at. *)
 let planted_code_gen =
   QCheck.Gen.(
     string_size ~gen:char (int_range 1 160) >>= fun raw ->
@@ -277,8 +277,8 @@ let test_scan_matches_planted =
       true)
 
 (* The stream-free scan materialises no instruction records at all — only
-   the class bitmap, the anchor table, and the index buffers — so its
-   whole budget is a couple of minor words per instruction. *)
+   the anchor table and the index buffers — so its whole budget is under
+   one minor word per instruction. *)
 let test_scan_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   assert (not (Cet_telemetry.Span.enabled ()));
