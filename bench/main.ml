@@ -11,6 +11,7 @@ open Toolkit
 module O = Cet_compiler.Options
 module Reader = Cet_elf.Reader
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 module FS = Core.Funseeker
 
 (* ------------------------------------------------------------------ *)
@@ -65,12 +66,16 @@ let stage = Staged.stage
 (* Table I: classify every end-branch of a SPEC C++ binary. *)
 let bench_table1 =
   Test.make ~name:"table1/classify-endbrs(spec)"
-    (stage (fun () -> Core.Study.classify_endbrs spec_bin.w_reader ~truth:spec_bin.w_truth))
+    (stage (fun () ->
+         Core.Study.classify_endbrs_st (Substrate.create spec_bin.w_reader)
+           ~truth:spec_bin.w_truth))
 
 (* Figure 3: property classes of every ground-truth function. *)
 let bench_fig3 =
   Test.make ~name:"fig3/function-props(spec)"
-    (stage (fun () -> Core.Study.function_props spec_bin.w_reader ~truth:spec_bin.w_truth))
+    (stage (fun () ->
+         Core.Study.function_props_st (Substrate.create spec_bin.w_reader)
+           ~truth:spec_bin.w_truth))
 
 (* Table II: the four ablation configurations. *)
 let bench_table2 =
@@ -78,7 +83,7 @@ let bench_table2 =
     (fun (i, config) ->
       Test.make
         ~name:(Printf.sprintf "table2/config%d(spec)" i)
-        (stage (fun () -> FS.analyze ~config spec_bin.w_reader)))
+        (stage (fun () -> FS.analyze_st ~config (Substrate.create spec_bin.w_reader))))
     [ (1, FS.config1); (2, FS.config2); (3, FS.config3); (4, FS.config4) ]
 
 (* Table III: the four tools on the same binary — the paper's speed
@@ -86,19 +91,22 @@ let bench_table2 =
 let bench_table3 =
   [
     Test.make ~name:"table3/funseeker(spec)"
-      (stage (fun () -> FS.analyze spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"table3/ida-like(spec)"
-      (stage (fun () -> Cet_baselines.Ida_like.analyze spec_bin.w_reader));
+      (stage (fun () -> Cet_baselines.Ida_like.analyze_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"table3/ghidra-like(spec)"
-      (stage (fun () -> Cet_baselines.Ghidra_like.analyze spec_bin.w_reader));
+      (stage (fun () ->
+           Cet_baselines.Ghidra_like.analyze_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"table3/fetch-like(spec)"
-      (stage (fun () -> Cet_baselines.Fetch.analyze spec_bin.w_reader));
+      (stage (fun () -> Cet_baselines.Fetch.analyze_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"table3/funseeker(coreutils)"
-      (stage (fun () -> FS.analyze coreutils_bin.w_reader));
+      (stage (fun () -> FS.analyze_st (Substrate.create coreutils_bin.w_reader)));
     Test.make ~name:"table3/fetch-like(coreutils)"
-      (stage (fun () -> Cet_baselines.Fetch.analyze coreutils_bin.w_reader));
+      (stage (fun () ->
+           Cet_baselines.Fetch.analyze_st (Substrate.create coreutils_bin.w_reader)));
     Test.make ~name:"table3/fetch-like(clang-x86)"
-      (stage (fun () -> Cet_baselines.Fetch.analyze clang_x86_bin.w_reader));
+      (stage (fun () ->
+           Cet_baselines.Fetch.analyze_st (Substrate.create clang_x86_bin.w_reader)));
   ]
 
 (* Ablations called out in DESIGN.md. *)
@@ -106,19 +114,21 @@ let bench_ablations =
   [
     (* FILTERENDBR on/off: the §V-B precision lever. *)
     Test.make ~name:"ablation/filter-endbr-off"
-      (stage (fun () -> FS.analyze ~config:FS.config1 spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st ~config:FS.config1 (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"ablation/filter-endbr-on"
-      (stage (fun () -> FS.analyze ~config:FS.config2 spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st ~config:FS.config2 (Substrate.create spec_bin.w_reader)));
     (* SELECTTAILCALL vs raw jump harvesting. *)
     Test.make ~name:"ablation/jmp-targets-raw"
-      (stage (fun () -> FS.analyze ~config:FS.config3 spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st ~config:FS.config3 (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"ablation/jmp-targets-tailcall"
-      (stage (fun () -> FS.analyze ~config:FS.config4 spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st ~config:FS.config4 (Substrate.create spec_bin.w_reader)));
     (* FETCH's verification depth (the 5x runtime story). *)
     Test.make ~name:"ablation/fetch-passes-1"
-      (stage (fun () -> Cet_baselines.Fetch.analyze ~passes:1 spec_bin.w_reader));
+      (stage (fun () ->
+           Cet_baselines.Fetch.analyze_st ~passes:1 (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"ablation/fetch-passes-22"
-      (stage (fun () -> Cet_baselines.Fetch.analyze ~passes:22 spec_bin.w_reader));
+      (stage (fun () ->
+           Cet_baselines.Fetch.analyze_st ~passes:22 (Substrate.create spec_bin.w_reader)));
   ]
 
 (* ARM BTI extension (SSVI). *)
@@ -141,11 +151,11 @@ let bench_arm =
 let bench_consumers =
   [
     Test.make ~name:"consumer/cfg-recover(spec)"
-      (stage (fun () -> Cet_cfg.Cfg.recover spec_bin.w_reader));
+      (stage (fun () -> Cet_cfg.Cfg.recover_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"consumer/ibt-audit(spec)"
-      (stage (fun () -> Core.Audit.audit spec_bin.w_reader));
+      (stage (fun () -> Core.Audit.audit_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"ablation/anchored-sweep(spec)"
-      (stage (fun () -> FS.analyze ~anchored:true spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st ~anchored:true (Substrate.create spec_bin.w_reader)));
   ]
 
 (* Substrates. *)
@@ -188,7 +198,7 @@ let bench_kernels =
       (stage (fun () -> Cet_disasm.Prescan.anchor_offsets arch spec_text));
     Test.make ~name:"kernel/scan-indexes(spec)"
       (stage (fun () ->
-           Cet_disasm.Substrate.indexes (Cet_disasm.Substrate.create spec_bin.w_reader)));
+           Substrate.indexes (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"kernel/memcpy(spec)"
       (stage (fun () -> Bytes.of_string spec_text));
     (* The flight recorder's hot path: a batch of enabled records into the
@@ -216,26 +226,22 @@ let bench_kernels =
 
 (* The substrate's raison d'être: one binary through FunSeeker and the
    three Table III baselines, with each tool re-deriving every per-binary
-   fact (legacy entry points, one fresh substrate per call) vs all four
-   sharing one memoised substrate — the harness's per-binary unit. *)
+   fact (one fresh substrate per tool) vs all four sharing one memoised
+   substrate — the harness's per-binary unit. *)
 let bench_substrate_sharing =
-  let run_tools analyze_fs analyze_ida analyze_ghidra analyze_fetch x =
-    ignore (analyze_fs x : FS.result);
-    ignore (analyze_ida x : int list);
-    ignore (analyze_ghidra x : int list);
-    ignore (analyze_fetch x : int list)
+  let run_tools substrate =
+    ignore (FS.analyze_st (substrate ()) : FS.result);
+    ignore (Cet_baselines.Ida_like.analyze_st (substrate ()) : int list);
+    ignore (Cet_baselines.Ghidra_like.analyze_st (substrate ()) : int list);
+    ignore (Cet_baselines.Fetch.analyze_st (substrate ()) : int list)
   in
   [
     Test.make ~name:"substrate/per-binary-legacy(spec)"
-      (stage (fun () ->
-           run_tools FS.analyze Cet_baselines.Ida_like.analyze
-             Cet_baselines.Ghidra_like.analyze Cet_baselines.Fetch.analyze
-             spec_bin.w_reader));
+      (stage (fun () -> run_tools (fun () -> Substrate.create spec_bin.w_reader)));
     Test.make ~name:"substrate/per-binary-shared(spec)"
       (stage (fun () ->
-           run_tools FS.analyze_st Cet_baselines.Ida_like.analyze_st
-             Cet_baselines.Ghidra_like.analyze_st Cet_baselines.Fetch.analyze_st
-             (Cet_disasm.Substrate.create spec_bin.w_reader)));
+           let st = Substrate.create spec_bin.w_reader in
+           run_tools (fun () -> st)));
   ]
 
 (* Corpus-level parallelism: the whole evaluation pipeline over a tiny
@@ -265,11 +271,11 @@ let bench_telemetry =
   let module Reg = Cet_telemetry.Registry in
   [
     Test.make ~name:"telemetry/funseeker-spans-off(spec)"
-      (stage (fun () -> FS.analyze spec_bin.w_reader));
+      (stage (fun () -> FS.analyze_st (Substrate.create spec_bin.w_reader)));
     Test.make ~name:"telemetry/funseeker-spans-on(spec)"
       (stage (fun () ->
            Reg.enable ();
-           let r = FS.analyze spec_bin.w_reader in
+           let r = FS.analyze_st (Substrate.create spec_bin.w_reader) in
            Reg.disable ();
            r));
   ]

@@ -1,7 +1,9 @@
 (* cetaudit — verify IBT coverage of a CET-enabled binary: every statically
    visible indirect-branch target must begin with an end-branch.
 
-   Usage: cetaudit [--quiet] FILE            exit code 1 on violations *)
+   Usage: cetaudit [--quiet] FILE            exit code 1 on violations,
+                                             2 on an unreadable ELF or
+                                             one without .text *)
 
 open Cmdliner
 
@@ -11,11 +13,28 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Malformed input ends in a diagnostic: an unreadable ELF or one without
+   [.text] exits 2 with the reasons on stderr; anything the audit
+   degraded (corrupt exception tables, an unreadable PLT) is reported on
+   stderr beside the still complete report. *)
 let run file quiet =
-  let reader = Cet_elf.Reader.read (read_file file) in
-  if not (Cet_elf.Reader.cet_enabled reader) then
+  let fail diags =
+    prerr_string (Cet_util.Diag.render diags);
+    exit 2
+  in
+  let st =
+    match Cet_disasm.Substrate.of_bytes_diag (read_file file) with
+    | Ok st -> st
+    | Error d -> fail [ d ]
+  in
+  if Cet_disasm.Substrate.text st = None then
+    fail
+      (Cet_disasm.Substrate.diags st
+      @ [ Cet_util.Diag.error ~domain:"core" ~code:"no-text" "no .text section to audit" ]);
+  if not (Cet_elf.Reader.cet_enabled (Cet_disasm.Substrate.reader st)) then
     Printf.printf "note: %s does not advertise IBT in .note.gnu.property\n" file;
-  let r = Core.Audit.audit reader in
+  let r = Core.Audit.audit_st st in
+  prerr_string (Cet_util.Diag.render (Cet_disasm.Substrate.diags st));
   if not quiet then begin
     Printf.printf "%s: %d indirect-branch targets checked, %d marked, %d violations\n"
       file r.Core.Audit.checked r.marked

@@ -1,6 +1,8 @@
 (* funseeker — identify function entries in a CET-enabled ELF binary.
 
-   Usage: funseeker [--config 1|2|3|4] [--stats] [--truth] [--explain ADDR] FILE *)
+   Usage: funseeker [--config 1|2|3|4] [--stats] [--truth] [--explain ADDR] FILE
+   Exit codes: 0 on success, 2 on usage errors and on an unreadable ELF
+   or one without .text (diagnostics on stderr). *)
 
 open Cmdliner
 
@@ -17,12 +19,37 @@ let parse_addr s =
     Printf.eprintf "funseeker: --explain expects an address (hex 0x... or decimal), got %S\n" s;
     exit 2
 
+(* Malformed input ends in a diagnostic: an unreadable ELF or one without
+   [.text] exits 2 with the reasons on stderr; anything the analysis
+   degraded is reported on stderr after the still complete output. *)
+let fail diags =
+  prerr_string (Cet_util.Diag.render diags);
+  exit 2
+
 let run file config_no anchored stats with_truth explain =
+  let config =
+    match config_no with
+    | 1 -> Core.Funseeker.config1
+    | 2 -> Core.Funseeker.config2
+    | 3 -> Core.Funseeker.config3
+    | 4 -> Core.Funseeker.config4
+    | n ->
+      Printf.eprintf "funseeker: --config expects 1, 2, 3 or 4 (Table II), got %d\n" n;
+      exit 2
+  in
   (* --stats doubles as the telemetry switch: phase spans recorded during
      the analysis are reported to stderr at the end. *)
   if stats then Cet_telemetry.Registry.enable ();
-  let bytes = read_file file in
-  let reader = Cet_elf.Reader.read bytes in
+  let st =
+    match Cet_disasm.Substrate.of_bytes_diag (read_file file) with
+    | Ok st -> st
+    | Error d -> fail [ d ]
+  in
+  if Cet_disasm.Substrate.text st = None then
+    fail
+      (Cet_disasm.Substrate.diags st
+      @ [ Cet_util.Diag.error ~domain:"core" ~code:"no-text" "no .text section to analyze" ]);
+  let reader = Cet_disasm.Substrate.reader st in
   let explain = Option.map parse_addr explain in
   if Cet_elf.Reader.machine reader = Cet_elf.Consts.em_aarch64 then begin
     if explain <> None then begin
@@ -33,6 +60,7 @@ ported to the BTI seeker)\n";
     (* BTI-enabled AArch64 binary: route to the ported seeker (SSVI). *)
     let r = Cet_arm64.Bti_seeker.analyze reader in
     List.iter (fun addr -> Printf.printf "0x%x\n" addr) r.Cet_arm64.Bti_seeker.functions;
+    prerr_string (Cet_util.Diag.render (Cet_disasm.Substrate.diags st));
     if stats then begin
       Printf.eprintf "aarch64/BTI mode\n";
       Printf.eprintf "functions: %d\n" (List.length r.functions);
@@ -45,24 +73,19 @@ ported to the BTI seeker)\n";
   end;
   if not (Cet_elf.Reader.cet_enabled reader) then
     prerr_endline "warning: binary does not advertise IBT in .note.gnu.property";
-  let config =
-    match config_no with
-    | 1 -> Core.Funseeker.config1
-    | 2 -> Core.Funseeker.config2
-    | 3 -> Core.Funseeker.config3
-    | _ -> Core.Funseeker.config4
-  in
   match explain with
   | Some addr ->
     (* Evidence chain for one address: rerun the requested configuration
        with decision provenance and print why the address was (not)
        identified. *)
-    let st = Cet_disasm.Substrate.create reader in
-    let _r, prov = Core.Funseeker.analyze_prov ~config ~anchored st in
-    print_string (Core.Provenance.explain prov addr)
+    let prov = Core.Provenance.create () in
+    ignore (Core.Funseeker.analyze_st ~config ~anchored ~prov st : Core.Funseeker.result);
+    print_string (Core.Provenance.explain prov addr);
+    prerr_string (Cet_util.Diag.render (Cet_disasm.Substrate.diags st))
   | None ->
-  let r = Core.Funseeker.analyze ~config ~anchored reader in
+  let r = Core.Funseeker.analyze_st ~config ~anchored st in
   List.iter (fun addr -> Printf.printf "0x%x\n" addr) r.Core.Funseeker.functions;
+  prerr_string (Cet_util.Diag.render (Cet_disasm.Substrate.diags st));
   if stats then begin
     Printf.eprintf "functions: %d\n" (List.length r.functions);
     Printf.eprintf "endbr instructions: %d\n" r.endbr_total;
@@ -88,7 +111,10 @@ ported to the BTI seeker)\n";
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
 
 let config_no =
-  let doc = "Ablation configuration (1-4, Table II); 4 is full FunSeeker." in
+  let doc =
+    "Ablation configuration (1-4, Table II); 4 is full FunSeeker.  Anything \
+     else is a usage error (exit 2)."
+  in
   Arg.(value & opt int 4 & info [ "config" ] ~doc)
 
 let anchored =

@@ -13,8 +13,10 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let explain_addr reader addr =
-  let st = Cet_disasm.Substrate.create reader in
-  let _r, prov = Core.Funseeker.analyze_prov st in
+  let prov = Core.Provenance.create () in
+  ignore
+    (Core.Funseeker.analyze_st ~prov (Cet_disasm.Substrate.create reader)
+      : Core.Funseeker.result);
   print_string (Core.Provenance.explain prov addr);
   (* Ground-truth cross-reference: is the address actually a function
      entry?  Only answerable on unstripped binaries. *)

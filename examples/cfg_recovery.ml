@@ -15,9 +15,10 @@ let () =
   in
   let ir = Cet_corpus.Generator.program ~seed:11 ~profile ~index:0 in
   let res = Cet_compiler.Link.link O.default ir in
-  let reader = Cet_elf.Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
-  (* Function entries come from FunSeeker; the CFG layer does the rest. *)
-  let funcs = Cfg.recover reader in
+  let st = Cet_disasm.Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.image) in
+  (* Function entries come from FunSeeker (over the same substrate); the
+     CFG layer does the rest. *)
+  let funcs = Cfg.recover_st st in
   let blocks = List.fold_left (fun acc f -> acc + Cfg.block_count f) 0 funcs in
   let edges = List.fold_left (fun acc f -> acc + Cfg.edge_count f) 0 funcs in
   Printf.printf "recovered %d function CFGs: %d basic blocks, %d intra edges\n\n"

@@ -7,12 +7,14 @@
 module O = Cet_compiler.Options
 module Metrics = Cet_eval.Metrics
 
+(* Every tool reads the same per-binary substrate: the ELF is parsed and
+   disassembled once, however many tools consume it. *)
 let tools =
   [
-    ("FunSeeker", fun r -> (Core.Funseeker.analyze r).Core.Funseeker.functions);
-    ("IDA-like", Cet_baselines.Ida_like.analyze);
-    ("Ghidra-like", Cet_baselines.Ghidra_like.analyze);
-    ("FETCH-like", Cet_baselines.Fetch.analyze ~passes:3);
+    ("FunSeeker", fun st -> (Core.Funseeker.analyze_st st).Core.Funseeker.functions);
+    ("IDA-like", Cet_baselines.Ida_like.analyze_st);
+    ("Ghidra-like", Cet_baselines.Ghidra_like.analyze_st);
+    ("FETCH-like", Cet_baselines.Fetch.analyze_st ~passes:3);
   ]
 
 let () =
@@ -28,11 +30,11 @@ let () =
     profile.Cet_corpus.Profile.programs (List.length configs);
   let totals = Hashtbl.create 4 in
   Cet_corpus.Dataset.iter ~profiles:[ profile ] ~configs ~seed:42 ~scale:1.0 (fun bin ->
-      let reader = Cet_elf.Reader.read bin.Cet_corpus.Dataset.stripped in
+      let st = Cet_disasm.Substrate.of_bytes bin.Cet_corpus.Dataset.stripped in
       let truth = List.map snd bin.truth in
       List.iter
         (fun (name, run) ->
-          let m = Metrics.compare_sets ~truth ~found:(run reader) in
+          let m = Metrics.compare_sets ~truth ~found:(run st) in
           let cur =
             Option.value ~default:Metrics.empty (Hashtbl.find_opt totals name)
           in

@@ -31,14 +31,14 @@ let () =
   in
   let result = Cet_compiler.Link.link O.default program in
   let bytes = Cet_elf.Writer.write ~strip:true result.image in
-  let reader = Cet_elf.Reader.read bytes in
+  let st = Cet_disasm.Substrate.of_bytes bytes in
   (* Show the Fig. 2b pattern: an end-branch right after the function's
      ret, heading a catch block. *)
-  let lps = Core.Parse.landing_pads reader in
+  let lps = Cet_disasm.Substrate.landing_pads st in
   Printf.printf "landing pads recovered from .gcc_except_table: %d\n"
-    (List.length lps);
-  let sweep = Cet_disasm.Linear.sweep_text reader in
-  let lp = List.hd lps in
+    (Array.length lps);
+  let sweep = Cet_disasm.Substrate.sweep st in
+  let lp = lps.(0) in
   Printf.printf "\ndisassembly around the first catch block (0x%x):\n" lp;
   Array.iter
     (fun (i : Cet_x86.Decoder.ins) ->
@@ -50,7 +50,7 @@ let () =
   (* Naive harvesting (config 1) counts every catch block as a function. *)
   let truth = List.map snd result.truth in
   let score config =
-    let r = FS.analyze ~config reader in
+    let r = FS.analyze_st ~config st in
     let m = Cet_eval.Metrics.compare_sets ~truth ~found:r.FS.functions in
     (r, m)
   in
@@ -59,7 +59,7 @@ let () =
   Printf.printf "\nconfig 1 (E u C, no filtering): precision %.1f%%  recall %.1f%%\n"
     (Cet_eval.Metrics.precision m1) (Cet_eval.Metrics.recall m1);
   Printf.printf "  -> %d end-branches harvested, %d of them catch blocks\n"
-    r1.FS.endbr_total (List.length lps);
+    r1.FS.endbr_total (Array.length lps);
   Printf.printf "config 2 (E' u C, FILTERENDBR):  precision %.1f%%  recall %.1f%%\n"
     (Cet_eval.Metrics.precision m2) (Cet_eval.Metrics.recall m2);
   Printf.printf "  -> filtered %d landing pads via .gcc_except_table LSDAs\n"

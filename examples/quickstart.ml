@@ -35,8 +35,9 @@ let () =
   let stripped = Cet_elf.Writer.write ~strip:true result.image in
   Printf.printf "compiled %s: %d bytes, %d real functions\n\n" program.Ir.prog_name
     (String.length stripped) (List.length result.truth);
-  (* 3. Run FunSeeker on the stripped bytes. *)
-  let found = Core.Funseeker.analyze_bytes stripped in
+  (* 3. Run FunSeeker on the stripped bytes: parse them into a substrate
+     (the per-binary facts every analysis shares), then analyze it. *)
+  let found = Core.Funseeker.analyze_st (Cet_disasm.Substrate.of_bytes stripped) in
   Printf.printf "FunSeeker found %d function entries:\n" (List.length found.functions);
   List.iter
     (fun addr ->

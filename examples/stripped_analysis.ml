@@ -29,7 +29,8 @@ let () =
   (* Ground truth comes from the unstripped twin's symbols, with the
      paper's corrections (.cold/.part excluded). *)
   let ur = Cet_elf.Reader.read unstripped in
-  let sr = Cet_elf.Reader.read stripped in
+  let st = Cet_disasm.Substrate.of_bytes stripped in
+  let sr = Cet_disasm.Substrate.reader st in
   let all_func_syms =
     List.filter (fun (s : Cet_elf.Symbol.t) -> s.kind = Cet_elf.Symbol.Func)
       (Cet_elf.Reader.symbols ur)
@@ -51,7 +52,7 @@ let () =
   Printf.printf "%-34s %10s %10s %6s %6s\n" "configuration" "precision" "recall" "fp" "fn";
   List.iter
     (fun (name, config) ->
-      let r = FS.analyze ~config sr in
+      let r = FS.analyze_st ~config st in
       let m = Cet_eval.Metrics.compare_sets ~truth ~found:r.FS.functions in
       Printf.printf "%-34s %9.3f%% %9.3f%% %6d %6d\n" name (Cet_eval.Metrics.precision m)
         (Cet_eval.Metrics.recall m) m.Cet_eval.Metrics.fp m.Cet_eval.Metrics.fn)
@@ -63,7 +64,7 @@ let () =
     ];
   print_newline ();
   (* Show what the remaining false negatives are. *)
-  let r4 = FS.analyze ~config:FS.config4 sr in
+  let r4 = FS.analyze_st ~config:FS.config4 st in
   let _, fns = Cet_eval.Metrics.false_entries ~truth ~found:r4.FS.functions in
   let name_of a =
     match List.find_opt (fun (_, v) -> v = a) res.Cet_compiler.Link.truth with

@@ -16,6 +16,10 @@ let analyze reader =
     let insns = A64.sweep text.data ~base in
     let bti_c = ref [] and bti_j = ref 0 in
     let calls = ref [] and jmp_refs = ref [] and call_refs = ref [] in
+    (* Reference lists are built newest-first: reverse into site/target
+       arrays in address order for SELECTTAILCALL. *)
+    let sites refs = Array.of_list (List.rev_map fst refs) in
+    let tgts refs = Array.of_list (List.rev_map snd refs) in
     List.iter
       (fun (i : A64.ins) ->
         match i.kind with
@@ -30,8 +34,10 @@ let analyze reader =
     let calls = List.sort_uniq Int.compare !calls in
     let candidates = List.sort_uniq Int.compare (!bti_c @ calls) in
     let selected =
-      Core.Funseeker.select_tail_calls ~candidates ~jmp_refs:!jmp_refs
-        ~call_refs:!call_refs ~text_end:limit ()
+      Array.to_list
+        (Core.Funseeker.select_tail_calls_ix ~starts:(Array.of_list candidates)
+           ~jmp_sites:(sites !jmp_refs) ~jmp_tgts:(tgts !jmp_refs)
+           ~call_sites:(sites !call_refs) ~call_tgts:(tgts !call_refs) ~text_end:limit ())
     in
     {
       functions = List.sort_uniq Int.compare (candidates @ selected);
@@ -40,5 +46,3 @@ let analyze reader =
       call_target_count = List.length calls;
       tail_calls_selected = List.length selected;
     }
-
-let analyze_bytes bytes = analyze (Cet_elf.Reader.read bytes)

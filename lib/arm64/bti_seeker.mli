@@ -16,5 +16,3 @@ type result = {
 
 val analyze : Cet_elf.Reader.t -> result
 (** Raises [Invalid_argument] when the image has no [.text]. *)
-
-val analyze_bytes : string -> result

@@ -94,6 +94,3 @@ let classify_st ?(threshold = 0.5) root st =
     Cet_telemetry.Span.with_ ~name:"baseline.byteweight" (fun () ->
         classify_st_impl threshold root st)
   else classify_st_impl threshold root st
-
-let classify ?(threshold = 0.5) root reader =
-  classify_st ~threshold root (Cet_disasm.Substrate.create reader)

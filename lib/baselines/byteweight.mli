@@ -18,13 +18,10 @@ val train : (Cet_elf.Reader.t * int list) list -> model
     entry addresses)] pairs.  Negative examples are the other instruction
     boundaries of the same binaries. *)
 
-val classify : ?threshold:float -> model -> Cet_elf.Reader.t -> int list
-(** Score every instruction boundary of [.text]; keep addresses whose
-    matched prefix is function-start-weighted above [threshold]
-    (default 0.5). *)
-
 val classify_st : ?threshold:float -> model -> Cet_disasm.Substrate.t -> int list
-(** {!classify} over a shared per-binary substrate. *)
+(** Score every instruction boundary of the substrate's [.text] sweep;
+    keep addresses whose matched prefix is function-start-weighted above
+    [threshold] (default 0.5). *)
 
 val score : model -> string -> off:int -> float
 (** Posterior that the byte sequence starting at [off] begins a function

@@ -35,5 +35,3 @@ let analyze_st ?(passes = 22) st =
   if Cet_telemetry.Span.enabled () then
     Cet_telemetry.Span.with_ ~name:"baseline.fetch" (fun () -> analyze_st_impl passes st)
   else analyze_st_impl passes st
-
-let analyze ?(passes = 22) reader = analyze_st ~passes (Substrate.create reader)

@@ -8,11 +8,8 @@
     (Clang x86 C code) yield almost nothing, reproducing FETCH's recall
     collapse in Table III. *)
 
-val analyze : ?passes:int -> Cet_elf.Reader.t -> int list
-(** Identified function entries, sorted.  [passes] (default 22) controls the
-    refinement iterations. *)
-
 val analyze_st : ?passes:int -> Cet_disasm.Substrate.t -> int list
-(** {!analyze} over a shared per-binary substrate (sweep and FDE starts
-    reused across tools; the refinement passes walk the cached instruction
-    stream instead of re-disassembling each extent). *)
+(** Identified function entries, sorted.  [passes] (default 22) controls the
+    refinement iterations.  The sweep and FDE starts come from the shared
+    per-binary substrate; the refinement passes walk its cached
+    instruction stream instead of re-disassembling each extent. *)

@@ -8,9 +8,6 @@
     point, and runs a looser prologue scanner on x86 — the source of its
     extra false positives there. *)
 
-val analyze : Cet_elf.Reader.t -> int list
-(** Identified function entries, sorted. *)
-
 val analyze_st : Cet_disasm.Substrate.t -> int list
-(** {!analyze} over a shared per-binary substrate (sweep, FDE extents and
-    index arrays reused across tools). *)
+(** Identified function entries, sorted.  The sweep and FDE extents come
+    from the shared per-binary substrate. *)

@@ -78,5 +78,3 @@ let analyze_st st =
   if Cet_telemetry.Span.enabled () then
     Cet_telemetry.Span.with_ ~name:"baseline.ida" (fun () -> analyze_st_impl st)
   else analyze_st_impl st
-
-let analyze reader = analyze_st (Substrate.create reader)

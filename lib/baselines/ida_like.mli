@@ -8,9 +8,6 @@
     it neither consumes [.eh_frame] aggressively nor treats end-branch
     markers as entry hints. *)
 
-val analyze : Cet_elf.Reader.t -> int list
-(** Identified function entries, sorted. *)
-
 val analyze_st : Cet_disasm.Substrate.t -> int list
-(** {!analyze} over a shared per-binary substrate (sweep and index arrays
-    reused across tools). *)
+(** Identified function entries, sorted.  The sweep and index arrays come
+    from the shared per-binary substrate. *)

@@ -9,8 +9,5 @@
     each component's entry block — the block no intra-procedural edge
     enters — as a function. *)
 
-val analyze : Cet_elf.Reader.t -> int list
-(** Identified function entries, sorted. *)
-
 val analyze_st : Cet_disasm.Substrate.t -> int list
-(** {!analyze} over a shared per-binary substrate. *)
+(** Identified function entries, sorted, from the substrate's sweep. *)

@@ -136,8 +136,6 @@ let recover_st ?entries st =
          recover_function sweep ~entry ~stop)
        arr)
 
-let recover ?entries reader = recover_st ?entries (Cet_disasm.Substrate.create reader)
-
 let call_graph funcs =
   let entries = Hashtbl.create (List.length funcs) in
   List.iter (fun f -> Hashtbl.replace entries f.f_entry ()) funcs;

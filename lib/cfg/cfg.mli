@@ -31,15 +31,11 @@ type func = {
   f_calls : int list;  (** distinct outgoing direct-call targets (in text) *)
 }
 
-val recover : ?entries:int list -> Cet_elf.Reader.t -> func list
-(** Recover one CFG per function.  [entries] defaults to running FunSeeker
-    (configuration ④) on the binary.  Raises [Invalid_argument] when the
-    image has no [.text]. *)
-
 val recover_st : ?entries:int list -> Cet_disasm.Substrate.t -> func list
-(** {!recover} over a shared per-binary substrate — the sweep (and, when
-    [entries] is omitted, FunSeeker's whole analysis) is reused rather than
-    recomputed. *)
+(** Recover one CFG per function.  [entries] defaults to running FunSeeker
+    (configuration ④) over the same substrate, so the sweep and
+    FunSeeker's analysis are shared rather than recomputed.  Raises
+    [Invalid_argument] when the image has no [.text]. *)
 
 val call_graph : func list -> (int * int list) list
 (** [entry → distinct callees] for every recovered function, callees

@@ -27,7 +27,7 @@ let audit_st st =
   let endbrs = ix.Substrate.endbrs in
   (* PLT entries carry their own end-branches (checked against raw bytes:
      the PLT is outside .text). *)
-  let plt = Parse.plt reader in
+  let plt = Parse.plt_st st in
   let plt_section = Cet_elf.Reader.find_section reader ".plt" in
   let arch = Cet_elf.Reader.arch reader in
   let plt_entry_marked addr =
@@ -88,19 +88,13 @@ let audit_st st =
      nor indirect-return continuation sites — conservative compiler
      over-marking (the paper's §III-B observation, and extra attack
      surface from the defender's perspective). *)
-  let ir_returns = Hashtbl.create 8 in
-  Array.iteri
-    (fun k target ->
-      if Parse.in_plt plt target then
-        match Parse.plt_name plt target with
-        | Some name when List.mem name Parse.indirect_return_imports ->
-          Hashtbl.replace ir_returns ix.Substrate.call_rets.(k) ()
-        | _ -> ())
-    ix.Substrate.call_tgts;
+  let ir_returns =
+    Array.map (fun k -> ix.Substrate.call_rets.(k)) (Parse.indirect_return_calls plt ix)
+  in
   let superfluous =
     Array.fold_left
       (fun acc e ->
-        if Hashtbl.mem candidates e || Hashtbl.mem ir_returns e then acc else acc + 1)
+        if Hashtbl.mem candidates e || Linear.mem_sorted ir_returns e then acc else acc + 1)
       0 endbrs
   in
   {
@@ -110,5 +104,3 @@ let audit_st st =
     marked = !marked;
     superfluous;
   }
-
-let audit reader = audit_st (Substrate.create reader)

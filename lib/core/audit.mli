@@ -27,11 +27,11 @@ type report = {
           indirect-return site — dead markers that widen the attack surface *)
 }
 
-val audit : Cet_elf.Reader.t -> report
-(** Raises [Invalid_argument] when the image has no [.text]. *)
-
 val audit_st : Cet_disasm.Substrate.t -> report
-(** {!audit} over a shared per-binary substrate (sweep, index arrays and
-    landing pads reused across consumers). *)
+(** Audit one binary through its substrate (sweep, index arrays and
+    landing pads shared with every other consumer).  Over a
+    {!Cet_disasm.Substrate.of_bytes_diag} substrate corrupt exception
+    tables and an unreadable PLT degrade into diagnostics.  Raises
+    [Invalid_argument] when the image has no [.text]. *)
 
 val reason_to_string : reason -> string

@@ -152,15 +152,6 @@ let select_tail_calls_ix ?on_vote ~starts ~jmp_sites ~jmp_tgts ~call_sites ~call
   done;
   Linear.sort_dedup_ints (Array.sub selected 0 !nsel)
 
-let select_tail_calls ?on_vote ~candidates ~jmp_refs ~call_refs ~text_end () =
-  let sites refs = Array.of_list (List.map fst refs) in
-  let tgts refs = Array.of_list (List.map snd refs) in
-  Array.to_list
-    (select_tail_calls_ix ?on_vote
-       ~starts:(Linear.sort_dedup_ints (Array.of_list candidates))
-       ~jmp_sites:(sites jmp_refs) ~jmp_tgts:(tgts jmp_refs) ~call_sites:(sites call_refs)
-       ~call_tgts:(tgts call_refs) ~text_end ())
-
 (* Position of [v] in the sorted array [a], or -1. *)
 let find_sorted (a : int array) v =
   let lo = ref 0 and hi = ref (Array.length a) in
@@ -174,56 +165,15 @@ let find_sorted (a : int array) v =
    and at exception landing pads.  Split out of the analysis core so the
    phase can carry its own telemetry span (which also covers the PLT and
    LSDA parsing the filter needs, matching the paper's phase accounting).
-   The landing-pad set comes from the substrate's memoised decode when one
-   is available; the robust path ([diag] present) always parses fresh via
-   [Parse.landing_pads_diag] so its degradation semantics are unchanged. *)
-let filter_endbr ?diag ?st ?prov reader ~(ix : Substrate.indexes) ~filtered_ir ~filtered_lp =
-  (* Drop end-branches that are return targets of indirect-return
-     imports (setjmp & co.), identified through the PLT.  On the robust
-     path ([diag] present) a corrupt relocation table degrades to "no
-     indirect-return filtering" instead of aborting the analysis. *)
-  let plt_map =
-    match diag with
-    | None -> Parse.plt reader
-    | Some diag -> (
-      try Parse.plt reader
-      with e ->
-        Cet_util.Diag.Collector.addf diag ~domain:"core" ~code:"plt"
-          "PLT map unavailable, indirect-return filtering disabled: %s"
-          (Printexc.to_string e);
-        { Parse.plt_lo = 0; plt_hi = 0; entries = [] })
-  in
-  (* The indirect-return PLT slots, resolved once per binary; then the
-     return addresses of the calls into them, ascending (call sites are in
-     address order), with [ir_calls] naming the call responsible for each
-     so a provenance record can cite it. *)
-  let ir_slots =
-    List.filter_map
-      (fun (slot, name) ->
-        if Parse.in_plt plt_map slot && List.mem name Parse.indirect_return_imports then
-          Some slot
-        else None)
-      plt_map.Parse.entries
-    |> Array.of_list |> Linear.sort_dedup_ints
-  in
-  let ir_calls =
-    if Array.length ir_slots = 0 then [||]
-    else begin
-      let ks = ref [] in
-      for k = Array.length ix.Substrate.call_tgts - 1 downto 0 do
-        if find_sorted ir_slots ix.Substrate.call_tgts.(k) >= 0 then ks := k :: !ks
-      done;
-      Array.of_list !ks
-    end
-  in
+   Both inputs degrade and report on an [of_bytes_diag] substrate. *)
+let filter_endbr ?prov st ~(ix : Substrate.indexes) ~filtered_ir ~filtered_lp =
+  (* Drop end-branches that are return targets of indirect-return imports
+     (setjmp & co.): [ir_calls] names the call responsible for each return
+     address, so a provenance record can cite it. *)
+  let ir_calls = Parse.indirect_return_calls (Parse.plt_st st) ix in
   let ir_rets = Array.map (fun k -> ix.Substrate.call_rets.(k)) ir_calls in
   (* Drop end-branches heading exception landing pads. *)
-  let pads =
-    match (st, diag) with
-    | Some st, None -> Substrate.landing_pads st
-    | _, Some diag -> Array.of_list (Parse.landing_pads_diag ~diag reader)
-    | None, None -> Array.of_list (Parse.landing_pads reader)
-  in
+  let pads = Substrate.landing_pads st in
   let endbrs = ix.Substrate.endbrs in
   let keep = Array.make (Array.length endbrs) 0 in
   let n = ref 0 in
@@ -285,14 +235,14 @@ let select_phase ?prov (fx : Substrate.facts) ~(ix : Substrate.indexes) ~base_ca
    stream.  Everything is set algebra on sorted int arrays, so the
    substrate can feed this from its stream-free scan; the only per-call
    allocations are the merged candidate arrays themselves. *)
-let analyze_ix_impl ?diag ?st ?prov config reader (fx : Substrate.facts) (ix : Substrate.indexes) =
+let analyze_ix_impl ?prov config st (fx : Substrate.facts) (ix : Substrate.indexes) =
   let filtered_ir = ref 0 and filtered_lp = ref 0 in
   let endbrs' =
     if not config.filter_endbr then ix.Substrate.endbrs
     else if Span.enabled () then
       Span.with_ ~name:"funseeker.filter_endbr" (fun () ->
-          filter_endbr ?diag ?st ?prov reader ~ix ~filtered_ir ~filtered_lp)
-    else filter_endbr ?diag ?st ?prov reader ~ix ~filtered_ir ~filtered_lp
+          filter_endbr ?prov st ~ix ~filtered_ir ~filtered_lp)
+    else filter_endbr ?prov st ~ix ~filtered_ir ~filtered_lp
   in
   (* [endbrs'] is in address order, hence sorted: a linear merge with the
      sorted call-target set replaces the old sort_uniq over a concat. *)
@@ -337,47 +287,6 @@ let analyze_ix_impl ?diag ?st ?prov config reader (fx : Substrate.facts) (ix : S
   end;
   r
 
-(* Candidate harvesting (the E, C, J sets) for a sweep that arrives
-   without a substrate: one single-pass index build, under the same span
-   the old list-based collector carried. *)
-let collect_indexes sweep =
-  if Span.enabled () then
-    Span.with_ ~name:"funseeker.collect" (fun () -> Substrate.indexes_of_sweep sweep)
-  else Substrate.indexes_of_sweep sweep
-
-let analyze_sweep_impl ?diag config reader (sweep : Linear.t) =
-  analyze_ix_impl ?diag config reader (Substrate.facts_of_sweep sweep)
-    (collect_indexes sweep)
-
-let analyze_sweep ?(config = default_config) reader (sweep : Linear.t) =
-  if Span.enabled () then
-    Span.with_ ~name:"funseeker.analyze" (fun () ->
-        analyze_sweep_impl config reader sweep)
-  else analyze_sweep_impl config reader sweep
-
-(* The substrate path never touches the instruction stream: [facts] and
-   [indexes] both come from the substrate's stream-free scan (or from an
-   already-memoised sweep, identically), so FunSeeker's DISASSEMBLE phase
-   allocates no per-instruction records at all. *)
-let analyze_st_impl config anchored st =
-  let ix =
-    if Span.enabled () then
-      Span.with_ ~name:"funseeker.collect" (fun () -> Substrate.indexes ~anchored st)
-    else Substrate.indexes ~anchored st
-  in
-  let fx = Substrate.facts ~anchored st in
-  analyze_ix_impl ~st config (Substrate.reader st) fx ix
-
-let analyze_st ?(config = default_config) ?(anchored = false) st =
-  if Span.enabled () then
-    Span.with_ ~name:"funseeker.analyze" (fun () -> analyze_st_impl config anchored st)
-  else analyze_st_impl config anchored st
-
-let analyze ?(config = default_config) ?(anchored = false) reader =
-  analyze_st ~config ~anchored (Substrate.create reader)
-
-(* ---- Provenance-recording path ---------------------------------------- *)
-
 (* The candidate sources (E, C, J membership plus the referencing sites)
    are facts about the binary, so they are recorded up front whatever the
    configuration; the filter decisions and tail-call votes are recorded by
@@ -395,68 +304,24 @@ let record_sources prov (fx : Substrate.facts) (ix : Substrate.indexes) =
     ix.Substrate.jmp_tgts;
   Array.iter (Provenance.mark_jmp_target prov) ix.Substrate.jmp_targets
 
-let analyze_prov ?(config = default_config) ?(anchored = false) st =
-  let prov = Provenance.create () in
-  let ix = Substrate.indexes ~anchored st in
+(* FunSeeker never touches the instruction stream: [facts] and [indexes]
+   both come from the substrate's stream-free scan (or from an
+   already-memoised sweep, identically), so its DISASSEMBLE phase
+   allocates no per-instruction records at all.  Without [prov] every
+   provenance hook is a [None] immediate. *)
+let analyze_st_impl config anchored prov st =
+  let ix =
+    if Span.enabled () then
+      Span.with_ ~name:"funseeker.collect" (fun () -> Substrate.indexes ~anchored st)
+    else Substrate.indexes ~anchored st
+  in
   let fx = Substrate.facts ~anchored st in
-  record_sources prov fx ix;
-  let r = analyze_ix_impl ~st ~prov config (Substrate.reader st) fx ix in
-  List.iter (Provenance.mark_kept prov) r.functions;
-  (r, prov)
+  (match prov with None -> () | Some p -> record_sources p fx ix);
+  let r = analyze_ix_impl ?prov config st fx ix in
+  (match prov with None -> () | Some p -> List.iter (Provenance.mark_kept p) r.functions);
+  r
 
-let analyze_bytes ?(config = default_config) ?(anchored = false) bytes =
-  analyze ~config ~anchored (Cet_elf.Reader.read bytes)
-
-(* ---- Robust analysis path -------------------------------------------- *)
-
-module Diag = Cet_util.Diag
-
-let analyze_diag ?(config = default_config) ?(anchored = false) reader =
-  let diag = Diag.Collector.create () in
-  (* A private substrate for the scan products only: the substrate is not
-     passed down, so the robust landing-pad path (degradation semantics
-     via [Parse.landing_pads_diag]) is unchanged. *)
-  let st = Substrate.create reader in
-  let result =
-    match Substrate.facts ~anchored st with
-    | fx -> (
-      try analyze_ix_impl ~diag config reader fx (Substrate.indexes ~anchored st)
-      with Cet_util.Deadline.Expired { what; seconds } ->
-        Diag.Collector.addf diag ~severity:Diag.Error ~domain:"core" ~code:"timeout"
-          "analysis exceeded the %gs budget (in %s)" seconds what;
-        empty_result)
-    | exception Invalid_argument _ ->
-      (* No .text: nothing to disassemble, but the binary parsed — report
-         an empty identification instead of failing the whole pipeline. *)
-      Diag.Collector.add diag
-        (Diag.error ~domain:"core" ~code:"no-text" "no .text section: empty analysis");
-      empty_result
-    | exception Cet_util.Deadline.Expired { what; seconds } ->
-      Diag.Collector.addf diag ~severity:Diag.Error ~domain:"core" ~code:"timeout"
-        "analysis exceeded the %gs budget (in %s)" seconds what;
-      empty_result
-  in
+let analyze_st ?(config = default_config) ?(anchored = false) ?prov st =
   if Span.enabled () then
-    Cet_telemetry.Registry.count ~n:(Diag.Collector.count diag) "funseeker.diagnostics";
-  (result, Diag.Collector.list diag)
-
-let analyze_bytes_diag ?(config = default_config) ?(anchored = false) ?max_seconds bytes =
-  let run () =
-    match Cet_elf.Reader.read_diag bytes with
-    | Error d -> Error d
-    | Ok (reader, parse_diags) ->
-      let result, analysis_diags = analyze_diag ~config ~anchored reader in
-      Ok (result, parse_diags @ analysis_diags)
-  in
-  match max_seconds with
-  | None -> run ()
-  | Some seconds -> (
-    try Cet_util.Deadline.with_ ~seconds run
-    with Cet_util.Deadline.Expired { what; seconds } ->
-      (* Expiry inside the ELF parse itself (analyze_diag catches its own). *)
-      Ok
-        ( empty_result,
-          [
-            Diag.makef ~severity:Diag.Error ~domain:"core" ~code:"timeout"
-              "analysis exceeded the %gs budget (in %s)" seconds what;
-          ] ))
+    Span.with_ ~name:"funseeker.analyze" (fun () -> analyze_st_impl config anchored prov st)
+  else analyze_st_impl config anchored prov st

@@ -1,4 +1,6 @@
 module Reader = Cet_elf.Reader
+module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 
 type plt_map = { plt_lo : int; plt_hi : int; entries : (int * string) list }
 
@@ -18,68 +20,35 @@ let plt_name map addr = List.assoc_opt addr map.entries
 
 let in_plt map addr = addr >= map.plt_lo && addr < map.plt_hi && map.plt_hi > 0
 
-let landing_pads reader =
-  match (Reader.find_section reader ".eh_frame", Reader.find_section reader ".gcc_except_table") with
-  | Some eh, Some get ->
-    let frames = Cet_eh.Eh_frame.decode ~vaddr:eh.vaddr eh.data in
-    List.concat_map
-      (fun (f : Cet_eh.Eh_frame.frame) ->
-        match f.lsda with
-        | None -> []
-        | Some lsda_vaddr ->
-          let off = lsda_vaddr - get.vaddr in
-          if off < 0 || off >= String.length get.data then []
-          else
-            let lsda = Cet_eh.Lsda.decode get.data ~off in
-            Cet_eh.Lsda.landing_pads lsda ~func_start:f.pc_begin)
-      frames
-    |> List.sort_uniq compare
-  | _ -> []
-
-(* Robust variant of [landing_pads] for untrusted binaries: a corrupt
-   [.eh_frame] yields the salvageable frame prefix, and each corrupt LSDA is
-   skipped individually (summarised in one diagnostic) instead of aborting
-   the whole FILTERENDBR landing-pad set. *)
-let landing_pads_diag ~diag reader =
-  match (Reader.find_section reader ".eh_frame", Reader.find_section reader ".gcc_except_table") with
-  | Some eh, Some get ->
-    let frames, frame_diags = Cet_eh.Eh_frame.decode_result ~vaddr:eh.vaddr eh.data in
-    List.iter (Cet_util.Diag.Collector.add diag) frame_diags;
-    let skipped = ref 0 in
-    let first_err = ref None in
-    let pads =
-      List.concat_map
-        (fun (f : Cet_eh.Eh_frame.frame) ->
-          match f.lsda with
-          | None -> []
-          | Some lsda_vaddr ->
-            let off = lsda_vaddr - get.vaddr in
-            if off < 0 || off >= String.length get.data then begin
-              incr skipped;
-              if !first_err = None then
-                first_err :=
-                  Some (Printf.sprintf "LSDA vaddr 0x%x outside .gcc_except_table" lsda_vaddr);
-              []
-            end
-            else
-              match Cet_eh.Lsda.decode_result get.data ~off with
-              | Ok lsda -> Cet_eh.Lsda.landing_pads lsda ~func_start:f.pc_begin
-              | Error d ->
-                incr skipped;
-                if !first_err = None then first_err := Some (Cet_util.Diag.to_string d);
-                [])
-        frames
-      |> List.sort_uniq compare
-    in
-    if !skipped > 0 then
-      Cet_util.Diag.Collector.addf diag ~domain:"core" ~code:"lsda-skipped"
-        "%d of %d LSDA references unusable, first: %s" !skipped
-        (List.length (List.filter (fun (f : Cet_eh.Eh_frame.frame) -> f.lsda <> None) frames))
-        (Option.value !first_err ~default:"?");
-    pads
-  | _ -> []
-
-let text_section reader = Reader.find_section reader ".text"
-
 let indirect_return_imports =
   [ "setjmp"; "_setjmp"; "sigsetjmp"; "savectx"; "vfork"; "getcontext" ]
+
+let plt_st st =
+  let reader = Substrate.reader st in
+  match Substrate.diag_collector st with
+  | None -> plt reader
+  | Some diag -> (
+    try plt reader
+    with e ->
+      Cet_util.Diag.Collector.addf diag ~domain:"core" ~code:"plt"
+        "PLT map unavailable, indirect-return filtering disabled: %s" (Printexc.to_string e);
+      { plt_lo = 0; plt_hi = 0; entries = [] })
+
+(* The slots are resolved once per binary; then one pass over the call
+   targets keeps the calls into them, in call-site (address) order. *)
+let indirect_return_calls map (ix : Substrate.indexes) =
+  let slots =
+    List.filter_map
+      (fun (slot, name) ->
+        if in_plt map slot && List.mem name indirect_return_imports then Some slot else None)
+      map.entries
+    |> Array.of_list |> Linear.sort_dedup_ints
+  in
+  if Array.length slots = 0 then [||]
+  else begin
+    let ks = ref [] in
+    for k = Array.length ix.Substrate.call_tgts - 1 downto 0 do
+      if Linear.mem_sorted slots ix.Substrate.call_tgts.(k) then ks := k :: !ks
+    done;
+    Array.of_list !ks
+  end

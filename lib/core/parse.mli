@@ -1,7 +1,10 @@
 (** PARSE: the binary-level inputs of the FunSeeker algorithm (Alg. 1,
-    line 2) — the [.text] section, the PLT import map, and the C++ exception
-    information (landing-pad addresses recovered from [.eh_frame] LSDA
-    pointers into [.gcc_except_table]). *)
+    line 2) that are not per-substrate facts — the PLT import map, with
+    the indirect-return call set FILTERENDBR derives from it.  The
+    [.text] section ({!Cet_disasm.Substrate.text}) and the C++ exception
+    information (landing pads from [.eh_frame] LSDA pointers into
+    [.gcc_except_table], {!Cet_disasm.Substrate.landing_pads}) are read
+    once per binary by the substrate. *)
 
 type plt_map = {
   plt_lo : int;
@@ -19,19 +22,19 @@ val plt_name : plt_map -> int -> string option
 
 val in_plt : plt_map -> int -> bool
 
-val landing_pads : Cet_elf.Reader.t -> int list
-(** Sorted landing-pad (catch-block) virtual addresses, or [] for binaries
-    without exception tables. *)
-
-val landing_pads_diag : diag:Cet_util.Diag.Collector.t -> Cet_elf.Reader.t -> int list
-(** Non-raising {!landing_pads} for untrusted binaries: a corrupt
-    [.eh_frame] contributes only its salvageable frame prefix, corrupt or
-    out-of-range LSDAs are skipped individually, and every degradation is
-    reported into [diag] ([eh/eh-frame], [core/lsda-skipped]).  Never
-    raises. *)
-
-val text_section : Cet_elf.Reader.t -> Cet_elf.Reader.section option
-
 val indirect_return_imports : string list
 (** GCC's predefined indirect-return functions, the FILTERENDBR allowlist:
     [setjmp], [_setjmp], [sigsetjmp], [savectx], [vfork], [getcontext]. *)
+
+val plt_st : Cet_disasm.Substrate.t -> plt_map
+(** {!plt} of the substrate's image.  Over a
+    {!Cet_disasm.Substrate.of_bytes_diag} substrate an unreadable PLT
+    degrades to the empty map (no indirect-return filtering), reported
+    into the substrate as [core/plt]; otherwise it raises like {!plt}. *)
+
+val indirect_return_calls : plt_map -> Cet_disasm.Substrate.indexes -> int array
+(** The direct calls into the PLT slots of {!indirect_return_imports}, as
+    ascending indices into the call arrays of the given indexes: the call
+    site is [call_sites.(k)] and the end-branch such a call makes
+    legitimate sits at its return address [call_rets.(k)].  FILTERENDBR,
+    the Table I study and the IBT audit all read the set from here. *)

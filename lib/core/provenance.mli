@@ -11,10 +11,10 @@
     the final verdict, so any prediction (or miss) can be explained after
     the fact.
 
-    Recording is opt-in: the production [Funseeker.analyze_st] path never
-    touches this module; only [Funseeker.analyze_prov] builds a record,
-    so the disabled path stays allocation-free (asserted by a
-    [Gc.minor_words] budget test). *)
+    Recording is opt-in: [Funseeker.analyze_st] touches this module only
+    when given a record through its [?prov] argument, so the plain path
+    stays allocation-free (asserted by a [Gc.minor_words] budget
+    test). *)
 
 (** FILTERENDBR's decision on one end-branch candidate.  [None] in the
     evidence record means the filter never ran (configurations 1). *)
@@ -72,7 +72,7 @@ val kept : t -> int list
 (** Addresses with a kept verdict, sorted — equals the analysis result's
     function list (asserted by the consistency tests). *)
 
-(** {1 Recording} (used by [Funseeker.analyze_prov]) *)
+(** {1 Recording} (used by [Funseeker.analyze_st ~prov]) *)
 
 val record_endbr : t -> int -> unit
 val record_filter : t -> int -> filter_decision -> unit

@@ -12,29 +12,22 @@ let classify_endbrs_st st ~truth =
   let truth_set = Hashtbl.create (max 16 (List.length truth)) in
   List.iter (fun a -> Hashtbl.replace truth_set a ()) truth;
   let pads = Substrate.landing_pads st in
-  let reader = Substrate.reader st in
-  let plt_map = Parse.plt reader in
-  let ir_returns = Hashtbl.create 8 in
-  Array.iteri
-    (fun k target ->
-      if Parse.in_plt plt_map target then
-        match Parse.plt_name plt_map target with
-        | Some name when List.mem name Parse.indirect_return_imports ->
-          Hashtbl.replace ir_returns ix.Substrate.call_rets.(k) ()
-        | _ -> ())
-    ix.Substrate.call_tgts;
+  (* Return addresses in call-site order, hence sorted. *)
+  let ir_returns =
+    Array.map
+      (fun k -> ix.Substrate.call_rets.(k))
+      (Parse.indirect_return_calls (Parse.plt_st st) ix)
+  in
   List.map
     (fun e ->
       let loc =
         if Hashtbl.mem truth_set e then At_function_entry
-        else if Hashtbl.mem ir_returns e then After_indirect_return_call
+        else if Linear.mem_sorted ir_returns e then After_indirect_return_call
         else if Linear.mem_sorted pads e then At_landing_pad
         else Elsewhere
       in
       (e, loc))
     (Array.to_list ix.Substrate.endbrs)
-
-let classify_endbrs reader ~truth = classify_endbrs_st (Substrate.create reader) ~truth
 
 type props = {
   endbr_at_head : bool;
@@ -53,8 +46,6 @@ let function_props_st st ~truth =
           dir_call_target = Linear.mem_sorted ix.Substrate.call_targets entry;
         } ))
     truth
-
-let function_props reader ~truth = function_props_st (Substrate.create reader) ~truth
 
 let props_key p =
   match (p.endbr_at_head, p.dir_jmp_target, p.dir_call_target) with

@@ -11,13 +11,10 @@ type endbr_location =
   | At_landing_pad
   | Elsewhere  (** never observed for compiler-generated code *)
 
-val classify_endbrs :
-  Cet_elf.Reader.t -> truth:int list -> (int * endbr_location) list
-(** Classify every end-branch found by a linear sweep of [.text]. *)
-
 val classify_endbrs_st :
   Cet_disasm.Substrate.t -> truth:int list -> (int * endbr_location) list
-(** {!classify_endbrs} over a shared per-binary substrate. *)
+(** Classify every end-branch found by a linear sweep of [.text], in
+    address order. *)
 
 type props = {
   endbr_at_head : bool;  (** EndBrAtHead *)
@@ -25,14 +22,10 @@ type props = {
   dir_call_target : bool;  (** DirCallTarget *)
 }
 
-val function_props :
-  Cet_elf.Reader.t -> truth:int list -> (int * props) list
-(** For every ground-truth function entry, which of the three §III-C
-    properties hold. *)
-
 val function_props_st :
   Cet_disasm.Substrate.t -> truth:int list -> (int * props) list
-(** {!function_props} over a shared per-binary substrate. *)
+(** For every ground-truth function entry, which of the three §III-C
+    properties hold. *)
 
 val props_key : props -> string
 (** Canonical region name for Figure 3 aggregation, e.g. ["endbr+call"],

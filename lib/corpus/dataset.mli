@@ -22,7 +22,7 @@ type plan
 (** An enumerable work plan over the dataset: one item per generated
     program, each materializing that program's whole configuration row.
     The plan itself holds no ELF bytes — items are built on demand by
-    {!nth}, so independent workers (e.g. {!Cet_util.Domain_pool}) can
+    {!nth}, so independent workers (e.g. {!Cet_util.Work_queue}'s) can
     claim item [k] without being driven by {!iter}'s closure. *)
 
 val plan :

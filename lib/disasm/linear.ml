@@ -153,31 +153,7 @@ let sweep_text_anchored reader =
 
 let in_range t addr = addr >= t.base && addr < t.base + t.size
 
-let sorted_distinct addrs = List.sort_uniq Int.compare addrs
-
-(* ---- Array-based index extraction ----------------------------------- *)
-
-(* One pass over the instruction stream into a doubling int buffer — the
-   allocation shape every derived index shares.  [f] returns -1 to skip
-   (virtual addresses are non-negative: base + offset into a section). *)
-let extract_ints (t : t) (f : Decoder.ins -> int) =
-  let arr = ref (Array.make 64 0) in
-  let len = ref 0 in
-  let push v =
-    if !len = Array.length !arr then begin
-      let bigger = Array.make (2 * !len) 0 in
-      Array.blit !arr 0 bigger 0 !len;
-      arr := bigger
-    end;
-    !arr.(!len) <- v;
-    incr len
-  in
-  Array.iter
-    (fun ins ->
-      let v = f ins in
-      if v >= 0 then push v)
-    t.insns;
-  Array.sub !arr 0 !len
+(* ---- Sorted address arrays ----------------------------------------- *)
 
 (* Monomorphic bottom-up merge sort: insertion-sorted runs of 16, then
    merge passes ping-ponging between [a] and one scratch array.  Worst
@@ -296,46 +272,6 @@ let mem_sorted (a : int array) v =
     if a.(mid) < v then lo := mid + 1 else hi := mid
   done;
   !lo < Array.length a && a.(!lo) = v
-
-let endbr_array t =
-  let want = match t.arch with Arch.X64 -> Decoder.Endbr64 | Arch.X86 -> Decoder.Endbr32 in
-  extract_ints t (fun i -> if i.kind = want then i.addr else -1)
-
-let call_target_array t =
-  sort_dedup_ints
-    (extract_ints t (fun i ->
-         match i.kind with
-         | Decoder.Call_direct target when in_range t target -> target
-         | _ -> -1))
-
-let jmp_target_array t =
-  sort_dedup_ints
-    (extract_ints t (fun i ->
-         match i.kind with
-         | Decoder.Jmp_direct target when in_range t target -> target
-         | _ -> -1))
-
-let endbr_addrs t = Array.to_list (endbr_array t)
-let call_targets t = Array.to_list (call_target_array t)
-let jmp_targets t = Array.to_list (jmp_target_array t)
-
-let call_sites t =
-  List.rev
-    (Array.fold_left
-       (fun acc (i : Decoder.ins) ->
-         match i.kind with
-         | Decoder.Call_direct target -> (i.addr, i.addr + i.len, target) :: acc
-         | _ -> acc)
-       [] t.insns)
-
-let jmp_refs t =
-  List.rev
-    (Array.fold_left
-       (fun acc (i : Decoder.ins) ->
-         match i.kind with
-         | Decoder.Jmp_direct target when in_range t target -> (i.addr, target) :: acc
-         | _ -> acc)
-       [] t.insns)
 
 (* Index of the first instruction at or after [addr]. *)
 let first_index_at t addr =

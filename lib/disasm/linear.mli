@@ -2,8 +2,9 @@
 
     The sweep decodes from the start of a code region to its end; on a
     decode failure it advances one byte and resumes, exactly as FunSeeker's
-    DISASSEMBLE does.  The result keeps the full instruction stream (used by
-    the baselines' analyses) plus the index structures FunSeeker needs. *)
+    DISASSEMBLE does.  The result keeps the full instruction stream the
+    baselines' analyses walk; FunSeeker's index arrays come from
+    {!Substrate.indexes}. *)
 
 type t = {
   arch : Cet_x86.Arch.t;
@@ -42,44 +43,14 @@ val anchor_offsets : Cet_x86.Arch.t -> string -> int array
 val in_range : t -> int -> bool
 (** Is the address inside the swept region? *)
 
-val endbr_addrs : t -> int list
-(** Addresses of end-branch markers matching the architecture
-    ([endbr64] on x86-64, [endbr32] on x86), in address order. *)
-
-val call_targets : t -> int list
-(** Distinct direct-call targets that land inside the swept region,
-    sorted. *)
-
-val jmp_targets : t -> int list
-(** Distinct targets of unconditional direct jumps landing inside the
-    region, sorted.  Conditional branches are excluded: only unconditional
-    jumps can be tail calls. *)
-
-val call_sites : t -> (int * int * int) list
-(** Direct call sites as [(site_addr, return_addr, target)] — including
-    calls leaving the region (PLT calls), which FILTERENDBR inspects. *)
-
-val jmp_refs : t -> (int * int) list
-(** Unconditional direct jumps as [(site_addr, target)], targets inside the
-    region only. *)
-
 val insn_at : t -> int -> Cet_x86.Decoder.ins option
 (** The instruction starting exactly at the given address, if any. *)
 
-(** {2 Array-level accessors}
+(** {2 Sorted address arrays}
 
-    The zero-copy versions of the index extractors above: one pass over the
-    instruction stream into a monomorphic [int array], no intermediate
-    lists.  {!Substrate} memoises these per binary. *)
-
-val endbr_array : t -> int array
-(** {!endbr_addrs} as an array (address order). *)
-
-val call_target_array : t -> int array
-(** {!call_targets} as a sorted distinct array. *)
-
-val jmp_target_array : t -> int array
-(** {!jmp_targets} as a sorted distinct array. *)
+    The set algebra the analyses share: monomorphic [int array]s, no
+    intermediate lists.  The index arrays themselves (end-branches, call
+    and jump references) are built by {!Substrate.indexes}. *)
 
 val sort_dedup_ints : int array -> int array
 (** Sort ([Int.compare]) and deduplicate in place; returns the (possibly
@@ -98,6 +69,3 @@ val first_index_at : t -> int -> int
 
 val index_of : t -> int -> int option
 (** Index of the instruction starting exactly at the address, if any. *)
-
-val sorted_distinct : int list -> int list
-(** [List.sort_uniq Int.compare]. *)

@@ -1,6 +1,7 @@
 module Arch = Cet_x86.Arch
 module Decoder = Cet_x86.Decoder
 module Reader = Cet_elf.Reader
+module Diag = Cet_util.Diag
 
 type indexes = {
   endbrs : int array;
@@ -22,6 +23,8 @@ type facts = {
 
 type t = {
   t_reader : Reader.t;
+  t_parse_diags : Diag.t list;
+  t_diag : Diag.Collector.t option;
   mutable t_text : Reader.section option;
   mutable t_text_known : bool;
   mutable t_sweep : Linear.t option;
@@ -36,10 +39,12 @@ type t = {
   mutable t_fde_extents : (int * int) list option;
 }
 
-let create reader =
+let make ?diag ?(parse_diags = []) reader =
   if Cet_telemetry.Registry.enabled () then Cet_telemetry.Registry.count "substrate.created";
   {
     t_reader = reader;
+    t_parse_diags = parse_diags;
+    t_diag = diag;
     t_text = None;
     t_text_known = false;
     t_sweep = None;
@@ -54,7 +59,23 @@ let create reader =
     t_fde_extents = None;
   }
 
+let create reader = make reader
 let of_bytes bytes = create (Reader.read bytes)
+
+(* The robust constructor: the lenient parse, plus a collector that the
+   exception-table decode below and FILTERENDBR's PLT parse report their
+   degradations into.  The parse diagnostics stay a separate list so each
+   is observed once, by the reader's own collector. *)
+let of_bytes_diag bytes =
+  match Reader.read_diag bytes with
+  | Error d -> Error d
+  | Ok (reader, parse_diags) -> Ok (make ~diag:(Diag.Collector.create ()) ~parse_diags reader)
+
+let diag_collector t = t.t_diag
+
+let diags t =
+  match t.t_diag with None -> [] | Some c -> t.t_parse_diags @ Diag.Collector.list c
+
 let reader t = t.t_reader
 
 let text t =
@@ -314,9 +335,11 @@ let facts ?(anchored = false) t =
 
 (* ---- Exception-table facts ------------------------------------------ *)
 
-(* Every decoder below runs through its [_result] form: this is a
-   production path (no diag collector in sight), so corrupt entries are
-   skipped, not raised through the analysis. *)
+(* Every decoder below runs through its [_result] form, so corrupt
+   entries are skipped, never raised through the analysis; a substrate
+   built by {!of_bytes_diag} also reports what was skipped. *)
+
+let report t d = Option.iter (fun c -> Diag.Collector.add c d) t.t_diag
 
 let fde_frames t =
   match t.t_frames with
@@ -325,7 +348,11 @@ let fde_frames t =
     let fs =
       match Reader.find_section t.t_reader ".eh_frame" with
       | None -> []
-      | Some s -> fst (Cet_eh.Eh_frame.decode_result ~vaddr:s.vaddr s.data)
+      | Some s ->
+        (* A corrupt walk keeps the salvageable prefix of frames. *)
+        let fs, ds = Cet_eh.Eh_frame.decode_result ~vaddr:s.vaddr s.data in
+        List.iter (report t) ds;
+        fs
     in
     t.t_frames <- Some fs;
     fs
@@ -379,23 +406,39 @@ let landing_pads t =
       match Reader.find_section t.t_reader ".gcc_except_table" with
       | None -> [||]
       | Some get ->
+        let frames = fde_frames t in
         let pads = ibuf_create () in
+        (* An out-of-range or corrupt LSDA (a truncated one whose header
+           starts in bounds included) is skipped on its own: the pads of
+           every healthy record are kept. *)
+        let skipped = ref 0 and first_err = ref "" in
+        let skip msg =
+          if !skipped = 0 then first_err := msg;
+          incr skipped
+        in
         List.iter
           (fun (f : Cet_eh.Eh_frame.frame) ->
             match f.lsda with
             | None -> ()
             | Some lsda_vaddr -> (
               let off = lsda_vaddr - get.vaddr in
-              if off >= 0 && off < String.length get.data then
-                (* A truncated LSDA whose header starts in bounds must not
-                   crash the analysis: skip the corrupt record, keep the
-                   pads of every healthy one. *)
+              if off < 0 || off >= String.length get.data then
+                skip (Printf.sprintf "LSDA vaddr 0x%x outside .gcc_except_table" lsda_vaddr)
+              else
                 match Cet_eh.Lsda.decode_result get.data ~off with
                 | Ok lsda ->
                   List.iter (ibuf_push pads)
                     (Cet_eh.Lsda.landing_pads lsda ~func_start:f.pc_begin)
-                | Error _ -> ()))
-          (fde_frames t);
+                | Error d -> skip (Diag.to_string d)))
+          frames;
+        if !skipped > 0 then begin
+          let refs =
+            List.length (List.filter (fun (f : Cet_eh.Eh_frame.frame) -> f.lsda <> None) frames)
+          in
+          report t
+            (Diag.makef ~domain:"core" ~code:"lsda-skipped"
+               "%d of %d LSDA references unusable, first: %s" !skipped refs !first_err)
+        end;
         Linear.sort_dedup_ints (ibuf_contents pads)
     in
     t.t_pads <- Some ps;

@@ -60,6 +60,28 @@ val create : Cet_elf.Reader.t -> t
 val of_bytes : string -> t
 (** Parse ELF bytes ({!Cet_elf.Reader.read}) and wrap the result. *)
 
+val of_bytes_diag : string -> (t, Cet_util.Diag.t) result
+(** The robust constructor for untrusted bytes: the lenient parse
+    ({!Cet_elf.Reader.read_diag}), [Error] only when the ELF itself is
+    unreadable.  Every analysis over the result computes what it would
+    over {!of_bytes} of a well-formed image, but degrades instead of
+    raising where the input is corrupt, reporting into {!diags}: a
+    corrupt [.eh_frame] keeps its salvageable frame prefix
+    ([eh/eh-frame]), unusable LSDAs are skipped one by one
+    ([core/lsda-skipped]), and an unreadable PLT disables indirect-return
+    filtering ([core/plt], see [Core.Parse.plt_st]). *)
+
+val diags : t -> Cet_util.Diag.t list
+(** What an {!of_bytes_diag} substrate has reported so far: the parse
+    diagnostics, then each degradation in emission order.  Always [[]]
+    for {!create}/{!of_bytes} substrates, which skip corrupt
+    exception-table records silently and raise on an unreadable PLT. *)
+
+val diag_collector : t -> Cet_util.Diag.Collector.t option
+(** The collector behind {!diags}, [None] unless built by
+    {!of_bytes_diag} — how analyses above this layer decide between
+    degrading (and reporting here) and raising. *)
+
 val reader : t -> Cet_elf.Reader.t
 val text : t -> Cet_elf.Reader.section option
 
@@ -77,17 +99,10 @@ val indexes : ?anchored:bool -> t -> indexes
     decoder's scan core produces them directly from the code bytes, never
     materialising the stream — the results are identical either way. *)
 
-val indexes_of_sweep : Linear.t -> indexes
-(** Build the index arrays for a sweep outside any substrate — the legacy
-    [analyze_sweep] entry points use this. *)
-
 val facts : ?anchored:bool -> t -> facts
 (** The sweep-level facts, memoised like {!indexes} and produced by the
     same scan when no sweep is cached.  Raises [Invalid_argument] when
     the image has no [.text] (like {!sweep}). *)
-
-val facts_of_sweep : Linear.t -> facts
-(** Project the facts out of an existing sweep. *)
 
 val in_text : facts -> int -> bool
 (** Is the address inside the swept region?  ({!Linear.in_range} at the
@@ -98,10 +113,15 @@ val text_end : facts -> int
 
 val landing_pads : t -> int array
 (** Exception-handler landing pads from [.eh_frame] + [.gcc_except_table],
-    sorted distinct; empty when either section is missing.  Decoded once. *)
+    sorted distinct; empty when either section is missing.  Decoded once:
+    this is the codebase's one landing-pad decoder.  Out-of-range and
+    corrupt LSDAs are skipped individually (reported as
+    [core/lsda-skipped] by an {!of_bytes_diag} substrate). *)
 
 val fde_frames : t -> Cet_eh.Eh_frame.frame list
-(** Decoded [.eh_frame] FDEs (empty without the section), memoised. *)
+(** Decoded [.eh_frame] FDEs (empty without the section), memoised.  A
+    corrupt walk yields its salvageable prefix (reported as
+    [eh/eh-frame] by an {!of_bytes_diag} substrate). *)
 
 val fde_starts : t -> int list
 (** Sorted distinct [pc_begin] of every FDE, preferring the cheap

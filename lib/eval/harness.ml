@@ -2,7 +2,6 @@ module Reader = Cet_elf.Reader
 module Substrate = Cet_disasm.Substrate
 module Options = Cet_compiler.Options
 module Dataset = Cet_corpus.Dataset
-module Domain_pool = Cet_util.Domain_pool
 module Work_queue = Cet_util.Work_queue
 
 type options = {
@@ -297,7 +296,8 @@ let run ?profiles ?configs ?jobs (opts : options) =
       timed
         (fun () ->
           if opts.triage && not degraded then begin
-            let _r, prov = Core.Funseeker.analyze_prov st in
+            let prov = Core.Provenance.create () in
+            ignore (Core.Funseeker.analyze_st ~prov st : Core.Funseeker.result);
             let pads = Substrate.landing_pads st in
             List.iter
               (fun (_addr, b) ->
@@ -521,8 +521,14 @@ let manual_endbr_binary (bin : Dataset.binary) =
   let r = Core.Funseeker.analyze_st (Substrate.of_bytes bin.Dataset.stripped) in
   (Metrics.compare_sets ~truth ~found:r.Core.Funseeker.functions, List.length truth)
 
+(* The side experiments below fan their items out over a plain pool (no
+   guard, no chaos) and fold the results in index order, so their output
+   is independent of [jobs]. *)
+let pool ?jobs () = Work_queue.create (Work_queue.config ?jobs ())
+
 let manual_endbr_ablation ?jobs (opts : options) =
   let profile = Cet_corpus.Profile.scaled (opts.scale /. 2.0) Cet_corpus.Profile.coreutils in
+  let wq = pool ?jobs () in
   let run_with cf =
     let configs =
       List.map
@@ -530,11 +536,11 @@ let manual_endbr_ablation ?jobs (opts : options) =
         Options.all_grid
     in
     let plan = Dataset.plan ~profiles:[ profile ] ~configs ~seed:opts.seed ~scale:1.0 () in
-    Domain_pool.fold ?jobs ~merge:Metrics.add Metrics.empty (Dataset.length plan)
-      (fun k ->
-        List.fold_left
-          (fun acc bin -> Metrics.add acc (fst (manual_endbr_binary bin)))
-          Metrics.empty (Dataset.nth plan k))
+    Array.fold_left Metrics.add Metrics.empty
+      (Work_queue.map wq (Dataset.length plan) (fun k ->
+           List.fold_left
+             (fun acc bin -> Metrics.add acc (fst (manual_endbr_binary bin)))
+             Metrics.empty (Dataset.nth plan k)))
   in
   { full = run_with Options.Cf_full; manual = run_with Options.Cf_manual }
 
@@ -560,6 +566,7 @@ let related_work ?jobs (opts : options) =
   let profile =
     Cet_corpus.Profile.scaled (opts.scale /. 2.0) Cet_corpus.Profile.coreutils
   in
+  let wq = pool ?jobs () in
   let build config index =
     let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
     let res = Cet_compiler.Link.link config ir in
@@ -574,7 +581,7 @@ let related_work ?jobs (opts : options) =
   in
   let model =
     Cet_baselines.Byteweight.train
-      (Array.to_list (Domain_pool.map ?jobs train_n (fun i -> build gcc i)))
+      (Array.to_list (Work_queue.map wq train_n (fun i -> build gcc i)))
   in
   let score tool configs =
     let work =
@@ -583,13 +590,13 @@ let related_work ?jobs (opts : options) =
            (fun c -> List.init (n - train_n) (fun i -> (c, train_n + i)))
            configs)
     in
-    Domain_pool.fold ?jobs ~merge:Metrics.add Metrics.empty (Array.length work)
-      (fun k ->
-        let config, index = work.(k) in
-        let reader, truth = build config index in
-        Metrics.compare_sets ~truth ~found:(tool reader))
+    Array.fold_left Metrics.add Metrics.empty
+      (Work_queue.map wq (Array.length work) (fun k ->
+           let config, index = work.(k) in
+           let reader, truth = build config index in
+           Metrics.compare_sets ~truth ~found:(tool (Substrate.create reader))))
   in
-  let byteweight reader = Cet_baselines.Byteweight.classify model reader in
+  let byteweight st = Cet_baselines.Byteweight.classify_st model st in
   let cpp_profile =
     {
       (Cet_corpus.Profile.scaled (opts.scale /. 4.0) Cet_corpus.Profile.spec) with
@@ -597,15 +604,15 @@ let related_work ?jobs (opts : options) =
     }
   in
   let nucleus_on profile =
-    Domain_pool.fold ?jobs ~merge:Metrics.add Metrics.empty
-      profile.Cet_corpus.Profile.programs (fun index ->
-        let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-        let res = Cet_compiler.Link.link gcc ir in
-        let reader =
-          Reader.read (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
-        in
-        let truth = List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth) in
-        Metrics.compare_sets ~truth ~found:(Cet_baselines.Nucleus_like.analyze reader))
+    Array.fold_left Metrics.add Metrics.empty
+      (Work_queue.map wq profile.Cet_corpus.Profile.programs (fun index ->
+           let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
+           let res = Cet_compiler.Link.link gcc ir in
+           let st =
+             Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
+           in
+           let truth = List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth) in
+           Metrics.compare_sets ~truth ~found:(Cet_baselines.Nucleus_like.analyze_st st)))
   in
   {
     byteweight_in = score byteweight [ gcc ];
@@ -613,7 +620,7 @@ let related_work ?jobs (opts : options) =
     nucleus_c = nucleus_on profile;
     nucleus_cpp = nucleus_on cpp_profile;
     funseeker_ref =
-      score (fun r -> (Core.Funseeker.analyze r).Core.Funseeker.functions) [ gcc; clang_x86 ];
+      score (fun st -> (Core.Funseeker.analyze_st st).Core.Funseeker.functions) [ gcc; clang_x86 ];
   }
 
 let render_related_work r =
@@ -647,27 +654,27 @@ let inline_data ?jobs (opts : options) =
       Cet_corpus.Profile.p_switch = 0.3;
     }
   in
+  let wq = pool ?jobs () in
   let run inline =
     let config = { Options.default with Options.jump_tables_in_text = inline } in
-    Domain_pool.fold ?jobs
-      ~merge:(fun (lin, anc, resyncs) (lin', anc', resyncs') ->
+    Array.fold_left
+      (fun (lin, anc, resyncs) (lin', anc', resyncs') ->
         (Metrics.add lin lin', Metrics.add anc anc', resyncs + resyncs'))
       (Metrics.empty, Metrics.empty, 0)
-      profile.Cet_corpus.Profile.programs
-      (fun index ->
-        let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-        let res = Cet_compiler.Link.link config ir in
-        let st =
-          Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
-        in
-        let truth =
-          List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth)
-        in
-        let l = Core.Funseeker.analyze_st st in
-        let a = Core.Funseeker.analyze_st ~anchored:true st in
-        ( Metrics.compare_sets ~truth ~found:l.Core.Funseeker.functions,
-          Metrics.compare_sets ~truth ~found:a.Core.Funseeker.functions,
-          l.Core.Funseeker.resync_errors ))
+      (Work_queue.map wq profile.Cet_corpus.Profile.programs (fun index ->
+           let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
+           let res = Cet_compiler.Link.link config ir in
+           let st =
+             Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
+           in
+           let truth =
+             List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth)
+           in
+           let l = Core.Funseeker.analyze_st st in
+           let a = Core.Funseeker.analyze_st ~anchored:true st in
+           ( Metrics.compare_sets ~truth ~found:l.Core.Funseeker.functions,
+             Metrics.compare_sets ~truth ~found:a.Core.Funseeker.functions,
+             l.Core.Funseeker.resync_errors )))
   in
   let clean_linear, clean_anchored, _ = run false in
   let dirty_linear, dirty_anchored, dirty_resyncs = run true in
@@ -705,27 +712,26 @@ let arm_bti ?jobs (opts : options) =
          Cet_corpus.Profile.all)
   in
   let bti, legacy, n =
-    Domain_pool.fold ?jobs
-      ~merge:(fun (b, l, n) (b', l', n') -> (Metrics.add b b', Metrics.add l l', n + n'))
+    Array.fold_left
+      (fun (b, l, n) (b', l', n') -> (Metrics.add b b', Metrics.add l l', n + n'))
       (Metrics.empty, Metrics.empty, 0)
-      (Array.length items)
-      (fun k ->
-        let profile, index = items.(k) in
-        let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-        let eval bti =
-          let res =
-            Cet_arm64.A64_compile.compile { Cet_arm64.A64_compile.bti; tail_calls = true } ir
-          in
-          let reader =
-            Reader.read (Cet_elf.Writer.write ~strip:true res.Cet_arm64.A64_compile.image)
-          in
-          let truth =
-            List.sort_uniq Int.compare (List.map snd res.Cet_arm64.A64_compile.truth)
-          in
-          let r = Cet_arm64.Bti_seeker.analyze reader in
-          Metrics.compare_sets ~truth ~found:r.Cet_arm64.Bti_seeker.functions
-        in
-        (eval true, eval false, 2))
+      (Work_queue.map (pool ?jobs ()) (Array.length items) (fun k ->
+           let profile, index = items.(k) in
+           let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
+           let eval bti =
+             let res =
+               Cet_arm64.A64_compile.compile { Cet_arm64.A64_compile.bti; tail_calls = true } ir
+             in
+             let reader =
+               Reader.read (Cet_elf.Writer.write ~strip:true res.Cet_arm64.A64_compile.image)
+             in
+             let truth =
+               List.sort_uniq Int.compare (List.map snd res.Cet_arm64.A64_compile.truth)
+             in
+             let r = Cet_arm64.Bti_seeker.analyze reader in
+             Metrics.compare_sets ~truth ~found:r.Cet_arm64.Bti_seeker.functions
+           in
+           (eval true, eval false, 2)))
   in
   { arm_bti = bti; arm_legacy = legacy; arm_binaries = n }
 

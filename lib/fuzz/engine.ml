@@ -154,6 +154,42 @@ type summary = {
 let has_timeout diags =
   List.exists (fun (d : Cet_util.Diag.t) -> d.Cet_util.Diag.code = "timeout") diags
 
+(* The robust pipeline one mutant goes through.  The substrate degrades
+   and reports corrupt metadata itself; what is left here is the policy
+   for an input with nothing to analyze — no [.text], or a deadline that
+   ran out (during the parse, too) — an empty result plus one error
+   diagnostic, added to the substrate's collector like any other. *)
+let analyze ?max_seconds ~anchored bytes =
+  let module Diag = Cet_util.Diag in
+  let module Substrate = Cet_disasm.Substrate in
+  let timeout what seconds =
+    Diag.makef ~severity:Diag.Error ~domain:"core" ~code:"timeout"
+      "analysis exceeded the %gs budget (in %s)" seconds what
+  in
+  let run () =
+    match Substrate.of_bytes_diag bytes with
+    | Error d -> Error d
+    | Ok st ->
+      let empty d =
+        Option.iter (fun c -> Diag.Collector.add c d) (Substrate.diag_collector st);
+        Core.Funseeker.empty_result
+      in
+      let r =
+        if Substrate.text st = None then
+          empty (Diag.error ~domain:"core" ~code:"no-text" "no .text section: empty analysis")
+        else
+          try Core.Funseeker.analyze_st ~anchored st
+          with Cet_util.Deadline.Expired { what; seconds } -> empty (timeout what seconds)
+      in
+      Ok (r, Substrate.diags st)
+  in
+  match max_seconds with
+  | None -> run ()
+  | Some seconds -> (
+    try Cet_util.Deadline.with_ ~seconds run
+    with Cet_util.Deadline.Expired { what; seconds } ->
+      Ok (Core.Funseeker.empty_result, [ timeout what seconds ]))
+
 (* Per-mutant verdicts are computed in parallel but merged in index
    order, so the summary stays deterministic in [seed] whatever the
    worker count or chaos seed. *)
@@ -191,7 +227,7 @@ let run ?(max_seconds = 2.0) ?jobs ?chaos ~seed ~count () =
     if Cet_telemetry.Journal.enabled () then
       Cet_telemetry.Journal.record ~v:index Cet_telemetry.Journal.Phase_begin
         ("fuzz.mutant:" ^ cls);
-    match Core.Funseeker.analyze_bytes_diag ~anchored ~max_seconds mutant with
+    match analyze ~anchored ~max_seconds mutant with
     | Ok (_, []) -> Clean
     | Ok (_, diags) -> Degraded { timeout = has_timeout diags }
     | Error _ -> Rejected

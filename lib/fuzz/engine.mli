@@ -4,10 +4,9 @@
     C++, inline jump tables) is corrupted by seeded mutations — ELF header
     bytes, section-header-table bytes, [.gcc_except_table]/[.eh_frame]
     truncation and corruption, blind byte flips, file truncation — and each
-    mutant is fed to {!Core.Funseeker.analyze_bytes_diag} under a deadline.
-    The contract under test: the robust pipeline NEVER raises and never
-    hangs, whatever the bytes; corruption surfaces only as diagnostics or a
-    clean [Error].
+    mutant is fed to {!analyze} under a deadline.  The contract under
+    test: the robust pipeline NEVER raises and never hangs, whatever the
+    bytes; corruption surfaces only as diagnostics or a clean [Error].
 
     Everything is deterministic in [seed]: the pool, every mutation, and
     therefore the whole {!summary} (timing aside, the deadline is generous
@@ -33,6 +32,20 @@ type summary = {
   timeouts : int;  (** degraded analyses that hit the deadline *)
   crashes : crash list;  (** escaped exceptions — must be empty *)
 }
+
+val analyze :
+  ?max_seconds:float ->
+  anchored:bool ->
+  string ->
+  (Core.Funseeker.result * Cet_util.Diag.t list, Cet_util.Diag.t) result
+(** The robust pipeline under test: {!Cet_disasm.Substrate.of_bytes_diag}
+    then {!Core.Funseeker.analyze_st}, optionally under a [max_seconds]
+    wall-clock budget ({!Cet_util.Deadline.with_}).  [Error] only when the
+    ELF itself is unreadable.  Corrupt exception tables and PLTs degrade
+    inside the substrate; a missing [.text] or an expired deadline yields
+    {!Core.Funseeker.empty_result} with a [core/no-text] or
+    [core/timeout] error diagnostic.  The list holds the parse
+    diagnostics, then every degradation in emission order. *)
 
 val classes : string array
 (** The mutation-class names, in draw order. *)

@@ -6,7 +6,7 @@
     are merged deterministically when a report is rendered — counter and
     histogram merges are commutative sums, and every rendering sorts by
     metric name, so the merged view is independent of how work was
-    partitioned across {!Cet_util.Domain_pool} workers.
+    partitioned across {!Cet_util.Work_queue} workers.
 
     The registry is globally disabled by default.  Disabled, every
     recording entry point is a single atomic load and a branch — no

@@ -13,12 +13,17 @@ let ms ns = float_of_int ns /. 1e6
 let us ns = float_of_int ns /. 1e3
 
 (* A sheet is a worker if the harness counted binaries on it; the main
-   domain is a worker too (Domain_pool folds on it alongside the spawned
-   domains). *)
+   domain is a worker too (the work queue's producer runs items on it
+   alongside the spawned domains). *)
 let worker_sheets () =
   List.filter
     (fun s -> Registry.find_counter s "harness.binaries" > 0)
     (Registry.sheets ())
+
+(* Counters of scheduling decisions rather than of work: whether a steal
+   or a chaos worker stall happens depends on which domain took which
+   item, so like the clock they stay out of the [timing:false] report. *)
+let schedule_dependent name = name = "scheduler.steals" || name = "scheduler.chaos_stalls"
 
 let render ~timing () =
   let buf = Buffer.create 2048 in
@@ -66,7 +71,11 @@ let render ~timing () =
       (Printf.sprintf "  phase self-time sum: %.3f ms (worker busy time covered by spans)\n"
          (if timing then ms self_sum else 0.0))
   end;
-  let counters = sorted_bindings m.Registry.counters in
+  let counters =
+    List.filter
+      (fun (name, _) -> timing || not (schedule_dependent name))
+      (sorted_bindings m.Registry.counters)
+  in
   if counters <> [] then begin
     Buffer.add_string buf "COUNTERS\n";
     List.iter

@@ -6,11 +6,12 @@
     recorded, not on how the corpus was partitioned across workers.
 
     [timing:false] follows the harness convention for deterministic
-    output: every time-derived figure renders as zero and the
+    output: every time-derived figure renders as zero, the
     timing-dependent sections (per-worker throughput, gauges, GC) are
-    omitted, leaving only call/event counts — which are deterministic in
-    the dataset seed — so the report is byte-identical whatever [~jobs]
-    was. *)
+    omitted, and so are the counters of scheduling decisions
+    ([scheduler.steals], [scheduler.chaos_stalls]), leaving only
+    call/event counts — which are deterministic in the dataset seed — so
+    the report is byte-identical whatever [~jobs] was. *)
 
 val self_total_ns : unit -> int
 (** Sum of exclusive (self) span times over the merged registry: the
@@ -18,8 +19,9 @@ val self_total_ns : unit -> int
 
 val render : timing:bool -> unit -> string
 (** The aligned text report: phase breakdown (calls, total/self ms, mean
-    and p50/p90/p99 quantiles), counters, and — when [timing] — gauges,
-    per-worker throughput, and [Gc.quickstat] numbers.  Empty sections
+    and p50/p90/p99 quantiles), counters, and — when [timing] — the
+    scheduling counters, gauges, per-worker throughput, and
+    [Gc.quickstat] numbers.  Empty sections
     are omitted entirely (no bare headers), and a phase row with zero
     samples renders [-] in the mean/quantile columns instead of a
     fabricated zero. *)

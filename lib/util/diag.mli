@@ -1,12 +1,13 @@
 (** Typed diagnostics for graceful degradation.
 
-    The robust analysis entry points ({!Cet_elf.Reader.read_diag},
-    [Core.Funseeker.analyze_diag], the evaluation harness) report
-    recoverable trouble — clamped section bounds, skipped LSDAs, missing
-    sections, exceeded deadlines — as values instead of exceptions, so one
-    malformed input can degrade its own analysis without taking down a
-    batch.  A diagnostic carries a {!severity}, the emitting subsystem
-    ([domain]), a stable machine-readable [code], and a human message. *)
+    The robust analysis path ({!Cet_elf.Reader.read_diag}, the
+    substrates built by [Cet_disasm.Substrate.of_bytes_diag], the
+    evaluation harness) reports recoverable trouble — clamped section
+    bounds, skipped LSDAs, missing sections, exceeded deadlines — as
+    values instead of exceptions, so one malformed input can degrade its
+    own analysis without taking down a batch.  A diagnostic carries a
+    {!severity}, the emitting subsystem ([domain]), a stable
+    machine-readable [code], and a human message. *)
 
 type severity =
   | Info  (** observation; the result is unaffected *)

@@ -329,7 +329,6 @@ let map t n f =
     let deques = Array.init jobs (fun _ -> Deque.create ()) in
     let results = Array.make n None in
     let failure = Atomic.make None in
-    let stop = Atomic.make false in
     let pending = Atomic.make 0 in
     let submitted_all = Atomic.make false in
     let record_failure k exn bt =
@@ -343,8 +342,17 @@ let map t n f =
                  (Some { e_index = k; e_exn = exn; e_bt = bt }))
           then go ()
       in
-      go ();
-      Atomic.set stop true
+      go ()
+    in
+    (* Array.init semantics under failure: an item above the lowest
+       failure so far can no longer matter and is dropped, while every
+       admitted item below it still runs — a lower index may fail too.
+       Failures only ever lower the bound, and the producer admits
+       indices in order and stops at the first failure, so the index
+       re-raised is the lowest failing one, at the cost of at most [cap]
+       admitted items run past it. *)
+    let dropped k =
+      match Atomic.get failure with Some { e_index; _ } -> e_index < k | None -> false
     in
     (* One item, chaos applied: any transient dispatch fault is retried by
        the scheduler itself (bounded draws, backoff between), so the
@@ -412,22 +420,22 @@ let map t n f =
     in
     let run_one w g k =
       Atomic.decr pending;
-      maybe_stall w g;
-      exec k
+      if not (dropped k) then begin
+        maybe_stall w g;
+        exec k
+      end
     in
     let rec worker_loop w g =
-      if not (Atomic.get stop) then begin
-        match take_one w g with
-        | Some k ->
-          run_one w g k;
+      match take_one w g with
+      | Some k ->
+        run_one w g k;
+        worker_loop w g
+      | None ->
+        if Atomic.get submitted_all && Atomic.get pending = 0 then ()
+        else begin
+          Domain.cpu_relax ();
           worker_loop w g
-        | None ->
-          if Atomic.get submitted_all && Atomic.get pending = 0 then ()
-          else begin
-            Domain.cpu_relax ();
-            worker_loop w g
-          end
-      end
+        end
     in
     (* The calling domain is the producer: feed indices round-robin while
        the admission window has room, and work one item itself whenever
@@ -435,7 +443,7 @@ let map t n f =
     let producer_loop g =
       let next = ref 0 in
       let rr = ref 0 in
-      while !next < n && not (Atomic.get stop) do
+      while !next < n && Atomic.get failure = None do
         if Atomic.get pending < t.cfg.cap then begin
           Deque.push_back deques.(!rr) !next;
           let p = Atomic.fetch_and_add pending 1 + 1 in

@@ -208,10 +208,12 @@ val stats : t -> stats
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map t n f] evaluates [f k] for [k in 0 .. n-1] across the pool and
     returns the results in index order, exactly as [Array.init n f]
-    would.  If some [f k] raises, new work stops being issued, every
-    worker drains, and the exception of the lowest failing index observed
-    is re-raised on the calling domain — {!Domain_pool.map}'s contract,
-    which that module now implements by delegating here. *)
+    would.  If some [f k] raises, new work stops being issued, admitted
+    items above the lowest failure are dropped while those below it still
+    run, every worker drains, and the exception of the lowest failing
+    index is re-raised (with its backtrace) on the calling domain — the
+    one [Array.init n f] would raise.  With [jobs = 1] and no chaos the
+    items run sequentially on the calling domain, in index order. *)
 
 (** {1 Guarded units} *)
 

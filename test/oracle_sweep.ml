@@ -3,7 +3,9 @@
    [Cet_disasm.Prescan].  They run on the retired decoder
    ([Oracle_decoder.decode]), one instruction record at a time, so a
    sweep-level test checks the production scan core and the production
-   loops together.  Not memoised, not telemetry-instrumented. *)
+   loops together.  Not memoised, not telemetry-instrumented.  The list
+   extractors at the end are the index-build oracle for
+   [Cet_disasm.Substrate.indexes]. *)
 
 module Arch = Cet_x86.Arch
 module Linear = Cet_disasm.Linear
@@ -80,3 +82,43 @@ let sweep_anchored_reference arch ?(base = 0) code =
       incr off
   done;
   finish arch base code !insns !errors
+
+(* ---- The index-build oracle ----------------------------------------- *)
+
+(* The list extractors the substrate's index arrays replaced: one walk of
+   the instruction stream per index, address order throughout. *)
+
+module Decoder = Cet_x86.Decoder
+
+let fold_insns (t : Linear.t) f = List.rev (Array.fold_left f [] t.Linear.insns)
+
+(* End-branch markers of the sweep's architecture. *)
+let endbr_addrs (t : Linear.t) =
+  let want = match t.Linear.arch with Arch.X64 -> Decoder.Endbr64 | Arch.X86 -> Decoder.Endbr32 in
+  fold_insns t (fun acc (i : Decoder.ins) -> if i.kind = want then i.addr :: acc else acc)
+
+(* Every direct call as [(site, return address, target)], including calls
+   leaving the region (PLT calls). *)
+let call_sites t =
+  fold_insns t (fun acc (i : Decoder.ins) ->
+      match i.kind with
+      | Decoder.Call_direct target -> (i.addr, i.addr + i.len, target) :: acc
+      | _ -> acc)
+
+(* Unconditional direct jumps as [(site, target)], targets in the region. *)
+let jmp_refs t =
+  fold_insns t (fun acc (i : Decoder.ins) ->
+      match i.kind with
+      | Decoder.Jmp_direct target when Linear.in_range t target -> (i.addr, target) :: acc
+      | _ -> acc)
+
+(* Distinct in-region call targets, sorted. *)
+let call_targets t =
+  List.sort_uniq Int.compare
+    (List.filter_map
+       (fun (_, _, target) -> if Linear.in_range t target then Some target else None)
+       (call_sites t))
+
+(* Distinct in-region jump targets, sorted (conditional branches never
+   count: only unconditional jumps can be tail calls). *)
+let jmp_targets t = List.sort_uniq Int.compare (List.map snd (jmp_refs t))

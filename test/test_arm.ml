@@ -133,9 +133,9 @@ let test_bti_placement () =
   check Alcotest.bool "addr-taken bti c" true (List.mem (at "cb") cs);
   check Alcotest.bool "static no bti" false (List.mem (at "b") cs);
   (* Landing pads and switch cases use bti j, never bti c. *)
-  let lps = Core.Parse.landing_pads reader in
-  check Alcotest.int "one landing pad" 1 (List.length lps);
-  List.iter (fun lp -> check Alcotest.bool "lp not bti c" false (List.mem lp cs)) lps
+  let lps = Cet_disasm.Substrate.landing_pads (Cet_disasm.Substrate.create reader) in
+  check Alcotest.int "one landing pad" 1 (Array.length lps);
+  Array.iter (fun lp -> check Alcotest.bool "lp not bti c" false (List.mem lp cs)) lps
 
 let test_seeker_exact () =
   let res, reader = compile prog in

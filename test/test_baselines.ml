@@ -6,6 +6,7 @@ module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
 module Reader = Cet_elf.Reader
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 
 let check = Alcotest.check
 
@@ -106,7 +107,7 @@ let test_stack_height_finds_tail () =
 
 let test_fetch_gcc_full_recall () =
   let res, reader = compile prog in
-  let found = Cet_baselines.Fetch.analyze ~passes:2 reader in
+  let found = Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader) in
   List.iter
     (fun a -> check Alcotest.bool "found" true (List.mem a found))
     (truth_addrs res)
@@ -115,7 +116,8 @@ let test_fetch_clang_x86_c_collapse () =
   (* Clang emits no FDEs for x86 C code: FETCH finds nothing (§V-C). *)
   let opts = { O.default with compiler = O.Clang; arch = Arch.X86 } in
   let _, reader = compile ~opts prog in
-  check Alcotest.(list int) "nothing" [] (Cet_baselines.Fetch.analyze ~passes:2 reader)
+  check Alcotest.(list int) "nothing" []
+    (Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader))
 
 let test_fetch_fragment_fp () =
   let p =
@@ -132,7 +134,7 @@ let test_fetch_fragment_fp () =
     let _, s, _ = List.find (fun (n, _, _) -> n = "g.part.0") res.Link.fragment_extents in
     s
   in
-  let found = Cet_baselines.Fetch.analyze ~passes:2 reader in
+  let found = Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader) in
   (* GCC records FDEs for .part fragments, so FETCH reports them. *)
   check Alcotest.bool "part FP" true (List.mem part_addr found)
 
@@ -142,7 +144,7 @@ let test_fetch_fragment_fp () =
 
 let test_ghidra_x64_full_recall () =
   let res, reader = compile prog in
-  let found = Cet_baselines.Ghidra_like.analyze reader in
+  let found = Cet_baselines.Ghidra_like.analyze_st (Substrate.create reader) in
   List.iter
     (fun a -> check Alcotest.bool "found" true (List.mem a found))
     (truth_addrs res)
@@ -150,7 +152,7 @@ let test_ghidra_x64_full_recall () =
 let test_ghidra_clang_x86_degraded () =
   let opts = { O.default with compiler = O.Clang; arch = Arch.X86; pie = false } in
   let res, reader = compile ~opts prog in
-  let found = Cet_baselines.Ghidra_like.analyze reader in
+  let found = Cet_baselines.Ghidra_like.analyze_st (Substrate.create reader) in
   let truth = truth_addrs res in
   let m = Cet_eval.Metrics.compare_sets ~truth ~found in
   check Alcotest.bool "misses something" true (m.Cet_eval.Metrics.fn > 0)
@@ -161,7 +163,7 @@ let test_ghidra_clang_x86_degraded () =
 
 let test_ida_reaches_call_graph () =
   let res, reader = compile prog in
-  let found = Cet_baselines.Ida_like.analyze reader in
+  let found = Cet_baselines.Ida_like.analyze_st (Substrate.create reader) in
   List.iter
     (fun n ->
       check Alcotest.bool (n ^ " found") true
@@ -173,7 +175,7 @@ let test_ida_misses_pointer_only_x86_pie () =
      pointer-only callee (96% of its FNs per §V-C). *)
   let opts = { O.default with arch = Arch.X86; pie = true; opt = O.O2 } in
   let res, reader = compile ~opts prog in
-  let found = Cet_baselines.Ida_like.analyze reader in
+  let found = Cet_baselines.Ida_like.analyze_st (Substrate.create reader) in
   let cb = List.assoc "cb" res.Link.truth in
   check Alcotest.bool "cb missed" false (List.mem cb found)
 
@@ -181,7 +183,7 @@ let test_ida_lea_refs_x64 () =
   (* On x86-64, RIP-relative lea references are unambiguous and recovered. *)
   let opts = { O.default with opt = O.O2 } in
   let res, reader = compile ~opts prog in
-  let found = Cet_baselines.Ida_like.analyze reader in
+  let found = Cet_baselines.Ida_like.analyze_st (Substrate.create reader) in
   let cb = List.assoc "cb" res.Link.truth in
   check Alcotest.bool "cb found via lea" true (List.mem cb found)
 
@@ -193,12 +195,13 @@ let test_tools_vs_funseeker () =
   let recall found =
     Cet_eval.Metrics.recall (Cet_eval.Metrics.compare_sets ~truth ~found)
   in
-  let fs = recall (Core.Funseeker.analyze reader).Core.Funseeker.functions in
-  check Alcotest.bool "fs >= ida" true (fs >= recall (Cet_baselines.Ida_like.analyze reader));
+  let st = Substrate.create reader in
+  let fs = recall (Core.Funseeker.analyze_st st).Core.Funseeker.functions in
+  check Alcotest.bool "fs >= ida" true (fs >= recall (Cet_baselines.Ida_like.analyze_st st));
   check Alcotest.bool "fs >= ghidra" true
-    (fs >= recall (Cet_baselines.Ghidra_like.analyze reader));
+    (fs >= recall (Cet_baselines.Ghidra_like.analyze_st st));
   check Alcotest.bool "fs >= fetch" true
-    (fs >= recall (Cet_baselines.Fetch.analyze ~passes:2 reader))
+    (fs >= recall (Cet_baselines.Fetch.analyze_st ~passes:2 st))
 
 (* ------------------------------------------------------------------ *)
 (* ByteWeight-like and Nucleus-like (SSVII-B comparators)             *)
@@ -215,7 +218,7 @@ let test_byteweight_learns () =
   let train = List.init 4 (fun i -> corpus_build ~seed:31 i) in
   let model = Cet_baselines.Byteweight.train train in
   let reader, truth = corpus_build ~seed:31 5 in
-  let found = Cet_baselines.Byteweight.classify model reader in
+  let found = Cet_baselines.Byteweight.classify_st model (Substrate.create reader) in
   let m = Cet_eval.Metrics.compare_sets ~truth ~found in
   if Cet_eval.Metrics.recall m < 70.0 then
     Alcotest.failf "recall %.1f too low for in-distribution" (Cet_eval.Metrics.recall m);
@@ -232,11 +235,11 @@ let test_byteweight_empty_model_finds_nothing () =
   let model = Cet_baselines.Byteweight.train [] in
   let reader, _ = corpus_build ~seed:31 0 in
   check Alcotest.(list int) "nothing above prior" []
-    (Cet_baselines.Byteweight.classify model reader)
+    (Cet_baselines.Byteweight.classify_st model (Substrate.create reader))
 
 let test_nucleus_on_c () =
   let reader, truth = corpus_build ~seed:31 2 in
-  let found = Cet_baselines.Nucleus_like.analyze reader in
+  let found = Cet_baselines.Nucleus_like.analyze_st (Substrate.create reader) in
   let m = Cet_eval.Metrics.compare_sets ~truth ~found in
   if Cet_eval.Metrics.recall m < 95.0 then
     Alcotest.failf "nucleus recall %.1f too low on C" (Cet_eval.Metrics.recall m);
@@ -256,11 +259,11 @@ let test_nucleus_landing_pad_fps () =
   in
   let res, reader = compile p in
   let truth = truth_addrs res in
-  let found = Cet_baselines.Nucleus_like.analyze reader in
+  let found = Cet_baselines.Nucleus_like.analyze_st (Substrate.create reader) in
   let m = Cet_eval.Metrics.compare_sets ~truth ~found in
   check Alcotest.bool "landing pad FP" true (m.Cet_eval.Metrics.fp > 0);
-  let lps = Core.Parse.landing_pads reader in
-  List.iter
+  let lps = Substrate.landing_pads (Substrate.create reader) in
+  Array.iter
     (fun lp -> check Alcotest.bool "pad reported" true (List.mem lp found))
     lps
 
@@ -278,7 +281,7 @@ let test_nucleus_no_tail_merge () =
   in
   let opts = { O.default with opt = O.O2 } in
   let res, reader = compile ~opts p in
-  let found = Cet_baselines.Nucleus_like.analyze reader in
+  let found = Cet_baselines.Nucleus_like.analyze_st (Substrate.create reader) in
   check Alcotest.bool "tail target found" true
     (List.mem (List.assoc "tgt" res.Link.truth) found)
 

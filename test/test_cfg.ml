@@ -28,7 +28,7 @@ let diamond_prog =
 let test_straightline_single_block () =
   let p = base_prog [ Ir.func "main" [ Ir.Compute 5 ] ] in
   let res, reader = compile p in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   check Alcotest.int "one block" 1 (Cfg.block_count m);
   check Alcotest.int "no edges" 0 (Cfg.edge_count m);
@@ -40,7 +40,7 @@ let test_straightline_single_block () =
 
 let test_diamond_shape () =
   let res, reader = compile diamond_prog in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   (* if/else: header, then-arm, else-arm, join (+ tail) — at least 4
      blocks with a branch and a join. *)
@@ -62,7 +62,7 @@ let test_diamond_shape () =
 
 let test_blocks_partition_extent () =
   let res, reader = compile diamond_prog in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   (* Blocks are disjoint, ordered, and within the extent. *)
   let rec walk = function
@@ -88,7 +88,7 @@ let test_call_graph () =
       ]
   in
   let res, reader = compile p in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let cg = Cfg.call_graph funcs in
   let at name = List.assoc name res.Link.truth in
   let callees n = List.assoc (at n) cg in
@@ -113,7 +113,7 @@ let test_tail_call_terminator () =
   in
   let opts = { O.default with opt = O.O2 } in
   let res, reader = compile ~opts p in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   let tgt = List.assoc "tgt" res.Link.truth in
   let tails =
@@ -134,14 +134,14 @@ let test_switch_indirect_terminator () =
       ]
   in
   let res, reader = compile p in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   check Alcotest.bool "has switch dispatch" true
     (List.exists (fun b -> b.Cfg.b_term = Cfg.T_indirect) m.Cfg.f_blocks)
 
 let test_dot_rendering () =
   let res, reader = compile diamond_prog in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   let m = find_func funcs res "main" in
   let dot = Cfg.to_dot m in
   let contains needle =
@@ -158,7 +158,7 @@ let test_cfg_covers_all_functions () =
   let ir = Cet_corpus.Generator.program ~seed:3 ~profile ~index:0 in
   let res = Link.link O.default ir in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
-  let funcs = Cfg.recover reader in
+  let funcs = Cfg.recover_st (Cet_disasm.Substrate.create reader) in
   (* Using FunSeeker entries by default: one CFG per identified function,
      each with at least one block, all blocks with >= 1 instruction. *)
   check Alcotest.bool "many functions" true (List.length funcs > 50);

@@ -7,6 +7,7 @@ module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
 module Reader = Cet_elf.Reader
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 module Dec = Cet_x86.Decoder
 
 let check = Alcotest.check
@@ -19,9 +20,8 @@ let compile ?(opts = O.default) prog =
   let bytes = Cet_elf.Writer.write res.image in
   (res, Reader.read bytes)
 
-let endbr_set reader =
-  let sweep = Linear.sweep_text reader in
-  Linear.endbr_addrs sweep
+let indexes reader = Substrate.indexes (Substrate.create reader)
+let endbr_set reader = Array.to_list (indexes reader).Substrate.endbrs
 
 let truth_addr res name = List.assoc name res.Link.truth
 
@@ -171,7 +171,7 @@ let test_endbr32_on_x86 () =
     Array.exists (fun (i : Dec.ins) -> i.kind = Dec.Endbr64) sweep.insns
   in
   check Alcotest.bool "no endbr64 in x86" false has64;
-  check Alcotest.bool "has endbr32" true (List.length (Linear.endbr_addrs sweep) > 0)
+  check Alcotest.bool "has endbr32" true (endbr_set reader <> [])
 
 let test_setjmp_endbr_after_call () =
   let p =
@@ -179,16 +179,17 @@ let test_setjmp_endbr_after_call () =
       [ Ir.func "main" [ Ir.Compute 2; Ir.Indirect_return_call "setjmp"; Ir.Compute 2 ] ]
   in
   let res, reader = compile p in
-  let sweep = Linear.sweep_text reader in
+  let ix = indexes reader in
   (* Find the call to setjmp's PLT entry; the next instruction must be an
      end-branch (Fig. 2a). *)
   let plt = Core.Parse.plt reader in
-  let site =
-    List.find
-      (fun (_, _, target) -> Core.Parse.plt_name plt target = Some "setjmp")
-      (Linear.call_sites sweep)
+  let ret_addr =
+    let k = ref 0 in
+    while Core.Parse.plt_name plt ix.Substrate.call_tgts.(!k) <> Some "setjmp" do
+      incr k
+    done;
+    ix.Substrate.call_rets.(!k)
   in
-  let _, ret_addr, _ = site in
   check Alcotest.bool "endbr after setjmp call" true (List.mem ret_addr (endbr_set reader));
   (* And it is not a function entry. *)
   check Alcotest.bool "not an entry" false (List.mem_assoc ret_addr (List.map (fun (a, b) -> (b, a)) res.Link.truth))
@@ -202,7 +203,7 @@ let test_landing_pad_after_ret () =
       ]
   in
   let res, reader = compile p in
-  let lps = Core.Parse.landing_pads reader in
+  let lps = Array.to_list (Substrate.landing_pads (Substrate.create reader)) in
   check Alcotest.int "one landing pad" 1 (List.length lps);
   let lp = List.hd lps in
   (* The pad starts with an end-branch... *)
@@ -247,8 +248,8 @@ let tail_prog =
       Ir.func "tgt" [ Ir.Compute 2 ];
     ]
 
-let jmp_targets reader =
-  Linear.jmp_targets (Linear.sweep_text reader)
+let jmp_targets reader = Array.to_list (indexes reader).Substrate.jmp_targets
+let call_targets reader = Array.to_list (indexes reader).Substrate.call_targets
 
 let test_tail_call_by_opt_level () =
   let res2, reader2 = compile ~opts:{ O.default with opt = O.O2 } tail_prog in
@@ -258,9 +259,8 @@ let test_tail_call_by_opt_level () =
   check Alcotest.bool "O0 no tail jmp" false
     (List.mem (truth_addr res0 "tgt") (jmp_targets reader0));
   (* At O0 the degraded form is a direct call. *)
-  let sweep0 = Linear.sweep_text reader0 in
   check Alcotest.bool "O0 calls target" true
-    (List.mem (truth_addr res0 "tgt") (Linear.call_targets sweep0))
+    (List.mem (truth_addr res0 "tgt") (call_targets reader0))
 
 let split_prog =
   base_prog
@@ -289,9 +289,7 @@ let test_split_gcc_o2 () =
     let _, s, _ = List.find (fun (n, _, _) -> n = "g.part.0") res.Link.fragment_extents in
     s
   in
-  let sweep = Linear.sweep_text reader in
-  check Alcotest.bool "part direct-called" true
-    (List.mem part_addr (Linear.call_targets sweep))
+  check Alcotest.bool "part direct-called" true (List.mem part_addr (call_targets reader))
 
 let test_no_split_clang_or_low_opt () =
   let res, _ = compile ~opts:{ O.default with compiler = O.Clang; opt = O.O3 } split_prog in

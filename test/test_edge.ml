@@ -217,7 +217,7 @@ let test_legacy_binary_analysis () =
   let res = Link.link opts prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
   check Alcotest.bool "not cet" false (Reader.cet_enabled reader);
-  let r = Core.Funseeker.analyze reader in
+  let r = Core.Funseeker.analyze_st (Cet_disasm.Substrate.create reader) in
   check Alcotest.int "no endbr" 0 r.Core.Funseeker.endbr_total;
   (* Call targets still carry FunSeeker part of the way... *)
   check Alcotest.bool "finds called" true
@@ -264,14 +264,14 @@ let test_linear_helpers () =
   let first = sweep.insns.(0) in
   check Alcotest.bool "insn_at hit" true (Linear.insn_at sweep first.addr = Some first);
   check Alcotest.bool "insn_at miss" true (Linear.insn_at sweep (first.addr + 1) = None);
-  (* call_sites include PLT-bound calls even though call_targets drop them *)
-  let sites = Linear.call_sites sweep in
-  let targets = Linear.call_targets sweep in
+  (* the call arrays include PLT-bound calls even though call_targets
+     drops them *)
+  let ix = Cet_disasm.Substrate.indexes (Cet_disasm.Substrate.create reader) in
   check Alcotest.bool "plt call site exists" true
-    (List.exists (fun (_, _, t) -> not (Linear.in_range sweep t)) sites);
-  List.iter
+    (Array.exists (fun t -> not (Linear.in_range sweep t)) ix.Cet_disasm.Substrate.call_tgts);
+  Array.iter
     (fun t -> check Alcotest.bool "targets in range" true (Linear.in_range sweep t))
-    targets;
+    ix.call_targets;
   (* jmp_targets exclude conditional branches *)
   let jcc_targets =
     Array.to_list sweep.insns
@@ -279,8 +279,7 @@ let test_linear_helpers () =
            match i.kind with Dec.Jcc_direct t -> Some t | _ -> None)
   in
   check Alcotest.bool "has jcc" true (jcc_targets <> []);
-  let jmps = Linear.jmp_targets sweep in
-  check Alcotest.bool "join target in J" true (jmps <> [])
+  check Alcotest.bool "join target in J" true (ix.jmp_targets <> [||])
 
 let test_inline_tables_and_anchored_sweep () =
   let prog =
@@ -315,9 +314,10 @@ let test_inline_tables_and_anchored_sweep () =
     (match Reader.find_section reader ".rodata" with None -> true | Some s -> s.size = 0);
   (* ...and both sweeps still let FunSeeker find every function. *)
   let truth = List.sort_uniq compare (List.map snd res.Link.truth) in
+  let st = Cet_disasm.Substrate.create reader in
   List.iter
     (fun anchored ->
-      let r = Core.Funseeker.analyze ~anchored reader in
+      let r = Core.Funseeker.analyze_st ~anchored st in
       List.iter
         (fun a ->
           check Alcotest.bool

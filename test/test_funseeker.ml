@@ -5,7 +5,8 @@ module Arch = Cet_x86.Arch
 module O = Cet_compiler.Options
 module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
-module Reader = Cet_elf.Reader
+module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 module FS = Core.Funseeker
 
 let check = Alcotest.check
@@ -15,7 +16,7 @@ let base_prog ?(lang = Ir.C) funcs =
 
 let compile ?(opts = O.default) ?(strip = true) prog =
   let res = Link.link opts prog in
-  (res, Reader.read (Cet_elf.Writer.write ~strip res.image))
+  (res, Substrate.of_bytes (Cet_elf.Writer.write ~strip res.image))
 
 let truth_addrs (res : Link.result) = List.sort_uniq compare (List.map snd res.truth)
 
@@ -23,13 +24,25 @@ let truth_addrs (res : Link.result) = List.sort_uniq compare (List.map snd res.t
 (* SELECTTAILCALL in isolation                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* SELECTTAILCALL over lists: candidate starts (any order, duplicates
+   allowed) and [(site, target)] references, fed to the array core the
+   way the analysis feeds it — starts sorted and distinct. *)
+let select_tail_calls ?on_vote ~candidates ~jmp_refs ~call_refs ~text_end () =
+  let sites refs = Array.of_list (List.map fst refs) in
+  let tgts refs = Array.of_list (List.map snd refs) in
+  Array.to_list
+    (FS.select_tail_calls_ix ?on_vote
+       ~starts:(Linear.sort_dedup_ints (Array.of_list candidates))
+       ~jmp_sites:(sites jmp_refs) ~jmp_tgts:(tgts jmp_refs) ~call_sites:(sites call_refs)
+       ~call_tgts:(tgts call_refs) ~text_end ())
+
 (* Layout: f at 100..200, g at 200..300, h at 300..400 (text_end 400). *)
 let candidates = [ 100; 200; 300 ]
 
 let test_stc_both_conditions () =
   (* jmp from f (site 150) to h (300); h is also called from g (site 250). *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (150, 300) ]
+    select_tail_calls ~candidates ~jmp_refs:[ (150, 300) ]
       ~call_refs:[ (250, 300) ] ~text_end:400 ()
   in
   check Alcotest.(list int) "selected" [ 300 ] selected
@@ -37,14 +50,14 @@ let test_stc_both_conditions () =
 let test_stc_needs_external_ref () =
   (* Only f references the target: condition (2) fails. *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (150, 300) ] ~call_refs:[] ~text_end:400 ()
+    select_tail_calls ~candidates ~jmp_refs:[ (150, 300) ] ~call_refs:[] ~text_end:400 ()
   in
   check Alcotest.(list int) "nothing" [] selected
 
 let test_stc_intra_function_jump () =
   (* Jump within f's own extent: condition (1) fails even with other refs. *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (150, 180) ]
+    select_tail_calls ~candidates ~jmp_refs:[ (150, 180) ]
       ~call_refs:[ (250, 180) ] ~text_end:400 ()
   in
   check Alcotest.(list int) "nothing" [] selected
@@ -53,7 +66,7 @@ let test_stc_two_jumping_functions () =
   (* f and g both tail-jump to h: each sees the other as the extra
      referencing function. *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (150, 300); (250, 300) ] ~call_refs:[]
+    select_tail_calls ~candidates ~jmp_refs:[ (150, 300); (250, 300) ] ~call_refs:[]
       ~text_end:400 ()
   in
   check Alcotest.(list int) "selected" [ 300 ] selected
@@ -62,7 +75,7 @@ let test_stc_backward_target () =
   (* g jumps back to f (already a candidate, but selection still applies to
      the address), with h calling f too. *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (250, 100) ] ~call_refs:[ (350, 100) ]
+    select_tail_calls ~candidates ~jmp_refs:[ (250, 100) ] ~call_refs:[ (350, 100) ]
       ~text_end:400 ()
   in
   check Alcotest.(list int) "selected" [ 100 ] selected
@@ -70,7 +83,7 @@ let test_stc_backward_target () =
 let test_stc_same_function_multiple_sites () =
   (* Two jump sites inside the same function do not satisfy condition 2. *)
   let selected =
-    FS.select_tail_calls ~candidates ~jmp_refs:[ (150, 300); (160, 300) ] ~call_refs:[]
+    select_tail_calls ~candidates ~jmp_refs:[ (150, 300); (160, 300) ] ~call_refs:[]
       ~text_end:400 ()
   in
   check Alcotest.(list int) "nothing" [] selected
@@ -91,7 +104,7 @@ let stc_matches_oracle ~candidates ~jmp_refs ~call_refs ~text_end =
     Oracle_tailcall.select_tail_calls ~on_vote:on_oracle ~candidates ~jmp_refs ~call_refs
       ~text_end ()
   in
-  let got = FS.select_tail_calls ~on_vote ~candidates ~jmp_refs ~call_refs ~text_end () in
+  let got = select_tail_calls ~on_vote ~candidates ~jmp_refs ~call_refs ~text_end () in
   want = got && !oracle_votes = !votes
 
 (* Small address ranges, so owners, extents and shared targets collide
@@ -117,7 +130,6 @@ let test_stc_vs_oracle_random =
    oracle gets the in-.text calls only, as the list-based phase built
    them). *)
 let test_stc_vs_oracle_corpus () =
-  let module Substrate = Cet_disasm.Substrate in
   List.iter
     (fun (name, (bytes, _)) ->
       List.iter
@@ -172,8 +184,8 @@ let simple_prog =
 let test_perfect_on_simple_program () =
   List.iter
     (fun opts ->
-      let res, reader = compile ~opts simple_prog in
-      let r = FS.analyze reader in
+      let res, st = compile ~opts simple_prog in
+      let r = FS.analyze_st st in
       check Alcotest.(list int) (O.to_string opts) (truth_addrs res) r.FS.functions)
     [
       O.default;
@@ -186,9 +198,9 @@ let test_filter_endbr_setjmp () =
     base_prog
       [ Ir.func "main" [ Ir.Indirect_return_call "vfork"; Ir.Compute 1 ] ]
   in
-  let res, reader = compile p in
-  let r1 = FS.analyze ~config:FS.config1 reader in
-  let r2 = FS.analyze ~config:FS.config2 reader in
+  let res, st = compile p in
+  let r1 = FS.analyze_st ~config:FS.config1 st in
+  let r2 = FS.analyze_st ~config:FS.config2 st in
   (* Config 1 misreports the post-call end-branch as a function. *)
   check Alcotest.int "config1 has extra" (List.length (truth_addrs res) + 1)
     (List.length r1.FS.functions);
@@ -206,9 +218,9 @@ let cxx_prog =
     ]
 
 let test_filter_endbr_landing_pads () =
-  let res, reader = compile cxx_prog in
-  let r1 = FS.analyze ~config:FS.config1 reader in
-  let r2 = FS.analyze ~config:FS.config2 reader in
+  let res, st = compile cxx_prog in
+  let r1 = FS.analyze_st ~config:FS.config1 st in
+  let r2 = FS.analyze_st ~config:FS.config2 st in
   check Alcotest.bool "config1 counts pads as functions" true
     (List.length r1.FS.functions > List.length (truth_addrs res));
   check Alcotest.int "two pads filtered" 2 r2.FS.filtered_landing_pads;
@@ -227,11 +239,11 @@ let tail_prog =
 
 let test_tail_call_recovery () =
   let opts = { O.default with opt = O.O2 } in
-  let res, reader = compile ~opts tail_prog in
+  let res, st = compile ~opts tail_prog in
   let tgt = List.assoc "tgt" res.Link.truth in
-  let r2 = FS.analyze ~config:FS.config2 reader in
+  let r2 = FS.analyze_st ~config:FS.config2 st in
   check Alcotest.bool "config2 misses tail target" false (List.mem tgt r2.FS.functions);
-  let r4 = FS.analyze ~config:FS.config4 reader in
+  let r4 = FS.analyze_st ~config:FS.config4 st in
   check Alcotest.bool "config4 finds tail target" true (List.mem tgt r4.FS.functions);
   check Alcotest.(list int) "config4 exact" (truth_addrs res) r4.FS.functions
 
@@ -246,9 +258,9 @@ let test_single_ref_tail_is_fn () =
       ]
   in
   let opts = { O.default with opt = O.O2 } in
-  let res, reader = compile ~opts p in
+  let res, st = compile ~opts p in
   let tgt = List.assoc "tgt" res.Link.truth in
-  let r4 = FS.analyze ~config:FS.config4 reader in
+  let r4 = FS.analyze_st ~config:FS.config4 st in
   check Alcotest.bool "single-ref tail missed" false (List.mem tgt r4.FS.functions)
 
 let test_dead_function_is_fn () =
@@ -259,19 +271,19 @@ let test_dead_function_is_fn () =
         Ir.func ~linkage:Ir.Static ~dead:true "ghost" [ Ir.Compute 2 ];
       ]
   in
-  let res, reader = compile p in
+  let res, st = compile p in
   let ghost = List.assoc "ghost" res.Link.truth in
-  let r = FS.analyze reader in
+  let r = FS.analyze_st st in
   check Alcotest.bool "dead missed" false (List.mem ghost r.FS.functions);
   (* but dead exported functions carry an end-branch and are found *)
   let p2 =
     base_prog
       [ Ir.func "main" [ Ir.Compute 2 ]; Ir.func ~dead:true "ghost2" [ Ir.Compute 2 ] ]
   in
-  let res2, reader2 = compile p2 in
+  let res2, st2 = compile p2 in
   let ghost2 = List.assoc "ghost2" res2.Link.truth in
   check Alcotest.bool "dead exported found" true
-    (List.mem ghost2 (FS.analyze reader2).FS.functions)
+    (List.mem ghost2 (FS.analyze_st st2).FS.functions)
 
 let test_part_fp () =
   (* Direct-called .part fragments are FunSeeker's residual false
@@ -285,22 +297,22 @@ let test_part_fp () =
       ]
   in
   let opts = { O.default with opt = O.O2 } in
-  let res, reader = compile ~opts p in
+  let res, st = compile ~opts p in
   let part_addr =
     let _, s, _ = List.find (fun (n, _, _) -> n = "g.part.0") res.Link.fragment_extents in
     s
   in
-  let r = FS.analyze reader in
+  let r = FS.analyze_st st in
   check Alcotest.bool "part reported" true (List.mem part_addr r.FS.functions);
   check Alcotest.bool "part not truth" false (List.mem part_addr (truth_addrs res))
 
 let test_config_ordering () =
   (* Recall is monotone config2 <= config4 <= config3; precision suffers
      in config3. *)
-  let res, reader = compile ~opts:{ O.default with opt = O.O2 } tail_prog in
+  let res, st = compile ~opts:{ O.default with opt = O.O2 } tail_prog in
   let truth = truth_addrs res in
   let recall c =
-    let r = FS.analyze ~config:c reader in
+    let r = FS.analyze_st ~config:c st in
     let m = Cet_eval.Metrics.compare_sets ~truth ~found:r.FS.functions in
     Cet_eval.Metrics.recall m
   in
@@ -312,20 +324,66 @@ let test_stripped_equals_unstripped () =
   let _, unstripped = compile ~strip:false cxx_prog in
   ignore res;
   check Alcotest.(list int) "same result"
-    (FS.analyze stripped).FS.functions (FS.analyze unstripped).FS.functions
+    (FS.analyze_st stripped).FS.functions (FS.analyze_st unstripped).FS.functions
 
-let test_analyze_bytes () =
+let test_of_bytes () =
   let res = Link.link O.default simple_prog in
   let bytes = Cet_elf.Writer.write ~strip:true res.image in
-  check Alcotest.(list int) "analyze_bytes" (truth_addrs res)
-    (FS.analyze_bytes bytes).FS.functions
+  check Alcotest.(list int) "of_bytes" (truth_addrs res)
+    (FS.analyze_st (Substrate.of_bytes bytes)).FS.functions
 
 let test_counters_consistency () =
-  let _, reader = compile simple_prog in
-  let r = FS.analyze reader in
+  let _, st = compile simple_prog in
+  let r = FS.analyze_st st in
   check Alcotest.bool "endbr counted" true (r.FS.endbr_total > 0);
   check Alcotest.int "no resync" 0 r.FS.resync_errors;
   check Alcotest.bool "calls counted" true (r.FS.call_target_count > 0)
+
+(* The one indirect-return call set (FILTERENDBR, Table I, the IBT audit)
+   against a model over the sweep: the return addresses of the direct
+   calls whose target is the PLT entry of an indirect-return import, in
+   address order. *)
+let test_indirect_return_calls () =
+  let model st =
+    let plt = Core.Parse.plt_st st in
+    List.filter_map
+      (fun (_site, ret, tgt) ->
+        match Core.Parse.plt_name plt tgt with
+        | Some name when List.mem name Core.Parse.indirect_return_imports -> Some ret
+        | _ -> None)
+      (Oracle_sweep.call_sites (Substrate.sweep st))
+  in
+  let returns name st =
+    let ix = Substrate.indexes st in
+    let ks = Core.Parse.indirect_return_calls (Core.Parse.plt_st st) ix in
+    Array.iteri
+      (fun i k -> if i > 0 && ks.(i - 1) >= k then Alcotest.failf "%s: indices not ascending" name)
+      ks;
+    List.map (fun k -> ix.Substrate.call_rets.(k)) (Array.to_list ks)
+  in
+  let p =
+    base_prog
+      [
+        Ir.func "main"
+          [
+            Ir.Indirect_return_call "setjmp";
+            Ir.Call (Ir.Import "printf");
+            Ir.Indirect_return_call "vfork";
+            Ir.Call (Ir.Local "a");
+          ];
+        Ir.func "a" [ Ir.Indirect_return_call "setjmp"; Ir.Compute 1 ];
+      ]
+  in
+  let _, st = compile p in
+  let want = model st in
+  check Alcotest.int "three indirect-return calls" 3 (List.length want);
+  check Alcotest.(list int) "synthetic" want (returns "synthetic" st);
+  List.iter
+    (fun (name, (bytes, _)) ->
+      let st = Substrate.of_bytes bytes in
+      let want = model st in
+      check Alcotest.(list int) name want (returns name st))
+    (Lazy.force Test_substrate.corpus)
 
 (* ------------------------------------------------------------------ *)
 (* Study classifiers                                                  *)
@@ -344,9 +402,9 @@ let test_study_classification () =
         Ir.func "a" [ Ir.Compute 1 ];
       ]
   in
-  let res, reader = compile p in
+  let res, st = compile p in
   let truth = truth_addrs res in
-  let classes = Core.Study.classify_endbrs reader ~truth in
+  let classes = Core.Study.classify_endbrs_st st ~truth in
   let count k = List.length (List.filter (fun (_, c) -> c = k) classes) in
   check Alcotest.int "entries" (List.length truth) (count Core.Study.At_function_entry);
   check Alcotest.int "setjmp site" 1 (count Core.Study.After_indirect_return_call);
@@ -354,9 +412,9 @@ let test_study_classification () =
   check Alcotest.int "nothing else" 0 (count Core.Study.Elsewhere)
 
 let test_study_props () =
-  let res, reader = compile ~opts:{ O.default with opt = O.O2 } tail_prog in
+  let res, st = compile ~opts:{ O.default with opt = O.O2 } tail_prog in
   let truth = truth_addrs res in
-  let props = Core.Study.function_props reader ~truth in
+  let props = Core.Study.function_props_st st ~truth in
   let for_name n = List.assoc (List.assoc n res.Link.truth) props in
   let main_p = for_name "main" in
   check Alcotest.bool "main endbr" true main_p.Core.Study.endbr_at_head;
@@ -384,8 +442,8 @@ let audit_prog =
     ]
 
 let test_audit_full_protection_clean () =
-  let _, reader = compile audit_prog in
-  let r = Core.Audit.audit reader in
+  let _, st = compile audit_prog in
+  let r = Core.Audit.audit_st st in
   check Alcotest.(list reject) "no violations" []
     (List.map (fun _ -> Alcotest.fail "violation") r.Core.Audit.violations);
   check Alcotest.bool "candidates checked" true (r.Core.Audit.checked > 0);
@@ -396,18 +454,18 @@ let test_audit_manual_endbr_clean () =
   (* -mmanual-endbr marks exactly the indirect targets: still audit-clean,
      with less over-marking — the SSVI correctness argument. *)
   let opts = { O.default with cf_protection = O.Cf_manual } in
-  let _, full_reader = compile audit_prog in
-  let _, manual_reader = compile ~opts audit_prog in
-  let full = Core.Audit.audit full_reader in
-  let manual = Core.Audit.audit manual_reader in
+  let _, full_st = compile audit_prog in
+  let _, manual_st = compile ~opts audit_prog in
+  let full = Core.Audit.audit_st full_st in
+  let manual = Core.Audit.audit_st manual_st in
   check Alcotest.int "no violations" 0 (List.length manual.Core.Audit.violations);
   check Alcotest.bool "less over-marking" true
     (manual.Core.Audit.superfluous < full.Core.Audit.superfluous)
 
 let test_audit_legacy_violations () =
   let opts = { O.default with cf_protection = O.Cf_none } in
-  let _, reader = compile ~opts audit_prog in
-  let r = Core.Audit.audit reader in
+  let _, st = compile ~opts audit_prog in
+  let r = Core.Audit.audit_st st in
   check Alcotest.bool "violations found" true (List.length r.Core.Audit.violations > 0);
   let reasons = List.map (fun (v : Core.Audit.violation) -> v.v_reason) r.violations in
   check Alcotest.bool "address-taken flagged" true (List.mem Core.Audit.Address_taken reasons);
@@ -439,8 +497,10 @@ let suite =
         Alcotest.test_case "part fragments are FP" `Quick test_part_fp;
         Alcotest.test_case "config recall ordering" `Quick test_config_ordering;
         Alcotest.test_case "strip-invariant" `Quick test_stripped_equals_unstripped;
-        Alcotest.test_case "analyze_bytes" `Quick test_analyze_bytes;
+        Alcotest.test_case "from bytes" `Quick test_of_bytes;
         Alcotest.test_case "counters" `Quick test_counters_consistency;
+        Alcotest.test_case "indirect-return calls = sweep model" `Quick
+          test_indirect_return_calls;
       ] );
     ( "funseeker.audit",
       [

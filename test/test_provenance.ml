@@ -44,8 +44,15 @@ let corpus =
 let configs =
   [ (1, FS.config1); (2, FS.config2); (3, FS.config3); (4, FS.config4) ]
 
-(* analyze_prov must be observationally identical to analyze_st: same
-   result record, and a kept set that IS the function list. *)
+(* One analysis with provenance recording: the result and the record. *)
+let with_prov ?config ?anchored st =
+  let prov = Prov.create () in
+  let r = FS.analyze_st ?config ?anchored ~prov st in
+  (r, prov)
+
+(* Recording provenance must leave the analysis observationally
+   unchanged: same result record, and a kept set that IS the function
+   list. *)
 let test_prov_matches_analysis () =
   List.iter
     (fun (name, (bytes, _truth)) ->
@@ -53,7 +60,7 @@ let test_prov_matches_analysis () =
       List.iter
         (fun (i, config) ->
           let plain = FS.analyze_st ~config st in
-          let r, prov = FS.analyze_prov ~config st in
+          let r, prov = with_prov ~config st in
           let label = Printf.sprintf "%s config%d" name i in
           check int_list (label ^ " functions") plain.FS.functions r.FS.functions;
           check Alcotest.int (label ^ " endbr_total") plain.FS.endbr_total
@@ -67,7 +74,7 @@ let test_prov_matches_analysis () =
           check int_list (label ^ " kept = functions") r.FS.functions (Prov.kept prov))
         configs;
       let plain = FS.analyze_st ~anchored:true st in
-      let r, prov = FS.analyze_prov ~anchored:true st in
+      let r, prov = with_prov ~anchored:true st in
       check int_list (name ^ " anchored functions") plain.FS.functions r.FS.functions;
       check int_list (name ^ " anchored kept") r.FS.functions (Prov.kept prov))
     (Lazy.force corpus)
@@ -81,7 +88,7 @@ let test_evidence_consistency () =
       let st = Substrate.of_bytes bytes in
       List.iter
         (fun (i, config) ->
-          let r, prov = FS.analyze_prov ~config st in
+          let r, prov = with_prov ~config st in
           let label = Printf.sprintf "%s config%d" name i in
           List.iter
             (fun addr ->
@@ -135,7 +142,7 @@ let test_evidence_consistency () =
 let test_explain_renders () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   let st = Substrate.of_bytes bytes in
-  let r, prov = FS.analyze_prov st in
+  let r, prov = with_prov st in
   let contains haystack needle =
     let hl = String.length haystack and nl = String.length needle in
     let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -206,13 +213,13 @@ let test_triage_off_is_empty () =
 
 (* The production path must not pay for provenance: with the substrate
    warm, analyze_st allocates exactly the same number of minor words on
-   every call (the [?prov] plumbing is all [None] immediates), and the
-   provenance entry point is the only one that allocates more. *)
+   every call (the [?prov] plumbing is all [None] immediates), and only a
+   run that records provenance allocates more. *)
 let test_disabled_provenance_allocates_nothing_extra () =
   let bytes, _ = List.assoc "gcc-x64" (Lazy.force corpus) in
   let st = Substrate.of_bytes bytes in
   ignore (FS.analyze_st st);
-  ignore (FS.analyze_prov st);
+  ignore (with_prov st);
   let measure f =
     let before = Gc.minor_words () in
     ignore (Sys.opaque_identity (f ()));
@@ -222,17 +229,17 @@ let test_disabled_provenance_allocates_nothing_extra () =
   let a = plain () and b = plain () and c = plain () in
   check (Alcotest.float 0.0) "plain path allocation is exactly stable" a b;
   check (Alcotest.float 0.0) "plain path allocation is exactly stable (2)" b c;
-  let prov = measure (fun () -> FS.analyze_prov st) in
+  let prov = measure (fun () -> with_prov st) in
   if not (prov > a) then
     Alcotest.failf
       "provenance recording allocated %.0f words but the plain path %.0f — \
-       recording cost is not confined to analyze_prov" prov a
+       recording cost is not confined to ?prov runs" prov a
 
 let suite =
   [
     ( "provenance",
       [
-        Alcotest.test_case "analyze_prov = analyze_st" `Quick
+        Alcotest.test_case "?prov leaves analyze_st unchanged" `Quick
           test_prov_matches_analysis;
         Alcotest.test_case "every verdict is backed by evidence" `Quick
           test_evidence_consistency;

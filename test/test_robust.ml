@@ -7,6 +7,7 @@ module Arch = Cet_x86.Arch
 module Image = Cet_elf.Image
 module Writer = Cet_elf.Writer
 module Reader = Cet_elf.Reader
+module Substrate = Cet_disasm.Substrate
 module Diag = Cet_util.Diag
 module Deadline = Cet_util.Deadline
 module Harness = Cet_eval.Harness
@@ -142,27 +143,32 @@ let overwrite_section bytes name ~fill =
   Bytes.fill b pos n fill;
   Bytes.to_string b
 
+(* FunSeeker over a robust substrate: the result and everything the
+   substrate reported on the way. *)
+let robust_analysis bytes =
+  match Substrate.of_bytes_diag bytes with
+  | Error d -> Alcotest.failf "whole analysis refused: %s" (Diag.to_string d)
+  | Ok st ->
+    let r = Core.Funseeker.analyze_st st in
+    (r, Substrate.diags st)
+
 let test_bad_lsda_encoding_degrades () =
   (* 0xFF-filled .gcc_except_table: LPStart/TType decode as "omitted" but
      the call-site encoding byte is invalid, the exact shape of the
      fuzzer's LSDA crash class.  Pre-fix, FILTERENDBR died on an uncaught
      Invalid_argument; the robust path must degrade with diagnostics. *)
   let evil = overwrite_section (cpp_binary ()) ".gcc_except_table" ~fill:'\xff' in
-  match Core.Funseeker.analyze_bytes_diag evil with
-  | Error d -> Alcotest.failf "whole analysis refused: %s" (Diag.to_string d)
-  | Ok (r, diags) ->
-    check Alcotest.bool "functions still identified" true (r.Core.Funseeker.functions <> []);
-    check Alcotest.bool "lsda degradation reported" true
-      (has_code "lsda-skipped" diags || has_code "eh-frame" diags)
+  let r, diags = robust_analysis evil in
+  check Alcotest.bool "functions still identified" true (r.Core.Funseeker.functions <> []);
+  check Alcotest.bool "lsda degradation reported" true
+    (has_code "lsda-skipped" diags || has_code "eh-frame" diags)
 
 let test_corrupt_eh_frame_salvage () =
   (* Same contract for .eh_frame itself: the walk salvages the prefix. *)
   let evil = overwrite_section (cpp_binary ()) ".eh_frame" ~fill:'\xee' in
-  match Core.Funseeker.analyze_bytes_diag evil with
-  | Error d -> Alcotest.failf "whole analysis refused: %s" (Diag.to_string d)
-  | Ok (r, diags) ->
-    check Alcotest.bool "functions still identified" true (r.Core.Funseeker.functions <> []);
-    check Alcotest.bool "eh-frame walk reported" true (has_code "eh-frame" diags)
+  let r, diags = robust_analysis evil in
+  check Alcotest.bool "functions still identified" true (r.Core.Funseeker.functions <> []);
+  check Alcotest.bool "eh-frame walk reported" true (has_code "eh-frame" diags)
 
 (* ---- Crash class: truncated EH metadata on the production paths ------- *)
 
@@ -256,9 +262,10 @@ let test_deadline_expires_sweep () =
        ignore (Deadline.with_ ~seconds:1e-9 (fun () -> Cet_disasm.Linear.sweep Arch.X64 big));
        false
      with Deadline.Expired _ -> true);
-  (* And the robust entry point converts the expiry into a diagnostic. *)
+  (* And the fuzzer's robust pipeline converts the expiry into a
+     diagnostic. *)
   let bytes = Writer.write (sample_image ~text:big ()) in
-  match Core.Funseeker.analyze_bytes_diag ~max_seconds:1e-9 bytes with
+  match Cet_fuzz.Engine.analyze ~max_seconds:1e-9 ~anchored:false bytes with
   | Error d -> Alcotest.failf "refused instead of degrading: %s" (Diag.to_string d)
   | Ok (r, diags) ->
     check Alcotest.bool "empty result" true (r = Core.Funseeker.empty_result);
@@ -294,11 +301,31 @@ let test_no_text_degrades () =
     }
   in
   let bytes = Writer.write img in
-  match Core.Funseeker.analyze_bytes_diag bytes with
+  match Cet_fuzz.Engine.analyze ~anchored:false bytes with
   | Error d -> Alcotest.failf "refused instead of degrading: %s" (Diag.to_string d)
   | Ok (r, diags) ->
     check Alcotest.bool "empty result" true (r = Core.Funseeker.empty_result);
     check Alcotest.bool "no-text diag" true (has_code "no-text" diags)
+
+(* The funseeker/cetaudit contract at the library level: every prefix of
+   a binary is either refused with an error diagnostic or, when a [.text]
+   survives, analyzed and audited without raising. *)
+let test_truncated_elf_ends_in_diagnostic () =
+  let bytes = cpp_binary () in
+  let len = String.length bytes in
+  for pct = 1 to 99 do
+    let cut = String.sub bytes 0 (len * pct / 100) in
+    match Substrate.of_bytes_diag cut with
+    | Error d ->
+      check Alcotest.bool (Printf.sprintf "%d%%: refusal is an error" pct) true
+        (d.Diag.severity = Diag.Error)
+    | Ok st -> (
+      if Substrate.text st <> None then
+        try
+          ignore (Core.Funseeker.analyze_st st : Core.Funseeker.result);
+          ignore (Core.Audit.audit_st st : Core.Audit.report)
+        with e -> Alcotest.failf "%d%%: %s escaped" pct (Printexc.to_string e))
+  done
 
 (* ---- Fuzz engine ------------------------------------------------------ *)
 
@@ -310,6 +337,18 @@ let test_fuzz_smoke_deterministic () =
     (Cet_fuzz.Engine.render b);
   check Alcotest.int "all mutants accounted" a.Cet_fuzz.Engine.total
     (a.Cet_fuzz.Engine.clean + a.Cet_fuzz.Engine.degraded + a.Cet_fuzz.Engine.rejected)
+
+(* The robust pipeline's verdicts, pinned at seed 2022: a change to what
+   degrades, what is rejected or what escapes moves this summary. *)
+let test_fuzz_summary_pinned () =
+  check Alcotest.string "seed 2022, 200 mutants"
+    "cetfuzz: 200 mutants \u{2014} 109 clean, 40 degraded, 51 rejected, 0 crashes\n\
+    \  header         41 mutants\n\
+    \  shdr           30 mutants\n\
+    \  lsda           38 mutants\n\
+    \  flip           52 mutants\n\
+    \  truncate       39 mutants\n"
+    (Cet_fuzz.Engine.render (Cet_fuzz.Engine.run ~seed:2022 ~count:200 ()))
 
 (* ---- Fault-isolated harness ------------------------------------------- *)
 
@@ -655,5 +694,8 @@ let suite =
           test_crash_report_roundtrip;
         Alcotest.test_case "fuzz chaos identical" `Slow
           test_fuzz_chaos_identical;
+        Alcotest.test_case "fuzz summary pinned (seed 2022)" `Slow test_fuzz_summary_pinned;
+        Alcotest.test_case "truncated ELF ends in a diagnostic" `Quick
+          test_truncated_elf_ends_in_diagnostic;
       ] );
   ]

@@ -91,17 +91,45 @@ let test_map_negative_size_rejected () =
 
 let test_map_lowest_failure_wins () =
   (* Two failing indices: whichever worker notices second must lose to
-     the lower index, whatever the interleaving. *)
-  let t = W.create (W.config ~jobs:4 ()) in
+     the lower index, whatever the interleaving — the exception
+     [Array.init] raises, from the sequential path and the spawned one. *)
   let f k =
     if k = 17 then failwith "item-17"
     else if k = 63 then failwith "item-63"
     else busy_square k
   in
-  (try
-     ignore (W.map t 80 f);
-     Alcotest.fail "failure did not propagate"
-   with Failure msg -> check Alcotest.string "lowest index wins" "item-17" msg)
+  List.iter
+    (fun jobs ->
+      let t = W.create (W.config ~jobs ()) in
+      try
+        ignore (W.map t 80 f);
+        Alcotest.failf "jobs=%d: failure did not propagate" jobs
+      with Failure msg ->
+        check Alcotest.string (Printf.sprintf "jobs=%d: lowest index wins" jobs) "item-17" msg)
+    [ 1; 4 ]
+
+let test_map_runs_everything_below_failure () =
+  (* [Array.init] evaluates every index below the one that raises, so
+     the pool must too: a failure drops only the items above it, never
+     an admitted lower one that could still fail first. *)
+  let n = 200 and failing = 120 in
+  List.iter
+    (fun jobs ->
+      let ran = Array.init n (fun _ -> Atomic.make false) in
+      let f k =
+        Atomic.set ran.(k) true;
+        if k = failing then failwith "item-120" else busy_square k
+      in
+      let t = W.create (W.config ~jobs ~cap:4 ()) in
+      (try
+         ignore (W.map t n f);
+         Alcotest.failf "jobs=%d: failure did not propagate" jobs
+       with Failure _ -> ());
+      for k = 0 to failing do
+        if not (Atomic.get ran.(k)) then
+          Alcotest.failf "jobs=%d: item %d below the failure never ran" jobs k
+      done)
+    [ 1; 2; 4 ]
 
 let test_config_validation () =
   let bad f = try ignore (W.create (f ())); false with Invalid_argument _ -> true in
@@ -459,5 +487,7 @@ let suite =
           test_guard_no_shed_without_deadline;
         Alcotest.test_case "observer: backoff and breaker events" `Quick
           test_observer_sees_backoff_and_breaker;
+        Alcotest.test_case "map: every item below a failure runs" `Quick
+          test_map_runs_everything_below_failure;
       ] );
   ]

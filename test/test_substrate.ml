@@ -42,13 +42,14 @@ let corpus =
      ])
 
 (* Every tool, run twice against the same substrate (second call exercises
-   the memoised path), must match a fresh analysis from its legacy entry
-   point exactly. *)
+   the memoised path), must match a fresh analysis — a new substrate per
+   call, nothing shared — exactly. *)
 let test_equivalence () =
   List.iter
     (fun (name, (bytes, truth)) ->
       let reader = Reader.read bytes in
       let st = Substrate.create reader in
+      let fresh run = run (Substrate.create reader) in
       let twice label fresh st_run =
         check int_list (name ^ " " ^ label ^ " (cold)") fresh (st_run ());
         check int_list (name ^ " " ^ label ^ " (memoised)") fresh (st_run ())
@@ -57,26 +58,26 @@ let test_equivalence () =
         (fun (i, config) ->
           twice
             (Printf.sprintf "funseeker-config%d" i)
-            (FS.analyze ~config reader).FS.functions
+            (fresh (FS.analyze_st ~config)).FS.functions
             (fun () -> (FS.analyze_st ~config st).FS.functions))
         [ (1, FS.config1); (2, FS.config2); (3, FS.config3); (4, FS.config4) ];
       twice "funseeker-anchored"
-        (FS.analyze ~anchored:true reader).FS.functions
+        (fresh (FS.analyze_st ~anchored:true)).FS.functions
         (fun () -> (FS.analyze_st ~anchored:true st).FS.functions);
-      twice "ida" (Cet_baselines.Ida_like.analyze reader) (fun () ->
+      twice "ida" (fresh Cet_baselines.Ida_like.analyze_st) (fun () ->
           Cet_baselines.Ida_like.analyze_st st);
-      twice "ghidra" (Cet_baselines.Ghidra_like.analyze reader) (fun () ->
+      twice "ghidra" (fresh Cet_baselines.Ghidra_like.analyze_st) (fun () ->
           Cet_baselines.Ghidra_like.analyze_st st);
-      twice "fetch" (Cet_baselines.Fetch.analyze reader) (fun () ->
+      twice "fetch" (fresh Cet_baselines.Fetch.analyze_st) (fun () ->
           Cet_baselines.Fetch.analyze_st st);
-      twice "nucleus" (Cet_baselines.Nucleus_like.analyze reader) (fun () ->
+      twice "nucleus" (fresh Cet_baselines.Nucleus_like.analyze_st) (fun () ->
           Cet_baselines.Nucleus_like.analyze_st st);
       let model = Cet_baselines.Byteweight.train [ (reader, truth) ] in
       twice "byteweight"
-        (Cet_baselines.Byteweight.classify model reader)
+        (fresh (Cet_baselines.Byteweight.classify_st model))
         (fun () -> Cet_baselines.Byteweight.classify_st model st);
       (* The audit consumes the same memoised facts. *)
-      let fresh_audit = Core.Audit.audit reader in
+      let fresh_audit = fresh Core.Audit.audit_st in
       let st_audit = Core.Audit.audit_st st in
       check int_list (name ^ " audit violations")
         (List.map (fun v -> v.Core.Audit.v_target) fresh_audit.Core.Audit.violations)
@@ -85,14 +86,18 @@ let test_equivalence () =
         st_audit.Core.Audit.superfluous)
     (Lazy.force corpus)
 
-(* The full FunSeeker result record (counts included) must survive the
-   substrate path, not just the entry list. *)
+(* The full FunSeeker result record (counts included) must be the same
+   whether the substrate's indexes come from the stream-free scan (a fresh
+   substrate) or from an already-memoised sweep. *)
 let test_result_counts () =
   List.iter
     (fun (name, (bytes, _truth)) ->
-      let reader = Reader.read bytes in
-      let fresh = FS.analyze reader in
-      let st = FS.analyze_st (Substrate.create reader) in
+      let fresh = FS.analyze_st (Substrate.of_bytes bytes) in
+      let st =
+        let st = Substrate.of_bytes bytes in
+        ignore (Substrate.sweep st : Linear.t);
+        FS.analyze_st st
+      in
       check Alcotest.int (name ^ " endbr_total") fresh.FS.endbr_total st.FS.endbr_total;
       check Alcotest.int (name ^ " filtered_ir") fresh.FS.filtered_indirect_return
         st.FS.filtered_indirect_return;
@@ -107,28 +112,54 @@ let test_result_counts () =
       check Alcotest.int (name ^ " resyncs") fresh.FS.resync_errors st.FS.resync_errors)
     (Lazy.force corpus)
 
-(* The memoised index arrays must agree with the list-level extractors the
-   rest of the code has always used. *)
+(* On well-formed binaries the robust constructor changes nothing: every
+   configuration, linear and anchored, computes the production result
+   (counts included), and nothing is reported. *)
+let test_diag_substrate_matches () =
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let st =
+        match Substrate.of_bytes_diag bytes with
+        | Ok st -> st
+        | Error d -> Alcotest.failf "%s: %s" name (Cet_util.Diag.to_string d)
+      in
+      List.iter
+        (fun anchored ->
+          List.iteri
+            (fun i config ->
+              let want = FS.analyze_st ~config ~anchored (Substrate.of_bytes bytes) in
+              check Alcotest.bool
+                (Printf.sprintf "%s config%d anchored=%b" name (i + 1) anchored)
+                true
+                (FS.analyze_st ~config ~anchored st = want))
+            [ FS.config1; FS.config2; FS.config3; FS.config4 ])
+        [ false; true ];
+      check Alcotest.(list string) (name ^ " diags") []
+        (List.map Cet_util.Diag.to_string (Substrate.diags st)))
+    (Lazy.force corpus)
+
+(* The memoised index arrays must agree with the list-level extractors
+   (the index-build oracle) over the sweep. *)
 let test_index_arrays () =
   List.iter
     (fun (name, (bytes, _truth)) ->
       let st = Substrate.of_bytes bytes in
       let sweep = Substrate.sweep st in
       let ix = Substrate.indexes st in
-      check int_list (name ^ " endbrs") (Linear.endbr_addrs sweep)
+      check int_list (name ^ " endbrs") (Oracle_sweep.endbr_addrs sweep)
         (Array.to_list ix.Substrate.endbrs);
-      check int_list (name ^ " call_targets") (Linear.call_targets sweep)
+      check int_list (name ^ " call_targets") (Oracle_sweep.call_targets sweep)
         (Array.to_list ix.Substrate.call_targets);
-      check int_list (name ^ " jmp_targets") (Linear.jmp_targets sweep)
+      check int_list (name ^ " jmp_targets") (Oracle_sweep.jmp_targets sweep)
         (Array.to_list ix.Substrate.jmp_targets);
       check int_list (name ^ " call_sites")
-        (List.map (fun (s, _, _) -> s) (Linear.call_sites sweep))
+        (List.map (fun (s, _, _) -> s) (Oracle_sweep.call_sites sweep))
         (Array.to_list ix.Substrate.call_sites);
       check int_list (name ^ " call_rets")
-        (List.map (fun (_, r, _) -> r) (Linear.call_sites sweep))
+        (List.map (fun (_, r, _) -> r) (Oracle_sweep.call_sites sweep))
         (Array.to_list ix.Substrate.call_rets);
       check int_list (name ^ " jmp_refs")
-        (List.map fst (Linear.jmp_refs sweep))
+        (List.map fst (Oracle_sweep.jmp_refs sweep))
         (Array.to_list ix.Substrate.jmp_sites))
     (Lazy.force corpus)
 
@@ -302,14 +333,21 @@ let test_scan_allocation_budget () =
           anchored per_insn)
     [ false; true ]
 
-(* Regression (dead-copy fix): [indexes_of_sweep] builds [jmp_targets] by
-   sorting a buffer in place.  If that buffer aliased [jmp_tgts], the
-   site->target pairing would be scrambled — two jumps with descending
-   targets detect any aliasing the moment the sort runs. *)
+(* A substrate over [code] as an x86-64 [.text] at 0x1000 whose sweep is
+   already memoised, so its indexes are built from the instruction
+   stream. *)
+let swept_substrate code =
+  let st = Substrate.of_bytes (image_with_text Cet_x86.Arch.X64 code) in
+  ignore (Substrate.sweep st : Linear.t);
+  st
+
+(* Regression (dead-copy fix): the index build over a sweep makes
+   [jmp_targets] by sorting a buffer in place.  If that buffer aliased
+   [jmp_tgts], the site->target pairing would be scrambled — two jumps
+   with descending targets detect any aliasing the moment the sort runs. *)
 let test_jmp_tgts_sweep_order () =
   let code = "\xEB\x06\xEB\x00" ^ String.make 8 '\x90' in
-  let sweep = Linear.sweep Cet_x86.Arch.X64 ~base:0x1000 code in
-  let ix = Substrate.indexes_of_sweep sweep in
+  let ix = Substrate.indexes (swept_substrate code) in
   check int_list "sites" [ 0x1000; 0x1002 ] (Array.to_list ix.Substrate.jmp_sites);
   check int_list "tgts stay in sweep order" [ 0x1008; 0x1004 ]
     (Array.to_list ix.Substrate.jmp_tgts);
@@ -326,10 +364,10 @@ let test_indexes_allocation_budget () =
   let code =
     String.concat "" (List.init n (fun _ -> "\xEB\xFE") (* jmp self *))
   in
-  let sweep = Linear.sweep Cet_x86.Arch.X64 ~base:0x1000 code in
-  ignore (Substrate.indexes_of_sweep sweep);
+  ignore (Substrate.indexes (swept_substrate code));
+  let st = swept_substrate code in
   let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Substrate.indexes_of_sweep sweep));
+  ignore (Sys.opaque_identity (Substrate.indexes st));
   let words = Gc.minor_words () -. before in
   let per_insn = words /. float_of_int n in
   if per_insn > 4.7 then
@@ -352,5 +390,7 @@ let suite =
         Alcotest.test_case "jmp_tgts keeps sweep order" `Quick test_jmp_tgts_sweep_order;
         Alcotest.test_case "index build allocation budget" `Quick
           test_indexes_allocation_budget;
+        Alcotest.test_case "of_bytes_diag = of_bytes on well-formed input" `Quick
+          test_diag_substrate_matches;
       ] );
   ]

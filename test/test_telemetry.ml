@@ -261,6 +261,25 @@ let test_stats_identical_across_jobs () =
       check Alcotest.bool "analysis spans present" true
         (contains seq "funseeker.analyze"))
 
+(* Steals and chaos worker stalls count scheduling decisions, which vary
+   from run to run: the deterministic report leaves them out, the timed
+   one keeps them, and work counters of the scheduler stay in both. *)
+let test_schedule_counters_timing_only () =
+  with_clean_registry (fun () ->
+      Registry.enable ();
+      List.iter
+        (fun name -> Registry.count name)
+        [ "scheduler.steals"; "scheduler.chaos_stalls"; "scheduler.backoffs" ];
+      let plain = Report.render ~timing:false () in
+      let timed = Report.render ~timing:true () in
+      check Alcotest.bool "steals left out" false (contains plain "scheduler.steals");
+      check Alcotest.bool "chaos stalls left out" false
+        (contains plain "scheduler.chaos_stalls");
+      check Alcotest.bool "backoffs kept" true (contains plain "scheduler.backoffs");
+      check Alcotest.bool "timed keeps steals" true (contains timed "scheduler.steals");
+      check Alcotest.bool "timed keeps chaos stalls" true
+        (contains timed "scheduler.chaos_stalls"))
+
 (* ------------------------------------------------------------------ *)
 (* Report edge cases and the chrome trace writer                      *)
 (* ------------------------------------------------------------------ *)
@@ -337,5 +356,7 @@ let suite =
         Alcotest.test_case "report: empty phase table omitted" `Quick
           test_render_omits_empty_phase_table;
         Alcotest.test_case "trace: chrome format" `Quick test_chrome_trace;
+        Alcotest.test_case "report: scheduling counters only when timed" `Quick
+          test_schedule_counters_timing_only;
       ] );
   ]

@@ -273,58 +273,6 @@ let test_hexdump_lines () =
     (List.length (String.split_on_char '\n' (String.trim out)))
 
 (* ------------------------------------------------------------------ *)
-(* Domain pool                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_ordering () =
-  (* Results come back in index order regardless of worker count, and the
-     parallel map computes exactly what the sequential one does. *)
-  let expect = Array.init 100 (fun i -> i * i) in
-  List.iter
-    (fun jobs ->
-      check
-        Alcotest.(array int)
-        (Printf.sprintf "jobs=%d" jobs)
-        expect
-        (Cet_util.Domain_pool.map ~jobs 100 (fun i -> i * i)))
-    [ 1; 2; 4; 7 ]
-
-let test_pool_empty () =
-  check Alcotest.(array int) "empty" [||] (Cet_util.Domain_pool.map ~jobs:4 0 (fun i -> i));
-  check Alcotest.(array int) "jobs > n" [| 7 |]
-    (Cet_util.Domain_pool.map ~jobs:8 1 (fun _ -> 7))
-
-exception Boom of int
-
-let test_pool_exception () =
-  (* A worker exception propagates to the caller, from both the spawned
-     and the sequential paths. *)
-  List.iter
-    (fun jobs ->
-      match Cet_util.Domain_pool.map ~jobs 10 (fun i -> if i = 3 then raise (Boom i) else i) with
-      | _ -> Alcotest.failf "jobs=%d: expected Boom" jobs
-      | exception Boom 3 -> ())
-    [ 1; 4 ]
-
-let test_pool_uneven_load () =
-  (* Dynamic scheduling with wildly uneven item costs still yields ordered,
-     complete results. *)
-  let f i =
-    if i mod 7 = 0 then ignore (Sys.opaque_identity (Array.init 10000 Fun.id));
-    i + 1
-  in
-  check
-    Alcotest.(array int)
-    "uneven" (Array.init 64 (fun i -> i + 1))
-    (Cet_util.Domain_pool.map ~jobs:3 64 f)
-
-let test_pool_fold () =
-  let sum =
-    Cet_util.Domain_pool.fold ~jobs:4 ~merge:( + ) 0 101 (fun i -> i)
-  in
-  check Alcotest.int "gauss" 5050 sum
-
-(* ------------------------------------------------------------------ *)
 (* Bench_rows (bin/bench_diff's parser and differ)                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -499,14 +447,6 @@ let suite =
         Alcotest.test_case "diff reports missing benches" `Quick
           test_bench_rows_diff_missing;
         Alcotest.test_case "history geomean" `Quick test_bench_rows_geomean;
-      ] );
-    ( "util.domain_pool",
-      [
-        Alcotest.test_case "ordering" `Quick test_pool_ordering;
-        Alcotest.test_case "empty + singleton" `Quick test_pool_empty;
-        Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-        Alcotest.test_case "uneven load" `Quick test_pool_uneven_load;
-        Alcotest.test_case "fold" `Quick test_pool_fold;
       ] );
     ( "util.prng",
       [
