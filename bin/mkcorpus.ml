@@ -39,7 +39,7 @@ let run out seed scale suites =
   Buffer.add_string manifest
     (Printf.sprintf "# synthetic CET corpus  seed=%d scale=%g\n# suite program config stripped unstripped truth\n"
        seed scale);
-  Cet_corpus.Dataset.iter ~profiles ~seed ~scale (fun b ->
+  Cet_corpus.Dataset.iter_twins ~profiles ~seed ~scale (fun b ~unstripped ->
       let dir = Filename.concat (Filename.concat out b.Cet_corpus.Dataset.suite) b.program in
       mkdir_p dir;
       let cfg = O.to_string b.config in
@@ -47,14 +47,14 @@ let run out seed scale suites =
       let unstripped_path = Filename.concat dir (cfg ^ ".unstripped.elf") in
       let truth_path = Filename.concat dir (cfg ^ ".truth") in
       write_file stripped_path b.stripped;
-      write_file unstripped_path b.unstripped;
+      write_file unstripped_path unstripped;
       let tr = Buffer.create 256 in
       List.iter
         (fun (name, addr) -> Buffer.add_string tr (Printf.sprintf "0x%x %s\n" addr name))
         b.truth;
       write_file truth_path (Buffer.contents tr);
       incr count;
-      bytes := !bytes + String.length b.stripped + String.length b.unstripped;
+      bytes := !bytes + String.length b.stripped + String.length unstripped;
       Buffer.add_string manifest
         (Printf.sprintf "%s %s %s %s %s %s\n" b.suite b.program cfg stripped_path
            unstripped_path truth_path));

@@ -40,13 +40,13 @@ let () =
   let sweep = Cet_disasm.Substrate.sweep st in
   let lp = lps.(0) in
   Printf.printf "\ndisassembly around the first catch block (0x%x):\n" lp;
-  Array.iter
-    (fun (i : Cet_x86.Decoder.ins) ->
-      if i.addr >= lp - 6 && i.addr <= lp + 12 then
-        Printf.printf "  0x%-6x %s%s\n" i.addr
-          (Cet_x86.Decoder.kind_to_string i.kind)
-          (if i.addr = lp then "   <-- catch block starts here" else ""))
-    sweep.insns;
+  let module Linear = Cet_disasm.Linear in
+  for k = Linear.first_index_at sweep (lp - 6) to Linear.first_index_at sweep (lp + 13) - 1 do
+    let i = Linear.ins sweep k in
+    Printf.printf "  0x%-6x %s%s\n" i.addr
+      (Cet_x86.Decoder.kind_to_string i.kind)
+      (if i.addr = lp then "   <-- catch block starts here" else "")
+  done;
   (* Naive harvesting (config 1) counts every catch block as a function. *)
   let truth = List.map snd result.truth in
   let score config =

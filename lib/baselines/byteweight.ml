@@ -44,16 +44,16 @@ let train corpus =
         let entry_set = Hashtbl.create (List.length entries) in
         List.iter (fun a -> Hashtbl.replace entry_set a ()) entries;
         let sweep = Linear.sweep_text reader in
-        Array.iteri
-          (fun idx (i : Cet_x86.Decoder.ins) ->
-            let off = i.addr - text.vaddr in
-            if Hashtbl.mem entry_set i.addr then add_sequence root text.data off ~positive:true
-            else if idx land 3 = 0 then
-              (* Sample a quarter of the non-entry boundaries as negatives:
-                 keeps class balance workable, like the original's
-                 ~10:1 corpus sampling. *)
-              add_sequence root text.data off ~positive:false)
-          sweep.insns)
+        for idx = 0 to Linear.length sweep - 1 do
+          let addr = Linear.addr sweep idx in
+          let off = addr - text.vaddr in
+          if Hashtbl.mem entry_set addr then add_sequence root text.data off ~positive:true
+          else if idx land 3 = 0 then
+            (* Sample a quarter of the non-entry boundaries as negatives:
+               keeps class balance workable, like the original's
+               ~10:1 corpus sampling. *)
+            add_sequence root text.data off ~positive:false
+        done)
     corpus;
   root
 
@@ -81,13 +81,12 @@ let classify_st_impl threshold root st =
   | None -> []
   | Some text ->
     let sweep = Cet_disasm.Substrate.sweep st in
-    List.rev
-      (Array.fold_left
-         (fun acc (i : Cet_x86.Decoder.ins) ->
-           if score root text.data ~off:(i.addr - text.vaddr) > threshold then
-             i.addr :: acc
-           else acc)
-         [] sweep.insns)
+    let hits = ref [] in
+    for k = Linear.length sweep - 1 downto 0 do
+      let addr = Linear.addr sweep k in
+      if score root text.data ~off:(addr - text.vaddr) > threshold then hits := addr :: !hits
+    done;
+    !hits
 
 let classify_st ?(threshold = 0.5) root st =
   if Cet_telemetry.Span.enabled () then

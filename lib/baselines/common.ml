@@ -1,118 +1,100 @@
 module Linear = Cet_disasm.Linear
 module Decoder = Cet_x86.Decoder
 module Arch = Cet_x86.Arch
-
-let fde_frames reader =
-  match Cet_elf.Reader.find_section reader ".eh_frame" with
-  | None -> []
-  | Some s -> Cet_eh.Eh_frame.decode ~vaddr:s.vaddr s.data
-
-let fde_starts reader =
-  (* The sorted [.eh_frame_hdr] search table is the cheap source real tools
-     consult first; fall back to walking [.eh_frame] records. *)
-  match Cet_elf.Reader.find_section reader ".eh_frame_hdr" with
-  | Some s -> (
-    match Cet_eh.Eh_frame_hdr.decode ~vaddr:s.vaddr s.data with
-    | entries ->
-      List.map (fun (e : Cet_eh.Eh_frame_hdr.entry) -> e.initial_loc) entries
-      |> List.sort_uniq Int.compare
-    | exception Invalid_argument _ ->
-      fde_frames reader
-      |> List.map (fun (f : Cet_eh.Eh_frame.frame) -> f.pc_begin)
-      |> List.sort_uniq Int.compare)
-  | None ->
-    fde_frames reader
-    |> List.map (fun (f : Cet_eh.Eh_frame.frame) -> f.pc_begin)
-    |> List.sort_uniq Int.compare
-
-let compare_extent (a_lo, a_hi) (b_lo, b_hi) =
-  if a_lo <> b_lo then Int.compare a_lo b_lo else Int.compare a_hi b_hi
-
-let fde_extents reader =
-  fde_frames reader
-  |> List.map (fun (f : Cet_eh.Eh_frame.frame) -> (f.pc_begin, f.pc_begin + f.pc_range))
-  |> List.sort_uniq compare_extent
+module Ibuf = Cet_util.Ibuf
 
 type explored = { e_functions : int list; e_visited : Bytes.t }
 
-(* Recursive descent over the sweep's instruction stream.  Instruction
-   lookup is a binary search into the sorted [insns] array and the visited
-   set is one byte per instruction — the traversal allocates nothing per
-   step, where it used to build an address→instruction hashtable as large
-   as the stream on every call. *)
-let explore (sweep : Linear.t) ~roots =
-  let insns = sweep.insns in
-  let visited = Bytes.make (Array.length insns) '\000' in
-  let functions = Hashtbl.create 256 in
-  let wl = Queue.create () in
-  List.iter
-    (fun r ->
-      if Linear.in_range sweep r then begin
-        Hashtbl.replace functions r ();
-        Queue.add r wl
-      end)
-    roots;
-  while not (Queue.is_empty wl) do
-    let a = Queue.pop wl in
-    match Linear.index_of sweep a with
-    | None -> ()
-    | Some k ->
-      if Bytes.get visited k = '\000' then begin
-        Bytes.set visited k '\001';
-        let ins = insns.(k) in
-        let fall () = Queue.add (a + ins.Decoder.len) wl in
-        match ins.kind with
-        | Decoder.Ret | Decoder.Halt -> ()
-        | Decoder.Jmp_direct t -> if Linear.in_range sweep t then Queue.add t wl
-        | Decoder.Jcc_direct t ->
-          if Linear.in_range sweep t then Queue.add t wl;
-          fall ()
-        | Decoder.Call_direct t ->
-          if Linear.in_range sweep t && not (Hashtbl.mem functions t) then begin
-            Hashtbl.replace functions t ();
-            Queue.add t wl
-          end;
-          fall ()
-        | Decoder.Jmp_indirect _ -> ()
-        | Decoder.Call_indirect _ | Decoder.Endbr64 | Decoder.Endbr32 | Decoder.Addr_ref _
-        | Decoder.Other ->
-          fall ()
-      end
+(* Recursive descent over the sweep's instruction stream, by instruction
+   index.  An instruction is marked when it is first reached and pushed
+   on an int stack, so each is expanded once; fall-through is the next
+   index whenever the stream is contiguous there (a gap means no
+   instruction starts at the fall-through address), and only branch and
+   call targets take a binary search.  The result is a reachability
+   closure, so the visit order does not show in it. *)
+let explore (sw : Linear.t) ~roots =
+  let addrs = sw.Linear.addrs and lens = sw.Linear.lens in
+  let tags = sw.Linear.tags and targets = sw.Linear.targets in
+  let n = Array.length addrs in
+  let visited = Bytes.make n '\000' in
+  let functions = Ibuf.create () in
+  let stack = Ibuf.create () in
+  let reach k =
+    if k >= 0 && Bytes.unsafe_get visited k = '\000' then begin
+      Bytes.unsafe_set visited k '\001';
+      Ibuf.push stack k
+    end
+  in
+  let reach_addr a = if Linear.in_range sw a then reach (Linear.index_of sw a) in
+  let fall k =
+    let k' = k + 1 in
+    if
+      k' < n
+      && Array.unsafe_get addrs k'
+         = Array.unsafe_get addrs k + Char.code (Bytes.unsafe_get lens k)
+    then reach k'
+  in
+  let root a =
+    if Linear.in_range sw a then begin
+      Ibuf.push functions a;
+      reach (Linear.index_of sw a)
+    end
+  in
+  List.iter root roots;
+  let ret = Decoder.tag_ret and halt = Decoder.tag_halt and jmp_ind = Decoder.tag_jmp_indirect in
+  let jmp = Decoder.tag_jmp_direct and jcc = Decoder.tag_jcc_direct in
+  let call = Decoder.tag_call_direct in
+  while Ibuf.length stack > 0 do
+    let k = Ibuf.pop stack in
+    let tag = Char.code (Bytes.unsafe_get tags k) land 15 in
+    if tag = ret || tag = halt || tag = jmp_ind then ()
+    else if tag = jmp then reach_addr (Array.unsafe_get targets k)
+    else if tag = jcc then begin
+      reach_addr (Array.unsafe_get targets k);
+      fall k
+    end
+    else if tag = call then begin
+      root (Array.unsafe_get targets k);
+      fall k
+    end
+    else fall k
   done;
   {
-    e_functions =
-      Hashtbl.fold (fun k () acc -> k :: acc) functions [] |> List.sort Int.compare;
+    e_functions = Array.to_list (Linear.sort_dedup_ints (Ibuf.contents functions));
     e_visited = visited;
   }
 
-let reachable_call_targets sweep ~roots = (explore sweep ~roots).e_functions
+(* The byte at [off] of the swept region, or -1 outside it. *)
+let[@inline] byte_at code size off =
+  if off < 0 || off >= size then -1 else Char.code (String.unsafe_get code off)
 
-let byte (sweep : Linear.t) off =
-  if off < 0 || off >= sweep.size then -1 else Char.code sweep.code.[off]
+let byte (sw : Linear.t) off = byte_at sw.code sw.size off
 
-let entry_main_root (sweep : Linear.t) ~entry =
-  let rec scan addr budget =
-    if budget = 0 then None
+let entry_main_root (sw : Linear.t) ~entry =
+  let n = Linear.length sw in
+  let rec scan k budget =
+    if budget = 0 || k < 0 then None
     else
-      match Linear.insn_at sweep addr with
-      | None -> None
-      | Some ins -> (
-        match ins.Decoder.kind with
-        | Decoder.Addr_ref t when Linear.in_range sweep t -> Some t
-        | Decoder.Ret | Decoder.Halt | Decoder.Jmp_direct _ | Decoder.Jmp_indirect _ ->
-          None
-        | _ -> scan (addr + ins.Decoder.len) (budget - 1))
+      let tag = Linear.tag sw k and t = Linear.target sw k in
+      if tag = Decoder.tag_addr_ref && Linear.in_range sw t then Some t
+      else if
+        tag = Decoder.tag_ret || tag = Decoder.tag_halt || tag = Decoder.tag_jmp_direct
+        || tag = Decoder.tag_jmp_indirect
+      then None
+      else
+        let next = Linear.addr sw k + Linear.len sw k in
+        scan (if k + 1 < n && Linear.addr sw (k + 1) = next then k + 1 else -1) (budget - 1)
   in
-  scan entry 12
+  scan (Linear.index_of sw entry) 12
 
 (* Does the byte sequence at [off] look like a prologue? *)
-let prologue_at (sweep : Linear.t) off ~aggressive =
-  let b0 = byte sweep off and b1 = byte sweep (off + 1) and b2 = byte sweep (off + 2) in
-  let x64 = sweep.arch = Arch.X64 in
+let prologue_at (sw : Linear.t) off ~aggressive =
+  let b0 = byte sw off and b1 = byte sw (off + 1) and b2 = byte sw (off + 2) in
+  let x64 = sw.arch = Arch.X64 in
   let push_rbp_mov =
     b0 = 0x55
     &&
-    if x64 then b1 = 0x48 && b2 = 0x89 && byte sweep (off + 3) = 0xE5
+    if x64 then b1 = 0x48 && b2 = 0x89 && byte sw (off + 3) = 0xE5
     else b1 = 0x89 && b2 = 0xE5
   in
   if push_rbp_mov then true
@@ -126,124 +108,134 @@ let prologue_at (sweep : Linear.t) off ~aggressive =
 let boundary_byte b = b = 0xC3 || b = 0xC2 || b = 0xCC || b = 0x90 || b = 0x00 || b = 0xF4
 
 (* An end-branch right before [off]?  Legacy scanners read it as a NOP. *)
-let endbr_before (sweep : Linear.t) off =
+let endbr_before (sw : Linear.t) off =
   off >= 4
-  && byte sweep (off - 4) = 0xF3
-  && byte sweep (off - 3) = 0x0F
-  && byte sweep (off - 2) = 0x1E
-  && (byte sweep (off - 1) = 0xFA || byte sweep (off - 1) = 0xFB)
+  && byte sw (off - 4) = 0xF3
+  && byte sw (off - 3) = 0x0F
+  && byte sw (off - 2) = 0x1E
+  && (byte sw (off - 1) = 0xFA || byte sw (off - 1) = 0xFB)
 
-let prologue_scan (sweep : Linear.t) ~known ~aggressive ?visited ?(suppress = []) () =
-  let known_set = Hashtbl.create (max 16 (List.length known)) in
-  List.iter (fun a -> Hashtbl.replace known_set a ()) known;
+(* The skip conditions are one pure conjunction, tested cheapest first:
+   the visited byte, the first byte of every signature, the prologue
+   bytes, and only then the [known] and [suppress] lookups, which the
+   rare signature matches alone reach. *)
+let prologue_scan (sw : Linear.t) ~known ~aggressive ?visited ?(suppress = []) () =
+  let known = Linear.sort_dedup_ints (Array.of_list known) in
   (* Lenient: extents recovered from a corrupt .eh_frame can overlap, and
      a suppression table that is merely smaller must not abort the scan. *)
   let suppress =
     Cet_util.Itable.of_list_lenient (List.map (fun (lo, hi) -> (lo, hi, ())) suppress)
   in
-  let hits = ref [] in
-  Array.iteri
-    (fun idx (i : Decoder.ins) ->
-      let a = i.Decoder.addr in
-      let off = a - sweep.base in
-      if
-        (not (Hashtbl.mem known_set a))
-        && (not (Cet_util.Itable.mem suppress a))
-        && (match visited with Some v -> Bytes.get v idx = '\000' | None -> true)
-        && prologue_at sweep off ~aggressive
-      then begin
-        let after_endbr = endbr_before sweep off in
-        let after_boundary = off = 0 || boundary_byte (byte sweep (off - 1)) in
-        let aligned = a land 15 = 0 in
-        (* Conservative scanners demand an aligned start (or the legacy-NOP
-           end-branch anchor); aggressive ones take any post-boundary
-           position. *)
-        if
-          (after_boundary || after_endbr)
-          && (aggressive || aligned || after_endbr)
-        then hits := a :: !hits
-      end)
-    sweep.insns;
-  List.sort_uniq Int.compare !hits
+  let addrs = sw.Linear.addrs in
+  let hits = Ibuf.create () in
+  for idx = 0 to Array.length addrs - 1 do
+    let a = addrs.(idx) in
+    let off = a - sw.base in
+    let b0 = byte sw off in
+    if
+      (match visited with Some v -> Bytes.get v idx = '\000' | None -> true)
+      && (b0 = 0x55 || b0 = 0x53 || b0 = 0x48 || b0 = 0x83)
+      && prologue_at sw off ~aggressive
+      && (not (Linear.mem_sorted known a))
+      && not (Cet_util.Itable.mem suppress a)
+    then begin
+      let after_endbr = endbr_before sw off in
+      let after_boundary = off = 0 || boundary_byte (byte sw (off - 1)) in
+      let aligned = a land 15 = 0 in
+      (* Conservative scanners demand an aligned start (or the legacy-NOP
+         end-branch anchor); aggressive ones take any post-boundary
+         position. *)
+      if (after_boundary || after_endbr) && (aggressive || aligned || after_endbr) then
+        Ibuf.push hits a
+    end
+  done;
+  Array.to_list (Linear.sort_dedup_ints (Ibuf.contents hits))
 
-(* Byte-level stack-delta of the instruction at [off]; [None] resets the
-   height (frame release via leave). *)
-let stack_delta (sweep : Linear.t) off =
-  let ptr = Arch.ptr_size sweep.arch in
-  let b0 = byte sweep off in
-  let b0, off =
-    if b0 >= 0x40 && b0 <= 0x4F && sweep.arch = Arch.X64 then (byte sweep (off + 1), off + 1)
-    else (b0, off)
-  in
-  if b0 >= 0x50 && b0 <= 0x57 then Some ptr
-  else if b0 >= 0x58 && b0 <= 0x5F then Some (-ptr)
-  else if b0 = 0x83 && byte sweep (off + 1) = 0xEC then Some (byte sweep (off + 2))
-  else if b0 = 0x83 && byte sweep (off + 1) = 0xC4 then Some (-byte sweep (off + 2))
-  else if b0 = 0xC9 then None (* leave *)
-  else Some 0
+(* [stack_delta]'s height reset (frame release via leave); no real delta
+   comes near it. *)
+let leave = min_int
 
-let stack_height_tail_targets (sweep : Linear.t) ~extents ~passes =
-  let insns = sweep.insns in
-  let n = Array.length insns in
-  let targets = ref [] in
+(* Byte-level stack delta of the instruction at [off], or [leave]. *)
+let[@inline] stack_delta code size ~x64 ~ptr off =
+  let b0 = byte_at code size off in
+  let rex = x64 && b0 land 0xF0 = 0x40 in
+  let off = if rex then off + 1 else off in
+  let b0 = if rex then byte_at code size off else b0 in
+  if b0 land 0xF8 = 0x50 then ptr (* push r *)
+  else if b0 land 0xF8 = 0x58 then -ptr (* pop r *)
+  else if b0 = 0x83 then begin
+    let modrm = byte_at code size (off + 1) in
+    if modrm = 0xEC then byte_at code size (off + 2) (* sub rsp, imm8 *)
+    else if modrm = 0xC4 then -byte_at code size (off + 2) (* add rsp, imm8 *)
+    else 0
+  end
+  else if b0 = 0xC9 then leave
+  else 0
+
+(* Both FETCH passes walk an extent's index range [first_index_at lo,
+   first_index_at hi), computed once per extent. *)
+let stack_height_tail_targets (sw : Linear.t) ~extents ~passes =
+  let addrs = sw.Linear.addrs and tags = sw.Linear.tags and targets = sw.Linear.targets in
+  let code = sw.code and size = sw.size and base = sw.base in
+  let x64 = sw.arch = Arch.X64 and ptr = Arch.ptr_size sw.arch in
+  let jmp = Decoder.tag_jmp_direct in
+  let found = Ibuf.create () in
   List.iter
     (fun (lo, hi) ->
       (* The repeated passes mirror FETCH's fixed-point refinement: each
          pass rebuilds the function's stack-height profile, which is where
          the tool's runtime goes (§V-D).  The instruction stream itself
          comes from the shared sweep — one decode however many passes —
-         so a pass is pure table-walking over the cached array. *)
-      let start = Linear.first_index_at sweep lo in
+         so a pass is pure array-walking over the cached stream. *)
+      let first = Linear.first_index_at sw lo and last = Linear.first_index_at sw hi in
       for pass = 1 to passes do
         let height = ref 0 in
-        let k = ref start in
-        while !k < n && insns.(!k).Decoder.addr < hi do
-          let i = insns.(!k) in
-          (match stack_delta sweep (i.Decoder.addr - sweep.base) with
-          | None -> height := 0
-          | Some d -> height := !height + d);
-          (match i.Decoder.kind with
-          | Decoder.Jmp_direct t
-            when (t < lo || t >= hi) && Linear.in_range sweep t && !height <= 0 ->
-            if pass = passes then targets := t :: !targets
-          | _ -> ());
-          incr k
+        for i = first to last - 1 do
+          let d = stack_delta code size ~x64 ~ptr (Array.unsafe_get addrs i - base) in
+          if d = leave then height := 0 else height := !height + d;
+          if Char.code (Bytes.unsafe_get tags i) land 15 = jmp then begin
+            let t = Array.unsafe_get targets i in
+            if (t < lo || t >= hi) && Linear.in_range sw t && !height <= 0 && pass = passes
+            then Ibuf.push found t
+          end
         done
       done)
     extents;
-  List.sort_uniq Int.compare !targets
+  Array.to_list (Linear.sort_dedup_ints (Ibuf.contents found))
 
-let calling_convention_scan (sweep : Linear.t) ~extents ~passes =
+let calling_convention_scan (sw : Linear.t) ~extents ~passes =
   (* Per-extent register def/use histogram, recomputed [passes] times the
      way FETCH revisits candidates per calling-convention hypothesis. *)
+  let addrs = sw.Linear.addrs in
+  let code = sw.code and size = sw.size and base = sw.base in
+  let x64 = sw.arch = Arch.X64 in
+  let defs = Array.make 8 0 in
   let well_formed = ref 0 in
   List.iter
     (fun (lo, hi) ->
       let ok = ref false in
-      let start = Linear.first_index_at sweep lo in
+      let first = Linear.first_index_at sw lo and last = Linear.first_index_at sw hi in
       for _pass = 1 to passes do
-        let defs = Array.make 16 0 in
-        let k = ref start in
-        let n = Array.length sweep.insns in
-        while !k < n && sweep.insns.(!k).Decoder.addr < hi do
-          let i = sweep.insns.(!k) in
-          let off = i.addr - sweep.base in
-          let b0 = byte sweep off in
-          let b0, off' =
-            if b0 >= 0x40 && b0 <= 0x4F && sweep.arch = Arch.X64 then
-              (byte sweep (off + 1), off + 1)
-            else (b0, off)
-          in
+        Array.fill defs 0 8 0;
+        for i = first to last - 1 do
+          let off = Array.unsafe_get addrs i - base in
+          let b0 = byte_at code size off in
+          let rex = x64 && b0 land 0xF0 = 0x40 in
+          let off = if rex then off + 1 else off in
+          let b0 = if rex then byte_at code size off else b0 in
           (* mov r/m,r | mov r,r/m | mov r,imm | xor r,r *)
-          (if b0 = 0x89 || b0 = 0x8B || b0 = 0x31 then begin
-             let modrm = byte sweep (off' + 1) in
-             let reg = (modrm lsr 3) land 7 in
-             defs.(reg) <- defs.(reg) + 1
-           end
-           else if b0 >= 0xB8 && b0 <= 0xBF then defs.(b0 land 7) <- defs.(b0 land 7) + 1);
-          incr k
+          if b0 = 0x89 || b0 = 0x8B || b0 = 0x31 then begin
+            let reg = (byte_at code size (off + 1) lsr 3) land 7 in
+            Array.unsafe_set defs reg (Array.unsafe_get defs reg + 1)
+          end
+          else if b0 land 0xF8 = 0xB8 then
+            Array.unsafe_set defs (b0 land 7) (Array.unsafe_get defs (b0 land 7) + 1)
         done;
-        ok := Array.exists (fun d -> d > 0) defs
+        let any = ref false in
+        for r = 0 to 7 do
+          if Array.unsafe_get defs r > 0 then any := true
+        done;
+        ok := !any
       done;
       if !ok then incr well_formed)
     extents;

@@ -13,16 +13,10 @@
     mechanism behind the pre-CET tools' degraded precision *and* recall on
     CET-enabled binaries — precisely the gap FunSeeker exploits. *)
 
-val fde_starts : Cet_elf.Reader.t -> int list
-(** [pc_begin] of every FDE in [.eh_frame], sorted (empty without FDEs). *)
-
-val fde_extents : Cet_elf.Reader.t -> (int * int) list
-(** [(pc_begin, pc_begin + pc_range)] of every FDE. *)
-
 type explored = {
   e_functions : int list;  (** roots plus direct-call targets, sorted *)
   e_visited : Bytes.t;
-      (** one byte per sweep instruction (by index into [insns]): ['\001']
+      (** one byte per sweep instruction (by instruction index): ['\001']
           when the traversal walked it *)
 }
 
@@ -31,9 +25,6 @@ val explore : Cet_disasm.Linear.t -> roots:int list -> explored
     through, conditional and unconditional branches, and collecting direct
     call targets as function entries (transitively explored).  Indirect
     branches are dead ends — the limitation behind IDA's recall. *)
-
-val reachable_call_targets : Cet_disasm.Linear.t -> roots:int list -> int list
-(** [explore] keeping only the function list. *)
 
 val entry_main_root : Cet_disasm.Linear.t -> entry:int -> int option
 (** The [__libc_start_main] idiom: scan the first instructions at the entry
@@ -61,7 +52,8 @@ val stack_height_tail_targets :
 (** FETCH's expensive refinement: for each function extent, run [passes]
     rounds of abstract stack-height tracking and report targets of
     stack-balanced unconditional jumps leaving the extent (tail-call
-    targets). *)
+    targets).  Every pass visits every instruction of the extent: the
+    passes are the model of FETCH's runtime (§V-D). *)
 
 val calling_convention_scan :
   Cet_disasm.Linear.t -> extents:(int * int) list -> passes:int -> int

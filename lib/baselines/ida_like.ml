@@ -52,16 +52,16 @@ let analyze_st_impl st =
         | Cet_x86.Arch.X86 -> not (Cet_elf.Reader.pie reader)
       in
       if not unambiguous then []
-      else
-        List.rev
-          (Array.fold_left
-             (fun acc (i : Decoder.ins) ->
-               match i.kind with
-               | Decoder.Addr_ref t when t >= text.vaddr && t < text_end && t land 3 = 0
-                 ->
-                 t :: acc
-               | _ -> acc)
-             [] sweep.insns)
+      else begin
+        let refs = ref [] in
+        for k = Linear.length sweep - 1 downto 0 do
+          if Linear.tag sweep k = Decoder.tag_addr_ref then begin
+            let t = Linear.target sweep k in
+            if t >= text.vaddr && t < text_end && t land 3 = 0 then refs := t :: !refs
+          end
+        done;
+        !refs
+      end
     in
     let known = List.sort_uniq Int.compare (starts0 @ !tail_jumps @ addr_refs) in
     (* FLIRT-style signature pass over code the traversal never reached.

@@ -34,27 +34,25 @@ let analyze_st_impl st =
     let leaders = Hashtbl.create 1024 in
     Hashtbl.replace leaders text.vaddr ();
     let call_targets = Hashtbl.create 256 in
-    Array.iter
-      (fun (i : Decoder.ins) ->
-        let next = i.addr + i.len in
-        match i.kind with
-        | Decoder.Call_direct t ->
-          if in_text t then begin
-            Hashtbl.replace leaders t ();
-            Hashtbl.replace call_targets t ()
-          end
-        | Decoder.Jmp_direct t ->
-          if in_text t then Hashtbl.replace leaders t ();
-          if in_text next then Hashtbl.replace leaders next ()
-        | Decoder.Jcc_direct t ->
-          (* Conditional branches terminate their block: both the target
-             and the fall-through start new blocks. *)
-          if in_text t then Hashtbl.replace leaders t ();
-          if in_text next then Hashtbl.replace leaders next ()
-        | Decoder.Ret | Decoder.Halt | Decoder.Jmp_indirect _ ->
-          if in_text next then Hashtbl.replace leaders next ()
-        | _ -> ())
-      sweep.insns;
+    let n = Linear.length sweep in
+    for k = 0 to n - 1 do
+      let tag = Linear.tag sweep k and t = Linear.target sweep k in
+      let next = Linear.addr sweep k + Linear.len sweep k in
+      if tag = Decoder.tag_call_direct then begin
+        if in_text t then begin
+          Hashtbl.replace leaders t ();
+          Hashtbl.replace call_targets t ()
+        end
+      end
+      else if tag = Decoder.tag_jmp_direct || tag = Decoder.tag_jcc_direct then begin
+        (* Conditional branches terminate their block too: both the target
+           and the fall-through start new blocks. *)
+        if in_text t then Hashtbl.replace leaders t ();
+        if in_text next then Hashtbl.replace leaders next ()
+      end
+      else if tag = Decoder.tag_ret || tag = Decoder.tag_halt || tag = Decoder.tag_jmp_indirect
+      then if in_text next then Hashtbl.replace leaders next ()
+    done;
     let block_starts =
       List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) leaders [])
     in
@@ -95,26 +93,27 @@ let analyze_st_impl st =
       end
     in
     (* Walk each block's instructions; the last one decides its edges. *)
-    Array.iter
-      (fun (i : Decoder.ins) ->
-        let next = i.addr + i.len in
-        let src = block_of i.addr in
-        let last_of_block = next >= text_end || Hashtbl.mem leaders next in
-        if last_of_block && src >= 0 then begin
-          match i.kind with
-          | Decoder.Jcc_direct t ->
-            if in_text t then edge src (block_of t);
-            if in_text next then edge src (block_of next)
-          | Decoder.Jmp_direct t ->
-            (* Unconditional jumps are intra-procedural unless the target
-               is also a call target (then it's a tail call). *)
-            if in_text t && not (Hashtbl.mem call_targets t) then edge src (block_of t)
-          | Decoder.Ret | Decoder.Halt | Decoder.Jmp_indirect _ -> ()
-          | Decoder.Call_direct _ | Decoder.Call_indirect _ ->
-            if in_text next then edge src (block_of next)
-          | _ -> if in_text next then edge src (block_of next)
-        end)
-      sweep.insns;
+    for k = 0 to n - 1 do
+      let addr = Linear.addr sweep k in
+      let next = addr + Linear.len sweep k in
+      let src = block_of addr in
+      let last_of_block = next >= text_end || Hashtbl.mem leaders next in
+      if last_of_block && src >= 0 then begin
+        let tag = Linear.tag sweep k and t = Linear.target sweep k in
+        if tag = Decoder.tag_jcc_direct then begin
+          if in_text t then edge src (block_of t);
+          if in_text next then edge src (block_of next)
+        end
+        else if tag = Decoder.tag_jmp_direct then begin
+          (* Unconditional jumps are intra-procedural unless the target
+             is also a call target (then it's a tail call). *)
+          if in_text t && not (Hashtbl.mem call_targets t) then edge src (block_of t)
+        end
+        else if
+          not (tag = Decoder.tag_ret || tag = Decoder.tag_halt || tag = Decoder.tag_jmp_indirect)
+        then if in_text next then edge src (block_of next)
+      end
+    done;
     (* Jump-table discovery: addresses stored as code pointers in .rodata
        are switch-case targets, i.e. intra-procedural — Nucleus resolves
        those tables rather than promoting each case block to a function. *)

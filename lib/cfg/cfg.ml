@@ -20,97 +20,71 @@ type func = {
   f_calls : int list;
 }
 
-(* Instructions of one extent, via binary search over the sweep stream. *)
-let insns_in (sweep : Linear.t) lo hi =
-  let arr = sweep.insns in
-  let n = Array.length arr in
-  let first =
-    let l = ref 0 and h = ref n in
-    while !l < !h do
-      let mid = (!l + !h) / 2 in
-      if arr.(mid).Decoder.addr < lo then l := mid + 1 else h := mid
-    done;
-    !l
-  in
-  let rec collect i acc =
-    if i >= n || arr.(i).Decoder.addr >= hi then List.rev acc
-    else collect (i + 1) (arr.(i) :: acc)
-  in
-  collect first []
-
-let recover_function sweep ~entry ~stop =
-  let insns = insns_in sweep entry stop in
+(* One extent's instructions are the index range [first_index_at entry,
+   first_index_at stop) of the sweep stream, and each block is the
+   sub-range between consecutive leaders. *)
+let recover_function (sw : Linear.t) ~entry ~stop =
   let in_extent a = a >= entry && a < stop in
   (* Leaders: entry, intra-extent branch targets, post-terminator
      successors. *)
   let leaders = Hashtbl.create 32 in
   Hashtbl.replace leaders entry ();
-  List.iter
-    (fun (i : Decoder.ins) ->
-      let next = i.addr + i.len in
-      match i.kind with
-      | Decoder.Jmp_direct t ->
-        if in_extent t then Hashtbl.replace leaders t ();
-        if in_extent next then Hashtbl.replace leaders next ()
-      | Decoder.Jcc_direct t ->
-        if in_extent t then Hashtbl.replace leaders t ();
-        if in_extent next then Hashtbl.replace leaders next ()
-      | Decoder.Ret | Decoder.Halt | Decoder.Jmp_indirect _ ->
-        if in_extent next then Hashtbl.replace leaders next ()
-      | _ -> ())
-    insns;
+  for k = Linear.first_index_at sw entry to Linear.first_index_at sw stop - 1 do
+    let tag = Linear.tag sw k in
+    let next = Linear.addr sw k + Linear.len sw k in
+    if tag = Decoder.tag_jmp_direct || tag = Decoder.tag_jcc_direct then begin
+      let t = Linear.target sw k in
+      if in_extent t then Hashtbl.replace leaders t ();
+      if in_extent next then Hashtbl.replace leaders next ()
+    end
+    else if tag = Decoder.tag_ret || tag = Decoder.tag_halt || tag = Decoder.tag_jmp_indirect
+    then if in_extent next then Hashtbl.replace leaders next ()
+  done;
   let starts =
-    List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) leaders [])
-  in
-  (* Build blocks by walking instructions, closing at the next leader. *)
-  let next_leader_after a =
-    let rec go = function
-      | [] -> stop
-      | s :: rest -> if s > a then s else go rest
-    in
-    go starts
+    Array.of_list (List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) leaders []))
   in
   let blocks = ref [] in
   let edges = ref [] in
   let calls = ref [] in
-  List.iter
-    (fun b_start ->
-      let b_stop_limit = next_leader_after b_start in
-      let block_insns =
-        List.filter (fun (i : Decoder.ins) -> i.addr >= b_start && i.addr < b_stop_limit) insns
-      in
-      match List.rev block_insns with
-      | [] -> ()
-      | last :: _ ->
-        let b_stop = last.addr + last.len in
+  Array.iteri
+    (fun j b_start ->
+      (* A block closes at the next leader. *)
+      let b_stop_limit = if j + 1 < Array.length starts then starts.(j + 1) else stop in
+      let lo = Linear.first_index_at sw b_start in
+      let hi = Linear.first_index_at sw b_stop_limit in
+      if hi > lo then begin
+        let last = hi - 1 in
+        let b_stop = Linear.addr sw last + Linear.len sw last in
+        let tag = Linear.tag sw last and t = Linear.target sw last in
         let term =
-          match last.kind with
-          | Decoder.Ret -> T_return
-          | Decoder.Halt -> T_halt
-          | Decoder.Jmp_direct t ->
+          if tag = Decoder.tag_ret then T_return
+          else if tag = Decoder.tag_halt then T_halt
+          else if tag = Decoder.tag_jmp_direct then
             if in_extent t then begin
               edges := (b_start, t) :: !edges;
               T_jump t
             end
             else T_tail t
-          | Decoder.Jcc_direct t ->
+          else if tag = Decoder.tag_jcc_direct then begin
             let fall = b_stop in
             if in_extent t then edges := (b_start, t) :: !edges;
             if in_extent fall then edges := (b_start, fall) :: !edges;
             T_cond (t, fall)
-          | Decoder.Jmp_indirect _ -> T_indirect
-          | _ ->
+          end
+          else if tag = Decoder.tag_jmp_indirect then T_indirect
+          else begin
             if in_extent b_stop then edges := (b_start, b_stop) :: !edges;
             T_fall
+          end
         in
-        List.iter
-          (fun (i : Decoder.ins) ->
-            match i.kind with
-            | Decoder.Call_direct t when Linear.in_range sweep t -> calls := t :: !calls
-            | _ -> ())
-          block_insns;
-        blocks :=
-          { b_start; b_stop; b_insns = List.length block_insns; b_term = term } :: !blocks)
+        for k = lo to hi - 1 do
+          if Linear.tag sw k = Decoder.tag_call_direct then begin
+            let t = Linear.target sw k in
+            if Linear.in_range sw t then calls := t :: !calls
+          end
+        done;
+        blocks := { b_start; b_stop; b_insns = hi - lo; b_term = term } :: !blocks
+      end)
     starts;
   {
     f_entry = entry;

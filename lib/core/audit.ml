@@ -23,7 +23,7 @@ let audit_st st =
   let reader = Substrate.reader st in
   let sweep = Substrate.sweep st in
   let ix = Substrate.indexes st in
-  let insn_start a = Linear.index_of sweep a <> None in
+  let insn_start a = Linear.index_of sweep a >= 0 in
   let endbrs = ix.Substrate.endbrs in
   (* PLT entries carry their own end-branches (checked against raw bytes:
      the PLT is outside .text). *)
@@ -47,13 +47,12 @@ let audit_st st =
   in
   (* 1. Addresses materialised in code that point at instruction starts:
      function pointers about to be called or escaped. *)
-  Array.iter
-    (fun (i : Decoder.ins) ->
-      match i.kind with
-      | Decoder.Addr_ref t when Linear.in_range sweep t && insn_start t ->
-        add_candidate t Address_taken
-      | _ -> ())
-    sweep.insns;
+  for k = 0 to Linear.length sweep - 1 do
+    if Linear.tag sweep k = Decoder.tag_addr_ref then begin
+      let t = Linear.target sweep k in
+      if Linear.in_range sweep t && insn_start t then add_candidate t Address_taken
+    end
+  done;
   (* 2. Landing pads: the unwinder enters them indirectly.  (Jump tables in
      .rodata are exempt: compilers dispatch switches with NOTRACK.) *)
   Array.iter (fun lp -> add_candidate lp Landing_pad) (Substrate.landing_pads st);

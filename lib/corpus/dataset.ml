@@ -8,7 +8,6 @@ type binary = {
   config : Options.t;
   lang : Ir.lang;
   stripped : string;
-  unstripped : string;
   truth : (string * int) list;
 }
 
@@ -31,35 +30,50 @@ let plan ?(profiles = Profile.all) ?(configs = Options.all_grid) ~seed ~scale ()
 let length plan = Array.length plan.items
 let binaries plan = Array.length plan.items * List.length plan.plan_configs
 
-let nth_impl plan k =
+(* The one build: generate program [k]'s IR once, link it under every
+   configuration, and let [view] keep what it needs of each link result
+   next to the binary.  The binary itself holds the stripped bytes and the
+   truth only — never the image or the IR. *)
+let build_impl plan k view =
   let profile, index = plan.items.(k) in
   let ir = Generator.program ~seed:plan.plan_seed ~profile ~index in
   List.map
     (fun config ->
       let res = Link.link config ir in
-      {
-        suite = profile.Profile.suite;
-        program = ir.Ir.prog_name;
-        config;
-        lang = ir.Ir.lang;
-        stripped = Cet_elf.Writer.write ~strip:true res.image;
-        unstripped = Cet_elf.Writer.write res.image;
-        truth = res.truth;
-      })
+      view res
+        {
+          suite = profile.Profile.suite;
+          program = ir.Ir.prog_name;
+          config;
+          lang = ir.Ir.lang;
+          stripped = Cet_elf.Writer.write ~strip:true res.image;
+          truth = res.truth;
+        })
     plan.plan_configs
 
 (* Corpus construction dominates harness wall-clock alongside the
    identification phases, so it gets its own span. *)
-let nth plan k =
+let build plan k view =
   if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"corpus.build" (fun () -> nth_impl plan k)
-  else nth_impl plan k
+    Cet_telemetry.Span.with_ ~name:"corpus.build" (fun () -> build_impl plan k view)
+  else build_impl plan k view
 
-let iter ?profiles ?configs ~seed ~scale f =
+let nth plan k = build plan k (fun _ b -> b)
+
+let nth_twins plan k =
+  build plan k (fun (res : Link.result) b -> (b, Cet_elf.Writer.write res.image))
+
+let iter_items nth ?profiles ?configs ~seed ~scale f =
   let plan = plan ?profiles ?configs ~seed ~scale () in
   for k = 0 to length plan - 1 do
     List.iter f (nth plan k)
   done
+
+let iter ?profiles ?configs ~seed ~scale f = iter_items nth ?profiles ?configs ~seed ~scale f
+
+let iter_twins ?profiles ?configs ~seed ~scale f =
+  iter_items nth_twins ?profiles ?configs ~seed ~scale (fun (b, unstripped) ->
+      f b ~unstripped)
 
 let count ?(profiles = Profile.all) ?(configs = Options.all_grid) ~scale () =
   List.fold_left

@@ -6,7 +6,8 @@
     under every configuration, exactly as the paper builds its 8,136
     binaries.  Binaries are handed to the callback as stripped ELF bytes
     plus the ground-truth entry list the unstripped counterpart would
-    yield. *)
+    yield; the unstripped twin itself is built only on request
+    ({!iter_twins}). *)
 
 type binary = {
   suite : string;
@@ -14,7 +15,6 @@ type binary = {
   config : Cet_compiler.Options.t;
   lang : Cet_compiler.Ir.lang;
   stripped : string;  (** stripped ELF bytes — what the tools see *)
-  unstripped : string;  (** symbol-bearing ELF bytes — ground-truth source *)
   truth : (string * int) list;  (** function entries, paper's corrections applied *)
 }
 
@@ -59,6 +59,17 @@ val iter :
     grid.  [scale] shrinks program and function counts for quick runs
     (1.0 = paper-sized suites).  Equivalent to folding [f] over
     [nth plan 0 .. nth plan (length plan - 1)] in order. *)
+
+val iter_twins :
+  ?profiles:Profile.t list ->
+  ?configs:Cet_compiler.Options.t list ->
+  seed:int ->
+  scale:float ->
+  (binary -> unstripped:string -> unit) ->
+  unit
+(** {!iter}, each binary handed over with its unstripped twin: the same
+    link written with its symbol table, the ground-truth source.  The
+    on-disk corpus needs it; evaluation never builds it. *)
 
 val count : ?profiles:Profile.t list -> ?configs:Cet_compiler.Options.t list ->
   scale:float -> unit -> int

@@ -6,150 +6,80 @@ type t = {
   base : int;
   size : int;
   code : string;
-  insns : Decoder.ins array;
+  addrs : int array;
+  targets : int array;
+  lens : Bytes.t;
+  tags : Bytes.t;
   resync_errors : int;
 }
 
-(* Deadline polling cadence: one wall-clock read per 4096 sweep steps keeps
-   the overhead unmeasurable while bounding overshoot to a few microseconds
-   of decoding. *)
-let deadline_mask = 4095
+let of_stream arch ~base ~code (st : Walk.stream) ~resync_errors =
+  let st = Walk.trim st in
+  {
+    arch;
+    base;
+    size = String.length code;
+    code;
+    addrs = st.Walk.addrs;
+    targets = st.Walk.targets;
+    lens = st.Walk.lens;
+    tags = st.Walk.tags;
+    resync_errors;
+  }
 
-(* Growable instruction buffer: the sweep appends into a doubling array and
-   the result is one exact-size copy — no per-instruction cons cells, no
-   List.rev, no Array.of_list.  [dummy_ins] only pads the unused tail. *)
-let dummy_ins : Decoder.ins = { addr = 0; len = 0; kind = Decoder.Other }
+let length t = Array.length t.addrs
+let addr t i = t.addrs.(i)
+let len t i = Char.code (Bytes.get t.lens i)
+let tag t i = Char.code (Bytes.get t.tags i) land 15
+let target t i = t.targets.(i)
 
-type buf = { mutable arr : Decoder.ins array; mutable len : int }
+let ins t i =
+  Decoder.ins_of_flags ~addr:t.addrs.(i) ~len:(len t i)
+    ~flags:(Char.code (Bytes.get t.tags i))
+    ~target:t.targets.(i)
 
-let buf_create hint = { arr = Array.make (max 16 hint) dummy_ins; len = 0 }
-
-let buf_push b ins =
-  if b.len = Array.length b.arr then begin
-    let bigger = Array.make (2 * b.len) dummy_ins in
-    Array.blit b.arr 0 bigger 0 b.len;
-    b.arr <- bigger
-  end;
-  b.arr.(b.len) <- ins;
-  b.len <- b.len + 1
-
-let buf_contents b = Array.sub b.arr 0 b.len
-
-(* Average x86 instruction length is ~4 bytes; starting the buffer near
-   size/4 makes a doubling copy rare without over-reserving tiny regions. *)
-let buf_hint size = (size / 4) + 16
-
-let sweep_impl arch base code =
+let sweep_impl ~anchored arch base code =
   let size = String.length code in
-  let insns = buf_create (buf_hint size) in
-  let errors = ref 0 in
-  let off = ref 0 in
-  let tick = ref 0 in
-  (* [resync_errors] counts desynchronisation events, not undecodable
-     bytes: a 40-byte inline-data run the sweep has to skip through is one
-     resynchronisation, so the counter tracks how often the sweep lost the
-     instruction stream. *)
-  let desynced = ref false in
-  let s = Decoder.scratch () in
-  while !off < size do
-    incr tick;
-    if !tick land deadline_mask = 0 then Cet_util.Deadline.check "disasm.sweep";
-    if Decoder.scan arch s code ~limit:size ~base ~off:!off then begin
-      desynced := false;
-      buf_push insns (Decoder.scratch_ins s);
-      off := !off + Decoder.scratch_len s
-    end
-    else begin
-      if not !desynced then incr errors;
-      desynced := true;
-      incr off
-    end
-  done;
-  { arch; base; size; code; insns = buf_contents insns; resync_errors = !errors }
+  let stream = Walk.stream (Walk.capacity_hint size) in
+  let anchors = if anchored then Some (Prescan.anchor_offsets arch code) else None in
+  let resync_errors, _ =
+    Walk.run arch
+      ~phase:(if anchored then "disasm.sweep_anchored" else "disasm.sweep")
+      ~anchors code ~pos:0 ~len:size ~vaddr:base ~stream:(Some stream) ~harvest:None
+  in
+  of_stream arch ~base ~code stream ~resync_errors
 
 (* DISASSEMBLE is the hot phase; the disabled-telemetry path must stay
    allocation-free, hence the guard instead of a bare [Span.with_]. *)
 let sweep arch ?(base = 0) code =
   if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"disasm.sweep" (fun () -> sweep_impl arch base code)
-  else sweep_impl arch base code
+    Cet_telemetry.Span.with_ ~name:"disasm.sweep" (fun () ->
+        sweep_impl ~anchored:false arch base code)
+  else sweep_impl ~anchored:false arch base code
+
+let sweep_anchored arch ?(base = 0) code =
+  if Cet_telemetry.Span.enabled () then
+    Cet_telemetry.Span.with_ ~name:"disasm.sweep_anchored" (fun () ->
+        sweep_impl ~anchored:true arch base code)
+  else sweep_impl ~anchored:true arch base code
+
+let text_section name reader =
+  match Cet_elf.Reader.find_section reader ".text" with
+  | None -> invalid_arg (name ^ ": no .text section")
+  | Some s -> s
 
 let sweep_text reader =
-  match Cet_elf.Reader.find_section reader ".text" with
-  | None -> invalid_arg "Linear.sweep_text: no .text section"
-  | Some s -> sweep (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
+  let s = text_section "Linear.sweep_text" reader in
+  sweep (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
+
+let sweep_text_anchored reader =
+  let s = text_section "Linear.sweep_text_anchored" reader in
+  sweep_anchored (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
 
 (* Offsets of every end-branch byte pattern: F3 0F 1E FA/FB.  The pattern
    cannot appear inside another instruction's opcode bytes the compilers
    emit, and a false hit inside immediate data merely adds a resync point. *)
 let anchor_offsets = Prescan.anchor_offsets
-
-(* Anchored sweep: scan-core decode plus prescan-driven resynchronisation.
-   The original trust-tracking loop (kept as a test oracle) decodes every
-   byte position of an untrusted run while withholding the (garbage)
-   instructions and counting no further errors — observationally that
-   only moves [off] to the next anchor.  An untrusted decode can never
-   skip past an anchor (an Ok that would straddle one jumps *to* it, an
-   error advances one byte), so this loop jumps straight there:
-   inline-data runs cost a binary search instead of a decode per byte,
-   and [trusted] is always true at the top of the loop, which is why the
-   flag itself has disappeared. *)
-let sweep_anchored_impl arch base code =
-  let size = String.length code in
-  let anchors = Prescan.anchor_offsets arch code in
-  let nanchors = Array.length anchors in
-  let anchor_lower_bound off =
-    let lo = ref 0 and hi = ref nanchors in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if anchors.(mid) < off then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  (* First anchor strictly after [off], or [size] when none. *)
-  let next_anchor_or_end off =
-    let i = anchor_lower_bound (off + 1) in
-    if i < nanchors then anchors.(i) else size
-  in
-  let insns = buf_create (buf_hint size) in
-  let errors = ref 0 in
-  let off = ref 0 in
-  let tick = ref 0 in
-  let s = Decoder.scratch () in
-  while !off < size do
-    incr tick;
-    if !tick land deadline_mask = 0 then Cet_util.Deadline.check "disasm.sweep_anchored";
-    if Decoder.scan arch s code ~limit:size ~base ~off:!off then begin
-      let stop = !off + Decoder.scratch_len s in
-      let a = next_anchor_or_end !off in
-      if a < stop then begin
-        (* Straddles an end-branch marker: desynchronised (inline data) —
-           one resync event, restart at the anchor. *)
-        incr errors;
-        off := a
-      end
-      else begin
-        buf_push insns (Decoder.scratch_ins s);
-        off := stop
-      end
-    end
-    else begin
-      incr errors;
-      off := next_anchor_or_end !off
-    end
-  done;
-  { arch; base; size; code; insns = buf_contents insns; resync_errors = !errors }
-
-let sweep_anchored arch ?(base = 0) code =
-  if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"disasm.sweep_anchored" (fun () ->
-        sweep_anchored_impl arch base code)
-  else sweep_anchored_impl arch base code
-
-let sweep_text_anchored reader =
-  match Cet_elf.Reader.find_section reader ".text" with
-  | None -> invalid_arg "Linear.sweep_text_anchored: no .text section"
-  | Some s -> sweep_anchored (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
 
 let in_range t addr = addr >= t.base && addr < t.base + t.size
 
@@ -275,17 +205,14 @@ let mem_sorted (a : int array) v =
 
 (* Index of the first instruction at or after [addr]. *)
 let first_index_at t addr =
-  let insns = t.insns in
-  let lo = ref 0 and hi = ref (Array.length insns) in
+  let addrs = t.addrs in
+  let lo = ref 0 and hi = ref (Array.length addrs) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if insns.(mid).Decoder.addr < addr then lo := mid + 1 else hi := mid
+    if Array.unsafe_get addrs mid < addr then lo := mid + 1 else hi := mid
   done;
   !lo
 
 let index_of t addr =
   let i = first_index_at t addr in
-  if i < Array.length t.insns && t.insns.(i).Decoder.addr = addr then Some i else None
-
-let insn_at t addr =
-  match index_of t addr with Some i -> Some t.insns.(i) | None -> None
+  if i < Array.length t.addrs && t.addrs.(i) = addr then i else -1

@@ -3,20 +3,49 @@
     The sweep decodes from the start of a code region to its end; on a
     decode failure it advances one byte and resumes, exactly as FunSeeker's
     DISASSEMBLE does.  The result keeps the full instruction stream the
-    baselines' analyses walk; FunSeeker's index arrays come from
-    {!Substrate.indexes}. *)
+    baselines' analyses walk, as parallel arrays indexed by instruction
+    number (about 2.25 words per instruction); FunSeeker's index arrays
+    come from {!Substrate.indexes}.  Both are filled by the one decode
+    loop, {!Walk.run}. *)
 
 type t = {
   arch : Cet_x86.Arch.t;
   base : int;  (** virtual address of the first byte *)
   size : int;
   code : string;  (** the swept bytes (byte signatures need them) *)
-  insns : Cet_x86.Decoder.ins array;  (** in address order *)
+  addrs : int array;  (** instruction addresses, ascending *)
+  targets : int array;
+      (** {!Cet_x86.Decoder.scratch_target} per instruction: the branch
+          target, [goto] slot or referenced address where the kind has
+          one *)
+  lens : Bytes.t;  (** one byte per instruction: its length *)
+  tags : Bytes.t;
+      (** one byte per instruction: {!Cet_x86.Decoder.scratch_flags}, the
+          kind tag in the low nibble plus the notrack and goto bits *)
   resync_errors : int;
       (** desynchronisation events: maximal runs of undecodable (or, for
           the anchored sweep, untrusted) bytes the sweep recovered from —
           one per run, however many bytes it spanned *)
 }
+
+val of_stream :
+  Cet_x86.Arch.t -> base:int -> code:string -> Walk.stream -> resync_errors:int -> t
+(** Wrap a finished walk's stream (trimmed to its count) over [code]. *)
+
+val length : t -> int
+(** Number of instructions. *)
+
+val addr : t -> int -> int
+val len : t -> int -> int
+
+val tag : t -> int -> int
+(** The instruction's kind tag ([Decoder.tag_*]). *)
+
+val target : t -> int -> int
+
+val ins : t -> int -> Cet_x86.Decoder.ins
+(** Instruction [i] as a record (allocates) — exactly the record the
+    decoder returns for it. *)
 
 val sweep : Cet_x86.Arch.t -> ?base:int -> string -> t
 (** Disassemble a whole code blob (default [base] 0). *)
@@ -43,9 +72,6 @@ val anchor_offsets : Cet_x86.Arch.t -> string -> int array
 val in_range : t -> int -> bool
 (** Is the address inside the swept region? *)
 
-val insn_at : t -> int -> Cet_x86.Decoder.ins option
-(** The instruction starting exactly at the given address, if any. *)
-
 (** {2 Sorted address arrays}
 
     The set algebra the analyses share: monomorphic [int array]s, no
@@ -64,8 +90,8 @@ val merge_sorted_dedup : int array -> int array -> int array
     time; returns one of the inputs when the other is empty. *)
 
 val first_index_at : t -> int -> int
-(** Index into [insns] of the first instruction at or after the address
-    ([Array.length insns] when none). *)
+(** Index of the first instruction at or after the address ({!length}
+    when none). *)
 
-val index_of : t -> int -> int option
-(** Index of the instruction starting exactly at the address, if any. *)
+val index_of : t -> int -> int
+(** Index of the instruction starting exactly at the address, or [-1]. *)

@@ -27,18 +27,6 @@ let[@inline] zero_in x =
 
 let[@inline] has_byte w b = zero_in (Int64.logxor w b)
 
-(* Doubling int buffer for the anchor offsets (monomorphic, no lists). *)
-type ibuf = { mutable arr : int array; mutable len : int }
-
-let ibuf_push b v =
-  if b.len = Array.length b.arr then begin
-    let bigger = Array.make (2 * b.len) 0 in
-    Array.blit b.arr 0 bigger 0 b.len;
-    b.arr <- bigger
-  end;
-  b.arr.(b.len) <- v;
-  b.len <- b.len + 1
-
 (* Check the 4-byte end-branch pattern at [i]; reads straddle word
    boundaries naturally because they go back to the string. *)
 let[@inline] pattern_at code n want i =
@@ -55,7 +43,7 @@ let[@inline] pattern_at code n want i =
 let anchor_offsets arch code =
   let want = match arch with Cet_x86.Arch.X64 -> '\xFA' | Cet_x86.Arch.X86 -> '\xFB' in
   let n = String.length code in
-  let out = { arr = Array.make 16 0; len = 0 } in
+  let out = Cet_util.Ibuf.create ~capacity:16 () in
   let nwords = n lsr 3 in
   for w = 0 to nwords - 1 do
     let x = String.get_int64_ne code (w lsl 3) in
@@ -63,7 +51,7 @@ let anchor_offsets arch code =
       let base = w lsl 3 in
       let hi = min (base + 7) (n - 4) in
       for i = base to hi do
-        if pattern_at code n want i then ibuf_push out i
+        if pattern_at code n want i then Cet_util.Ibuf.push out i
       done
     end
   done;
@@ -71,6 +59,6 @@ let anchor_offsets arch code =
      starts below [8 * nwords], including ones whose suffix straddles into
      the tail). *)
   for i = nwords lsl 3 to n - 4 do
-    if pattern_at code n want i then ibuf_push out i
+    if pattern_at code n want i then Cet_util.Ibuf.push out i
   done;
-  Array.sub out.arr 0 out.len
+  Cet_util.Ibuf.contents out

@@ -15,9 +15,11 @@
     true forever.  Substrates are not thread-safe; the intended ownership
     is one substrate per binary per evaluation worker (domain).
 
-    The derived indexes are sorted monomorphic [int array]s built in a
-    single pass over the instruction stream — no intermediate lists, no
-    polymorphic compares. *)
+    The derived indexes are sorted monomorphic [int array]s harvested by
+    the one decode loop ({!Walk.run}) — no intermediate lists, no
+    polymorphic compares.  The same pass that fills the instruction
+    stream fills them, or, when only they are wanted, a pass that never
+    builds the stream. *)
 
 type indexes = {
   endbrs : int array;
@@ -48,9 +50,8 @@ type facts = {
           — per-binary profiles report this as decode volume *)
 }
 (** The sweep-level facts FunSeeker's analysis needs — deliberately not
-    the instruction stream.  Computed either from a memoised sweep or by
-    the stream-free scratch-core scan (which never materialises
-    instruction records at all); the two agree exactly. *)
+    the instruction stream.  Computed by whichever walk of [.text] runs
+    first: the stream-free scan, or a sweep; the two agree exactly. *)
 
 type t
 
@@ -86,23 +87,24 @@ val reader : t -> Cet_elf.Reader.t
 val text : t -> Cet_elf.Reader.section option
 
 val sweep : t -> Linear.t
-(** The linear sweep of [.text], computed on first call.
-    Raises [Invalid_argument] when the image has no [.text]. *)
+(** The linear sweep of [.text], computed on first call.  After
+    {!indexes}/{!facts} its arrays are allocated at exactly the counted
+    size; before, the same pass also harvests (and memoises) the indexes
+    and facts.  Raises [Invalid_argument] when the image has no [.text]. *)
 
 val sweep_anchored : t -> Linear.t
 (** The end-branch-anchored sweep, memoised independently of {!sweep}. *)
 
 val indexes : ?anchored:bool -> t -> indexes
-(** The derived index arrays of the (plain or anchored) sweep.  When the
-    corresponding sweep is already memoised they are built in one pass
-    over its instruction stream; otherwise the stream-free scan over the
-    decoder's scan core produces them directly from the code bytes, never
-    materialising the stream — the results are identical either way. *)
+(** The derived index arrays of the (plain or anchored) sweep: harvested
+    by the sweep when it ran first, otherwise by the stream-free scan,
+    which decodes the code bytes without ever allocating the stream —
+    the results are identical either way. *)
 
 val facts : ?anchored:bool -> t -> facts
-(** The sweep-level facts, memoised like {!indexes} and produced by the
-    same scan when no sweep is cached.  Raises [Invalid_argument] when
-    the image has no [.text] (like {!sweep}). *)
+(** The sweep-level facts, memoised with {!indexes} by the same walk.
+    Raises [Invalid_argument] when the image has no [.text] (like
+    {!sweep}). *)
 
 val in_text : facts -> int -> bool
 (** Is the address inside the swept region?  ({!Linear.in_range} at the

@@ -370,24 +370,37 @@ let scan arch (s : scratch) code ~limit ~base ~off =
     with Scan_fail -> false
   end
 
-let scratch_ins (s : scratch) =
+(* The flag byte: the tag in the low nibble, plus the two bits an [ins]
+   carries beyond it. *)
+let flag_notrack = 16
+let flag_goto = 32
+
+let scratch_flags s =
+  s.s_tag
+  lor (if s.s_notrack then flag_notrack else 0)
+  lor if s.s_has_target then flag_goto else 0
+
+let ins_of_flags ~addr ~len ~flags ~target =
+  let tag = flags land 15 in
+  let goto () = if flags land flag_goto <> 0 then Some target else None in
   let kind =
-    if s.s_tag = tag_other then Other
-    else if s.s_tag = tag_endbr64 then Endbr64
-    else if s.s_tag = tag_endbr32 then Endbr32
-    else if s.s_tag = tag_call_direct then Call_direct s.s_target
-    else if s.s_tag = tag_jmp_direct then Jmp_direct s.s_target
-    else if s.s_tag = tag_jcc_direct then Jcc_direct s.s_target
-    else if s.s_tag = tag_call_indirect then
-      Call_indirect { goto = (if s.s_has_target then Some s.s_target else None) }
-    else if s.s_tag = tag_jmp_indirect then
-      Jmp_indirect
-        { notrack = s.s_notrack; goto = (if s.s_has_target then Some s.s_target else None) }
-    else if s.s_tag = tag_ret then Ret
-    else if s.s_tag = tag_halt then Halt
-    else Addr_ref s.s_target
+    if tag = tag_other then Other
+    else if tag = tag_endbr64 then Endbr64
+    else if tag = tag_endbr32 then Endbr32
+    else if tag = tag_call_direct then Call_direct target
+    else if tag = tag_jmp_direct then Jmp_direct target
+    else if tag = tag_jcc_direct then Jcc_direct target
+    else if tag = tag_call_indirect then Call_indirect { goto = goto () }
+    else if tag = tag_jmp_indirect then
+      Jmp_indirect { notrack = flags land flag_notrack <> 0; goto = goto () }
+    else if tag = tag_ret then Ret
+    else if tag = tag_halt then Halt
+    else Addr_ref target
   in
-  { addr = s.s_addr; len = s.s_len; kind }
+  { addr; len; kind }
+
+let scratch_ins (s : scratch) =
+  ins_of_flags ~addr:s.s_addr ~len:s.s_len ~flags:(scratch_flags s) ~target:s.s_target
 
 let decode arch code ~base ~off =
   let s = scratch () in

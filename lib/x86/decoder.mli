@@ -73,8 +73,24 @@ val scratch_target : scratch -> int
     tags and [tag_addr_ref] always, and for the indirect tags only when the
     instruction had a bare-disp32 memory operand (cf. {!scratch_ins}). *)
 
+val scratch_flags : scratch -> int
+(** {!scratch_tag} plus {!flag_notrack} and {!flag_goto}: one byte that,
+    with the address, length and target, rebuilds the scan's {!ins}
+    exactly ({!ins_of_flags}). *)
+
+val flag_notrack : int
+(** Set when a [3E] (NOTRACK) prefix was present. *)
+
+val flag_goto : int
+(** Set when an indirect branch had a bare-disp32 memory operand: its
+    target is the [goto] slot. *)
+
+val ins_of_flags : addr:int -> len:int -> flags:int -> target:int -> ins
+(** The record a scan with these results stands for. *)
+
 val scratch_ins : scratch -> ins
-(** Materialise the last scan as an {!ins} record (allocates). *)
+(** Materialise the last scan as an {!ins} record (allocates):
+    {!ins_of_flags} over the scratch slots. *)
 
 (** Tag constants for {!scratch_tag}. *)
 

@@ -8,11 +8,25 @@
    [Cet_disasm.Substrate.indexes]. *)
 
 module Arch = Cet_x86.Arch
+module Decoder = Cet_x86.Decoder
 module Linear = Cet_disasm.Linear
+
+(* A reference sweep: one record per instruction, the shape the stream
+   had before it became parallel arrays. *)
+type t = {
+  arch : Arch.t;
+  base : int;
+  size : int;
+  code : string;
+  insns : Decoder.ins array;  (** in address order *)
+  resync_errors : int;
+}
+
+let in_range t addr = addr >= t.base && addr < t.base + t.size
 
 let finish arch base code insns errors =
   {
-    Linear.arch;
+    arch;
     base;
     size = String.length code;
     code;
@@ -55,14 +69,21 @@ let anchor_offsets_naive arch code =
    decodes every byte position, even inside untrusted runs. *)
 let sweep_anchored_reference arch ?(base = 0) code =
   let size = String.length code in
-  let anchors = Array.to_list (anchor_offsets_naive arch code) in
-  let next_anchor_after off = List.find_opt (fun a -> a > off) anchors in
+  (* Per-offset tables: is an anchor here, and the first anchor strictly
+     after here (filled backwards). *)
+  let is_anchor = Array.make (size + 1) false in
+  Array.iter (fun a -> is_anchor.(a) <- true) (anchor_offsets_naive arch code);
+  let after = Array.make (size + 1) None in
+  for i = size - 1 downto 0 do
+    after.(i) <- (if is_anchor.(i + 1) then Some (i + 1) else after.(i + 1))
+  done;
+  let next_anchor_after off = after.(off) in
   let insns = ref [] and errors = ref 0 and off = ref 0 in
   (* Once a decode fails, everything up to the next end-branch anchor is
      suspected inline data and its instructions are withheld. *)
   let trusted = ref true in
   while !off < size do
-    if List.mem !off anchors then trusted := true;
+    if is_anchor.(!off) then trusted := true;
     match Oracle_decoder.decode arch code ~base ~off:!off with
     | Ok ins -> (
       let stop = !off + ins.Oracle_decoder.len in
@@ -83,18 +104,47 @@ let sweep_anchored_reference arch ?(base = 0) code =
   done;
   finish arch base code !insns !errors
 
+(* Both reference sweeps of an ELF image's [.text]. *)
+let sweep_text_reference ?(anchored = false) reader =
+  match Cet_elf.Reader.find_section reader ".text" with
+  | None -> invalid_arg "Oracle_sweep.sweep_text_reference: no .text section"
+  | Some s ->
+    (if anchored then sweep_anchored_reference else sweep_reference)
+      (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
+
+(* Where the production stream departs from a reference sweep, if
+   anywhere: every instruction rebuilt from the parallel arrays
+   ([Linear.ins]) must be the reference's record, and the resync counts
+   must agree. *)
+let stream_mismatch (l : Linear.t) (r : t) =
+  if l.Linear.resync_errors <> r.resync_errors then
+    Some (Printf.sprintf "resync_errors %d <> %d" l.Linear.resync_errors r.resync_errors)
+  else if Linear.length l <> Array.length r.insns then
+    Some (Printf.sprintf "%d insns <> %d" (Linear.length l) (Array.length r.insns))
+  else
+    let rec first_diff i =
+      if i = Array.length r.insns then None
+      else if Linear.ins l i <> r.insns.(i) then
+        Some
+          (Printf.sprintf "insn %d: %s at 0x%x <> %s at 0x%x" i
+             (Decoder.kind_to_string (Linear.ins l i).kind)
+             (Linear.ins l i).addr
+             (Decoder.kind_to_string r.insns.(i).kind)
+             r.insns.(i).addr)
+      else first_diff (i + 1)
+    in
+    first_diff 0
+
 (* ---- The index-build oracle ----------------------------------------- *)
 
 (* The list extractors the substrate's index arrays replaced: one walk of
    the instruction stream per index, address order throughout. *)
 
-module Decoder = Cet_x86.Decoder
-
-let fold_insns (t : Linear.t) f = List.rev (Array.fold_left f [] t.Linear.insns)
+let fold_insns t f = List.rev (Array.fold_left f [] t.insns)
 
 (* End-branch markers of the sweep's architecture. *)
-let endbr_addrs (t : Linear.t) =
-  let want = match t.Linear.arch with Arch.X64 -> Decoder.Endbr64 | Arch.X86 -> Decoder.Endbr32 in
+let endbr_addrs t =
+  let want = match t.arch with Arch.X64 -> Decoder.Endbr64 | Arch.X86 -> Decoder.Endbr32 in
   fold_insns t (fun acc (i : Decoder.ins) -> if i.kind = want then i.addr :: acc else acc)
 
 (* Every direct call as [(site, return address, target)], including calls
@@ -109,14 +159,14 @@ let call_sites t =
 let jmp_refs t =
   fold_insns t (fun acc (i : Decoder.ins) ->
       match i.kind with
-      | Decoder.Jmp_direct target when Linear.in_range t target -> (i.addr, target) :: acc
+      | Decoder.Jmp_direct target when in_range t target -> (i.addr, target) :: acc
       | _ -> acc)
 
 (* Distinct in-region call targets, sorted. *)
 let call_targets t =
   List.sort_uniq Int.compare
     (List.filter_map
-       (fun (_, _, target) -> if Linear.in_range t target then Some target else None)
+       (fun (_, _, target) -> if in_range t target then Some target else None)
        (call_sites t))
 
 (* Distinct in-region jump targets, sorted (conditional branches never

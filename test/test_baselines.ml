@@ -49,7 +49,7 @@ let prog =
 
 let test_fde_starts () =
   let res, reader = compile prog in
-  let starts = Cet_baselines.Common.fde_starts reader in
+  let starts = Substrate.fde_starts (Substrate.create reader) in
   (* GCC: one FDE per fragment, so every truth entry has one. *)
   List.iter
     (fun a -> check Alcotest.bool "fde covers entry" true (List.mem a starts))

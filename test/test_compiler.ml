@@ -168,7 +168,7 @@ let test_endbr32_on_x86 () =
   let _, reader = compile ~opts endbr_prog in
   let sweep = Linear.sweep_text reader in
   let has64 =
-    Array.exists (fun (i : Dec.ins) -> i.kind = Dec.Endbr64) sweep.insns
+    List.exists (fun i -> Linear.tag sweep i = Dec.tag_endbr64) (List.init (Linear.length sweep) Fun.id)
   in
   check Alcotest.bool "no endbr64 in x86" false has64;
   check Alcotest.bool "has endbr32" true (endbr_set reader <> [])
@@ -226,10 +226,10 @@ let test_switch_notrack () =
       let _, reader = compile ~opts p in
       let sweep = Linear.sweep_text reader in
       let notrack =
-        Array.exists
+        List.exists
           (fun (i : Dec.ins) ->
             match i.kind with Dec.Jmp_indirect { notrack = true; _ } -> true | _ -> false)
-          sweep.insns
+          (List.init (Linear.length sweep) (Linear.ins sweep))
       in
       check Alcotest.bool "notrack switch jump" true notrack;
       (* Case labels must NOT carry end-branches. *)

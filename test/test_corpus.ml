@@ -110,9 +110,9 @@ let test_dataset_count () =
 let test_dataset_binary_integrity () =
   let profiles = [ small_profile ] in
   let configs = [ O.default ] in
-  Dataset.iter ~profiles ~configs ~seed:1 ~scale:1.0 (fun b ->
+  Dataset.iter_twins ~profiles ~configs ~seed:1 ~scale:1.0 (fun b ~unstripped ->
       let stripped = Cet_elf.Reader.read b.Dataset.stripped in
-      let unstripped = Cet_elf.Reader.read b.Dataset.unstripped in
+      let unstripped = Cet_elf.Reader.read unstripped in
       check Alcotest.int "stripped has no symtab" 0
         (List.length (Cet_elf.Reader.symbols stripped));
       check Alcotest.bool "unstripped has symtab" true

@@ -88,10 +88,10 @@ let test_random_bytes_terminate () =
   List.iter
     (fun arch ->
       let sweep = Linear.sweep arch blob in
-      Array.iter
-        (fun (i : Dec.ins) ->
-          if i.len < 1 || i.len > 15 then Alcotest.failf "bad length %d" i.len)
-        sweep.insns)
+      for i = 0 to Linear.length sweep - 1 do
+        let len = Linear.len sweep i in
+        if len < 1 || len > 15 then Alcotest.failf "bad length %d" len
+      done)
     [ Arch.X64; Arch.X86 ]
 
 (* 0x06 (push es) is undecodable in 64-bit mode — a convenient inline-data
@@ -260,10 +260,10 @@ let test_linear_helpers () =
   let res = Link.link O.default prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
   let sweep = Linear.sweep_text reader in
-  (* insn_at: exact hits only *)
-  let first = sweep.insns.(0) in
-  check Alcotest.bool "insn_at hit" true (Linear.insn_at sweep first.addr = Some first);
-  check Alcotest.bool "insn_at miss" true (Linear.insn_at sweep (first.addr + 1) = None);
+  (* index_of: exact hits only *)
+  let first = Linear.addr sweep 0 in
+  check Alcotest.int "index_of hit" 0 (Linear.index_of sweep first);
+  check Alcotest.int "index_of miss" (-1) (Linear.index_of sweep (first + 1));
   (* the call arrays include PLT-bound calls even though call_targets
      drops them *)
   let ix = Cet_disasm.Substrate.indexes (Cet_disasm.Substrate.create reader) in
@@ -274,7 +274,7 @@ let test_linear_helpers () =
     ix.call_targets;
   (* jmp_targets exclude conditional branches *)
   let jcc_targets =
-    Array.to_list sweep.insns
+    List.init (Linear.length sweep) (Linear.ins sweep)
     |> List.filter_map (fun (i : Dec.ins) ->
            match i.kind with Dec.Jcc_direct t -> Some t | _ -> None)
   in
@@ -308,7 +308,7 @@ let test_inline_tables_and_anchored_sweep () =
   let lin = Linear.sweep_text reader in
   let anc = Linear.sweep_text_anchored reader in
   check Alcotest.bool "anchored emits no more insns" true
-    (Array.length anc.insns <= Array.length lin.insns);
+    (Linear.length anc <= Linear.length lin);
   (* ...no .rodata table remains... *)
   check Alcotest.bool "no rodata table" true
     (match Reader.find_section reader ".rodata" with None -> true | Some s -> s.size = 0);
@@ -339,9 +339,9 @@ let test_anchored_equals_linear_on_clean () =
   let res = Link.link O.default prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
   let a = Linear.sweep_text reader and b = Linear.sweep_text_anchored reader in
-  check Alcotest.int "same instruction count" (Array.length a.insns) (Array.length b.insns);
+  check Alcotest.int "same instruction count" (Linear.length a) (Linear.length b);
   check Alcotest.bool "same stream" true
-    (Array.for_all2 (fun (x : Dec.ins) (y : Dec.ins) -> x = y) a.insns b.insns)
+    (a.addrs = b.addrs && a.lens = b.lens && a.tags = b.tags && a.targets = b.targets)
 
 let test_props_keys_distinct () =
   let keys = ref [] in

@@ -351,7 +351,7 @@ let test_indirect_return_calls () =
         match Core.Parse.plt_name plt tgt with
         | Some name when List.mem name Core.Parse.indirect_return_imports -> Some ret
         | _ -> None)
-      (Oracle_sweep.call_sites (Substrate.sweep st))
+      (Oracle_sweep.call_sites (Oracle_sweep.sweep_text_reference (Substrate.reader st)))
   in
   let returns name st =
     let ix = Substrate.indexes st in

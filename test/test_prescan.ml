@@ -226,19 +226,10 @@ let planted arch = QCheck.make ~print:(Printf.sprintf "%S") (planted_gen arch)
 
 (* --- sweeps vs their references ----------------------------------------- *)
 
-let sweep_equal name (a : Linear.t) (b : Linear.t) code =
-  if a.Linear.resync_errors <> b.Linear.resync_errors then
-    QCheck.Test.fail_reportf "%s: resync_errors %d <> %d on %S" name
-      a.Linear.resync_errors b.Linear.resync_errors code;
-  let na = Array.length a.Linear.insns and nb = Array.length b.Linear.insns in
-  if na <> nb then
-    QCheck.Test.fail_reportf "%s: %d insns <> %d on %S" name na nb code;
-  Array.iteri
-    (fun i ia ->
-      if ia <> b.Linear.insns.(i) then
-        QCheck.Test.fail_reportf "%s: insn %d differs on %S" name i code)
-    a.Linear.insns;
-  true
+let sweep_equal name (a : Linear.t) (b : Oracle_sweep.t) code =
+  match Oracle_sweep.stream_mismatch a b with
+  | None -> true
+  | Some why -> QCheck.Test.fail_reportf "%s: %s on %S" name why code
 
 let test_sweep_vs_reference =
   List.map

@@ -138,14 +138,16 @@ let test_diag_substrate_matches () =
         (List.map Cet_util.Diag.to_string (Substrate.diags st)))
     (Lazy.force corpus)
 
-(* The memoised index arrays must agree with the list-level extractors
-   (the index-build oracle) over the sweep. *)
+(* The index arrays a substrate sweep harvests must agree with the
+   list-level extractors (the index-build oracle) over the reference
+   sweep. *)
 let test_index_arrays () =
   List.iter
     (fun (name, (bytes, _truth)) ->
       let st = Substrate.of_bytes bytes in
-      let sweep = Substrate.sweep st in
+      ignore (Substrate.sweep st : Linear.t);
       let ix = Substrate.indexes st in
+      let sweep = Oracle_sweep.sweep_text_reference (Substrate.reader st) in
       check int_list (name ^ " endbrs") (Oracle_sweep.endbr_addrs sweep)
         (Array.to_list ix.Substrate.endbrs);
       check int_list (name ^ " call_targets") (Oracle_sweep.call_targets sweep)
@@ -177,39 +179,32 @@ let test_sorted_set_ops =
            (fun v -> Linear.mem_sorted sa v = List.mem v a)
            (List.init 30 Fun.id))
 
-(* The telemetry-off sweep core must stay lean.  Decoding itself allocates
-   the instruction records (and dominates), so the bound is on the sweep's
-   *overhead* over a bare decode loop: the doubling buffer plus the final
-   [Array.sub] cost ~2 words per instruction amortised, while the old
-   List.rev + Array.of_list accumulator cost ~7.  Budget 4 with headroom. *)
+(* The telemetry-off sweep must stay lean.  The stream is four arrays
+   sized up front (exactly, once the scan has counted the instructions),
+   so apart from a growth step or two nothing is allocated per
+   instruction: the budget is the scan's, one minor word per instruction.
+   Records cost ~4, and the record stream's buffer ~2 more. *)
 let test_sweep_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   let reader = Reader.read bytes in
   assert (not (Cet_telemetry.Span.enabled ()));
-  let warm = Linear.sweep_text reader in
-  let { Linear.arch; base; code; _ } = warm in
-  let size = String.length code in
-  let decode_only () =
-    let off = ref 0 in
-    while !off < size do
-      match Cet_x86.Decoder.decode arch code ~base ~off:!off with
-      | Ok ins -> off := !off + ins.Cet_x86.Decoder.len
-      | Error _ -> incr off
-    done
-  in
-  decode_only ();
-  let measure f =
+  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
+  let measure what f =
     let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
+    ignore (Sys.opaque_identity (f ()));
+    let per_insn = (Gc.minor_words () -. before) /. n in
+    if per_insn > 1.0 then
+      Alcotest.failf "%s allocates %.2f minor words per instruction (budget 1)" what per_insn
   in
-  let decode_words = measure decode_only in
-  let sweep_words = measure (fun () -> ignore (Linear.sweep_text reader)) in
-  let n = float_of_int (Array.length warm.Linear.insns) in
-  let overhead = (sweep_words -. decode_words) /. n in
-  if overhead > 4.0 then
-    Alcotest.failf
-      "sweep core overhead is %.1f minor words per instruction (budget 4)" overhead
+  measure "Linear.sweep_text" (fun () -> Linear.sweep_text reader);
+  List.iter
+    (fun anchored ->
+      let st = Substrate.create reader in
+      ignore (Substrate.facts ~anchored st : Substrate.facts);
+      measure
+        (Printf.sprintf "exact-size substrate sweep (anchored=%b)" anchored)
+        (fun () -> if anchored then Substrate.sweep_anchored st else Substrate.sweep st))
+    [ false; true ]
 
 (* --- stream-free scan vs sweep-derived products ------------------------ *)
 
@@ -314,9 +309,7 @@ let test_scan_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   assert (not (Cet_telemetry.Span.enabled ()));
   let reader = Reader.read bytes in
-  let n =
-    float_of_int (Array.length (Linear.sweep_text reader).Linear.insns)
-  in
+  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
   let run anchored () =
     ignore
       (Sys.opaque_identity (Substrate.indexes ~anchored (Substrate.create reader)))
@@ -341,7 +334,7 @@ let swept_substrate code =
   ignore (Substrate.sweep st : Linear.t);
   st
 
-(* Regression (dead-copy fix): the index build over a sweep makes
+(* Regression (dead-copy fix): the index build a sweep harvests makes
    [jmp_targets] by sorting a buffer in place.  If that buffer aliased
    [jmp_tgts], the site->target pairing would be scrambled — two jumps
    with descending targets detect any aliasing the moment the sort runs. *)
@@ -355,24 +348,264 @@ let test_jmp_tgts_sweep_order () =
     (Array.to_list ix.Substrate.jmp_targets)
 
 (* Regression (same fix, the perf half): the dead [Array.copy] cost one
-   extra minor word per jump on jump-heavy code.  The index build on this
-   all-jump sweep is deterministic — buffers, doubling, and the final
-   [Array.sub]s — so the budget can sit right above the fixed cost and
-   below fixed + 1 word/insn, where the copy would land. *)
+   extra minor word per jump on jump-heavy code.  A sweep of this all-jump
+   code that harvests the indexes is deterministic — the stream, the
+   buffers, doubling, and the final [Array.sub]s — so the budget can sit
+   right above the fixed cost and below fixed + 1 word/insn, where the
+   copy would land. *)
 let test_indexes_allocation_budget () =
   let n = 8192 in
   let code =
     String.concat "" (List.init n (fun _ -> "\xEB\xFE") (* jmp self *))
   in
-  ignore (Substrate.indexes (swept_substrate code));
-  let st = swept_substrate code in
+  let image = image_with_text Cet_x86.Arch.X64 code in
+  let sweep_with_indexes () =
+    let st = Substrate.of_bytes image in
+    ignore (Sys.opaque_identity (Substrate.sweep st));
+    ignore (Sys.opaque_identity (Substrate.indexes st))
+  in
+  sweep_with_indexes ();
   let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Substrate.indexes st));
+  sweep_with_indexes ();
   let words = Gc.minor_words () -. before in
   let per_insn = words /. float_of_int n in
   if per_insn > 4.7 then
     Alcotest.failf "index build allocates %.2f minor words per jump (budget 4.7)"
       per_insn
+
+(* --- the stream against its oracles ------------------------------------ *)
+
+(* Every instruction of the parallel-array stream, rebuilt as a record,
+   must be the reference sweep's record, with the same resync count — for
+   the corpus' [.text] decoded as both architectures, plain and anchored,
+   and for both ways a substrate fills its stream (exactly sized after
+   the scan, grown while harvesting before it). *)
+let test_stream_matches_oracle () =
+  let expect tag stream oracle =
+    match Oracle_sweep.stream_mismatch stream oracle with
+    | None -> ()
+    | Some why -> Alcotest.failf "%s: %s" tag why
+  in
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let reader = Reader.read bytes in
+      let text = Option.get (Reader.find_section reader ".text") in
+      List.iter
+        (fun anchored ->
+          let sweep, reference =
+            if anchored then (Linear.sweep_anchored, Oracle_sweep.sweep_anchored_reference)
+            else (Linear.sweep, Oracle_sweep.sweep_reference)
+          in
+          List.iter
+            (fun arch ->
+              expect
+                (Printf.sprintf "%s as %s anchored=%b" name (Cet_x86.Arch.to_string arch)
+                   anchored)
+                (sweep arch ~base:text.vaddr text.data)
+                (reference arch ~base:text.vaddr text.data))
+            [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
+          let oracle = Oracle_sweep.sweep_text_reference ~anchored reader in
+          let substrate_sweep st =
+            if anchored then Substrate.sweep_anchored st else Substrate.sweep st
+          in
+          expect
+            (Printf.sprintf "%s substrate anchored=%b" name anchored)
+            (substrate_sweep (Substrate.create reader))
+            oracle;
+          let scanned = Substrate.create reader in
+          ignore (Substrate.facts ~anchored scanned : Substrate.facts);
+          expect
+            (Printf.sprintf "%s substrate after scan anchored=%b" name anchored)
+            (substrate_sweep scanned) oracle)
+        [ false; true ])
+    (Lazy.force corpus)
+
+(* The stream's footprint: two int arrays and two bytes per instruction,
+   plus the code bytes, stay within 3 words per instruction; the record
+   stream took about 7. *)
+let test_stream_footprint () =
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let sweep = Linear.sweep_text (Reader.read bytes) in
+      let per_insn =
+        float_of_int (Obj.reachable_words (Obj.repr sweep))
+        /. float_of_int (Linear.length sweep)
+      in
+      if per_insn > 3.0 then
+        Alcotest.failf "%s: stream takes %.2f words per instruction (budget 3)" name per_insn)
+    (Lazy.force corpus)
+
+(* The array kernels against the record-based ones they replaced
+   ([Oracle_baselines], over the reference sweep of the same bytes):
+   [entry_main_root], traversal (functions and visited bytes) from each
+   root set, prologue hits in both modes with and without [visited] and
+   [suppress], and FETCH's tail targets and well-formed count over each
+   extent list. *)
+let check_kernels tag (sw : Linear.t) ref_sw ~entry ~root_sets ~suppress ~extent_sets =
+  let module C = Cet_baselines.Common in
+  let module O = Oracle_baselines in
+  let tag what = tag ^ " " ^ what in
+  check
+    Alcotest.(option int)
+    (tag "entry_main_root")
+    (O.entry_main_root ref_sw ~entry)
+    (C.entry_main_root sw ~entry);
+  List.iteri
+    (fun r roots ->
+      let e = C.explore sw ~roots and o = O.explore ref_sw ~roots in
+      check int_list (tag (Printf.sprintf "explore %d functions" r)) o.O.e_functions
+        e.C.e_functions;
+      check Alcotest.bool
+        (tag (Printf.sprintf "explore %d visited" r))
+        true
+        (Bytes.equal o.O.e_visited e.C.e_visited);
+      List.iter
+        (fun aggressive ->
+          List.iter
+            (fun (visited, suppress) ->
+              check int_list
+                (tag
+                   (Printf.sprintf "prologue %d aggressive=%b visited=%b suppress=%b" r
+                      aggressive (visited <> None) (suppress <> None)))
+                (O.prologue_scan ref_sw ~known:e.C.e_functions ~aggressive ?visited ?suppress
+                   ())
+                (C.prologue_scan sw ~known:e.C.e_functions ~aggressive ?visited ?suppress ()))
+            [
+              (None, None);
+              (Some e.C.e_visited, None);
+              (None, Some suppress);
+              (Some e.C.e_visited, Some suppress);
+            ])
+        [ false; true ])
+    root_sets;
+  List.iter
+    (fun extents ->
+      check int_list (tag "tail targets")
+        (O.stack_height_tail_targets ref_sw ~extents ~passes:3)
+        (C.stack_height_tail_targets sw ~extents ~passes:3);
+      check Alcotest.int (tag "well-formed")
+        (O.calling_convention_scan ref_sw ~extents ~passes:2)
+        (C.calling_convention_scan sw ~extents ~passes:2))
+    extent_sets
+
+(* On the corpus, plain and anchored: roots from the entry point and the
+   FDEs, extents as FETCH-like derives them and as the FDEs record them. *)
+let test_kernels_match_oracles () =
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let reader = Reader.read bytes in
+      let st = Substrate.create reader in
+      let entry = Reader.entry reader in
+      let fdes = Substrate.fde_starts st in
+      let extents = Substrate.fde_extents st in
+      List.iter
+        (fun anchored ->
+          let sw = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
+          let text_end = sw.Linear.base + sw.Linear.size in
+          let starts =
+            Array.of_list (List.filter (fun a -> a >= sw.Linear.base && a < text_end) fdes)
+          in
+          let fetch_extents =
+            Array.to_list
+              (Array.mapi
+                 (fun i lo ->
+                   (lo, if i + 1 < Array.length starts then starts.(i + 1) else text_end))
+                 starts)
+          in
+          check_kernels
+            (Printf.sprintf "%s anchored=%b" name anchored)
+            sw
+            (Oracle_sweep.sweep_text_reference ~anchored reader)
+            ~entry
+            ~root_sets:
+              [
+                [ entry ];
+                entry :: fdes;
+                (* mid-instruction, before and past the region *)
+                (entry + 1) :: (sw.Linear.base - 1) :: text_end :: fdes;
+              ]
+            ~suppress:extents
+            ~extent_sets:[ fetch_extents; extents; List.map (fun (lo, hi) -> (hi, lo)) extents ])
+        [ false; true ])
+    (Lazy.force corpus)
+
+(* Code for the kernel oracles: runs of snippets — prologues, stack
+   adjustments, leave, register definitions, branches both ways,
+   end-branches, returns, bytes no architecture decodes (gaps in the
+   stream) — and random bytes. *)
+let kernel_code_gen =
+  let pool =
+    [|
+      "\x55\x48\x89\xe5"; "\x55\x89\xe5"; "\x53"; "\x48\x83\xec\x18"; "\x83\xec\x0c";
+      "\x48\x83\xc4\x18"; "\x83\xc4\x0c"; "\xc9"; "\xc3"; "\xcc"; "\x90"; "\x89\xc7";
+      "\x31\xc0"; "\xb8\x01\x00\x00\x00"; "\xf3\x0f\x1e\xfa"; "\xf3\x0f\x1e\xfb";
+      "\xe8\x05\x00\x00\x00"; "\xe9\xf0\xff\xff\xff"; "\xe9\x20\x00\x00\x00"; "\xeb\x04";
+      "\xeb\xe0"; "\x74\xfa"; "\x0f\x0b";
+      "\x48\x8d\x3d\x10\x00\x00\x00"; "\x68\x10\x10\x00\x00"; "\x67\x67";
+    |]
+  in
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (oneof
+         [
+           map (fun i -> pool.(i)) (int_bound (Array.length pool - 1));
+           string_size ~gen:char (int_range 1 3);
+         ])
+    >|= String.concat "")
+
+let test_kernels_match_oracles_random =
+  QCheck.Test.make ~name:"kernels = record-based oracles on random code" ~count:200
+    (QCheck.make ~print:(Printf.sprintf "%S") kernel_code_gen)
+    (fun code ->
+      let base = 0x1000 and n = String.length code in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun anchored ->
+              let sweep, reference =
+                if anchored then (Linear.sweep_anchored, Oracle_sweep.sweep_anchored_reference)
+                else (Linear.sweep, Oracle_sweep.sweep_reference)
+              in
+              check_kernels
+                (Printf.sprintf "%s anchored=%b" (Cet_x86.Arch.to_string arch) anchored)
+                (sweep arch ~base code) (reference arch ~base code) ~entry:base
+                ~root_sets:[ [ base ]; [ base; base + (n / 3); base + (n / 2) + 1 ] ]
+                ~suppress:[ (base + (n / 4), base + (n / 2)) ]
+                ~extent_sets:
+                  [
+                    [ (base, base + n) ];
+                    [ (base, base + (n / 2)); (base + (n / 2), base + n) ];
+                    (* small extents, so jumps leave them *)
+                    List.init ((n / 16) + 1) (fun i -> (base + (16 * i), base + (16 * (i + 1))));
+                  ])
+            [ false; true ])
+        [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
+      true)
+
+(* Every tool that walks the instruction stream, run over the corpus and
+   hashed: IDA-, Ghidra-, FETCH-, Nucleus- and ByteWeight-like, CFG
+   recovery and the CET audit.  The stream's representation and the
+   kernels walking it may change; these bytes may not. *)
+let tool_outputs_md5 = "8d37abcdff767f1268c76188d778890f"
+
+let test_tool_outputs_pinned () =
+  let buf = Buffer.create 65536 in
+  let add v = Buffer.add_string buf (Marshal.to_string v [ Marshal.No_sharing ]) in
+  List.iter
+    (fun (_name, (bytes, truth)) ->
+      let reader = Reader.read bytes in
+      let st = Substrate.create reader in
+      add (Cet_baselines.Ida_like.analyze_st st);
+      add (Cet_baselines.Ghidra_like.analyze_st st);
+      add (Cet_baselines.Fetch.analyze_st st);
+      add (Cet_baselines.Nucleus_like.analyze_st st);
+      let model = Cet_baselines.Byteweight.train [ (reader, truth) ] in
+      add (Cet_baselines.Byteweight.classify_st model st);
+      add (Cet_cfg.Cfg.recover_st st);
+      add (Core.Audit.audit_st st))
+    (Lazy.force corpus);
+  check Alcotest.string "tool outputs" tool_outputs_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =
   [
@@ -392,5 +625,12 @@ let suite =
           test_indexes_allocation_budget;
         Alcotest.test_case "of_bytes_diag = of_bytes on well-formed input" `Quick
           test_diag_substrate_matches;
+        Alcotest.test_case "stream matches the reference sweeps" `Quick
+          test_stream_matches_oracle;
+        Alcotest.test_case "stream footprint" `Quick test_stream_footprint;
+        Alcotest.test_case "kernels match their record-based oracles" `Quick
+          test_kernels_match_oracles;
+        QCheck_alcotest.to_alcotest test_kernels_match_oracles_random;
+        Alcotest.test_case "tool outputs pinned" `Quick test_tool_outputs_pinned;
       ] );
   ]

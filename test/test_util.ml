@@ -239,6 +239,22 @@ let test_itable_empty_dropped () =
   let t = Itable.of_list [ (5, 5, "x"); (1, 2, "y") ] in
   check Alcotest.int "empty dropped" 1 (Itable.cardinal t)
 
+(* Ibuf against the list model: pushes past the initial capacity (and
+   from capacity 0) keep every value in order, pops come back last in
+   first out, and [contents] is a copy. *)
+let qcheck_ibuf_vs_list =
+  QCheck.Test.make ~name:"ibuf = list model" ~count:200
+    QCheck.(pair (int_bound 3) (list small_int))
+    (fun (capacity, xs) ->
+      let b = Cet_util.Ibuf.create ~capacity () in
+      List.iter (Cet_util.Ibuf.push b) xs;
+      let snapshot = Cet_util.Ibuf.contents b in
+      let popped = List.init (List.length xs) (fun _ -> Cet_util.Ibuf.pop b) in
+      Array.to_list snapshot = xs
+      && popped = List.rev xs
+      && Cet_util.Ibuf.length b = 0
+      && (try ignore (Cet_util.Ibuf.pop b); false with Invalid_argument _ -> true))
+
 let qcheck_itable_vs_linear =
   (* Build disjoint intervals from a sorted list of cut points and compare
      binary search against a linear scan. *)
@@ -488,6 +504,7 @@ let suite =
         Alcotest.test_case "empty dropped" `Quick test_itable_empty_dropped;
         qcheck qcheck_itable_vs_linear;
       ] );
+    ("util.ibuf", [ qcheck qcheck_ibuf_vs_list ]);
     ( "util.hexdump",
       [
         Alcotest.test_case "inline" `Quick test_hexdump_inline;
