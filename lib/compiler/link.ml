@@ -81,10 +81,13 @@ let link (opts : Options.t) (p : Ir.program) =
   let plt_vaddr = base in
   let plt_size = plt_entry_size * (nimports + 1) in
   let text_vaddr = align_up (plt_vaddr + plt_size) 16 in
-  let all_items = List.concat_map (fun f -> f.Codegen.items) out.fragments in
-  let text_size, labels = Asm.measure ~arch ~base:text_vaddr all_items in
-  let label_tbl = Hashtbl.create 1024 in
-  List.iter (fun (l, a) -> Hashtbl.replace label_tbl l a) labels;
+  (* Encode .text once; its label fields are patched at the end, once every
+     other section has an address. *)
+  let text_obj =
+    Asm.layout ~arch ~base:text_vaddr (List.map (fun f -> f.Codegen.items) out.fragments)
+  in
+  let text_size = Asm.size text_obj in
+  let label_tbl = Asm.labels text_obj in
   let addr_of l =
     match Hashtbl.find_opt label_tbl l with
     | Some a -> a
@@ -201,7 +204,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let got_size = (3 + nimports) * ptr in
   let data_vaddr = align_up (got_vaddr + got_size) 16 in
   let data = String.make 32 '\x00' in
-  (* Final text assembly. *)
+  (* Patch .text. *)
   let resolve l =
     match String.index_opt l '$' with
     | Some 3 when String.length l > 4 && String.sub l 0 4 = "plt$" ->
@@ -211,8 +214,7 @@ let link (opts : Options.t) (p : Ir.program) =
       | Some a -> a
       | None -> invalid_arg ("Link: unresolved symbol " ^ l))
   in
-  let text = Asm.assemble ~arch ~base:text_vaddr ~resolve all_items in
-  assert (String.length text = text_size);
+  let text = Asm.link text_obj ~resolve in
   let plt =
     build_plt arch
       ~cet:(opts.cf_protection <> Options.Cf_none)

@@ -314,7 +314,7 @@ let expected_kind arch insn : Dec.kind option =
   (* The kind the decoder must report for an instruction encoded at
      [base=0x4000]; None = any non-branch classification acceptable. *)
   let base = 0x4000 in
-  let len = Enc.length arch insn in
+  let len = String.length (Enc.encode arch insn) in
   match insn with
   | Insn.Endbr -> Some (match arch with Arch.X64 -> Dec.Endbr64 | Arch.X86 -> Dec.Endbr32)
   | Insn.Call_rel d -> Some (Dec.Call_direct (base + len + d))
@@ -473,7 +473,7 @@ let test_asm_forward_backward () =
   (* backward jmp to a: target 0x1000, insn at 0x1006 len 5 -> rel = -11 *)
   check Alcotest.string "backward" "e9 f5 ff ff ff" (hex (String.sub bytes 6 5))
 
-let test_asm_measure_matches () =
+let test_asm_layout_matches () =
   let items =
     [
       Asm.Align { boundary = 16; fill = Asm.Fill_nop };
@@ -486,11 +486,12 @@ let test_asm_measure_matches () =
       Asm.Label "end";
     ]
   in
-  let size, labels = Asm.measure ~arch:Arch.X64 ~base:0x2000 items in
+  let obj = Asm.layout ~arch:Arch.X64 ~base:0x2000 [ items ] in
+  let size = Asm.size obj and labels = Asm.labels obj in
   let bytes = Asm.assemble ~arch:Arch.X64 ~base:0x2000 ~resolve:no_extern items in
   check Alcotest.int "measured size" (String.length bytes) size;
-  check Alcotest.int "g aligned" 0 (List.assoc "g" labels mod 16);
-  check Alcotest.int "end" (0x2000 + size) (List.assoc "end" labels)
+  check Alcotest.int "g aligned" 0 (Hashtbl.find labels "g" mod 16);
+  check Alcotest.int "end" (0x2000 + size) (Hashtbl.find labels "end")
 
 let test_asm_extern_resolution () =
   let items = [ Asm.Label "f"; Asm.Call_lbl "printf@plt" ] in
@@ -536,6 +537,199 @@ let test_asm_jmp_table_item () =
   let bytes = Asm.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x804000) items in
   check Alcotest.string "notrack jmp table" "3e ff 24 85 00 40 80 00" (hex bytes)
 
+(* ------------------------------------------------------------------ *)
+(* Operand ranges: nothing is truncated silently                      *)
+(* ------------------------------------------------------------------ *)
+
+let rejects name msg insn =
+  Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+      ignore (Enc.encode Arch.X64 insn))
+
+let imm32_range = "Encoder: 32-bit immediate or displacement out of range"
+
+let test_range_rel32 () =
+  rejects "call +2^33" "Encoder: rel32 out of range" (Insn.Call_rel (1 lsl 33));
+  rejects "jmp +2^31" "Encoder: rel32 out of range" (Insn.Jmp_rel 0x8000_0000);
+  check_bytes "jcc -2^31" "0f 84 00 00 00 80" (Insn.Jcc_rel (Insn.E, -0x8000_0000)) Arch.X64
+
+let test_range_ret_imm () =
+  rejects "ret 0x10008" "Encoder: ret imm16 out of range" (Insn.Ret_imm 0x10008);
+  rejects "ret -1" "Encoder: ret imm16 out of range" (Insn.Ret_imm (-1));
+  check_bytes "ret 0xffff" "c2 ff ff" (Insn.Ret_imm 0xffff) Arch.X64
+
+let test_range_alu_imm () =
+  rejects "add rax, 2^32+5" imm32_range (Insn.Add_ri (Reg.RAX, (1 lsl 32) + 5));
+  rejects "cmp rax, -2^31-1" imm32_range (Insn.Cmp_ri (Reg.RAX, -0x8000_0001));
+  rejects "disp32 2^32" imm32_range (Insn.Mov_rm (Reg.RAX, Insn.mem_base Reg.RBX (1 lsl 32)));
+  check_bytes "and eax, 0xffffffff" "81 e0 ff ff ff ff" (Insn.And_ri (Reg.RAX, 0xffff_ffff)) Arch.X86
+
+let test_range_mov_imm () =
+  rejects "mov rax, 2^35" imm32_range (Insn.Mov_ri (Reg.RAX, 1 lsl 35));
+  rejects "push 2^32" imm32_range (Insn.Push_imm (1 lsl 32));
+  check_bytes "mov eax, 0xffffffff" "b8 ff ff ff ff" (Insn.Mov_ri (Reg.RAX, 0xffff_ffff)) Arch.X64
+
+let test_range_abs32_patch () =
+  let items = [ Asm.Lea_lbl (Reg.RAX, "far") ] in
+  Alcotest.check_raises "abs32 2^32" (Invalid_argument "Asm: abs32 out of range") (fun () ->
+      ignore (Asm.assemble ~arch:Arch.X86 ~base:0x1000 ~resolve:(fun _ -> 1 lsl 32) items));
+  check Alcotest.string "abs32 0xffffffff" "b8 ff ff ff ff"
+    (hex (Asm.assemble ~arch:Arch.X86 ~base:0x1000 ~resolve:(fun _ -> 0xffff_ffff) items))
+
+let test_encode_into_failure_keeps_sink () =
+  let s = Enc.Sink.create 4 in
+  Enc.encode_into s Arch.X86 Insn.Ret;
+  (try Enc.encode_into s Arch.X86 (Insn.Jmp_reg { reg = Reg.R8; notrack = true })
+   with Invalid_argument _ -> ());
+  check Alcotest.string "only the ret" "c3" (hex (Enc.Sink.contents s))
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracles: the retired encoder and two-pass assembler   *)
+(* ------------------------------------------------------------------ *)
+
+let qcheck_encode_oracle arch =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "encode = oracle encode (%s)" (Arch.to_string arch))
+    ~count:2000
+    (QCheck.make ~print:(Format.asprintf "%a" (Insn.pp ~arch)) (gen_insn ~arch))
+    (fun insn -> Enc.encode arch insn = Oracle_asm.encode arch insn)
+
+(* Local labels come from a small pool, so lists use them before and after
+   their definitions and define some twice; [ext*] are never defined and
+   go through [resolve]. *)
+let local_labels = [| "a"; "b"; "c"; "d"; "e" |]
+let resolve_ext base l = base + 0x10000 + (16 * (Hashtbl.hash l land 0xff))
+
+let gen_items ~arch =
+  let open QCheck.Gen in
+  let sym = oneof [ oneofa local_labels; oneofl [ "ext0"; "ext1"; "ext2" ] ] in
+  let reg = gen_reg ~arch in
+  let index = map (fun r -> if r = Reg.RSP then Reg.RAX else r) reg in
+  let scale = oneofl [ 1; 2; 4; 8 ] in
+  let cond = oneofl [ Insn.E; Insn.NE; Insn.L; Insn.G; Insn.A; Insn.B; Insn.S ] in
+  let fill = oneofl [ Asm.Fill_nop; Asm.Fill_int3; Asm.Fill_zero ] in
+  let item =
+    frequency
+      [
+        (4, map (fun l -> Asm.Label l) (oneofa local_labels));
+        (6, map (fun i -> Asm.Ins i) (gen_insn ~arch));
+        (2, map (fun l -> Asm.Call_lbl l) sym);
+        (2, map (fun l -> Asm.Jmp_lbl l) sym);
+        (2, map2 (fun c l -> Asm.Jcc_lbl (c, l)) cond sym);
+        (1, map2 (fun r l -> Asm.Lea_lbl (r, l)) reg sym);
+        (1, map (fun l -> Asm.Push_lbl l) sym);
+        (1, map2 (fun m l -> Asm.Mov_mi_lbl (m, l)) (gen_mem ~arch) sym);
+        ( 1,
+          map4
+            (fun table index scale notrack -> Asm.Jmp_table_lbl { table; index; scale; notrack })
+            sym index scale bool );
+        ( 1,
+          map4
+            (fun dst table index scale -> Asm.Mov_rm_table { dst; table; index; scale })
+            reg sym index scale );
+        (1, map (fun s -> Asm.Bytes_raw s) (string_size ~gen:char (int_bound 5)));
+        ( 1,
+          map2
+            (fun entries entry_size -> Asm.Table { entries; entry_size })
+            (list_size (int_bound 3) sym) (oneofl [ 4; 8 ]) );
+        (2, map2 (fun boundary fill -> Asm.Align { boundary; fill }) (int_range 1 64) fill);
+      ]
+  in
+  map2
+    (fun base items ->
+      (* "a" is used before its first definition and defined again last. *)
+      (base, (Asm.Call_lbl "a" :: items) @ [ Asm.Label "a"; Asm.Jmp_lbl "a" ]))
+    (int_range 0x1000 0x1000_0000) (list_size (int_range 0 60) item)
+
+let print_items (base, items) =
+  Printf.sprintf "base 0x%x, %d items" base (List.length items)
+
+let qcheck_asm_oracle arch =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "layout/assemble = two-pass oracle (%s)" (Arch.to_string arch))
+    ~count:500
+    (QCheck.make ~print:print_items (gen_items ~arch))
+    (fun (base, items) ->
+      let resolve = resolve_ext base in
+      let want_size, want_labels = Oracle_asm.measure ~arch ~base items in
+      let want = Hashtbl.create 8 in
+      List.iter (fun (l, a) -> Hashtbl.replace want l a) want_labels;
+      let obj = Asm.layout ~arch ~base [ items ] in
+      let got = Asm.labels obj in
+      Asm.size obj = want_size
+      && Hashtbl.length got = Hashtbl.length want
+      && Hashtbl.fold (fun l a ok -> ok && Hashtbl.find_opt got l = Some a) want true
+      && Asm.assemble ~arch ~base ~resolve items
+         = Oracle_asm.assemble ~arch ~base ~resolve items)
+
+let raised f = match f () with _ -> None | exception e -> Some e
+
+let test_asm_errors_match_oracle () =
+  let same name ~arch ~base ~resolve items =
+    let got = raised (fun () -> Asm.assemble ~arch ~base ~resolve items) in
+    let want = raised (fun () -> Oracle_asm.assemble ~arch ~base ~resolve items) in
+    check Alcotest.bool (name ^ " raises") true (want <> None);
+    check Alcotest.bool (name ^ " raises what the oracle raises") true (got = want)
+  in
+  (* call at 0x1000 ends at 0x1005: 2^31 past it no longer fits a rel32 *)
+  same "forward rel32 overflow" ~arch:Arch.X64 ~base:0x1000
+    ~resolve:(fun _ -> 0x1005 + 0x8000_0000)
+    [ Asm.Call_lbl "far" ];
+  same "backward rel32 overflow" ~arch:Arch.X64 ~base:0x1_0000_0000
+    ~resolve:(fun _ -> 0)
+    [ Asm.Jmp_lbl "low" ];
+  same "unknown label" ~arch:Arch.X86 ~base:0x1000 ~resolve:no_extern
+    [ Asm.Label "here"; Asm.Jmp_lbl "here"; Asm.Jcc_lbl (Insn.E, "nowhere") ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_encode_into_allocation () =
+  List.iter
+    (fun arch ->
+      let insns =
+        Array.of_list
+          (QCheck.Gen.generate ~rand:(Random.State.make [| 2022 |]) ~n:2000 (gen_insn ~arch))
+      in
+      let s = Enc.Sink.create (16 * Array.length insns) in
+      let before = Gc.minor_words () in
+      for i = 0 to Array.length insns - 1 do
+        Enc.encode_into s arch insns.(i)
+      done;
+      let words = Gc.minor_words () -. before in
+      if words > 0. then
+        Alcotest.failf "encode_into (%s) allocates %.3f minor words per instruction (budget 0)"
+          (Arch.to_string arch)
+          (words /. float_of_int (Array.length insns)))
+    [ Arch.X64; Arch.X86 ]
+
+(* Layout and patching allocate per label (its table binding) and per
+   placeholder instruction with a variable operand (a [Jcc_rel (c, 0)]):
+   0.6 minor words per item over the ledger corpus.  The retired two-pass
+   assembler took 65. *)
+let test_layout_allocation () =
+  let profile =
+    { Cet_corpus.Profile.spec with Cet_corpus.Profile.programs = 1; funcs_lo = 200; funcs_hi = 200 }
+  in
+  let ir = Cet_corpus.Generator.program ~seed:7 ~profile ~index:0 in
+  List.iter
+    (fun (opts : Cet_compiler.Options.t) ->
+      let out = Cet_compiler.Codegen.lower opts ir in
+      let chunks = List.map (fun f -> f.Cet_compiler.Codegen.items) out.fragments in
+      let arch = opts.arch and base = 0x401000 in
+      let before = Gc.minor_words () in
+      let text = Asm.link (Asm.layout ~arch ~base chunks) ~resolve:(fun _ -> base) in
+      let words = Gc.minor_words () -. before in
+      let per_item = words /. float_of_int (List.length (List.concat chunks)) in
+      ignore (Sys.opaque_identity text);
+      if per_item > 3.0 then
+        Alcotest.failf "%s: layout + link allocate %.2f minor words per item (budget 3)"
+          (Cet_compiler.Options.to_string opts) per_item)
+    [
+      Cet_compiler.Options.default;
+      { Cet_compiler.Options.default with arch = Arch.X86; pie = false };
+    ]
+
 let suite =
   [
     ( "x86.register",
@@ -554,6 +748,15 @@ let suite =
         Alcotest.test_case "wave-2 alu/flags" `Quick test_encode_wave2;
         Alcotest.test_case "nops" `Quick test_encode_nops;
         Alcotest.test_case "invalid forms rejected" `Quick test_encode_rejects;
+        Alcotest.test_case "rel32 out of range" `Quick test_range_rel32;
+        Alcotest.test_case "ret imm16 out of range" `Quick test_range_ret_imm;
+        Alcotest.test_case "alu imm32/disp32 out of range" `Quick test_range_alu_imm;
+        Alcotest.test_case "mov/push imm32 out of range" `Quick test_range_mov_imm;
+        Alcotest.test_case "failed encoding leaves the sink" `Quick
+          test_encode_into_failure_keeps_sink;
+        Alcotest.test_case "encode_into allocates nothing" `Quick test_encode_into_allocation;
+        qcheck (qcheck_encode_oracle Arch.X64);
+        qcheck (qcheck_encode_oracle Arch.X86);
       ] );
     ( "x86.decoder",
       [
@@ -583,10 +786,15 @@ let suite =
     ( "x86.asm",
       [
         Alcotest.test_case "forward/backward labels" `Quick test_asm_forward_backward;
-        Alcotest.test_case "measure = assemble" `Quick test_asm_measure_matches;
+        Alcotest.test_case "layout = assemble" `Quick test_asm_layout_matches;
         Alcotest.test_case "extern resolution" `Quick test_asm_extern_resolution;
         Alcotest.test_case "lea label by arch" `Quick test_asm_lea_lbl_by_arch;
         Alcotest.test_case "nop fill decodes" `Quick test_asm_nop_fill_decodes;
         Alcotest.test_case "jump table item" `Quick test_asm_jmp_table_item;
+        Alcotest.test_case "abs32 patch out of range" `Quick test_range_abs32_patch;
+        Alcotest.test_case "errors = oracle errors" `Quick test_asm_errors_match_oracle;
+        Alcotest.test_case "layout + link allocation budget" `Quick test_layout_allocation;
+        qcheck (qcheck_asm_oracle Arch.X64);
+        qcheck (qcheck_asm_oracle Arch.X86);
       ] );
   ]
