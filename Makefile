@@ -1,34 +1,12 @@
 # Convenience wrappers around dune.  `make check` is the PR verify: build,
 # test, and smoke the multi-core evaluation path (--jobs 2).
-.PHONY: all test bench bench-json bench-diff bench-history check fuzz triage chaos obs \
-	ledger-compare
+.PHONY: all test check fuzz triage chaos obs ledger-compare
 
 all:
 	dune build
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
-
-# Machine-readable benchmark results for the perf trajectory: one
-# BENCH_<n>.json per PR (N is the PR number).
-N ?= 8
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_$(N).json
-
-# Perf gate between PRs: compare two BENCH_<n>.json files and fail on any
-# named test that regressed by more than 20% — or vanished (--require-all).
-OLD ?= BENCH_7.json
-NEW ?= BENCH_8.json
-bench-diff:
-	dune exec bin/bench_diff.exe -- --require-all $(OLD) $(NEW)
-
-# The long view: per-row trajectory across every recorded bench file.
-RANGE ?= BENCH_2.json..BENCH_$(N).json
-bench-history:
-	dune exec bin/bench_diff.exe -- --history $(RANGE)
 
 # The repository benchmark, this checkout against an older revision:
 #   make ledger-compare OLD=<rev>

@@ -3,6 +3,8 @@
    Usage:
      evaluate all                 # all tables + figure
      evaluate table1|fig3|table2|table3
+     evaluate manual-endbr|extras|inline-data|arm   # the §VI/§VII-B side experiments
+     evaluate speed               # §V-D whole-tool timings + the DESIGN.md §5 ablations
      evaluate --scale 0.25 --seed 2022 --jobs 4 all
      evaluate --stats --trace-out trace.jsonl all   # telemetry report + JSON-lines trace
      evaluate --trace-out t.json --trace-format chrome all   # Perfetto-openable trace
@@ -21,6 +23,9 @@ module Telemetry = Cet_telemetry.Registry
 module Journal = Cet_telemetry.Journal
 module Slo = Cet_telemetry.Slo
 module Report = Cet_telemetry.Report
+
+let table_experiments = [ "all"; "table1"; "fig3"; "table2"; "table3" ]
+let side_experiments = [ "manual-endbr"; "extras"; "inline-data"; "arm"; "speed" ]
 
 let run_eval what seed scale progress jobs no_timing stats trace_out trace_format
     max_seconds quarantine_out fail_fast inject_fault triage triage_out
@@ -51,6 +56,39 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
   if top_slow < 0 then begin
     Printf.eprintf "evaluate: --top-slow must be non-negative (got %d)\n" top_slow;
     exit 2
+  end;
+  if not (List.mem what table_experiments || List.mem what side_experiments) then begin
+    Printf.eprintf "evaluate: unknown experiment %S (try %s)\n" what
+      (String.concat "|" (table_experiments @ side_experiments));
+    exit 2
+  end;
+  (* The side experiments read only --seed, --scale and --jobs (speed also
+     --no-timing); a flag that only the table run reads is a usage error
+     on them, caught before any report file is opened. *)
+  if List.mem what side_experiments then begin
+    let table_only =
+      [
+        ("--progress", progress);
+        ("--max-seconds", max_seconds <> None);
+        ("--quarantine-out", quarantine_out <> None);
+        ("--fail-fast", fail_fast);
+        ("--inject-fault", inject_fault <> None);
+        ("--triage", triage);
+        ("--triage-out", triage_out <> None);
+        ("--profile-out", profile_out <> None);
+        ("--top-slow", top_slow <> 0);
+        ("--slo", slo <> []);
+        ("--manifest-out", manifest_out <> None);
+        ("--chaos", chaos <> None);
+        ("--run-seconds", run_seconds <> None);
+      ]
+    in
+    match List.find_opt snd table_only with
+    | Some (flag, _) ->
+      Printf.eprintf "evaluate: %s does not apply to the %s experiment (only to %s)\n" flag
+        what (String.concat "|" table_experiments);
+      exit 2
+    | None -> ()
   end;
   (* A malformed objective is a usage error before the run, not a surprise
      after it. *)
@@ -144,7 +182,9 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
     | "inline-data" ->
       Cet_eval.Harness.render_inline_data (Cet_eval.Harness.inline_data ~jobs opts)
     | "arm" -> Cet_eval.Harness.render_arm (Cet_eval.Harness.arm_bti ~jobs opts)
-    | "all" | "table1" | "fig3" | "table2" | "table3" ->
+    | "speed" -> Cet_eval.Harness.render_speed (Cet_eval.Harness.speed ~jobs opts)
+    | _ ->
+      (* one of [table_experiments], checked above *)
       let results = Cet_eval.Harness.run ~jobs opts in
       if results.Cet_eval.Harness.failures <> [] then begin
         status := 1;
@@ -203,12 +243,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
       if top_slow > 0 then
         base ^ "\n" ^ Cet_eval.Harness.render_top_slow results top_slow
       else base
-    | other ->
-      Printf.eprintf
-        "evaluate: unknown experiment %S (try \
-         all|table1|fig3|table2|table3|manual-endbr|extras|inline-data|arm)\n"
-        other;
-      exit 2
   in
   Option.iter (fun (_, oc) -> close_out oc) quarantine_oc;
   Option.iter (fun (_, oc) -> close_out oc) triage_oc;
@@ -261,7 +295,12 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
   !status
 
 let what =
-  let doc = "Which experiment to regenerate: all, table1, fig3, table2, table3, manual-endbr, extras, inline-data, arm." in
+  let doc =
+    "Which experiment to regenerate: all, table1, fig3, table2, table3, manual-endbr, \
+     extras, inline-data, arm, speed.  The side experiments (manual-endbr to speed) \
+     read only --seed, --scale and --jobs (speed also --no-timing), and the \
+     telemetry flags."
+  in
   Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
 
 let seed =
@@ -286,7 +325,8 @@ let jobs =
 let no_timing =
   let doc =
     "Skip the wall-clock measurements behind Table III's Time(ms) columns \
-     (they become 0.000), making the output fully deterministic in --seed. \
+     and the speed experiment's ms/binary column (they become 0.000, and the \
+     ratio lines are left out), making the output fully deterministic in --seed. \
      Also zeroes the time fields of the --stats report and of --profile-out rows."
   in
   Arg.(value & flag & info [ "no-timing" ] ~doc)

@@ -554,6 +554,70 @@ let render_manual_endbr r =
     (Metrics.recall r.manual)
     (Metrics.recall r.full -. Metrics.recall r.manual)
 
+(* The whole-tool rows of [speed]: Table3 tool key, rendered label, and
+   the tool.  "funseeker" and "fetch" are the Table III tools under their
+   Table III keys; the others are the DESIGN.md §5 ablations. *)
+let speed_rows =
+  let fs ?anchored config st =
+    (Core.Funseeker.analyze_st ~config ?anchored st).Core.Funseeker.functions
+  in
+  [
+    ("funseeker-1", "FunSeeker (1) E+C", fs Core.Funseeker.config1);
+    ("funseeker-2", "FunSeeker (2) E'+C", fs Core.Funseeker.config2);
+    ("funseeker-3", "FunSeeker (3) E'+C+J", fs Core.Funseeker.config3);
+    ("funseeker", "FunSeeker (4) E'+C+J'", fs Core.Funseeker.config4);
+    ( "funseeker-anchored",
+      "FunSeeker (4), anchored sweep",
+      fs ~anchored:true Core.Funseeker.config4 );
+    ("fetch-1", "FETCH-like, 1 pass", Cet_baselines.Fetch.analyze_st ~passes:1);
+    ("fetch", "FETCH-like, default passes", fun st -> Cet_baselines.Fetch.analyze_st st);
+  ]
+
+let speed ?profiles ?jobs (opts : options) =
+  let plan = Dataset.plan ?profiles ~seed:opts.seed ~scale:opts.scale () in
+  let item k =
+    let acc = Tables.Table3.create () in
+    List.iter
+      (fun (bin : Dataset.binary) ->
+        let truth = truth_addrs bin in
+        let arch = arch_name bin.config.Options.arch and suite = bin.suite in
+        List.iter
+          (fun (tool, _, run) ->
+            (* A fresh substrate per row: every timed run parses and
+               disassembles the binary itself, as a standalone tool does. *)
+            let found, dt = timed (fun bytes -> run (Substrate.of_bytes bytes)) bin.stripped in
+            Tables.Table3.record acc ~arch ~suite ~tool (Metrics.compare_sets ~truth ~found);
+            if opts.timing then Tables.Table3.record_time acc ~arch ~suite ~tool dt)
+          speed_rows)
+      (Dataset.nth plan k);
+    acc
+  in
+  let t = Tables.Table3.create () in
+  Array.iter (Tables.Table3.merge t) (Work_queue.map (pool ?jobs ()) (Dataset.length plan) item);
+  t
+
+let render_speed t =
+  let ms tool = Tables.Table3.mean_time t ~tool *. 1000.0 in
+  let row (tool, label, _) =
+    let c = Tables.Table3.totals t ~tool in
+    Printf.sprintf "  %-30s %8.3f %7.3f %10.3f" label (Metrics.precision c) (Metrics.recall c)
+      (ms tool)
+  in
+  let ratio =
+    if ms "funseeker" > 0.0 then
+      [
+        Printf.sprintf "  ratio (SSV-D): FETCH-like / FunSeeker (4) = %.1fx per binary (paper: 5.1x)"
+          (ms "fetch" /. ms "funseeker");
+      ]
+    else []
+  in
+  String.concat "\n"
+    ([
+       "SPEED (SSV-D): whole-tool runs, each parsing and disassembling the binary itself";
+       Printf.sprintf "  %-30s %8s %7s %10s" "" "Prec." "Rec." "ms/binary";
+     ]
+    @ List.map row speed_rows @ ratio @ [ "" ])
+
 type related_work_report = {
   byteweight_in : Metrics.counts;
   byteweight_ood : Metrics.counts;

@@ -257,6 +257,24 @@ val manual_endbr_ablation : ?jobs:int -> options -> manual_endbr_report
 
 val render_manual_endbr : manual_endbr_report -> string
 
+val speed :
+  ?profiles:Cet_corpus.Profile.t list -> ?jobs:int -> options -> Tables.Table3.t
+(** The §V-D whole-tool timings and the DESIGN.md §5 ablations, over the
+    same plan as {!run}.  Every binary runs seven rows, each timed around
+    [tool (Substrate.of_bytes stripped)], so each pays its own ELF parse
+    and disassembly as the paper's whole-tool runs do.  Rows are Table3
+    tools: ["funseeker-1"], ["funseeker-2"], ["funseeker-3"] and
+    ["funseeker"] (configs ①–④), ["funseeker-anchored"] (④ over the
+    anchored sweep), ["fetch-1"] (one pass) and ["fetch"] (default
+    passes).  Reads only [seed], [scale] and [timing]; under
+    [timing = false] no time is recorded, and the result is the same at
+    every [jobs]. *)
+
+val render_speed : Tables.Table3.t -> string
+(** One line per row: precision, recall and mean ms per binary; then the
+    §V-D ratio (FETCH-like over FunSeeker ④), left out when nothing was
+    timed. *)
+
 type related_work_report = {
   byteweight_in : Metrics.counts;  (** trained and tested on GCC/x86-64 *)
   byteweight_ood : Metrics.counts;  (** same model tested on Clang/x86 *)

@@ -248,6 +248,131 @@ let test_parallel_equivalence () =
   check Alcotest.string "byte-identical render" (Harness.render_all seq)
     (Harness.render_all par)
 
+(* ------------------------------------------------------------------ *)
+(* The speed experiment (§V-D whole-tool timings)                     *)
+(* ------------------------------------------------------------------ *)
+
+let counts =
+  Alcotest.testable
+    (fun ppf (c : Metrics.counts) -> Format.fprintf ppf "tp=%d fp=%d fn=%d" c.tp c.fp c.fn)
+    ( = )
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let speed_tools =
+  [ "funseeker-1"; "funseeker-2"; "funseeker-3"; "funseeker"; "funseeker-anchored"; "fetch-1"; "fetch" ]
+
+let micro_untimed = { Harness.default_options with Harness.seed = 99; scale = 1.0; timing = false }
+
+(* The untimed speed experiment over both micro profiles, shared by the
+   tests below. *)
+let micro_speed =
+  lazy (Harness.speed ~profiles:[ micro_profile; micro_spec ] ~jobs:1 micro_untimed)
+
+let test_speed_agrees_with_tables () =
+  (* The speed experiment's whole-tool rows score exactly what the tables
+     score: rows 1-4 are Table II's configurations, and the "funseeker"
+     and "fetch" rows are Table III's tools.  Untimed, its render is the
+     same at every jobs count, with every ms at zero and no ratio line. *)
+  let profiles = [ micro_profile; micro_spec ] in
+  let results = Harness.run ~profiles ~jobs:1 micro_untimed in
+  let seq = Lazy.force micro_speed in
+  let par = Harness.speed ~profiles ~jobs:4 micro_untimed in
+  List.iteri
+    (fun i tool ->
+      check counts tool
+        (Tables.Table2.totals results.Harness.table2 ~config:(i + 1))
+        (Tables.Table3.totals seq ~tool))
+    [ "funseeker-1"; "funseeker-2"; "funseeker-3"; "funseeker" ];
+  List.iter
+    (fun tool ->
+      check counts (tool ^ " = Table III")
+        (Tables.Table3.totals results.Harness.table3 ~tool)
+        (Tables.Table3.totals seq ~tool))
+    [ "funseeker"; "fetch" ];
+  let out = Harness.render_speed seq in
+  check Alcotest.string "byte-identical across jobs" out (Harness.render_speed par);
+  let rows =
+    List.filter
+      (fun l -> String.length l > 2 && String.sub l 0 2 = "  " && String.trim l <> "")
+      (String.split_on_char '\n' out)
+  in
+  (* the column header, then the seven rows *)
+  check Alcotest.int "rows" 8 (List.length rows);
+  List.iter
+    (fun l ->
+      let n = String.length l in
+      check Alcotest.string ("ms of " ^ String.trim l) "0.000" (String.sub l (n - 5) 5))
+    (List.tl rows)
+
+let test_speed_timed () =
+  (* Timed, every row has a mean time, and the render ends with one ratio
+     line: FETCH-like's mean ms over FunSeeker (4)'s, to one decimal. *)
+  let t =
+    Harness.speed ~profiles:[ micro_profile ] ~jobs:1 { micro_untimed with Harness.timing = true }
+  in
+  List.iter
+    (fun tool ->
+      check Alcotest.bool (tool ^ " timed") true (Tables.Table3.mean_time t ~tool > 0.0))
+    speed_tools;
+  let out = Harness.render_speed t in
+  let ratio = List.filter (fun l -> contains l "ratio") (String.split_on_char '\n' out) in
+  check Alcotest.int "one ratio line" 1 (List.length ratio);
+  let ms tool = Tables.Table3.mean_time t ~tool *. 1000.0 in
+  let value = Printf.sprintf "= %.1fx" (ms "fetch" /. ms "funseeker") in
+  check Alcotest.bool ("ratio " ^ value) true (contains (List.hd ratio) value);
+  check Alcotest.bool "untimed: no ratio line" false
+    (contains (Harness.render_speed (Lazy.force micro_speed)) "ratio")
+
+let test_speed_fetch_passes () =
+  (* DESIGN.md §5: FETCH-like's passes after the first find nothing more
+     on this corpus, so one pass scores exactly as the default, in every
+     arch x suite cell. *)
+  let t = Lazy.force micro_speed in
+  List.iter
+    (fun (arch, suite) ->
+      let cell tool = Tables.Table3.counts t ~arch ~suite ~tool in
+      let name = arch ^ "/" ^ suite in
+      check Alcotest.bool (name ^ " scored") true ((cell "fetch").Metrics.tp > 0);
+      check counts name (cell "fetch") (cell "fetch-1"))
+    [ ("x64", "coreutils"); ("x86", "coreutils"); ("x64", "spec"); ("x86", "spec") ]
+
+let test_speed_ignores_table_options () =
+  (* [speed] reads only seed, scale and timing.  The options only [run]
+     reads change nothing: a fault injected into every binary, fail-fast,
+     a deadline no binary can meet, chaos, triage and profiling. *)
+  let loud =
+    {
+      micro_untimed with
+      Harness.max_seconds = Some 1e-9;
+      keep_going = false;
+      fault = Some (fun _ -> true);
+      triage = true;
+      profile = true;
+      chaos = Some 1;
+      run_seconds = Some 1e-9;
+    }
+  in
+  check Alcotest.string "same render"
+    (Harness.render_speed (Lazy.force micro_speed))
+    (Harness.render_speed (Harness.speed ~profiles:[ micro_profile; micro_spec ] ~jobs:2 loud))
+
+let test_side_experiments_jobs () =
+  (* The side experiments fold their items in index order, so what they
+     print does not depend on the number of workers. *)
+  let opts = { Harness.default_options with Harness.seed = 5; scale = 0.001 } in
+  List.iter
+    (fun (name, render) -> check Alcotest.string name (render 1) (render 3))
+    [
+      ("manual-endbr", fun jobs -> Harness.render_manual_endbr (Harness.manual_endbr_ablation ~jobs opts));
+      ("extras", fun jobs -> Harness.render_related_work (Harness.related_work ~jobs opts));
+      ("inline-data", fun jobs -> Harness.render_inline_data (Harness.inline_data ~jobs opts));
+      ("arm", fun jobs -> Harness.render_arm (Harness.arm_bti ~jobs opts));
+    ]
+
 let test_ablation_truth_dedup () =
   (* Regression: the SSVI ablation must measure the deduplicated entry
      set.  Pre-fix it took [List.map snd bin.truth] verbatim, so a binary
@@ -286,6 +411,130 @@ let test_render_separators_normalized () =
     let rec find i = i + n <= h && (String.sub src i n = bad || find (i + 1)) in
     check Alcotest.bool "no literal newline inside a concat separator" false (find 0)
 
+(* ------------------------------------------------------------------ *)
+(* The evaluate command line                                          *)
+(* ------------------------------------------------------------------ *)
+
+let evaluate_exe =
+  let here = Filename.dirname Sys.executable_name in
+  List.find_opt Sys.file_exists
+    [ Filename.concat here "../bin/evaluate.exe"; "../bin/evaluate.exe" ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* Run [evaluate args] with its output captured in files of [dir], which
+   are removed again: (exit code, stdout, stderr). *)
+let run_evaluate ~dir args =
+  let exe =
+    match evaluate_exe with
+    | Some exe -> exe
+    | None -> Alcotest.fail "evaluate.exe not reachable from the test directory"
+  in
+  let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let o = fd out and e = fd err in
+  let pid = Unix.create_process exe (Array.of_list ("evaluate" :: args)) Unix.stdin o e in
+  Unix.close o;
+  Unix.close e;
+  let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
+  let result = (code, read_file out, read_file err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "evaluate-cli" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let side_experiments = [ "manual-endbr"; "extras"; "inline-data"; "arm"; "speed" ]
+
+let test_cli_side_experiment_flags () =
+  (* Every flag that only the table run reads is a usage error on every
+     side experiment: exit 2, a message naming the flag, nothing on
+     stdout, and no report file created. *)
+  with_temp_dir (fun dir ->
+      let file name = Filename.concat dir name in
+      let flags =
+        [
+          [ "--progress" ];
+          [ "--max-seconds"; "5" ];
+          [ "--quarantine-out"; file "q.jsonl" ];
+          [ "--fail-fast" ];
+          [ "--inject-fault"; "3" ];
+          [ "--triage" ];
+          [ "--triage-out"; file "t.jsonl" ];
+          [ "--profile-out"; file "p.jsonl" ];
+          [ "--top-slow"; "3" ];
+          [ "--slo"; "funseeker:p99<=100s" ];
+          [ "--manifest-out"; file "m.json" ];
+          [ "--chaos"; "1" ];
+          [ "--run-seconds"; "5" ];
+        ]
+      in
+      List.iter
+        (fun what ->
+          List.iter
+            (fun flag ->
+              let name = what ^ " " ^ String.concat " " flag in
+              let code, out, err = run_evaluate ~dir ((what :: flag) @ [ "--scale"; "0.001" ]) in
+              check Alcotest.int (name ^ ": exit") 2 code;
+              check Alcotest.string (name ^ ": stdout") "" out;
+              check Alcotest.bool (name ^ ": names the flag") true
+                (contains err (List.hd flag ^ " does not apply to the " ^ what));
+              check Alcotest.(array string) (name ^ ": no file") [||] (Sys.readdir dir))
+            flags)
+        side_experiments)
+
+let test_cli_unknown_experiment () =
+  (* An unknown experiment is rejected, with the list of known ones,
+     before any report or telemetry file is opened. *)
+  with_temp_dir (fun dir ->
+      let file name = Filename.concat dir name in
+      let code, out, err =
+        run_evaluate ~dir
+          [
+            "table4"; "--profile-out"; file "p.jsonl"; "--metrics-out"; file "m.prom";
+            "--trace-out"; file "t.jsonl";
+          ]
+      in
+      check Alcotest.int "exit" 2 code;
+      check Alcotest.string "stdout" "" out;
+      check Alcotest.bool "names it" true (contains err "unknown experiment \"table4\"");
+      List.iter
+        (fun what -> check Alcotest.bool ("lists " ^ what) true (contains err what))
+        ("table3" :: side_experiments);
+      check Alcotest.(array string) "no file" [||] (Sys.readdir dir))
+
+let test_cli_side_experiment_telemetry () =
+  (* The global telemetry flags do apply to the side experiments: the
+     experiment prints its table, then the --stats report, and writes the
+     metrics and trace files. *)
+  with_temp_dir (fun dir ->
+      let file name = Filename.concat dir name in
+      let code, out, _ =
+        run_evaluate ~dir
+          [
+            "inline-data"; "--scale"; "0.001"; "--jobs"; "1"; "--stats"; "--metrics-out";
+            file "m.prom"; "--trace-out"; file "t.jsonl";
+          ]
+      in
+      check Alcotest.int "exit" 0 code;
+      check Alcotest.bool "experiment output" true (contains out "INLINE DATA IN .TEXT");
+      check Alcotest.bool "stats report" true (contains out "TELEMETRY: phase breakdown");
+      List.iter
+        (fun name ->
+          check Alcotest.bool (name ^ " written") true
+            (String.length (read_file (file name)) > 0))
+        [ "m.prom"; "t.jsonl" ])
+
 let suite =
   [
     ( "eval.metrics",
@@ -318,5 +567,23 @@ let suite =
         Alcotest.test_case "ablation truth dedup" `Quick test_ablation_truth_dedup;
         Alcotest.test_case "render separators normalized" `Quick
           test_render_separators_normalized;
+        Alcotest.test_case "speed agrees with the tables" `Slow
+          test_speed_agrees_with_tables;
+        Alcotest.test_case "speed: timed rows and the ratio line" `Slow test_speed_timed;
+        Alcotest.test_case "speed: one FETCH pass scores as the default" `Slow
+          test_speed_fetch_passes;
+        Alcotest.test_case "speed ignores the table-only options" `Slow
+          test_speed_ignores_table_options;
+        Alcotest.test_case "side experiments: same output at every jobs" `Slow
+          test_side_experiments_jobs;
+      ] );
+    ( "eval.cli",
+      [
+        Alcotest.test_case "side experiments reject table-only flags" `Quick
+          test_cli_side_experiment_flags;
+        Alcotest.test_case "unknown experiment rejected before files open" `Quick
+          test_cli_unknown_experiment;
+        Alcotest.test_case "side experiments take the telemetry flags" `Quick
+          test_cli_side_experiment_telemetry;
       ] );
   ]

@@ -319,6 +319,70 @@ let test_config_ordering () =
   check Alcotest.bool "rec c4 >= c2" true (recall FS.config4 >= recall FS.config2);
   check Alcotest.bool "rec c3 >= c4" true (recall FS.config3 >= recall FS.config4)
 
+(* Sorted, distinct int lists: is every element of [a] in [b]? *)
+let rec sorted_subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> if x = y then sorted_subset a' b' else x > y && sorted_subset a b'
+
+(* The configuration lattice, binary by binary rather than in aggregate:
+   FILTERENDBR only removes candidates (2 <= 1), SELECTTAILCALL adds a
+   subset of the jump targets (2 <= 4 <= 3), and the unfiltered
+   configurations report only addresses inside .text. *)
+let check_lattice tag st =
+  let found config = (FS.analyze_st ~config st).FS.functions in
+  let r1 = found FS.config1 and r2 = found FS.config2 in
+  let r3 = found FS.config3 and r4 = found FS.config4 in
+  check Alcotest.bool (tag ^ ": (2) <= (1)") true (sorted_subset r2 r1);
+  check Alcotest.bool (tag ^ ": (2) <= (4)") true (sorted_subset r2 r4);
+  check Alcotest.bool (tag ^ ": (4) <= (3)") true (sorted_subset r4 r3);
+  check Alcotest.bool (tag ^ ": (1) and (3) inside .text") true
+    (List.for_all (Substrate.in_text (Substrate.facts st)) (r1 @ r3))
+
+(* Over a micro corpus: a C and a C++ program on the whole grid, both
+   arches. *)
+let test_config_lattice () =
+  let module P = Cet_corpus.Profile in
+  let module D = Cet_corpus.Dataset in
+  let micro (p : P.t) = { p with P.programs = 1; funcs_lo = 40; funcs_hi = 60 } in
+  let plan =
+    D.plan
+      ~profiles:[ micro P.coreutils; { (micro P.spec) with P.lang_cpp_fraction = 1.0 } ]
+      ~seed:7 ~scale:1.0 ()
+  in
+  let arches = ref [] in
+  for k = 0 to D.length plan - 1 do
+    List.iter
+      (fun (bin : D.binary) ->
+        if not (List.mem bin.config.O.arch !arches) then arches := bin.config.O.arch :: !arches;
+        check_lattice
+          (bin.program ^ " " ^ O.to_string bin.config)
+          (Substrate.of_bytes bin.stripped))
+      (D.nth plan k)
+  done;
+  check Alcotest.int "both arches" 2 (List.length !arches)
+
+(* The same lattice on random programs: any suite's generator at any
+   seed, compiled under any configuration of the grid. *)
+let test_config_lattice_random =
+  let module P = Cet_corpus.Profile in
+  let profiles = Array.of_list P.all and grid = Array.of_list O.all_grid in
+  QCheck.Test.make ~name:"config lattice on random programs" ~count:200
+    (QCheck.make
+       ~print:(fun (seed, p, c) ->
+         Printf.sprintf "seed %d, %s, %s" seed profiles.(p).P.suite (O.to_string grid.(c)))
+       QCheck.Gen.(
+         triple (int_bound 1_000_000)
+           (int_bound (Array.length profiles - 1))
+           (int_bound (Array.length grid - 1))))
+    (fun (seed, p, c) ->
+      let profile = { profiles.(p) with P.funcs_lo = 20; funcs_hi = 40 } in
+      let ir = Cet_corpus.Generator.program ~seed ~profile ~index:0 in
+      let _, st = compile ~opts:grid.(c) ir in
+      check_lattice (Printf.sprintf "seed %d %s" seed (O.to_string grid.(c))) st;
+      true)
+
 let test_stripped_equals_unstripped () =
   let res, stripped = compile ~strip:true cxx_prog in
   let _, unstripped = compile ~strip:false cxx_prog in
@@ -501,6 +565,8 @@ let suite =
         Alcotest.test_case "counters" `Quick test_counters_consistency;
         Alcotest.test_case "indirect-return calls = sweep model" `Quick
           test_indirect_return_calls;
+        Alcotest.test_case "config lattice per binary" `Quick test_config_lattice;
+        QCheck_alcotest.to_alcotest test_config_lattice_random;
       ] );
     ( "funseeker.audit",
       [

@@ -3,8 +3,7 @@
    zero-allocation disabled paths, the SLO grammar and its fail-safe
    unmatched-key breach, profile determinism across ~jobs, the
    quarantine black box, the exposition-format grammar, the observer
-   bridges in Deadline/Diag, histogram bucket edges, and the bench
-   trajectory helpers. *)
+   bridges in Deadline/Diag, and histogram bucket edges. *)
 
 module Hist = Cet_telemetry.Hist
 module Registry = Cet_telemetry.Registry
@@ -13,7 +12,6 @@ module Report = Cet_telemetry.Report
 module Journal = Cet_telemetry.Journal
 module Slo = Cet_telemetry.Slo
 module Harness = Cet_eval.Harness
-module Bench_rows = Cet_util.Bench_rows
 
 let check = Alcotest.check
 
@@ -677,69 +675,6 @@ let test_diag_observer () =
       check Alcotest.int "removed observer sees nothing" 1 (List.length !seen))
 
 (* ------------------------------------------------------------------ *)
-(* Bench trajectory helpers                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_bench_expand_range () =
-  check
-    Alcotest.(option (triple string int string))
-    "split around the last digit run"
-    (Some ("BENCH_", 12, ".json"))
-    (Bench_rows.split_version "BENCH_12.json");
-  check
-    Alcotest.(option (triple string int string))
-    "no digits" None
-    (Bench_rows.split_version "bench.json");
-  let exists f = f <> "B_3.json" in
-  check
-    Alcotest.(option (list string))
-    "range expands inclusively, missing files dropped"
-    (Some [ "B_2.json"; "B_4.json"; "B_5.json" ])
-    (Bench_rows.expand_range ~exists "B_2.json..B_5.json");
-  let all _ = true in
-  check Alcotest.(option (list string)) "single-step range"
-    (Some [ "B_4.json" ])
-    (Bench_rows.expand_range ~exists:all "B_4.json..B_4.json");
-  List.iter
-    (fun spec ->
-      check
-        Alcotest.(option (list string))
-        (Printf.sprintf "%S rejected" spec)
-        None
-        (Bench_rows.expand_range ~exists:all spec))
-    [ "B_2.json"; "B_5.json..B_2.json"; "A_2.json..B_5.json"; "B_2.txt..B_5.json"; "x..y" ]
-
-let test_bench_history () =
-  let r name mean_ns = { Bench_rows.name; mean_ns; runs = 1 } in
-  let tables =
-    [
-      [ r "alpha" 10.0; r "beta" 5.0 ];
-      [ r "beta" 6.0; r "gamma" 1.0 ];
-      [ r "alpha" 12.0; r "beta" 4.0; r "gamma" 2.0 ];
-    ]
-  in
-  let rows = Bench_rows.history tables in
-  check Alcotest.(list string) "first-appearance order"
-    [ "alpha"; "beta"; "gamma" ]
-    (List.map (fun (h : Bench_rows.history_row) -> h.Bench_rows.h_name) rows);
-  let means name =
-    let h =
-      List.find (fun (h : Bench_rows.history_row) -> h.Bench_rows.h_name = name) rows
-    in
-    Array.to_list h.Bench_rows.h_means
-  in
-  check
-    Alcotest.(list (option (float 1e-9)))
-    "holes where a file lacks the row"
-    [ Some 10.0; None; Some 12.0 ]
-    (means "alpha");
-  check
-    Alcotest.(list (option (float 1e-9)))
-    "late rows pad the front"
-    [ None; Some 1.0; Some 2.0 ]
-    (means "gamma")
-
-(* ------------------------------------------------------------------ *)
 (* top-slow under shedding                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -852,7 +787,5 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_bucket_contains;
         Alcotest.test_case "deadline: observer bridge" `Quick test_deadline_observer;
         Alcotest.test_case "diag: observer bridge" `Quick test_diag_observer;
-        Alcotest.test_case "bench: range expansion" `Quick test_bench_expand_range;
-        Alcotest.test_case "bench: history join" `Quick test_bench_history;
       ] );
   ]

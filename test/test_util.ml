@@ -289,75 +289,6 @@ let test_hexdump_lines () =
     (List.length (String.split_on_char '\n' (String.trim out)))
 
 (* ------------------------------------------------------------------ *)
-(* Bench_rows (bin/bench_diff's parser and differ)                    *)
-(* ------------------------------------------------------------------ *)
-
-module Bench_rows = Cet_util.Bench_rows
-
-let test_bench_rows_plain () =
-  let line =
-    {|  {"name": "table3/funseeker(spec)", "mean_ns": 1500000.500, "runs": 7},|}
-  in
-  match Bench_rows.parse_line line with
-  | None -> Alcotest.fail "row expected"
-  | Some r ->
-    check Alcotest.string "name" "table3/funseeker(spec)" r.Bench_rows.name;
-    check (Alcotest.float 1e-6) "mean" 1500000.5 r.Bench_rows.mean_ns;
-    check Alcotest.int "runs" 7 r.Bench_rows.runs
-
-let test_bench_rows_key_in_value () =
-  (* Regression: the old substring scanner matched the key-shaped token
-     inside the quoted VALUE first and misread this row's name. *)
-  let line =
-    {|  {"note": "has \"name\": inside", "name": "real", "mean_ns": 2.0, "runs": 1},|}
-  in
-  match Bench_rows.parse_line line with
-  | None -> Alcotest.fail "row expected"
-  | Some r -> check Alcotest.string "name" "real" r.Bench_rows.name
-
-let test_bench_rows_longer_key () =
-  (* A longer key containing the requested one must never satisfy it. *)
-  let line = {|{"filename": "bogus", "name": "real", "mean_ns": 3.5}|} in
-  check
-    (Alcotest.option Alcotest.string)
-    "name" (Some {|"real"|})
-    (Bench_rows.field line "name");
-  check
-    (Alcotest.option Alcotest.string)
-    "no name" None
-    (Bench_rows.field {|{"filename": "x", "mean_ns": 1.0}|} "name")
-
-let test_bench_rows_dups () =
-  let rows, dups =
-    Bench_rows.parse_lines
-      [
-        {|{"name": "a", "mean_ns": 1.0, "runs": 1},|};
-        {|{"name": "a", "mean_ns": 2.0, "runs": 1},|};
-        {|{"name": "b", "mean_ns": 3.0, "runs": 1},|};
-      ]
-  in
-  check Alcotest.(list string) "dups" [ "a" ] dups;
-  check
-    Alcotest.(list string)
-    "names" [ "a"; "b" ]
-    (List.map (fun r -> r.Bench_rows.name) rows);
-  check (Alcotest.float 0.0) "first wins" 1.0 (List.hd rows).Bench_rows.mean_ns
-
-let test_bench_rows_diff_missing () =
-  (* Regression: a bench renamed between OLD and NEW silently vanished from
-     the gate — the report must surface it so --require-all can fail. *)
-  let row name mean_ns = { Bench_rows.name; mean_ns; runs = 1 } in
-  let report =
-    Bench_rows.diff ~threshold:20.0
-      [ row "kept" 100.0; row "renamed-away" 50.0 ]
-      [ row "kept" 130.0; row "brand-new" 10.0 ]
-  in
-  check Alcotest.(list string) "missing" [ "renamed-away" ] report.Bench_rows.missing;
-  check Alcotest.(list string) "added" [ "brand-new" ] report.Bench_rows.added;
-  check Alcotest.int "regressed" 1 report.Bench_rows.regressed;
-  check Alcotest.int "compared" 1 (List.length report.Bench_rows.compared)
-
-(* ------------------------------------------------------------------ *)
 (* Jsonl reader edge cases                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -420,25 +351,6 @@ let test_jsonl_trailing_garbage_offset () =
     check Alcotest.bool "line number" true
       (String.length e >= 7 && String.sub e 0 7 = "line 2:")
 
-(* ------------------------------------------------------------------ *)
-(* Bench history geomean                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_bench_rows_geomean () =
-  let row name mean_ns = { Bench_rows.name; mean_ns; runs = 1 } in
-  (* 2x and 0.5x cancel in log space: geomean exactly 1. *)
-  (match
-     Bench_rows.geomean_ratio
-       [ row "a" 100.0; row "b" 100.0; row "only-old" 1.0 ]
-       [ row "a" 200.0; row "b" 50.0; row "only-new" 1.0 ]
-   with
-  | Some (g, n) ->
-    check Alcotest.int "shared rows" 2 n;
-    check (Alcotest.float 1e-9) "geomean" 1.0 g
-  | None -> Alcotest.fail "expected a geomean");
-  check Alcotest.bool "no shared rows" true
-    (Bench_rows.geomean_ratio [ row "a" 1.0 ] [ row "b" 1.0 ] = None)
-
 let suite =
   [
     ( "util.jsonl",
@@ -452,17 +364,6 @@ let suite =
           test_jsonl_rejects_nonfinite;
         Alcotest.test_case "trailing garbage offset" `Quick
           test_jsonl_trailing_garbage_offset;
-      ] );
-    ( "util.bench_rows",
-      [
-        Alcotest.test_case "plain row" `Quick test_bench_rows_plain;
-        Alcotest.test_case "key token inside a value" `Quick
-          test_bench_rows_key_in_value;
-        Alcotest.test_case "longer key rejected" `Quick test_bench_rows_longer_key;
-        Alcotest.test_case "duplicates keep first" `Quick test_bench_rows_dups;
-        Alcotest.test_case "diff reports missing benches" `Quick
-          test_bench_rows_diff_missing;
-        Alcotest.test_case "history geomean" `Quick test_bench_rows_geomean;
       ] );
     ( "util.prng",
       [
