@@ -22,18 +22,11 @@ let mkdir_p path =
   go path
 
 let run out seed scale suites =
-  let profiles =
-    match suites with
-    | [] -> Cet_corpus.Profile.all
-    | names ->
-      List.map
-        (function
-          | "coreutils" -> Cet_corpus.Profile.coreutils
-          | "binutils" -> Cet_corpus.Profile.binutils
-          | "spec" -> Cet_corpus.Profile.spec
-          | s -> failwith ("unknown suite " ^ s))
-        names
-  in
+  if scale <= 0.0 then begin
+    Printf.eprintf "mkcorpus: --scale must be positive (got %g)\n" scale;
+    exit 2
+  end;
+  let profiles = if suites = [] then Cet_corpus.Profile.all else suites in
   let count = ref 0 and bytes = ref 0 in
   let manifest = Buffer.create 4096 in
   Buffer.add_string manifest
@@ -66,10 +59,16 @@ let run out seed scale suites =
 
 let out = Arg.(value & opt string "corpus" & info [ "out"; "o" ] ~doc:"Output directory.")
 let seed = Arg.(value & opt int 2022 & info [ "seed" ] ~doc:"Corpus seed.")
-let scale = Arg.(value & opt float 0.05 & info [ "scale" ] ~doc:"Suite scale factor.")
+let scale =
+  Arg.(value & opt float 0.05 & info [ "scale" ] ~doc:"Suite scale factor. Must be positive.")
 
 let suites =
-  Arg.(value & opt_all string [] & info [ "suite" ] ~doc:"Restrict to a suite (repeatable).")
+  let suites = List.map (fun (p : Cet_corpus.Profile.t) -> (p.suite, p)) Cet_corpus.Profile.all in
+  Arg.(
+    value
+    & opt_all (enum suites) []
+    & info [ "suite" ] ~docv:"SUITE"
+        ~doc:"Restrict to a suite: coreutils, binutils or spec (repeatable).")
 
 let cmd =
   let doc = "materialise the synthetic CET benchmark on disk" in

@@ -3,7 +3,8 @@ module Insn = Cet_x86.Insn
 module Asm = Cet_x86.Asm
 module Reg = Cet_x86.Register
 
-type lsda_site = { try_start : string; try_end : string; landing : string option }
+type label = Asm.label
+type lsda_site = { try_start : label; try_end : label; landing : label }
 
 type fragment = {
   frag_name : string;
@@ -11,49 +12,73 @@ type fragment = {
   is_function : bool;
   has_symbol : bool;
   global : bool;
-  items : Asm.item list;
+  start : label;
+  stop : label;
   lsda_sites : lsda_site list;
   handler_count : int;
-  tables : (string * string list) list;
+  tables : (label * label list) list;
 }
 
-type output = { fragments : fragment list; imports : string list }
+type output = { text : Asm.t; fragments : fragment list; labels : int }
 
-let plt_label name = "plt$" ^ name
-let frag_end_label name = name ^ "$end"
+let imports (p : Ir.program) = "__libc_start_main" :: Ir.collect_imports p
 let thunk_bx = "__x86.get_pc_thunk.bx"
 let thunk_ax = "__x86.get_pc_thunk.ax"
 
+(* A program's labels: [next] is the first unused one, [names] holds the
+   labels that cross fragments and [plt] the imports' PLT entries. *)
+type labels = {
+  mutable next : int;
+  names : (string, label) Hashtbl.t;
+  plt : (string, label) Hashtbl.t;
+}
+
+let new_label ls =
+  let l = ls.next in
+  ls.next <- l + 1;
+  l
+
+let named ls name =
+  match Hashtbl.find_opt ls.names name with
+  | Some l -> l
+  | None ->
+    let l = new_label ls in
+    Hashtbl.add ls.names name l;
+    l
+
 (* Per-fragment lowering context.  [rolling] is a cheap deterministic LCG
    used to vary instruction selection the way different source bodies
-   would, keyed off the function name. *)
+   would, keyed off the fragment name. *)
 type fctx = {
   opts : Options.t;
-  fname : string;
-  mutable counter : int;
+  ls : labels;
+  name : string;
+  start : label;
   mutable rolling : int;
-  mutable rev_items : Asm.item list;  (* body, reversed *)
-  mutable rev_tail : Asm.item list;  (* landing pads after the epilogue *)
+  mutable out : Asm.t;  (* the fragment, or the handler body being lowered *)
+  tail : Asm.t;  (* landing pads, appended after the epilogue *)
   mutable sites : lsda_site list;
   mutable handlers : int;
-  mutable tables : (string * string list) list;
-  epilogue : Asm.item list;  (* for tail-call sites *)
+  mutable tables : (label * label list) list;
+  epilogue : Insn.t list;  (* for tail-call sites *)
 }
 
 let roll ctx bound =
   ctx.rolling <- (ctx.rolling * 1103515245) + 12345 land 0x3FFFFFFF;
   (ctx.rolling lsr 7) mod bound
 
-let fresh ctx tag =
-  let n = ctx.counter in
-  ctx.counter <- n + 1;
-  Printf.sprintf "%s$%s%d" ctx.fname tag n
-
-let emit ctx item = ctx.rev_items <- item :: ctx.rev_items
-let emit_ins ctx i = emit ctx (Asm.Ins i)
-let emit_tail ctx item = ctx.rev_tail <- item :: ctx.rev_tail
-
+let fresh ctx = new_label ctx.ls
+let ins ctx i = Asm.ins ctx.out i
+let import ctx name = Hashtbl.find ctx.ls.plt name
 let x86 ctx = ctx.opts.Options.arch = Arch.X86
+let cet ctx = ctx.opts.Options.cf_protection <> Options.Cf_none
+
+(* Stack-slot forms, built once: their memory operands are not constants. *)
+let load_sp8 = Insn.Mov_rm (Reg.RAX, Insn.mem_base Reg.RSP 8)
+let store_sp16 = Insn.Mov_mr (Insn.mem_base Reg.RSP 16, Reg.RAX)
+let store_sp8 = Insn.Mov_mr (Insn.mem_base Reg.RSP 8, Reg.RAX)
+let arg_slot_x86 = Insn.mem_base Reg.RSP 4
+let pc_thunk_body = Insn.Mov_rm (Reg.RBX, Insn.mem_base Reg.RSP 0)
 
 (* ALU filler: straight-line work that never touches control flow.  The
    mix approximates compiler output: moves and adds dominate, with the
@@ -69,8 +94,8 @@ let filler ctx n =
       | 4 -> Insn.Mov_rr (Reg.RCX, Reg.RAX)
       | 5 -> Insn.Sub_ri (Reg.RCX, 1 + roll ctx 126)
       | 6 -> Insn.Test_rr (Reg.RAX, Reg.RAX)
-      | 7 -> Insn.Mov_rm (Reg.RAX, Insn.mem_base Reg.RSP 8)
-      | 8 -> Insn.Mov_mr (Insn.mem_base Reg.RSP 16, Reg.RAX)
+      | 7 -> load_sp8
+      | 8 -> store_sp16
       | 9 -> Insn.And_ri (Reg.RAX, (1 lsl (1 + roll ctx 7)) - 1)
       | 10 -> Insn.Or_rr (Reg.RDX, Reg.RAX)
       | 11 -> Insn.Inc Reg.RAX
@@ -81,190 +106,172 @@ let filler ctx n =
       | 16 -> Insn.Movzx_b (Reg.RDX, Reg.RAX)
       | _ -> Insn.Cmov (Insn.NE, Reg.RAX, Reg.RDX)
     in
-    emit_ins ctx i
+    ins ctx i
   done
 
 (* Materialise a code address into [reg]: RIP-relative lea on x86-64,
    absolute mov on x86. *)
-let addr_of ctx reg target = emit ctx (Asm.Lea_lbl (reg, target))
+let addr_of ctx reg f = Asm.lea ctx.out reg (named ctx.ls f)
 
-let call_cleanup ctx pushed =
-  if x86 ctx && pushed then emit_ins ctx (Insn.Add_ri (Reg.RSP, 4))
+let call_cleanup ctx pushed = if x86 ctx && pushed then ins ctx (Insn.Add_ri (Reg.RSP, 4))
 
 let emit_call ctx target =
   let with_arg = roll ctx 3 = 0 in
   let pushed =
     if with_arg then
       if x86 ctx then begin
-        emit_ins ctx (Insn.Push_imm (roll ctx 1000));
+        ins ctx (Insn.Push_imm (roll ctx 1000));
         true
       end
       else begin
-        emit_ins ctx (Insn.Mov_ri (Reg.RDI, roll ctx 1000));
+        ins ctx (Insn.Mov_ri (Reg.RDI, roll ctx 1000));
         false
       end
     else false
   in
-  emit ctx (Asm.Call_lbl target);
+  Asm.call ctx.out target;
   call_cleanup ctx pushed
+
+(* The head of a landing pad: an end-branch for the unwinder's indirect
+   jump, then the exception object kept. *)
+let landing_pad ctx lp =
+  Asm.define ctx.tail lp;
+  if cet ctx then Asm.ins ctx.tail Insn.Endbr;
+  Asm.ins ctx.tail (Insn.Mov_rr (Reg.RBX, Reg.RAX))
 
 let rec lower_stmt ctx stmt =
   match stmt with
   | Ir.Compute n -> filler ctx n
-  | Ir.Call (Ir.Local f) -> emit_call ctx f
-  | Ir.Call (Ir.Import i) -> emit_call ctx (plt_label i)
+  | Ir.Call (Ir.Local f) -> emit_call ctx (named ctx.ls f)
+  | Ir.Call (Ir.Import i) -> emit_call ctx (import ctx i)
   | Ir.Call_via_pointer f ->
     addr_of ctx Reg.RAX f;
-    emit_ins ctx (Insn.Call_reg Reg.RAX)
+    ins ctx (Insn.Call_reg Reg.RAX)
   | Ir.Store_fn_pointer f ->
-    if x86 ctx then emit ctx (Asm.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, f))
+    if x86 ctx then Asm.mov_mi ctx.out arg_slot_x86 (named ctx.ls f)
     else begin
       addr_of ctx Reg.RAX f;
-      emit_ins ctx (Insn.Mov_mr (Insn.mem_base Reg.RSP 8, Reg.RAX))
+      ins ctx store_sp8
     end
   | Ir.Indirect_return_call s ->
     (* Fig. 2a: the end-branch lands immediately after the call so the
        indirect return of longjmp has a valid target. *)
-    if x86 ctx then emit_ins ctx (Insn.Push_imm (0x404000 + roll ctx 256))
-    else emit_ins ctx (Insn.Mov_ri (Reg.RDI, 0x404000 + roll ctx 256));
-    emit ctx (Asm.Call_lbl (plt_label s));
-    if ctx.opts.Options.cf_protection <> Options.Cf_none then emit_ins ctx Insn.Endbr;
+    if x86 ctx then ins ctx (Insn.Push_imm (0x404000 + roll ctx 256))
+    else ins ctx (Insn.Mov_ri (Reg.RDI, 0x404000 + roll ctx 256));
+    Asm.call ctx.out (import ctx s);
+    if cet ctx then ins ctx Insn.Endbr;
     call_cleanup ctx (x86 ctx);
-    emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
-    let l = fresh ctx "sj" in
-    emit ctx (Asm.Jcc_lbl (Insn.NE, l));
+    ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
+    let l = fresh ctx in
+    Asm.jcc ctx.out Insn.NE l;
     filler ctx 1;
-    emit ctx (Asm.Label l)
+    Asm.define ctx.out l
   | Ir.If_else (a, b) ->
     if roll ctx 5 = 0 then begin
       (* Bool materialisation before the branch, as compilers emit for
          compound conditions. *)
-      emit_ins ctx (Insn.Cmp_rr (Reg.RAX, Reg.RDX));
-      emit_ins ctx (Insn.Setcc (Insn.L, Reg.RCX));
-      emit_ins ctx (Insn.Movzx_b (Reg.RCX, Reg.RCX))
+      ins ctx (Insn.Cmp_rr (Reg.RAX, Reg.RDX));
+      ins ctx (Insn.Setcc (Insn.L, Reg.RCX));
+      ins ctx (Insn.Movzx_b (Reg.RCX, Reg.RCX))
     end;
-    emit_ins ctx (Insn.Cmp_ri (Reg.RAX, roll ctx 64));
+    ins ctx (Insn.Cmp_ri (Reg.RAX, roll ctx 64));
     if b = [] then begin
-      let join = fresh ctx "j" in
-      emit ctx (Asm.Jcc_lbl (Insn.E, join));
+      let join = fresh ctx in
+      Asm.jcc ctx.out Insn.E join;
       lower_stmts ctx a;
-      emit ctx (Asm.Label join)
+      Asm.define ctx.out join
     end
     else begin
-      let lelse = fresh ctx "e" and join = fresh ctx "j" in
-      emit ctx (Asm.Jcc_lbl (Insn.E, lelse));
+      let lelse = fresh ctx and join = fresh ctx in
+      Asm.jcc ctx.out Insn.E lelse;
       lower_stmts ctx a;
-      emit ctx (Asm.Jmp_lbl join);
-      emit ctx (Asm.Label lelse);
+      Asm.jmp ctx.out join;
+      Asm.define ctx.out lelse;
       lower_stmts ctx b;
-      emit ctx (Asm.Label join)
+      Asm.define ctx.out join
     end
   | Ir.Loop body ->
     if ctx.opts.Options.opt = Options.O0 then begin
       (* Unrotated loop: forward jump to the condition, backward
          conditional edge. *)
-      let lcond = fresh ctx "lc" and lbody = fresh ctx "lb" in
-      emit ctx (Asm.Jmp_lbl lcond);
-      emit ctx (Asm.Label lbody);
+      let lcond = fresh ctx and lbody = fresh ctx in
+      Asm.jmp ctx.out lcond;
+      Asm.define ctx.out lbody;
       lower_stmts ctx body;
-      emit ctx (Asm.Label lcond);
-      emit_ins ctx (Insn.Cmp_ri (Reg.RAX, roll ctx 64));
-      emit ctx (Asm.Jcc_lbl (Insn.NE, lbody))
+      Asm.define ctx.out lcond;
+      ins ctx (Insn.Cmp_ri (Reg.RAX, roll ctx 64));
+      Asm.jcc ctx.out Insn.NE lbody
     end
     else begin
       (* Rotated loop: no unconditional jump. *)
-      let lbody = fresh ctx "lb" in
-      emit_ins ctx (Insn.Mov_ri (Reg.RCX, 1 + roll ctx 100));
-      emit ctx (Asm.Label lbody);
+      let lbody = fresh ctx in
+      ins ctx (Insn.Mov_ri (Reg.RCX, 1 + roll ctx 100));
+      Asm.define ctx.out lbody;
       lower_stmts ctx body;
-      emit_ins ctx (Insn.Sub_ri (Reg.RCX, 1));
-      emit ctx (Asm.Jcc_lbl (Insn.NE, lbody))
+      ins ctx (Insn.Sub_ri (Reg.RCX, 1));
+      Asm.jcc ctx.out Insn.NE lbody
     end
   | Ir.Switch cases ->
     let n = List.length cases in
     assert (n > 0);
-    let jt = fresh ctx "jt" in
-    let lend = fresh ctx "sw" and ldef = fresh ctx "sd" in
-    let case_labels = List.mapi (fun i _ -> Printf.sprintf "%s$c%d" jt i) cases in
-    emit_ins ctx (Insn.Cmp_ri (Reg.RAX, n - 1));
-    emit ctx (Asm.Jcc_lbl (Insn.A, ldef));
-    (if x86 ctx then
-       emit ctx (Asm.Jmp_table_lbl { table = jt; index = Reg.RAX; scale = 4; notrack = true })
+    let jt = fresh ctx and lend = fresh ctx and ldef = fresh ctx in
+    let case_labels = List.map (fun _ -> fresh ctx) cases in
+    ins ctx (Insn.Cmp_ri (Reg.RAX, n - 1));
+    Asm.jcc ctx.out Insn.A ldef;
+    (if x86 ctx then Asm.jmp_table ctx.out ~table:jt ~index:Reg.RAX ~scale:4 ~notrack:true
      else begin
-       emit_ins ctx (Insn.Mov_rr (Reg.RCX, Reg.RAX));
-       emit ctx (Asm.Lea_lbl (Reg.RDX, jt));
-       emit_ins ctx
+       ins ctx (Insn.Mov_rr (Reg.RCX, Reg.RAX));
+       Asm.lea ctx.out Reg.RDX jt;
+       ins ctx
          (Insn.Mov_rm (Reg.RAX, Insn.mem_index ~base:Reg.RDX ~index:Reg.RCX ~scale:8 ~disp:0));
-       emit_ins ctx (Insn.Jmp_reg { reg = Reg.RAX; notrack = true })
+       ins ctx (Insn.Jmp_reg { reg = Reg.RAX; notrack = true })
      end);
     (* Hand-written-assembly style (§VI): the jump table itself sits in
        .text, right behind the dispatch — the data-in-code case that breaks
        plain linear sweep. *)
     if ctx.opts.Options.jump_tables_in_text then begin
-      emit ctx (Asm.Label jt);
-      emit ctx
-        (Asm.Table
-           {
-             entries = case_labels;
-             entry_size = Arch.ptr_size ctx.opts.Options.arch;
-           })
+      Asm.define ctx.out jt;
+      Asm.table ctx.out ~entry_size:(Arch.ptr_size ctx.opts.Options.arch) case_labels
     end
     else ctx.tables <- (jt, case_labels) :: ctx.tables;
-    List.iteri
-      (fun i case ->
-        emit ctx (Asm.Label (List.nth case_labels i));
+    List.iter2
+      (fun l case ->
+        Asm.define ctx.out l;
         lower_stmts ctx case;
-        emit ctx (Asm.Jmp_lbl lend))
-      cases;
-    emit ctx (Asm.Label ldef);
+        Asm.jmp ctx.out lend)
+      case_labels cases;
+    Asm.define ctx.out ldef;
     filler ctx 1;
-    emit ctx (Asm.Label lend)
+    Asm.define ctx.out lend
   | Ir.Try_catch (body, handlers) ->
-    let try_start = fresh ctx "ts" and try_end = fresh ctx "te" in
-    let cont = fresh ctx "tc" and lp = fresh ctx "lp" in
-    emit ctx (Asm.Label try_start);
+    let try_start = fresh ctx and try_end = fresh ctx in
+    let cont = fresh ctx and lp = fresh ctx in
+    Asm.define ctx.out try_start;
     lower_stmts ctx body;
-    emit ctx (Asm.Label try_end);
-    emit ctx (Asm.Label cont);
+    Asm.define ctx.out try_end;
+    Asm.define ctx.out cont;
     (* The landing pad lives past the epilogue, Fig. 2b style: an
        end-branch headed catch block reached only by the unwinder's
        indirect jump. *)
-    emit_tail ctx (Asm.Label lp);
-    if ctx.opts.Options.cf_protection <> Options.Cf_none then
-      emit_tail ctx (Asm.Ins Insn.Endbr);
-    emit_tail ctx (Asm.Ins (Insn.Mov_rr (Reg.RBX, Reg.RAX)));
-    emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_begin_catch"));
+    landing_pad ctx lp;
+    Asm.call ctx.tail (import ctx "__cxa_begin_catch");
     (match handlers with
     | [] -> ()
     | first :: rest ->
-      let rest_labels = List.map (fun _ -> fresh ctx "h") rest in
+      let rest_labels = List.map (fun _ -> fresh ctx) rest in
       (* Dispatch on the exception filter for secondary catch clauses. *)
       List.iteri
         (fun i l ->
-          emit_tail ctx (Asm.Ins (Insn.Cmp_ri (Reg.RDX, i + 2)));
-          emit_tail ctx (Asm.Jcc_lbl (Insn.E, l)))
+          Asm.ins ctx.tail (Insn.Cmp_ri (Reg.RDX, i + 2));
+          Asm.jcc ctx.tail Insn.E l)
         rest_labels;
-      let saved = ctx.rev_items in
-      ctx.rev_items <- [];
-      lower_stmts ctx first;
-      let first_items = List.rev ctx.rev_items in
-      ctx.rev_items <- saved;
-      List.iter (emit_tail ctx) first_items;
-      emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
-      emit_tail ctx (Asm.Jmp_lbl cont);
+      catch_block ctx first ~cont;
       List.iter2
         (fun l h ->
-          emit_tail ctx (Asm.Label l);
-          let saved = ctx.rev_items in
-          ctx.rev_items <- [];
-          lower_stmts ctx h;
-          let items = List.rev ctx.rev_items in
-          ctx.rev_items <- saved;
-          List.iter (emit_tail ctx) items;
-          emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
-          emit_tail ctx (Asm.Jmp_lbl cont))
+          Asm.define ctx.tail l;
+          catch_block ctx h ~cont)
         rest_labels rest);
-    ctx.sites <- { try_start; try_end; landing = Some lp } :: ctx.sites;
+    ctx.sites <- { try_start; try_end; landing = lp } :: ctx.sites;
     ctx.handlers <- ctx.handlers + List.length handlers;
     (* Clang's inliner clones landing pads more readily than GCC, which is
        why its exception share of end-branch locations is higher in
@@ -273,40 +280,49 @@ let rec lower_stmt ctx stmt =
     if ctx.opts.Options.compiler = Options.Clang
        && ctx.opts.Options.opt <> Options.O0 && roll ctx 2 = 0
     then begin
-      let ts2 = fresh ctx "ts" and te2 = fresh ctx "te" and lp2 = fresh ctx "lp" in
-      emit ctx (Asm.Label ts2);
+      let ts2 = fresh ctx and te2 = fresh ctx and lp2 = fresh ctx in
+      Asm.define ctx.out ts2;
       filler ctx 2;
-      emit ctx (Asm.Label te2);
-      emit_tail ctx (Asm.Label lp2);
-      if ctx.opts.Options.cf_protection <> Options.Cf_none then
-        emit_tail ctx (Asm.Ins Insn.Endbr);
-      emit_tail ctx (Asm.Ins (Insn.Mov_rr (Reg.RBX, Reg.RAX)));
-      emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
-      emit_tail ctx (Asm.Jmp_lbl cont);
-      ctx.sites <- { try_start = ts2; try_end = te2; landing = Some lp2 } :: ctx.sites
+      Asm.define ctx.out te2;
+      landing_pad ctx lp2;
+      Asm.call ctx.tail (import ctx "__cxa_end_catch");
+      Asm.jmp ctx.tail cont;
+      ctx.sites <- { try_start = ts2; try_end = te2; landing = lp2 } :: ctx.sites
     end
   | Ir.Tail_call_site f ->
     if Options.tail_calls_enabled ctx.opts then begin
-      let skip = fresh ctx "nt" in
-      emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
-      emit ctx (Asm.Jcc_lbl (Insn.E, skip));
-      List.iter (emit ctx) ctx.epilogue;
-      emit ctx (Asm.Jmp_lbl f);
-      emit ctx (Asm.Label skip)
+      let skip = fresh ctx in
+      ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
+      Asm.jcc ctx.out Insn.E skip;
+      List.iter (ins ctx) ctx.epilogue;
+      Asm.jmp ctx.out (named ctx.ls f);
+      Asm.define ctx.out skip
     end
-    else emit_call ctx f
+    else emit_call ctx (named ctx.ls f)
   | Ir.Jump_to_part f ->
     if Options.cold_splitting_enabled ctx.opts then begin
-      let skip = fresh ctx "np" in
-      emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
-      emit ctx (Asm.Jcc_lbl (Insn.E, skip));
-      List.iter (emit ctx) ctx.epilogue;
-      emit ctx (Asm.Jmp_lbl (f ^ ".part.0"));
-      emit ctx (Asm.Label skip)
+      let skip = fresh ctx in
+      ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
+      Asm.jcc ctx.out Insn.E skip;
+      List.iter (ins ctx) ctx.epilogue;
+      Asm.jmp ctx.out (named ctx.ls (f ^ ".part.0"));
+      Asm.define ctx.out skip
     end
-    else emit_call ctx f
+    else emit_call ctx (named ctx.ls f)
 
 and lower_stmts ctx stmts = List.iter (lower_stmt ctx) stmts
+
+(* A catch block goes to the tail.  Its body is lowered into a buffer of
+   its own, so the landing pads nested in it reach the tail first. *)
+and catch_block ctx h ~cont =
+  let out = ctx.out in
+  let body = Asm.side out in
+  ctx.out <- body;
+  lower_stmts ctx h;
+  ctx.out <- out;
+  Asm.append ctx.tail body;
+  Asm.call ctx.tail (import ctx "__cxa_end_catch");
+  Asm.jmp ctx.tail cont
 
 (* Prologue/epilogue pair for a function body under the current options.
    O0 keeps the frame pointer; higher levels drop it and, for leaves, may
@@ -316,20 +332,17 @@ let frame_shape opts ~leaf ~seed =
   match opts.opt with
   | O0 ->
     let n = 0x20 + (seed mod 4 * 8) in
-    ( [ Asm.Ins (Insn.Push Reg.RBP);
-        Asm.Ins (Insn.Mov_rr (Reg.RBP, Reg.RSP));
-        Asm.Ins (Insn.Sub_ri (Reg.RSP, n)) ],
-      [ Asm.Ins Insn.Leave ] )
+    ( [ Insn.Push Reg.RBP; Insn.Mov_rr (Reg.RBP, Reg.RSP); Insn.Sub_ri (Reg.RSP, n) ],
+      [ Insn.Leave ] )
   | O1 | O2 | O3 | Os | Ofast ->
     if leaf && seed mod 3 = 0 then ([], [])
     else if seed mod 2 = 0 then
       let n = 0x18 + (seed mod 3 * 8) in
-      ( [ Asm.Ins (Insn.Sub_ri (Reg.RSP, n)) ],
-        [ Asm.Ins (Insn.Add_ri (Reg.RSP, n)) ] )
+      ([ Insn.Sub_ri (Reg.RSP, n) ], [ Insn.Add_ri (Reg.RSP, n) ])
     else
       let n = 0x10 + (seed mod 3 * 8) in
-      ( [ Asm.Ins (Insn.Push Reg.RBX); Asm.Ins (Insn.Sub_ri (Reg.RSP, n)) ],
-        [ Asm.Ins (Insn.Add_ri (Reg.RSP, n)); Asm.Ins (Insn.Pop Reg.RBX) ] )
+      ( [ Insn.Push Reg.RBX; Insn.Sub_ri (Reg.RSP, n) ],
+        [ Insn.Add_ri (Reg.RSP, n); Insn.Pop Reg.RBX ] )
 
 let rec stmts_have_calls stmts =
   List.exists
@@ -357,20 +370,6 @@ let rec stmts_use_pic stmts =
       | Ir.Try_catch (b, hs) -> stmts_use_pic b || List.exists stmts_use_pic hs)
     stmts
 
-let new_ctx opts fname epilogue =
-  {
-    opts;
-    fname;
-    counter = 0;
-    rolling = Hashtbl.hash fname land 0xFFFFFF;
-    rev_items = [];
-    rev_tail = [];
-    sites = [];
-    handlers = 0;
-    tables = [];
-    epilogue;
-  }
-
 let wants_endbr opts (f : Ir.func) =
   (not f.no_endbr)
   &&
@@ -382,174 +381,153 @@ let wants_endbr opts (f : Ir.func) =
        (the programmer knows which addresses escape). *)
     f.address_taken || f.name = "main"
 
-(* Lower one IR function into its main fragment plus any split fragments. *)
-let lower_function opts (f : Ir.func) ~pic_thunk_used =
-  let align = Options.function_alignment opts in
+(* A fragment starts at the label of its name, with a context of its
+   own, so its instruction selection does not depend on when it is
+   lowered. *)
+let open_fragment opts ls text name epilogue =
+  let start = named ls name in
+  Asm.define text start;
+  {
+    opts;
+    ls;
+    name;
+    start;
+    rolling = Hashtbl.hash name land 0xFFFFFF;
+    out = text;
+    tail = Asm.side text;
+    sites = [];
+    handlers = 0;
+    tables = [];
+    epilogue;
+  }
+
+(* Closes the fragment: its landing pads go after its last instruction. *)
+let finish ?parent ?(has_symbol = true) ctx ~global =
+  Asm.append ctx.out ctx.tail;
+  let stop = fresh ctx in
+  Asm.define ctx.out stop;
+  {
+    frag_name = ctx.name;
+    parent;
+    is_function = parent = None;
+    has_symbol;
+    global;
+    start = ctx.start;
+    stop;
+    lsda_sites = List.rev ctx.sites;
+    handler_count = ctx.handlers;
+    tables = List.rev ctx.tables;
+  }
+
+(* A function's main fragment.  A [.cold] fragment's body and the label
+   it returns to are handed to [defer_cold], since it goes after every
+   main fragment; a [.part.0] fragment follows the main one. *)
+let lower_function opts ls text ~pic (f : Ir.func) ~defer_cold =
   let seed = Hashtbl.hash f.name land 0xFFFF in
   let split = Options.cold_splitting_enabled opts in
   let leaf = not (stmts_have_calls (Ir.func_stmts f)) in
-  let prologue, epilogue_core = frame_shape opts ~leaf ~seed in
+  let prologue, epilogue = frame_shape opts ~leaf ~seed in
+  Asm.align text (Options.function_alignment opts);
   (* The context's epilogue excludes [ret]: tail-call sites splice it in
      front of their [jmp]. *)
-  let ctx = new_ctx opts f.name epilogue_core in
-  emit ctx (Asm.Align { boundary = align; fill = Asm.Fill_nop });
-  emit ctx (Asm.Label f.name);
-  if wants_endbr opts f then emit_ins ctx Insn.Endbr;
-  List.iter (emit ctx) prologue;
-  if x86 ctx && ctx.opts.Options.pie && stmts_use_pic f.body then begin
-    pic_thunk_used := true;
-    emit ctx (Asm.Call_lbl thunk_bx);
-    emit_ins ctx (Insn.Add_ri (Reg.RBX, 0x2000 + (seed land 0xFFF)))
+  let ctx = open_fragment opts ls text f.name epilogue in
+  if wants_endbr opts f then ins ctx Insn.Endbr;
+  List.iter (ins ctx) prologue;
+  if pic && stmts_use_pic f.body then begin
+    Asm.call text (named ls thunk_bx);
+    ins ctx (Insn.Add_ri (Reg.RBX, 0x2000 + (seed land 0xFFF)))
   end;
   lower_stmts ctx f.body;
   (* Split fates. *)
-  let extra_fragments = ref [] in
-  (match f.fate with
-  | Ir.Keep_whole -> ()
-  | Ir.Split_cold cold_body ->
-    if split then begin
-      let cold_name = f.name ^ ".cold" in
-      let back = fresh ctx "cb" in
-      emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
-      emit ctx (Asm.Jcc_lbl (Insn.E, cold_name));
-      emit ctx (Asm.Label back);
-      let cctx = new_ctx opts cold_name [] in
-      emit cctx (Asm.Label cold_name);
-      lower_stmts cctx cold_body;
-      emit cctx (Asm.Jmp_lbl back);
-      emit cctx (Asm.Label (frag_end_label cold_name));
-      extra_fragments :=
-        {
-          frag_name = cold_name;
-          parent = Some f.name;
-          is_function = false;
-          has_symbol = true;
-          global = false;
-          items = List.rev cctx.rev_items;
-          lsda_sites = [];
-          handler_count = 0;
-          tables = List.rev cctx.tables;
-        }
-        :: !extra_fragments
-    end
-    else begin
-      let skip = fresh ctx "cs" in
-      emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
-      emit ctx (Asm.Jcc_lbl (Insn.NE, skip));
-      lower_stmts ctx cold_body;
-      emit ctx (Asm.Label skip)
-    end
-  | Ir.Split_part { part_body; _ } ->
-    if split then begin
-      let part_name = f.name ^ ".part.0" in
-      emit ctx (Asm.Call_lbl part_name);
-      let p_pro, p_epi = frame_shape opts ~leaf:false ~seed:(seed + 1) in
-      let pctx = new_ctx opts part_name p_epi in
-      emit pctx (Asm.Label part_name);
-      List.iter (emit pctx) p_pro;
-      lower_stmts pctx part_body;
-      List.iter (emit pctx) p_epi;
-      emit pctx (Asm.Ins Insn.Ret);
-      emit pctx (Asm.Label (frag_end_label part_name));
-      extra_fragments :=
-        {
-          frag_name = part_name;
-          parent = Some f.name;
-          is_function = false;
-          has_symbol = true;
-          global = false;
-          items = List.rev pctx.rev_items;
-          lsda_sites = [];
-          handler_count = 0;
-          tables = List.rev pctx.tables;
-        }
-        :: !extra_fragments
-    end
-    else lower_stmts ctx part_body);
-  List.iter (emit ctx) (epilogue_core @ [ Asm.Ins Insn.Ret ]);
-  (* Landing pads and other post-return blocks. *)
-  List.iter (emit ctx) (List.rev ctx.rev_tail);
-  emit ctx (Asm.Label (frag_end_label f.name));
-  let main_frag =
-    {
-      frag_name = f.name;
-      parent = None;
-      is_function = true;
-      has_symbol = true;
-      global = (f.linkage = Ir.Exported);
-      items = List.rev ctx.rev_items;
-      lsda_sites = List.rev ctx.sites;
-      handler_count = ctx.handlers;
-      tables = List.rev ctx.tables;
-    }
+  let part =
+    match f.fate with
+    | Ir.Keep_whole -> None
+    | Ir.Split_cold cold_body ->
+      if split then begin
+        let back = fresh ctx in
+        ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
+        Asm.jcc text Insn.E (named ls (f.name ^ ".cold"));
+        Asm.define text back;
+        defer_cold (f.name, cold_body, back)
+      end
+      else begin
+        let skip = fresh ctx in
+        ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
+        Asm.jcc text Insn.NE skip;
+        lower_stmts ctx cold_body;
+        Asm.define text skip
+      end;
+      None
+    | Ir.Split_part { part_body; _ } ->
+      if split then begin
+        Asm.call text (named ls (f.name ^ ".part.0"));
+        Some part_body
+      end
+      else begin
+        lower_stmts ctx part_body;
+        None
+      end
   in
-  (main_frag, List.rev !extra_fragments)
+  List.iter (ins ctx) epilogue;
+  ins ctx Insn.Ret;
+  let main = finish ctx ~global:(f.linkage = Ir.Exported) in
+  match part with
+  | None -> [ main ]
+  | Some body ->
+    let prologue, epilogue = frame_shape opts ~leaf:false ~seed:(seed + 1) in
+    let ctx = open_fragment opts ls text (f.name ^ ".part.0") epilogue in
+    List.iter (ins ctx) prologue;
+    lower_stmts ctx body;
+    List.iter (ins ctx) epilogue;
+    ins ctx Insn.Ret;
+    [ main; finish ~parent:f.name ctx ~global:false ]
 
-let start_fragment opts ~use_thunk_ax =
-  let items = ref [] in
-  let add i = items := i :: !items in
-  add (Asm.Align { boundary = 16; fill = Asm.Fill_nop });
-  add (Asm.Label "_start");
-  if opts.Options.cf_protection <> Options.Cf_none then add (Asm.Ins Insn.Endbr);
-  if use_thunk_ax then add (Asm.Call_lbl thunk_ax);
-  add (Asm.Ins (Insn.Xor_rr (Reg.RBP, Reg.RBP)));
-  if opts.Options.arch = Arch.X86 then add (Asm.Push_lbl "main")
-  else add (Asm.Lea_lbl (Reg.RDI, "main"));
-  add (Asm.Call_lbl (plt_label "__libc_start_main"));
-  add (Asm.Ins Insn.Hlt);
-  add (Asm.Label (frag_end_label "_start"));
-  {
-    frag_name = "_start";
-    parent = None;
-    is_function = true;
-    has_symbol = true;
-    global = true;
-    items = List.rev !items;
-    lsda_sites = [];
-    handler_count = 0;
-    tables = [];
-  }
+let lower_cold opts ls text (parent, body, back) =
+  let ctx = open_fragment opts ls text (parent ^ ".cold") [] in
+  lower_stmts ctx body;
+  Asm.jmp text back;
+  finish ~parent ctx ~global:false
 
-let thunk_fragment name ~has_symbol =
-  {
-    frag_name = name;
-    parent = None;
-    is_function = true;
-    has_symbol;
-    global = false;
-    items =
-      [
-        Asm.Align { boundary = 16; fill = Asm.Fill_nop };
-        Asm.Label name;
-        Asm.Ins (Insn.Mov_rm (Reg.RBX, Insn.mem_base Reg.RSP 0));
-        Asm.Ins Insn.Ret;
-        Asm.Label (frag_end_label name);
-      ];
-    lsda_sites = [];
-    handler_count = 0;
-    tables = [];
-  }
+let start_fragment opts ls text ~use_thunk_ax =
+  Asm.align text 16;
+  let ctx = open_fragment opts ls text "_start" [] in
+  if cet ctx then ins ctx Insn.Endbr;
+  if use_thunk_ax then Asm.call text (named ls thunk_ax);
+  ins ctx (Insn.Xor_rr (Reg.RBP, Reg.RBP));
+  if x86 ctx then Asm.push text (named ls "main") else Asm.lea text Reg.RDI (named ls "main");
+  Asm.call text (import ctx "__libc_start_main");
+  ins ctx Insn.Hlt;
+  finish ctx ~global:true
 
-let lower opts (p : Ir.program) =
+let thunk_fragment opts ls text name ~has_symbol =
+  Asm.align text 16;
+  let ctx = open_fragment opts ls text name [] in
+  ins ctx pc_thunk_body;
+  ins ctx Insn.Ret;
+  finish ~has_symbol ctx ~global:false
+
+let lower opts (p : Ir.program) ~imports ~base =
   (match Ir.validate p with
   | Ok () -> ()
   | Error e -> invalid_arg ("Codegen.lower: " ^ e));
-  let x86_pie = opts.Options.arch = Arch.X86 && opts.Options.pie in
-  let pic_thunk_used = ref false in
-  let lowered = List.map (lower_function opts ~pic_thunk_used) p.funcs in
-  let mains = List.concat_map (fun (m, extras) -> m :: List.filter (fun fr -> fr.parent <> None && Filename.check_suffix fr.frag_name ".part.0") extras) lowered in
-  let colds =
-    List.concat_map
-      (fun (_, extras) ->
-        List.filter (fun fr -> Filename.check_suffix fr.frag_name ".cold") extras)
-      lowered
-  in
-  let thunks =
-    if x86_pie then
-      [ thunk_fragment thunk_ax ~has_symbol:false ]
-      @ if !pic_thunk_used then [ thunk_fragment thunk_bx ~has_symbol:true ] else []
-    else []
-  in
-  let fragments = (start_fragment opts ~use_thunk_ax:x86_pie :: thunks) @ mains @ colds in
-  let imports = "__libc_start_main" :: Ir.collect_imports p in
-  { fragments; imports }
+  let ls = { next = List.length imports; names = Hashtbl.create 256; plt = Hashtbl.create 32 } in
+  List.iteri (fun i name -> if not (Hashtbl.mem ls.plt name) then Hashtbl.add ls.plt name i) imports;
+  let text = Asm.create ~arch:opts.Options.arch ~base in
+  let pic = opts.Options.arch = Arch.X86 && opts.Options.pie in
+  let start = start_fragment opts ls text ~use_thunk_ax:pic in
+  (* Layout order: _start, the PC thunks, every main fragment (each
+     followed by its .part.0), then every .cold fragment. *)
+  let fragments = ref [ start ] in
+  let add frag = fragments := frag :: !fragments in
+  if pic then begin
+    add (thunk_fragment opts ls text thunk_ax ~has_symbol:false);
+    if List.exists (fun (f : Ir.func) -> stmts_use_pic f.body) p.funcs then
+      add (thunk_fragment opts ls text thunk_bx ~has_symbol:true)
+  end;
+  let colds = ref [] in
+  let defer_cold c = colds := c :: !colds in
+  List.iter
+    (fun f -> List.iter add (lower_function opts ls text ~pic f ~defer_cold))
+    p.funcs;
+  List.iter (fun c -> add (lower_cold opts ls text c)) (List.rev !colds);
+  { text; fragments = List.rev !fragments; labels = ls.next }

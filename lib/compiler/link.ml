@@ -75,46 +75,36 @@ let jump_table_bytes arch ~resolve tables =
 let link (opts : Options.t) (p : Ir.program) =
   let arch = opts.arch in
   let ptr = Arch.ptr_size arch in
-  let out = Codegen.lower opts p in
-  let nimports = List.length out.imports in
+  let imports = Codegen.imports p in
+  let nimports = List.length imports in
   let base = base_address opts in
   let plt_vaddr = base in
   let plt_size = plt_entry_size * (nimports + 1) in
   let text_vaddr = align_up (plt_vaddr + plt_size) 16 in
-  (* Encode .text once; its label fields are patched at the end, once every
-     other section has an address. *)
-  let text_obj =
-    Asm.layout ~arch ~base:text_vaddr (List.map (fun f -> f.Codegen.items) out.fragments)
-  in
-  let text_size = Asm.size text_obj in
-  let label_tbl = Asm.labels text_obj in
+  (* Encode .text once, in place; its label fields are patched at the end,
+     once every other section has an address. *)
+  let out = Codegen.lower opts p ~imports ~base:text_vaddr in
+  let text_size = Asm.size out.text in
+  let addrs = Asm.addresses out.text out.labels in
   let addr_of l =
-    match Hashtbl.find_opt label_tbl l with
-    | Some a -> a
-    | None -> invalid_arg ("Link: undefined label " ^ l)
+    let a = addrs.(l) in
+    if a = -1 then invalid_arg (Printf.sprintf "Link: undefined label %d" l);
+    a
   in
-  (* PLT entry addresses for plt$… labels. *)
   let plt_entries =
-    List.mapi (fun i name -> (name, plt_vaddr + ((i + 1) * plt_entry_size))) out.imports
+    List.mapi (fun i name -> (name, plt_vaddr + ((i + 1) * plt_entry_size))) imports
   in
-  let plt_addr name =
-    match List.assoc_opt name plt_entries with
-    | Some a -> a
-    | None -> invalid_arg ("Link: unknown import " ^ name)
-  in
+  (* Import [i]'s label is [i], its PLT entry. *)
+  List.iteri (fun i (_, a) -> addrs.(i) <- a) plt_entries;
   (* Jump tables into .rodata. *)
   let tables = List.concat_map (fun f -> f.Codegen.tables) out.fragments in
   let rodata_vaddr = align_up (text_vaddr + text_size) 16 in
   let rodata, table_offsets = jump_table_bytes arch ~resolve:addr_of tables in
-  let table_addr =
-    List.map (fun (l, off) -> (l, rodata_vaddr + off)) table_offsets
-  in
+  List.iter (fun (l, off) -> addrs.(l) <- rodata_vaddr + off) table_offsets;
   (* Fragment extents. *)
   let fragment_extents =
     List.map
-      (fun f ->
-        let name = f.Codegen.frag_name in
-        (name, addr_of name, addr_of (Codegen.frag_end_label name)))
+      (fun f -> (f.Codegen.frag_name, addr_of f.Codegen.start, addr_of f.Codegen.stop))
       out.fragments
   in
   (* LSDAs. *)
@@ -124,15 +114,14 @@ let link (opts : Options.t) (p : Ir.program) =
   let lsdas =
     List.map
       (fun f ->
-        let fstart = addr_of f.Codegen.frag_name in
+        let fstart = addr_of f.Codegen.start in
         let sites =
           List.map
             (fun (s : Codegen.lsda_site) ->
               {
                 Cet_eh.Lsda.cs_start = addr_of s.try_start - fstart;
                 cs_len = addr_of s.try_end - addr_of s.try_start;
-                cs_landing_pad =
-                  (match s.landing with None -> 0 | Some l -> addr_of l - fstart);
+                cs_landing_pad = addr_of s.landing - fstart;
                 cs_action = 1;
               })
             f.Codegen.lsda_sites
@@ -204,17 +193,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let got_size = (3 + nimports) * ptr in
   let data_vaddr = align_up (got_vaddr + got_size) 16 in
   let data = String.make 32 '\x00' in
-  (* Patch .text. *)
-  let resolve l =
-    match String.index_opt l '$' with
-    | Some 3 when String.length l > 4 && String.sub l 0 4 = "plt$" ->
-      plt_addr (String.sub l 4 (String.length l - 4))
-    | _ -> (
-      match List.assoc_opt l table_addr with
-      | Some a -> a
-      | None -> invalid_arg ("Link: unresolved symbol " ^ l))
-  in
-  let text = Asm.link text_obj ~resolve in
+  let text = Asm.link out.text addrs in
   let plt =
     build_plt arch
       ~cet:(opts.cf_protection <> Options.Cf_none)
@@ -236,11 +215,10 @@ let link (opts : Options.t) (p : Ir.program) =
       (fun f ->
         if not f.Codegen.has_symbol then None
         else begin
-          let name = f.Codegen.frag_name in
-          let start = addr_of name and stop = addr_of (Codegen.frag_end_label name) in
+          let start = addr_of f.Codegen.start and stop = addr_of f.Codegen.stop in
           Some
             {
-              Symbol.name;
+              Symbol.name = f.Codegen.frag_name;
               value = start;
               size = stop - start;
               kind = Symbol.Func;
@@ -250,9 +228,9 @@ let link (opts : Options.t) (p : Ir.program) =
         end)
       out.fragments
   in
-  let dynsyms = List.map Symbol.undef_func out.imports in
+  let dynsyms = List.map Symbol.undef_func imports in
   let plt_relocs =
-    List.mapi (fun i name -> (got_vaddr + ((3 + i) * ptr), name)) out.imports
+    List.mapi (fun i name -> (got_vaddr + ((3 + i) * ptr), name)) imports
   in
   (* Debug info (-g, as the paper's dataset is built): subprogram DIEs for
      every symbol-carrying fragment, including .cold/.part — the ground
@@ -267,12 +245,11 @@ let link (opts : Options.t) (p : Ir.program) =
             (fun f ->
               if not f.Codegen.has_symbol then None
               else
-                let name = f.Codegen.frag_name in
                 Some
                   {
-                    Cet_eh.Dwarf_info.sp_name = name;
-                    sp_low_pc = addr_of name;
-                    sp_high_pc = addr_of (Codegen.frag_end_label name);
+                    Cet_eh.Dwarf_info.sp_name = f.Codegen.frag_name;
+                    sp_low_pc = addr_of f.Codegen.start;
+                    sp_high_pc = addr_of f.Codegen.stop;
                     sp_external = f.Codegen.global;
                   })
             out.fragments;
@@ -313,7 +290,7 @@ let link (opts : Options.t) (p : Ir.program) =
       machine = None;
       pie = opts.pie;
       cet_note = opts.cf_protection <> Options.Cf_none;
-      entry = addr_of "_start";
+      entry = addr_of (List.hd out.fragments).Codegen.start;
       sections;
       symbols = file_symbol :: func_symbols;
       dynsyms;
@@ -323,7 +300,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let truth =
     List.filter_map
       (fun f ->
-        if f.Codegen.is_function then Some (f.Codegen.frag_name, addr_of f.Codegen.frag_name)
+        if f.Codegen.is_function then Some (f.Codegen.frag_name, addr_of f.Codegen.start)
         else None)
       out.fragments
   in

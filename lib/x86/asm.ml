@@ -1,54 +1,135 @@
 module Sink = Encoder.Sink
 
-type fill = Fill_nop | Fill_int3 | Fill_zero
-
-type item =
-  | Label of string
-  | Ins of Insn.t
-  | Call_lbl of string
-  | Jmp_lbl of string
-  | Jcc_lbl of Insn.cond * string
-  | Lea_lbl of Register.t * string
-  | Push_lbl of string
-  | Mov_mi_lbl of Insn.mem * string
-  | Jmp_table_lbl of { table : string; index : Register.t; scale : int; notrack : bool }
-  | Mov_rm_table of { dst : Register.t; table : string; index : Register.t; scale : int }
-  | Bytes_raw of string
-  | Table of { entries : string list; entry_size : int }
-  | Align of { boundary : int; fill : fill }
+type label = int
 
 (* Relocation kinds.  A relocation is packed as [offset lsl 2 lor kind],
-   where [offset] is that of the field within the section. *)
+   where [offset] is that of the field within the buffer. *)
 let k_rel32 = 0 (* target minus the end of the field, which ends its instruction *)
 let k_abs32 = 1
 let k_push32 = 2 (* the abs32 of [push imm32]: the target must not fit an imm8 *)
 let k_abs64 = 3
 
-type obj = {
+(* The base of a side buffer, which has no address until it is appended. *)
+let no_base = min_int
+
+type t = {
+  arch : Arch.t;
   base : int;
   code : Sink.t;
-  labels : (string, int) Hashtbl.t;
+  mutable ndefs : int;
+  mutable defs : int array;  (* label, offset: two ints per definition *)
   mutable nrelocs : int;
   mutable relocs : int array;
-  mutable syms : string array;
+  mutable targets : int array;  (* the label of each relocation *)
 }
 
-let size o = Sink.length o.code
-let labels o = o.labels
+let create ~arch ~base =
+  {
+    arch;
+    base;
+    code = Sink.create (if base = no_base then 64 else 4096);
+    ndefs = 0;
+    defs = [||];
+    nrelocs = 0;
+    relocs = [||];
+    targets = [||];
+  }
+
+let side t = create ~arch:t.arch ~base:no_base
+let size t = Sink.length t.code
+
+let grow a n =
+  let b = Array.make (max 16 (2 * n)) 0 in
+  Array.blit a 0 b 0 n;
+  b
+
+let define_at t l off =
+  let n = 2 * t.ndefs in
+  if n = Array.length t.defs then t.defs <- grow t.defs n;
+  Array.unsafe_set t.defs n l;
+  Array.unsafe_set t.defs (n + 1) off;
+  t.ndefs <- t.ndefs + 1
+
+let reloc_at t r l =
+  let n = t.nrelocs in
+  if n = Array.length t.relocs then begin
+    t.relocs <- grow t.relocs n;
+    t.targets <- grow t.targets n
+  end;
+  Array.unsafe_set t.relocs n r;
+  Array.unsafe_set t.targets n l;
+  t.nrelocs <- n + 1
+
+let define t l = define_at t l (Sink.length t.code)
 
 (* Records a relocation for the [width]-byte field just emitted. *)
-let reloc o kind ~width sym =
-  let n = o.nrelocs in
-  if n = Array.length o.relocs then begin
-    let relocs = Array.make (2 * n) 0 and syms = Array.make (2 * n) "" in
-    Array.blit o.relocs 0 relocs 0 n;
-    Array.blit o.syms 0 syms 0 n;
-    o.relocs <- relocs;
-    o.syms <- syms
-  end;
-  Array.unsafe_set o.relocs n (((Sink.length o.code - width) lsl 2) lor kind);
-  Array.unsafe_set o.syms n sym;
-  o.nrelocs <- n + 1
+let reloc t kind ~width l = reloc_at t (((Sink.length t.code - width) lsl 2) lor kind) l
+
+let append dst src =
+  let off = Sink.length dst.code in
+  Sink.add_sink dst.code src.code;
+  for i = 0 to src.ndefs - 1 do
+    define_at dst src.defs.(2 * i) (src.defs.((2 * i) + 1) + off)
+  done;
+  for i = 0 to src.nrelocs - 1 do
+    reloc_at dst (src.relocs.(i) + (off lsl 2)) src.targets.(i)
+  done
+
+(* Placeholder memory operands of the label-taking forms: each encodes
+   with a disp32 whatever its value, so the field's size never depends on
+   the label. *)
+let rip0 = Insn.mem_abs 0
+let table_mem index scale = { Insn.base = None; index = Some (index, scale); disp = 0 }
+
+let ins t i = Encoder.encode_into t.code t.arch i
+
+let call t l =
+  ins t (Insn.Call_rel 0);
+  reloc t k_rel32 ~width:4 l
+
+let jmp t l =
+  ins t (Insn.Jmp_rel 0);
+  reloc t k_rel32 ~width:4 l
+
+let jcc t c l =
+  ins t (Insn.Jcc_rel (c, 0));
+  reloc t k_rel32 ~width:4 l
+
+let lea t r l =
+  match t.arch with
+  | Arch.X64 ->
+    ins t (Insn.Lea (r, rip0));
+    reloc t k_rel32 ~width:4 l
+  | Arch.X86 ->
+    ins t (Insn.Mov_ri (r, 0));
+    reloc t k_abs32 ~width:4 l
+
+let push t l =
+  (* The imm32 form: section bases guarantee code addresses never fit in
+     an imm8. *)
+  ins t (Insn.Push_imm 0x7fffffff);
+  reloc t k_push32 ~width:4 l
+
+let mov_mi t m l =
+  ins t (Insn.Mov_mi (m, 0));
+  reloc t k_abs32 ~width:4 l
+
+let jmp_table t ~table ~index ~scale ~notrack =
+  ins t (Insn.Jmp_mem { mem = table_mem index scale; notrack });
+  reloc t k_abs32 ~width:4 table
+
+let table t ~entry_size entries =
+  let kind =
+    match entry_size with
+    | 4 -> k_abs32
+    | 8 -> k_abs64
+    | _ -> invalid_arg "Asm: table entries must be 4 or 8 bytes"
+  in
+  List.iter
+    (fun l ->
+      Sink.add_fill t.code '\x00' entry_size;
+      reloc t kind ~width:entry_size l)
+    entries
 
 let pad_amount addr boundary =
   let rem = addr mod boundary in
@@ -73,100 +154,35 @@ let nop_fill n =
 (* Every padding an alignment of up to 64 bytes can need. *)
 let nop_fills = Array.init 64 nop_fill
 
-(* Placeholder memory operands of the label-taking forms: each encodes
-   with a disp32 whatever its value, so the field's size never depends on
-   the label. *)
-let rip0 = Insn.mem_abs 0
-let table_mem index scale = { Insn.base = None; index = Some (index, scale); disp = 0 }
+let align t boundary =
+  if t.base = no_base then invalid_arg "Asm.align: a side buffer has no address";
+  let n = pad_amount (t.base + Sink.length t.code) boundary in
+  Sink.add_string t.code (if n < 64 then nop_fills.(n) else nop_fill n)
 
-let emit_item o arch item =
-  let code = o.code in
-  match item with
-  | Label l -> Hashtbl.replace o.labels l (o.base + Sink.length code)
-  | Ins i -> Encoder.encode_into code arch i
-  | Call_lbl l ->
-    Encoder.encode_into code arch (Insn.Call_rel 0);
-    reloc o k_rel32 ~width:4 l
-  | Jmp_lbl l ->
-    Encoder.encode_into code arch (Insn.Jmp_rel 0);
-    reloc o k_rel32 ~width:4 l
-  | Jcc_lbl (c, l) ->
-    Encoder.encode_into code arch (Insn.Jcc_rel (c, 0));
-    reloc o k_rel32 ~width:4 l
-  | Lea_lbl (r, l) -> (
-    match arch with
-    | Arch.X64 ->
-      Encoder.encode_into code arch (Insn.Lea (r, rip0));
-      reloc o k_rel32 ~width:4 l
-    | Arch.X86 ->
-      Encoder.encode_into code arch (Insn.Mov_ri (r, 0));
-      reloc o k_abs32 ~width:4 l)
-  | Push_lbl l ->
-    (* The imm32 form: section bases guarantee code addresses never fit
-       in an imm8. *)
-    Encoder.encode_into code arch (Insn.Push_imm 0x7fffffff);
-    reloc o k_push32 ~width:4 l
-  | Mov_mi_lbl (m, l) ->
-    Encoder.encode_into code arch (Insn.Mov_mi (m, 0));
-    reloc o k_abs32 ~width:4 l
-  | Jmp_table_lbl { table; index; scale; notrack } ->
-    Encoder.encode_into code arch (Insn.Jmp_mem { mem = table_mem index scale; notrack });
-    reloc o k_abs32 ~width:4 table
-  | Mov_rm_table { dst; table; index; scale } ->
-    Encoder.encode_into code arch (Insn.Mov_rm (dst, table_mem index scale));
-    reloc o k_abs32 ~width:4 table
-  | Bytes_raw s -> Sink.add_string code s
-  | Table { entries; entry_size } ->
-    let kind =
-      match entry_size with
-      | 4 -> k_abs32
-      | 8 -> k_abs64
-      | _ -> invalid_arg "Asm: table entries must be 4 or 8 bytes"
-    in
-    List.iter
-      (fun l ->
-        Sink.add_fill code '\x00' entry_size;
-        reloc o kind ~width:entry_size l)
-      entries
-  | Align { boundary; fill } -> (
-    let n = pad_amount (o.base + Sink.length code) boundary in
-    match fill with
-    | Fill_nop -> Sink.add_string code (if n < 64 then nop_fills.(n) else nop_fill n)
-    | Fill_int3 -> Sink.add_fill code '\xCC' n
-    | Fill_zero -> Sink.add_fill code '\x00' n)
+let addresses t n =
+  let a = Array.make n (-1) in
+  for i = 0 to t.ndefs - 1 do
+    a.(t.defs.(2 * i)) <- t.base + t.defs.((2 * i) + 1)
+  done;
+  a
 
-let layout ~arch ~base chunks =
-  let o =
-    {
-      base;
-      code = Sink.create 4096;
-      labels = Hashtbl.create 1024;
-      nrelocs = 0;
-      relocs = Array.make 256 0;
-      syms = Array.make 256 "";
-    }
-  in
-  List.iter (List.iter (emit_item o arch)) chunks;
-  o
-
-let link o ~resolve =
-  for i = 0 to o.nrelocs - 1 do
-    let r = o.relocs.(i) and sym = o.syms.(i) in
+let link t addrs =
+  for i = 0 to t.nrelocs - 1 do
+    let r = t.relocs.(i) and l = t.targets.(i) in
     let at = r lsr 2 and kind = r land 3 in
-    let target = try Hashtbl.find o.labels sym with Not_found -> resolve sym in
+    let target = addrs.(l) in
+    if target = -1 then invalid_arg (Printf.sprintf "Asm: undefined label %d" l);
     if kind = k_rel32 then begin
-      let v = target - (o.base + at + 4) in
+      let v = target - (t.base + at + 4) in
       if v < -0x8000_0000 || v > 0x7fff_ffff then invalid_arg "Asm: rel32 overflow";
-      Sink.patch o.code ~at ~width:4 v
+      Sink.patch t.code ~at ~width:4 v
     end
-    else if kind = k_abs64 then Sink.patch o.code ~at ~width:8 target
+    else if kind = k_abs64 then Sink.patch t.code ~at ~width:8 target
     else begin
       if kind = k_push32 then assert (target >= 128);
       if target < -0x8000_0000 || target > 0xffff_ffff then
         invalid_arg "Asm: abs32 out of range";
-      Sink.patch o.code ~at ~width:4 target
+      Sink.patch t.code ~at ~width:4 target
     end
   done;
-  Sink.contents o.code
-
-let assemble ~arch ~base ~resolve items = link (layout ~arch ~base [ items ]) ~resolve
+  Sink.contents t.code

@@ -27,6 +27,11 @@ module Sink = struct
     Bytes.unsafe_fill s.buf s.len n c;
     s.len <- s.len + n
 
+  let add_sink s src =
+    reserve s src.len;
+    Bytes.unsafe_blit src.buf 0 s.buf s.len src.len;
+    s.len <- s.len + src.len
+
   let patch s ~at ~width v =
     if at < 0 || width < 0 || at + width > s.len then invalid_arg "Encoder.Sink.patch";
     for i = 0 to width - 1 do

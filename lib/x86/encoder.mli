@@ -27,6 +27,9 @@ module Sink : sig
   val add_fill : t -> char -> int -> unit
   (** [add_fill s c n] appends [n] copies of [c]. *)
 
+  val add_sink : t -> t -> unit
+  (** [add_sink s src] appends the bytes written to [src]. *)
+
   val patch : t -> at:int -> width:int -> int -> unit
   (** [patch s ~at ~width v] overwrites the [width] bytes at offset [at]
       with the low [width] bytes of [v], little-endian.  Raises

@@ -1,16 +1,17 @@
 (* The retired two-pass assembler and the string-per-instruction encoder
    under it, kept as differential-testing oracles for [Cet_x86.Encoder]
-   and [Cet_x86.Asm].  [measure] sizes every item by encoding it, and
-   [assemble] measures again and then encodes every item a second time
-   against the label table.  The encoder truncates out-of-range operands
-   silently; the production one rejects them, so the two agree on
-   in-range operands only.  Not used outside the tests. *)
+   and [Cet_x86.Asm], both over the item lists of [Items].  [measure]
+   sizes every item by encoding it, and [assemble] measures again and
+   then encodes every item a second time against the label table.  The
+   encoder truncates out-of-range operands silently; the production one
+   rejects them, so the two agree on in-range operands only.  Not used
+   outside the tests. *)
 
 module Arch = Cet_x86.Arch
 module Insn = Cet_x86.Insn
 module Register = Cet_x86.Register
 module W = Cet_util.Bytesio.W
-open Cet_x86.Asm
+open Items
 
 (* ---- The encoder --------------------------------------------------- *)
 
@@ -328,12 +329,8 @@ let item_size ~arch ~addr = function
     length arch
       (Insn.Jmp_mem
          { mem = { base = None; index = Some (index, scale); disp = 0 }; notrack })
-  | Mov_rm_table { dst; index; scale; _ } ->
-    length arch
-      (Insn.Mov_rm (dst, { base = None; index = Some (index, scale); disp = 0 }))
-  | Bytes_raw s -> String.length s
   | Table { entries; entry_size } -> List.length entries * entry_size
-  | Align { boundary; _ } -> pad_amount addr boundary
+  | Align boundary -> pad_amount addr boundary
 
 let measure ~arch ~base items =
   let addr = ref base in
@@ -360,12 +357,6 @@ let nop_fill n =
   in
   go n;
   Buffer.contents buf
-
-let fill_bytes fill n =
-  match fill with
-  | Fill_nop -> nop_fill n
-  | Fill_int3 -> String.make n '\xCC'
-  | Fill_zero -> String.make n '\x00'
 
 let assemble ~arch ~base ~resolve items =
   let _, local = measure ~arch ~base items in
@@ -417,11 +408,6 @@ let assemble ~arch ~base ~resolve items =
                mem = { base = None; index = Some (index, scale); disp = find table };
                notrack;
              })
-      | Mov_rm_table { dst; table; index; scale } ->
-        emit
-          (Insn.Mov_rm
-             (dst, { base = None; index = Some (index, scale); disp = find table }))
-      | Bytes_raw s -> Buffer.add_string buf s
       | Table { entries; entry_size } ->
         List.iter
           (fun l ->
@@ -430,7 +416,6 @@ let assemble ~arch ~base ~resolve items =
               Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
             done)
           entries
-      | Align { boundary; fill } ->
-        Buffer.add_string buf (fill_bytes fill (pad_amount (addr ()) boundary)))
+      | Align boundary -> Buffer.add_string buf (nop_fill (pad_amount (addr ()) boundary)))
     items;
   Buffer.contents buf

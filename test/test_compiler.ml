@@ -395,6 +395,46 @@ let test_text_sweep_clean () =
       check Alcotest.int (O.to_string opts ^ " resyncs") 0 sweep.resync_errors)
     O.all_grid
 
+(* The compiler's bytes, pinned: three 40-function programs (coreutils,
+   binutils, and an all-C++ spec program) linked under every grid
+   configuration and, for each, its -fcf-protection=none, -mmanual-endbr
+   and in-text-jump-table variants — 576 links.  Each link feeds its
+   stripped bytes, its unstripped bytes and its truth lines into one MD5,
+   so a change to lowering, layout, the ELF writer or the truth that moves
+   one byte of any of them fails here. *)
+let test_compiler_bytes_pinned () =
+  let module P = Cet_corpus.Profile in
+  let program profile =
+    let profile = { (P.scaled 0.05 profile) with P.funcs_lo = 40; funcs_hi = 40 } in
+    Cet_corpus.Generator.program ~seed:2022 ~profile ~index:0
+  in
+  let programs =
+    List.map program [ P.coreutils; P.binutils; { P.spec with P.lang_cpp_fraction = 1.0 } ]
+  in
+  let buf = Buffer.create (1 lsl 24) in
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun (opts : O.t) ->
+          List.iter
+            (fun opts ->
+              let res = Link.link opts prog in
+              Buffer.add_string buf (Cet_elf.Writer.write ~strip:true res.Link.image);
+              Buffer.add_string buf (Cet_elf.Writer.write ~strip:false res.Link.image);
+              List.iter
+                (fun (name, addr) -> Printf.bprintf buf "%s %x\n" name addr)
+                res.Link.truth)
+            [
+              opts;
+              { opts with cf_protection = O.Cf_none };
+              { opts with cf_protection = O.Cf_manual };
+              { opts with jump_tables_in_text = true };
+            ])
+        O.all_grid)
+    programs;
+  check Alcotest.string "md5 of 576 links" "2f2121c75c0ab554cd3dc60dde4f1ab5"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "compiler.options",
@@ -435,5 +475,6 @@ let suite =
         Alcotest.test_case "dwarf ground truth" `Quick test_dwarf_ground_truth;
         Alcotest.test_case "truth = corrected symbols" `Quick test_truth_matches_symbols_plus_corrections;
         Alcotest.test_case "sweep never resyncs (24 configs)" `Quick test_text_sweep_clean;
+        Alcotest.test_case "bytes pinned (576 links)" `Quick test_compiler_bytes_pinned;
       ] );
   ]

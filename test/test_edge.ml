@@ -6,7 +6,6 @@ module Dec = Cet_x86.Decoder
 module Enc = Cet_x86.Encoder
 module Insn = Cet_x86.Insn
 module Reg = Cet_x86.Register
-module Asm = Cet_x86.Asm
 module O = Cet_compiler.Options
 module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
@@ -127,29 +126,38 @@ let test_resync_anchored_counts_runs () =
 (* Assembler corners                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_align_zero_fill () =
+let test_table_entries () =
+  (* An in-text jump table holds absolute addresses: 8 bytes each on
+     x86-64, and a label may sit in the middle of data. *)
   let items =
-    [ Asm.Ins Insn.Ret; Asm.Align { boundary = 8; fill = Asm.Fill_zero }; Asm.Label "x" ]
+    [
+      Items.Label "t";
+      Items.Table { entries = [ "t"; "x" ]; entry_size = 8 };
+      Items.Label "x";
+      Items.Ins Insn.Ret;
+    ]
   in
-  let bytes = Asm.assemble ~arch:Arch.X64 ~base:0 ~resolve:(fun _ -> 0) items in
-  check Alcotest.string "zero pad" ("\xc3" ^ String.make 7 '\x00') bytes
+  let bytes = Items.assemble ~arch:Arch.X64 ~base:0x401000 ~resolve:(fun _ -> 0) items in
+  check Alcotest.string "two entries"
+    "00 10 40 00 00 00 00 00 10 10 40 00 00 00 00 00 c3"
+    (Cet_util.Hexdump.bytes_inline bytes)
 
 let test_align_already_aligned () =
-  let items = [ Asm.Align { boundary = 4; fill = Asm.Fill_nop }; Asm.Ins Insn.Ret ] in
-  let bytes = Asm.assemble ~arch:Arch.X64 ~base:0x1000 ~resolve:(fun _ -> 0) items in
+  let items = [ Items.Align 4; Items.Ins Insn.Ret ] in
+  let bytes = Items.assemble ~arch:Arch.X64 ~base:0x1000 ~resolve:(fun _ -> 0) items in
   check Alcotest.int "no padding" 1 (String.length bytes)
 
 let test_mov_mi_lbl () =
-  let items = [ Asm.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, "fn") ] in
-  let bytes = Asm.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x8049100) items in
+  let items = [ Items.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, "fn") ] in
+  let bytes = Items.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x8049100) items in
   (* mov dword [esp+4], 0x8049100 = C7 44 24 04 00 91 04 08 *)
   check Alcotest.string "store label" "c7 44 24 04 00 91 04 08"
     (Cet_util.Hexdump.bytes_inline bytes)
 
 let test_undefined_label_raises () =
-  let items = [ Asm.Jmp_lbl "nowhere" ] in
+  let items = [ Items.Jmp_lbl "nowhere" ] in
   match
-    Asm.assemble ~arch:Arch.X64 ~base:0
+    Items.assemble ~arch:Arch.X64 ~base:0
       ~resolve:(fun l -> invalid_arg ("unknown " ^ l))
       items
   with
@@ -379,7 +387,7 @@ let suite =
       ] );
     ( "edge.asm",
       [
-        Alcotest.test_case "zero fill" `Quick test_align_zero_fill;
+        Alcotest.test_case "table entries" `Quick test_table_entries;
         Alcotest.test_case "already aligned" `Quick test_align_already_aligned;
         Alcotest.test_case "mov_mi label" `Quick test_mov_mi_lbl;
         Alcotest.test_case "undefined label" `Quick test_undefined_label_raises;

@@ -415,10 +415,10 @@ let test_render_separators_normalized () =
 (* The evaluate command line                                          *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate_exe =
+let built_exe name =
   let here = Filename.dirname Sys.executable_name in
   List.find_opt Sys.file_exists
-    [ Filename.concat here "../bin/evaluate.exe"; "../bin/evaluate.exe" ]
+    [ Filename.concat here ("../bin/" ^ name ^ ".exe"); "../bin/" ^ name ^ ".exe" ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -426,18 +426,18 @@ let read_file path =
   close_in ic;
   s
 
-(* Run [evaluate args] with its output captured in files of [dir], which
-   are removed again: (exit code, stdout, stderr). *)
-let run_evaluate ~dir args =
+(* Run the built [bin/name.exe args] with its output captured in files of
+   [dir], which are removed again: (exit code, stdout, stderr). *)
+let run_tool ~dir name args =
   let exe =
-    match evaluate_exe with
+    match built_exe name with
     | Some exe -> exe
-    | None -> Alcotest.fail "evaluate.exe not reachable from the test directory"
+    | None -> Alcotest.failf "%s.exe not reachable from the test directory" name
   in
   let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
   let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let o = fd out and e = fd err in
-  let pid = Unix.create_process exe (Array.of_list ("evaluate" :: args)) Unix.stdin o e in
+  let pid = Unix.create_process exe (Array.of_list (name :: args)) Unix.stdin o e in
   Unix.close o;
   Unix.close e;
   let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
@@ -445,6 +445,8 @@ let run_evaluate ~dir args =
   Sys.remove out;
   Sys.remove err;
   result
+
+let run_evaluate ~dir args = run_tool ~dir "evaluate" args
 
 let with_temp_dir f =
   let dir = Filename.temp_dir "evaluate-cli" "" in
@@ -535,6 +537,50 @@ let test_cli_side_experiment_telemetry () =
             (String.length (read_file (file name)) > 0))
         [ "m.prom"; "t.jsonl" ])
 
+(* A usage error: the exit code, a message naming the option, and no
+   file or directory left behind.  Returns the message. *)
+let usage_error ~dir name args ~code ~option =
+  let what = name ^ " " ^ String.concat " " args in
+  let got, out, err = run_tool ~dir name args in
+  check Alcotest.int (what ^ ": exit") code got;
+  check Alcotest.string (what ^ ": stdout") "" out;
+  check Alcotest.bool (what ^ ": names " ^ option) true (contains err option);
+  check Alcotest.(array string) (what ^ ": no file") [||] (Sys.readdir dir);
+  err
+
+let test_cli_synthcc_names () =
+  (* An unknown suite, compiler, architecture or optimisation level is a
+     Cmdliner usage error (exit 124) that lists the accepted values, on
+     every target: arm64 does not skip the check. *)
+  with_temp_dir (fun dir ->
+      let out = [ "-o"; Filename.concat dir "a.elf" ] in
+      List.iter
+        (fun (args, option, accepted) ->
+          let err = usage_error ~dir "synthcc" (args @ out) ~code:124 ~option in
+          check Alcotest.bool (option ^ " lists " ^ accepted) true (contains err accepted))
+        [
+          ([ "--suite"; "foo" ], "--suite", "binutils");
+          ([ "--compiler"; "icc" ], "--compiler", "clang");
+          ([ "--arch"; "sparc" ], "--arch", "arm64");
+          ([ "--opt"; "O9" ], "--opt", "Ofast");
+          ([ "--arch"; "arm64"; "--compiler"; "icc"; "--opt"; "O9" ], "--compiler", "gcc");
+          ([ "--arch"; "arm64"; "--opt"; "O9" ], "--opt", "O0");
+        ])
+
+let test_cli_mkcorpus_arguments () =
+  (* An unknown suite is a usage error (exit 124); a scale that is not
+     positive is rejected with exit 2, as evaluate rejects it, before the
+     output directory is created. *)
+  with_temp_dir (fun dir ->
+      let out = [ "--out"; Filename.concat dir "c" ] in
+      ignore (usage_error ~dir "mkcorpus" ([ "--suite"; "foo" ] @ out) ~code:124 ~option:"--suite");
+      List.iter
+        (fun scale ->
+          ignore
+            (usage_error ~dir "mkcorpus" (("--scale=" ^ scale) :: out) ~code:2
+               ~option:("--scale must be positive (got " ^ scale ^ ")")))
+        [ "-1"; "0" ])
+
 let suite =
   [
     ( "eval.metrics",
@@ -585,5 +631,8 @@ let suite =
           test_cli_unknown_experiment;
         Alcotest.test_case "side experiments take the telemetry flags" `Quick
           test_cli_side_experiment_telemetry;
+        Alcotest.test_case "synthcc rejects unknown names" `Quick test_cli_synthcc_names;
+        Alcotest.test_case "mkcorpus rejects a bad suite or scale" `Quick
+          test_cli_mkcorpus_arguments;
       ] );
   ]
