@@ -42,11 +42,11 @@ check:
 fuzz:
 	dune exec bin/cetfuzz.exe -- --count 2000 --seed 2022
 
-# Chaos soak: a ~200-binary seeded run with scheduler fault injection
-# (worker stalls, item delays, transient dispatch faults) must produce
-# tables and per-binary profile rows byte-identical to the calm run — the
-# scheduler invariant at soak scale (a smaller smoke of the same diff runs
-# as part of `make check`).  The fuzzer soaks under the same chaos seed.
+# Chaos soak: a ~400-binary seeded run with scheduler timing faults
+# (worker stalls and item delays) must produce tables and per-binary
+# profile rows byte-identical to the calm run — the scheduler invariant
+# at soak scale (a smaller smoke of the same diff runs as part of
+# `make check`).  The fuzzer soaks under the same chaos seed.
 CHAOS_SEED ?= 2022
 chaos:
 	dune build bin/evaluate.exe bin/cetfuzz.exe

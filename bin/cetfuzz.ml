@@ -92,10 +92,9 @@ let jobs =
 
 let chaos =
   let doc =
-    "Soak the scheduler itself: inject seeded worker stalls, per-mutant \
-     delays and transient dispatch faults while fuzzing.  Chaos changes \
-     timing but never results \xe2\x80\x94 the summary stays byte-identical to a \
-     fault-free run."
+    "Soak the scheduler itself: inject seeded worker stalls and per-mutant \
+     delays while fuzzing.  Chaos changes timing but never results \xe2\x80\x94 \
+     the summary stays byte-identical to a fault-free run."
   in
   Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"SEED" ~doc)
 

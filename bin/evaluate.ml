@@ -165,7 +165,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
       chaos;
       run_seconds;
       shed_fraction = Cet_eval.Harness.default_options.Cet_eval.Harness.shed_fraction;
-      breaker = Cet_eval.Harness.default_options.Cet_eval.Harness.breaker;
     }
   in
   let t0 = Unix.gettimeofday () in
@@ -409,7 +408,7 @@ let triage_out =
 let profile_out =
   let doc =
     "Write one JSON line per evaluated binary (identity, phase time split, \
-     instructions decoded, resync errors, diag count, retry/quarantine \
+     instructions decoded, resync errors, diag count, ok/shed/quarantined \
      status) to $(docv).  Rows are in plan order; with --no-timing the file \
      is byte-identical across --jobs.  The file is opened before the run, so \
      an unwritable path fails fast with exit code 2."
@@ -458,9 +457,9 @@ let manifest_out =
 
 let chaos =
   let doc =
-    "Chaos soak: inject seeded scheduler-level faults (worker stalls, \
-     per-binary delays, transient dispatch faults retried by the scheduler). \
-     Chaos changes timing and scheduling but never results \xe2\x80\x94 the tables are \
+    "Chaos soak: inject seeded scheduler-level timing faults (worker stalls \
+     and per-binary delays).  Chaos changes timing and scheduling but never \
+     results \xe2\x80\x94 the tables, the profile rows and the quarantine list are \
      byte-identical to a fault-free run whatever the seed."
   in
   Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"SEED" ~doc)

@@ -17,7 +17,6 @@ type options = {
   chaos : int option;
   run_seconds : float option;
   shed_fraction : float;
-  breaker : Work_queue.Breaker.config option;
 }
 
 let default_options =
@@ -34,18 +33,12 @@ let default_options =
     chaos = None;
     run_seconds = None;
     shed_fraction = 0.1;
-    (* Three consecutive failures open a program's breaker; two more of
-       its binaries fast-fail before a recovery probe.  Because all of a
-       program's binaries run inside one plan item, the breaker's
-       decisions are identical whatever the worker count. *)
-    breaker = Some { Work_queue.Breaker.threshold = 3; cooldown = 2 };
   }
 
 type failure = {
   f_suite : string;
   f_program : string;
   f_config : string;
-  f_attempts : int;
   f_error : string;
   f_backtrace : string;
   f_journal : Cet_telemetry.Journal.event list;
@@ -120,18 +113,27 @@ let empty_results () =
     profiles = [];
   }
 
-let merge_results into src =
-  Tables.Table1.merge into.table1 src.table1;
-  Tables.Fig3.merge into.fig3 src.fig3;
-  Tables.Table2.merge into.table2 src.table2;
-  Tables.Table3.merge into.table3 src.table3;
-  Tables.Triage.merge into.triage src.triage;
+(* The per-binary results, merged in plan order: the tables fold into
+   one accumulator, and the failure and profile lists are concatenated
+   once, so the merge is linear in the number of binaries. *)
+let merge_results parts =
+  let into = empty_results () in
+  Array.iter
+    (fun src ->
+      Tables.Table1.merge into.table1 src.table1;
+      Tables.Fig3.merge into.fig3 src.fig3;
+      Tables.Table2.merge into.table2 src.table2;
+      Tables.Table3.merge into.table3 src.table3;
+      Tables.Triage.merge into.triage src.triage)
+    parts;
+  let parts = Array.to_list parts in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 parts in
   {
     into with
-    binaries = into.binaries + src.binaries;
-    functions = into.functions + src.functions;
-    failures = into.failures @ src.failures;
-    profiles = into.profiles @ src.profiles;
+    binaries = sum (fun r -> r.binaries);
+    functions = sum (fun r -> r.functions);
+    failures = List.concat_map (fun r -> r.failures) parts;
+    profiles = List.concat_map (fun r -> r.profiles) parts;
   }
 
 (* EWMA over the instantaneous throughput between progress milestones: the
@@ -142,8 +144,8 @@ let ewma_update ~alpha ~prev x =
 
 let scheduler ?jobs (opts : options) =
   Work_queue.create ~observer:Cet_telemetry.Bridge.scheduler_observer
-    (Work_queue.config ?jobs ~seed:opts.seed ~attempts:2 ?breaker:opts.breaker
-       ?run_seconds:opts.run_seconds ~shed_fraction:opts.shed_fraction
+    (Work_queue.config ?jobs ~seed:opts.seed ?run_seconds:opts.run_seconds
+       ~shed_fraction:opts.shed_fraction
        ?chaos:
          (Option.map (fun seed -> Work_queue.Chaos.default ~seed) opts.chaos)
        ())
@@ -151,10 +153,9 @@ let scheduler ?jobs (opts : options) =
 let run ?profiles ?configs ?jobs (opts : options) =
   Printexc.record_backtrace true;
   let plan = Dataset.plan ?profiles ?configs ~seed:opts.seed ~scale:opts.scale () in
-  let total_binaries = Dataset.binaries plan in
+  let total_binaries = Dataset.length plan in
   let t0 = Unix.gettimeofday () in
   let progress = Atomic.make 0 in
-  let retried = Atomic.make 0 in
   (* Live status line: done/total with rate and ETA, throttled so the
      stderr traffic stays negligible.  Racing workers may interleave
      updates, but each is one whole carriage-returned line.  The rate is
@@ -197,14 +198,15 @@ let run ?profiles ?configs ?jobs (opts : options) =
       flush stderr
     end
   in
-  (* Per-binary unit of work, accumulating into the worker's private
-     tables.  Nothing here touches shared state except the progress
-     counter, so any domain can evaluate any plan item.  Under [degraded]
+  (* Per-binary unit of work, accumulating into a fresh result of its own.
+     Nothing here touches shared state except the progress counter, so
+     any domain can evaluate any plan item.  Under [degraded]
      (deadline-pressure shedding) only the cheap anchored-only FunSeeker
      passes run: the study, the baselines, and the triage pass are
      skipped, and the profile row records the downgrade. *)
-  let eval_binary_impl ~degraded acc (bin : Dataset.binary) =
+  let eval_binary_impl ~degraded (bin : Dataset.binary) =
     let module J = Cet_telemetry.Journal in
+    let acc = empty_results () in
     let jmark = if J.enabled () then J.mark () else 0 in
     let bin_t0 = Unix.gettimeofday () in
     (* One substrate per binary per worker: the ELF parse, the sweep, the
@@ -356,19 +358,17 @@ let run ?profiles ?configs ?jobs (opts : options) =
                    ]);
           }
         in
-        { acc with profiles = acc.profiles @ [ p ] }
+        { acc with profiles = [ p ] }
       end
     in
     { acc with binaries = acc.binaries + 1; functions = acc.functions + List.length truth }
   in
-  (* Fault isolation: every binary is evaluated into a FRESH accumulator
-     so a mid-flight exception cannot leave partial rows behind; only a
-     completed evaluation is merged into the worker's tables.  Retry,
-     backoff, circuit breaking and shedding are the scheduler's
-     ({!Work_queue.guard}); a deadline expiry is not transient, so it is
-     never retried. *)
-  let attempt (bin : Dataset.binary) ~attempt:_ ~degraded =
-    let fresh = empty_results () in
+  (* Fault isolation: every binary is evaluated into a fresh accumulator,
+     so a mid-flight exception cannot leave partial rows behind.  The
+     analyses are deterministic, so a failure is final: the binary is
+     quarantined (or, fail-fast, re-raised) without a retry.  Shedding is
+     the scheduler's ({!Work_queue.shed}). *)
+  let analyze (bin : Dataset.binary) ~degraded =
     let work () =
       (match opts.fault with
       | Some is_faulty when is_faulty bin ->
@@ -376,19 +376,18 @@ let run ?profiles ?configs ?jobs (opts : options) =
       | _ -> ());
       if Cet_telemetry.Span.enabled () then
         Cet_telemetry.Span.with_ ~name:"harness.binary" (fun () ->
-            eval_binary_impl ~degraded fresh bin)
-      else eval_binary_impl ~degraded fresh bin
+            eval_binary_impl ~degraded bin)
+      else eval_binary_impl ~degraded bin
     in
     match opts.max_seconds with
     | None -> work ()
     | Some seconds -> Cet_util.Deadline.with_ ~seconds work
   in
-  let failure_of (bin : Dataset.binary) ~attempts e bt =
+  let failure_of (bin : Dataset.binary) e bt =
     {
       f_suite = bin.suite;
       f_program = bin.program;
       f_config = Options.to_string bin.config;
-      f_attempts = attempts;
       f_error = Printexc.to_string e;
       f_backtrace = Printexc.raw_backtrace_to_string bt;
       (* The worker's flight recorder at the moment of quarantine: the
@@ -396,95 +395,62 @@ let run ?profiles ?configs ?jobs (opts : options) =
       f_journal = Cet_telemetry.Journal.recent ~n:32 ();
     }
   in
-  (* A quarantined binary still gets a profile row — identity, attempts and
-     status, with the analysis-derived figures zeroed (the failed attempt's
+  (* A quarantined binary still gets a profile row — identity and status,
+     with the analysis-derived figures zeroed (the failed evaluation's
      partial work is discarded with its accumulator). *)
-  let quarantined_profile (bin : Dataset.binary) ~attempts ~status =
+  let quarantined_profile (bin : Dataset.binary) =
     {
       p_suite = bin.suite;
       p_program = bin.program;
       p_config = Options.to_string bin.config;
       p_arch = arch_name bin.config.Options.arch;
-      (* The bytes exist even when the analysis never ran (breaker skip,
-         quarantine): content identity is a property of the input, not of
-         the outcome, so cross-run joins still see the row. *)
+      (* The bytes exist even when the analysis failed: content identity
+         is a property of the input, not of the outcome, so cross-run
+         joins still see the row. *)
       p_digest = content_digest bin.stripped;
       p_text_bytes = 0;
       p_insns = 0;
       p_resyncs = 0;
       p_truth = 0;
       p_diags = 0;
-      p_attempts = attempts;
-      p_status = status;
+      p_attempts = 1;
+      p_status = "quarantined";
       p_total_ms = 0.0;
       p_phases = List.map (fun n -> (n, 0.0)) profile_phase_names;
     }
   in
-  let set_attempts n fresh =
-    if not opts.profile then fresh
-    else
-      {
-        fresh with
-        profiles = List.map (fun p -> { p with p_attempts = n }) fresh.profiles;
-      }
-  in
   let wq = scheduler ?jobs opts in
-  (* The retried counter mirrors the pre-scheduler semantics: a binary
-     whose first attempt failed retryably counts once, whether the retry
-     then succeeded or the binary was quarantined. *)
-  let note_retry ~attempts name =
-    if attempts > 1 then begin
-      Atomic.incr retried;
-      Cet_telemetry.Registry.count "harness.retried";
-      if Cet_telemetry.Journal.enabled () then
-        Cet_telemetry.Journal.record ~v:attempts Cet_telemetry.Journal.Retry name
-    end
-  in
-  let eval_binary acc (bin : Dataset.binary) =
+  let eval_binary (bin : Dataset.binary) =
     let name = bin.suite ^ "/" ^ bin.program in
-    let key = name ^ "[" ^ Options.to_string bin.config ^ "]" in
-    let retryable = function Cet_util.Deadline.Expired _ -> false | _ -> true in
-    let acc =
-      match Work_queue.guard wq ~key ~group:name ~retryable (attempt bin) with
-      | Ok g ->
-        note_retry ~attempts:g.Work_queue.g_attempts name;
+    let degraded =
+      Work_queue.shed wq ~key:(name ^ "[" ^ Options.to_string bin.config ^ "]")
+    in
+    let r =
+      match analyze bin ~degraded with
+      | r ->
         Cet_telemetry.Registry.count "harness.binaries";
-        merge_results acc (set_attempts g.Work_queue.g_attempts g.Work_queue.g_value)
-      | Error u ->
-        note_retry ~attempts:u.Work_queue.w_attempts name;
-        if not opts.keep_going then
-          Printexc.raise_with_backtrace u.Work_queue.w_error u.Work_queue.w_bt;
-        let attempts = u.Work_queue.w_attempts in
+        r
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        if not opts.keep_going then Printexc.raise_with_backtrace e bt;
         Cet_telemetry.Registry.count "harness.quarantined";
         if Cet_telemetry.Journal.enabled () then
-          Cet_telemetry.Journal.record ~v:attempts Cet_telemetry.Journal.Quarantine
-            name;
-        let status =
-          if u.Work_queue.w_breaker_skip then "breaker-skip" else "quarantined"
-        in
-        let acc =
-          if not opts.profile then acc
-          else
-            {
-              acc with
-              profiles = acc.profiles @ [ quarantined_profile bin ~attempts ~status ];
-            }
-        in
+          Cet_telemetry.Journal.record Cet_telemetry.Journal.Quarantine name;
         {
-          acc with
-          failures =
-            acc.failures
-            @ [ failure_of bin ~attempts u.Work_queue.w_error u.Work_queue.w_bt ];
+          (empty_results ()) with
+          failures = [ failure_of bin e bt ];
+          profiles = (if opts.profile then [ quarantined_profile bin ] else []);
         }
     in
     let seen = Atomic.fetch_and_add progress 1 + 1 in
     if opts.progress then show_progress seen;
-    acc
+    r
   in
-  let eval_item k = List.fold_left eval_binary (empty_results ()) (Dataset.nth plan k) in
+  (* One plan item is one binary. *)
   let results =
-    Array.fold_left merge_results (empty_results ())
-      (Work_queue.map wq (Dataset.length plan) eval_item)
+    merge_results
+      (Work_queue.map wq (Dataset.length plan) (fun k ->
+           eval_binary (List.hd (Dataset.nth plan k))))
   in
   if Cet_telemetry.Registry.enabled () then begin
     let s = Work_queue.stats wq in
@@ -497,10 +463,10 @@ let run ?profiles ?configs ?jobs (opts : options) =
   if opts.progress && done_count > 0 then begin
     let elapsed = Unix.gettimeofday () -. t0 in
     Printf.eprintf
-      "\r  %d/%d binaries in %.1fs (%.1f bin/s), %d quarantined, %d retried          \n"
+      "\r  %d/%d binaries in %.1fs (%.1f bin/s), %d quarantined          \n"
       done_count total_binaries elapsed
       (if elapsed > 0.0 then float_of_int done_count /. elapsed else 0.0)
-      (List.length results.failures) (Atomic.get retried);
+      (List.length results.failures);
     flush stderr
   end;
   if Cet_telemetry.Registry.enabled () then begin
@@ -825,11 +791,7 @@ let render_failures r =
   match r.failures with
   | [] -> ""
   | fs ->
-    let line f =
-      Printf.sprintf "  %s/%s [%s]: %s (%d attempt%s)" f.f_suite f.f_program f.f_config
-        f.f_error f.f_attempts
-        (if f.f_attempts = 1 then "" else "s")
-    in
+    let line f = Printf.sprintf "  %s/%s [%s]: %s" f.f_suite f.f_program f.f_config f.f_error in
     Printf.sprintf "QUARANTINED BINARIES (%d):\n%s\n" (List.length fs)
       (String.concat "\n" (List.map line fs))
 
@@ -856,19 +818,20 @@ let journal_event_json (e : Cet_telemetry.Journal.event) =
     (json_escape e.Cet_telemetry.Journal.j_name)
     e.Cet_telemetry.Journal.j_v e.Cet_telemetry.Journal.j_ns
 
-(* Version of the quarantine JSONL format.  2 = the PR 7 shape (journal
-   black box) plus this field; bump on any key change so consumers can
-   refuse rows they do not understand. *)
-let quarantine_schema = 2
+(* Version of the quarantine JSONL format: 2 added the journal black box
+   and this field, 3 dropped [attempts] (a binary is evaluated once).
+   Bump on any key change so consumers can refuse rows they do not
+   understand. *)
+let quarantine_schema = 3
 
 let write_quarantine oc r =
   List.iter
     (fun f ->
       Printf.fprintf oc
-        "{\"schema\":%d,\"suite\":\"%s\",\"program\":\"%s\",\"config\":\"%s\",\"attempts\":%d,\"error\":\"%s\",\"backtrace\":\"%s\",\"journal\":[%s]}\n"
+        "{\"schema\":%d,\"suite\":\"%s\",\"program\":\"%s\",\"config\":\"%s\",\"error\":\"%s\",\"backtrace\":\"%s\",\"journal\":[%s]}\n"
         quarantine_schema
         (json_escape f.f_suite) (json_escape f.f_program) (json_escape f.f_config)
-        f.f_attempts (json_escape f.f_error) (json_escape f.f_backtrace)
+        (json_escape f.f_error) (json_escape f.f_backtrace)
         (String.concat "," (List.map journal_event_json f.f_journal)))
     r.failures
 
@@ -905,7 +868,6 @@ let read_quarantine s =
       let* f_suite = field "suite" Jz.str j in
       let* f_program = field "program" Jz.str j in
       let* f_config = field "config" Jz.str j in
-      let* f_attempts = field "attempts" Jz.int j in
       let* f_error = field "error" Jz.str j in
       let* f_backtrace = field "backtrace" Jz.str j in
       let* journal = field "journal" Jz.list j in
@@ -922,7 +884,6 @@ let read_quarantine s =
           f_suite;
           f_program;
           f_config;
-          f_attempts;
           f_error;
           f_backtrace;
           f_journal = List.rev f_journal;

@@ -8,10 +8,10 @@
 
     Every entry point takes a [?jobs] parameter (default:
     [Domain.recommended_domain_count ()]).  Parallel runs are exact: each
-    worker folds a private accumulator over the plan items it claims, and
-    the main domain merges the partial results in plan order, so the
-    output is byte-identical to [~jobs:1] whichever way the corpus was
-    partitioned. *)
+    plan item evaluates into a private accumulator, and the main domain
+    merges the partial results in plan order, so the output is
+    byte-identical to [~jobs:1] whichever way the corpus was partitioned.
+    In {!run} a plan item is one binary ({!Cet_corpus.Dataset.nth}). *)
 
 type options = {
   seed : int;
@@ -19,14 +19,14 @@ type options = {
   progress : bool;
       (** print a live [done/total  rate  ETA] status line to stderr,
           finishing with one exact [done/total] summary line that also
-          reports quarantined and retried binary counts (nothing is
-          printed for an empty plan) *)
+          reports the quarantined binary count (nothing is printed for an
+          empty plan) *)
   timing : bool;
       (** measure per-binary wall-clock for Table III; [false] zeroes the
           timing columns and makes rendered output fully deterministic *)
   max_seconds : float option;
       (** per-binary wall-clock budget ({!Cet_util.Deadline}); an expired
-          binary is quarantined without retry *)
+          binary is quarantined *)
   keep_going : bool;
       (** [true] (the default): a failing binary is quarantined into
           {!results.failures} and the run continues.  [false] (fail-fast):
@@ -43,13 +43,13 @@ type options = {
   profile : bool;
       (** per-binary profiling: emit one {!profile} record per evaluated
           binary into {!results.profiles} (identity, phase time split,
-          decode volume, retry/quarantine status).  Off by default; the
+          decode volume, ok/shed/quarantined status).  Off by default; the
           disabled path adds no allocation to the per-binary loop. *)
   chaos : int option;
       (** seeded scheduler-level fault injection
-          ({!Cet_util.Work_queue.Chaos.default}): worker stalls, per-item
-          delays, transient dispatch faults.  Chaos changes timing and
-          scheduling but never results — the tables are byte-identical to
+          ({!Cet_util.Work_queue.Chaos.default}): worker stalls and
+          per-item delays.  Chaos changes timing and scheduling but never
+          results — the tables are byte-identical to
           a fault-free run whatever the seed. *)
   run_seconds : float option;
       (** run-wide wall-clock budget, armed as one
@@ -60,24 +60,17 @@ type options = {
       (** degrade a binary to the anchored-only analysis when the
           run-wide deadline's remaining-budget fraction drops below this
           (0.1 by default); only meaningful when [run_seconds] is set *)
-  breaker : Cet_util.Work_queue.Breaker.config option;
-      (** per-program circuit breaker: after [threshold] consecutive
-          failures the program's remaining binaries are fast-failed
-          ([cooldown] of them, then one probe).  [None] disables it. *)
 }
 
 val default_options : options
 (** [keep_going = true], no deadline, no fault injection. *)
 
-(** One quarantined binary: identity, the error of its final attempt, and
-    that attempt's backtrace. *)
+(** One quarantined binary: identity, the error its evaluation raised, and
+    the backtrace. *)
 type failure = {
   f_suite : string;
   f_program : string;
   f_config : string;  (** {!Cet_compiler.Options.to_string} descriptor *)
-  f_attempts : int;
-      (** 1 for non-retryable failures (deadline), 2 after a retry, 0 for
-          a circuit-breaker fast-fail (the work never ran) *)
   f_error : string;
   f_backtrace : string;
   f_journal : Cet_telemetry.Journal.event list;
@@ -101,10 +94,12 @@ type profile = {
   p_resyncs : int;  (** sweep desynchronisation events *)
   p_truth : int;  (** deduplicated ground-truth entry count *)
   p_diags : int;  (** journal-observed diagnostics during this binary *)
-  p_attempts : int;  (** 1, or 2 when the first attempt was retried *)
+  p_attempts : int;
+      (** always 1: a binary is evaluated once (the field keeps the row
+          format of earlier runs) *)
   p_status : string;
-      (** ["ok"], ["shed"] (evaluated degraded under deadline pressure),
-          ["quarantined"], or ["breaker-skip"] *)
+      (** ["ok"], ["shed"] (evaluated degraded under deadline pressure) or
+          ["quarantined"] *)
   p_total_ms : float;
   p_phases : (string * float) list;
       (** fixed vocabulary in fixed order — study, configs, funseeker,
@@ -150,15 +145,16 @@ val run :
   results
 (** Fault-isolated: each binary is evaluated into a fresh accumulator that
     is merged only on success, so a crashing or injected-fault binary
-    contributes nothing (no partial table rows).  Since PR 8 the engine is
+    contributes nothing (no partial table rows).  The engine is
     {!Cet_util.Work_queue}: a work-stealing Domain pool with bounded
-    admission runs the plan items, and each binary is a guarded unit —
-    retried once with backoff (deadline expiries are not), circuit-broken
-    per program, shed to the anchored-only analysis under [run_seconds]
-    pressure — then quarantined under [keep_going], or re-raised under
-    fail-fast.  Scheduler events flow into {!Cet_telemetry.Journal} and
-    the metric registry.  The merged tables are byte-identical across
-    [jobs] — and across any [chaos] seed — for the surviving set. *)
+    admission runs one plan item per binary, shed to the anchored-only
+    analysis under [run_seconds] pressure.  A failing binary is
+    quarantined under [keep_going] (each on its own: a program's other
+    binaries still run), or re-raised under fail-fast; the analyses are
+    deterministic, so nothing is retried.  Scheduler events flow into
+    {!Cet_telemetry.Journal} and the metric registry.  The merged tables
+    and the failure list are byte-identical across [jobs] — and across
+    any [chaos] seed. *)
 
 (** The scheduler's Journal/Registry bridge is
     {!Cet_telemetry.Bridge.scheduler_observer}, shared with the fuzz
@@ -174,7 +170,7 @@ val quarantine_schema : int
 
 val write_quarantine : out_channel -> results -> unit
 (** One JSON object per failure per line ([schema]/[suite]/[program]/
-    [config]/[attempts]/[error]/[backtrace]/[journal]) — the
+    [config]/[error]/[backtrace]/[journal]) — the
     [--quarantine-out] report format.  [journal] is the failure's
     flight-recorder black box, one object per event. *)
 

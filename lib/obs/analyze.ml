@@ -82,9 +82,6 @@ type health = {
   hw_binaries : int;
   hw_steals : int;
   hw_steal_ratio : float;
-  hw_backoffs : int;
-  hw_breaker_opens : int;
-  hw_breaker_skips : int;
   hw_sheds : int;
   hw_max_pending : int;
 }
@@ -131,9 +128,6 @@ let health_of_trace (t : Trace.t) =
     hw_steals = steals;
     hw_steal_ratio =
       (if binaries > 0 then float_of_int steals /. float_of_int binaries else 0.0);
-    hw_backoffs = Trace.counter t "scheduler.backoffs";
-    hw_breaker_opens = Trace.counter t "scheduler.breaker_opens";
-    hw_breaker_skips = Trace.counter t "scheduler.breaker_skips";
     hw_sheds = Trace.counter t "scheduler.sheds";
     hw_max_pending = int_of_float (Trace.gauge t "scheduler.max_pending");
   }
@@ -151,10 +145,8 @@ let render_health h =
        h.hw_queue_wait_ms);
   Buffer.add_string buf
     (Printf.sprintf
-       "  steals %d (%.2f per binary)  backoffs %d  breaker opens %d  breaker \
-        skips %d  sheds %d  max pending %d\n"
-       h.hw_steals h.hw_steal_ratio h.hw_backoffs h.hw_breaker_opens
-       h.hw_breaker_skips h.hw_sheds h.hw_max_pending);
+       "  steals %d (%.2f per binary)  sheds %d  max pending %d\n"
+       h.hw_steals h.hw_steal_ratio h.hw_sheds h.hw_max_pending);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -42,9 +42,6 @@ type health = {
   hw_binaries : int;  (** harness.binaries counter *)
   hw_steals : int;
   hw_steal_ratio : float;  (** steals per executed binary *)
-  hw_backoffs : int;
-  hw_breaker_opens : int;
-  hw_breaker_skips : int;
   hw_sheds : int;
   hw_max_pending : int;  (** admission high-water mark *)
 }
@@ -139,7 +136,7 @@ val anomalies :
     a share by at least 0.05 — because a near-constant population's MAD
     is so small that clock-resolution noise passes any pure z cut.
     Only ["ok"] rows form the baseline {e and} the candidate set;
-    shed/quarantined/breaker-skip rows are returned separately so the
+    shed and quarantined rows are returned separately so the
     report can show them without letting degraded timings poison the
     statistics.  Anomalies sort by metric, then descending |z|, then
     key. *)

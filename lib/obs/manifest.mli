@@ -18,8 +18,8 @@ type binary = {
   b_config : string;
   b_arch : string;
   b_digest : string;  (** hex MD5 of the stripped ELF bytes *)
-  b_status : string;  (** ["ok"], ["shed"], ["quarantined"], ["breaker-skip"] *)
-  b_attempts : int;
+  b_status : string;  (** ["ok"], ["shed"] or ["quarantined"] *)
+  b_attempts : int;  (** 1 (runs before retries were removed: 2 after a retry) *)
   b_text_bytes : int;
   b_insns : int;
   b_resyncs : int;

@@ -15,7 +15,7 @@ type row = {
   resyncs : int;
   truth : int;
   diags : int;
-  attempts : int;
+  attempts : int;  (** 1 (runs before retries were removed: 2 after a retry) *)
   status : string;
   total_ms : float;
   phases : (string * float) list;  (** fixed vocabulary, document order *)

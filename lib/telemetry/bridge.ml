@@ -7,20 +7,8 @@ let scheduler_observer (ev : Work_queue.event) =
   | Work_queue.Steal { thief; victim } ->
     Registry.count "scheduler.steals";
     journal Journal.Steal (Printf.sprintf "%d<-%d" thief victim)
-  | Work_queue.Backoff { key; attempt; delay_ns } ->
-    Registry.count "scheduler.backoffs";
-    journal ~v:delay_ns Journal.Backoff (Printf.sprintf "%s#%d" key attempt)
-  | Work_queue.Breaker_open { group; failures } ->
-    Registry.count "scheduler.breaker_opens";
-    journal ~v:failures Journal.Breaker (group ^ ":open")
-  | Work_queue.Breaker_probe { group } -> journal Journal.Breaker (group ^ ":probe")
-  | Work_queue.Breaker_close { group } -> journal Journal.Breaker (group ^ ":close")
-  | Work_queue.Breaker_skip { group; key = _ } ->
-    Registry.count "scheduler.breaker_skips";
-    journal Journal.Breaker (group ^ ":skip")
   | Work_queue.Shed { key } ->
     Registry.count "scheduler.sheds";
     journal Journal.Shed key
   | Work_queue.Chaos_stall _ -> Registry.count "scheduler.chaos_stalls"
   | Work_queue.Chaos_delay _ -> Registry.count "scheduler.chaos_delays"
-  | Work_queue.Chaos_fault _ -> Registry.count "scheduler.chaos_faults"

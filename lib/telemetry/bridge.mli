@@ -9,8 +9,7 @@
     export picks them up for free. *)
 
 val scheduler_observer : Cet_util.Work_queue.event -> unit
-(** Steals, backoffs, breaker transitions and sheds are journaled (kinds
-    {!Journal.Steal}, {!Journal.Backoff}, {!Journal.Breaker},
+(** Steals and sheds are journaled (kinds {!Journal.Steal} and
     {!Journal.Shed}) and counted under [scheduler.*]; chaos injections
     are counted only ([scheduler.chaos_*]) — they are noise by design,
     not worth ring slots.  Safe to install unconditionally: with both the

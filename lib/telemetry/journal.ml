@@ -3,11 +3,8 @@ type kind =
   | Phase_end
   | Diag
   | Deadline_slack
-  | Retry
   | Quarantine
   | Steal
-  | Backoff
-  | Breaker
   | Shed
 
 let kind_label = function
@@ -15,26 +12,12 @@ let kind_label = function
   | Phase_end -> "phase-end"
   | Diag -> "diag"
   | Deadline_slack -> "deadline-slack"
-  | Retry -> "retry"
   | Quarantine -> "quarantine"
   | Steal -> "steal"
-  | Backoff -> "backoff"
-  | Breaker -> "breaker"
   | Shed -> "shed"
 
 let all_kinds =
-  [
-    Phase_begin;
-    Phase_end;
-    Diag;
-    Deadline_slack;
-    Retry;
-    Quarantine;
-    Steal;
-    Backoff;
-    Breaker;
-    Shed;
-  ]
+  [ Phase_begin; Phase_end; Diag; Deadline_slack; Quarantine; Steal; Shed ]
 
 let kind_of_label s = List.find_opt (fun k -> kind_label k = s) all_kinds
 

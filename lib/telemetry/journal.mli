@@ -1,8 +1,8 @@
 (** Per-domain flight recorder.
 
     A fixed-size ring buffer of structured events — phase begin/end (fed
-    by {!Span}), diagnostics, deadline-poll slack, harness retries and
-    quarantines — one ring per domain, drop-oldest.  When a binary
+    by {!Span}), diagnostics, deadline-poll slack, harness quarantines,
+    steals and sheds — one ring per domain, drop-oldest.  When a binary
     crashes or a fuzz mutant escapes, the worker's last-N events are its
     black box: {!Harness.write_quarantine} and the fuzzer's crash report
     attach them, so a post-mortem sees what the domain was doing in the
@@ -22,14 +22,9 @@ type kind =
   | Diag  (** a diagnostic was emitted; name is [domain/code] *)
   | Deadline_slack
       (** a {!Cet_util.Deadline} poll observed [v] ns of remaining budget *)
-  | Retry  (** the harness is retrying a failed binary; [v] is the attempt *)
   | Quarantine  (** the harness gave up on a binary *)
   | Steal
       (** the scheduler stole an item; name is [thief<-victim] worker ids *)
-  | Backoff
-      (** a guarded unit backs off before a retry; [v] is the delay in ns *)
-  | Breaker
-      (** a circuit-breaker transition or skip; name is [group:action] *)
   | Shed  (** deadline pressure degraded a unit to the cheaper analysis *)
 
 val kind_label : kind -> string

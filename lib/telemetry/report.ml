@@ -201,14 +201,13 @@ let write_trace_chrome oc =
     (Registry.sheets ());
   (* Failure-shaped journal events become instant markers on the same
      timeline (same tid as the domain's span track), so Perfetto shows a
-     diag/retry/quarantine pin at the moment it happened. *)
+     diag/quarantine/shed pin at the moment it happened. *)
   List.iter
     (fun (r : Journal.ring) ->
       List.iter
         (fun (e : Journal.event) ->
           match e.Journal.j_kind with
-          | Journal.Diag | Journal.Retry | Journal.Quarantine
-          | Journal.Backoff | Journal.Breaker | Journal.Shed ->
+          | Journal.Diag | Journal.Quarantine | Journal.Shed ->
             sep ();
             Printf.fprintf oc
               "{\"name\":%s,\"ph\":\"i\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"s\":\"t\"}"

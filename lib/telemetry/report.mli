@@ -36,7 +36,7 @@ val write_trace_chrome : out_channel -> unit
     array of complete ([ph = "X"]) events with microsecond [ts]/[dur],
     one [tid] per registry sheet — drop the file into chrome://tracing or
     Perfetto to see workers as parallel tracks.  When the {!Journal} has
-    recorded diag/retry/quarantine events, each becomes an instant
+    recorded diag/quarantine/shed events, each becomes an instant
     ([ph = "i"], thread scope) marker on the owning domain's track, so
     failures pin themselves onto the span timeline. *)
 

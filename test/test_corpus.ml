@@ -138,14 +138,60 @@ let test_plan_matches_iter () =
       streamed := b :: !streamed);
   let streamed = List.rev !streamed in
   let plan = Dataset.plan ~profiles:[ small_profile ] ~configs ~seed:11 ~scale:1.0 () in
-  check Alcotest.int "length" small_profile.Profile.programs (Dataset.length plan);
-  check Alcotest.int "binaries" (List.length streamed) (Dataset.binaries plan);
+  check Alcotest.int "length = programs x configs"
+    (small_profile.Profile.programs * List.length configs)
+    (Dataset.length plan);
+  check Alcotest.int "one item per streamed binary" (List.length streamed) (Dataset.length plan);
   let planned =
     List.concat_map (Dataset.nth plan) (List.init (Dataset.length plan) Fun.id)
   in
   check Alcotest.bool "identical stream" true (streamed = planned);
-  (* nth is pure: re-materializing an item yields the same binaries. *)
-  check Alcotest.bool "nth pure" true (Dataset.nth plan 1 = Dataset.nth plan 1)
+  (* nth is pure: re-materializing an item yields the same binary. *)
+  check Alcotest.bool "nth pure" true (Dataset.nth plan 1 = Dataset.nth plan 1);
+  check Alcotest.bool "out of range rejected" true
+    (match Dataset.nth plan (Dataset.length plan) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let four_configs =
+  [
+    O.default;
+    { O.default with O.compiler = O.Clang };
+    { O.default with O.opt = O.O0 };
+    { O.default with O.arch = Cet_x86.Arch.X86 };
+  ]
+
+let test_plan_parallel_build () =
+  (* Four workers build the binaries of one program at once, all from
+     its shared IR: the once-cell under contention.  Each run gets a
+     fresh plan, so each starts with no IR generated. *)
+  let build jobs =
+    let plan =
+      Dataset.plan ~profiles:[ small_profile ] ~configs:four_configs ~seed:3 ~scale:1.0 ()
+    in
+    let wq = Cet_util.Work_queue.create (Cet_util.Work_queue.config ~jobs ()) in
+    Cet_util.Work_queue.map wq (Dataset.length plan) (Dataset.nth plan)
+  in
+  let seq = build 1 in
+  check Alcotest.int "one item per binary" 8 (Array.length seq);
+  for _ = 1 to 3 do
+    check Alcotest.bool "jobs 4 builds the bytes jobs 1 does" true (build 4 = seq)
+  done
+
+let test_plan_nth_after_drop () =
+  (* Once every configuration of a program is linked, its IR is dropped;
+     asking for one of its binaries again regenerates the IR, and the
+     bytes are the same. *)
+  let plan = Dataset.plan ~profiles:[ small_profile ] ~configs:four_configs ~seed:3 ~scale:1.0 () in
+  let first = List.init 4 (Dataset.nth plan) in
+  List.iteri
+    (fun k bins ->
+      check Alcotest.bool (Printf.sprintf "binary %d rebuilt identically" k) true
+        (Dataset.nth plan k = bins))
+    first;
+  check Alcotest.bool "configuration-minor order" true
+    (List.map (fun b -> (b.Dataset.program, b.Dataset.config)) (List.concat first)
+    = List.map (fun c -> ((List.hd (List.hd first)).Dataset.program, c)) four_configs)
 
 let test_scaled () =
   let p = Profile.scaled 0.5 Profile.coreutils in
@@ -168,6 +214,10 @@ let suite =
         Alcotest.test_case "dataset count/iterate" `Quick test_dataset_count;
         Alcotest.test_case "dataset binary integrity" `Quick test_dataset_binary_integrity;
         Alcotest.test_case "plan/nth matches iter" `Quick test_plan_matches_iter;
+        Alcotest.test_case "plan: parallel build = sequential" `Quick
+          test_plan_parallel_build;
+        Alcotest.test_case "plan: nth after the IR is dropped" `Quick
+          test_plan_nth_after_drop;
         Alcotest.test_case "profile scaling" `Quick test_scaled;
       ] );
   ]

@@ -44,6 +44,32 @@ let test_false_entries () =
   check Alcotest.(list int) "fps" [ 9 ] fps;
   check Alcotest.(list int) "fns" [ 1; 3 ] fns
 
+(* The set-based [compare_sets] that the merge walk replaced, kept as its
+   oracle. *)
+module IntSet = Set.Make (Int)
+
+let compare_sets_oracle ~truth ~found =
+  let t = IntSet.of_list truth and f = IntSet.of_list found in
+  {
+    Metrics.tp = IntSet.cardinal (IntSet.inter t f);
+    fp = IntSet.cardinal (IntSet.diff f t);
+    fn = IntSet.cardinal (IntSet.diff t f);
+  }
+
+(* Unsorted lists with duplicates over a small range (so the two sides
+   overlap), and their sorted, deduplicated forms: both the walk's
+   fallback and its fast path meet the oracle. *)
+let qcheck_compare_sets_oracle =
+  QCheck.Test.make ~name:"compare_sets = set oracle" ~count:500
+    QCheck.(pair (small_list (int_bound 40)) (small_list (int_bound 40)))
+    (fun (truth, found) ->
+      let sorted l = List.sort_uniq Int.compare l in
+      Metrics.compare_sets ~truth ~found = compare_sets_oracle ~truth ~found
+      && Metrics.compare_sets ~truth:(sorted truth) ~found:(sorted found)
+         = compare_sets_oracle ~truth ~found
+      && Metrics.compare_sets ~truth:(sorted truth) ~found
+         = compare_sets_oracle ~truth ~found)
+
 let test_f1 () =
   let c = { Metrics.tp = 1; fp = 1; fn = 1 } in
   check flt "f1" 50.0 (Metrics.f1 c)
@@ -591,6 +617,7 @@ let suite =
         Alcotest.test_case "add" `Quick test_metrics_add;
         Alcotest.test_case "false entries" `Quick test_false_entries;
         Alcotest.test_case "f1" `Quick test_f1;
+        QCheck_alcotest.to_alcotest qcheck_compare_sets_oracle;
       ] );
     ( "eval.ground_truth",
       [ Alcotest.test_case "fragment names" `Quick test_fragment_names ] );

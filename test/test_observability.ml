@@ -79,7 +79,7 @@ let test_journal_record_recent_mark () =
       let m = Journal.mark () in
       Journal.record Journal.Diag "elf/short-read";
       Journal.record Journal.Diag "eh/bad-lsda";
-      Journal.record ~v:2 Journal.Retry "coreutils/x";
+      Journal.record Journal.Quarantine "coreutils/x";
       let names = List.map (fun e -> e.Journal.j_name) (Journal.recent ()) in
       check Alcotest.(list string) "oldest first"
         [ "alpha"; "alpha"; "elf/short-read"; "eh/bad-lsda"; "coreutils/x" ]
@@ -89,8 +89,8 @@ let test_journal_record_recent_mark () =
         [ "eh/bad-lsda"; "coreutils/x" ] last2;
       check Alcotest.int "diags since mark" 2
         (Journal.count_kind_since m Journal.Diag);
-      check Alcotest.int "retries since mark" 1
-        (Journal.count_kind_since m Journal.Retry);
+      check Alcotest.int "quarantines since mark" 1
+        (Journal.count_kind_since m Journal.Quarantine);
       check Alcotest.int "nothing before mark counted" 0
         (Journal.count_kind_since m Journal.Phase_end);
       (* Timestamps are monotone within the ring. *)
@@ -330,8 +330,6 @@ let test_quarantine_black_box () =
         (fun (f : Harness.failure) ->
           check Alcotest.bool "black box captured" true (f.Harness.f_journal <> []);
           let kinds = List.map (fun e -> e.Journal.j_kind) f.Harness.f_journal in
-          check Alcotest.bool "records the retry" true
-            (List.mem Journal.Retry kinds);
           check Alcotest.bool "records the quarantine" true
             (List.mem Journal.Quarantine kinds))
         r.Harness.failures;
@@ -349,7 +347,7 @@ let test_quarantine_black_box () =
       check Alcotest.int "quarantined profile rows" 2 (List.length quarantined);
       List.iter
         (fun (p : Harness.profile) ->
-          check Alcotest.int "attempts recorded" 2 p.Harness.p_attempts;
+          check Alcotest.int "evaluated once" 1 p.Harness.p_attempts;
           check Alcotest.int "no decode volume claimed" 0 p.Harness.p_insns)
         quarantined;
       (* The slow table ranks by total time and renders. *)
@@ -526,15 +524,15 @@ let test_trace_instants () =
       Journal.enable ();
       Span.with_ ~name:"outer" (fun () ->
           Journal.record Journal.Diag "elf/short-read");
-      Journal.record ~v:2 Journal.Retry "coreutils/x";
+      Journal.record Journal.Quarantine "coreutils/x";
       let body = read_back Report.write_trace_chrome in
       check Alcotest.bool "instant events present" true
         (contains body "\"ph\":\"i\"");
       check Alcotest.bool "thread-scoped" true (contains body "\"s\":\"t\"");
       check Alcotest.bool "diag marker named" true
         (contains body "diag:elf/short-read");
-      check Alcotest.bool "retry marker named" true
-        (contains body "retry:coreutils/x");
+      check Alcotest.bool "quarantine marker named" true
+        (contains body "quarantine:coreutils/x");
       check Alcotest.bool "phase events are not instants" false
         (contains body "phase-begin:");
       check Alcotest.bool "array closed" true

@@ -383,15 +383,14 @@ let test_harness_quarantine () =
       fault_opts
   in
   (* One of the two programs fails under both configs; the survivors'
-     tables are complete and the failures carry the retry count. *)
+     tables are complete and each failure carries its own error. *)
   check Alcotest.int "quarantined" 2 (List.length r.Harness.failures);
   check Alcotest.int "survivors" 2 r.Harness.binaries;
   List.iter
     (fun (f : Harness.failure) ->
       check Alcotest.string "program" "coreutils_001" f.Harness.f_program;
-      check Alcotest.int "retried once" 2 f.Harness.f_attempts;
-      check Alcotest.bool "injected error recorded" true
-        (String.length f.Harness.f_error > 0))
+      check Alcotest.string "injected error recorded"
+        "Failure(\"injected fault: coreutils/coreutils_001\")" f.Harness.f_error)
     r.Harness.failures;
   (* Quarantine report: one JSON object per failure. *)
   let buf = Buffer.create 256 in
@@ -430,6 +429,55 @@ let test_harness_quarantine_parallel_identical () =
   check Alcotest.string "same failure order" (Harness.render_failures seq)
     (Harness.render_failures par)
 
+let six_configs =
+  [
+    Cet_compiler.Options.default;
+    { Cet_compiler.Options.default with Cet_compiler.Options.arch = Arch.X86 };
+    { Cet_compiler.Options.default with Cet_compiler.Options.opt = Cet_compiler.Options.O0 };
+    {
+      Cet_compiler.Options.default with
+      Cet_compiler.Options.compiler = Cet_compiler.Options.Clang;
+    };
+    { Cet_compiler.Options.default with Cet_compiler.Options.pie = false };
+    {
+      Cet_compiler.Options.default with
+      Cet_compiler.Options.arch = Arch.X86;
+      opt = Cet_compiler.Options.O0;
+    };
+  ]
+
+let test_harness_whole_program_faults () =
+  (* Every binary of coreutils_001 faults.  Each is quarantined on its
+     own, with its own error and none skipped, and coreutils_000's cells
+     are exactly those of a fault-free run over that program alone (the
+     generator does not depend on the program count). *)
+  let opts = { fault_opts with Harness.profile = true } in
+  let r = Harness.run ~profiles:[ micro_profile ] ~configs:six_configs ~jobs:2 opts in
+  check Alcotest.(list string) "one failure per configuration, in plan order"
+    (List.map Cet_compiler.Options.to_string six_configs)
+    (List.map (fun (f : Harness.failure) -> f.Harness.f_config) r.Harness.failures);
+  List.iter
+    (fun (f : Harness.failure) ->
+      check Alcotest.string "program" "coreutils_001" f.Harness.f_program;
+      check Alcotest.string "its own injected error"
+        "Failure(\"injected fault: coreutils/coreutils_001\")" f.Harness.f_error)
+    r.Harness.failures;
+  check Alcotest.(list string) "every faulting binary has a quarantined row"
+    (List.init 6 (fun _ -> "quarantined"))
+    (List.filter_map
+       (fun (p : Harness.profile) ->
+         if p.Harness.p_program = "coreutils_001" then Some p.Harness.p_status else None)
+       r.Harness.profiles);
+  let alone =
+    Harness.run
+      ~profiles:[ { micro_profile with Cet_corpus.Profile.programs = 1 } ]
+      ~configs:six_configs ~jobs:1
+      { Harness.default_options with Harness.seed = 99; scale = 1.0; timing = false }
+  in
+  check Alcotest.int "survivors" alone.Harness.binaries r.Harness.binaries;
+  check Alcotest.string "other program's cells = fault-free run"
+    (Harness.render_all alone) (Harness.render_all r)
+
 let test_harness_fail_fast () =
   let opts = { fault_opts with Harness.keep_going = false } in
   check Alcotest.bool "fail-fast re-raises" true
@@ -440,8 +488,14 @@ let test_harness_fail_fast () =
 
 (* ---- Scheduler chaos: timing only, never results ----------------------- *)
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 let test_harness_chaos_identical () =
-  (* The strongest identity: a faulting plan (quarantines, retries) with
+  (* The strongest identity: a faulting plan (quarantines) with
      per-binary profiling, sequential-and-calm vs parallel-under-chaos.
      Tables, failure order, and every profile row must match byte for
      byte — chaos may only move work around in time. *)
@@ -461,6 +515,44 @@ let test_harness_chaos_identical () =
     (calm.Harness.profiles = stormy.Harness.profiles);
   check Alcotest.int "same survivors" calm.Harness.binaries
     stormy.Harness.binaries
+
+let test_harness_quarantine_rows_under_chaos () =
+  (* Per-binary items leave no grouping to make quarantine deterministic:
+     it is so because every binary's verdict is.  The failure report and
+     the quarantine rows are the same at jobs 1 and at jobs 4 under chaos
+     — all but the journal black boxes, whose clocks and neighbours
+     differ from run to run. *)
+  let module J = Cet_telemetry.Journal in
+  J.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      J.disable ();
+      J.reset ())
+    (fun () ->
+      let run jobs chaos =
+        Harness.run ~profiles:[ micro_profile ] ~configs:six_configs ~jobs
+          { fault_opts with Harness.chaos }
+      in
+      let rows r =
+        let tmp = Filename.temp_file "quarantine" ".jsonl" in
+        let oc = open_out tmp in
+        Harness.write_quarantine oc r;
+        close_out oc;
+        let text = read_file tmp in
+        Sys.remove tmp;
+        match Harness.read_quarantine text with
+        | Ok fs -> List.map (fun (f : Harness.failure) -> { f with Harness.f_journal = [] }) fs
+        | Error e -> Alcotest.failf "quarantine rows unreadable: %s" e
+      in
+      let calm = run 1 None and stormy = run 4 (Some 7) in
+      check Alcotest.int "six quarantined" 6 (List.length calm.Harness.failures);
+      check Alcotest.bool "black boxes captured" true
+        (List.for_all
+           (fun (f : Harness.failure) -> f.Harness.f_journal <> [])
+           stormy.Harness.failures);
+      check Alcotest.string "same failure report" (Harness.render_failures calm)
+        (Harness.render_failures stormy);
+      check Alcotest.bool "same quarantine rows, journal aside" true (rows calm = rows stormy))
 
 (* ---- Graceful degradation: shedding under deadline pressure ------------ *)
 
@@ -500,7 +592,7 @@ let test_harness_sheds_under_pressure () =
   check Alcotest.bool "shed profiles identical across jobs" true
     (r.Harness.profiles = r2.Harness.profiles)
 
-(* ---- --progress accounting under retry and quarantine ------------------ *)
+(* ---- --progress accounting under quarantine ---------------------------- *)
 
 (* Run [f] with stderr redirected to a temp file; return (result, text). *)
 let capture_stderr f =
@@ -524,10 +616,9 @@ let capture_stderr f =
   (r, text)
 
 let test_progress_counts_each_binary_once () =
-  (* The faulting plan retries (2 attempts) and quarantines 2 of the 4
-     binaries.  The progress accounting must still count every binary
-     exactly once — the summary line pins done = 4 of 4, 2 quarantined,
-     2 retried, however many attempts the guard burned. *)
+  (* The faulting plan quarantines 2 of the 4 binaries.  The progress
+     accounting must still count every binary exactly once — the summary
+     line pins done = 4 of 4, 2 quarantined. *)
   let opts = { fault_opts with Harness.progress = true } in
   let r, text =
     capture_stderr (fun () ->
@@ -539,18 +630,10 @@ let test_progress_counts_each_binary_once () =
     (contains ~needle:"4/4 binaries" text);
   check Alcotest.bool "summary reports quarantines" true
     (contains ~needle:"2 quarantined" text);
-  check Alcotest.bool "summary reports retries" true
-    (contains ~needle:"2 retried" text);
   check Alcotest.bool "no overcount anywhere" false
     (contains ~needle:"5/4" text || contains ~needle:"6/4" text)
 
 (* ---- Quarantine JSONL round-trip --------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
 
 let test_quarantine_roundtrip () =
   let r =
@@ -576,15 +659,20 @@ let test_quarantine_roundtrip () =
        empty and the records round-trip exactly. *)
     check Alcotest.bool "parsed = written" true
       (failures = r.Harness.failures));
-  (* A wrong schema version is refused, not misread. *)
-  let tampered =
+  check Alcotest.bool "schema 3 rows carry no attempts" false (contains ~needle:"attempts" text);
+  (* A row of another schema version is refused, not misread: the
+     schema-2 shape (with [attempts]) and a future one. *)
+  let row schema =
     Printf.sprintf "{\"schema\":%d,\"suite\":\"s\",\"program\":\"p\",\
                     \"config\":\"c\",\"attempts\":1,\"error\":\"e\",\
                     \"backtrace\":\"\",\"journal\":[]}\n"
-      (Harness.quarantine_schema + 1)
+      schema
   in
-  check Alcotest.bool "wrong schema rejected" true
-    (Result.is_error (Harness.read_quarantine tampered));
+  check Alcotest.(result pass string) "schema 2 rejected"
+    (Error "unsupported schema 2 (want 3)")
+    (Result.map ignore (Harness.read_quarantine (row 2)));
+  check Alcotest.bool "future schema rejected" true
+    (Result.is_error (Harness.read_quarantine (row (Harness.quarantine_schema + 1))));
   check Alcotest.bool "garbage rejected" true
     (Result.is_error (Harness.read_quarantine "{\"schema\":oops}\n"))
 
@@ -682,8 +770,12 @@ let suite =
         Alcotest.test_case "harness quarantine parallel" `Slow
           test_harness_quarantine_parallel_identical;
         Alcotest.test_case "harness fail-fast" `Quick test_harness_fail_fast;
+        Alcotest.test_case "harness whole-program faults" `Quick
+          test_harness_whole_program_faults;
         Alcotest.test_case "harness chaos identical" `Slow
           test_harness_chaos_identical;
+        Alcotest.test_case "harness quarantine rows under chaos" `Quick
+          test_harness_quarantine_rows_under_chaos;
         Alcotest.test_case "harness sheds under pressure" `Quick
           test_harness_sheds_under_pressure;
         Alcotest.test_case "progress counts each binary once" `Quick

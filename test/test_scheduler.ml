@@ -1,11 +1,9 @@
-(* Scheduler-core tests: the Work_queue pool, guard, breaker, backoff
-   arithmetic and the deadline fraction it sheds against — exercised in
-   isolation from the harness (test_robust.ml covers the end-to-end
-   story). *)
+(* Scheduler-core tests: the Work_queue pool, its chaos layer, shedding
+   and the deadline fraction it sheds against — exercised in isolation
+   from the harness (test_robust.ml covers the end-to-end story). *)
 
 module W = Cet_util.Work_queue
 module Deadline = Cet_util.Deadline
-module Prng = Cet_util.Prng
 
 let check = Alcotest.check
 let qcheck t = QCheck_alcotest.to_alcotest t
@@ -42,7 +40,6 @@ let qcheck_map_matches_sequential_chaos =
              without slowing the property test. *)
           W.Chaos.c_stall_p = 0.3;
           c_delay_p = 0.4;
-          c_fault_p = 0.3;
           c_max_delay_ns = 20_000;
         }
       in
@@ -133,216 +130,163 @@ let test_map_runs_everything_below_failure () =
 
 let test_config_validation () =
   let bad f = try ignore (W.create (f ())); false with Invalid_argument _ -> true in
+  check Alcotest.bool "jobs >= 1" true (bad (fun () -> W.config ~jobs:0 ()));
   check Alcotest.bool "cap >= 1" true (bad (fun () -> W.config ~cap:0 ()));
-  check Alcotest.bool "attempts >= 1" true
-    (bad (fun () -> W.config ~attempts:0 ()));
   check Alcotest.bool "run_seconds > 0" true
     (bad (fun () -> W.config ~run_seconds:0.0 ()));
   check Alcotest.bool "chaos probability in [0,1]" true
     (bad (fun () ->
          W.config
-           ~chaos:{ (W.Chaos.default ~seed:1) with W.Chaos.c_fault_p = 1.5 }
+           ~chaos:{ (W.Chaos.default ~seed:1) with W.Chaos.c_delay_p = 1.5 }
+           ()));
+  check Alcotest.bool "chaos delay >= 0" true
+    (bad (fun () ->
+         W.config
+           ~chaos:{ (W.Chaos.default ~seed:1) with W.Chaos.c_max_delay_ns = -1 }
            ()))
 
-(* ------------------------------------------------------------------ *)
-(* Backoff arithmetic                                                 *)
-(* ------------------------------------------------------------------ *)
+let test_map_more_jobs_than_items () =
+  let t = W.create (W.config ~jobs:8 ()) in
+  check Alcotest.(array int) "3 items on 8 workers"
+    (Array.init 3 busy_square) (W.map t 3 busy_square);
+  check Alcotest.int "each item counted once" 3 (W.stats t).W.s_items
 
-let qcheck_backoff_monotone =
-  QCheck.Test.make ~name:"backoff: non-decreasing in attempt, capped"
-    ~count:300
-    QCheck.(triple (int_range 1 1_000_000) (int_range 1 1_000_000) (int_range 1 60))
-    (fun (base_ns, extra, attempt) ->
-      let max_ns = base_ns + extra in
-      let d = W.backoff_ns ~base_ns ~max_ns ~attempt in
-      let d' = W.backoff_ns ~base_ns ~max_ns ~attempt:(attempt + 1) in
-      d >= base_ns && d <= max_ns && d' >= d)
+let test_map_sequential_in_order () =
+  (* One worker and no chaos: the items run on the calling domain, in
+     index order, as [Array.init] runs them. *)
+  let t = W.create (W.config ~jobs:1 ()) in
+  let self = Domain.self () in
+  let order = ref [] in
+  ignore
+    (W.map t 20 (fun k ->
+         if Domain.self () <> self then Alcotest.fail "item left the calling domain";
+         order := k :: !order;
+         k));
+  check Alcotest.(list int) "index order" (List.init 20 Fun.id) (List.rev !order)
 
-let test_backoff_schedule () =
-  let d a = W.backoff_ns ~base_ns:1_000 ~max_ns:50_000 ~attempt:a in
-  check Alcotest.int "attempt 1" 1_000 (d 1);
-  check Alcotest.int "attempt 2" 2_000 (d 2);
-  check Alcotest.int "attempt 3" 4_000 (d 3);
-  check Alcotest.int "capped" 50_000 (d 40);
-  check Alcotest.int "zero base stays zero"
-    0 (W.backoff_ns ~base_ns:0 ~max_ns:50_000 ~attempt:9)
+let test_map_run_deadline_armed () =
+  (* [run_seconds] arms one deadline around each worker's loop, on the
+     sequential path and on the pool alike; without it none is armed. *)
+  List.iter
+    (fun jobs ->
+      let armed run_seconds =
+        let t = W.create (W.config ~jobs ?run_seconds ()) in
+        W.map t 12 (fun _ -> Deadline.remaining_fraction () <> None)
+      in
+      check Alcotest.(array bool)
+        (Printf.sprintf "jobs=%d: armed in every item" jobs)
+        (Array.make 12 true) (armed (Some 3600.0));
+      check Alcotest.(array bool)
+        (Printf.sprintf "jobs=%d: none without run_seconds" jobs)
+        (Array.make 12 false) (armed None))
+    [ 1; 3 ]
 
-let qcheck_jitter_bounds =
-  QCheck.Test.make ~name:"backoff: jitter stays in [d/2, d]" ~count:300
-    QCheck.(pair (int_range 1 1_000_000) (int_range 1 40))
-    (fun (base_ns, attempt) ->
-      let max_ns = 64_000_000 in
-      let g = Prng.create (base_ns lxor attempt) in
-      let d = W.backoff_ns ~base_ns ~max_ns ~attempt in
-      let j = W.jittered_backoff_ns g ~base_ns ~max_ns ~attempt in
-      j >= d / 2 && j <= d)
-
-(* ------------------------------------------------------------------ *)
-(* Circuit breaker state machine                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_breaker_transitions () =
-  let b = W.Breaker.create { W.Breaker.threshold = 3; cooldown = 2 } in
-  check Alcotest.string "starts closed" "closed" (W.Breaker.state_name b);
-  (* Two failures: still closed (threshold is 3). *)
-  check Alcotest.bool "failure 1" false (W.Breaker.failure b);
-  check Alcotest.bool "failure 2" false (W.Breaker.failure b);
-  check Alcotest.string "still closed" "closed" (W.Breaker.state_name b);
-  (* A success resets the consecutive count. *)
-  ignore (W.Breaker.success b : bool);
-  check Alcotest.bool "failure after reset" false (W.Breaker.failure b);
-  check Alcotest.bool "failure" false (W.Breaker.failure b);
-  check Alcotest.bool "third consecutive opens" true (W.Breaker.failure b);
-  check Alcotest.string "open" "open" (W.Breaker.state_name b);
-  (* Cooldown = 2 skipped units, then the next ask is the probe. *)
-  check Alcotest.bool "skip 1"
-    true (W.Breaker.ask b = W.Breaker.Skip);
-  check Alcotest.bool "skip 2"
-    true (W.Breaker.ask b = W.Breaker.Skip);
-  check Alcotest.bool "probe after cooldown"
-    true (W.Breaker.ask b = W.Breaker.Probe);
-  check Alcotest.string "half-open" "half-open" (W.Breaker.state_name b);
-  (* While the probe is in flight, other units are skipped. *)
-  check Alcotest.bool "skip during probe"
-    true (W.Breaker.ask b = W.Breaker.Skip);
-  (* A successful probe closes the breaker again. *)
-  check Alcotest.bool "probe success closes" true (W.Breaker.success b);
-  check Alcotest.string "closed again" "closed" (W.Breaker.state_name b);
-  check Alcotest.bool "allows again"
-    true (W.Breaker.ask b = W.Breaker.Allow)
-
-let test_breaker_probe_failure_reopens () =
-  let b = W.Breaker.create { W.Breaker.threshold = 1; cooldown = 1 } in
-  check Alcotest.bool "opens" true (W.Breaker.failure b);
-  check Alcotest.bool "skip" true (W.Breaker.ask b = W.Breaker.Skip);
-  check Alcotest.bool "probe" true (W.Breaker.ask b = W.Breaker.Probe);
-  check Alcotest.bool "probe failure reopens" true (W.Breaker.failure b);
-  check Alcotest.string "open again" "open" (W.Breaker.state_name b);
-  check Alcotest.bool "skips again"
-    true (W.Breaker.ask b = W.Breaker.Skip)
-
-let test_breaker_config_validation () =
-  (try
-     ignore (W.Breaker.create { W.Breaker.threshold = 0; cooldown = 1 });
-     Alcotest.fail "threshold 0 accepted"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (W.Breaker.create { W.Breaker.threshold = 1; cooldown = -1 });
-     Alcotest.fail "negative cooldown accepted"
-   with Invalid_argument _ -> ())
+let test_map_workers_record_backtraces () =
+  (* Backtrace recording is per domain: the workers follow the caller's
+     setting, so an item's backtrace does not depend on where it ran. *)
+  let saved = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace saved)
+    (fun () ->
+      let t = W.create (W.config ~jobs:4 ()) in
+      let r =
+        W.map t 40 (fun k ->
+            match if busy_square k >= 0 then failwith "item" with
+            | () -> false
+            | exception Failure _ ->
+              Printexc.raw_backtrace_length (Printexc.get_raw_backtrace ()) > 0)
+      in
+      check Alcotest.(array bool) "every item has a backtrace" (Array.make 40 true) r)
 
 (* ------------------------------------------------------------------ *)
-(* Guarded units: retry, retryability veto, breaker integration       *)
+(* Chaos: timing faults only                                          *)
 (* ------------------------------------------------------------------ *)
 
-let guard_config ?breaker ?attempts () =
-  (* Microscopic backoff so retry tests run in microseconds. *)
-  W.config ~jobs:1 ?attempts ?breaker ~backoff_base_ns:1_000
-    ~backoff_max_ns:4_000 ()
+let stormy ~seed =
+  { (W.Chaos.default ~seed) with W.Chaos.c_stall_p = 0.3; c_delay_p = 0.4; c_max_delay_ns = 20_000 }
 
-let test_guard_first_attempt_success () =
-  let t = W.create (guard_config ()) in
-  match W.guard t ~key:"u" ~group:"g" (fun ~attempt ~degraded ->
-      check Alcotest.int "attempt number" 1 attempt;
-      check Alcotest.bool "not degraded" false degraded;
-      42)
-  with
-  | Ok g ->
-    check Alcotest.int "value" 42 g.W.g_value;
-    check Alcotest.int "one attempt" 1 g.W.g_attempts;
-    check Alcotest.bool "not shed" false g.W.g_degraded
-  | Error _ -> Alcotest.fail "guard failed"
-
-let test_guard_retries_then_succeeds () =
-  let t = W.create (guard_config ~attempts:3 ()) in
-  let calls = ref 0 in
-  (match W.guard t ~key:"u" ~group:"g" (fun ~attempt ~degraded:_ ->
-       incr calls;
-       if attempt < 3 then failwith "flaky" else "ok")
-   with
-  | Ok g ->
-    check Alcotest.string "value" "ok" g.W.g_value;
-    check Alcotest.int "attempts recorded" 3 g.W.g_attempts
-  | Error _ -> Alcotest.fail "guard failed");
-  check Alcotest.int "work ran three times" 3 !calls;
-  check Alcotest.int "retries counted" 2 (W.stats t).W.s_retries
-
-let test_guard_exhausts_attempts () =
-  let t = W.create (guard_config ~attempts:2 ()) in
-  match W.guard t ~key:"u" ~group:"g" (fun ~attempt:_ ~degraded:_ ->
-      failwith "always")
-  with
-  | Ok _ -> Alcotest.fail "guard succeeded"
-  | Error f ->
-    check Alcotest.int "both attempts ran" 2 f.W.w_attempts;
-    check Alcotest.bool "not a breaker skip" false f.W.w_breaker_skip;
-    check Alcotest.bool "carries the exception" true
-      (match f.W.w_error with
-      | Failure m -> m = "always"
-      | _ -> false)
-
-let test_guard_retryable_veto () =
-  let t = W.create (guard_config ~attempts:3 ()) in
-  let calls = ref 0 in
-  (match W.guard t ~key:"u" ~group:"g"
-      ~retryable:(function Failure m -> m <> "fatal" | _ -> true)
-      (fun ~attempt:_ ~degraded:_ ->
-        incr calls;
-        failwith "fatal")
-   with
-  | Ok _ -> Alcotest.fail "guard succeeded"
-  | Error f -> check Alcotest.int "single attempt" 1 f.W.w_attempts);
-  check Alcotest.int "no retry of a vetoed failure" 1 !calls
-
-let test_guard_breaker_fast_fail () =
-  let breaker = { W.Breaker.threshold = 2; cooldown = 3 } in
-  let t = W.create (guard_config ~breaker ~attempts:1 ()) in
-  let fail () =
-    W.guard t ~key:"u" ~group:"prog" (fun ~attempt:_ ~degraded:_ ->
-        failwith "boom")
+let test_chaos_runs_each_item_once () =
+  (* Chaos delays and stalls a worker, it never re-runs or drops work:
+     every index is evaluated exactly once. *)
+  let n = 150 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let t = W.create (W.config ~jobs:4 ~chaos:(stormy ~seed:3) ()) in
+  let r =
+    W.map t n (fun k ->
+        Atomic.incr runs.(k);
+        busy_square k)
   in
-  ignore (fail ());
-  ignore (fail ());
-  (* Threshold reached: the next unit in the group is fast-failed
-     without the work running. *)
-  let ran = ref false in
-  (match W.guard t ~key:"u3" ~group:"prog" (fun ~attempt:_ ~degraded:_ ->
-       ran := true)
-   with
-  | Ok _ -> Alcotest.fail "breaker did not trip"
-  | Error f ->
-    check Alcotest.bool "flagged as skip" true f.W.w_breaker_skip;
-    check Alcotest.int "work never ran" 0 f.W.w_attempts;
-    check Alcotest.bool "Breaker_tripped carries the group" true
-      (match f.W.w_error with
-      | W.Breaker_tripped g -> g = "prog"
-      | _ -> false));
-  check Alcotest.bool "work never ran" false !ran;
-  (* A different group is unaffected. *)
-  (match W.guard t ~key:"o" ~group:"other" (fun ~attempt:_ ~degraded:_ -> 7)
-   with
-  | Ok g -> check Alcotest.int "other group runs" 7 g.W.g_value
-  | Error _ -> Alcotest.fail "other group tripped");
-  check Alcotest.int "one open counted" 1 (W.stats t).W.s_breaker_opens;
-  check Alcotest.int "one skip counted" 1 (W.stats t).W.s_breaker_skips
+  check Alcotest.(array int) "results" (Array.init n busy_square) r;
+  Array.iteri
+    (fun k c ->
+      if Atomic.get c <> 1 then Alcotest.failf "item %d ran %d times" k (Atomic.get c))
+    runs
 
-let test_guard_breaker_recovers_via_probe () =
-  let breaker = { W.Breaker.threshold = 1; cooldown = 1 } in
-  let t = W.create (guard_config ~breaker ~attempts:1 ()) in
-  let unit ~ok key =
-    W.guard t ~key ~group:"prog" (fun ~attempt:_ ~degraded:_ ->
-        if not ok then failwith "down")
+let test_chaos_delays_deterministic () =
+  (* Which items are delayed is drawn from the chaos seed and the item
+     index alone, so two runs at different worker counts delay the same
+     items. *)
+  let delayed jobs =
+    let lock = Mutex.create () and seen = ref [] in
+    let observer = function
+      | W.Chaos_delay { index; _ } -> Mutex.protect lock (fun () -> seen := index :: !seen)
+      | _ -> ()
+    in
+    let t = W.create ~observer (W.config ~jobs ~chaos:(stormy ~seed:11) ()) in
+    ignore (W.map t 80 busy_square);
+    (List.sort compare !seen, (W.stats t).W.s_chaos_delays)
   in
-  check Alcotest.bool "opens" true (Result.is_error (unit ~ok:false "a"));
-  check Alcotest.bool "cooldown skip" true
-    (match unit ~ok:true "b" with
-    | Error { W.w_breaker_skip = true; _ } -> true
-    | _ -> false);
-  (* Cooldown spent: this unit is the half-open probe, and it runs. *)
-  check Alcotest.bool "probe runs and closes" true
-    (Result.is_ok (unit ~ok:true "c"));
-  check Alcotest.bool "group readmitted" true
-    (Result.is_ok (unit ~ok:true "d"))
+  let a, na = delayed 1 and b, nb = delayed 4 in
+  check Alcotest.(list int) "same delayed items" a b;
+  check Alcotest.int "counter = events" (List.length a) na;
+  check Alcotest.int "same count" na nb;
+  check Alcotest.bool "something was delayed" true (na > 0)
+
+let test_chaos_stall_events_counted () =
+  let stalls = Atomic.make 0 in
+  let observer = function W.Chaos_stall _ -> Atomic.incr stalls | _ -> () in
+  let t = W.create ~observer (W.config ~jobs:3 ~chaos:(stormy ~seed:5) ()) in
+  ignore (W.map t 60 busy_square);
+  check Alcotest.int "one event per counted stall" (W.stats t).W.s_chaos_stalls
+    (Atomic.get stalls)
+
+let test_chaos_failure_lowest_index () =
+  (* The failure contract holds under chaos too. *)
+  let f k = if k = 17 || k = 63 then failwith (Printf.sprintf "item-%d" k) else busy_square k in
+  let t = W.create (W.config ~jobs:4 ~chaos:(stormy ~seed:7) ()) in
+  match W.map t 80 f with
+  | _ -> Alcotest.fail "failure did not propagate"
+  | exception Failure msg -> check Alcotest.string "lowest index wins" "item-17" msg
+
+let test_chaos_runs_everything_below_failure () =
+  (* The drain contract under chaos: a failure drops only items above it. *)
+  let n = 120 and failing = 70 in
+  let ran = Array.init n (fun _ -> Atomic.make false) in
+  let f k =
+    Atomic.set ran.(k) true;
+    if k = failing then failwith "item-70" else busy_square k
+  in
+  let t = W.create (W.config ~jobs:3 ~cap:4 ~chaos:(stormy ~seed:21) ()) in
+  (match W.map t n f with
+  | _ -> Alcotest.fail "failure did not propagate"
+  | exception Failure _ -> ());
+  for k = 0 to failing do
+    if not (Atomic.get ran.(k)) then Alcotest.failf "item %d below the failure never ran" k
+  done
+
+let test_chaos_admission_cap () =
+  let cap = 2 in
+  let t = W.create (W.config ~jobs:3 ~cap ~chaos:(stormy ~seed:9) ()) in
+  ignore (W.map t 60 busy_square);
+  let hw = (W.stats t).W.s_max_pending in
+  if hw > cap then Alcotest.failf "admission high-water %d exceeds cap %d" hw cap
+
+let test_chaos_single_worker () =
+  (* Chaos at one worker takes the pooled path on the calling domain. *)
+  let t = W.create (W.config ~jobs:1 ~chaos:(stormy ~seed:13) ()) in
+  check Alcotest.(array int) "results" (Array.init 40 busy_square) (W.map t 40 busy_square);
+  check Alcotest.int "no steals with one worker" 0 (W.stats t).W.s_steals
 
 (* ------------------------------------------------------------------ *)
 (* Shedding and Deadline.remaining_fraction                           *)
@@ -381,62 +325,69 @@ let qcheck_nested_deadline_never_extends =
               | None -> QCheck.Test.fail_report "inner disarmed"
               | Some f -> (f *. eff) <= outer_rem +. 1e-3)))
 
-let test_guard_sheds_under_pressure () =
-  (* shed_fraction 2.0 > any real fraction: every guarded unit under an
-     ambient deadline runs degraded — the deterministic recipe the
-     harness shed test uses, exercised here at the scheduler layer. *)
+let test_shed_under_pressure () =
+  (* shed_fraction 2.0 > any real fraction: every unit under an ambient
+     deadline runs degraded — the deterministic recipe the harness shed
+     test uses, exercised here at the scheduler layer. *)
   let t =
     W.create
       (W.config ~jobs:1 ~run_seconds:3600.0 ~shed_fraction:2.0 ())
   in
-  let r =
-    W.map t 3 (fun k ->
-        match
-          W.guard t ~key:(string_of_int k) ~group:"g"
-            (fun ~attempt:_ ~degraded -> degraded)
-        with
-        | Ok g -> g.W.g_degraded && g.W.g_value
-        | Error _ -> false)
-  in
+  let r = W.map t 3 (fun k -> W.shed t ~key:(string_of_int k)) in
   check Alcotest.(array bool) "every unit shed" [| true; true; true |] r;
   check Alcotest.int "sheds counted" 3 (W.stats t).W.s_sheds
 
-let test_guard_no_shed_without_deadline () =
+let test_no_shed_without_deadline () =
   let t = W.create (W.config ~jobs:1 ~shed_fraction:2.0 ()) in
-  match W.guard t ~key:"u" ~group:"g" (fun ~attempt:_ ~degraded -> degraded)
-  with
-  | Ok g ->
-    check Alcotest.bool "no ambient deadline, no shed" false g.W.g_value
-  | Error _ -> Alcotest.fail "guard failed"
+  check Alcotest.bool "no ambient deadline, no shed" false (W.shed t ~key:"u");
+  check Alcotest.int "nothing counted" 0 (W.stats t).W.s_sheds
+
+let test_no_shed_above_fraction () =
+  (* A fresh hour-long budget is far above a 1% threshold, and with no
+     threshold at all nothing is ever shed. *)
+  List.iter
+    (fun shed_fraction ->
+      let t = W.create (W.config ~jobs:2 ~run_seconds:3600.0 ?shed_fraction ()) in
+      let r = W.map t 6 (fun k -> W.shed t ~key:(string_of_int k)) in
+      check Alcotest.(array bool) "nothing shed" (Array.make 6 false) r;
+      check Alcotest.int "nothing counted" 0 (W.stats t).W.s_sheds)
+    [ Some 0.01; None ]
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_observer_sees_backoff_and_breaker () =
+let test_observer_sees_shed () =
   let events = ref [] in
   let lock = Mutex.create () in
-  let observer e =
-    Mutex.protect lock (fun () -> events := e :: !events)
-  in
-  let breaker = { W.Breaker.threshold = 1; cooldown = 1 } in
+  let observer e = Mutex.protect lock (fun () -> events := e :: !events) in
   let t =
-    W.create ~observer
-      (W.config ~jobs:1 ~attempts:2 ~breaker ~backoff_base_ns:1_000
-         ~backoff_max_ns:2_000 ())
+    W.create ~observer (W.config ~jobs:2 ~run_seconds:3600.0 ~shed_fraction:2.0 ())
   in
-  ignore
-    (W.guard t ~key:"u" ~group:"g" (fun ~attempt:_ ~degraded:_ ->
-         failwith "x"));
-  ignore
-    (W.guard t ~key:"v" ~group:"g" (fun ~attempt:_ ~degraded:_ -> ()));
-  let has p = List.exists p !events in
-  check Alcotest.bool "Backoff observed" true
-    (has (function W.Backoff { key = "u"; attempt = 1; _ } -> true | _ -> false));
-  check Alcotest.bool "Breaker_open observed" true
-    (has (function W.Breaker_open { group = "g"; _ } -> true | _ -> false));
-  check Alcotest.bool "Breaker_skip observed" true
-    (has (function W.Breaker_skip { group = "g"; key = "v" } -> true | _ -> false))
+  ignore (W.map t 4 (fun k -> W.shed t ~key:(Printf.sprintf "unit-%d" k)));
+  let keys =
+    List.sort compare (List.filter_map (function W.Shed { key } -> Some key | _ -> None) !events)
+  in
+  check Alcotest.(list string) "one Shed event per unit, named"
+    [ "unit-0"; "unit-1"; "unit-2"; "unit-3" ] keys
+
+let test_observer_sees_steals () =
+  (* Every steal is one event naming two distinct workers of the pool. *)
+  let jobs = 4 in
+  let lock = Mutex.create () and steals = ref [] in
+  let observer = function
+    | W.Steal { thief; victim } ->
+      Mutex.protect lock (fun () -> steals := (thief, victim) :: !steals)
+    | _ -> ()
+  in
+  let t = W.create ~observer (W.config ~jobs ~chaos:(stormy ~seed:17) ()) in
+  ignore (W.map t 200 busy_square);
+  check Alcotest.int "one event per counted steal" (W.stats t).W.s_steals (List.length !steals);
+  List.iter
+    (fun (thief, victim) ->
+      if thief = victim || thief < 0 || victim < 0 || thief >= jobs || victim >= jobs then
+        Alcotest.failf "steal %d<-%d outside the pool" thief victim)
+    !steals
 
 let suite =
   [
@@ -455,38 +406,39 @@ let suite =
         Alcotest.test_case "config validation" `Quick test_config_validation;
         qcheck qcheck_map_matches_sequential;
         qcheck qcheck_map_matches_sequential_chaos;
-        Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
-        qcheck qcheck_backoff_monotone;
-        qcheck qcheck_jitter_bounds;
-        Alcotest.test_case "breaker transitions" `Quick
-          test_breaker_transitions;
-        Alcotest.test_case "breaker probe failure reopens" `Quick
-          test_breaker_probe_failure_reopens;
-        Alcotest.test_case "breaker config validation" `Quick
-          test_breaker_config_validation;
-        Alcotest.test_case "guard: first attempt success" `Quick
-          test_guard_first_attempt_success;
-        Alcotest.test_case "guard: retries then succeeds" `Quick
-          test_guard_retries_then_succeeds;
-        Alcotest.test_case "guard: exhausts attempts" `Quick
-          test_guard_exhausts_attempts;
-        Alcotest.test_case "guard: retryable veto" `Quick
-          test_guard_retryable_veto;
-        Alcotest.test_case "guard: breaker fast-fail" `Quick
-          test_guard_breaker_fast_fail;
-        Alcotest.test_case "guard: breaker recovers via probe" `Quick
-          test_guard_breaker_recovers_via_probe;
+        Alcotest.test_case "map: more jobs than items" `Quick
+          test_map_more_jobs_than_items;
+        Alcotest.test_case "map: one worker runs in index order" `Quick
+          test_map_sequential_in_order;
+        Alcotest.test_case "map: run deadline armed in every item" `Quick
+          test_map_run_deadline_armed;
+        Alcotest.test_case "map: workers record backtraces" `Quick
+          test_map_workers_record_backtraces;
+        Alcotest.test_case "chaos: each item runs once" `Quick
+          test_chaos_runs_each_item_once;
+        Alcotest.test_case "chaos: delays drawn from seed and index" `Quick
+          test_chaos_delays_deterministic;
+        Alcotest.test_case "chaos: stall events counted" `Quick
+          test_chaos_stall_events_counted;
+        Alcotest.test_case "chaos: lowest failing index wins" `Quick
+          test_chaos_failure_lowest_index;
+        Alcotest.test_case "chaos: every item below a failure runs" `Quick
+          test_chaos_runs_everything_below_failure;
+        Alcotest.test_case "chaos: admission cap respected" `Quick
+          test_chaos_admission_cap;
+        Alcotest.test_case "chaos: one worker" `Quick test_chaos_single_worker;
         Alcotest.test_case "deadline fraction: unarmed" `Quick
           test_remaining_fraction_unarmed;
         Alcotest.test_case "deadline fraction: armed" `Quick
           test_remaining_fraction_armed;
         qcheck qcheck_nested_deadline_never_extends;
-        Alcotest.test_case "guard: sheds under pressure" `Quick
-          test_guard_sheds_under_pressure;
-        Alcotest.test_case "guard: no shed without deadline" `Quick
-          test_guard_no_shed_without_deadline;
-        Alcotest.test_case "observer: backoff and breaker events" `Quick
-          test_observer_sees_backoff_and_breaker;
+        Alcotest.test_case "shed: under pressure" `Quick test_shed_under_pressure;
+        Alcotest.test_case "shed: not without a deadline" `Quick
+          test_no_shed_without_deadline;
+        Alcotest.test_case "shed: not above the fraction" `Quick
+          test_no_shed_above_fraction;
+        Alcotest.test_case "observer: shed events" `Quick test_observer_sees_shed;
+        Alcotest.test_case "observer: steal events" `Quick test_observer_sees_steals;
         Alcotest.test_case "map: every item below a failure runs" `Quick
           test_map_runs_everything_below_failure;
       ] );

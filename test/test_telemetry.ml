@@ -269,13 +269,13 @@ let test_schedule_counters_timing_only () =
       Registry.enable ();
       List.iter
         (fun name -> Registry.count name)
-        [ "scheduler.steals"; "scheduler.chaos_stalls"; "scheduler.backoffs" ];
+        [ "scheduler.steals"; "scheduler.chaos_stalls"; "scheduler.sheds" ];
       let plain = Report.render ~timing:false () in
       let timed = Report.render ~timing:true () in
       check Alcotest.bool "steals left out" false (contains plain "scheduler.steals");
       check Alcotest.bool "chaos stalls left out" false
         (contains plain "scheduler.chaos_stalls");
-      check Alcotest.bool "backoffs kept" true (contains plain "scheduler.backoffs");
+      check Alcotest.bool "sheds kept" true (contains plain "scheduler.sheds");
       check Alcotest.bool "timed keeps steals" true (contains timed "scheduler.steals");
       check Alcotest.bool "timed keeps chaos stalls" true
         (contains timed "scheduler.chaos_stalls"))
