@@ -14,7 +14,7 @@ let tools =
     ("FunSeeker", fun st -> (Core.Funseeker.analyze_st st).Core.Funseeker.functions);
     ("IDA-like", Cet_baselines.Ida_like.analyze_st);
     ("Ghidra-like", Cet_baselines.Ghidra_like.analyze_st);
-    ("FETCH-like", Cet_baselines.Fetch.analyze_st ~passes:3);
+    ("FETCH-like", Cet_baselines.Fetch.analyze_st);
   ]
 
 let () =

@@ -172,9 +172,7 @@ let[@inline] stack_delta code size ~x64 ~ptr off =
   else if b0 = 0xC9 then leave
   else 0
 
-(* Both FETCH passes walk an extent's index range [first_index_at lo,
-   first_index_at hi), computed once per extent. *)
-let stack_height_tail_targets (sw : Linear.t) ~extents ~passes =
+let stack_height_tail_targets (sw : Linear.t) ~extents =
   let addrs = sw.Linear.addrs and tags = sw.Linear.tags and targets = sw.Linear.targets in
   let code = sw.code and size = sw.size and base = sw.base in
   let x64 = sw.arch = Arch.X64 and ptr = Arch.ptr_size sw.arch in
@@ -182,61 +180,14 @@ let stack_height_tail_targets (sw : Linear.t) ~extents ~passes =
   let found = Ibuf.create () in
   List.iter
     (fun (lo, hi) ->
-      (* The repeated passes mirror FETCH's fixed-point refinement: each
-         pass rebuilds the function's stack-height profile, which is where
-         the tool's runtime goes (§V-D).  The instruction stream itself
-         comes from the shared sweep — one decode however many passes —
-         so a pass is pure array-walking over the cached stream. *)
-      let first = Linear.first_index_at sw lo and last = Linear.first_index_at sw hi in
-      for pass = 1 to passes do
-        let height = ref 0 in
-        for i = first to last - 1 do
-          let d = stack_delta code size ~x64 ~ptr (Array.unsafe_get addrs i - base) in
-          if d = leave then height := 0 else height := !height + d;
-          if Char.code (Bytes.unsafe_get tags i) land 15 = jmp then begin
-            let t = Array.unsafe_get targets i in
-            if (t < lo || t >= hi) && Linear.in_range sw t && !height <= 0 && pass = passes
-            then Ibuf.push found t
-          end
-        done
+      let height = ref 0 in
+      for i = Linear.first_index_at sw lo to Linear.first_index_at sw hi - 1 do
+        let d = stack_delta code size ~x64 ~ptr (Array.unsafe_get addrs i - base) in
+        if d = leave then height := 0 else height := !height + d;
+        if Char.code (Bytes.unsafe_get tags i) land 15 = jmp then begin
+          let t = Array.unsafe_get targets i in
+          if (t < lo || t >= hi) && Linear.in_range sw t && !height <= 0 then Ibuf.push found t
+        end
       done)
     extents;
   Array.to_list (Linear.sort_dedup_ints (Ibuf.contents found))
-
-let calling_convention_scan (sw : Linear.t) ~extents ~passes =
-  (* Per-extent register def/use histogram, recomputed [passes] times the
-     way FETCH revisits candidates per calling-convention hypothesis. *)
-  let addrs = sw.Linear.addrs in
-  let code = sw.code and size = sw.size and base = sw.base in
-  let x64 = sw.arch = Arch.X64 in
-  let defs = Array.make 8 0 in
-  let well_formed = ref 0 in
-  List.iter
-    (fun (lo, hi) ->
-      let ok = ref false in
-      let first = Linear.first_index_at sw lo and last = Linear.first_index_at sw hi in
-      for _pass = 1 to passes do
-        Array.fill defs 0 8 0;
-        for i = first to last - 1 do
-          let off = Array.unsafe_get addrs i - base in
-          let b0 = byte_at code size off in
-          let rex = x64 && b0 land 0xF0 = 0x40 in
-          let off = if rex then off + 1 else off in
-          let b0 = if rex then byte_at code size off else b0 in
-          (* mov r/m,r | mov r,r/m | mov r,imm | xor r,r *)
-          if b0 = 0x89 || b0 = 0x8B || b0 = 0x31 then begin
-            let reg = (byte_at code size (off + 1) lsr 3) land 7 in
-            Array.unsafe_set defs reg (Array.unsafe_get defs reg + 1)
-          end
-          else if b0 land 0xF8 = 0xB8 then
-            Array.unsafe_set defs (b0 land 7) (Array.unsafe_get defs (b0 land 7) + 1)
-        done;
-        let any = ref false in
-        for r = 0 to 7 do
-          if Array.unsafe_get defs r > 0 then any := true
-        done;
-        ok := !any
-      done;
-      if !ok then incr well_formed)
-    extents;
-  !well_formed

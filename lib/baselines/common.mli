@@ -47,18 +47,8 @@ val prologue_scan :
     land 4 bytes past the true entry).  [known] addresses, addresses inside
     [suppress] extents, and [visited] instruction addresses are skipped. *)
 
-val stack_height_tail_targets :
-  Cet_disasm.Linear.t -> extents:(int * int) list -> passes:int -> int list
-(** FETCH's expensive refinement: for each function extent, run [passes]
-    rounds of abstract stack-height tracking and report targets of
-    stack-balanced unconditional jumps leaving the extent (tail-call
-    targets).  Every pass visits every instruction of the extent: the
-    passes are the model of FETCH's runtime (§V-D). *)
-
-val calling_convention_scan :
-  Cet_disasm.Linear.t -> extents:(int * int) list -> passes:int -> int
-(** The second half of FETCH's verification: per-function register def/use
-    profiling used to sanity-check calling conventions.  Returns the number
-    of extents whose profile looks like a well-formed function (all of
-    them, for compiler-generated code) — the value matters less than the
-    work. *)
+val stack_height_tail_targets : Cet_disasm.Linear.t -> extents:(int * int) list -> int list
+(** FETCH's refinement: walk each function extent once with abstract
+    stack-height tracking and report the targets of stack-balanced
+    unconditional jumps leaving the extent (tail-call targets), sorted
+    and deduplicated. *)

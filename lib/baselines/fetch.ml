@@ -1,6 +1,6 @@
 module Substrate = Cet_disasm.Substrate
 
-let analyze_st_impl passes st =
+let analyze_st_impl st =
   let starts = Substrate.fde_starts st in
   match Substrate.text st with
   | None -> starts
@@ -21,17 +21,13 @@ let analyze_st_impl passes st =
                (lo, hi))
              arr)
       in
-      (* FETCH's two verification analyses: stack-height tracking for
-         tail-call targets, and calling-convention profiling of every
-         candidate — the "more complicated techniques" behind its runtime
-         (§V-D). *)
-      let tail_targets = Common.stack_height_tail_targets sweep ~extents ~passes in
-      let verified = Common.calling_convention_scan sweep ~extents ~passes:(passes * 2) in
-      ignore verified;
+      (* FETCH's verification analysis: stack-height tracking for
+         tail-call targets (§V-D). *)
+      let tail_targets = Common.stack_height_tail_targets sweep ~extents in
       List.sort_uniq Int.compare (starts @ tail_targets)
     end
 
-let analyze_st ?(passes = 22) st =
+let analyze_st st =
   if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"baseline.fetch" (fun () -> analyze_st_impl passes st)
-  else analyze_st_impl passes st
+    Cet_telemetry.Span.with_ ~name:"baseline.fetch" (fun () -> analyze_st_impl st)
+  else analyze_st_impl st

@@ -150,8 +150,7 @@ let scheduler ?jobs (opts : options) =
          (Option.map (fun seed -> Work_queue.Chaos.default ~seed) opts.chaos)
        ())
 
-let run ?profiles ?configs ?jobs (opts : options) =
-  Printexc.record_backtrace true;
+let run_recording ?profiles ?configs ?jobs (opts : options) =
   let plan = Dataset.plan ?profiles ?configs ~seed:opts.seed ~scale:opts.scale () in
   let total_binaries = Dataset.length plan in
   let t0 = Unix.gettimeofday () in
@@ -477,6 +476,15 @@ let run ?profiles ?configs ?jobs (opts : options) =
   end;
   results
 
+(* Quarantine rows carry the failing binary's backtrace, so a run records
+   backtraces, and hands the caller's setting back however it ends. *)
+let run ?profiles ?configs ?jobs opts =
+  let saved = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace saved)
+    (fun () -> run_recording ?profiles ?configs ?jobs opts)
+
 type manual_endbr_report = { full : Metrics.counts; manual : Metrics.counts }
 
 (* The per-binary unit of the SSVI ablation: FunSeeker's counts plus the
@@ -535,8 +543,7 @@ let speed_rows =
     ( "funseeker-anchored",
       "FunSeeker (4), anchored sweep",
       fs ~anchored:true Core.Funseeker.config4 );
-    ("fetch-1", "FETCH-like, 1 pass", Cet_baselines.Fetch.analyze_st ~passes:1);
-    ("fetch", "FETCH-like, default passes", fun st -> Cet_baselines.Fetch.analyze_st st);
+    ("fetch", "FETCH-like, default passes", Cet_baselines.Fetch.analyze_st);
   ]
 
 let speed ?profiles ?jobs (opts : options) =

@@ -154,7 +154,9 @@ val run :
     deterministic, so nothing is retried.  Scheduler events flow into
     {!Cet_telemetry.Journal} and the metric registry.  The merged tables
     and the failure list are byte-identical across [jobs] — and across
-    any [chaos] seed. *)
+    any [chaos] seed.  Backtraces are recorded during the run (a
+    quarantine row carries one) and the caller's
+    {!Printexc.backtrace_status} is restored on return and on raise. *)
 
 (** The scheduler's Journal/Registry bridge is
     {!Cet_telemetry.Bridge.scheduler_observer}, shared with the fuzz

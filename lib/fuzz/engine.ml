@@ -195,8 +195,7 @@ let analyze ?max_seconds ~anchored bytes =
    worker count or chaos seed. *)
 type verdict = Clean | Degraded of { timeout : bool } | Rejected | Crashed of crash
 
-let run ?(max_seconds = 2.0) ?jobs ?chaos ~seed ~count () =
-  Printexc.record_backtrace true;
+let run_recording ~max_seconds ?jobs ?chaos ~seed ~count () =
   let g = Prng.create seed in
   let pool = seed_pool ~seed in
   let per_class = Array.make (Array.length classes) 0 in
@@ -263,6 +262,15 @@ let run ?(max_seconds = 2.0) ?jobs ?chaos ~seed ~count () =
     timeouts = !timeouts;
     crashes = List.rev !crashes;
   }
+
+(* A crash record carries its backtrace, so a run records backtraces, and
+   hands the caller's setting back however it ends. *)
+let run ?(max_seconds = 2.0) ?jobs ?chaos ~seed ~count () =
+  let saved = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace saved)
+    (run_recording ~max_seconds ?jobs ?chaos ~seed ~count)
 
 (* ---- Crash report (JSONL) --------------------------------------------- *)
 

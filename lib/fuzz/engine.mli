@@ -68,7 +68,9 @@ val run :
     from one PRNG stream, then analysed on a {!Cet_util.Work_queue} pool
     of [jobs] workers (default: the recommended domain count) and merged
     in index order — the summary is byte-identical whatever [jobs], and
-    whatever scheduler-chaos [chaos] seed is injected. *)
+    whatever scheduler-chaos [chaos] seed is injected.  Backtraces are
+    recorded during the run (a crash record carries one) and the caller's
+    {!Printexc.backtrace_status} is restored on return and on raise. *)
 
 val render : summary -> string
 (** Deterministic human-readable summary, crashes (with backtraces)

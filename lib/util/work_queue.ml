@@ -147,8 +147,82 @@ module Deque = struct
         end)
 end
 
+(* ---- The crew: worker domains that outlive a call ------------------- *)
+
+(* Worker domains are spawned on first need, up to the widest call so
+   far, and kept for the whole process, parked on [wake] between calls.
+   A domain keeps its own heap pools: on OCaml 5.1 the pools of an exited
+   domain are not reused while any object allocated there is still live,
+   so a worker spawned per call made a caller that keeps small results
+   (a latency float per binary) hold on to pools from every call.  One
+   call at a time owns the crew ([owned]). *)
+type crew = {
+  lock : Mutex.t;
+  wake : Condition.t;  (* a call was posted *)
+  idle : Condition.t;  (* the last worker of a call left its job *)
+  mutable size : int;  (* workers spawned: worker ids 1 .. size *)
+  mutable posted : int;  (* calls posted so far *)
+  mutable width : int;  (* workers 1 .. width - 1 take the current call *)
+  mutable job : int -> unit;  (* the current call's loop, by worker id; never raises *)
+  mutable running : int;  (* workers still in the current call's job *)
+}
+
+let crew =
+  {
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    idle = Condition.create ();
+    size = 0;
+    posted = 0;
+    width = 1;
+    job = ignore;
+    running = 0;
+  }
+
+let owned = Atomic.make false
+
+let rec serve w seen =
+  Mutex.lock crew.lock;
+  while crew.posted = seen do
+    Condition.wait crew.wake crew.lock
+  done;
+  let posted = crew.posted and job = crew.job and takes_part = w < crew.width in
+  Mutex.unlock crew.lock;
+  if takes_part then begin
+    job w;
+    Mutex.protect crew.lock (fun () ->
+        crew.running <- crew.running - 1;
+        if crew.running = 0 then Condition.signal crew.idle)
+  end;
+  serve w posted
+
+(* Run [job w] on workers 1 .. width - 1 and [job 0] on the caller, and
+   return once every worker has left it.  The caller owns the crew. *)
+let with_crew width job =
+  while crew.size < width - 1 do
+    let w = crew.size + 1 and seen = crew.posted in
+    ignore (Domain.spawn (fun () -> serve w seen) : unit Domain.t);
+    crew.size <- w
+  done;
+  Mutex.protect crew.lock (fun () ->
+      crew.posted <- crew.posted + 1;
+      crew.width <- width;
+      crew.job <- job;
+      crew.running <- width - 1;
+      Condition.broadcast crew.wake);
+  job 0;
+  Mutex.protect crew.lock (fun () ->
+      while crew.running > 0 do
+        Condition.wait crew.idle crew.lock
+      done;
+      (* Drop the call's closure, and with it the call's results. *)
+      crew.job <- ignore)
+
 (* ---- The pool --------------------------------------------------------- *)
 
+(* [e_index] is the failing item, or -1 for an exception that escaped a
+   worker's loop rather than an item (a raising observer): below every
+   item, so it stops the call and is the one re-raised. *)
 type error = { e_index : int; e_exn : exn; e_bt : Printexc.raw_backtrace }
 
 (* Per-item chaos draws are keyed by (chaos seed, item index) so they are
@@ -166,6 +240,153 @@ let sequential n f =
     results
   end
 
+(* [map] on [jobs] workers: the caller is worker 0 and, when [jobs > 1],
+   owns the crew. *)
+let pooled t n f ~jobs ~under_run_deadline =
+  let deques = Array.init jobs (fun _ -> Deque.create ()) in
+  let results = Array.make n None in
+  let failure = Atomic.make None in
+  let pending = Atomic.make 0 in
+  let submitted_all = Atomic.make false in
+  let record_failure k exn bt =
+    let rec go () =
+      match Atomic.get failure with
+      | Some { e_index; _ } when e_index <= k -> ()
+      | cur ->
+        if
+          not
+            (Atomic.compare_and_set failure cur
+               (Some { e_index = k; e_exn = exn; e_bt = bt }))
+        then go ()
+    in
+    go ()
+  in
+  (* Array.init semantics under failure: an item above the lowest
+     failure so far can no longer matter and is dropped, while every
+     admitted item below it still runs — a lower index may fail too.
+     Failures only ever lower the bound, and the producer admits
+     indices in order and stops at the first failure, so the index
+     re-raised is the lowest failing one, at the cost of at most [cap]
+     admitted items run past it. *)
+  let dropped k =
+    match Atomic.get failure with Some { e_index; _ } -> e_index < k | None -> false
+  in
+  let escaped () =
+    match Atomic.get failure with Some { e_index; _ } -> e_index < 0 | None -> false
+  in
+  (* One item, after its chaos delay: the delay is drawn from the item's
+     own generator, so which items are slowed and by how much depends
+     only on the chaos seed, and the work itself runs exactly once. *)
+  let exec k =
+    (match t.cfg.chaos with
+    | None -> ()
+    | Some c ->
+      let g = item_prng ~seed:c.Chaos.c_seed k in
+      if Prng.chance g c.Chaos.c_delay_p then begin
+        let d = Prng.int g (c.Chaos.c_max_delay_ns + 1) in
+        Atomic.incr t.c_chaos_delays;
+        emit t (Chaos_delay { index = k; delay_ns = d });
+        sleep_ns d
+      end);
+    match f k with
+    | v ->
+      results.(k) <- Some v;
+      Atomic.incr t.c_items
+    | exception exn -> record_failure k exn (Printexc.get_raw_backtrace ())
+  in
+  let maybe_stall w g =
+    match t.cfg.chaos with
+    | Some c when Prng.chance g c.Chaos.c_stall_p ->
+      let d = Prng.int g (c.Chaos.c_max_delay_ns + 1) in
+      Atomic.incr t.c_chaos_stalls;
+      emit t (Chaos_stall { worker = w; delay_ns = d });
+      sleep_ns d
+    | _ -> ()
+  in
+  let try_steal w g =
+    let start = Prng.int g jobs in
+    let rec go i =
+      if i >= jobs then None
+      else begin
+        let v = (start + i) mod jobs in
+        if v = w then go (i + 1)
+        else
+          match Deque.pop_back deques.(v) with
+          | Some k ->
+            Atomic.incr t.c_steals;
+            emit t (Steal { thief = w; victim = v });
+            Some k
+          | None -> go (i + 1)
+      end
+    in
+    go 0
+  in
+  let take_one w g =
+    match Deque.pop_front deques.(w) with
+    | Some k -> Some k
+    | None -> try_steal w g
+  in
+  let run_one w g k =
+    Atomic.decr pending;
+    if not (dropped k) then begin
+      maybe_stall w g;
+      exec k
+    end
+  in
+  (* A loop that escaped may have taken an item without running it, so
+     after an escape [pending] need not reach zero: stop on either. *)
+  let rec worker_loop w g =
+    match take_one w g with
+    | Some k ->
+      run_one w g k;
+      worker_loop w g
+    | None ->
+      if (Atomic.get submitted_all && Atomic.get pending = 0) || escaped () then ()
+      else begin
+        Domain.cpu_relax ();
+        worker_loop w g
+      end
+  in
+  (* The calling domain is the producer: feed indices round-robin while
+     the admission window has room, and work one item itself whenever
+     the window is full — backpressure that never idles the caller. *)
+  let producer_loop g =
+    let next = ref 0 in
+    let rr = ref 0 in
+    while !next < n && Atomic.get failure = None do
+      if Atomic.get pending < t.cfg.cap then begin
+        Deque.push_back deques.(!rr) !next;
+        let p = Atomic.fetch_and_add pending 1 + 1 in
+        atomic_max t.c_max_pending p;
+        rr := (!rr + 1) mod jobs;
+        incr next
+      end
+      else begin
+        match take_one 0 g with
+        | Some k -> run_one 0 g k
+        | None -> Domain.cpu_relax ()
+      end
+    done;
+    Atomic.set submitted_all true;
+    worker_loop 0 g
+  in
+  let worker_seed w = t.cfg.seed lxor ((w + 1) * 0x85EBCA6B) in
+  (* Backtrace recording is per domain: a worker records them when this
+     call's caller does, so an item's backtrace does not depend on where
+     it ran. *)
+  let backtraces = Printexc.backtrace_status () in
+  let job w =
+    try
+      if w > 0 then Printexc.record_backtrace backtraces;
+      let g = Prng.create (worker_seed w) in
+      under_run_deadline (fun () -> if w = 0 then producer_loop g else worker_loop w g)
+    with exn -> record_failure (-1) exn (Printexc.get_raw_backtrace ())
+  in
+  if jobs > 1 then with_crew jobs job else job 0;
+  match Atomic.get failure with
+  | Some { e_exn; e_bt; _ } -> Printexc.raise_with_backtrace e_exn e_bt
+  | None -> Array.map (function Some v -> v | None -> assert false) results
+
 let map t n f =
   if n < 0 then invalid_arg "Work_queue.map: negative size";
   (* The runtime refuses to run more than ~128 domains at once; stay well
@@ -176,154 +397,21 @@ let map t n f =
     | None -> g ()
     | Some seconds -> Deadline.with_ ~seconds g
   in
+  (* One call at a time holds the workers.  A call that finds them held —
+     a [map] from inside an item, or from a second domain — runs on its
+     caller alone. *)
   if n = 0 then [||]
-  else if jobs <= 1 && t.cfg.chaos = None then
+  else if jobs > 1 && Atomic.compare_and_set owned false true then
+    Fun.protect
+      ~finally:(fun () -> Atomic.set owned false)
+      (fun () -> pooled t n f ~jobs ~under_run_deadline)
+  else if t.cfg.chaos <> None then pooled t n f ~jobs:1 ~under_run_deadline
+  else
     under_run_deadline (fun () ->
         let r = sequential n f in
-        Atomic.set t.c_items (Atomic.get t.c_items + n);
+        ignore (Atomic.fetch_and_add t.c_items n : int);
         atomic_max t.c_max_pending 1;
         r)
-  else begin
-    let deques = Array.init jobs (fun _ -> Deque.create ()) in
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let pending = Atomic.make 0 in
-    let submitted_all = Atomic.make false in
-    let record_failure k exn bt =
-      let rec go () =
-        match Atomic.get failure with
-        | Some { e_index; _ } when e_index <= k -> ()
-        | cur ->
-          if
-            not
-              (Atomic.compare_and_set failure cur
-                 (Some { e_index = k; e_exn = exn; e_bt = bt }))
-          then go ()
-      in
-      go ()
-    in
-    (* Array.init semantics under failure: an item above the lowest
-       failure so far can no longer matter and is dropped, while every
-       admitted item below it still runs — a lower index may fail too.
-       Failures only ever lower the bound, and the producer admits
-       indices in order and stops at the first failure, so the index
-       re-raised is the lowest failing one, at the cost of at most [cap]
-       admitted items run past it. *)
-    let dropped k =
-      match Atomic.get failure with Some { e_index; _ } -> e_index < k | None -> false
-    in
-    (* One item, after its chaos delay: the delay is drawn from the item's
-       own generator, so which items are slowed and by how much depends
-       only on the chaos seed, and the work itself runs exactly once. *)
-    let exec k =
-      (match t.cfg.chaos with
-      | None -> ()
-      | Some c ->
-        let g = item_prng ~seed:c.Chaos.c_seed k in
-        if Prng.chance g c.Chaos.c_delay_p then begin
-          let d = Prng.int g (c.Chaos.c_max_delay_ns + 1) in
-          Atomic.incr t.c_chaos_delays;
-          emit t (Chaos_delay { index = k; delay_ns = d });
-          sleep_ns d
-        end);
-      match f k with
-      | v ->
-        results.(k) <- Some v;
-        Atomic.incr t.c_items
-      | exception exn -> record_failure k exn (Printexc.get_raw_backtrace ())
-    in
-    let maybe_stall w g =
-      match t.cfg.chaos with
-      | Some c when Prng.chance g c.Chaos.c_stall_p ->
-        let d = Prng.int g (c.Chaos.c_max_delay_ns + 1) in
-        Atomic.incr t.c_chaos_stalls;
-        emit t (Chaos_stall { worker = w; delay_ns = d });
-        sleep_ns d
-      | _ -> ()
-    in
-    let try_steal w g =
-      let start = Prng.int g jobs in
-      let rec go i =
-        if i >= jobs then None
-        else begin
-          let v = (start + i) mod jobs in
-          if v = w then go (i + 1)
-          else
-            match Deque.pop_back deques.(v) with
-            | Some k ->
-              Atomic.incr t.c_steals;
-              emit t (Steal { thief = w; victim = v });
-              Some k
-            | None -> go (i + 1)
-        end
-      in
-      go 0
-    in
-    let take_one w g =
-      match Deque.pop_front deques.(w) with
-      | Some k -> Some k
-      | None -> try_steal w g
-    in
-    let run_one w g k =
-      Atomic.decr pending;
-      if not (dropped k) then begin
-        maybe_stall w g;
-        exec k
-      end
-    in
-    let rec worker_loop w g =
-      match take_one w g with
-      | Some k ->
-        run_one w g k;
-        worker_loop w g
-      | None ->
-        if Atomic.get submitted_all && Atomic.get pending = 0 then ()
-        else begin
-          Domain.cpu_relax ();
-          worker_loop w g
-        end
-    in
-    (* The calling domain is the producer: feed indices round-robin while
-       the admission window has room, and work one item itself whenever
-       the window is full — backpressure that never idles the caller. *)
-    let producer_loop g =
-      let next = ref 0 in
-      let rr = ref 0 in
-      while !next < n && Atomic.get failure = None do
-        if Atomic.get pending < t.cfg.cap then begin
-          Deque.push_back deques.(!rr) !next;
-          let p = Atomic.fetch_and_add pending 1 + 1 in
-          atomic_max t.c_max_pending p;
-          rr := (!rr + 1) mod jobs;
-          incr next
-        end
-        else begin
-          match take_one 0 g with
-          | Some k -> run_one 0 g k
-          | None -> Domain.cpu_relax ()
-        end
-      done;
-      Atomic.set submitted_all true;
-      worker_loop 0 g
-    in
-    let worker_seed w = t.cfg.seed lxor ((w + 1) * 0x85EBCA6B) in
-    (* Backtrace recording is per domain: a worker records them when the
-       caller does, so an item's backtrace does not depend on where it
-       ran. *)
-    let backtraces = Printexc.backtrace_status () in
-    let domains =
-      Array.init (jobs - 1) (fun i ->
-          Domain.spawn (fun () ->
-              Printexc.record_backtrace backtraces;
-              under_run_deadline (fun () ->
-                  worker_loop (i + 1) (Prng.create (worker_seed (i + 1))))))
-    in
-    under_run_deadline (fun () -> producer_loop (Prng.create (worker_seed 0)));
-    Array.iter Domain.join domains;
-    match Atomic.get failure with
-    | Some { e_exn; e_bt; _ } -> Printexc.raise_with_backtrace e_exn e_bt
-    | None -> Array.map (function Some v -> v | None -> assert false) results
-  end
 
 (* ---- Shedding ---------------------------------------------------------- *)
 

@@ -13,6 +13,16 @@
     until depth drops — the producer never blocks idle and never grows
     the queue past the cap.
 
+    The worker domains belong to the process, not to a call: they are
+    spawned on first need, up to the largest [jobs - 1] any call has
+    asked for, park between calls, and serve every later {!map}.  A
+    domain's heap stays with it, so a caller that keeps small results
+    across many calls does not pin a fresh domain's heap pools per call
+    (on OCaml 5.1 an exited domain's pools are not reused while any
+    object allocated there is live).  One call holds the workers at a
+    time; a {!map} issued while they are held — from inside an item, or
+    from a second domain — runs on its caller alone.
+
     Scheduling is nondeterministic (stealing races are real races), but
     the {e result} is not: slot [k] of the returned array is written by
     exactly one worker, results are merged in index order, and a client
@@ -130,8 +140,13 @@ val map : t -> int -> (int -> 'a) -> 'a array
     items above the lowest failure are dropped while those below it still
     run, every worker drains, and the exception of the lowest failing
     index is re-raised (with its backtrace) on the calling domain — the
-    one [Array.init n f] would raise.  With [jobs = 1] and no chaos the
-    items run sequentially on the calling domain, in index order. *)
+    one [Array.init n f] would raise.  An exception that escapes a
+    worker's loop rather than an item (a raising observer) stops the
+    call and is re-raised in the caller the same way; the workers stay
+    usable.  Workers record backtraces when the caller does, and each
+    runs under the call's [run_seconds] deadline.  With [jobs = 1], or
+    while another call holds the workers, and no chaos, the items run
+    sequentially on the calling domain, in index order. *)
 
 val shed : t -> key:string -> bool
 (** Whether unit [key], about to run on the calling worker, should run

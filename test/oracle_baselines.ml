@@ -178,11 +178,10 @@ let stack_height_tail_targets (sweep : Oracle_sweep.t) ~extents ~passes =
   let targets = ref [] in
   List.iter
     (fun (lo, hi) ->
-      (* The repeated passes mirror FETCH's fixed-point refinement: each
-         pass rebuilds the function's stack-height profile, which is where
-         the tool's runtime goes (§V-D).  The instruction stream itself
-         comes from the shared sweep — one decode however many passes —
-         so a pass is pure table-walking over the cached array. *)
+      (* The retired multi-pass model of FETCH's cost: each pass rebuilds
+         the extent's stack-height profile from zero and only the last
+         records targets, so any [passes] >= 1 returns what the single
+         production walk returns. *)
       let start = first_index_at sweep lo in
       for pass = 1 to passes do
         let height = ref 0 in
@@ -202,39 +201,3 @@ let stack_height_tail_targets (sweep : Oracle_sweep.t) ~extents ~passes =
       done)
     extents;
   List.sort_uniq Int.compare !targets
-
-let calling_convention_scan (sweep : Oracle_sweep.t) ~extents ~passes =
-  (* Per-extent register def/use histogram, recomputed [passes] times the
-     way FETCH revisits candidates per calling-convention hypothesis. *)
-  let well_formed = ref 0 in
-  List.iter
-    (fun (lo, hi) ->
-      let ok = ref false in
-      let start = first_index_at sweep lo in
-      for _pass = 1 to passes do
-        let defs = Array.make 16 0 in
-        let k = ref start in
-        let n = Array.length sweep.insns in
-        while !k < n && sweep.insns.(!k).Decoder.addr < hi do
-          let i = sweep.insns.(!k) in
-          let off = i.addr - sweep.base in
-          let b0 = byte sweep off in
-          let b0, off' =
-            if b0 >= 0x40 && b0 <= 0x4F && sweep.arch = Arch.X64 then
-              (byte sweep (off + 1), off + 1)
-            else (b0, off)
-          in
-          (* mov r/m,r | mov r,r/m | mov r,imm | xor r,r *)
-          (if b0 = 0x89 || b0 = 0x8B || b0 = 0x31 then begin
-             let modrm = byte sweep (off' + 1) in
-             let reg = (modrm lsr 3) land 7 in
-             defs.(reg) <- defs.(reg) + 1
-           end
-           else if b0 >= 0xB8 && b0 <= 0xBF then defs.(b0 land 7) <- defs.(b0 land 7) + 1);
-          incr k
-        done;
-        ok := Array.exists (fun d -> d > 0) defs
-      done;
-      if !ok then incr well_formed)
-    extents;
-  !well_formed

@@ -96,8 +96,7 @@ let test_stack_height_finds_tail () =
   let main = List.assoc "main" res.Link.truth in
   let tgt = List.assoc "tgt" res.Link.truth in
   let targets =
-    Cet_baselines.Common.stack_height_tail_targets sweep
-      ~extents:[ (main, tgt) ] ~passes:2
+    Cet_baselines.Common.stack_height_tail_targets sweep ~extents:[ (main, tgt) ]
   in
   check Alcotest.bool "tail target found" true (List.mem tgt targets)
 
@@ -107,7 +106,7 @@ let test_stack_height_finds_tail () =
 
 let test_fetch_gcc_full_recall () =
   let res, reader = compile prog in
-  let found = Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader) in
+  let found = Cet_baselines.Fetch.analyze_st (Substrate.create reader) in
   List.iter
     (fun a -> check Alcotest.bool "found" true (List.mem a found))
     (truth_addrs res)
@@ -117,7 +116,7 @@ let test_fetch_clang_x86_c_collapse () =
   let opts = { O.default with compiler = O.Clang; arch = Arch.X86 } in
   let _, reader = compile ~opts prog in
   check Alcotest.(list int) "nothing" []
-    (Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader))
+    (Cet_baselines.Fetch.analyze_st (Substrate.create reader))
 
 let test_fetch_fragment_fp () =
   let p =
@@ -134,7 +133,7 @@ let test_fetch_fragment_fp () =
     let _, s, _ = List.find (fun (n, _, _) -> n = "g.part.0") res.Link.fragment_extents in
     s
   in
-  let found = Cet_baselines.Fetch.analyze_st ~passes:2 (Substrate.create reader) in
+  let found = Cet_baselines.Fetch.analyze_st (Substrate.create reader) in
   (* GCC records FDEs for .part fragments, so FETCH reports them. *)
   check Alcotest.bool "part FP" true (List.mem part_addr found)
 
@@ -201,7 +200,7 @@ let test_tools_vs_funseeker () =
   check Alcotest.bool "fs >= ghidra" true
     (fs >= recall (Cet_baselines.Ghidra_like.analyze_st st));
   check Alcotest.bool "fs >= fetch" true
-    (fs >= recall (Cet_baselines.Fetch.analyze_st ~passes:2 st))
+    (fs >= recall (Cet_baselines.Fetch.analyze_st st))
 
 (* ------------------------------------------------------------------ *)
 (* ByteWeight-like and Nucleus-like (SSVII-B comparators)             *)

@@ -289,7 +289,7 @@ let contains hay needle =
   go 0
 
 let speed_tools =
-  [ "funseeker-1"; "funseeker-2"; "funseeker-3"; "funseeker"; "funseeker-anchored"; "fetch-1"; "fetch" ]
+  [ "funseeker-1"; "funseeker-2"; "funseeker-3"; "funseeker"; "funseeker-anchored"; "fetch" ]
 
 let micro_untimed = { Harness.default_options with Harness.seed = 99; scale = 1.0; timing = false }
 
@@ -326,8 +326,8 @@ let test_speed_agrees_with_tables () =
       (fun l -> String.length l > 2 && String.sub l 0 2 = "  " && String.trim l <> "")
       (String.split_on_char '\n' out)
   in
-  (* the column header, then the seven rows *)
-  check Alcotest.int "rows" 8 (List.length rows);
+  (* the column header, then the six rows *)
+  check Alcotest.int "rows" 7 (List.length rows);
   List.iter
     (fun l ->
       let n = String.length l in
@@ -353,18 +353,46 @@ let test_speed_timed () =
   check Alcotest.bool "untimed: no ratio line" false
     (contains (Harness.render_speed (Lazy.force micro_speed)) "ratio")
 
-let test_speed_fetch_passes () =
-  (* DESIGN.md §5: FETCH-like's passes after the first find nothing more
-     on this corpus, so one pass scores exactly as the default, in every
-     arch x suite cell. *)
-  let t = Lazy.force micro_speed in
-  List.iter
-    (fun (arch, suite) ->
-      let cell tool = Tables.Table3.counts t ~arch ~suite ~tool in
-      let name = arch ^ "/" ^ suite in
-      check Alcotest.bool (name ^ " scored") true ((cell "fetch").Metrics.tp > 0);
-      check counts name (cell "fetch") (cell "fetch-1"))
-    [ ("x64", "coreutils"); ("x86", "coreutils"); ("x64", "spec"); ("x86", "spec") ]
+let test_fetch_matches_multipass_oracle () =
+  (* FETCH-like reports the FDE starts in .text plus the tail targets of
+     one stack-height walk per extent between consecutive starts.  The
+     retired 22-pass walk (kept in [Oracle_baselines] as the reference
+     for the old model) reset its height on every pass and recorded only
+     on the last, so on every binary of the micro corpus the two agree. *)
+  let plan = Dataset.plan ~profiles:[ micro_profile; micro_spec ] ~seed:99 ~scale:1.0 () in
+  let tails = ref 0 in
+  for k = 0 to Dataset.length plan - 1 do
+    List.iter
+      (fun (bin : Dataset.binary) ->
+        let reader = Cet_elf.Reader.read bin.Dataset.stripped in
+        let st = Cet_disasm.Substrate.create reader in
+        let text = Option.get (Cet_disasm.Substrate.text st) in
+        let text_end = text.vaddr + text.size in
+        let starts =
+          Array.of_list
+            (List.filter
+               (fun a -> a >= text.vaddr && a < text_end)
+               (Cet_disasm.Substrate.fde_starts st))
+        in
+        let extents =
+          List.init (Array.length starts) (fun i ->
+              (starts.(i), if i + 1 < Array.length starts then starts.(i + 1) else text_end))
+        in
+        let targets =
+          Oracle_baselines.stack_height_tail_targets
+            (Oracle_sweep.sweep_text_reference reader)
+            ~extents ~passes:22
+        in
+        tails := !tails + List.length targets;
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "%s/%s %s" bin.Dataset.suite bin.Dataset.program
+             (Cet_compiler.Options.to_string bin.Dataset.config))
+          (List.sort_uniq Int.compare (Array.to_list starts @ targets))
+          (Cet_baselines.Fetch.analyze_st st))
+      (Dataset.nth plan k)
+  done;
+  check Alcotest.bool "some binary has tail targets" true (!tails > 0)
 
 let test_speed_ignores_table_options () =
   (* [speed] reads only seed, scale and timing.  The options only [run]
@@ -643,8 +671,8 @@ let suite =
         Alcotest.test_case "speed agrees with the tables" `Slow
           test_speed_agrees_with_tables;
         Alcotest.test_case "speed: timed rows and the ratio line" `Slow test_speed_timed;
-        Alcotest.test_case "speed: one FETCH pass scores as the default" `Slow
-          test_speed_fetch_passes;
+        Alcotest.test_case "FETCH-like = FDE starts + the 22-pass oracle's tail targets" `Slow
+          test_fetch_matches_multipass_oracle;
         Alcotest.test_case "speed ignores the table-only options" `Slow
           test_speed_ignores_table_options;
         Alcotest.test_case "side experiments: same output at every jobs" `Slow

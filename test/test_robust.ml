@@ -486,6 +486,32 @@ let test_harness_fail_fast () =
        false
      with Failure msg -> contains ~needle:"injected fault" msg)
 
+let test_runs_restore_backtrace_status () =
+  (* A run records backtraces (a quarantine row or a crash record carries
+     one) and hands the caller's setting back, on return and on raise. *)
+  let saved = Printexc.backtrace_status () in
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace saved)
+    (fun () ->
+      Printexc.record_backtrace false;
+      let r = Harness.run ~profiles:[ micro_profile ] ~configs:two_configs ~jobs:1 fault_opts in
+      check Alcotest.int "quarantined" 2 (List.length r.Harness.failures);
+      List.iter
+        (fun (f : Harness.failure) ->
+          check Alcotest.bool "the row has a backtrace" true (f.Harness.f_backtrace <> ""))
+        r.Harness.failures;
+      check Alcotest.bool "off after a run that quarantines" false (Printexc.backtrace_status ());
+      check Alcotest.bool "fail-fast raises" true
+        (try
+           ignore
+             (Harness.run ~profiles:[ micro_profile ] ~configs:two_configs ~jobs:1
+                { fault_opts with Harness.keep_going = false });
+           false
+         with Failure _ -> true);
+      check Alcotest.bool "off after a run that raises" false (Printexc.backtrace_status ());
+      ignore (Cet_fuzz.Engine.run ~seed:5 ~count:8 ~jobs:1 () : Cet_fuzz.Engine.summary);
+      check Alcotest.bool "off after a fuzz run" false (Printexc.backtrace_status ()))
+
 (* ---- Scheduler chaos: timing only, never results ----------------------- *)
 
 let read_file path =
@@ -770,6 +796,8 @@ let suite =
         Alcotest.test_case "harness quarantine parallel" `Slow
           test_harness_quarantine_parallel_identical;
         Alcotest.test_case "harness fail-fast" `Quick test_harness_fail_fast;
+        Alcotest.test_case "runs restore backtrace recording" `Quick
+          test_runs_restore_backtrace_status;
         Alcotest.test_case "harness whole-program faults" `Quick
           test_harness_whole_program_faults;
         Alcotest.test_case "harness chaos identical" `Slow

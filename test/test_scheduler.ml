@@ -197,7 +197,144 @@ let test_map_workers_record_backtraces () =
             | exception Failure _ ->
               Printexc.raw_backtrace_length (Printexc.get_raw_backtrace ()) > 0)
       in
-      check Alcotest.(array bool) "every item has a backtrace" (Array.make 40 true) r)
+      check Alcotest.(array bool) "every item has a backtrace" (Array.make 40 true) r;
+      (* The workers outlive the call, and follow the next caller's
+         setting, not this one's. *)
+      Printexc.record_backtrace false;
+      let r =
+        W.map t 40 (fun k ->
+            match if busy_square k >= 0 then failwith "item" with
+            | () -> true
+            | exception Failure _ ->
+              Printexc.raw_backtrace_length (Printexc.get_raw_backtrace ()) > 0)
+      in
+      check Alcotest.(array bool) "no item has a backtrace" (Array.make 40 false) r)
+
+(* ------------------------------------------------------------------ *)
+(* Worker domains that outlive a call                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_map_keeps_its_workers () =
+  (* The items of five [map ~jobs:2] calls run on the caller and one
+     worker: no call spawns a domain of its own. *)
+  let lock = Mutex.create () and seen = ref [] in
+  for _ = 1 to 5 do
+    let t = W.create (W.config ~jobs:2 ()) in
+    ignore
+      (W.map t 40 (fun k ->
+           let d = (Domain.self () :> int) in
+           Mutex.protect lock (fun () -> if not (List.mem d !seen) then seen := d :: !seen);
+           busy_square k))
+  done;
+  if List.length !seen > 2 then Alcotest.failf "%d domains ran the items" (List.length !seen)
+
+let test_map_kept_results_heap () =
+  (* A caller that keeps one boxed float per item (the ledger keeps a
+     latency per binary) holds on to no heap pool of its own per call:
+     the workers' pools are reused.  Each item allocates enough for its
+     result to be promoted among garbage.  A worker spawned per call
+     grows this heap by about 11 MB; reused workers, by 2 to 3. *)
+  let kept = ref [] in
+  let call c =
+    let t = W.create (W.config ~jobs:2 ()) in
+    let r =
+      W.map t 40 (fun k ->
+          let l = List.init 20_000 (fun i -> float_of_int (i + k)) in
+          Some (List.fold_left ( +. ) (float_of_int c) l))
+    in
+    kept := r :: !kept
+  in
+  let heap_mb () =
+    Gc.full_major ();
+    float_of_int (Gc.quick_stat ()).Gc.heap_words *. 8.0 /. 1e6
+  in
+  for c = 1 to 5 do
+    call c
+  done;
+  let before = heap_mb () in
+  for c = 1 to 30 do
+    call c
+  done;
+  let grown = heap_mb () -. before in
+  check Alcotest.int "results kept" 35 (List.length !kept);
+  if grown > 6.0 then Alcotest.failf "heap grew %.1f MB over 30 calls" grown
+
+let test_map_nested_runs_on_its_caller () =
+  (* A map issued from inside an item finds the workers busy and runs on
+     the item's own domain, in index order: no deadlock, and the array
+     the sequential path returns. *)
+  let t = W.create (W.config ~jobs:2 ()) in
+  let expected = Array.init 6 (fun k -> Array.init 10 (fun j -> busy_square ((k * 10) + j))) in
+  let r =
+    W.map t 6 (fun k ->
+        let self = Domain.self () and order = ref [] in
+        let inner =
+          W.map t 10 (fun j ->
+              if Domain.self () <> self then Alcotest.fail "nested item left its caller";
+              order := j :: !order;
+              busy_square ((k * 10) + j))
+        in
+        if List.rev !order <> List.init 10 Fun.id then Alcotest.fail "nested items out of order";
+        inner)
+  in
+  check Alcotest.(array (array int)) "same as sequential" expected r;
+  check Alcotest.int "nested items counted" 66 (W.stats t).W.s_items
+
+let test_map_from_second_domain () =
+  (* A map from another domain while a call holds the workers runs on
+     that domain alone. *)
+  let t = W.create (W.config ~jobs:2 ()) in
+  let r =
+    W.map t 4 (fun k ->
+        if k > 0 then [||]
+        else
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let self = Domain.self () in
+                 let u = W.create (W.config ~jobs:2 ()) in
+                 W.map u 10 (fun j ->
+                     if Domain.self () <> self then failwith "item left its domain";
+                     busy_square j))))
+  in
+  check Alcotest.(array int) "second domain's map" (Array.init 10 busy_square) r.(0)
+
+let test_map_escape_reraised () =
+  (* An exception that escapes a worker's loop rather than an item (here
+     a raising observer) is re-raised in the caller, and the workers
+     serve the next call.  A stall event comes after the worker has
+     counted its item as taken, a steal event before. *)
+  let stalls =
+    { (W.Chaos.default ~seed:1) with W.Chaos.c_stall_p = 1.0; c_delay_p = 0.0; c_max_delay_ns = 0 }
+  in
+  List.iter
+    (fun (name, chaos) ->
+      let raised = Atomic.make false in
+      let observer = function
+        | W.Chaos_stall { worker; _ } | W.Steal { thief = worker; _ } when worker > 0 ->
+          Atomic.set raised true;
+          raise Exit
+        | _ -> ()
+      in
+      let t = W.create ~observer (W.config ~jobs:2 ?chaos ()) in
+      let caller = Domain.self () in
+      let f k =
+        (* The caller holds its first item until the worker has raised,
+           so the worker is sure to take (or steal) one. *)
+        if Domain.self () = caller then begin
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get raised)) && Unix.gettimeofday () -. t0 < 10.0 do
+            Domain.cpu_relax ()
+          done
+        end;
+        busy_square k
+      in
+      (match W.map t 6 f with
+      | _ -> Alcotest.failf "%s: the escaped exception was not re-raised" name
+      | exception Exit -> ());
+      let t = W.create (W.config ~jobs:2 ()) in
+      check Alcotest.(array int) (name ^ ": the workers serve the next call")
+        (Array.init 40 busy_square) (W.map t 40 busy_square))
+    [ ("stall", Some stalls); ("steal", None) ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: timing faults only                                          *)
@@ -414,6 +551,15 @@ let suite =
           test_map_run_deadline_armed;
         Alcotest.test_case "map: workers record backtraces" `Quick
           test_map_workers_record_backtraces;
+        Alcotest.test_case "map: five calls, two domains" `Quick test_map_keeps_its_workers;
+        Alcotest.test_case "map: kept results do not grow the heap" `Quick
+          test_map_kept_results_heap;
+        Alcotest.test_case "map: nested map runs on its caller" `Quick
+          test_map_nested_runs_on_its_caller;
+        Alcotest.test_case "map: a second domain's map runs alone" `Quick
+          test_map_from_second_domain;
+        Alcotest.test_case "map: an escape from a worker's loop is re-raised" `Quick
+          test_map_escape_reraised;
         Alcotest.test_case "chaos: each item runs once" `Quick
           test_chaos_runs_each_item_once;
         Alcotest.test_case "chaos: delays drawn from seed and index" `Quick

@@ -439,8 +439,8 @@ let test_stream_footprint () =
    ([Oracle_baselines], over the reference sweep of the same bytes):
    [entry_main_root], traversal (functions and visited bytes) from each
    root set, prologue hits in both modes with and without [visited] and
-   [suppress], and FETCH's tail targets and well-formed count over each
-   extent list. *)
+   [suppress], and FETCH's tail targets over each extent list (the one
+   production walk against the oracle's retired multi-pass model). *)
 let check_kernels tag (sw : Linear.t) ref_sw ~entry ~root_sets ~suppress ~extent_sets =
   let module C = Cet_baselines.Common in
   let module O = Oracle_baselines in
@@ -482,10 +482,7 @@ let check_kernels tag (sw : Linear.t) ref_sw ~entry ~root_sets ~suppress ~extent
     (fun extents ->
       check int_list (tag "tail targets")
         (O.stack_height_tail_targets ref_sw ~extents ~passes:3)
-        (C.stack_height_tail_targets sw ~extents ~passes:3);
-      check Alcotest.int (tag "well-formed")
-        (O.calling_convention_scan ref_sw ~extents ~passes:2)
-        (C.calling_convention_scan sw ~extents ~passes:2))
+        (C.stack_height_tail_targets sw ~extents))
     extent_sets
 
 (* On the corpus, plain and anchored: roots from the entry point and the
