@@ -13,17 +13,17 @@ type t = {
   resync_errors : int;
 }
 
-let of_stream arch ~base ~code (st : Walk.stream) ~resync_errors =
-  let st = Walk.trim st in
+let of_stream arch ~base ~code (st : Decoder.stream) ~resync_errors =
+  let st = Decoder.trim st in
   {
     arch;
     base;
     size = String.length code;
     code;
-    addrs = st.Walk.addrs;
-    targets = st.Walk.targets;
-    lens = st.Walk.lens;
-    tags = st.Walk.tags;
+    addrs = st.Decoder.addrs;
+    targets = st.Decoder.targets;
+    lens = st.Decoder.lens;
+    tags = st.Decoder.tags;
     resync_errors;
   }
 
@@ -40,10 +40,10 @@ let ins t i =
 
 let sweep_impl ~anchored arch base code =
   let size = String.length code in
-  let stream = Walk.stream (Walk.capacity_hint size) in
+  let stream = Decoder.stream (Decoder.capacity_hint size) in
   let anchors = if anchored then Some (Prescan.anchor_offsets arch code) else None in
   let resync_errors, _ =
-    Walk.run arch
+    Decoder.walk arch
       ~phase:(if anchored then "disasm.sweep_anchored" else "disasm.sweep")
       ~anchors code ~pos:0 ~len:size ~vaddr:base ~stream:(Some stream) ~harvest:None
   in

@@ -6,7 +6,7 @@
     baselines' analyses walk, as parallel arrays indexed by instruction
     number (about 2.25 words per instruction); FunSeeker's index arrays
     come from {!Substrate.indexes}.  Both are filled by the one decode
-    loop, {!Walk.run}. *)
+    loop, {!Cet_x86.Decoder.walk}. *)
 
 type t = {
   arch : Cet_x86.Arch.t;
@@ -20,8 +20,8 @@ type t = {
           one *)
   lens : Bytes.t;  (** one byte per instruction: its length *)
   tags : Bytes.t;
-      (** one byte per instruction: {!Cet_x86.Decoder.scratch_flags}, the
-          kind tag in the low nibble plus the notrack and goto bits *)
+      (** one byte per instruction: the kind tag in the low nibble plus
+          the notrack and goto bits ({!Cet_x86.Decoder.stream}) *)
   resync_errors : int;
       (** desynchronisation events: maximal runs of undecodable (or, for
           the anchored sweep, untrusted) bytes the sweep recovered from —
@@ -29,7 +29,12 @@ type t = {
 }
 
 val of_stream :
-  Cet_x86.Arch.t -> base:int -> code:string -> Walk.stream -> resync_errors:int -> t
+  Cet_x86.Arch.t ->
+  base:int ->
+  code:string ->
+  Cet_x86.Decoder.stream ->
+  resync_errors:int ->
+  t
 (** Wrap a finished walk's stream (trimmed to its count) over [code]. *)
 
 val length : t -> int

@@ -1,6 +1,7 @@
 module Reader = Cet_elf.Reader
 module Diag = Cet_util.Diag
 module Ibuf = Cet_util.Ibuf
+module Decoder = Cet_x86.Decoder
 
 type indexes = {
   endbrs : int array;
@@ -92,7 +93,7 @@ let text_end fx = fx.f_base + fx.f_size
 (* The two distinct-target arrays are sorted in place, so they must not
    alias the walk-ordered [call_tgts]/[jmp_tgts] — each gets its own
    [Ibuf.contents] copy (which always allocates a fresh array). *)
-let finish_indexes ~in_text (h : Walk.harvest) =
+let finish_indexes ~in_text (h : Decoder.harvest) =
   let call_tgts = Ibuf.contents h.ct in
   let in_range_tgts = Ibuf.create () in
   Array.iter (fun a -> if in_text a then Ibuf.push in_range_tgts a) call_tgts;
@@ -120,7 +121,7 @@ let memo_indexes ~anchored t ix fx =
 let text_or_fail what t =
   match text t with None -> invalid_arg (what ^ ": no .text section") | Some sec -> sec
 
-(* One {!Walk.run} over [.text] ([sec]).  Whatever it harvests — the
+(* One {!Decoder.walk} over [.text] ([sec]).  Whatever it harvests — the
    index buffers unless the indexes are memoised already — is finished
    and memoised alongside the facts, so a sweep also answers {!indexes}
    and {!facts}.  The walk decodes out of the file image in place
@@ -131,10 +132,10 @@ let walk ~anchored ~phase ~stream t sec =
   let buf, pos, len = Reader.section_view t.t_reader sec in
   let vaddr = sec.Reader.vaddr in
   let known = if anchored then t.t_anchored_facts else t.t_facts in
-  let harvest = match known with None -> Some (Walk.harvest ()) | Some _ -> None in
+  let harvest = match known with None -> Some (Decoder.harvest ()) | Some _ -> None in
   let anchors = if anchored then Some (Prescan.anchor_offsets arch sec.Reader.data) else None in
   let errors, insns =
-    Walk.run arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest
+    Decoder.walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest
   in
   Option.iter
     (fun h ->
@@ -167,9 +168,9 @@ let sweep_with ~anchored t =
     let capacity =
       match if anchored then t.t_anchored_facts else t.t_facts with
       | Some fx -> fx.f_insns
-      | None -> Walk.capacity_hint (String.length sec.Reader.data)
+      | None -> Decoder.capacity_hint (String.length sec.Reader.data)
     in
-    let stream = Walk.stream capacity in
+    let stream = Decoder.stream capacity in
     let resync_errors = walk ~anchored ~phase ~stream:(Some stream) t sec in
     Linear.of_stream (Reader.arch t.t_reader) ~base:sec.Reader.vaddr ~code:sec.Reader.data
       stream ~resync_errors

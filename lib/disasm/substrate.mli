@@ -16,10 +16,10 @@
     is one substrate per binary per evaluation worker (domain).
 
     The derived indexes are sorted monomorphic [int array]s harvested by
-    the one decode loop ({!Walk.run}) — no intermediate lists, no
-    polymorphic compares.  The same pass that fills the instruction
-    stream fills them, or, when only they are wanted, a pass that never
-    builds the stream. *)
+    the one decode loop ({!Cet_x86.Decoder.walk}) — no intermediate
+    lists, no polymorphic compares.  The same pass that fills the
+    instruction stream fills them, or, when only they are wanted, a pass
+    that never builds the stream. *)
 
 type indexes = {
   endbrs : int array;

@@ -543,7 +543,7 @@ let speed_rows =
     ( "funseeker-anchored",
       "FunSeeker (4), anchored sweep",
       fs ~anchored:true Core.Funseeker.config4 );
-    ("fetch", "FETCH-like, default passes", Cet_baselines.Fetch.analyze_st);
+    ("fetch", "FETCH-like", Cet_baselines.Fetch.analyze_st);
   ]
 
 let speed ?profiles ?jobs (opts : options) =

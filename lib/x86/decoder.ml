@@ -237,7 +237,7 @@ let[@inline] imm_len info pfx =
 
 (* The ModRM operand at [p]: records the reg field and any bare disp32 in
    [s], returns the position after the SIB byte and displacement. *)
-let modrm s code limit p =
+let[@inline] modrm s code limit p =
   need p 1 limit;
   let m = byte code p in
   let r = Char.code (String.unsafe_get modrm_rule m) in
@@ -258,124 +258,130 @@ let modrm s code limit p =
   else s.s_mbare <- false;
   q
 
-let scan arch (s : scratch) code ~limit ~base ~off =
+let[@inline] tables arch = match arch with Arch.X64 -> tables_x64 | Arch.X86 -> tables_x86
+
+(* The instruction at [off] into [s], through tables [t].  The caller
+   guarantees [0 <= off < limit <= String.length code]: the first byte is
+   read unguarded, and [need] keeps every later read below [limit].  It
+   is inlined into its two callers, {!scan} and the loop of {!walk}, so
+   that the loop pays no call per instruction. *)
+let[@inline] core t (s : scratch) code ~limit ~base ~off =
+  s.s_addr <- base + off;
+  s.s_target <- 0;
+  s.s_has_target <- false;
+  try
+    (* Prefix run: legacy prefixes (at most 14), then an optional REX. *)
+    let p = ref off and pfx = ref 0 and n = ref 0 in
+    let e = ref (Char.code (String.unsafe_get t.prefix (byte code off))) in
+    while !e land px_legacy <> 0 do
+      if !n = 14 then raise_notrace Scan_fail;
+      incr n;
+      pfx := !pfx lor !e;
+      incr p;
+      need !p 1 limit;
+      e := Char.code (String.unsafe_get t.prefix (byte code !p))
+    done;
+    if !e <> 0 then begin
+      if !e land px_reject <> 0 then raise_notrace Scan_fail;
+      pfx := !pfx lor !e;
+      incr p
+    end;
+    let pfx = !pfx in
+    s.s_notrack <- pfx land pf_notrack <> 0;
+    (* Opcode, through the 0F escape into the second map. *)
+    need !p 1 limit;
+    let op = byte code !p in
+    incr p;
+    let idx =
+      if op <> 0x0F then op
+      else begin
+        need !p 1 limit;
+        let op2 = byte code !p in
+        incr p;
+        256 + op2
+      end
+    in
+    let p = !p in
+    let info = Char.code (String.unsafe_get t.info idx) in
+    s.s_tag <- info land 15;
+    let q =
+      match Array.unsafe_get t.shape idx with
+      | Bad -> raise_notrace Scan_fail
+      | Fixed -> p + imm_len info pfx
+      | Modrm -> modrm s code limit p + imm_len info pfx
+      | Rel8 ->
+        need p 1 limit;
+        s.s_target <- i8 code p;
+        p + 1
+      | Rel32 ->
+        if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
+        need p 4 limit;
+        s.s_target <- i32 code p;
+        p + 4
+      | Imm32_ref ->
+        if pfx land pf_opsize <> 0 then p + 2
+        else begin
+          need p 4 limit;
+          s.s_tag <- tag_addr_ref;
+          s.s_target <- i32 code p land 0xFFFFFFFF;
+          p + 4
+        end
+      | Imm_v ->
+        p + if pfx land pf_rexw <> 0 then 8 else if pfx land pf_opsize <> 0 then 2 else 4
+      | Lea ->
+        let q = modrm s code limit p in
+        if s.s_mbare then begin
+          s.s_tag <- tag_addr_ref;
+          s.s_target <- s.s_mdisp
+        end;
+        q
+      | Group3 ->
+        let q = modrm s code limit p in
+        if s.s_mreg <= 1 then q + imm_len info pfx else q
+      | Group4 ->
+        let q = modrm s code limit p in
+        if s.s_mreg > 1 then raise_notrace Scan_fail;
+        q
+      | Group5 ->
+        let q = modrm s code limit p in
+        let tag = Char.code (String.unsafe_get t.ff s.s_mreg) in
+        if tag = 255 then raise_notrace Scan_fail;
+        s.s_tag <- tag;
+        if (tag = tag_call_indirect || tag = tag_jmp_indirect) && s.s_mbare then begin
+          s.s_has_target <- true;
+          s.s_target <- s.s_mdisp
+        end;
+        q
+      | Endbr ->
+        need p 1 limit;
+        let m = byte code p in
+        let q = modrm s code limit p in
+        if pfx land pf_rep <> 0 then
+          if m = 0xFA then s.s_tag <- tag_endbr64
+          else if m = 0xFB then s.s_tag <- tag_endbr32;
+        q
+    in
+    need q 0 limit;
+    s.s_len <- q - off;
+    (* Resolve direct and RIP-relative payloads against the end address. *)
+    let tag = s.s_tag in
+    if tag >= tag_call_direct && tag <= tag_jcc_direct then s.s_target <- base + q + s.s_target
+    else if t.rip_relative && (s.s_has_target || tag = tag_addr_ref) then
+      s.s_target <- base + q + s.s_target;
+    true
+  with Scan_fail -> false
+
+let scan arch s code ~limit ~base ~off =
   if limit < 0 || limit > String.length code then
     invalid_arg "Decoder.scan: limit out of range";
-  if off < 0 || off >= limit then false
-  else begin
-    let t = match arch with Arch.X64 -> tables_x64 | Arch.X86 -> tables_x86 in
-    s.s_addr <- base + off;
-    s.s_target <- 0;
-    s.s_has_target <- false;
-    try
-      (* Prefix run: legacy prefixes (at most 14), then an optional REX. *)
-      let p = ref off and pfx = ref 0 and n = ref 0 in
-      let e = ref (Char.code (String.unsafe_get t.prefix (byte code off))) in
-      while !e land px_legacy <> 0 do
-        if !n = 14 then raise_notrace Scan_fail;
-        incr n;
-        pfx := !pfx lor !e;
-        incr p;
-        need !p 1 limit;
-        e := Char.code (String.unsafe_get t.prefix (byte code !p))
-      done;
-      if !e <> 0 then begin
-        if !e land px_reject <> 0 then raise_notrace Scan_fail;
-        pfx := !pfx lor !e;
-        incr p
-      end;
-      let pfx = !pfx in
-      s.s_notrack <- pfx land pf_notrack <> 0;
-      (* Opcode, through the 0F escape into the second map. *)
-      need !p 1 limit;
-      let op = byte code !p in
-      incr p;
-      let idx =
-        if op <> 0x0F then op
-        else begin
-          need !p 1 limit;
-          let op2 = byte code !p in
-          incr p;
-          256 + op2
-        end
-      in
-      let p = !p in
-      let info = Char.code (String.unsafe_get t.info idx) in
-      s.s_tag <- info land 15;
-      let q =
-        match Array.unsafe_get t.shape idx with
-        | Bad -> raise_notrace Scan_fail
-        | Fixed -> p + imm_len info pfx
-        | Modrm -> modrm s code limit p + imm_len info pfx
-        | Rel8 ->
-          need p 1 limit;
-          s.s_target <- i8 code p;
-          p + 1
-        | Rel32 ->
-          if pfx land pf_opsize <> 0 then raise_notrace Scan_fail;
-          need p 4 limit;
-          s.s_target <- i32 code p;
-          p + 4
-        | Imm32_ref ->
-          if pfx land pf_opsize <> 0 then p + 2
-          else begin
-            need p 4 limit;
-            s.s_tag <- tag_addr_ref;
-            s.s_target <- i32 code p land 0xFFFFFFFF;
-            p + 4
-          end
-        | Imm_v ->
-          p + if pfx land pf_rexw <> 0 then 8 else if pfx land pf_opsize <> 0 then 2 else 4
-        | Lea ->
-          let q = modrm s code limit p in
-          if s.s_mbare then begin
-            s.s_tag <- tag_addr_ref;
-            s.s_target <- s.s_mdisp
-          end;
-          q
-        | Group3 ->
-          let q = modrm s code limit p in
-          if s.s_mreg <= 1 then q + imm_len info pfx else q
-        | Group4 ->
-          let q = modrm s code limit p in
-          if s.s_mreg > 1 then raise_notrace Scan_fail;
-          q
-        | Group5 ->
-          let q = modrm s code limit p in
-          let tag = Char.code (String.unsafe_get t.ff s.s_mreg) in
-          if tag = 255 then raise_notrace Scan_fail;
-          s.s_tag <- tag;
-          if (tag = tag_call_indirect || tag = tag_jmp_indirect) && s.s_mbare then begin
-            s.s_has_target <- true;
-            s.s_target <- s.s_mdisp
-          end;
-          q
-        | Endbr ->
-          need p 1 limit;
-          let m = byte code p in
-          let q = modrm s code limit p in
-          if pfx land pf_rep <> 0 then
-            if m = 0xFA then s.s_tag <- tag_endbr64
-            else if m = 0xFB then s.s_tag <- tag_endbr32;
-          q
-      in
-      need q 0 limit;
-      s.s_len <- q - off;
-      (* Resolve direct and RIP-relative payloads against the end address. *)
-      let tag = s.s_tag in
-      if tag >= tag_call_direct && tag <= tag_jcc_direct then s.s_target <- base + q + s.s_target
-      else if t.rip_relative && (s.s_has_target || tag = tag_addr_ref) then
-        s.s_target <- base + q + s.s_target;
-      true
-    with Scan_fail -> false
-  end
+  off >= 0 && off < limit && core (tables arch) s code ~limit ~base ~off
 
 (* The flag byte: the tag in the low nibble, plus the two bits an [ins]
    carries beyond it. *)
 let flag_notrack = 16
 let flag_goto = 32
 
-let scratch_flags s =
+let[@inline] scratch_flags s =
   s.s_tag
   lor (if s.s_notrack then flag_notrack else 0)
   lor if s.s_has_target then flag_goto else 0
@@ -424,3 +430,185 @@ let kind_to_string = function
   | Halt -> "hlt"
   | Addr_ref a -> Printf.sprintf "addr-ref 0x%x" a
   | Other -> "other"
+
+(* ---- The decode loop -------------------------------------------------- *)
+
+module Ibuf = Cet_util.Ibuf
+
+type stream = {
+  mutable addrs : int array;
+  mutable targets : int array;
+  mutable lens : Bytes.t;
+  mutable tags : Bytes.t;
+  mutable count : int;
+}
+
+let stream n =
+  {
+    addrs = Array.make n 0;
+    targets = Array.make n 0;
+    lens = Bytes.create n;
+    tags = Bytes.create n;
+    count = 0;
+  }
+
+(* Average x86 instruction length is ~4 bytes; starting near size/4 makes
+   a doubling copy rare without over-reserving tiny regions. *)
+let capacity_hint size = (size / 4) + 16
+
+let grow st =
+  let cap = (2 * Array.length st.addrs) + 16 in
+  let ints a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 st.count;
+    b
+  in
+  let bytes a =
+    let b = Bytes.create cap in
+    Bytes.blit a 0 b 0 st.count;
+    b
+  in
+  st.addrs <- ints st.addrs;
+  st.targets <- ints st.targets;
+  st.lens <- bytes st.lens;
+  st.tags <- bytes st.tags
+
+let trim st =
+  let n = st.count in
+  if n = Array.length st.addrs then st
+  else
+    {
+      addrs = Array.sub st.addrs 0 n;
+      targets = Array.sub st.targets 0 n;
+      lens = Bytes.sub st.lens 0 n;
+      tags = Bytes.sub st.tags 0 n;
+      count = n;
+    }
+
+let[@inline] push st s =
+  let n = st.count in
+  if n = Array.length st.addrs then grow st;
+  Array.unsafe_set st.addrs n s.s_addr;
+  Array.unsafe_set st.targets n s.s_target;
+  Bytes.unsafe_set st.lens n (Char.unsafe_chr s.s_len);
+  Bytes.unsafe_set st.tags n (Char.unsafe_chr (scratch_flags s));
+  st.count <- n + 1
+
+type harvest = {
+  eb : Ibuf.t;
+  cs : Ibuf.t;
+  cr : Ibuf.t;
+  ct : Ibuf.t;
+  js : Ibuf.t;
+  jt : Ibuf.t;
+}
+
+let harvest () =
+  {
+    eb = Ibuf.create ();
+    cs = Ibuf.create ();
+    cr = Ibuf.create ();
+    ct = Ibuf.create ();
+    js = Ibuf.create ();
+    jt = Ibuf.create ();
+  }
+
+(* {!Ibuf.push} with its fast path inlined: the harvest pushes on a
+   tenth of the instructions, and a call into another module per push
+   cost the scan a tenth of its throughput. *)
+let[@inline] ipush (b : Ibuf.t) v =
+  if b.len = Array.length b.arr then Ibuf.push b v
+  else begin
+    Array.unsafe_set b.arr b.len v;
+    b.len <- b.len + 1
+  end
+
+(* Classification on the int tag, three compares: direct calls (with
+   their return addresses and targets), in-range direct jumps, and the
+   architecture's end-branches. *)
+let[@inline] reap h s ~want_endbr ~lo ~hi =
+  let tag = s.s_tag in
+  if tag = tag_call_direct then begin
+    let addr = s.s_addr in
+    ipush h.cs addr;
+    ipush h.cr (addr + s.s_len);
+    ipush h.ct s.s_target
+  end
+  else if tag = tag_jmp_direct then begin
+    let target = s.s_target in
+    if target >= lo && target < hi then begin
+      ipush h.js s.s_addr;
+      ipush h.jt target
+    end
+  end
+  else if tag = want_endbr then ipush h.eb s.s_addr
+
+(* Index of the first anchor at [i] or later lying strictly after [off]. *)
+let rec seek anchors pos off i =
+  if i < Array.length anchors && pos + Array.unsafe_get anchors i <= off then
+    seek anchors pos off (i + 1)
+  else i
+
+(* Deadline polling cadence: one wall-clock read per 4096 steps keeps the
+   overhead unmeasurable while bounding overshoot to a few microseconds of
+   decoding. *)
+let deadline_mask = 4095
+
+(* The anchored walk is the original trust-tracking loop (kept as a test
+   oracle) with its untrusted runs skipped: an untrusted decode can never
+   move past an anchor (an instruction that would straddle one jumps *to*
+   it, a failure advances one byte), and the instructions it decodes are
+   withheld, so the walk jumps straight to the anchor.  [next] is the
+   first anchor strictly after [off] — [limit] when there is none, and
+   always in the plain walk, where nothing can straddle it.  The region
+   check is what makes [core]'s contract hold: [off] stays in
+   [pos, limit) and [limit <= String.length buf]. *)
+let walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest =
+  if pos < 0 || len < 0 || pos > String.length buf - len then
+    invalid_arg "Decoder.walk: region out of range";
+  let t = tables arch in
+  let limit = pos + len in
+  let base = vaddr - pos in
+  let lo = vaddr and hi = vaddr + len in
+  let want_endbr = match arch with Arch.X64 -> tag_endbr64 | Arch.X86 -> tag_endbr32 in
+  let anchored, anchors = match anchors with Some a -> (true, a) | None -> (false, [||]) in
+  let nanchors = Array.length anchors in
+  let s = scratch () in
+  let errors = ref 0 and insns = ref 0 and tick = ref 0 in
+  let off = ref pos in
+  let desynced = ref false in
+  let ai = ref (seek anchors pos pos 0) in
+  let next = ref (if !ai < nanchors then pos + anchors.(!ai) else limit) in
+  while !off < limit do
+    incr tick;
+    if !tick land deadline_mask = 0 then Cet_util.Deadline.check phase;
+    if core t s buf ~limit ~base ~off:!off then begin
+      let stop = !off + s.s_len in
+      if stop > !next then begin
+        (* Straddles an end-branch marker: desynchronised (inline data) —
+           one resync event, restart at the anchor. *)
+        incr errors;
+        off := !next
+      end
+      else begin
+        desynced := false;
+        incr insns;
+        (match harvest with Some h -> reap h s ~want_endbr ~lo ~hi | None -> ());
+        (match stream with Some st -> push st s | None -> ());
+        off := stop
+      end
+    end
+    else begin
+      (* [resync_errors] counts desynchronisation events, not undecodable
+         bytes: a 40-byte inline-data run the plain walk steps through is
+         one event. *)
+      if anchored || not !desynced then incr errors;
+      desynced := true;
+      off := if anchored then !next else !off + 1
+    end;
+    if !off >= !next && !ai < nanchors then begin
+      ai := seek anchors pos !off !ai;
+      next := if !ai < nanchors then pos + anchors.(!ai) else limit
+    end
+  done;
+  (!errors, !insns)

@@ -1,4 +1,5 @@
-(** Table-driven x86 / x86-64 instruction length decoder and classifier.
+(** Table-driven x86 / x86-64 instruction length decoder and classifier,
+    and the one decode loop over a code region.
 
     This is the disassembler front-end used by the linear sweep (§IV-B of the
     paper).  One scan core walks legacy prefixes and REX (x86-64) through a
@@ -8,7 +9,13 @@
     forms); a shared 256-entry ModRM rule gives the SIB/displacement
     length.  That covers every instruction the synthetic compiler emits
     plus the common encodings around them, and classifies each into the
-    categories the FunSeeker algorithm cares about. *)
+    categories the FunSeeker algorithm cares about.
+
+    {!walk}, the loop every linear sweep and scan of a region runs, lives
+    here with the core and its two sinks ({!stream}, {!harvest}): the
+    default build compiles with [-opaque], which stops inlining at module
+    boundaries, and here the core inlines into the loop, so no instruction
+    pays a call. *)
 
 type kind =
   | Endbr64
@@ -59,8 +66,9 @@ val scan : Arch.t -> scratch -> string -> limit:int -> base:int -> off:int -> bo
 (** [scan arch s code ~limit ~base ~off] decodes the instruction at [off]
     (reading no byte at or past [limit]) into [s].  Returns [false] on
     bytes outside the decoded subset, on truncation at [limit], and when
-    [off >= limit].  Raises [Invalid_argument] if [limit] is outside
-    [0 .. String.length code]. *)
+    [off] is outside [0 .. limit - 1].  Raises [Invalid_argument] if
+    [limit] is outside [0 .. String.length code].  The same core as
+    {!walk}'s, one instruction at a time. *)
 
 val scratch_addr : scratch -> int
 (** Virtual address of the last successfully scanned instruction. *)
@@ -73,24 +81,12 @@ val scratch_target : scratch -> int
     tags and [tag_addr_ref] always, and for the indirect tags only when the
     instruction had a bare-disp32 memory operand (cf. {!scratch_ins}). *)
 
-val scratch_flags : scratch -> int
-(** {!scratch_tag} plus {!flag_notrack} and {!flag_goto}: one byte that,
-    with the address, length and target, rebuilds the scan's {!ins}
-    exactly ({!ins_of_flags}). *)
-
-val flag_notrack : int
-(** Set when a [3E] (NOTRACK) prefix was present. *)
-
-val flag_goto : int
-(** Set when an indirect branch had a bare-disp32 memory operand: its
-    target is the [goto] slot. *)
-
 val ins_of_flags : addr:int -> len:int -> flags:int -> target:int -> ins
-(** The record a scan with these results stands for. *)
+(** The record a scan with these results stands for; [flags] is a
+    {!stream} tag byte. *)
 
 val scratch_ins : scratch -> ins
-(** Materialise the last scan as an {!ins} record (allocates):
-    {!ins_of_flags} over the scratch slots. *)
+(** Materialise the last scan as an {!ins} record (allocates). *)
 
 (** Tag constants for {!scratch_tag}. *)
 
@@ -105,3 +101,80 @@ val tag_jmp_indirect : int
 val tag_ret : int
 val tag_halt : int
 val tag_addr_ref : int
+
+(** {1 The decode loop}
+
+    Plain or end-branch-anchored, {!walk} decodes instruction after
+    instruction of a region and hands each kept instruction to up to two
+    sinks: the instruction stream ([Cet_disasm.Linear.t]'s parallel
+    arrays) and the index harvest ([Cet_disasm.Substrate.indexes]'s
+    buffers).  [Linear.sweep] runs it with the stream only, the
+    substrate's stream-free scan with the harvest only, and a substrate
+    sweep with whichever of the two it has not memoised yet, so the sweep
+    and the scan are the same pass. *)
+
+type stream = {
+  mutable addrs : int array;
+  mutable targets : int array;
+  mutable lens : Bytes.t;
+  mutable tags : Bytes.t;
+      (** the tag byte: the kind tag in the low nibble, plus [16] when a
+          [3E] (NOTRACK) prefix was present and [32] when an indirect
+          branch had a bare-disp32 memory operand (its [goto] slot is the
+          target); {!ins_of_flags} reads it back *)
+  mutable count : int;  (** instructions pushed so far *)
+}
+(** Parallel instruction arrays, [count] entries used.  A push past the
+    capacity doubles every array. *)
+
+val stream : int -> stream
+(** An empty stream with room for exactly that many instructions. *)
+
+val capacity_hint : int -> int
+(** A starting capacity for a region of that many bytes when its
+    instruction count is unknown. *)
+
+val trim : stream -> stream
+(** The stream with every array cut to [count] (the same stream when they
+    already are). *)
+
+type harvest = {
+  eb : Cet_util.Ibuf.t;  (** end-branches of the walked architecture *)
+  cs : Cet_util.Ibuf.t;  (** direct-call sites *)
+  cr : Cet_util.Ibuf.t;  (** their return addresses *)
+  ct : Cet_util.Ibuf.t;  (** their targets, in range or not *)
+  js : Cet_util.Ibuf.t;  (** sites of direct jumps with in-range targets *)
+  jt : Cet_util.Ibuf.t;  (** their targets *)
+}
+(** The index buffers, all in address order. *)
+
+val harvest : unit -> harvest
+
+val walk :
+  Arch.t ->
+  phase:string ->
+  anchors:int array option ->
+  string ->
+  pos:int ->
+  len:int ->
+  vaddr:int ->
+  stream:stream option ->
+  harvest:harvest option ->
+  int * int
+(** [walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest]
+    walks the [len] bytes of [buf] from [pos], whose first byte lives at
+    [vaddr], and returns [(resync_errors, instructions kept)].  Raises
+    [Invalid_argument], before reading any byte, unless [0 <= pos],
+    [0 <= len] and [pos + len <= String.length buf].
+
+    With [anchors = None] it is the plain sweep: a decode failure advances
+    one byte, and each maximal undecodable run is one resync event.  With
+    [Some offsets] (region-relative, ascending,
+    [Cet_disasm.Prescan.anchor_offsets]) it is the anchored sweep: an
+    instruction that would straddle an anchor is discarded, and it and
+    every decode failure are one event each, the walk resuming at the
+    next anchor.  The next anchor is a forward cursor over [offsets],
+    since the walk position only grows.
+
+    [phase] names the walk in {!Cet_util.Deadline.check}, polled every
+    4096 steps. *)

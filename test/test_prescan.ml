@@ -4,10 +4,11 @@
    The retired byte-at-a-time decoder ([Oracle_decoder]) and the
    reference sweeps over it ([Oracle_sweep]) are the oracles; the
    production [Decoder.scan], the SWAR [anchor_offsets], and the
-   production sweeps must agree with them exactly — on every offset of
-   real code, on random bytes, and on bytes biased toward the edges of
-   the opcode tables, because the linear sweep's whole job is
-   resynchronising through garbage. *)
+   production sweeps (the one loop, [Decoder.walk], over whole buffers
+   and over regions of larger ones) must agree with them exactly — on
+   every offset of real code, on random bytes, and on bytes biased
+   toward the edges of the opcode tables, because the linear sweep's
+   whole job is resynchronising through garbage. *)
 
 module Arch = Cet_x86.Arch
 module Decoder = Cet_x86.Decoder
@@ -257,6 +258,133 @@ let test_anchored_vs_reference =
             code))
     arches
 
+(* --- the decode loop on a sub-region -------------------------------------- *)
+
+(* [Decoder.walk] over [len] bytes at [pos] of a larger buffer, plain or
+   anchored, with both sinks at once: the stream must be the reference
+   sweep of exactly those bytes, and the harvest the oracle's index
+   lists over it.  The bytes around the region are random too, so a read
+   outside it shows up as a mismatch. *)
+let walk_agrees arch ~anchored buf ~pos ~len =
+  let region = String.sub buf pos len in
+  let vaddr = 0x401000 in
+  let st = Decoder.stream 4 and h = Decoder.harvest () in
+  let anchors = if anchored then Some (Linear.anchor_offsets arch region) else None in
+  let errors, insns =
+    Decoder.walk arch ~phase:"test.walk" ~anchors buf ~pos ~len ~vaddr ~stream:(Some st)
+      ~harvest:(Some h)
+  in
+  let r =
+    (if anchored then Oracle_sweep.sweep_anchored_reference else Oracle_sweep.sweep_reference)
+      arch ~base:vaddr region
+  in
+  let what = Printf.sprintf "anchored=%b pos %d len %d" anchored pos len in
+  let same name got want =
+    if got <> want then QCheck.Test.fail_reportf "%s: %s differs on %S" what name buf
+  in
+  same "kept count" insns (Array.length r.Oracle_sweep.insns);
+  (match
+     Oracle_sweep.stream_mismatch
+       (Linear.of_stream arch ~base:vaddr ~code:region st ~resync_errors:errors)
+       r
+   with
+  | None -> ()
+  | Some why -> QCheck.Test.fail_reportf "%s: stream %s on %S" what why buf);
+  let ints b = Array.to_list (Cet_util.Ibuf.contents b) in
+  same "endbrs" (ints h.Decoder.eb) (Oracle_sweep.endbr_addrs r);
+  let calls = Oracle_sweep.call_sites r and jumps = Oracle_sweep.jmp_refs r in
+  same "call sites" (ints h.Decoder.cs) (List.map (fun (s, _, _) -> s) calls);
+  same "call returns" (ints h.Decoder.cr) (List.map (fun (_, r, _) -> r) calls);
+  same "call targets" (ints h.Decoder.ct) (List.map (fun (_, _, t) -> t) calls);
+  same "jump sites" (ints h.Decoder.js) (List.map fst jumps);
+  same "jump targets" (ints h.Decoder.jt) (List.map snd jumps)
+
+let region_gen arch =
+  QCheck.Gen.(
+    planted_gen arch >>= fun buf ->
+    let n = String.length buf in
+    int_range 0 n >>= fun pos ->
+    int_range 0 (n - pos) >|= fun len -> (buf, pos, len))
+
+let test_walk_region_vs_reference =
+  List.map
+    (fun (name, arch) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "walk on a sub-region = reference, both sinks (%s)" name)
+        ~count:300
+        (QCheck.make
+           ~print:(fun (b, pos, len) -> Printf.sprintf "%S pos %d len %d" b pos len)
+           (region_gen arch))
+        (fun (buf, pos, len) ->
+          walk_agrees arch ~anchored:false buf ~pos ~len;
+          walk_agrees arch ~anchored:true buf ~pos ~len;
+          true))
+    arches
+
+(* The walk checks its region once, before it reads a byte, because the
+   core it inlines reads unchecked: a negative [pos] would read before
+   the buffer, a [pos + len] past its end (overflowing included) after
+   it.  Empty regions at either end are fine. *)
+let test_walk_region_checked () =
+  let buf = String.make 64 '\x90' in
+  let n = String.length buf in
+  List.iter
+    (fun (pos, len) ->
+      let st = Decoder.stream 4 and h = Decoder.harvest () in
+      (match
+         Decoder.walk Arch.X64 ~phase:"test.walk" ~anchors:None buf ~pos ~len ~vaddr:0
+           ~stream:(Some st) ~harvest:(Some h)
+       with
+      | _ -> Alcotest.failf "pos %d len %d: walked" pos len
+      | exception Invalid_argument _ -> ());
+      check Alcotest.int (Printf.sprintf "pos %d len %d: nothing pushed" pos len) 0
+        st.Decoder.count)
+    [ (-1, n); (-1, 0); (0, -1); (1, n); (n, 1); (n + 1, 0); (1, max_int); (max_int, 1) ];
+  List.iter
+    (fun (pos, len) ->
+      check
+        Alcotest.(pair int int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (0, len)
+        (Decoder.walk Arch.X64 ~phase:"test.walk" ~anchors:None buf ~pos ~len ~vaddr:0
+           ~stream:None ~harvest:None))
+    [ (0, 0); (n, 0); (0, n); (n - 1, 1) ]
+
+(* A walk with neither sink allocates its scratch record and its result
+   pair (13 words), whatever the region: a word per instruction from a
+   boxed local or a closure in the fused loop would show at once.
+   Measured over the largest [.text] of the substrate corpus (114,672
+   instructions) and over its first eighth, plain and anchored (the
+   anchors are computed outside the count). *)
+let test_walk_allocation_fixed () =
+  let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force Test_substrate.corpus) in
+  let reader = Cet_elf.Reader.read bytes in
+  let arch = Cet_elf.Reader.arch reader in
+  let code = (Option.get (Cet_elf.Reader.find_section reader ".text")).Cet_elf.Reader.data in
+  let n = String.length code in
+  let walk anchors len () =
+    ignore
+      (Sys.opaque_identity
+         (Decoder.walk arch ~phase:"test.walk" ~anchors code ~pos:0 ~len ~vaddr:0 ~stream:None
+            ~harvest:None))
+  in
+  List.iter
+    (fun anchored ->
+      List.iter
+        (fun len ->
+          let anchors =
+            if anchored then Some (Linear.anchor_offsets arch (String.sub code 0 len)) else None
+          in
+          walk anchors len ();
+          let before = Gc.minor_words () in
+          walk anchors len ();
+          let words = Gc.minor_words () -. before in
+          if words > 16.0 then
+            Alcotest.failf "walk (anchored=%b) over %d bytes allocates %.0f minor words (budget 16)"
+              anchored len words)
+        [ n; n / 8 ])
+    [ false; true ]
+
 (* --- SWAR anchor scan vs the per-byte oracle ----------------------------- *)
 
 let test_anchors_vs_naive =
@@ -346,7 +474,7 @@ let suite =
     ( "prescan",
       List.map QCheck_alcotest.to_alcotest
         (test_scan_vs_decode @ test_sweep_vs_reference @ test_anchored_vs_reference
-       @ test_anchors_vs_naive @ test_scan_edges)
+       @ test_walk_region_vs_reference @ test_anchors_vs_naive @ test_scan_edges)
       @ [
           Alcotest.test_case "scan = decode directed" `Quick test_scan_directed;
           Alcotest.test_case "scan = decode on corpus offsets" `Quick
@@ -354,5 +482,9 @@ let suite =
           Alcotest.test_case "anchor offsets directed" `Quick test_anchors_directed;
           Alcotest.test_case "prescan allocation budget" `Quick
             test_prescan_allocation_budget;
+          Alcotest.test_case "walk refuses regions outside its buffer" `Quick
+            test_walk_region_checked;
+          Alcotest.test_case "walk with no sink allocates a fixed few words" `Quick
+            test_walk_allocation_fixed;
         ] );
   ]

@@ -579,6 +579,48 @@ let test_kernels_match_oracles_random =
         [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
       true)
 
+(* --- CET end-branches as disassembly checkpoints -------------------------- *)
+
+(* On compiler-generated code every end-branch byte pattern
+   ([Prescan.anchor_offsets]) starts an instruction of the plain sweep —
+   inline data included, where the plain sweep resynchronises before it
+   reaches the next marker — so a walk may be split at any anchor.
+   Returns the anchors that fall inside an instruction instead, and the
+   anchor count. *)
+let anchors_inside bytes =
+  let reader = Reader.read bytes in
+  let text = Option.get (Reader.find_section reader ".text") in
+  let sweep = Linear.sweep_text reader in
+  let anchors = Linear.anchor_offsets (Reader.arch reader) text.Reader.data in
+  ( List.filter
+      (fun a -> Linear.index_of sweep (text.Reader.vaddr + a) < 0)
+      (Array.to_list anchors),
+    Array.length anchors )
+
+let check_anchors name bytes =
+  let inside, total = anchors_inside bytes in
+  if total = 0 then Alcotest.failf "%s: no anchors to check" name;
+  match inside with
+  | [] -> ()
+  | a :: _ ->
+    Alcotest.failf "%s: %d of %d anchors inside an instruction, first at offset %d" name
+      (List.length inside) total a
+
+let test_anchors_are_boundaries_corpus () =
+  List.iter (fun (name, (bytes, _)) -> check_anchors name bytes) (Lazy.force corpus);
+  (* The check sees a marker hidden in an immediate ([mov eax, imm32]). *)
+  check int_list "marker inside an instruction" [ 1 ]
+    (fst (anchors_inside (image_with_text Cet_x86.Arch.X64 "\xb8\xf3\x0f\x1e\xfa\xc3")))
+
+(* One Coreutils-like program under every configuration of the grid. *)
+let test_anchors_are_boundaries_grid () =
+  let profile = Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.coreutils in
+  List.iter
+    (fun (opts : O.t) ->
+      let bytes, _ = build ~profile ~index:0 ~opts in
+      check_anchors (O.to_string opts) bytes)
+    O.all_grid
+
 (* Every tool that walks the instruction stream, run over the corpus and
    hashed: IDA-, Ghidra-, FETCH-, Nucleus- and ByteWeight-like, CFG
    recovery and the CET audit.  The stream's representation and the
@@ -629,5 +671,9 @@ let suite =
           test_kernels_match_oracles;
         QCheck_alcotest.to_alcotest test_kernels_match_oracles_random;
         Alcotest.test_case "tool outputs pinned" `Quick test_tool_outputs_pinned;
+        Alcotest.test_case "anchors are instruction starts (corpus)" `Quick
+          test_anchors_are_boundaries_corpus;
+        Alcotest.test_case "anchors are instruction starts (48 configurations)" `Quick
+          test_anchors_are_boundaries_grid;
       ] );
   ]
