@@ -5,64 +5,108 @@ module Ibuf = Cet_util.Ibuf
 
 type explored = { e_functions : int list; e_visited : Bytes.t }
 
-(* Recursive descent over the sweep's instruction stream, by instruction
-   index.  An instruction is marked when it is first reached and pushed
-   on an int stack, so each is expanded once; fall-through is the next
-   index whenever the stream is contiguous there (a gap means no
-   instruction starts at the fall-through address), and only branch and
-   call targets take a binary search.  The result is a reachability
-   closure, so the visit order does not show in it. *)
-let explore (sw : Linear.t) ~roots =
-  let addrs = sw.Linear.addrs and lens = sw.Linear.lens in
-  let tags = sw.Linear.tags and targets = sw.Linear.targets in
+let grow a =
+  let b = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The one traversal loop behind [explore] and [extend]: recursive
+   descent over the sweep's instruction stream, by instruction index,
+   marking [visited] in place.  An instruction is marked when it is first
+   reached and pushed on the work stack, so each is expanded once, and
+   one that [visited] already marks is not walked again.  Fall-through is
+   the next index whenever the stream is contiguous there (a gap means no
+   instruction starts at the fall-through address); a branch or call
+   target takes one [Linear.index_of] (the stream's bucket index).  The
+   stack and the function buffer are local arrays and no closure captures
+   them, so that lookup is a step's only call into another module.  The
+   result is a reachability closure: the visit order does not show in
+   it, and resuming one adds exactly what the new roots reach.  [known]
+   (sorted, distinct) joins the functions found. *)
+let traverse (sw : Linear.t) visited ~known ~roots =
+  let addrs = sw.Linear.addrs and lens = sw.Linear.lens and tags = sw.Linear.tags in
+  let targets = sw.Linear.targets in
+  let base = sw.Linear.base and size = sw.Linear.size in
   let n = Array.length addrs in
-  let visited = Bytes.make n '\000' in
-  let functions = Ibuf.create () in
-  let stack = Ibuf.create () in
-  let reach k =
-    if k >= 0 && Bytes.unsafe_get visited k = '\000' then begin
-      Bytes.unsafe_set visited k '\001';
-      Ibuf.push stack k
-    end
-  in
-  let reach_addr a = if Linear.in_range sw a then reach (Linear.index_of sw a) in
-  let fall k =
-    let k' = k + 1 in
-    if
-      k' < n
-      && Array.unsafe_get addrs k'
-         = Array.unsafe_get addrs k + Char.code (Bytes.unsafe_get lens k)
-    then reach k'
-  in
-  let root a =
-    if Linear.in_range sw a then begin
-      Ibuf.push functions a;
-      reach (Linear.index_of sw a)
-    end
-  in
-  List.iter root roots;
+  let stack = ref (Array.make 1024 0) and sp = ref 0 in
+  let funcs = ref (Array.make 1024 0) and nf = ref 0 in
+  (* A root is a function wherever it lands in the region; the
+     instruction starting there, if any, is walked. *)
+  let pending = ref roots and more = ref true in
+  while !more do
+    match !pending with
+    | [] -> more := false
+    | a :: rest ->
+      pending := rest;
+      if a >= base && a - base < size then begin
+        if !nf = Array.length !funcs then funcs := grow !funcs;
+        Array.unsafe_set !funcs !nf a;
+        incr nf;
+        let k = Linear.index_of sw a in
+        if k >= 0 && Bytes.unsafe_get visited k = '\000' then begin
+          Bytes.unsafe_set visited k '\001';
+          if !sp = Array.length !stack then stack := grow !stack;
+          Array.unsafe_set !stack !sp k;
+          incr sp
+        end
+      end
+  done;
   let ret = Decoder.tag_ret and halt = Decoder.tag_halt and jmp_ind = Decoder.tag_jmp_indirect in
   let jmp = Decoder.tag_jmp_direct and jcc = Decoder.tag_jcc_direct in
   let call = Decoder.tag_call_direct in
-  while Ibuf.length stack > 0 do
-    let k = Ibuf.pop stack in
+  while !sp > 0 do
+    decr sp;
+    let k = Array.unsafe_get !stack !sp in
     let tag = Char.code (Bytes.unsafe_get tags k) land 15 in
-    if tag = ret || tag = halt || tag = jmp_ind then ()
-    else if tag = jmp then reach_addr (Array.unsafe_get targets k)
-    else if tag = jcc then begin
-      reach_addr (Array.unsafe_get targets k);
-      fall k
+    if tag <> ret && tag <> halt && tag <> jmp_ind then begin
+      (* The direct target's instruction (a call target is a function
+         too), then the fall-through one; -1 for none. *)
+      let t =
+        if tag = jmp || tag = jcc || tag = call then begin
+          let a = Array.unsafe_get targets k in
+          if tag = call && a >= base && a - base < size then begin
+            if !nf = Array.length !funcs then funcs := grow !funcs;
+            Array.unsafe_set !funcs !nf a;
+            incr nf
+          end;
+          Linear.index_of sw a
+        end
+        else -1
+      in
+      let f =
+        if tag = jmp || k + 1 >= n then -1
+        else if
+          Array.unsafe_get addrs (k + 1)
+          = Array.unsafe_get addrs k + Char.code (Bytes.unsafe_get lens k)
+        then k + 1
+        else -1
+      in
+      if !sp + 2 > Array.length !stack then stack := grow !stack;
+      if t >= 0 && Bytes.unsafe_get visited t = '\000' then begin
+        Bytes.unsafe_set visited t '\001';
+        Array.unsafe_set !stack !sp t;
+        incr sp
+      end;
+      if f >= 0 && Bytes.unsafe_get visited f = '\000' then begin
+        Bytes.unsafe_set visited f '\001';
+        Array.unsafe_set !stack !sp f;
+        incr sp
+      end
     end
-    else if tag = call then begin
-      root (Array.unsafe_get targets k);
-      fall k
-    end
-    else fall k
   done;
-  {
-    e_functions = Array.to_list (Linear.sort_dedup_ints (Ibuf.contents functions));
-    e_visited = visited;
-  }
+  let found = Linear.sort_dedup_ints (Array.sub !funcs 0 !nf) in
+  let functions =
+    match known with [] -> found | _ -> Linear.merge_sorted_dedup (Array.of_list known) found
+  in
+  { e_functions = Array.to_list functions; e_visited = visited }
+
+let explore (sw : Linear.t) ~roots =
+  traverse sw (Bytes.make (Linear.length sw) '\000') ~known:[] ~roots
+
+let extend (sw : Linear.t) ex ~roots =
+  if Bytes.length ex.e_visited <> Linear.length sw then
+    invalid_arg "Common.extend: the visited map does not match the stream";
+  traverse sw ex.e_visited ~known:ex.e_functions ~roots
 
 (* The byte at [off] of the swept region, or -1 outside it. *)
 let[@inline] byte_at code size off =
@@ -116,37 +160,47 @@ let endbr_before (sw : Linear.t) off =
   && (byte sw (off - 1) = 0xFA || byte sw (off - 1) = 0xFB)
 
 (* The skip conditions are one pure conjunction, tested cheapest first:
-   the visited byte, the first byte of every signature, the prologue
-   bytes, and only then the [known] and [suppress] lookups, which the
-   rare signature matches alone reach. *)
+   the visited byte (before any code byte is read), the first byte of
+   every signature, the prologue bytes, and only then the [known] and
+   [suppress] lookups, which the rare signature matches alone reach. *)
 let prologue_scan (sw : Linear.t) ~known ~aggressive ?visited ?(suppress = []) () =
+  let addrs = sw.Linear.addrs in
+  let n = Array.length addrs in
+  let visited =
+    match visited with
+    | None -> Bytes.make n '\000'
+    | Some v ->
+      if Bytes.length v < n then
+        invalid_arg "Common.prologue_scan: the visited map is shorter than the stream";
+      v
+  in
   let known = Linear.sort_dedup_ints (Array.of_list known) in
   (* Lenient: extents recovered from a corrupt .eh_frame can overlap, and
      a suppression table that is merely smaller must not abort the scan. *)
   let suppress =
     Cet_util.Itable.of_list_lenient (List.map (fun (lo, hi) -> (lo, hi, ())) suppress)
   in
-  let addrs = sw.Linear.addrs in
   let hits = Ibuf.create () in
-  for idx = 0 to Array.length addrs - 1 do
-    let a = addrs.(idx) in
-    let off = a - sw.base in
-    let b0 = byte sw off in
-    if
-      (match visited with Some v -> Bytes.get v idx = '\000' | None -> true)
-      && (b0 = 0x55 || b0 = 0x53 || b0 = 0x48 || b0 = 0x83)
-      && prologue_at sw off ~aggressive
-      && (not (Linear.mem_sorted known a))
-      && not (Cet_util.Itable.mem suppress a)
-    then begin
-      let after_endbr = endbr_before sw off in
-      let after_boundary = off = 0 || boundary_byte (byte sw (off - 1)) in
-      let aligned = a land 15 = 0 in
-      (* Conservative scanners demand an aligned start (or the legacy-NOP
-         end-branch anchor); aggressive ones take any post-boundary
-         position. *)
-      if (after_boundary || after_endbr) && (aggressive || aligned || after_endbr) then
-        Ibuf.push hits a
+  for idx = 0 to n - 1 do
+    if Bytes.unsafe_get visited idx = '\000' then begin
+      let a = Array.unsafe_get addrs idx in
+      let off = a - sw.base in
+      let b0 = byte sw off in
+      if
+        (b0 = 0x55 || b0 = 0x53 || b0 = 0x48 || b0 = 0x83)
+        && prologue_at sw off ~aggressive
+        && (not (Linear.mem_sorted known a))
+        && not (Cet_util.Itable.mem suppress a)
+      then begin
+        let after_endbr = endbr_before sw off in
+        let after_boundary = off = 0 || boundary_byte (byte sw (off - 1)) in
+        let aligned = a land 15 = 0 in
+        (* Conservative scanners demand an aligned start (or the legacy-NOP
+           end-branch anchor); aggressive ones take any post-boundary
+           position. *)
+        if (after_boundary || after_endbr) && (aggressive || aligned || after_endbr) then
+          Ibuf.push hits a
+      end
     end
   done;
   Array.to_list (Linear.sort_dedup_ints (Ibuf.contents hits))

@@ -14,7 +14,9 @@
     CET-enabled binaries — precisely the gap FunSeeker exploits. *)
 
 type explored = {
-  e_functions : int list;  (** roots plus direct-call targets, sorted *)
+  e_functions : int list;
+      (** the in-range roots plus the direct-call targets of every walked
+          instruction, sorted and distinct *)
   e_visited : Bytes.t;
       (** one byte per sweep instruction (by instruction index): ['\001']
           when the traversal walked it *)
@@ -24,7 +26,19 @@ val explore : Cet_disasm.Linear.t -> roots:int list -> explored
 (** Recursive-descent traversal: explore from [roots], following fall-
     through, conditional and unconditional branches, and collecting direct
     call targets as function entries (transitively explored).  Indirect
-    branches are dead ends — the limitation behind IDA's recall. *)
+    branches are dead ends — the limitation behind IDA's recall.  A step
+    allocates nothing: the minor words are a constant plus the result
+    list. *)
+
+val extend : Cet_disasm.Linear.t -> explored -> roots:int list -> explored
+(** [extend sw ex ~roots] resumes the traversal [ex] (of the same [sw])
+    from more [roots], walking only instructions [ex] had not walked.
+    When [roots] contains every in-range root of [ex], the result equals
+    [explore sw ~roots], functions and visited bytes alike: both are the
+    closure of one root set.  It updates [ex.e_visited] in place and
+    returns that same map, so read [ex.e_visited] (say, for
+    {!prologue_scan}) before extending.  Raises [Invalid_argument] when
+    [ex.e_visited] is not one byte per instruction of [sw]. *)
 
 val entry_main_root : Cet_disasm.Linear.t -> entry:int -> int option
 (** The [__libc_start_main] idiom: scan the first instructions at the entry
@@ -45,7 +59,9 @@ val prologue_scan :
     also bare [push rbx/rbp] and [sub rsp, imm8]) placed right after
     padding, a return, or a legacy-NOP end-branch (see above — such hits
     land 4 bytes past the true entry).  [known] addresses, addresses inside
-    [suppress] extents, and [visited] instruction addresses are skipped. *)
+    [suppress] extents, and [visited] instruction addresses are skipped;
+    the visited byte is tested before any code byte is read.  Raises
+    [Invalid_argument] when [visited] is shorter than the stream. *)
 
 val stack_height_tail_targets : Cet_disasm.Linear.t -> extents:(int * int) list -> int list
 (** FETCH's refinement: walk each function extent once with abstract

@@ -31,7 +31,8 @@ let analyze_st_impl st =
       Common.prologue_scan sweep ~known ~aggressive ~visited:ex.Common.e_visited
         ~suppress:fde_extents ()
     in
-    let ex2 = Common.explore sweep ~roots:(pattern_hits @ known) in
+    (* Resume the first traversal, whose roots are all in [known]. *)
+    let ex2 = Common.extend sweep ex ~roots:(pattern_hits @ known) in
     List.sort_uniq Int.compare (known @ pattern_hits @ ex2.Common.e_functions)
     |> List.filter in_text
 

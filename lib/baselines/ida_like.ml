@@ -53,10 +53,12 @@ let analyze_st_impl st =
       in
       if not unambiguous then []
       else begin
+        let tags = sweep.Linear.tags and targets = sweep.Linear.targets in
+        let addr_ref = Decoder.tag_addr_ref in
         let refs = ref [] in
-        for k = Linear.length sweep - 1 downto 0 do
-          if Linear.tag sweep k = Decoder.tag_addr_ref then begin
-            let t = Linear.target sweep k in
+        for k = Bytes.length tags - 1 downto 0 do
+          if Char.code (Bytes.unsafe_get tags k) land 15 = addr_ref then begin
+            let t = Array.unsafe_get targets k in
             if t >= text.vaddr && t < text_end && t land 3 = 0 then refs := t :: !refs
           end
         done;
@@ -70,7 +72,9 @@ let analyze_st_impl st =
     let pattern_hits =
       Common.prologue_scan sweep ~known ~aggressive:false ~visited:ex.Common.e_visited ()
     in
-    let ex2 = Common.explore sweep ~roots:(pattern_hits @ known) in
+    (* The second traversal resumes the first: [known] holds its roots, so
+       the result is the closure of [pattern_hits @ known] alone. *)
+    let ex2 = Common.extend sweep ex ~roots:(pattern_hits @ known) in
     List.sort_uniq Int.compare (known @ pattern_hits @ ex2.Common.e_functions)
     |> List.filter (fun a -> a >= text.vaddr && a < text_end)
 

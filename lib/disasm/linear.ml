@@ -10,20 +10,48 @@ type t = {
   targets : int array;
   lens : Bytes.t;
   tags : Bytes.t;
+  buckets : Bytes.t;
   resync_errors : int;
 }
 
+(* The bucket index: entry [b], a little-endian int32, is the index of
+   the first instruction at or after [base + 16 * b]; one entry per 16
+   bytes of the region.  An instruction is at least one byte long, so a
+   lookup scans at most 16 addresses from its bucket's entry. *)
+let bucket_shift = 4
+
+let[@inline] bucket buckets b = Int32.to_int (Bytes.get_int32_le buckets (4 * b))
+
+let buckets_of ~base ~size addrs =
+  let n = Array.length addrs in
+  let nb = (size + (1 lsl bucket_shift) - 1) lsr bucket_shift in
+  let buckets = Bytes.create (4 * nb) in
+  let i = ref 0 in
+  for b = 0 to nb - 1 do
+    let a = base + (b lsl bucket_shift) in
+    while !i < n && Array.unsafe_get addrs !i < a do
+      incr i
+    done;
+    Bytes.set_int32_le buckets (4 * b) (Int32.of_int !i)
+  done;
+  buckets
+
 let of_stream arch ~base ~code (st : Decoder.stream) ~resync_errors =
   let st = Decoder.trim st in
+  let size = String.length code and addrs = st.Decoder.addrs in
+  let n = Array.length addrs in
+  if n > 0 && (addrs.(0) < base || addrs.(n - 1) >= base + size) then
+    invalid_arg "Linear.of_stream: an instruction address lies outside the region";
   {
     arch;
     base;
-    size = String.length code;
+    size;
     code;
-    addrs = st.Decoder.addrs;
+    addrs;
     targets = st.Decoder.targets;
     lens = st.Decoder.lens;
     tags = st.Decoder.tags;
+    buckets = buckets_of ~base ~size addrs;
     resync_errors;
   }
 
@@ -203,16 +231,23 @@ let mem_sorted (a : int array) v =
   done;
   !lo < Array.length a && a.(!lo) = v
 
-(* Index of the first instruction at or after [addr]. *)
+(* Index of the first instruction at or after [addr]: its bucket's
+   entry, then at most 15 steps.  Every address lies in the region
+   ([of_stream] checks), so outside it the answer is an end. *)
 let first_index_at t addr =
   let addrs = t.addrs in
-  let lo = ref 0 and hi = ref (Array.length addrs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get addrs mid < addr then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  let n = Array.length addrs in
+  let off = addr - t.base in
+  if off <= 0 then 0
+  else if off >= t.size then n
+  else begin
+    let i = ref (bucket t.buckets (off lsr bucket_shift)) in
+    while !i < n && Array.unsafe_get addrs !i < addr do
+      incr i
+    done;
+    !i
+  end
 
 let index_of t addr =
   let i = first_index_at t addr in
-  if i < Array.length t.addrs && t.addrs.(i) = addr then i else -1
+  if i < Array.length t.addrs && Array.unsafe_get t.addrs i = addr then i else -1

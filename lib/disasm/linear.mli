@@ -4,9 +4,10 @@
     decode failure it advances one byte and resumes, exactly as FunSeeker's
     DISASSEMBLE does.  The result keeps the full instruction stream the
     baselines' analyses walk, as parallel arrays indexed by instruction
-    number (about 2.25 words per instruction); FunSeeker's index arrays
-    come from {!Substrate.indexes}.  Both are filled by the one decode
-    loop, {!Cet_x86.Decoder.walk}. *)
+    number, plus a bucket index that finds an address's instruction in
+    O(1) (about 2.4 words per instruction in all); FunSeeker's index
+    arrays come from {!Substrate.indexes}.  Both are filled by the one
+    decode loop, {!Cet_x86.Decoder.walk}. *)
 
 type t = {
   arch : Cet_x86.Arch.t;
@@ -22,6 +23,11 @@ type t = {
   tags : Bytes.t;
       (** one byte per instruction: the kind tag in the low nibble plus
           the notrack and goto bits ({!Cet_x86.Decoder.stream}) *)
+  buckets : Bytes.t;
+      (** the address lookup: one little-endian int32 per 16 bytes of the
+          region, entry [b] the index of the first instruction at or after
+          [base + 16 * b] (about 0.11 words per instruction); built once by
+          {!of_stream} *)
   resync_errors : int;
       (** desynchronisation events: maximal runs of undecodable (or, for
           the anchored sweep, untrusted) bytes the sweep recovered from —
@@ -35,7 +41,9 @@ val of_stream :
   Cet_x86.Decoder.stream ->
   resync_errors:int ->
   t
-(** Wrap a finished walk's stream (trimmed to its count) over [code]. *)
+(** Wrap a finished walk's stream (trimmed to its count) over [code] and
+    build its bucket index.  Raises [Invalid_argument] when an
+    instruction address lies outside [\[base, base + String.length code)]. *)
 
 val length : t -> int
 (** Number of instructions. *)
@@ -96,7 +104,9 @@ val merge_sorted_dedup : int array -> int array -> int array
 
 val first_index_at : t -> int -> int
 (** Index of the first instruction at or after the address ({!length}
-    when none). *)
+    when none).  O(1): the address's bucket entry, then at most 15
+    steps. *)
 
 val index_of : t -> int -> int
-(** Index of the instruction starting exactly at the address, or [-1]. *)
+(** Index of the instruction starting exactly at the address, or [-1].
+    O(1), as {!first_index_at}. *)

@@ -226,9 +226,17 @@ let[@inline] byte code p = Char.code (String.unsafe_get code p)
 
 (* Every read is guarded by [need]: [p + n] bytes must lie below [limit]
    (which is at most [String.length code], so the reads that follow are
-   in bounds). *)
+   in bounds and read unchecked, as [String.get_int32_le] does after its
+   own bounds check). *)
 let[@inline] need p n limit = if p + n > limit then raise_notrace Scan_fail
-let[@inline] i32 code p = Int32.to_int (String.get_int32_le code p)
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] i32 code p =
+  let v = get32u code p in
+  Int32.to_int (if Sys.big_endian then swap32 v else v)
+
 let[@inline] i8 code p = (byte code p lxor 0x80) - 0x80
 
 let[@inline] imm_len info pfx =

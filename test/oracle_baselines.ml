@@ -201,3 +201,78 @@ let stack_height_tail_targets (sweep : Oracle_sweep.t) ~extents ~passes =
       done)
     extents;
   List.sort_uniq Int.compare !targets
+
+(* ---- IDA- and Ghidra-like as two fresh traversals --------------------- *)
+
+(* The shape both tools had before their second traversal resumed the
+   first: a traversal from the entry points (and, for Ghidra, the FDE
+   starts), a gap scan over what it left unwalked, then a second
+   traversal from scratch over the scan's hits and everything known.
+   Built from the kernels above over the reference sweep of [.text]; the
+   substrate supplies only what is not the stream: the ELF header and the
+   FDE extents. *)
+
+module Substrate = Cet_disasm.Substrate
+module Reader = Cet_elf.Reader
+
+let entry_roots sweep reader =
+  let entry = Reader.entry reader in
+  entry :: (match entry_main_root sweep ~entry with Some m -> [ m ] | None -> [])
+
+let second_traversal sweep ~known ~pattern_hits ~in_text =
+  let ex2 = explore sweep ~roots:(pattern_hits @ known) in
+  List.sort_uniq Int.compare (known @ pattern_hits @ ex2.e_functions) |> List.filter in_text
+
+let ida_like st =
+  match Substrate.text st with
+  | None -> []
+  | Some text ->
+    let reader = Substrate.reader st in
+    let sweep = Oracle_sweep.sweep_text_reference reader in
+    let in_text a = a >= text.vaddr && a < text.vaddr + text.size in
+    let ex = explore sweep ~roots:(entry_roots sweep reader) in
+    let starts = ex.e_functions in
+    (* A jump to an address before the start of the function holding the
+       jump starts a function. *)
+    let owner site = List.fold_left (fun acc s -> if s <= site then Some s else acc) None starts in
+    let tail_jumps =
+      List.filter_map
+        (fun (site, target) ->
+          match owner site with
+          | Some f when target < f && not (List.mem target starts) -> Some target
+          | _ -> None)
+        (Oracle_sweep.jmp_refs sweep)
+    in
+    let addr_refs =
+      let unambiguous =
+        match Reader.arch reader with Arch.X64 -> true | Arch.X86 -> not (Reader.pie reader)
+      in
+      if not unambiguous then []
+      else
+        Array.fold_right
+          (fun (i : Decoder.ins) acc ->
+            match i.kind with
+            | Decoder.Addr_ref t when in_text t && t land 3 = 0 -> t :: acc
+            | _ -> acc)
+          sweep.insns []
+    in
+    let known = List.sort_uniq Int.compare (starts @ tail_jumps @ addr_refs) in
+    let pattern_hits = prologue_scan sweep ~known ~aggressive:false ~visited:ex.e_visited () in
+    second_traversal sweep ~known ~pattern_hits ~in_text
+
+let ghidra_like st =
+  match Substrate.text st with
+  | None -> []
+  | Some text ->
+    let reader = Substrate.reader st in
+    let sweep = Oracle_sweep.sweep_text_reference reader in
+    let in_text a = a >= text.vaddr && a < text.vaddr + text.size in
+    let fde_extents = List.filter (fun (lo, _) -> in_text lo) (Substrate.fde_extents st) in
+    let roots = entry_roots sweep reader @ List.map fst fde_extents in
+    let ex = explore sweep ~roots in
+    let known = List.sort_uniq Int.compare (roots @ ex.e_functions) in
+    let pattern_hits =
+      prologue_scan sweep ~known ~aggressive:(Reader.arch reader = Arch.X86)
+        ~visited:ex.e_visited ~suppress:fde_extents ()
+    in
+    second_traversal sweep ~known ~pattern_hits ~in_text

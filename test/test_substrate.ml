@@ -646,6 +646,225 @@ let test_tool_outputs_pinned () =
   check Alcotest.string "tool outputs" tool_outputs_md5
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* --- the bucket index against binary search ------------------------------ *)
+
+(* [Linear.first_index_at] and [index_of] answer from the bucket index;
+   they must equal the binary search over the reference sweep of the same
+   bytes at every address from one before the region to one past its
+   end, and each bucket entry must be the first instruction at or after
+   its bucket's first address. *)
+let check_lookup tag (sw : Linear.t) (ref_sw : Oracle_sweep.t) =
+  let module O = Oracle_baselines in
+  let fail what a got want =
+    Alcotest.failf "%s: %s 0x%x = %d, binary search says %d" tag what a got want
+  in
+  for a = sw.Linear.base - 1 to sw.Linear.base + sw.Linear.size + 1 do
+    let got = Linear.first_index_at sw a and want = O.first_index_at ref_sw a in
+    if got <> want then fail "first_index_at" a got want;
+    let got = Linear.index_of sw a
+    and want = match O.index_of ref_sw a with Some i -> i | None -> -1 in
+    if got <> want then fail "index_of" a got want
+  done;
+  let buckets = sw.Linear.buckets in
+  if Bytes.length buckets <> 4 * ((sw.Linear.size + 15) / 16) then
+    Alcotest.failf "%s: %d bucket bytes for a %d-byte region" tag (Bytes.length buckets)
+      sw.Linear.size;
+  for b = 0 to (Bytes.length buckets / 4) - 1 do
+    let a = sw.Linear.base + (16 * b) in
+    let got = Int32.to_int (Bytes.get_int32_le buckets (4 * b)) in
+    let want = O.first_index_at ref_sw a in
+    if got <> want then fail (Printf.sprintf "bucket %d at" b) a got want
+  done
+
+(* The four binaries, plain and anchored; the inline-data one has gaps. *)
+let test_lookup_matches_binary_search () =
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let reader = Reader.read bytes in
+      List.iter
+        (fun anchored ->
+          let sw =
+            if anchored then Linear.sweep_text_anchored reader else Linear.sweep_text reader
+          in
+          check_lookup
+            (Printf.sprintf "%s anchored=%b" name anchored)
+            sw
+            (Oracle_sweep.sweep_text_reference ~anchored reader))
+        [ false; true ])
+    (Lazy.force corpus)
+
+let test_lookup_matches_binary_search_random =
+  QCheck.Test.make ~name:"bucket lookup = binary search on random code" ~count:200
+    (QCheck.make ~print:(Printf.sprintf "%S") kernel_code_gen)
+    (fun code ->
+      let base = 0x1003 in
+      List.iter
+        (fun arch ->
+          check_lookup (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code)
+            (Oracle_sweep.sweep_reference arch ~base code))
+        [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
+      true)
+
+(* --- the resumed traversal ------------------------------------------------ *)
+
+(* With [r2] holding every in-range root of [r1], resuming [explore r1]
+   from [r2] must equal exploring [r2] afresh, functions and visited bytes
+   alike; resuming from roots already explored must change nothing. *)
+let check_extend tag (sw : Linear.t) ~r1 ~r2 =
+  let module C = Cet_baselines.Common in
+  let same what (a : C.explored) (b : C.explored) =
+    check int_list (tag ^ " " ^ what ^ " functions") a.C.e_functions b.C.e_functions;
+    if not (Bytes.equal a.C.e_visited b.C.e_visited) then
+      Alcotest.failf "%s %s: visited bytes differ" tag what
+  in
+  same "extend = explore"
+    (C.explore sw ~roots:r2)
+    (C.extend sw (C.explore sw ~roots:r1) ~roots:r2);
+  let ex = C.explore sw ~roots:r1 in
+  let before = { ex with C.e_visited = Bytes.copy ex.C.e_visited } in
+  same "extend by its roots" before (C.extend sw ex ~roots:r1);
+  same "extend by its functions" before (C.extend sw ex ~roots:ex.C.e_functions)
+
+(* Root sets as the tools build them, and a first set that holds roots
+   outside the region and mid-instruction, which the second may drop. *)
+let test_extend_matches_explore () =
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let reader = Reader.read bytes in
+      let st = Substrate.create reader in
+      let entry = Reader.entry reader in
+      let fdes = Substrate.fde_starts st in
+      List.iter
+        (fun anchored ->
+          let sw = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
+          let text_end = sw.Linear.base + sw.Linear.size in
+          let half = List.filteri (fun i _ -> i mod 2 = 0) fdes in
+          let hits =
+            Cet_baselines.Common.prologue_scan sw ~known:[] ~aggressive:true
+              ~visited:(Cet_baselines.Common.explore sw ~roots:[ entry ]).e_visited ()
+          in
+          let tag = Printf.sprintf "%s anchored=%b" name anchored in
+          check_extend (tag ^ " entry, then fdes") sw ~r1:[ entry ] ~r2:(fdes @ [ entry ]);
+          check_extend (tag ^ " half, then hits") sw
+            ~r1:((sw.Linear.base - 1) :: text_end :: (entry + 1) :: entry :: half)
+            ~r2:(hits @ ((entry + 1) :: entry :: fdes)))
+        [ false; true ])
+    (Lazy.force corpus)
+
+let test_extend_matches_explore_random =
+  let gen =
+    QCheck.Gen.(
+      triple kernel_code_gen (list_size (int_range 0 8) (int_range (-2) 256))
+        (list_size (int_range 0 8) (int_range (-2) 256)))
+  in
+  QCheck.Test.make ~name:"extend = explore on random code and roots" ~count:200
+    (QCheck.make
+       ~print:(fun (code, r1, r2) ->
+         Printf.sprintf "%S r1=[%s] r2=[%s]" code
+           (String.concat ";" (List.map string_of_int r1))
+           (String.concat ";" (List.map string_of_int r2)))
+       gen)
+    (fun (code, r1, extra) ->
+      let base = 0x1000 and n = String.length code in
+      let r1 = List.map (fun o -> base + o) r1 in
+      let r2 =
+        List.filter (fun a -> a >= base && a < base + n) r1
+        @ List.map (fun o -> base + o) extra
+      in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun anchored ->
+              let sweep = if anchored then Linear.sweep_anchored else Linear.sweep in
+              check_extend
+                (Printf.sprintf "%s anchored=%b" (Cet_x86.Arch.to_string arch) anchored)
+                (sweep arch ~base code) ~r1 ~r2)
+            [ false; true ])
+        [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
+      true)
+
+(* IDA- and Ghidra-like against the model of their two fresh traversals
+   ([Oracle_baselines.ida_like], [ghidra_like]). *)
+let check_tools_match_model tag bytes =
+  let st = Substrate.of_bytes bytes in
+  check int_list (tag ^ " IDA-like")
+    (Oracle_baselines.ida_like st)
+    (Cet_baselines.Ida_like.analyze_st st);
+  check int_list (tag ^ " Ghidra-like")
+    (Oracle_baselines.ghidra_like st)
+    (Cet_baselines.Ghidra_like.analyze_st st)
+
+let test_tools_match_model_corpus () =
+  List.iter (fun (name, (bytes, _)) -> check_tools_match_model name bytes) (Lazy.force corpus)
+
+let test_tools_match_model_grid () =
+  let profile = Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.coreutils in
+  List.iter
+    (fun (opts : O.t) ->
+      let bytes, _ = build ~profile ~index:0 ~opts in
+      check_tools_match_model (O.to_string opts) bytes)
+    O.all_grid
+
+(* A traversal step allocates nothing: [explore] and [extend] stay within
+   a fixed number of minor words plus the result list (3 words per
+   function). *)
+let test_traversal_allocation_budget () =
+  let module C = Cet_baselines.Common in
+  assert (not (Cet_telemetry.Span.enabled ()));
+  List.iter
+    (fun (name, (bytes, _truth)) ->
+      let reader = Reader.read bytes in
+      let st = Substrate.create reader in
+      let sw = Substrate.sweep st in
+      let entry = Reader.entry reader in
+      let fdes = Substrate.fde_starts st in
+      let measure what f =
+        let before = Gc.minor_words () in
+        let ex = Sys.opaque_identity (f ()) in
+        let words = Gc.minor_words () -. before in
+        let budget = (4 * List.length ex.C.e_functions) + 1024 in
+        if words > float_of_int budget then
+          Alcotest.failf "%s: %s allocates %.0f minor words (budget %d)" name what words budget
+      in
+      (* IDA-like's first roots, then Ghidra-like's FDE starts. *)
+      let roots =
+        entry :: (match C.entry_main_root sw ~entry with Some m -> [ m ] | None -> [])
+      in
+      measure "explore" (fun () -> C.explore sw ~roots);
+      let ex = C.explore sw ~roots in
+      measure "extend" (fun () -> C.extend sw ex ~roots:(roots @ fdes)))
+    (Lazy.force corpus)
+
+(* The kernels check their maps' sizes, and the stream its addresses,
+   before the lookups read them unchecked. *)
+let test_mismatches_rejected () =
+  let module C = Cet_baselines.Common in
+  let code = "\x55\x48\x89\xe5\x90\xc3" in
+  let stream = Cet_x86.Decoder.stream 4 in
+  ignore
+    (Cet_x86.Decoder.walk Cet_x86.Arch.X64 ~phase:"test.walk" ~anchors:None code ~pos:0
+       ~len:(String.length code) ~vaddr:0x1000 ~stream:(Some stream) ~harvest:None
+      : int * int);
+  List.iter
+    (fun (base, code) ->
+      Alcotest.check_raises
+        (Printf.sprintf "of_stream base 0x%x, %d bytes" base (String.length code))
+        (Invalid_argument "Linear.of_stream: an instruction address lies outside the region")
+        (fun () ->
+          ignore (Linear.of_stream Cet_x86.Arch.X64 ~base ~code stream ~resync_errors:0 : Linear.t)))
+    [ (0x1001, code); (0x1000, String.sub code 0 5) ];
+  let sw = Linear.of_stream Cet_x86.Arch.X64 ~base:0x1000 ~code stream ~resync_errors:0 in
+  let short = { C.e_functions = []; e_visited = Bytes.make (Linear.length sw - 1) '\000' } in
+  Alcotest.check_raises "extend"
+    (Invalid_argument "Common.extend: the visited map does not match the stream") (fun () ->
+      ignore (C.extend sw short ~roots:[ 0x1000 ] : C.explored));
+  Alcotest.check_raises "prologue_scan"
+    (Invalid_argument "Common.prologue_scan: the visited map is shorter than the stream")
+    (fun () ->
+      ignore
+        (C.prologue_scan sw ~known:[] ~aggressive:true ~visited:short.C.e_visited ()
+          : int list))
+
 let suite =
   [
     ( "substrate",
@@ -675,5 +894,18 @@ let suite =
           test_anchors_are_boundaries_corpus;
         Alcotest.test_case "anchors are instruction starts (48 configurations)" `Quick
           test_anchors_are_boundaries_grid;
+        Alcotest.test_case "bucket lookup = binary search (corpus)" `Quick
+          test_lookup_matches_binary_search;
+        QCheck_alcotest.to_alcotest test_lookup_matches_binary_search_random;
+        Alcotest.test_case "extend = explore (corpus)" `Quick test_extend_matches_explore;
+        QCheck_alcotest.to_alcotest test_extend_matches_explore_random;
+        Alcotest.test_case "IDA- and Ghidra-like = two-traversal model (corpus)" `Quick
+          test_tools_match_model_corpus;
+        Alcotest.test_case "IDA- and Ghidra-like = two-traversal model (48 configurations)"
+          `Quick test_tools_match_model_grid;
+        Alcotest.test_case "traversal allocation budget" `Quick
+          test_traversal_allocation_budget;
+        Alcotest.test_case "mismatched maps and regions are rejected" `Quick
+          test_mismatches_rejected;
       ] );
   ]
