@@ -19,14 +19,18 @@
     - the [__x86.get_pc_thunk] helpers on x86 PIE, including the variant the
       compiler emits without a symbol when only [_start] references it.
 
-    {!lower} encodes each instruction as it lowers it, straight into the
-    [.text] section through {!Cet_x86.Asm}, fragment after fragment in
-    layout order.  Landing pads, which go after their function's epilogue,
-    are lowered into a side buffer that is appended once the epilogue is
-    out.  Labels are ints.  Only the labels that cross fragments have
-    names — functions, [.cold] and [.part.0] fragments, the PC thunks,
-    [_start] — looked up in one table per program; the imports' PLT
-    entries are the first labels. *)
+    The work is split in two.  {!prepare} does what no option changes, once
+    per program: it validates the IR, collects its imports, gives every
+    function, fragment and import an int label and reads each function's
+    facts (leaf, GOT use, the seeds of its frame shape and instruction
+    selection).  {!lower} then
+    encodes each instruction as it lowers it, straight into the [.text]
+    section through {!Cet_x86.Asm}, fragment after fragment in layout
+    order.  Landing pads, which go after their function's epilogue, are
+    lowered into a side buffer that is appended once the epilogue is out.
+    The imports' PLT entries are the first labels.  ALU filler, most of
+    the instructions, is copied from a table that encodes each of its
+    forms once per architecture. *)
 
 type label = Cet_x86.Asm.label
 
@@ -57,12 +61,27 @@ type output = {
   labels : int;  (** the label count: labels are [0 .. labels - 1] *)
 }
 
-val imports : Ir.program -> string list
-(** A program's PLT entries, in order: [__libc_start_main], then
-    {!Ir.collect_imports}. *)
+type prepared
+(** A validated program, ready to lower under any options: its name,
+    language and imports, its functions' statements and facts, and the
+    labels their names stand for.  Nothing in it is written after
+    {!prepare} returns, so several domains may lower it at once. *)
 
-val lower : Options.t -> Ir.program -> imports:string list -> base:int -> output
-(** [lower opts p ~imports ~base] lowers a validated program into a
-    [.text] section at virtual address [base].  [imports] is [imports p]:
-    the [i]th entry's PLT address is label [i], which the caller defines.
-    Raises [Invalid_argument] when {!Ir.validate} would reject [p]. *)
+val prepare : Ir.program -> prepared
+(** Raises [Invalid_argument] when {!Ir.validate} rejects the program. *)
+
+val prog_name : prepared -> string
+val lang : prepared -> Ir.lang
+
+val imports : prepared -> string list
+(** The program's PLT entries, in order: [__libc_start_main], then
+    {!Ir.collect_imports}.  The [i]th entry's PLT address is label [i],
+    which the caller of {!lower} defines. *)
+
+val lower : Options.t -> prepared -> base:int -> output
+(** [lower opts p ~base] lowers [p] into a [.text] section at virtual
+    address [base]. *)
+
+val filler_entries : Cet_x86.Arch.t -> (Cet_x86.Insn.t * string) list
+(** Every ALU filler instruction and the bytes the filler table holds for
+    it on that architecture. *)

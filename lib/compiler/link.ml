@@ -72,10 +72,10 @@ let jump_table_bytes arch ~resolve tables =
   in
   (W.contents w, offsets)
 
-let link (opts : Options.t) (p : Ir.program) =
+let link_prepared (opts : Options.t) pp =
   let arch = opts.arch in
   let ptr = Arch.ptr_size arch in
-  let imports = Codegen.imports p in
+  let imports = Codegen.imports pp in
   let nimports = List.length imports in
   let base = base_address opts in
   let plt_vaddr = base in
@@ -83,7 +83,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let text_vaddr = align_up (plt_vaddr + plt_size) 16 in
   (* Encode .text once, in place; its label fields are patched at the end,
      once every other section has an address. *)
-  let out = Codegen.lower opts p ~imports ~base:text_vaddr in
+  let out = Codegen.lower opts pp ~base:text_vaddr in
   let text_size = Asm.size out.text in
   let addrs = Asm.addresses out.text out.labels in
   let addr_of l =
@@ -135,7 +135,7 @@ let link (opts : Options.t) (p : Ir.program) =
      - GCC: an FDE for every fragment, including .cold/.part;
      - Clang on x86-64: an FDE for every fragment;
      - Clang on x86: FDEs only for C++ code. *)
-  let lang_cpp = p.lang = Ir.Cpp in
+  let lang_cpp = Codegen.lang pp = Ir.Cpp in
   let emits_fdes = Options.emits_fdes opts ~lang_cpp in
   let lsda_addr_of_frag =
     let tbl = Hashtbl.create 16 in
@@ -145,8 +145,8 @@ let link (opts : Options.t) (p : Ir.program) =
     fun name gcc_except_vaddr ->
       Option.map (fun off -> gcc_except_vaddr + off) (Hashtbl.find_opt tbl name)
   in
-  (* The .gcc_except_table address depends on .eh_frame's size, which is
-     value-independent: measure with a placeholder first. *)
+  (* The .gcc_except_table address depends on .eh_frame's size, which
+     depends only on which frames have an LSDA. *)
   let frames_for gcc_except_vaddr =
     List.filter_map
       (fun (name, start, stop) ->
@@ -175,13 +175,13 @@ let link (opts : Options.t) (p : Ir.program) =
   let hdr_vaddr = eh_frame_vaddr in
   let hdr_size = Cet_eh.Eh_frame_hdr.size (List.length probe_frames) in
   let eh_frame_vaddr = align_up (hdr_vaddr + hdr_size) 8 in
-  let eh_probe = Cet_eh.Eh_frame.encode ~vaddr:eh_frame_vaddr ~personality probe_frames in
-  let gcc_except_vaddr = align_up (eh_frame_vaddr + String.length eh_probe) 4 in
+  let eh_size = Cet_eh.Eh_frame.size probe_frames in
+  let gcc_except_vaddr = align_up (eh_frame_vaddr + eh_size) 4 in
   let eh_frame, fde_offsets =
     Cet_eh.Eh_frame.encode_with_offsets ~vaddr:eh_frame_vaddr ~personality
       (frames_for gcc_except_vaddr)
   in
-  assert (String.length eh_frame = String.length eh_probe);
+  assert (String.length eh_frame = eh_size);
   let eh_frame_hdr =
     Cet_eh.Eh_frame_hdr.encode ~vaddr:hdr_vaddr ~eh_frame_vaddr
       (List.map
@@ -202,7 +202,7 @@ let link (opts : Options.t) (p : Ir.program) =
   (* Symbols. *)
   let file_symbol =
     {
-      Symbol.name = p.prog_name ^ (if lang_cpp then ".cpp" else ".c");
+      Symbol.name = Codegen.prog_name pp ^ (if lang_cpp then ".cpp" else ".c");
       value = 0;
       size = 0;
       kind = Symbol.File;
@@ -238,7 +238,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let dwarf_abbrev, dwarf_info, dwarf_str =
     Cet_eh.Dwarf_info.encode ~ptr_size:ptr
       {
-        Cet_eh.Dwarf_info.cu_name = p.prog_name ^ (if lang_cpp then ".cpp" else ".c");
+        Cet_eh.Dwarf_info.cu_name = Codegen.prog_name pp ^ (if lang_cpp then ".cpp" else ".c");
         producer = Options.compiler_name opts.compiler ^ " (synthetic)";
         subprograms =
           List.filter_map
@@ -306,4 +306,5 @@ let link (opts : Options.t) (p : Ir.program) =
   in
   { image; truth; fragment_extents; plt_entries }
 
+let link opts p = link_prepared opts (Codegen.prepare p)
 let compile ?(strip = false) opts p = Cet_elf.Writer.write ~strip (link opts p).image

@@ -33,7 +33,13 @@ val base_address : Options.t -> int
 val plt_entry_size : int
 
 val link : Options.t -> Ir.program -> result
-(** Lower and encode, lay out, patch, and package a program. *)
+(** Lower and encode, lay out, patch, and package a program: {!link_prepared}
+    of {!Codegen.prepare}.  Raises [Invalid_argument] when {!Ir.validate}
+    rejects the program. *)
+
+val link_prepared : Options.t -> Codegen.prepared -> result
+(** {!link} of a prepared program, which may be linked under several
+    configurations, from several domains at once. *)
 
 val compile : ?strip:bool -> Options.t -> Ir.program -> string
 (** [link] followed by ELF serialisation. *)

@@ -1,6 +1,7 @@
 module Options = Cet_compiler.Options
 module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
+module Codegen = Cet_compiler.Codegen
 
 type binary = {
   suite : string;
@@ -11,18 +12,20 @@ type binary = {
   truth : (string * int) list;
 }
 
-(* One program of the plan and its IR once-cell.  The IR is generated by
-   the first of the program's binaries to be built and shared by the
-   others, which may be built on other domains at the same time: [Lazy]
-   must not be forced from two domains at once, so the cell is a mutex.
-   It is emptied once every configuration has been linked from it, so a
-   run holds only the IR of programs it is still building. *)
+(* One program of the plan and its once-cell.  The first of the
+   program's binaries to be built generates the IR and prepares it
+   (validation, imports, labels: everything no option changes), and the
+   others share the prepared program, which may be linked on other
+   domains at the same time: [Lazy] must not be forced from two domains
+   at once, so the cell is a mutex.  It is emptied once every
+   configuration has been linked from it, so a run holds only the
+   programs it is still building. *)
 type program = {
   profile : Profile.t;  (* scaled *)
   index : int;
   lock : Mutex.t;
-  mutable ir : Ir.program option;
-  mutable linked : int;  (* links from the IR in [ir] *)
+  mutable prepared : Codegen.prepared option;
+  mutable linked : int;  (* links from [prepared] *)
 }
 
 type plan = { plan_seed : int; plan_configs : Options.t array; programs : program array }
@@ -33,46 +36,49 @@ let plan ?(profiles = Profile.all) ?(configs = Options.all_grid) ~seed ~scale ()
       (fun profile ->
         let profile = Profile.scaled scale profile in
         List.init profile.Profile.programs (fun index ->
-            { profile; index; lock = Mutex.create (); ir = None; linked = 0 }))
+            { profile; index; lock = Mutex.create (); prepared = None; linked = 0 }))
       profiles
   in
   { plan_seed = seed; plan_configs = Array.of_list configs; programs = Array.of_list programs }
 
 let length plan = Array.length plan.programs * Array.length plan.plan_configs
 
-let ir_of plan p =
+let prepared_of plan p =
   Mutex.protect p.lock (fun () ->
-      match p.ir with
-      | Some ir -> ir
+      match p.prepared with
+      | Some pp -> pp
       | None ->
-        let ir = Generator.program ~seed:plan.plan_seed ~profile:p.profile ~index:p.index in
-        p.ir <- Some ir;
+        let pp =
+          Codegen.prepare
+            (Generator.program ~seed:plan.plan_seed ~profile:p.profile ~index:p.index)
+        in
+        p.prepared <- Some pp;
         p.linked <- 0;
-        ir)
+        pp)
 
 let release plan p =
   Mutex.protect p.lock (fun () ->
       p.linked <- p.linked + 1;
-      if p.linked >= Array.length plan.plan_configs then p.ir <- None)
+      if p.linked >= Array.length plan.plan_configs then p.prepared <- None)
 
 (* The one build: binary [k] is configuration [k mod #configs] of
-   program [k / #configs].  Link it from the program's shared IR and let
-   [view] keep what it needs of the link result next to the binary.  The
-   binary itself holds the stripped bytes and the truth only — never the
-   image or the IR. *)
+   program [k / #configs].  Link it from the program's shared prepared
+   form and let [view] keep what it needs of the link result next to the
+   binary.  The binary itself holds the stripped bytes and the truth
+   only — never the image or the IR. *)
 let build_impl plan k view =
   if k < 0 || k >= length plan then invalid_arg "Dataset.nth: index out of range";
   let n_configs = Array.length plan.plan_configs in
   let p = plan.programs.(k / n_configs) and config = plan.plan_configs.(k mod n_configs) in
-  let ir = ir_of plan p in
-  let res = Link.link config ir in
+  let pp = prepared_of plan p in
+  let res = Link.link_prepared config pp in
   release plan p;
   view res
     {
       suite = p.profile.Profile.suite;
-      program = ir.Ir.prog_name;
+      program = Codegen.prog_name pp;
       config;
-      lang = ir.Ir.lang;
+      lang = Codegen.lang pp;
       stripped = Cet_elf.Writer.write ~strip:true res.image;
       truth = res.truth;
     }

@@ -23,10 +23,11 @@ type plan
     program-major and configuration-minor.  The plan holds no ELF bytes —
     items are built on demand by {!nth}, so independent workers (e.g.
     {!Cet_util.Work_queue}'s) can claim item [k] without being driven by
-    {!iter}'s closure.  A program's IR is generated by the first of its
-    binaries to be built, shared by the others (from any domain, behind a
-    per-program mutex) and dropped once every configuration has been
-    linked from it. *)
+    {!iter}'s closure.  A program's IR is generated and prepared
+    ({!Cet_compiler.Codegen.prepare}) by the first of its binaries to be
+    built, shared by the others (from any domain, behind a per-program
+    mutex) and dropped once every configuration has been linked from
+    it. *)
 
 val plan :
   ?profiles:Profile.t list ->

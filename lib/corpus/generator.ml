@@ -1,4 +1,5 @@
 module Prng = Cet_util.Prng
+module Ibuf = Cet_util.Ibuf
 module Ir = Cet_compiler.Ir
 
 type cls =
@@ -195,7 +196,10 @@ let program ~seed ~(profile : Profile.t) ~index =
   in
   let reachable = Hashtbl.create n in
   Hashtbl.replace reachable 0 ();
-  let reachable_pool = ref [ 0 ] in
+  (* The callers reachable from [main], in the order they became so; a
+     draw [i] picks the [i]th most recent. *)
+  let reachable_pool = Ibuf.create ~capacity:n () in
+  Ibuf.push reachable_pool 0;
   let pick_any target chosen =
     let attempts = ref 0 in
     let result = ref None in
@@ -207,12 +211,12 @@ let program ~seed ~(profile : Profile.t) ~index =
     !result
   in
   let pick_reachable target chosen =
-    let pool = Array.of_list !reachable_pool in
+    let pool = reachable_pool.Ibuf.arr and len = reachable_pool.Ibuf.len in
     let attempts = ref 0 in
     let result = ref None in
     while !result = None && !attempts < 20 do
       incr attempts;
-      let c = pool.(Prng.int g (Array.length pool)) in
+      let c = pool.(len - 1 - Prng.int g len) in
       if c <> target && not (List.mem c chosen) && not plans.(c).p_dead then
         result := Some c
     done;
@@ -234,7 +238,7 @@ let program ~seed ~(profile : Profile.t) ~index =
         if rooted && Hashtbl.mem reachable c && not (Hashtbl.mem reachable target)
         then begin
           Hashtbl.replace reachable target ();
-          reachable_pool := target :: !reachable_pool
+          Ibuf.push reachable_pool target
         end
       | None -> ()
     done;
@@ -283,15 +287,4 @@ let program ~seed ~(profile : Profile.t) ~index =
            })
          plans)
   in
-  let prog =
-    {
-      Ir.prog_name = Printf.sprintf "%s_%03d" profile.suite index;
-      lang;
-      funcs;
-      extra_imports = [];
-    }
-  in
-  (match Ir.validate prog with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Generator.program produced invalid IR: " ^ e));
-  prog
+  { Ir.prog_name = Printf.sprintf "%s_%03d" profile.suite index; lang; funcs; extra_imports = [] }

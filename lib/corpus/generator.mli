@@ -10,4 +10,5 @@
 
 val program : seed:int -> profile:Profile.t -> index:int -> Cet_compiler.Ir.program
 (** Generate the [index]-th program of a suite.  The result always passes
-    {!Cet_compiler.Ir.validate}. *)
+    {!Cet_compiler.Ir.validate}, which {!Cet_compiler.Codegen.prepare}
+    runs before any link. *)

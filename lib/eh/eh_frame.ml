@@ -90,6 +90,26 @@ let encode_with_offsets ~vaddr ~personality frames =
 let encode ~vaddr ~personality frames =
   fst (encode_with_offsets ~vaddr ~personality frames)
 
+(* No field's width depends on its value, so one record of each kind,
+   encoded once, measures them all. *)
+let measure emit =
+  let w = W.create ~size:64 () in
+  emit w;
+  W.length w
+
+let cie_plain_size = measure (fun w -> ignore (cie_plain w ~vaddr:0))
+let cie_lsda_size = measure (fun w -> ignore (cie_lsda w ~vaddr:0 ~personality:0))
+let fde_size lsda = measure (fun w -> fde w ~vaddr:0 ~cie_off:0 { pc_begin = 0; pc_range = 0; lsda })
+let fde_plain_size = fde_size None
+let fde_lsda_size = fde_size (Some 0)
+
+let size frames =
+  let with_lsda = List.length (List.filter (fun f -> f.lsda <> None) frames) in
+  let plain = List.length frames - with_lsda in
+  (if plain > 0 then cie_plain_size + (plain * fde_plain_size) else 0)
+  + (if with_lsda > 0 then cie_lsda_size + (with_lsda * fde_lsda_size) else 0)
+  + 4 (* the terminator *)
+
 type cie_info = { c_fde_enc : int; c_lsda_enc : int option; c_aug_z : bool }
 
 let decode_impl ~lenient ~diag ~vaddr data =

@@ -19,8 +19,12 @@ val encode : vaddr:int -> personality:int -> frame list -> string
 (** [encode ~vaddr ~personality frames] builds section bytes for a section
     that will live at [vaddr].  [personality] is the virtual address of the
     personality routine (only referenced when some frame has an LSDA).
-    A zero terminator record ends the section.  The byte size is independent
-    of [vaddr], so callers may measure with a dummy address first. *)
+    A zero terminator record ends the section. *)
+
+val size : frame list -> int
+(** [size frames] is [String.length (encode ~vaddr ~personality frames)]
+    for every [vaddr] and [personality], without encoding anything: no
+    record's size depends on the values it holds. *)
 
 val encode_with_offsets :
   vaddr:int -> personality:int -> frame list -> string * (int * int) list

@@ -82,6 +82,7 @@ let rip0 = Insn.mem_abs 0
 let table_mem index scale = { Insn.base = None; index = Some (index, scale); disp = 0 }
 
 let ins t i = Encoder.encode_into t.code t.arch i
+let bytes t s ~pos ~len = Sink.add_substring t.code s pos len
 
 let call t l =
   ins t (Insn.Call_rel 0);

@@ -41,6 +41,11 @@ val ins : t -> Insn.t -> unit
 (** Encodes an instruction.  Raises [Invalid_argument] where
     {!Encoder.encode_into} does. *)
 
+val bytes : t -> string -> pos:int -> len:int -> unit
+(** [bytes t s ~pos ~len] copies the [len] bytes of [s] from [pos]:
+    instructions encoded beforehand, with no label field.  Raises
+    [Invalid_argument] unless the bytes lie within [s]. *)
+
 val call : t -> label -> unit
 val jmp : t -> label -> unit
 val jcc : t -> Insn.cond -> label -> unit

@@ -16,11 +16,14 @@ module Sink = struct
       s.buf <- buf
     end
 
-  let add_string s str =
-    let n = String.length str in
+  let add_substring s str pos n =
+    if pos < 0 || n < 0 || pos > String.length str - n then
+      invalid_arg "Encoder.Sink.add_substring";
     reserve s n;
-    Bytes.unsafe_blit_string str 0 s.buf s.len n;
+    Bytes.unsafe_blit_string str pos s.buf s.len n;
     s.len <- s.len + n
+
+  let add_string s str = add_substring s str 0 (String.length str)
 
   let add_fill s c n =
     reserve s n;

@@ -24,6 +24,10 @@ module Sink : sig
 
   val add_string : t -> string -> unit
 
+  val add_substring : t -> string -> int -> int -> unit
+  (** [add_substring s str pos n] appends the [n] bytes of [str] from
+      [pos].  Raises [Invalid_argument] unless they lie within [str]. *)
+
   val add_fill : t -> char -> int -> unit
   (** [add_fill s c n] appends [n] copies of [c]. *)
 

@@ -284,6 +284,31 @@ let test_nucleus_no_tail_merge () =
   check Alcotest.bool "tail target found" true
     (List.mem (List.assoc "tgt" res.Link.truth) found)
 
+(* A NOBITS .text declares a size but holds no bytes, so the sweep spans
+   none of it.  Ghidra-like still reports the entry and every FDE start in
+   the declared range: roots the traversal cannot reach, which only the
+   union of roots and traversal keeps.  IDA-like, whose roots all come
+   from the sweep, reports nothing. *)
+let test_nobits_text () =
+  let res, _ = compile prog in
+  let image = res.Link.image in
+  let nobits (s : Cet_elf.Image.section) =
+    if s.name = ".text" then { s with sh_type = Cet_elf.Consts.sht_nobits } else s
+  in
+  let bytes =
+    Cet_elf.Writer.write ~strip:true
+      { image with Cet_elf.Image.sections = List.map nobits image.sections }
+  in
+  let reader = Reader.read bytes in
+  let text = Option.get (Reader.find_section reader ".text") in
+  check Alcotest.bool "no bytes, a declared size" true (text.data = "" && text.size > 0);
+  let st = Substrate.create reader in
+  (* GCC gives every fragment, [_start] included, an FDE. *)
+  let starts = List.sort_uniq compare (List.map (fun (_, s, _) -> s) res.fragment_extents) in
+  check Alcotest.(list int) "ghidra: entry and FDE starts" starts
+    (Cet_baselines.Ghidra_like.analyze_st st);
+  check Alcotest.(list int) "ida: nothing" [] (Cet_baselines.Ida_like.analyze_st st)
+
 let suite =
   [
     ( "baselines.common",
@@ -319,5 +344,6 @@ let suite =
         Alcotest.test_case "misses pointer-only (x86 pie)" `Quick test_ida_misses_pointer_only_x86_pie;
         Alcotest.test_case "lea references (x64)" `Quick test_ida_lea_refs_x64;
         Alcotest.test_case "funseeker dominates" `Quick test_tools_vs_funseeker;
+        Alcotest.test_case "NOBITS .text (and Ghidra-like)" `Quick test_nobits_text;
       ] );
   ]

@@ -5,6 +5,7 @@ module Arch = Cet_x86.Arch
 module O = Cet_compiler.Options
 module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
+module Codegen = Cet_compiler.Codegen
 module Reader = Cet_elf.Reader
 module Linear = Cet_disasm.Linear
 module Substrate = Cet_disasm.Substrate
@@ -66,10 +67,15 @@ let test_validate_ok () =
   in
   check Alcotest.bool "valid" true (Ir.validate p = Ok ())
 
+(* What [Ir.validate] rejects, [Link.link] rejects too: it validates once,
+   in [Codegen.prepare], and never lowers an invalid program. *)
 let expect_invalid p =
-  match Ir.validate p with
+  (match Ir.validate p with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "expected validation error"
+  | Ok () -> Alcotest.fail "expected validation error");
+  match Link.link O.default p with
+  | _ -> Alcotest.fail "Link.link accepted a program Ir.validate rejects"
+  | exception Invalid_argument _ -> ()
 
 let test_validate_no_main () =
   expect_invalid (base_prog [ Ir.func "f" [ Ir.Compute 1 ] ])
@@ -435,6 +441,43 @@ let test_compiler_bytes_pinned () =
   check Alcotest.string "md5 of 576 links" "2f2121c75c0ab554cd3dc60dde4f1ab5"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The filler table holds, for every form and immediate, the bytes the
+   encoder gives that instruction: 4,375 entries per architecture. *)
+let test_filler_table () =
+  List.iter
+    (fun arch ->
+      let entries = Codegen.filler_entries arch in
+      check Alcotest.int (Arch.to_string arch ^ " entries") 4375 (List.length entries);
+      List.iter
+        (fun (insn, bytes) ->
+          let want = Cet_x86.Encoder.encode arch insn in
+          if bytes <> want then
+            Alcotest.failf "%s: %a is %S in the table, %S encoded" (Arch.to_string arch)
+              (Cet_x86.Insn.pp ~arch) insn bytes want)
+        entries)
+    [ Arch.X64; Arch.X86 ]
+
+(* A prepared program holds no mutable state: two domains linking it at
+   once, under two configurations, get the bytes of separate links. *)
+let test_prepared_shared_across_domains () =
+  let profile =
+    { (Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.spec) with
+      Cet_corpus.Profile.funcs_lo = 60; funcs_hi = 60; lang_cpp_fraction = 1.0 }
+  in
+  let prog = Cet_corpus.Generator.program ~seed:2022 ~profile ~index:0 in
+  let gcc = { O.default with opt = O.O2 } in
+  let clang = { O.default with compiler = O.Clang; arch = Arch.X86; pie = true } in
+  let bytes link opts = Cet_elf.Writer.write (link opts).Link.image in
+  let want_gcc = bytes (fun o -> Link.link o prog) gcc in
+  let want_clang = bytes (fun o -> Link.link o prog) clang in
+  let pp = Codegen.prepare prog in
+  let links opts = List.init 8 (fun _ -> bytes (fun o -> Link.link_prepared o pp) opts) in
+  let other = Domain.spawn (fun () -> links clang) in
+  let here = links gcc in
+  let there = Domain.join other in
+  List.iter (fun b -> check Alcotest.bool "gcc link" true (b = want_gcc)) here;
+  List.iter (fun b -> check Alcotest.bool "clang link" true (b = want_clang)) there
+
 let suite =
   [
     ( "compiler.options",
@@ -476,5 +519,8 @@ let suite =
         Alcotest.test_case "truth = corrected symbols" `Quick test_truth_matches_symbols_plus_corrections;
         Alcotest.test_case "sweep never resyncs (24 configs)" `Quick test_text_sweep_clean;
         Alcotest.test_case "bytes pinned (576 links)" `Quick test_compiler_bytes_pinned;
+        Alcotest.test_case "filler table = encoder" `Quick test_filler_table;
+        Alcotest.test_case "prepared program shared by two domains" `Quick
+          test_prepared_shared_across_domains;
       ] );
   ]

@@ -114,6 +114,26 @@ let qcheck_eh_frame_roundtrip =
       let sort = List.sort (fun (a : EF.frame) b -> compare (a.pc_begin, a.lsda) (b.pc_begin, b.lsda)) in
       frames_equal (sort frames) (sort (EF.decode ~vaddr:0x7000 bytes)))
 
+(* [size] is the length of the encoding, computed without encoding: for
+   no frames, plain frames only, LSDA frames only, and a mix. *)
+let qcheck_eh_frame_size =
+  let frames kind =
+    QCheck.Gen.(
+      list_size (int_range 1 20)
+        (map
+           (fun (coin, b, r, l) ->
+             let lsda = match kind with `Plain -> false | `Lsda -> true | `Mixed -> coin in
+             {
+               EF.pc_begin = 0x1000 + b;
+               pc_range = 1 + r;
+               lsda = (if lsda then Some (0x20000 + l) else None);
+             })
+           (quad bool (int_bound 0xFFFF) (int_bound 0xFFF) (int_bound 0xFFF))))
+  in
+  let gen = QCheck.Gen.oneof [ QCheck.Gen.return []; frames `Plain; frames `Lsda; frames `Mixed ] in
+  QCheck.Test.make ~name:"eh_frame size = encoded length" ~count:200 (QCheck.make gen)
+    (fun frames -> EF.size frames = String.length (EF.encode ~vaddr:0x7000 ~personality:0x4444 frames))
+
 (* ------------------------------------------------------------------ *)
 (* LSDA                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -329,6 +349,7 @@ let suite =
         Alcotest.test_case "empty section" `Quick test_eh_frame_empty;
         Alcotest.test_case "record alignment" `Quick test_eh_frame_records_aligned;
         qcheck qcheck_eh_frame_roundtrip;
+        qcheck qcheck_eh_frame_size;
       ] );
     ( "eh.eh_frame_hdr",
       [
