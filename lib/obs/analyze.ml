@@ -82,7 +82,6 @@ type health = {
   hw_binaries : int;
   hw_steals : int;
   hw_steal_ratio : float;
-  hw_sheds : int;
   hw_max_pending : int;
 }
 
@@ -128,7 +127,6 @@ let health_of_trace (t : Trace.t) =
     hw_steals = steals;
     hw_steal_ratio =
       (if binaries > 0 then float_of_int steals /. float_of_int binaries else 0.0);
-    hw_sheds = Trace.counter t "scheduler.sheds";
     hw_max_pending = int_of_float (Trace.gauge t "scheduler.max_pending");
   }
 
@@ -145,8 +143,8 @@ let render_health h =
        h.hw_queue_wait_ms);
   Buffer.add_string buf
     (Printf.sprintf
-       "  steals %d (%.2f per binary)  sheds %d  max pending %d\n"
-       h.hw_steals h.hw_steal_ratio h.hw_sheds h.hw_max_pending);
+       "  steals %d (%.2f per binary)  max pending %d\n"
+       h.hw_steals h.hw_steal_ratio h.hw_max_pending);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
