@@ -1,6 +1,6 @@
 # Convenience wrappers around dune.  `make check` is the PR verify: build,
 # test, and smoke the multi-core evaluation path (--jobs 2).
-.PHONY: all test check fuzz triage chaos obs ledger-compare
+.PHONY: all test check fuzz triage obs ledger-compare
 
 all:
 	dune build
@@ -42,29 +42,6 @@ check:
 fuzz:
 	dune exec bin/cetfuzz.exe -- --count 2000 --seed 2022
 
-# Chaos soak: a ~400-binary seeded run with scheduler timing faults
-# (worker stalls and item delays) must produce tables and per-binary
-# profile rows byte-identical to the calm run — the scheduler invariant
-# at soak scale (a smaller smoke of the same diff runs as part of
-# `make check`).  The fuzzer soaks under the same chaos seed.
-CHAOS_SEED ?= 2022
-chaos:
-	dune build bin/evaluate.exe bin/cetfuzz.exe
-	dune exec --no-build bin/evaluate.exe -- all --scale 0.05 --jobs 2 \
-	  --no-timing --profile-out /tmp/cet-chaos-calm.jsonl \
-	  > /tmp/cet-chaos-calm.txt
-	dune exec --no-build bin/evaluate.exe -- all --scale 0.05 --jobs 4 \
-	  --no-timing --chaos $(CHAOS_SEED) \
-	  --profile-out /tmp/cet-chaos-stormy.jsonl > /tmp/cet-chaos-stormy.txt
-	cmp /tmp/cet-chaos-calm.txt /tmp/cet-chaos-stormy.txt
-	cmp /tmp/cet-chaos-calm.jsonl /tmp/cet-chaos-stormy.jsonl
-	dune exec --no-build bin/cetfuzz.exe -- --count 200 --seed $(CHAOS_SEED) \
-	  > /tmp/cet-chaos-fuzz-calm.txt
-	dune exec --no-build bin/cetfuzz.exe -- --count 200 --seed $(CHAOS_SEED) \
-	  --jobs 4 --chaos $(CHAOS_SEED) > /tmp/cet-chaos-fuzz-stormy.txt
-	cmp /tmp/cet-chaos-fuzz-calm.txt /tmp/cet-chaos-fuzz-stormy.txt
-	@echo "chaos soak: tables, profiles and fuzz summary byte-identical"
-
 # Error forensics: the full tables plus the FP/FN root-cause triage table
 # (a smaller seeded smoke of the same path runs as part of `make check`).
 triage:
@@ -82,8 +59,7 @@ obs:
 	  --profile-out /tmp/cet-obs-a.prof.jsonl \
 	  --trace-out /tmp/cet-obs-a.trace.jsonl > /dev/null
 	dune exec --no-build bin/evaluate.exe -- all --scale 0.05 --jobs 4 \
-	  --no-timing --chaos $(CHAOS_SEED) \
-	  --manifest-out /tmp/cet-obs-b.manifest.jsonl \
+	  --no-timing --manifest-out /tmp/cet-obs-b.manifest.jsonl \
 	  --profile-out /tmp/cet-obs-b.prof.jsonl > /dev/null
 	dune exec --no-build bin/cetstat.exe -- report /tmp/cet-obs-a.manifest.jsonl
 	dune exec --no-build bin/cetstat.exe -- diff /tmp/cet-obs-a.manifest.jsonl \

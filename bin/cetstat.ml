@@ -11,7 +11,7 @@
    All analysis lives in Cet_obs; this file is argv, artifact-path
    resolution, and printing.  `diff` output never mentions input paths or
    scheduler knobs, so two runs over the same corpus diff byte-identically
-   whatever --jobs/--chaos produced them — `make check` cmp-verifies that.
+   whatever --jobs produced them — `make check` cmp-verifies that.
 
    Exit status: 0 clean, 1 diff found differences, 2 usage or I/O. *)
 
@@ -67,10 +67,7 @@ let run_report manifest_path profile_override trace_override =
   Printf.printf "  experiment %s  seed %d  scale %g  timing %s\n" m.M.r_experiment
     m.M.r_seed m.M.r_scale
     (if m.M.r_timing then "on" else "off");
-  Printf.printf "  scheduler: %d jobs%s\n" m.M.r_jobs
-    (match m.M.r_chaos with
-    | Some s -> Printf.sprintf ", chaos seed %d" s
-    | None -> "");
+  Printf.printf "  scheduler: %d jobs\n" m.M.r_jobs;
   Printf.printf "  %d binaries, %d functions, %d quarantined\n" m.M.r_binaries
     m.M.r_functions m.M.r_quarantined;
   (match load_profiles_opt ~manifest_path ~override:profile_override m with
