@@ -10,8 +10,6 @@ type row = {
   insns : int;
   resyncs : int;
   truth : int;
-  diags : int;
-  attempts : int;
   status : string;
   total_ms : float;
   phases : (string * float) list;
@@ -36,8 +34,6 @@ let row_of j =
   let* insns = field "insns" Jz.int j in
   let* resyncs = field "resyncs" Jz.int j in
   let* truth = field "truth" Jz.int j in
-  let* diags = field "diags" Jz.int j in
-  let* attempts = field "attempts" Jz.int j in
   let* status = field "status" Jz.str j in
   let* total_ms = field "total_ms" Jz.num j in
   let* phases_obj = field "phases" Option.some j in
@@ -57,7 +53,7 @@ let row_of j =
   Ok
     {
       suite; program; config; arch; digest; text_bytes; insns; resyncs; truth;
-      diags; attempts; status; total_ms; phases;
+      status; total_ms; phases;
     }
 
 let parse contents =

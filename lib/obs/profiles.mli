@@ -14,8 +14,6 @@ type row = {
   insns : int;
   resyncs : int;
   truth : int;
-  diags : int;
-  attempts : int;  (** 1 (runs before retries were removed: 2 after a retry) *)
   status : string;
   total_ms : float;
   phases : (string * float) list;  (** fixed vocabulary, document order *)
