@@ -6,7 +6,6 @@ type t = {
   spans : span list;
   counters : (string * int) list;
   gauges : (string * float) list;
-  instants : (string * int) list;
 }
 
 let ( let* ) = Result.bind
@@ -16,7 +15,7 @@ let field name conv j =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
 
-let empty = { spans = []; counters = []; gauges = []; instants = [] }
+let empty = { spans = []; counters = []; gauges = [] }
 
 (* The JSON-lines trace: one self-describing object per line. *)
 let parse_jsonl contents =
@@ -68,10 +67,6 @@ let parse_chrome contents =
               { t_sheet; t_name; t_start_ns = ns ts; t_dur_ns = ns dur }
               :: acc.spans;
           }
-      | Some "i" ->
-        let* tid = field "tid" Jz.int j in
-        let* name = field "name" Jz.str j in
-        Ok { acc with instants = (name, tid) :: acc.instants }
       | Some _ | None -> Ok acc)
     (Ok empty) events
 
@@ -95,7 +90,6 @@ let parse contents =
       spans = List.rev parsed.spans;
       counters = List.rev parsed.counters;
       gauges = List.rev parsed.gauges;
-      instants = List.rev parsed.instants;
     }
 
 let load path =

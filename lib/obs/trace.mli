@@ -1,12 +1,12 @@
 (** Typed reader for [evaluate --trace-out] files, both formats: the
     JSON-lines trace ([type:"span"/"phase"/"counter"/"gauge"] rows) and
-    the Chrome trace-event array ([ph:"X"] complete spans plus [ph:"i"]
-    instant markers).  The format is sniffed from the first non-blank
-    byte ([\[] opens a Chrome array; anything else is JSONL).
+    the Chrome trace-event array ([ph:"X"] complete spans).  The format
+    is sniffed from the first non-blank byte ([\[] opens a Chrome array;
+    anything else is JSONL).
 
     Only what the analyzer consumes is retained: spans with their owning
-    sheet/tid, merged counters and gauges (JSONL only — the Chrome format
-    has no counter rows), and instant-marker names (Chrome only). *)
+    sheet/tid, and merged counters and gauges (JSONL only — the Chrome
+    format has no counter rows). *)
 
 type span = {
   t_sheet : int;  (** registry sheet id = worker track (tid) *)
@@ -19,7 +19,6 @@ type t = {
   spans : span list;  (** in file order *)
   counters : (string * int) list;  (** merged registry counters *)
   gauges : (string * float) list;
-  instants : (string * int) list;  (** Chrome [ph:"i"] markers: name, tid *)
 }
 
 val parse : string -> (t, string) result

@@ -2,8 +2,7 @@ let enabled = Registry.enabled
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let push (s : Registry.sheet) name =
-  s.stack <- { Registry.f_name = name; f_start = now_ns (); f_child = 0 } :: s.stack;
-  if Journal.enabled () then Journal.record Journal.Phase_begin name
+  s.stack <- { Registry.f_name = name; f_start = now_ns (); f_child = 0 } :: s.stack
 
 let pop (s : Registry.sheet) =
   match s.stack with
@@ -21,7 +20,6 @@ let pop (s : Registry.sheet) =
     in
     Hist.add m.hist dur;
     m.child_ns <- m.child_ns + fr.f_child;
-    if Journal.enabled () then Journal.record ~v:dur Journal.Phase_end fr.f_name;
     (match rest with
     | parent :: _ -> parent.f_child <- parent.f_child + dur
     | [] -> ());

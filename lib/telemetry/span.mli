@@ -18,12 +18,7 @@
     ]}
 
     which makes the disabled path exactly two branch checks (the caller's
-    and none inside) and zero allocation.
-
-    When the {!Journal} is also enabled, every span open/close additionally
-    appends a [Phase_begin]/[Phase_end] event to the domain's flight
-    recorder (the end event carries the duration), so a black box captured
-    at a crash shows which phases the domain was inside. *)
+    and none inside) and zero allocation. *)
 
 val enabled : unit -> bool
 (** Alias of {!Registry.enabled} for guard sites. *)

@@ -47,19 +47,6 @@ module Collector = struct
 
   let create () = { items = []; count = 0 }
 
-  (* Same layering story as [Deadline.set_observer]: the flight recorder
-     lives above this module, so the driver bridges emissions to it. *)
-  let observing = Atomic.make false
-  let observer : (diag -> unit) ref = ref (fun _ -> ())
-
-  let set_observer = function
-    | None ->
-      Atomic.set observing false;
-      observer := fun _ -> ()
-    | Some f ->
-      observer := f;
-      Atomic.set observing true
-
   (* A degenerate input can trip the same clamp thousands of times (one per
      section, per LSDA, ...).  Cap the retained list so diagnostics cannot
      become their own resource-exhaustion vector; the count keeps the true
@@ -73,8 +60,7 @@ module Collector = struct
         make ~severity:Warning ~domain:"diag" ~code:"truncated"
           (Printf.sprintf "diagnostic list truncated at %d entries" cap)
         :: c.items;
-    c.count <- c.count + 1;
-    if Atomic.get observing then !observer d
+    c.count <- c.count + 1
 
   let addf c ?severity ~domain ~code fmt =
     Printf.ksprintf (fun message -> add c (make ?severity ~domain ~code message)) fmt

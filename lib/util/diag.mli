@@ -70,11 +70,4 @@ module Collector : sig
   (** Total emitted, including unretained ones. *)
 
   val is_empty : t -> bool
-
-  val set_observer : (diag -> unit) option -> unit
-  (** Install (or with [None] remove) a global emission observer: every
-      {!add} into any collector also calls it.  The driver that owns both
-      layers bridges emissions to the telemetry flight recorder here.
-      The unobserved path costs one atomic load; observers must be
-      domain-safe. *)
 end
