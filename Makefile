@@ -56,11 +56,9 @@ obs:
 	dune build bin/evaluate.exe bin/cetstat.exe
 	dune exec --no-build bin/evaluate.exe -- all --scale 0.05 --jobs 2 \
 	  --no-timing --manifest-out /tmp/cet-obs-a.manifest.jsonl \
-	  --profile-out /tmp/cet-obs-a.prof.jsonl \
 	  --trace-out /tmp/cet-obs-a.trace.jsonl > /dev/null
 	dune exec --no-build bin/evaluate.exe -- all --scale 0.05 --jobs 4 \
-	  --no-timing --manifest-out /tmp/cet-obs-b.manifest.jsonl \
-	  --profile-out /tmp/cet-obs-b.prof.jsonl > /dev/null
+	  --no-timing --manifest-out /tmp/cet-obs-b.manifest.jsonl > /dev/null
 	dune exec --no-build bin/cetstat.exe -- report /tmp/cet-obs-a.manifest.jsonl
 	dune exec --no-build bin/cetstat.exe -- diff /tmp/cet-obs-a.manifest.jsonl \
 	  /tmp/cet-obs-b.manifest.jsonl

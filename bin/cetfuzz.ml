@@ -12,6 +12,11 @@ let run_fuzz seed count max_seconds jobs crash_out =
     Printf.eprintf "cetfuzz: --count must be positive (got %d)\n" count;
     exit 2
   end;
+  (* NaN would pass [<= 0.0] and arm a deadline that never expires. *)
+  if not (Float.is_finite max_seconds) then begin
+    Printf.eprintf "cetfuzz: --max-seconds must be finite (got %g)\n" max_seconds;
+    exit 2
+  end;
   if max_seconds <= 0.0 then begin
     Printf.eprintf "cetfuzz: --max-seconds must be positive (got %g)\n" max_seconds;
     exit 2
@@ -52,7 +57,9 @@ let count =
   Arg.(value & opt int 2000 & info [ "count" ] ~doc)
 
 let max_seconds =
-  let doc = "Per-mutant analysis deadline in seconds (the no-hang bound).  Must be positive." in
+  let doc =
+    "Per-mutant analysis deadline in seconds (the no-hang bound).  Must be finite and positive."
+  in
   Arg.(value & opt float 2.0 & info [ "max-seconds" ] ~doc)
 
 let jobs =

@@ -7,12 +7,14 @@
      evaluate speed               # §V-D whole-tool timings + the DESIGN.md §5 ablations
      evaluate --scale 0.25 --seed 2022 --jobs 4 all
      evaluate --stats --trace-out trace.jsonl all   # telemetry report + JSON-lines trace
-     evaluate --trace-out t.json --trace-format chrome all   # Perfetto-openable trace
-     evaluate --max-seconds 5 --quarantine-out q.jsonl all   # fault-isolated run
+     evaluate --max-seconds 5 --manifest-out run.jsonl all   # fault-isolated run
      evaluate --triage --triage-out triage.jsonl all         # FP/FN root-cause forensics
-     evaluate --profile-out p.jsonl --top-slow 10 all        # per-binary profiles
+     evaluate --top-slow 10 all                              # the slowest binaries
      evaluate --metrics-out m.prom all                       # OpenMetrics exposition
-     evaluate --manifest-out run.jsonl all                   # content-hashed run manifest
+     evaluate --manifest-out run.jsonl all                   # the run file: one row per binary
+
+   `cetstat chrome trace.jsonl` converts a trace for chrome://tracing or
+   Perfetto.
 
    Exit codes: 0 on success, 1 when binaries were quarantined, 2 on usage
    errors. *)
@@ -24,36 +26,25 @@ module Report = Cet_telemetry.Report
 let table_experiments = [ "all"; "table1"; "fig3"; "table2"; "table3" ]
 let side_experiments = [ "manual-endbr"; "extras"; "inline-data"; "arm"; "speed" ]
 
-let run_eval what seed scale progress jobs no_timing stats trace_out trace_format
-    max_seconds quarantine_out fail_fast inject_fault triage triage_out
-    profile_out top_slow metrics_out manifest_out =
-  if jobs <= 0 then begin
-    Printf.eprintf "evaluate: --jobs must be a positive worker count (got %d)\n" jobs;
-    exit 2
-  end;
-  if scale <= 0.0 then begin
-    Printf.eprintf "evaluate: --scale must be positive (got %g)\n" scale;
-    exit 2
-  end;
-  (match max_seconds with
-  | Some s when s <= 0.0 ->
-    Printf.eprintf "evaluate: --max-seconds must be positive (got %g)\n" s;
-    exit 2
-  | _ -> ());
+let usage fmt = Printf.ksprintf (fun m -> prerr_string ("evaluate: " ^ m ^ "\n"); exit 2) fmt
+
+(* A budget or a scale: NaN and infinity are no more a size than zero. *)
+let require_positive flag x =
+  if not (Float.is_finite x) then usage "%s must be finite (got %g)" flag x;
+  if x <= 0.0 then usage "%s must be positive (got %g)" flag x
+
+let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
+    fail_fast inject_fault triage triage_out top_slow metrics_out manifest_out =
+  if jobs <= 0 then usage "--jobs must be a positive worker count (got %d)" jobs;
+  require_positive "--scale" scale;
+  Option.iter (require_positive "--max-seconds") max_seconds;
   (match inject_fault with
-  | Some n when n <= 0 ->
-    Printf.eprintf "evaluate: --inject-fault must be a positive modulus (got %d)\n" n;
-    exit 2
+  | Some n when n <= 0 -> usage "--inject-fault must be a positive modulus (got %d)" n
   | _ -> ());
-  if top_slow < 0 then begin
-    Printf.eprintf "evaluate: --top-slow must be non-negative (got %d)\n" top_slow;
-    exit 2
-  end;
-  if not (List.mem what table_experiments || List.mem what side_experiments) then begin
-    Printf.eprintf "evaluate: unknown experiment %S (try %s)\n" what
+  if top_slow < 0 then usage "--top-slow must be non-negative (got %d)" top_slow;
+  if not (List.mem what table_experiments || List.mem what side_experiments) then
+    usage "unknown experiment %S (try %s)" what
       (String.concat "|" (table_experiments @ side_experiments));
-    exit 2
-  end;
   (* The side experiments read only --seed, --scale and --jobs (speed also
      --no-timing); a flag that only the table run reads is a usage error
      on them, caught before any report file is opened. *)
@@ -62,44 +53,54 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
       [
         ("--progress", progress);
         ("--max-seconds", max_seconds <> None);
-        ("--quarantine-out", quarantine_out <> None);
         ("--fail-fast", fail_fast);
         ("--inject-fault", inject_fault <> None);
         ("--triage", triage);
         ("--triage-out", triage_out <> None);
-        ("--profile-out", profile_out <> None);
         ("--top-slow", top_slow <> 0);
         ("--manifest-out", manifest_out <> None);
       ]
     in
     match List.find_opt snd table_only with
     | Some (flag, _) ->
-      Printf.eprintf "evaluate: %s does not apply to the %s experiment (only to %s)\n" flag
-        what (String.concat "|" table_experiments);
-      exit 2
+      usage "%s does not apply to the %s experiment (only to %s)" flag what
+        (String.concat "|" table_experiments)
     | None -> ()
   end;
   (* Open the report files up front so an unwritable path is a usage
-     error before hours of evaluation, not after. *)
-  let open_report flag = function
-    | None -> None
-    | Some path -> (
-      try Some (path, open_out path)
-      with Sys_error msg ->
-        Printf.eprintf "evaluate: cannot open %s file: %s\n" flag msg;
-        exit 2)
+     error before hours of evaluation, not after, and change none of them
+     until all are open: on a failure the files already opened keep their
+     bytes, and the ones created here are removed again. *)
+  let opened = ref [] in
+  let open_report flag =
+    Option.map (fun path ->
+        let fresh = not (Sys.file_exists path) in
+        match open_out_gen [ Open_wronly; Open_creat ] 0o666 path with
+        | oc ->
+          opened := (oc, fresh, path) :: !opened;
+          (path, oc)
+        | exception Sys_error msg ->
+          List.iter
+            (fun (oc, fresh, path) ->
+              close_out_noerr oc;
+              if fresh then Sys.remove path)
+            !opened;
+          usage "cannot open %s file: %s" flag msg)
   in
-  let quarantine_oc = open_report "--quarantine-out" quarantine_out in
   let triage_oc = open_report "--triage-out" triage_out in
-  let profile_oc = open_report "--profile-out" profile_out in
   let metrics_oc = open_report "--metrics-out" metrics_out in
   let trace_oc = open_report "--trace-out" trace_out in
   let manifest_oc = open_report "--manifest-out" manifest_out in
+  List.iter
+    (fun (oc, _, _) ->
+      let fd = Unix.descr_of_out_channel oc in
+      if (Unix.fstat fd).Unix.st_kind = Unix.S_REG then Unix.ftruncate fd 0)
+    !opened;
   (* --triage-out implies the forensics pass itself. *)
   let triage = triage || triage_out <> None in
-  (* The manifest's per-binary rows and its run digest come from the
-     profile rows, so --manifest-out implies profiling. *)
-  let profile = profile_oc <> None || top_slow > 0 || manifest_oc <> None in
+  (* The manifest's rows are the profile rows, so --manifest-out implies
+     profiling. *)
+  let profile = top_slow > 0 || manifest_oc <> None in
   if stats || trace_oc <> None || metrics_oc <> None then
     Telemetry.enable ~trace:(trace_oc <> None) ();
   let fault =
@@ -147,42 +148,33 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
         status := 1;
         prerr_string (Cet_eval.Harness.render_failures results)
       end;
-      (match quarantine_oc with
-      | None -> ()
-      | Some (path, oc) ->
-        Cet_eval.Harness.write_quarantine oc results;
-        Printf.eprintf "quarantine report written to %s (%d entries)\n" path
-          (List.length results.Cet_eval.Harness.failures));
       (match triage_oc with
       | None -> ()
       | Some (path, oc) ->
         Cet_eval.Tables.Triage.write_jsonl oc results.Cet_eval.Harness.triage;
         Printf.eprintf "triage report written to %s (%d errors)\n" path
           (Cet_eval.Tables.Triage.total results.Cet_eval.Harness.triage));
-      (match profile_oc with
-      | None -> ()
-      | Some (path, oc) ->
-        Cet_eval.Harness.write_profiles oc results;
-        Printf.eprintf "profile report written to %s (%d rows)\n" path
-          (List.length results.Cet_eval.Harness.profiles));
       if profile then
-        results_digest := Some (Cet_eval.Harness.run_digest results);
+        results_digest := Some (Cet_obs.Manifest.digest results.Cet_eval.Harness.profiles);
       (match manifest_oc with
       | None -> ()
       | Some (path, oc) ->
-        let meta =
+        Cet_obs.Manifest.write oc
           {
-            Cet_eval.Harness.m_experiment = what;
-            m_jobs = jobs;
-            m_profile_art = profile_out;
-            m_quarantine_art = quarantine_out;
-            m_trace_art = trace_out;
-            m_metrics_art = metrics_out;
-          }
-        in
-        Cet_eval.Harness.write_manifest oc ~meta opts results;
-        Printf.eprintf "run manifest written to %s (digest %s)\n" path
-          (Cet_eval.Harness.run_digest results));
+            Cet_obs.Manifest.r_experiment = what;
+            r_seed = seed;
+            r_scale = scale;
+            r_jobs = jobs;
+            r_timing = not no_timing;
+            r_binaries = results.binaries;
+            r_functions = results.functions;
+            r_quarantined = List.length results.failures;
+            r_trace = trace_out;
+            rows = results.profiles;
+          };
+        Printf.eprintf "run manifest written to %s (%d rows, digest %s)\n" path
+          (List.length results.profiles)
+          (Cet_obs.Manifest.digest results.profiles));
       let base =
         match what with
         | "all" -> Cet_eval.Harness.render_all results
@@ -200,9 +192,7 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
         base ^ "\n" ^ Cet_eval.Harness.render_top_slow results top_slow
       else base
   in
-  Option.iter (fun (_, oc) -> close_out oc) quarantine_oc;
   Option.iter (fun (_, oc) -> close_out oc) triage_oc;
-  Option.iter (fun (_, oc) -> close_out oc) profile_oc;
   Option.iter (fun (_, oc) -> close_out oc) manifest_oc;
   let wall = Unix.gettimeofday () -. t0 in
   print_string out;
@@ -221,12 +211,8 @@ let run_eval what seed scale progress jobs no_timing stats trace_out trace_forma
   (match trace_oc with
   | None -> ()
   | Some (path, oc) ->
-    let write = match trace_format with
-      | "chrome" -> Report.write_trace_chrome
-      | _ -> Report.write_trace
-    in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
-    Printf.eprintf "trace written to %s (%s)\n" path trace_format);
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Report.write_trace oc);
+    Printf.eprintf "trace written to %s\n" path);
   (match metrics_oc with
   | None -> ()
   | Some (path, oc) ->
@@ -255,7 +241,9 @@ let seed =
   Arg.(value & opt int 2022 & info [ "seed" ] ~doc)
 
 let scale =
-  let doc = "Corpus scale factor: 1.0 reproduces the paper's suite sizes. Must be positive." in
+  let doc =
+    "Corpus scale factor: 1.0 reproduces the paper's suite sizes. Must be finite and positive."
+  in
   Arg.(value & opt float 0.25 & info [ "scale" ] ~doc)
 
 let progress =
@@ -274,7 +262,7 @@ let no_timing =
     "Skip the wall-clock measurements behind Table III's Time(ms) columns \
      and the speed experiment's ms/binary column (they become 0.000, and the \
      ratio lines are left out), making the output fully deterministic in --seed. \
-     Also zeroes the time fields of the --stats report and of --profile-out rows."
+     Also zeroes the time fields of the --stats report and of the manifest's rows."
   in
   Arg.(value & flag & info [ "no-timing" ] ~doc)
 
@@ -288,34 +276,18 @@ let stats =
 let trace_out =
   let doc =
     "Write a JSON-lines trace (one object per completed span, plus per-phase \
-     and counter summaries) to $(docv).  Implies telemetry recording."
+     and counter summaries) to $(docv).  Implies telemetry recording.  \
+     $(b,cetstat chrome) converts it to the Chrome trace-event format."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let trace_format =
-  let doc =
-    "Trace file format for --trace-out: $(b,jsonl) (one object per span, the \
-     default) or $(b,chrome) (Chrome trace-event JSON array, openable in \
-     chrome://tracing or Perfetto)."
-  in
-  Arg.(value & opt (enum [ ("jsonl", "jsonl"); ("chrome", "chrome") ]) "jsonl"
-       & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
 
 let max_seconds =
   let doc =
     "Per-binary wall-clock budget in seconds.  A binary that exceeds it is \
      quarantined (its partial results are discarded) and the run continues. \
-     Must be positive."
+     Must be finite and positive."
   in
   Arg.(value & opt (some float) None & info [ "max-seconds" ] ~docv:"SECONDS" ~doc)
-
-let quarantine_out =
-  let doc =
-    "Write quarantined binaries as JSON lines (suite, program, config, \
-     error, backtrace) to $(docv).  The file is opened before the run, so an \
-     unwritable path fails fast with exit code 2."
-  in
-  Arg.(value & opt (some string) None & info [ "quarantine-out" ] ~docv:"FILE" ~doc)
 
 let fail_fast =
   let doc =
@@ -351,16 +323,6 @@ let triage_out =
   in
   Arg.(value & opt (some string) None & info [ "triage-out" ] ~docv:"FILE" ~doc)
 
-let profile_out =
-  let doc =
-    "Write one JSON line per evaluated binary (identity, phase time split, \
-     instructions decoded, resync errors, ok/quarantined status) to \
-     $(docv).  Rows are in plan order; with --no-timing the file is \
-     byte-identical across --jobs.  The file is opened before the run, so an \
-     unwritable path fails fast with exit code 2."
-  in
-  Arg.(value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
-
 let top_slow =
   let doc =
     "Append a table of the $(docv) slowest binaries (by total evaluation \
@@ -380,13 +342,15 @@ let metrics_out =
 
 let manifest_out =
   let doc =
-    "Write a versioned run manifest (JSON lines: one run header with options, \
-     corpus scale, jobs and a content digest of the whole run, then one row \
-     per binary with the MD5 of its bytes and its analysis verdict, plus \
-     pointers to the other report artifacts) to $(docv).  The manifest is \
-     what $(b,cetstat) joins runs by.  Implies per-binary \
-     profiling.  The file is opened before the run, so an unwritable path \
-     fails fast with exit code 2."
+    "Write the run file to $(docv): a versioned JSON-lines run manifest, one \
+     run header (options, corpus scale, jobs, a content digest of the whole \
+     run and the --trace-out path), then one row per binary in plan order \
+     (identity, the MD5 of its bytes, decode volume, status, phase time \
+     split, and the error and backtrace of a quarantined binary).  With \
+     --no-timing the rows are byte-identical across --jobs.  The manifest is \
+     what $(b,cetstat) reads.  Implies per-binary profiling.  Opened before \
+     the run, like every report file: an unwritable path fails fast with \
+     exit code 2, and no report file is created or truncated."
   in
   Arg.(value & opt (some string) None & info [ "manifest-out" ] ~docv:"FILE" ~doc)
 
@@ -401,8 +365,7 @@ let cmd =
        ])
     Term.(
       const run_eval $ what $ seed $ scale $ progress $ jobs $ no_timing $ stats
-      $ trace_out $ trace_format $ max_seconds $ quarantine_out $ fail_fast
-      $ inject_fault $ triage $ triage_out $ profile_out $ top_slow
-      $ metrics_out $ manifest_out)
+      $ trace_out $ max_seconds $ fail_fast $ inject_fault $ triage $ triage_out
+      $ top_slow $ metrics_out $ manifest_out)
 
 let () = exit (Cmd.eval' cmd)

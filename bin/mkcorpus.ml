@@ -22,6 +22,11 @@ let mkdir_p path =
   go path
 
 let run out seed scale suites =
+  (* An infinite scale would build the minimum corpus, as a tiny one does. *)
+  if not (Float.is_finite scale) then begin
+    Printf.eprintf "mkcorpus: --scale must be finite (got %g)\n" scale;
+    exit 2
+  end;
   if scale <= 0.0 then begin
     Printf.eprintf "mkcorpus: --scale must be positive (got %g)\n" scale;
     exit 2
@@ -60,7 +65,7 @@ let run out seed scale suites =
 let out = Arg.(value & opt string "corpus" & info [ "out"; "o" ] ~doc:"Output directory.")
 let seed = Arg.(value & opt int 2022 & info [ "seed" ] ~doc:"Corpus seed.")
 let scale =
-  Arg.(value & opt float 0.05 & info [ "scale" ] ~doc:"Suite scale factor. Must be positive.")
+  Arg.(value & opt float 0.05 & info [ "scale" ] ~doc:"Suite scale factor. Must be finite and positive.")
 
 let suites =
   let suites = List.map (fun (p : Cet_corpus.Profile.t) -> (p.suite, p)) Cet_corpus.Profile.all in

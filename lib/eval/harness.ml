@@ -3,7 +3,6 @@ module Substrate = Cet_disasm.Substrate
 module Options = Cet_compiler.Options
 module Dataset = Cet_corpus.Dataset
 module Work_queue = Cet_util.Work_queue
-module Jsonl = Cet_util.Jsonl
 
 type options = {
   seed : int;
@@ -30,15 +29,7 @@ let default_options =
     profile = false;
   }
 
-type failure = {
-  f_suite : string;
-  f_program : string;
-  f_config : string;
-  f_error : string;
-  f_backtrace : string;
-}
-
-type profile = {
+type profile = Cet_obs.Manifest.row = {
   p_suite : string;
   p_program : string;
   p_config : string;
@@ -51,6 +42,8 @@ type profile = {
   p_status : string;
   p_total_ms : float;
   p_phases : (string * float) list;
+  p_error : string option;
+  p_backtrace : string option;
 }
 
 (* Fixed phase vocabulary so every profile row carries the same keys in the
@@ -67,7 +60,7 @@ type results = {
   triage : Tables.Triage.t;
   binaries : int;
   functions : int;
-  failures : failure list;
+  failures : profile list;
   profiles : profile list;
 }
 
@@ -305,6 +298,8 @@ let run_recording ?profiles ?configs ?jobs (opts : options) =
                      study_time; configs_time; fs_time; ida_time; ghidra_time;
                      fetch_time; triage_time;
                    ]);
+            p_error = None;
+            p_backtrace = None;
           }
         in
         { acc with profiles = [ p ] }
@@ -330,19 +325,10 @@ let run_recording ?profiles ?configs ?jobs (opts : options) =
     | None -> work ()
     | Some seconds -> Cet_util.Deadline.with_ ~seconds work
   in
-  let failure_of (bin : Dataset.binary) e bt =
-    {
-      f_suite = bin.suite;
-      f_program = bin.program;
-      f_config = Options.to_string bin.config;
-      f_error = Printexc.to_string e;
-      f_backtrace = Printexc.raw_backtrace_to_string bt;
-    }
-  in
-  (* A quarantined binary still gets a profile row — identity and status,
-     with the analysis-derived figures zeroed (the failed evaluation's
-     partial work is discarded with its accumulator). *)
-  let quarantined_profile (bin : Dataset.binary) =
+  (* A quarantined binary's row: identity, status and the error, with the
+     analysis-derived figures zeroed (the failed evaluation's partial
+     work is discarded with its accumulator). *)
+  let quarantined (bin : Dataset.binary) e bt =
     {
       p_suite = bin.suite;
       p_program = bin.program;
@@ -359,6 +345,8 @@ let run_recording ?profiles ?configs ?jobs (opts : options) =
       p_status = "quarantined";
       p_total_ms = 0.0;
       p_phases = List.map (fun n -> (n, 0.0)) profile_phase_names;
+      p_error = Some (Printexc.to_string e);
+      p_backtrace = Some (Printexc.raw_backtrace_to_string bt);
     }
   in
   let wq = scheduler ?jobs opts in
@@ -372,10 +360,11 @@ let run_recording ?profiles ?configs ?jobs (opts : options) =
         let bt = Printexc.get_raw_backtrace () in
         if not opts.keep_going then Printexc.raise_with_backtrace e bt;
         Cet_telemetry.Registry.count "harness.quarantined";
+        let row = quarantined bin e bt in
         {
           (empty_results ()) with
-          failures = [ failure_of bin e bt ];
-          profiles = (if opts.profile then [ quarantined_profile bin ] else []);
+          failures = [ row ];
+          profiles = (if opts.profile then [ row ] else []);
         }
     in
     let seen = Atomic.fetch_and_add progress 1 + 1 in
@@ -735,131 +724,12 @@ let render_failures r =
   match r.failures with
   | [] -> ""
   | fs ->
-    let line f = Printf.sprintf "  %s/%s [%s]: %s" f.f_suite f.f_program f.f_config f.f_error in
+    let line p =
+      Printf.sprintf "  %s/%s [%s]: %s" p.p_suite p.p_program p.p_config
+        (Option.value ~default:"" p.p_error)
+    in
     Printf.sprintf "QUARANTINED BINARIES (%d):\n%s\n" (List.length fs)
       (String.concat "\n" (List.map line fs))
-
-(* Version of the quarantine JSONL format.  Bump on any key change so
-   consumers can refuse rows they do not understand. *)
-let quarantine_schema = 4
-
-let write_quarantine oc r =
-  List.iter
-    (fun f ->
-      Printf.fprintf oc
-        "{\"schema\":%d,\"suite\":\"%s\",\"program\":\"%s\",\"config\":\"%s\",\"error\":\"%s\",\"backtrace\":\"%s\"}\n"
-        quarantine_schema
-        (Jsonl.escape f.f_suite) (Jsonl.escape f.f_program) (Jsonl.escape f.f_config)
-        (Jsonl.escape f.f_error) (Jsonl.escape f.f_backtrace))
-    r.failures
-
-(* The reading side of the quarantine report, with the schema field
-   checked.  Used by the round-trip regression test and available to
-   external tooling. *)
-let read_quarantine s =
-  let ( let* ) = Result.bind in
-  let field name conv j =
-    match Option.bind (Jsonl.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let failure_of j =
-    let* schema = field "schema" Jsonl.int j in
-    if schema <> quarantine_schema then
-      Error (Printf.sprintf "unsupported schema %d (want %d)" schema quarantine_schema)
-    else
-      let* f_suite = field "suite" Jsonl.str j in
-      let* f_program = field "program" Jsonl.str j in
-      let* f_config = field "config" Jsonl.str j in
-      let* f_error = field "error" Jsonl.str j in
-      let* f_backtrace = field "backtrace" Jsonl.str j in
-      Ok { f_suite; f_program; f_config; f_error; f_backtrace }
-  in
-  let* rows = Jsonl.parse_lines s in
-  List.fold_left
-    (fun acc row ->
-      let* acc = acc in
-      let* f = failure_of row in
-      Ok (acc @ [ f ]))
-    (Ok []) rows
-
-let write_profiles oc r =
-  List.iter
-    (fun p ->
-      let phases =
-        String.concat ","
-          (List.map
-             (fun (n, t) -> Printf.sprintf "\"%s\":%.3f" (Jsonl.escape n) t)
-             p.p_phases)
-      in
-      Printf.fprintf oc
-        "{\"suite\":\"%s\",\"program\":\"%s\",\"config\":\"%s\",\"arch\":\"%s\",\"digest\":\"%s\",\"text_bytes\":%d,\"insns\":%d,\"resyncs\":%d,\"truth\":%d,\"status\":\"%s\",\"total_ms\":%.3f,\"phases\":{%s}}\n"
-        (Jsonl.escape p.p_suite) (Jsonl.escape p.p_program) (Jsonl.escape p.p_config)
-        (Jsonl.escape p.p_arch) (Jsonl.escape p.p_digest) p.p_text_bytes p.p_insns
-        p.p_resyncs p.p_truth (Jsonl.escape p.p_status)
-        p.p_total_ms phases)
-    r.profiles
-
-(* ------------------------------------------------------------------ *)
-(* Run manifests                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Version of the manifest JSONL format; bump on any key change. *)
-let manifest_schema = 2
-
-let profile_key p = p.p_suite ^ "/" ^ p.p_program ^ "[" ^ p.p_config ^ "]"
-
-(* The run digest: an MD5 over every binary's identity and content digest,
-   one "key=digest" line per profile row in plan order.  Volatile fields
-   (status, timings) are excluded, so the digest identifies the
-   analyzed corpus content — two runs of the same corpus share it whatever
-   their --jobs.  Requires profiling
-   to have been on ({!options.profile}); an unprofiled run digests the
-   empty row set. *)
-let run_digest r =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf (profile_key p);
-      Buffer.add_char buf '=';
-      Buffer.add_string buf p.p_digest;
-      Buffer.add_char buf '\n')
-    r.profiles;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-type manifest_meta = {
-  m_experiment : string;
-  m_jobs : int;
-  m_profile_art : string option;
-  m_quarantine_art : string option;
-  m_trace_art : string option;
-  m_metrics_art : string option;
-}
-
-let write_manifest oc ~meta (opts : options) r =
-  let opt_str = function
-    | None -> "null"
-    | Some s -> "\"" ^ Jsonl.escape s ^ "\""
-  in
-  Printf.fprintf oc
-    "{\"schema\":%d,\"kind\":\"run\",\"digest\":\"%s\",\"experiment\":\"%s\",\"seed\":%d,\"scale\":%g,\"jobs\":%d,\"timing\":%b,\"binaries\":%d,\"functions\":%d,\"quarantined\":%d,\"artifacts\":{\"profile\":%s,\"quarantine\":%s,\"trace\":%s,\"metrics\":%s}}\n"
-    manifest_schema (run_digest r)
-    (Jsonl.escape meta.m_experiment)
-    opts.seed opts.scale meta.m_jobs opts.timing
-    r.binaries r.functions
-    (List.length r.failures)
-    (opt_str meta.m_profile_art)
-    (opt_str meta.m_quarantine_art)
-    (opt_str meta.m_trace_art) (opt_str meta.m_metrics_art);
-  List.iter
-    (fun p ->
-      Printf.fprintf oc
-        "{\"schema\":%d,\"kind\":\"binary\",\"suite\":\"%s\",\"program\":\"%s\",\"config\":\"%s\",\"arch\":\"%s\",\"digest\":\"%s\",\"status\":\"%s\",\"text_bytes\":%d,\"insns\":%d,\"resyncs\":%d,\"truth\":%d}\n"
-        manifest_schema (Jsonl.escape p.p_suite) (Jsonl.escape p.p_program)
-        (Jsonl.escape p.p_config) (Jsonl.escape p.p_arch) (Jsonl.escape p.p_digest)
-        (Jsonl.escape p.p_status) p.p_text_bytes p.p_insns
-        p.p_resyncs p.p_truth)
-    r.profiles
 
 let top_slow r k =
   if k <= 0 then []

@@ -50,20 +50,13 @@ type options = {
 val default_options : options
 (** [keep_going = true], no deadline, no fault injection. *)
 
-(** One quarantined binary: identity, the error its evaluation raised, and
-    the backtrace. *)
-type failure = {
-  f_suite : string;
-  f_program : string;
-  f_config : string;  (** {!Cet_compiler.Options.to_string} descriptor *)
-  f_error : string;
-  f_backtrace : string;
-}
-
-(** One evaluated binary's profile: identity, decode volume, the phase
-    time split, and how its evaluation ended.  Under [timing = false]
-    every clock figure is zero, so the row is deterministic in the seed. *)
-type profile = {
+(** One binary's row of the run: identity, decode volume, the phase time
+    split, and how its evaluation ended — the manifest's row type
+    ({!Cet_obs.Manifest.row}), which writes and reads it.  A quarantined
+    row has its analysis figures zeroed and carries the error and the
+    backtrace.  Under [timing = false] every clock figure is zero, so the
+    row is deterministic in the seed. *)
+type profile = Cet_obs.Manifest.row = {
   p_suite : string;
   p_program : string;
   p_config : string;  (** {!Cet_compiler.Options.to_string} descriptor *)
@@ -78,11 +71,14 @@ type profile = {
   p_status : string;  (** ["ok"] or ["quarantined"] *)
   p_total_ms : float;
   p_phases : (string * float) list;
-      (** fixed vocabulary in fixed order — study, configs, funseeker,
-          ida, ghidra, fetch, triage — each in milliseconds *)
+      (** {!profile_phase_names}, each in milliseconds *)
+  p_error : string option;  (** [Printexc.to_string] of what quarantined it *)
+  p_backtrace : string option;
 }
 
 val profile_phase_names : string list
+(** study, configs, funseeker, ida, ghidra, fetch, triage: the fixed
+    phase vocabulary of every row, in order. *)
 
 val content_digest : string -> string
 (** Hex MD5 of a binary's stripped ELF bytes: its content identity.  The
@@ -106,7 +102,9 @@ type results = {
           {!options.triage} was set *)
   binaries : int;  (** successfully evaluated binaries *)
   functions : int;  (** total ground-truth functions across the dataset *)
-  failures : failure list;  (** quarantined binaries, in plan order *)
+  failures : profile list;
+      (** the quarantined binaries' rows, in plan order, whether or not
+          {!options.profile} was set *)
   profiles : profile list;
       (** per-binary profiles in plan order (including quarantined
           binaries, with zeroed analysis figures); empty unless
@@ -137,57 +135,6 @@ val render_all : results -> string
 
 val render_failures : results -> string
 (** Human-readable quarantine summary; [""] when nothing failed. *)
-
-val quarantine_schema : int
-(** Version stamped into every quarantine row's [schema] field. *)
-
-val write_quarantine : out_channel -> results -> unit
-(** One JSON object per failure per line ([schema]/[suite]/[program]/
-    [config]/[error]/[backtrace]) — the [--quarantine-out] report
-    format. *)
-
-val read_quarantine : string -> (failure list, string) result
-(** Parse a whole quarantine JSONL document back into failure records —
-    the round-trip inverse of {!write_quarantine}.  Rejects rows whose
-    [schema] differs from {!quarantine_schema}. *)
-
-val write_profiles : out_channel -> results -> unit
-(** One JSON object per profile per line, keys in a fixed order ([suite],
-    [program], [config], [arch], [digest], [text_bytes], [insns],
-    [resyncs], [truth], [status], [total_ms], [phases]) — the [--profile-out] report format.  Rows are in plan
-    order and, under [timing = false], byte-identical across [~jobs]. *)
-
-val manifest_schema : int
-(** Version stamped into every manifest row's [schema] field. *)
-
-val profile_key : profile -> string
-(** ["suite/program[config]"] — the identity half of a manifest row. *)
-
-val run_digest : results -> string
-(** Hex MD5 over every profile row's ["key=digest"] line in plan order:
-    the whole run's content identity.  Volatile fields (status, timings)
-    are excluded, so two runs over the same corpus share the
-    digest whatever their [--jobs].
-    Meaningful only when {!options.profile} was on (the digest of an
-    unprofiled run covers zero rows). *)
-
-type manifest_meta = {
-  m_experiment : string;  (** the positional EXPERIMENT argument *)
-  m_jobs : int;
-  m_profile_art : string option;  (** [--profile-out] path, when given *)
-  m_quarantine_art : string option;
-  m_trace_art : string option;
-  m_metrics_art : string option;
-}
-
-val write_manifest : out_channel -> meta:manifest_meta -> options -> results -> unit
-(** The [--manifest-out] run manifest: one schema-tagged [kind:"run"]
-    header (run digest, options, corpus scale and jobs, pointers
-    to the run's other artifacts), then one [kind:"binary"] row per
-    profile (identity, content digest, status, decode volume).
-    Parsed back by [Cet_obs.Manifest].  Requires {!options.profile};
-    under [timing = false] the binary rows are byte-identical across
-    [--jobs]. *)
 
 val top_slow : results -> int -> profile list
 (** The [k] profiles with the largest [p_total_ms], ties in plan order. *)

@@ -70,8 +70,8 @@ val crash_schema : int
 
 val write_crashes : out_channel -> summary -> unit
 (** One JSON object per crash per line ([schema]/[class]/[index]/[error]/
-    [backtrace]) — the [--crash-out] report format, mirroring the
-    harness quarantine report. *)
+    [backtrace]) — the [--crash-out] report format, mirroring the error
+    and backtrace of a quarantined manifest row. *)
 
 val read_crashes : string -> (crash list, string) result
 (** Parse a whole crash JSONL document back into crash records — the

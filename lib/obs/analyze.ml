@@ -35,10 +35,8 @@ let phase_stats rows =
     Hist.add h (ns_of_ms ms);
     total := !total +. ms
   in
-  List.iter
-    (fun (r : Profiles.row) -> List.iter (fun (n, ms) -> feed n ms) r.Profiles.phases)
-    rows;
-  List.iter (fun (r : Profiles.row) -> feed "total" r.Profiles.total_ms) rows;
+  List.iter (fun (r : Manifest.row) -> List.iter (fun (n, ms) -> feed n ms) r.p_phases) rows;
+  List.iter (fun (r : Manifest.row) -> feed "total" r.p_total_ms) rows;
   List.rev_map
     (fun name ->
       let h, total = Hashtbl.find hists name in
@@ -148,7 +146,7 @@ let render_health h =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Cross-run profile diff                                             *)
+(* Cross-run diff                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type verdict_change = {
@@ -183,20 +181,20 @@ type diff = {
    order, so duplicated content cannot cross-match arbitrarily; the
    pairing is a pure function of the two row sets.  Returns the pairs
    plus each side's unpaired keys in their original row order. *)
-let join_by_digest ~digest_of ~key_of old_rows new_rows =
+let join_by_digest (old_rows : Manifest.row list) (new_rows : Manifest.row list) =
   let group rows =
-    let tbl : (string, 'a list ref) Hashtbl.t = Hashtbl.create 64 in
+    let tbl : (string, Manifest.row list ref) Hashtbl.t = Hashtbl.create 64 in
     List.iter
-      (fun r ->
-        match Hashtbl.find_opt tbl (digest_of r) with
+      (fun (r : Manifest.row) ->
+        match Hashtbl.find_opt tbl r.p_digest with
         | Some cell -> cell := r :: !cell
-        | None -> Hashtbl.replace tbl (digest_of r) (ref [ r ]))
+        | None -> Hashtbl.replace tbl r.p_digest (ref [ r ]))
       rows;
     tbl
   in
   let old_g = group old_rows and new_g = group new_rows in
   let by_key l =
-    List.sort (fun a b -> compare (key_of a) (key_of b)) (List.rev l)
+    List.sort (fun a b -> compare (Manifest.key a) (Manifest.key b)) (List.rev l)
   in
   let pairs = ref [] in
   let paired_old : (string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -205,8 +203,8 @@ let join_by_digest ~digest_of ~key_of old_rows new_rows =
      first-appearance order of each digest in the old run. *)
   let seen_digest : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun r ->
-      let d = digest_of r in
+    (fun (r : Manifest.row) ->
+      let d = r.p_digest in
       if not (Hashtbl.mem seen_digest d) then begin
         Hashtbl.replace seen_digest d ();
         match Hashtbl.find_opt new_g d with
@@ -218,8 +216,8 @@ let join_by_digest ~digest_of ~key_of old_rows new_rows =
             match (os, ns) with
             | o :: os', n :: ns' ->
               pairs := (o, n) :: !pairs;
-              Hashtbl.replace paired_old (key_of o) ();
-              Hashtbl.replace paired_new (key_of n) ();
+              Hashtbl.replace paired_old (Manifest.key o) ();
+              Hashtbl.replace paired_new (Manifest.key n) ();
               walk os' ns'
             | _, [] | [], _ -> ()
           in
@@ -228,35 +226,30 @@ let join_by_digest ~digest_of ~key_of old_rows new_rows =
     old_rows;
   let removed =
     List.filter_map
-      (fun r -> if Hashtbl.mem paired_old (key_of r) then None else Some (key_of r))
+      (fun r -> if Hashtbl.mem paired_old (Manifest.key r) then None else Some (Manifest.key r))
       old_rows
   and added =
     List.filter_map
-      (fun r -> if Hashtbl.mem paired_new (key_of r) then None else Some (key_of r))
+      (fun r -> if Hashtbl.mem paired_new (Manifest.key r) then None else Some (Manifest.key r))
       new_rows
   in
   (List.rev !pairs, removed, added)
 
-let verdict_fields (b : Manifest.binary) =
+let verdict_fields (b : Manifest.row) =
   [
-    ("status", b.Manifest.b_status);
-    ("arch", b.Manifest.b_arch);
-    ("text_bytes", string_of_int b.Manifest.b_text_bytes);
-    ("insns", string_of_int b.Manifest.b_insns);
-    ("resyncs", string_of_int b.Manifest.b_resyncs);
-    ("truth", string_of_int b.Manifest.b_truth);
+    ("status", b.p_status);
+    ("arch", b.p_arch);
+    ("text_bytes", string_of_int b.p_text_bytes);
+    ("insns", string_of_int b.p_insns);
+    ("resyncs", string_of_int b.p_resyncs);
+    ("truth", string_of_int b.p_truth);
   ]
 
-let diff ?(threshold = 20.0) ~(old_run : Manifest.t) ~(new_run : Manifest.t)
-    ?(old_profiles = []) ?(new_profiles = []) () =
-  let pairs, removed, added =
-    join_by_digest
-      ~digest_of:(fun b -> b.Manifest.b_digest)
-      ~key_of:Manifest.key old_run.Manifest.rows new_run.Manifest.rows
-  in
+let diff ?(threshold = 20.0) ~(old_run : Manifest.t) ~(new_run : Manifest.t) () =
+  let pairs, removed, added = join_by_digest old_run.rows new_run.rows in
   let changed =
     List.concat_map
-      (fun ((o : Manifest.binary), (n : Manifest.binary)) ->
+      (fun (o, n) ->
         List.filter_map
           (fun ((fo, vo), (fn, vn)) ->
             assert (fo = fn);
@@ -265,15 +258,9 @@ let diff ?(threshold = 20.0) ~(old_run : Manifest.t) ~(new_run : Manifest.t)
           (List.combine (verdict_fields o) (verdict_fields n)))
       pairs
   in
-  (* The timing axis, when both runs shipped profile rows: the same
-     digest join, then total and per-phase deltas.  A non-positive time
-     on either side (--no-timing, a zeroed quarantine row) is never
-     compared — there is no ratio to take. *)
-  let ppairs, _, _ =
-    join_by_digest
-      ~digest_of:(fun (r : Profiles.row) -> r.Profiles.digest)
-      ~key_of:Profiles.key old_profiles new_profiles
-  in
+  (* The timing axis, on the same join: total and per-phase deltas.  A
+     non-positive time on either side (--no-timing, a zeroed quarantine
+     row) is never compared — there is no ratio to take. *)
   let regressed = ref [] and improved = ref [] and timed = ref 0 in
   let compare_ms key phase old_ms new_ms =
     if old_ms > 0.0 && new_ms > 0.0 then begin
@@ -286,17 +273,17 @@ let diff ?(threshold = 20.0) ~(old_run : Manifest.t) ~(new_run : Manifest.t)
     end
   in
   List.iter
-    (fun ((o : Profiles.row), (n : Profiles.row)) ->
-      let key = Profiles.key n in
-      if o.Profiles.total_ms > 0.0 && n.Profiles.total_ms > 0.0 then incr timed;
-      compare_ms key "total" o.Profiles.total_ms n.Profiles.total_ms;
+    (fun ((o : Manifest.row), (n : Manifest.row)) ->
+      let key = Manifest.key n in
+      if o.p_total_ms > 0.0 && n.p_total_ms > 0.0 then incr timed;
+      compare_ms key "total" o.p_total_ms n.p_total_ms;
       List.iter
         (fun (phase, new_ms) ->
-          match List.assoc_opt phase o.Profiles.phases with
+          match List.assoc_opt phase o.p_phases with
           | Some old_ms -> compare_ms key phase old_ms new_ms
           | None -> ())
-        n.Profiles.phases)
-    ppairs;
+        n.p_phases)
+    pairs;
   let by_severity sign l =
     List.sort
       (fun a b ->
@@ -306,8 +293,8 @@ let diff ?(threshold = 20.0) ~(old_run : Manifest.t) ~(new_run : Manifest.t)
       l
   in
   {
-    d_old_digest = old_run.Manifest.r_digest;
-    d_new_digest = new_run.Manifest.r_digest;
+    d_old_digest = Manifest.digest old_run.rows;
+    d_new_digest = Manifest.digest new_run.rows;
     d_matched = List.length pairs;
     d_added = added;
     d_removed = removed;
@@ -401,7 +388,7 @@ let robust_z xs =
 
 let anomalies ?(z_cut = 3.5) rows =
   let ok, excluded =
-    List.partition (fun (r : Profiles.row) -> r.Profiles.status = "ok") rows
+    List.partition (fun (r : Manifest.row) -> r.p_status = "ok") rows
   in
   let ok = Array.of_list ok in
   let found = ref [] in
@@ -427,8 +414,8 @@ let anomalies ?(z_cut = 3.5) rows =
         if Float.abs zs.(k) >= z_cut && Float.abs (v -. med) >= min_dev med then
           hits :=
             {
-              an_key = Profiles.key ok.(i);
-              an_digest = ok.(i).Profiles.digest;
+              an_key = Manifest.key ok.(i);
+              an_digest = ok.(i).p_digest;
               an_metric = metric;
               an_value = v;
               an_median = med;
@@ -447,21 +434,21 @@ let anomalies ?(z_cut = 3.5) rows =
   in
   scan "total_ms"
     ~min_dev:(fun med -> 0.1 *. med)
-    (fun r -> if r.Profiles.total_ms > 0.0 then Some r.Profiles.total_ms else None);
+    (fun r -> if r.p_total_ms > 0.0 then Some r.p_total_ms else None);
   (* Phase shares: where does a binary's time go, as a fraction — scale-
      free, so a big binary is not an anomaly merely for being big. *)
   let phase_names =
     match Array.length ok with
     | 0 -> []
-    | _ -> List.map fst ok.(0).Profiles.phases
+    | _ -> List.map fst ok.(0).p_phases
   in
   List.iter
     (fun phase ->
       scan ("share:" ^ phase)
         ~min_dev:(fun _ -> 0.05)
         (fun r ->
-          match List.assoc_opt phase r.Profiles.phases with
-          | Some ms when r.Profiles.total_ms > 0.0 -> Some (ms /. r.Profiles.total_ms)
+          match List.assoc_opt phase r.p_phases with
+          | Some ms when r.p_total_ms > 0.0 -> Some (ms /. r.p_total_ms)
           | _ -> None))
     phase_names;
   (!found, excluded)
@@ -484,10 +471,10 @@ let render_anomalies (found, excluded) =
   if excluded <> [] then begin
     let by_status : (string, int ref) Hashtbl.t = Hashtbl.create 4 in
     List.iter
-      (fun (r : Profiles.row) ->
-        match Hashtbl.find_opt by_status r.Profiles.status with
+      (fun (r : Manifest.row) ->
+        match Hashtbl.find_opt by_status r.p_status with
         | Some c -> incr c
-        | None -> Hashtbl.replace by_status r.Profiles.status (ref 1))
+        | None -> Hashtbl.replace by_status r.p_status (ref 1))
       excluded;
     let counts =
       List.sort compare

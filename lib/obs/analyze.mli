@@ -1,7 +1,7 @@
 (** The cross-run analyzer behind [cetstat]: per-phase latency aggregates
-    over profile rows (via {!Cet_telemetry.Hist}), scheduler health
-    derived from trace spans and counters, a content-hash-joined profile
-    diff between two runs, and robust median/MAD anomaly detection.
+    over manifest rows (via {!Cet_telemetry.Hist}), scheduler health
+    derived from trace spans and counters, a content-hash-joined diff
+    between two runs, and robust median/MAD anomaly detection.
 
     Every renderer emits fixed-key-order tables whose bytes depend only
     on the parsed artifacts — two runs whose artifacts are byte-identical
@@ -20,7 +20,7 @@ type phase_stat = {
   ps_max_ms : float;
 }
 
-val phase_stats : Profiles.row list -> phase_stat list
+val phase_stats : Manifest.row list -> phase_stat list
 (** One stat per phase name in first-appearance order, plus a final
     ["total"] row over [total_ms].  Quantiles come from a
     {!Cet_telemetry.Hist} fed with the rows' times. *)
@@ -48,12 +48,11 @@ type health = {
 val health_of_trace : Trace.t -> health
 (** Derive scheduler health from a parsed trace: busy time from
     [harness.binary] spans grouped by sheet, event volumes from the
-    [scheduler.*] counters (JSONL traces; a Chrome trace contributes
-    spans only). *)
+    [scheduler.*] counters. *)
 
 val render_health : health -> string
 
-(** {1 Cross-run profile diff} *)
+(** {1 Cross-run diff} *)
 
 type verdict_change = {
   vc_key : string;  (** the new run's row identity *)
@@ -81,24 +80,18 @@ type diff = {
           volume, truth count) differs — timing never counts *)
   d_regressed : phase_delta list;  (** beyond [+threshold], sorted worst first *)
   d_improved : phase_delta list;  (** beyond [-threshold], sorted best first *)
-  d_timed : int;  (** joined profile rows with positive time on both sides *)
+  d_timed : int;  (** joined rows with positive time on both sides *)
 }
 
 val diff :
-  ?threshold:float ->
-  old_run:Manifest.t ->
-  new_run:Manifest.t ->
-  ?old_profiles:Profiles.row list ->
-  ?new_profiles:Profiles.row list ->
-  unit ->
-  diff
+  ?threshold:float -> old_run:Manifest.t -> new_run:Manifest.t -> unit -> diff
 (** Join two manifests by content digest (rows sharing a digest pair up
-    in key order, so duplicated bytes cannot cross-match) and compare
-    verdicts; when both runs' profile rows are given, additionally
-    compare [total_ms] and every phase on the same join, flagging changes
-    beyond [threshold] percent (default 20).  Rows with non-positive time
-    on either side are never timing-compared — an untimed
-    ([--no-timing]) run diffs clean against anything on the timing axis. *)
+    in key order, so duplicated bytes cannot cross-match), compare
+    verdicts, and compare [total_ms] and every phase on the same join,
+    flagging changes beyond [threshold] percent (default 20).  Rows with
+    non-positive time on either side are never timing-compared — an
+    untimed ([--no-timing]) run diffs clean against anything on the
+    timing axis. *)
 
 val clean : diff -> bool
 (** No verdict changes, no regressions, nothing added or removed — the
@@ -128,7 +121,7 @@ val robust_z : float array -> float array
     outliers). *)
 
 val anomalies :
-  ?z_cut:float -> Profiles.row list -> anomaly list * Profiles.row list
+  ?z_cut:float -> Manifest.row list -> anomaly list * Manifest.row list
 (** Median/MAD outliers (default cut 3.5) over per-binary wall time and
     per-phase time shares.  A practical-significance floor accompanies
     the z cut — total time must deviate by at least 10% of the median,
@@ -140,4 +133,4 @@ val anomalies :
     statistics.  Anomalies sort by metric, then descending |z|, then
     key. *)
 
-val render_anomalies : anomaly list * Profiles.row list -> string
+val render_anomalies : anomaly list * Manifest.row list -> string

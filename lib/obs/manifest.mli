@@ -1,39 +1,43 @@
-(** Typed reader for [evaluate --manifest-out] run manifests.
+(** The run file that [evaluate --manifest-out] writes, and the one
+    module that knows its format.
 
     A manifest is schema-tagged JSONL: one [kind:"run"] header (the run's
-    content digest, options, corpus scale and jobs, pointers to
-    the run's other artifacts) followed by one [kind:"binary"] row per
-    evaluated binary.  The binary rows carry each binary's stable content
-    digest — the join key for every cross-run comparison — plus its
-    analysis verdict (status and decode volume).
+    content digest, options, corpus scale and jobs, and a pointer to the
+    run's trace), then one {!row} per evaluated binary in plan order.  A
+    row is the binary's profile: identity, the stable content digest
+    that every cross-run comparison joins on, decode volume, status, and
+    the phase time split; a quarantined row also carries the error and
+    the backtrace that quarantined it.
 
     Reading is strict: a schema this reader does not understand is an
-    error, and the header digest is verified against a recomputation over
-    the binary rows, so a truncated or hand-edited manifest cannot pass
-    as a run identity. *)
+    error, and the header digest is verified against {!digest} of the
+    rows, so a truncated or hand-edited manifest cannot pass as a run
+    identity. *)
 
-type binary = {
-  b_suite : string;
-  b_program : string;
-  b_config : string;
-  b_arch : string;
-  b_digest : string;  (** hex MD5 of the stripped ELF bytes *)
-  b_status : string;  (** ["ok"] or ["quarantined"] *)
-  b_text_bytes : int;
-  b_insns : int;
-  b_resyncs : int;
-  b_truth : int;
-}
-
-type artifacts = {
-  a_profile : string option;
-  a_quarantine : string option;
-  a_trace : string option;
-  a_metrics : string option;
+(** One evaluated binary.  Under [--no-timing] every clock figure is zero,
+    so a row is deterministic in the seed. *)
+type row = {
+  p_suite : string;
+  p_program : string;
+  p_config : string;  (** [Cet_compiler.Options.to_string] descriptor *)
+  p_arch : string;  (** ["x86"] or ["x64"] *)
+  p_digest : string;
+      (** hex MD5 of the stripped ELF bytes — the binary's stable content
+          identity, present whatever [p_status] *)
+  p_text_bytes : int;  (** [.text] size *)
+  p_insns : int;  (** instructions decoded by the linear sweep *)
+  p_resyncs : int;  (** sweep desynchronisation events *)
+  p_truth : int;  (** deduplicated ground-truth entry count *)
+  p_status : string;  (** ["ok"] or ["quarantined"] *)
+  p_total_ms : float;
+  p_phases : (string * float) list;
+      (** the harness's fixed phase vocabulary, in milliseconds, in
+          document order *)
+  p_error : string option;  (** the exception that quarantined the binary *)
+  p_backtrace : string option;  (** and where it was raised *)
 }
 
 type t = {
-  r_digest : string;  (** the run digest from the header, verified *)
   r_experiment : string;
   r_seed : int;
   r_scale : float;
@@ -42,25 +46,34 @@ type t = {
   r_binaries : int;  (** successfully evaluated binaries *)
   r_functions : int;
   r_quarantined : int;
-  r_artifacts : artifacts;
-  rows : binary list;  (** in plan order, as written *)
+  r_trace : string option;  (** the [--trace-out] path, as given *)
+  rows : row list;  (** in plan order *)
 }
 
 val schema : int
-(** The manifest schema this reader understands (2). *)
+(** The manifest schema this module writes and reads (3). *)
 
-val key : binary -> string
+val key : row -> string
 (** ["suite/program[config]"] — the identity half of a row. *)
 
-val recompute_digest : binary list -> string
-(** The run digest recipe, reader side: hex MD5 over one ["key=digest"]
-    line per row in row order.  Must agree with
-    [Cet_eval.Harness.run_digest] (pinned by test). *)
+val digest : row list -> string
+(** The run digest: hex MD5 over one ["key=digest"] line per row, in row
+    order.  Status and timings are left out, so two runs over the same
+    corpus share it whatever their [--jobs]. *)
+
+val write : out_channel -> t -> unit
+(** The header, with {!digest} of the rows, then one JSON line per row,
+    keys in a fixed order ([suite], [program], [config], [arch],
+    [digest], [text_bytes], [insns], [resyncs], [truth], [status],
+    [total_ms], [phases], then [error] and [backtrace] when present).
+    Times are printed to the microsecond.  Under [--no-timing] the rows
+    are byte-identical across [--jobs]. *)
 
 val parse : string -> (t, string) result
 (** Parse whole-file manifest contents.  Errors on a missing or mistyped
     field, an unsupported schema, a header whose digest does not match
-    {!recompute_digest} of the rows, or malformed JSON. *)
+    {!digest} of the rows, or malformed JSON.  For rows whose times are
+    whole microseconds, [parse] reads back what {!write} wrote. *)
 
 val load : string -> (t, string) result
 (** {!parse} of a file's contents; I/O errors become [Error]. *)

@@ -160,34 +160,6 @@ let write_trace oc =
     (sorted_bindings m.Registry.gauges)
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace-event format                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* One complete ("ph":"X") event per recorded span, timestamps and
-   durations in microseconds as the format requires, one tid per sheet so
-   Perfetto lays workers out as parallel tracks.  Emitted as a plain JSON
-   array — the simplest of the two container layouts chrome://tracing
-   accepts. *)
-let write_trace_chrome oc =
-  output_string oc "[";
-  let first = ref true in
-  let sep () = if !first then first := false else output_string oc ",\n" in
-  List.iter
-    (fun (s : Registry.sheet) ->
-      List.iter
-        (fun (e : Registry.event) ->
-          sep ();
-          Printf.fprintf oc
-            "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-            (Jsonl.escape e.ev_name)
-            (float_of_int e.ev_start_ns /. 1e3)
-            (float_of_int e.ev_dur_ns /. 1e3)
-            e.ev_sheet)
-        (List.rev s.events))
-    (Registry.sheets ());
-  output_string oc "]\n"
-
-(* ------------------------------------------------------------------ *)
 (* OpenMetrics text exposition                                        *)
 (* ------------------------------------------------------------------ *)
 

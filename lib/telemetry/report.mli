@@ -29,13 +29,8 @@ val render : timing:bool -> unit -> string
 val write_trace : out_channel -> unit
 (** JSON-lines: one [span] object per traced event (sheet by sheet, in
     start order), then one [phase] summary per span name, then [counter]
-    and [gauge] objects.  Parseable line by line. *)
-
-val write_trace_chrome : out_channel -> unit
-(** The same spans as {!write_trace} in Chrome trace-event format: a JSON
-    array of complete ([ph = "X"]) events with microsecond [ts]/[dur],
-    one [tid] per registry sheet — drop the file into chrome://tracing or
-    Perfetto to see workers as parallel tracks. *)
+    and [gauge] objects.  Parseable line by line; [cetstat chrome]
+    converts it to the Chrome trace-event format. *)
 
 val openmetrics_label_escape : string -> string
 (** Escape a label {e value} per the exposition format: backslash,

@@ -19,7 +19,9 @@ let key : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let active () = Atomic.get active_count > 0
 
 let with_ ~seconds f =
-  if seconds <= 0.0 then invalid_arg "Deadline.with_: seconds must be positive";
+  (* [not (> 0)] rather than [<= 0]: a NaN budget would arm a deadline
+     that [now >= until] never reaches. *)
+  if not (seconds > 0.0) then invalid_arg "Deadline.with_: seconds must be positive";
   let prev = Domain.DLS.get key in
   let now = Unix.gettimeofday () in
   (* Nested deadlines never extend an enclosing one. *)

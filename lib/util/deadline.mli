@@ -20,7 +20,8 @@ val with_ : seconds:float -> (unit -> 'a) -> 'a
 (** [with_ ~seconds f] runs [f] with a deadline [seconds] from now armed
     on the calling domain.  Nesting is allowed; an inner deadline never
     extends the enclosing one.  The deadline is disarmed on exit, normal
-    or exceptional.  Raises [Invalid_argument] when [seconds <= 0]. *)
+    or exceptional.  Raises [Invalid_argument] unless [seconds > 0] (so
+    on NaN too). *)
 
 val expired : unit -> bool
 (** Has the calling domain's deadline passed?  [false] when none armed. *)

@@ -1,7 +1,7 @@
 (** A minimal JSON reader for the repo's own line-oriented reports.
 
-    The quarantine, crash, profile and manifest reports and the traces
-    are JSON written by hand-rolled printers ({!escape} + [Printf]); this
+    The run manifest, the crash report and the traces are JSON written
+    by hand-rolled printers ({!escape} + [Printf]); this
     module gives the reader side: enough of RFC 8259 to round-trip
     everything those printers can emit (objects, arrays, strings with the
     quote/backslash/slash/control and [u]-hex escapes, numbers, booleans,

@@ -1,14 +1,15 @@
-(* Tests for Cet_obs, the cross-run analyzer: manifest round-trip and
-   strictness, writer/reader run-digest agreement (pinned, and stable
-   across ~jobs), profile-JSONL re-parsing, cross-run diff semantics on
-   the content-digest join, robust median/MAD anomaly detection, and
-   trace parsing (both formats) feeding scheduler health. *)
+(* Tests for Cet_obs, the run file and the cross-run analyzer: manifest
+   round-trip (over harness runs and generated rows) and strictness, the
+   run digest (pinned, and stable across ~jobs), cross-run diff semantics
+   on the content-digest join, robust median/MAD anomaly detection, and
+   JSON-lines traces: parsing, scheduler health and the Chrome
+   conversion. *)
 
 module Harness = Cet_eval.Harness
 module Manifest = Cet_obs.Manifest
-module Profiles = Cet_obs.Profiles
 module Trace = Cet_obs.Trace
 module Analyze = Cet_obs.Analyze
+module Jz = Cet_util.Jsonl
 
 let check = Alcotest.check
 
@@ -38,12 +39,8 @@ let read_back write =
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      let oc = open_out tmp in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
-      let ic = open_in tmp in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
+      Out_channel.with_open_bin tmp write;
+      In_channel.with_open_bin tmp In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Writer/reader agreement over a real (micro) harness run            *)
@@ -78,18 +75,22 @@ let micro_opts =
 
 let run_micro ~jobs = Harness.run ~profiles:[ micro_profile ] ~configs:micro_configs ~jobs micro_opts
 
-let micro_meta ~jobs =
+(* The manifest evaluate writes for a micro run. *)
+let micro_manifest ~jobs (r : Harness.results) =
   {
-    Harness.m_experiment = "micro";
-    m_jobs = jobs;
-    m_profile_art = None;
-    m_quarantine_art = None;
-    m_trace_art = None;
-    m_metrics_art = None;
+    Manifest.r_experiment = "micro";
+    r_seed = 11;
+    r_scale = 1.0;
+    r_jobs = jobs;
+    r_timing = false;
+    r_binaries = r.Harness.binaries;
+    r_functions = r.Harness.functions;
+    r_quarantined = List.length r.Harness.failures;
+    r_trace = None;
+    rows = r.Harness.profiles;
   }
 
-let manifest_text ~jobs r =
-  read_back (fun oc -> Harness.write_manifest oc ~meta:(micro_meta ~jobs) micro_opts r)
+let manifest_text ~jobs r = read_back (fun oc -> Manifest.write oc (micro_manifest ~jobs r))
 
 (* The micro corpus is deterministic in its seed, so its run digest is a
    constant of the codebase; pinning the hex value catches any silent
@@ -98,37 +99,29 @@ let manifest_text ~jobs r =
    meant to change. *)
 let pinned_micro_digest = "24ed52d35a17091e2512f4f7e57b4305"
 
+let header_field name text =
+  match Jz.parse (List.hd (String.split_on_char '\n' text)) with
+  | Ok header -> Option.bind (Jz.member name header) Jz.str
+  | Error e -> Alcotest.failf "header does not parse: %s" e
+
 let test_manifest_round_trip () =
   let r = run_micro ~jobs:1 in
   let text = manifest_text ~jobs:1 r in
   match Manifest.parse text with
   | Error e -> Alcotest.failf "manifest rejected: %s" e
   | Ok m ->
-    check Alcotest.string "header digest = writer digest" (Harness.run_digest r)
-      m.Manifest.r_digest;
-    check Alcotest.int "one row per profile"
-      (List.length r.Harness.profiles)
-      (List.length m.Manifest.rows);
-    check Alcotest.string "experiment" "micro" m.Manifest.r_experiment;
-    check Alcotest.int "seed" 11 m.Manifest.r_seed;
-    check Alcotest.bool "timing off" false m.Manifest.r_timing;
-    check Alcotest.(option string) "no profile artifact" None
-      m.Manifest.r_artifacts.Manifest.a_profile;
-    (* Reader-side recomputation agrees with the writer's recipe. *)
-    check Alcotest.string "recompute agrees" m.Manifest.r_digest
-      (Manifest.recompute_digest m.Manifest.rows);
-    List.iter2
-      (fun (p : Harness.profile) (b : Manifest.binary) ->
-        check Alcotest.string "key order preserved" (Harness.profile_key p)
-          (Manifest.key b);
-        check Alcotest.string "content digest carried" p.Harness.p_digest
-          b.Manifest.b_digest)
-      r.Harness.profiles m.Manifest.rows
+    check Alcotest.bool "parsed = written, rows in plan order" true
+      (m = micro_manifest ~jobs:1 r);
+    check Alcotest.(option string) "header digest = run digest"
+      (Some (Manifest.digest r.Harness.profiles))
+      (header_field "digest" text);
+    check Alcotest.int "one row per binary" (List.length r.Harness.profiles)
+      (List.length (String.split_on_char '\n' (String.trim text)) - 1)
 
 let test_run_digest_pinned_across_jobs () =
-  let d1 = Harness.run_digest (run_micro ~jobs:1) in
-  let d4 = Harness.run_digest (run_micro ~jobs:4) in
-  check Alcotest.string "stable across jobs" d1 d4;
+  let digest jobs = Manifest.digest (run_micro ~jobs).Harness.profiles in
+  let d1 = digest 1 in
+  check Alcotest.string "stable across jobs" d1 (digest 4);
   check Alcotest.string "pinned" pinned_micro_digest d1
 
 let test_manifest_strictness () =
@@ -153,16 +146,22 @@ let test_manifest_strictness () =
     [ 1; 99 ];
   (* A manifest without its run header is not a manifest. *)
   let headless = String.concat "\n" (List.tl lines) in
-  ignore (reject "headless manifest" headless);
+  check Alcotest.string "headless manifest" "first manifest row is not a kind:\"run\" header"
+    (reject "headless manifest" headless);
+  (* A row that lost a field is refused, not defaulted. *)
+  check Alcotest.bool "row without total_ms" true
+    (contains
+       (reject "row without total_ms" (replace_all ~from:"\"total_ms\":" ~into:"\"total\":" text))
+       "missing or mistyped field \"total_ms\"");
   (* A tampered row digest breaks the header's verified recomputation. *)
   let tampered =
     match lines with
     | header :: (row : string) :: rest ->
-      (* Swap the second line's content digest for zeros. *)
+      (* Swap the first row's content digest for zeros. *)
       let marker = "\"digest\":\"" in
       let rec find i =
         if i + String.length marker > String.length row then
-          Alcotest.fail "binary row has no digest field"
+          Alcotest.fail "row has no digest field"
         else if String.sub row i (String.length marker) = marker then i
         else find (i + 1)
       in
@@ -178,45 +177,135 @@ let test_manifest_strictness () =
   check Alcotest.bool "tamper detected" true
     (contains (reject "tampered manifest" tampered) "digest mismatch")
 
+(* The schema-2 manifest, as the previous format wrote it: a header with
+   four artifact pointers, then kind:"binary" rows without timings.  It
+   is refused by its schema, before any row is misread. *)
+let test_schema2_rejected () =
+  let schema2 =
+    String.concat "\n"
+      [
+        {|{"schema":2,"kind":"run","digest":"6c4ae5a5e0df3ff8c6c6c6e4b5a3a2f1","experiment":"all","seed":2022,"scale":0.02,"jobs":2,"timing":false,"binaries":1,"functions":9,"quarantined":0,"artifacts":{"profile":null,"quarantine":null,"trace":null,"metrics":null}}|};
+        {|{"schema":2,"kind":"binary","suite":"s","program":"p","config":"c","arch":"x64","digest":"d","status":"ok","text_bytes":1,"insns":1,"resyncs":0,"truth":9}|};
+        "";
+      ]
+  in
+  check Alcotest.(result pass string) "schema 2 rejected by name"
+    (Error "unsupported manifest schema 2 (want 3)")
+    (Result.map ignore (Manifest.parse schema2))
+
+(* The rows after the header are the profile JSONL, byte for byte: every
+   row is one object whose keys come in the fixed order, its phases in
+   the harness's vocabulary, and the rows read back as the harness's. *)
 let test_profiles_reader_round_trip () =
   let r = run_micro ~jobs:1 in
-  let text = read_back (fun oc -> Harness.write_profiles oc r) in
-  match Profiles.parse text with
-  | Error e -> Alcotest.failf "profile JSONL rejected: %s" e
-  | Ok rows ->
-    check Alcotest.int "row count" (List.length r.Harness.profiles)
-      (List.length rows);
-    List.iter2
-      (fun (p : Harness.profile) (row : Profiles.row) ->
-        check Alcotest.string "key" (Harness.profile_key p) (Profiles.key row);
-        check Alcotest.string "digest" p.Harness.p_digest row.Profiles.digest;
-        check Alcotest.int "phases carried"
-          (List.length p.Harness.p_phases)
-          (List.length row.Profiles.phases))
-      r.Harness.profiles rows
+  let text = manifest_text ~jobs:1 r in
+  (match Manifest.parse text with
+  | Error e -> Alcotest.failf "manifest rejected: %s" e
+  | Ok m -> check Alcotest.bool "rows read back" true (m.Manifest.rows = r.Harness.profiles));
+  let rows = List.filter (( <> ) "") (List.tl (String.split_on_char '\n' text)) in
+  check Alcotest.int "row count" (List.length r.Harness.profiles) (List.length rows);
+  List.iter
+    (fun line ->
+      match Jz.parse line with
+      | Ok (Jz.Obj fields) ->
+        check
+          Alcotest.(list string)
+          "keys in fixed order"
+          [
+            "suite"; "program"; "config"; "arch"; "digest"; "text_bytes"; "insns";
+            "resyncs"; "truth"; "status"; "total_ms"; "phases";
+          ]
+          (List.map fst fields);
+        check
+          Alcotest.(list string)
+          "phases carried" Harness.profile_phase_names
+          (match List.assoc "phases" fields with
+          | Jz.Obj ps -> List.map fst ps
+          | _ -> [])
+      | _ -> Alcotest.failf "row is not a JSON object: %s" line)
+    rows
+
+(* Rows with every kind of string the escaper must carry — quotes,
+   backslashes, newlines and other control bytes, UTF-8 — and times in
+   whole microseconds, as the writer prints them, come back equal. *)
+let qcheck_manifest_round_trip =
+  let open QCheck.Gen in
+  let text =
+    map (String.concat "")
+      (list_size (int_bound 6)
+         (oneofl
+            [ "a"; "Z9"; " "; "\""; "\\"; "\n"; "\r"; "\t"; "\x01"; "\x7f"; "/"; "é"; "→"; "😀";
+              "Failure(\"x\")"; "Raised at Cet.f in file \"a.ml\", line 1\n" ]))
+  in
+  let ms = map (fun us -> float_of_int us /. 1e3) (int_bound 10_000_000) in
+  let row =
+    text >>= fun p_suite ->
+    text >>= fun p_program ->
+    text >>= fun p_config ->
+    oneofl [ "x86"; "x64" ] >>= fun p_arch ->
+    text >>= fun p_digest ->
+    nat >>= fun p_text_bytes ->
+    nat >>= fun p_insns ->
+    nat >>= fun p_resyncs ->
+    nat >>= fun p_truth ->
+    ms >>= fun p_total_ms ->
+    list_repeat (List.length Harness.profile_phase_names) ms >>= fun times ->
+    opt text >>= fun failure ->
+    text >|= fun backtrace ->
+    {
+      Manifest.p_suite; p_program; p_config; p_arch; p_digest; p_text_bytes; p_insns;
+      p_resyncs; p_truth;
+      p_status = (if failure = None then "ok" else "quarantined");
+      p_total_ms;
+      p_phases = List.combine Harness.profile_phase_names times;
+      p_error = failure;
+      p_backtrace = Option.map (fun _ -> backtrace) failure;
+    }
+  in
+  QCheck.Test.make ~name:"manifest: rows written then parsed back are the rows" ~count:200
+    (QCheck.make (list_size (int_bound 8) row))
+    (fun rows ->
+      let m =
+        {
+          Manifest.r_experiment = "qcheck";
+          r_seed = 1;
+          r_scale = 0.02;
+          r_jobs = 2;
+          r_timing = true;
+          r_binaries = List.length rows;
+          r_functions = 0;
+          r_quarantined = 0;
+          r_trace = Some "t \"1\".jsonl";
+          rows;
+        }
+      in
+      Manifest.parse (read_back (fun oc -> Manifest.write oc m)) = Ok m)
 
 (* ------------------------------------------------------------------ *)
 (* Diff semantics                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bin ?(status = "ok") ~program ~digest () =
+let row ?(status = "ok") ?(total = 1.0) ?(phases = []) ~program ~digest () =
   {
-    Manifest.b_suite = "s";
-    b_program = program;
-    b_config = "c";
-    b_arch = "x64";
-    b_digest = digest;
-    b_status = status;
-    b_text_bytes = 100;
-    b_insns = 10;
-    b_resyncs = 0;
-    b_truth = 5;
+    Manifest.p_suite = "s";
+    p_program = program;
+    p_config = "c";
+    p_arch = "x64";
+    p_digest = digest;
+    p_text_bytes = 100;
+    p_insns = 10;
+    p_resyncs = 0;
+    p_truth = 5;
+    p_status = status;
+    p_total_ms = total;
+    p_phases = phases;
+    p_error = None;
+    p_backtrace = None;
   }
 
 let run_of rows =
   {
-    Manifest.r_digest = Manifest.recompute_digest rows;
-    r_experiment = "fake";
+    Manifest.r_experiment = "fake";
     r_seed = 1;
     r_scale = 1.0;
     r_jobs = 1;
@@ -224,8 +313,7 @@ let run_of rows =
     r_binaries = List.length rows;
     r_functions = 0;
     r_quarantined = 0;
-    r_artifacts =
-      { Manifest.a_profile = None; a_quarantine = None; a_trace = None; a_metrics = None };
+    r_trace = None;
     rows;
   }
 
@@ -242,18 +330,18 @@ let test_diff_clean_across_jobs () =
   check Alcotest.bool "clean" true (Analyze.clean d);
   let rendered = Analyze.render_diff d in
   check Alcotest.bool "render names the digests" true
-    (contains rendered ma.Manifest.r_digest);
+    (contains rendered (Manifest.digest ma.Manifest.rows));
   (* The render must stay byte-identical across schedulers, so it never
      mentions jobs or input paths. *)
   check Alcotest.bool "render omits scheduler knobs" false (contains rendered "jobs")
 
 let test_diff_detects_changes () =
   let old_run =
-    run_of [ bin ~program:"a" ~digest:"d1" (); bin ~program:"b" ~digest:"d2" () ]
+    run_of [ row ~program:"a" ~digest:"d1" (); row ~program:"b" ~digest:"d2" () ]
   in
   let new_run =
     run_of
-      [ bin ~program:"a" ~digest:"d1" ~status:"quarantined" (); bin ~program:"c" ~digest:"d3" () ]
+      [ row ~program:"a" ~digest:"d1" ~status:"quarantined" (); row ~program:"c" ~digest:"d3" () ]
   in
   let d = Analyze.diff ~old_run ~new_run () in
   check Alcotest.int "one join" 1 d.Analyze.d_matched;
@@ -267,37 +355,21 @@ let test_diff_detects_changes () =
   | l -> Alcotest.failf "expected one verdict change, got %d" (List.length l));
   check Alcotest.bool "not clean" false (Analyze.clean d)
 
-let prow ?(status = "ok") ?(total = 1.0) ?(phases = []) ~program ~digest () =
-  {
-    Profiles.suite = "s";
-    program;
-    config = "c";
-    arch = "x64";
-    digest;
-    text_bytes = 100;
-    insns = 10;
-    resyncs = 0;
-    truth = 5;
-    status;
-    total_ms = total;
-    phases;
-  }
-
 let test_diff_timing_axis () =
-  let old_run = run_of [ bin ~program:"a" ~digest:"d1" (); bin ~program:"b" ~digest:"d2" () ]
-  and new_run = run_of [ bin ~program:"a" ~digest:"d1" (); bin ~program:"b" ~digest:"d2" () ] in
-  let old_profiles =
-    [
-      prow ~program:"a" ~digest:"d1" ~total:100.0 ~phases:[ ("funseeker", 10.0) ] ();
-      prow ~program:"b" ~digest:"d2" ~total:0.0 ();
-    ]
-  and new_profiles =
-    [
-      prow ~program:"a" ~digest:"d1" ~total:150.0 ~phases:[ ("funseeker", 2.0) ] ();
-      prow ~program:"b" ~digest:"d2" ~total:50.0 ();
-    ]
+  let old_run =
+    run_of
+      [
+        row ~program:"a" ~digest:"d1" ~total:100.0 ~phases:[ ("funseeker", 10.0) ] ();
+        row ~program:"b" ~digest:"d2" ~total:0.0 ();
+      ]
+  and new_run =
+    run_of
+      [
+        row ~program:"a" ~digest:"d1" ~total:150.0 ~phases:[ ("funseeker", 2.0) ] ();
+        row ~program:"b" ~digest:"d2" ~total:50.0 ();
+      ]
   in
-  let d = Analyze.diff ~old_run ~new_run ~old_profiles ~new_profiles () in
+  let d = Analyze.diff ~old_run ~new_run () in
   (* b's old side is untimed (0.0): excluded from the timing axis rather
      than reported as an infinite regression. *)
   check Alcotest.int "only timed pairs count" 1 d.Analyze.d_timed;
@@ -331,15 +403,15 @@ let test_anomalies_planted_outlier () =
   let phases total = [ ("funseeker", total /. 2.0); ("ida", total /. 2.0) ] in
   let rows =
     List.init 11 (fun i ->
-        prow
+        row
           ~program:(Printf.sprintf "p%02d" i)
           ~digest:(Printf.sprintf "d%02d" i)
           ~total:10.0 ~phases:(phases 10.0) ())
     @ [
-        prow ~program:"whale" ~digest:"dw" ~total:100.0 ~phases:(phases 100.0) ();
+        row ~program:"whale" ~digest:"dw" ~total:100.0 ~phases:(phases 100.0) ();
         (* A quarantined row with an absurd time must not poison the
            baseline — nor be reported as an anomaly itself. *)
-        prow ~program:"q" ~digest:"dq" ~status:"quarantined" ~total:0.5 ~phases:(phases 0.5) ();
+        row ~program:"q" ~digest:"dq" ~status:"quarantined" ~total:0.5 ~phases:(phases 0.5) ();
       ]
   in
   let found, excluded = Analyze.anomalies rows in
@@ -352,7 +424,7 @@ let test_anomalies_planted_outlier () =
   | l -> Alcotest.failf "expected exactly the whale, got %d anomalies" (List.length l));
   check Alcotest.int "quarantined row reported separately" 1 (List.length excluded);
   check Alcotest.string "excluded is the quarantined row" "quarantined"
-    (List.hd excluded).Profiles.status;
+    (List.hd excluded).Manifest.p_status;
   let rendered = Analyze.render_anomalies (found, excluded) in
   check Alcotest.bool "render names the whale" true (contains rendered "whale");
   check Alcotest.bool "render counts exclusions" true (contains rendered "1 quarantined")
@@ -389,27 +461,66 @@ let test_health_from_jsonl_trace () =
     check Alcotest.bool "renders" true
       (contains (Analyze.render_health h) "SCHEDULER HEALTH")
 
-let test_chrome_trace_parses () =
-  let chrome =
-    {|[{"ph":"X","tid":3,"pid":1,"name":"harness.binary","ts":1.5,"dur":2000.0},
-       {"ph":"i","tid":0,"pid":1,"name":"quarantine","s":"t"}]|}
+(* The trace reader reads JSON lines only: a Chrome trace-event array
+   (what `cetstat chrome` prints, one line or many) is refused by name,
+   not read as a trace without spans. *)
+let test_chrome_array_refused () =
+  let one_line =
+    {|[{"ph":"X","tid":3,"pid":1,"name":"harness.binary","ts":1.5,"dur":2000.0}]|}
   in
-  match Trace.parse chrome with
-  | Error e -> Alcotest.failf "chrome trace rejected: %s" e
+  check Alcotest.(result pass string) "one-line array refused"
+    (Error "trace row is not a JSON object (not a JSON-lines trace?)")
+    (Result.map ignore (Trace.parse one_line));
+  let many_lines =
+    {|[{"name":"harness.binary","ph":"X","ts":1.500,"dur":2000.000,"pid":0,"tid":3},
+{"name":"elf.read","ph":"X","ts":2.000,"dur":1.000,"pid":0,"tid":3}]|}
+  in
+  check Alcotest.bool "multi-line array refused" true
+    (Result.is_error (Trace.parse many_lines))
+
+(* `cetstat chrome`: one complete event per JSON-lines span, in file
+   order, named after it, on its sheet's track, in microseconds. *)
+let test_chrome_conversion () =
+  match Trace.parse jsonl_trace with
+  | Error e -> Alcotest.failf "jsonl trace rejected: %s" e
   | Ok t ->
-    (match t.Trace.spans with
-    | [ s ] ->
-      check Alcotest.int "sheet from tid" 3 s.Trace.t_sheet;
-      check Alcotest.int "us -> ns start" 1500 s.Trace.t_start_ns;
-      check Alcotest.int "us -> ns dur" 2_000_000 s.Trace.t_dur_ns
-    | l -> Alcotest.failf "expected one span, got %d" (List.length l))
+    let chrome = Trace.to_chrome t in
+    let events =
+      match Jz.parse chrome with
+      | Ok (Jz.List l) -> l
+      | Ok _ -> Alcotest.fail "not a JSON array"
+      | Error e -> Alcotest.failf "conversion does not parse: %s" e
+    in
+    check Alcotest.int "one event per span" (List.length t.Trace.spans) (List.length events);
+    List.iter2
+      (fun (s : Trace.span) e ->
+        let get name conv = Option.bind (Jz.member name e) conv in
+        check Alcotest.(option string) "complete event" (Some "X") (get "ph" Jz.str);
+        check Alcotest.(option string) "name" (Some s.Trace.t_name) (get "name" Jz.str);
+        check Alcotest.(option int) "tid = sheet" (Some s.Trace.t_sheet) (get "tid" Jz.int);
+        check
+          Alcotest.(option (float 1e-9))
+          "ts = start_ns / 1e3"
+          (Some (float_of_int s.Trace.t_start_ns /. 1e3))
+          (get "ts" Jz.num);
+        check
+          Alcotest.(option (float 1e-9))
+          "dur = dur_ns / 1e3"
+          (Some (float_of_int s.Trace.t_dur_ns /. 1e3))
+          (get "dur" Jz.num))
+      t.Trace.spans events;
+    check Alcotest.(list string) "file order"
+      [ "harness.binary"; "harness.binary"; "funseeker.analyze" ]
+      (List.filter_map (fun e -> Option.bind (Jz.member "name" e) Jz.str) events);
+    check Alcotest.string "no spans, empty array" "[]\n"
+      (Trace.to_chrome { t with Trace.spans = [] })
 
 let test_phase_stats () =
   let rows =
     [
-      prow ~program:"a" ~digest:"d1" ~total:3.0
+      row ~program:"a" ~digest:"d1" ~total:3.0
         ~phases:[ ("funseeker", 1.0); ("ida", 2.0) ] ();
-      prow ~program:"b" ~digest:"d2" ~total:5.0
+      row ~program:"b" ~digest:"d2" ~total:5.0
         ~phases:[ ("funseeker", 4.0); ("ida", 1.0) ] ();
     ]
   in
@@ -426,7 +537,7 @@ let test_phase_stats () =
     (contains (Analyze.render_phase_stats stats) "PHASE LATENCY")
 
 (* cetstat's PHASE LATENCY table gives each tool's p50, p99 and max from
-   the profile rows alone.  The quantiles come from log-bucketed
+   the manifest's rows alone.  The quantiles come from log-bucketed
    histograms, so they are exact only to within a bucket; the mean, the
    total, the row count and the max are exact. *)
 let test_phase_stats_quantiles () =
@@ -434,7 +545,7 @@ let test_phase_stats_quantiles () =
     List.init 100 (fun i ->
         let ms = float_of_int (i + 1) in
         let phases = ("funseeker", ms) :: (if i mod 2 = 0 then [ ("ida", 2.0 *. ms) ] else []) in
-        prow ~program:(string_of_int i) ~digest:(string_of_int i) ~total:(3.0 *. ms) ~phases ())
+        row ~program:(string_of_int i) ~digest:(string_of_int i) ~total:(3.0 *. ms) ~phases ())
   in
   let stats = Analyze.phase_stats rows in
   let stat name = List.find (fun s -> s.Analyze.ps_phase = name) stats in
@@ -470,8 +581,10 @@ let suite =
         Alcotest.test_case "run digest pinned across jobs" `Quick
           test_run_digest_pinned_across_jobs;
         Alcotest.test_case "strict parsing" `Quick test_manifest_strictness;
+        Alcotest.test_case "schema-2 manifest rejected by name" `Quick test_schema2_rejected;
         Alcotest.test_case "profile JSONL round-trip" `Quick
           test_profiles_reader_round_trip;
+        QCheck_alcotest.to_alcotest qcheck_manifest_round_trip;
       ] );
     ( "obs.diff",
       [
@@ -489,7 +602,10 @@ let suite =
       [
         Alcotest.test_case "health from jsonl trace" `Quick
           test_health_from_jsonl_trace;
-        Alcotest.test_case "chrome trace parses" `Quick test_chrome_trace_parses;
+        Alcotest.test_case "chrome array is not a JSON-lines trace" `Quick
+          test_chrome_array_refused;
+        Alcotest.test_case "chrome conversion: one X event per span" `Quick
+          test_chrome_conversion;
         Alcotest.test_case "phase stats" `Quick test_phase_stats;
         Alcotest.test_case "phase stats: p50, p99 and max per tool" `Quick
           test_phase_stats_quantiles;

@@ -1,8 +1,9 @@
 (* Tests for the observability layer (per-binary profiles, OpenMetrics
-   export, the Chrome trace, the scheduler bridge): the zero-allocation
-   disabled paths, profile determinism across ~jobs, the quarantined
-   profile row, the exposition-format grammar, the top-slow ranking,
-   histogram bucket edges, and steal counting. *)
+   export, the Chrome conversion of a run's trace, the scheduler
+   bridge): the zero-allocation disabled paths, profile determinism
+   across ~jobs, the quarantined profile row, the exposition-format
+   grammar, the top-slow ranking, histogram bucket edges, and steal
+   counting. *)
 
 module Hist = Cet_telemetry.Hist
 module Registry = Cet_telemetry.Registry
@@ -97,12 +98,12 @@ let run_harness ?(profile = false) ?fault ~jobs () =
 
 let profiles_report ~jobs =
   let r = run_harness ~profile:true ~jobs () in
-  (r, read_back (fun oc -> Harness.write_profiles oc r))
+  (r, Run_file.rows r)
 
 let test_profiles_deterministic_across_jobs () =
   let r1, seq = profiles_report ~jobs:1 in
   let _, par = profiles_report ~jobs:4 in
-  check Alcotest.string "profile JSONL byte-identical across jobs" seq par;
+  check Alcotest.string "manifest rows byte-identical across jobs" seq par;
   check Alcotest.int "one row per binary" r1.Harness.binaries
     (List.length r1.Harness.profiles);
   List.iter
@@ -312,25 +313,29 @@ let test_openmetrics_grammar () =
       check Alcotest.bool "_sum non-negative" true (value_of "_sum" >= 0.0))
 
 (* ------------------------------------------------------------------ *)
-(* The Chrome trace                                                   *)
+(* The Chrome conversion                                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_chrome_trace_complete_spans () =
-  (* The Chrome trace of a run with quarantined binaries holds one
-     complete ("X") event per recorded span and nothing else, and one
-     [harness.binary] span per evaluated binary: a quarantined binary
-     fails before its span opens. *)
+  (* The Chrome conversion of the trace of a run with quarantined
+     binaries holds one complete ("X") event per recorded span and
+     nothing else, and one [harness.binary] event per evaluated binary:
+     a quarantined binary fails before its span opens. *)
   with_clean (fun () ->
       Registry.enable ~trace:true ();
       let fault (b : Cet_corpus.Dataset.binary) = b.Cet_corpus.Dataset.program = "coreutils_001" in
       let r = run_harness ~fault ~jobs:2 () in
       check Alcotest.int "two configs quarantined" 2 (List.length r.Harness.failures);
-      let body = read_back Report.write_trace_chrome in
+      let t =
+        match Cet_obs.Trace.parse (read_back Report.write_trace) with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "trace reader refused the trace: %s" e
+      in
       let events =
-        match Jz.parse body with
+        match Jz.parse (Cet_obs.Trace.to_chrome t) with
         | Ok (Jz.List l) -> l
-        | Ok _ -> Alcotest.fail "the trace is not a JSON array"
-        | Error e -> Alcotest.failf "the trace does not parse: %s" e
+        | Ok _ -> Alcotest.fail "the conversion is not a JSON array"
+        | Error e -> Alcotest.failf "the conversion does not parse: %s" e
       in
       check Alcotest.bool "events written" true (events <> []);
       List.iter
@@ -338,16 +343,13 @@ let test_chrome_trace_complete_spans () =
           check Alcotest.(option string) "complete event" (Some "X")
             (Option.bind (Jz.member "ph" e) Jz.str))
         events;
-      match Cet_obs.Trace.parse body with
-      | Error e -> Alcotest.failf "trace reader refused the trace: %s" e
-      | Ok t ->
-        check Alcotest.int "every event read as a span" (List.length events)
-          (List.length t.Cet_obs.Trace.spans);
-        check Alcotest.int "one harness.binary span per evaluated binary" r.Harness.binaries
-          (List.length
-             (List.filter
-                (fun (sp : Cet_obs.Trace.span) -> sp.Cet_obs.Trace.t_name = "harness.binary")
-                t.Cet_obs.Trace.spans)))
+      check Alcotest.int "every span converted" (List.length t.Cet_obs.Trace.spans)
+        (List.length events);
+      check Alcotest.int "one harness.binary event per evaluated binary" r.Harness.binaries
+        (List.length
+           (List.filter
+              (fun e -> Option.bind (Jz.member "name" e) Jz.str = Some "harness.binary")
+              events)))
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler bridge                                               *)
@@ -507,6 +509,8 @@ let fake_profile ~total name =
     p_status = "ok";
     p_total_ms = total;
     p_phases = [];
+    p_error = None;
+    p_backtrace = None;
   }
 
 let fake_results profiles =

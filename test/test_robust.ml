@@ -11,6 +11,7 @@ module Substrate = Cet_disasm.Substrate
 module Diag = Cet_util.Diag
 module Deadline = Cet_util.Deadline
 module Harness = Cet_eval.Harness
+module Manifest = Cet_obs.Manifest
 
 let check = Alcotest.check
 
@@ -377,42 +378,33 @@ let two_configs =
     { Cet_compiler.Options.default with Cet_compiler.Options.arch = Arch.X86 };
   ]
 
+let injected = Some "Failure(\"injected fault: coreutils/coreutils_001\")"
+
 let test_harness_quarantine () =
   let r =
     Harness.run ~profiles:[ micro_profile ] ~configs:two_configs ~jobs:1
-      fault_opts
+      { fault_opts with Harness.profile = true }
   in
   (* One of the two programs fails under both configs; the survivors'
      tables are complete and each failure carries its own error. *)
   check Alcotest.int "quarantined" 2 (List.length r.Harness.failures);
   check Alcotest.int "survivors" 2 r.Harness.binaries;
   List.iter
-    (fun (f : Harness.failure) ->
-      check Alcotest.string "program" "coreutils_001" f.Harness.f_program;
-      check Alcotest.string "injected error recorded"
-        "Failure(\"injected fault: coreutils/coreutils_001\")" f.Harness.f_error)
+    (fun (f : Harness.profile) ->
+      check Alcotest.string "program" "coreutils_001" f.Harness.p_program;
+      check Alcotest.(option string) "injected error recorded" injected f.Harness.p_error)
     r.Harness.failures;
-  (* Quarantine report: one JSON object per failure. *)
-  let buf = Buffer.create 256 in
-  let tmp = Filename.temp_file "quarantine" ".jsonl" in
-  let oc = open_out tmp in
-  Harness.write_quarantine oc r;
-  close_out oc;
-  let ic = open_in tmp in
-  (try
-     while true do
-       Buffer.add_string buf (input_line ic);
-       Buffer.add_char buf '\n'
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove tmp;
-  let lines = String.split_on_char '\n' (String.trim (Buffer.contents buf)) in
-  check Alcotest.int "jsonl lines" 2 (List.length lines);
+  (* The run file: one JSON object per binary, and an error on each
+     quarantined one. *)
+  let lines = String.split_on_char '\n' (String.trim (Run_file.rows r)) in
+  check Alcotest.int "jsonl lines" 4 (List.length lines);
   List.iter
     (fun l ->
       check Alcotest.bool "looks like json" true
         (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     lines;
+  check Alcotest.int "an error on each quarantined row" 2
+    (List.length (List.filter (contains ~needle:"\"error\":") lines));
   check Alcotest.bool "render mentions program" true
     (contains ~needle:"coreutils_001" (Harness.render_failures r))
 
@@ -454,15 +446,25 @@ let test_harness_profile_rows_parallel_identical () =
   check Alcotest.int "one row per binary, quarantined ones included"
     (seq.Harness.binaries + List.length seq.Harness.failures)
     (List.length seq.Harness.profiles);
-  check Alcotest.string "same profile rows" (written Harness.write_profiles seq)
-    (written Harness.write_profiles par)
+  check Alcotest.string "same manifest rows" (Run_file.rows seq) (Run_file.rows par)
+
+(* The quarantined rows of the run file, error and backtrace included. *)
+let quarantined_rows r =
+  List.filter
+    (contains ~needle:"\"status\":\"quarantined\"")
+    (String.split_on_char '\n' (Run_file.rows r))
 
 let test_harness_quarantine_rows_parallel_identical () =
   let seq, par = Lazy.force quarantine_runs in
-  let rows = written Harness.write_quarantine seq in
+  let rows = quarantined_rows seq in
   check Alcotest.int "one row per failure" (List.length seq.Harness.failures)
-    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' rows)));
-  check Alcotest.string "same quarantine rows" rows (written Harness.write_quarantine par)
+    (List.length rows);
+  List.iter
+    (fun row ->
+      check Alcotest.bool "error and backtrace carried" true
+        (contains ~needle:"\"error\":" row && contains ~needle:"\"backtrace\":" row))
+    rows;
+  check Alcotest.(list string) "same quarantine rows" rows (quarantined_rows par)
 
 let six_configs =
   [
@@ -490,12 +492,11 @@ let test_harness_whole_program_faults () =
   let r = Harness.run ~profiles:[ micro_profile ] ~configs:six_configs ~jobs:2 opts in
   check Alcotest.(list string) "one failure per configuration, in plan order"
     (List.map Cet_compiler.Options.to_string six_configs)
-    (List.map (fun (f : Harness.failure) -> f.Harness.f_config) r.Harness.failures);
+    (List.map (fun (f : Harness.profile) -> f.Harness.p_config) r.Harness.failures);
   List.iter
-    (fun (f : Harness.failure) ->
-      check Alcotest.string "program" "coreutils_001" f.Harness.f_program;
-      check Alcotest.string "its own injected error"
-        "Failure(\"injected fault: coreutils/coreutils_001\")" f.Harness.f_error)
+    (fun (f : Harness.profile) ->
+      check Alcotest.string "program" "coreutils_001" f.Harness.p_program;
+      check Alcotest.(option string) "its own injected error" injected f.Harness.p_error)
     r.Harness.failures;
   check Alcotest.(list string) "every faulting binary has a quarantined row"
     (List.init 6 (fun _ -> "quarantined"))
@@ -532,8 +533,9 @@ let test_runs_restore_backtrace_status () =
       let r = Harness.run ~profiles:[ micro_profile ] ~configs:two_configs ~jobs:1 fault_opts in
       check Alcotest.int "quarantined" 2 (List.length r.Harness.failures);
       List.iter
-        (fun (f : Harness.failure) ->
-          check Alcotest.bool "the row has a backtrace" true (f.Harness.f_backtrace <> ""))
+        (fun (f : Harness.profile) ->
+          check Alcotest.bool "the row has a backtrace" true
+            (match f.Harness.p_backtrace with Some bt -> bt <> "" | None -> false))
         r.Harness.failures;
       check Alcotest.bool "off after a run that quarantines" false (Printexc.backtrace_status ());
       check Alcotest.bool "fail-fast raises" true
@@ -572,10 +574,10 @@ let test_harness_deadline_quarantines () =
   check Alcotest.bool "the deadline quarantined some" true (quarantined > 0);
   check Alcotest.int "every binary evaluated or quarantined" 4 (r.Harness.binaries + quarantined);
   List.iter
-    (fun (f : Harness.failure) ->
-      check Alcotest.bool ("deadline error: " ^ f.Harness.f_error) true
-        (contains ~needle:"Deadline.Expired(" f.Harness.f_error
-        && contains ~needle:"budget 1e-09s)" f.Harness.f_error))
+    (fun (f : Harness.profile) ->
+      let error = Option.value ~default:"" f.Harness.p_error in
+      check Alcotest.bool ("deadline error: " ^ error) true
+        (contains ~needle:"Deadline.Expired(" error && contains ~needle:"budget 1e-09s)" error))
     r.Harness.failures;
   check Alcotest.int "quarantined profile rows" quarantined
     (List.length
@@ -584,8 +586,7 @@ let test_harness_deadline_quarantines () =
   check Alcotest.string "same tables at jobs 2" (Harness.render_all r) (Harness.render_all r2);
   check Alcotest.string "same failure report at jobs 2" (Harness.render_failures r)
     (Harness.render_failures r2);
-  check Alcotest.string "same profile rows at jobs 2" (written Harness.write_profiles r)
-    (written Harness.write_profiles r2)
+  check Alcotest.string "same manifest rows at jobs 2" (Run_file.rows r) (Run_file.rows r2)
 
 (* ---- --progress accounting under quarantine ---------------------------- *)
 
@@ -628,45 +629,44 @@ let test_progress_counts_each_binary_once () =
   check Alcotest.bool "no overcount anywhere" false
     (contains ~needle:"5/4" text || contains ~needle:"6/4" text)
 
-(* ---- Quarantine JSONL round-trip --------------------------------------- *)
+(* ---- Quarantine rows round-trip ---------------------------------------- *)
 
 let test_quarantine_roundtrip () =
   let r =
     Harness.run ~profiles:[ micro_profile ] ~configs:two_configs ~jobs:1
-      fault_opts
+      { fault_opts with Harness.profile = true }
   in
   check Alcotest.int "two failures to serialise" 2
     (List.length r.Harness.failures);
-  let text = written Harness.write_quarantine r in
-  check Alcotest.bool "rows carry the schema" true
-    (contains
-       ~needle:(Printf.sprintf "\"schema\":%d" Harness.quarantine_schema)
-       text);
-  (match Harness.read_quarantine text with
+  let text = Run_file.text r in
+  check Alcotest.bool "the header carries the schema" true
+    (contains ~needle:(Printf.sprintf "\"schema\":%d" Manifest.schema) text);
+  (match Manifest.parse text with
   | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok failures ->
-    check Alcotest.bool "parsed = written" true
-      (failures = r.Harness.failures));
+  | Ok m ->
+    check Alcotest.bool "parsed = written" true (m.Manifest.rows = r.Harness.profiles);
+    check Alcotest.bool "quarantined rows = failures" true
+      (List.filter (fun (p : Manifest.row) -> p.Manifest.p_status = "quarantined") m.Manifest.rows
+      = r.Harness.failures);
+    check Alcotest.int "quarantined count in the header" 2 m.Manifest.r_quarantined);
   List.iter
     (fun key ->
       check Alcotest.bool ("rows carry no " ^ key) false
         (contains ~needle:(Printf.sprintf "\"%s\":" key) text))
     [ "attempts"; "journal" ];
-  (* A row of another schema version is refused, not misread: the
-     schema-2 shape (with [attempts]) and a future one. *)
-  let row schema =
-    Printf.sprintf "{\"schema\":%d,\"suite\":\"s\",\"program\":\"p\",\
-                    \"config\":\"c\",\"attempts\":1,\"error\":\"e\",\
-                    \"backtrace\":\"\",\"journal\":[]}\n"
-      schema
+  (* A quarantined row's error and backtrace are strings or absent: any
+     other value is refused, not misread. *)
+  let mistyped =
+    let at = ref 0 and needle = "\"backtrace\":\"" in
+    while String.sub text !at (String.length needle) <> needle do incr at done;
+    String.sub text 0 !at ^ "\"backtrace\":7,\"x\":\""
+    ^ String.sub text (!at + String.length needle) (String.length text - !at - String.length needle)
   in
-  check Alcotest.(result pass string) "schema 2 rejected"
-    (Error (Printf.sprintf "unsupported schema 2 (want %d)" Harness.quarantine_schema))
-    (Result.map ignore (Harness.read_quarantine (row 2)));
-  check Alcotest.bool "future schema rejected" true
-    (Result.is_error (Harness.read_quarantine (row (Harness.quarantine_schema + 1))));
+  check Alcotest.(result pass string) "mistyped backtrace rejected"
+    (Error "field \"backtrace\" is neither string nor null")
+    (Result.map ignore (Manifest.parse mistyped));
   check Alcotest.bool "garbage rejected" true
-    (Result.is_error (Harness.read_quarantine "{\"schema\":oops}\n"))
+    (Result.is_error (Manifest.parse "{\"schema\":oops}\n"))
 
 (* ---- Crash-report JSONL round-trip ------------------------------------- *)
 
@@ -718,15 +718,22 @@ let test_crash_report_roundtrip () =
 
 (* ---- The previous row formats ------------------------------------------ *)
 
-(* Rows written before the journal field left both formats — quarantine
-   schema 3, crash schema 1 — are refused by name, not misread. *)
+(* Files in the retired formats are refused by name, not misread: the
+   quarantine rows of schemas 3 and 4 (the retired --quarantine-out file)
+   are no run header, and crash rows of schema 1 carried the journal. *)
 let test_old_schema_rows_rejected () =
-  check Alcotest.(result pass string) "quarantine schema 3 rejected"
-    (Error "unsupported schema 3 (want 4)")
-    (Result.map ignore
-       (Harness.read_quarantine
-          "{\"schema\":3,\"suite\":\"s\",\"program\":\"p\",\"config\":\"c\",\
-           \"error\":\"e\",\"backtrace\":\"\",\"journal\":[]}\n"));
+  List.iter
+    (fun schema ->
+      check Alcotest.(result pass string)
+        (Printf.sprintf "quarantine schema %d rejected" schema)
+        (Error "first manifest row is not a kind:\"run\" header")
+        (Result.map ignore
+           (Manifest.parse
+              (Printf.sprintf
+                 "{\"schema\":%d,\"suite\":\"s\",\"program\":\"p\",\"config\":\"c\",\
+                  \"error\":\"e\",\"backtrace\":\"\"}\n"
+                 schema))))
+    [ 3; 4 ];
   check Alcotest.(result pass string) "crash schema 1 rejected"
     (Error "unsupported schema 1 (want 2)")
     (Result.map ignore

@@ -299,7 +299,7 @@ let test_schedule_counters_timing_only () =
       check Alcotest.bool "timed keeps steals" true (contains timed "scheduler.steals"))
 
 (* ------------------------------------------------------------------ *)
-(* Report edge cases and the chrome trace writer                      *)
+(* Report edge cases and the chrome conversion of the trace           *)
 (* ------------------------------------------------------------------ *)
 
 (* A phase with zero samples (merged from a sheet that created the metric
@@ -328,22 +328,21 @@ let test_render_omits_empty_phase_table () =
       check Alcotest.bool "counters still render" true
         (contains out "lonely.counter"))
 
+(* The trace's spans reach Chrome's format through the JSON-lines trace:
+   `cetstat chrome` converts what [Report.write_trace] wrote. *)
 let test_chrome_trace () =
   with_clean_registry (fun () ->
       Registry.enable ~trace:true ();
       Span.with_ ~name:"outer" (fun () -> Span.with_ ~name:"inner" (fun () -> ()));
-      let path = Filename.temp_file "cet-trace" ".json" in
+      let path = Filename.temp_file "cet-trace" ".jsonl" in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> Report.write_trace_chrome oc);
-          let ic = open_in path in
-          let body =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
+          Out_channel.with_open_bin path Report.write_trace;
+          let trace =
+            match Cet_obs.Trace.load path with
+            | Ok t -> t
+            | Error e -> Alcotest.failf "trace does not read back: %s" e
           in
+          let body = Cet_obs.Trace.to_chrome trace in
           check Alcotest.bool "starts as a JSON array" true (String.length body > 0 && body.[0] = '[');
           check Alcotest.bool "complete events" true (contains body "\"ph\":\"X\"");
           check Alcotest.bool "microsecond timestamps" true (contains body "\"ts\":");
