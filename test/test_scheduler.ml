@@ -412,7 +412,9 @@ let test_deadline_rejects_non_positive () =
       check Alcotest.bool (Printf.sprintf "budget %g: body not run" seconds) false !ran;
       check Alcotest.bool (Printf.sprintf "budget %g: nothing armed" seconds) false
         (Deadline.active ()))
-    [ 0.0; -0.0; -1.0; neg_infinity ]
+    (* NaN is no budget either: [now >= now + nan] never holds, so it
+       would arm a deadline that never expires. *)
+    [ 0.0; -0.0; -1.0; neg_infinity; nan ]
 
 let test_deadline_domain_local () =
   (* A spent deadline on one domain does not reach another domain. *)
