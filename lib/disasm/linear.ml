@@ -37,7 +37,6 @@ let buckets_of ~base ~size addrs =
   buckets
 
 let of_stream arch ~base ~code (st : Decoder.stream) ~resync_errors =
-  let st = Decoder.trim st in
   let size = String.length code and addrs = st.Decoder.addrs in
   let n = Array.length addrs in
   if n > 0 && (addrs.(0) < base || addrs.(n - 1) >= base + size) then
@@ -67,15 +66,13 @@ let ins t i =
     ~target:t.targets.(i)
 
 let sweep_impl ~anchored arch base code =
-  let size = String.length code in
-  let stream = Decoder.stream (Decoder.capacity_hint size) in
   let anchors = if anchored then Some (Prescan.anchor_offsets arch code) else None in
-  let resync_errors, _ =
+  let w =
     Decoder.walk arch
       ~phase:(if anchored then "disasm.sweep_anchored" else "disasm.sweep")
-      ~anchors code ~pos:0 ~len:size ~vaddr:base ~stream:(Some stream) ~harvest:None
+      ~anchors code ~pos:0 ~len:(String.length code) ~vaddr:base ~stream:true ~harvest:None
   in
-  of_stream arch ~base ~code stream ~resync_errors
+  of_stream arch ~base ~code (Option.get w.stream) ~resync_errors:w.resync_errors
 
 (* DISASSEMBLE is the hot phase; the disabled-telemetry path must stay
    allocation-free, hence the guard instead of a bare [Span.with_]. *)

@@ -41,8 +41,8 @@ val of_stream :
   Cet_x86.Decoder.stream ->
   resync_errors:int ->
   t
-(** Wrap a finished walk's stream (trimmed to its count) over [code] and
-    build its bucket index.  Raises [Invalid_argument] when an
+(** Wrap a finished walk's stream over [code] and build its bucket
+    index.  Raises [Invalid_argument] when an
     instruction address lies outside [\[base, base + String.length code)]. *)
 
 val length : t -> int

@@ -134,18 +134,16 @@ let walk ~anchored ~phase ~stream t sec =
   let known = if anchored then t.t_anchored_facts else t.t_facts in
   let harvest = match known with None -> Some (Decoder.harvest ()) | Some _ -> None in
   let anchors = if anchored then Some (Prescan.anchor_offsets arch sec.Reader.data) else None in
-  let errors, insns =
-    Decoder.walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest
-  in
+  let w = Decoder.walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest in
   Option.iter
     (fun h ->
       if Cet_telemetry.Registry.enabled () then
         Cet_telemetry.Registry.count "substrate.index_builds";
       let in_text target = target >= vaddr && target < vaddr + len in
       memo_indexes ~anchored t (finish_indexes ~in_text h)
-        { f_base = vaddr; f_size = len; f_resync_errors = errors; f_insns = insns })
+        { f_base = vaddr; f_size = len; f_resync_errors = w.resync_errors; f_insns = w.insns })
     harvest;
-  errors
+  w
 
 (* The stream-free scan: the indexes and facts FunSeeker's analysis
    consumes, with no instruction stream at all — its DISASSEMBLE phase
@@ -154,26 +152,18 @@ let walk ~anchored ~phase ~stream t sec =
 let scan ~anchored t =
   let sec = text_or_fail "Substrate.scan" t in
   let phase = if anchored then "disasm.scan_anchored" else "disasm.scan" in
-  let run () = ignore (walk ~anchored ~phase ~stream:None t sec : int) in
+  let run () = ignore (walk ~anchored ~phase ~stream:false t sec : Decoder.walked) in
   if Cet_telemetry.Span.enabled () then Cet_telemetry.Span.with_ ~name:phase run else run ()
 
-(* The stream.  Once the scan has run its instruction count is known, so
-   the arrays are allocated at exactly that size; otherwise they start
-   from a size hint, double as needed and are trimmed, and the same pass
-   harvests the indexes. *)
+(* The stream, plus the indexes and facts in the same pass unless the
+   scan has run. *)
 let sweep_with ~anchored t =
   let sec = text_or_fail "Substrate.sweep" t in
   let phase = if anchored then "disasm.sweep_anchored" else "disasm.sweep" in
   let run () =
-    let capacity =
-      match if anchored then t.t_anchored_facts else t.t_facts with
-      | Some fx -> fx.f_insns
-      | None -> Decoder.capacity_hint (String.length sec.Reader.data)
-    in
-    let stream = Decoder.stream capacity in
-    let resync_errors = walk ~anchored ~phase ~stream:(Some stream) t sec in
+    let w = walk ~anchored ~phase ~stream:true t sec in
     Linear.of_stream (Reader.arch t.t_reader) ~base:sec.Reader.vaddr ~code:sec.Reader.data
-      stream ~resync_errors
+      (Option.get w.stream) ~resync_errors:w.resync_errors
   in
   if Cet_telemetry.Span.enabled () then Cet_telemetry.Span.with_ ~name:phase run else run ()
 

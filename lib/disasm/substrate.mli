@@ -87,10 +87,11 @@ val reader : t -> Cet_elf.Reader.t
 val text : t -> Cet_elf.Reader.section option
 
 val sweep : t -> Linear.t
-(** The linear sweep of [.text], computed on first call.  After
-    {!indexes}/{!facts} its arrays are allocated at exactly the counted
-    size; before, the same pass also harvests (and memoises) the indexes
-    and facts.  Raises [Invalid_argument] when the image has no [.text]. *)
+(** The linear sweep of [.text], computed on first call.  Before
+    {!indexes}/{!facts} the same pass also harvests (and memoises) the
+    indexes and facts, so a caller that needs all three walks [.text]
+    once by sweeping first.  Raises [Invalid_argument] when the image has
+    no [.text]. *)
 
 val sweep_anchored : t -> Linear.t
 (** The end-branch-anchored sweep, memoised independently of {!sweep}. *)

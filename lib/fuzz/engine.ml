@@ -190,6 +190,33 @@ let analyze ?max_seconds ~anchored bytes =
     with Cet_util.Deadline.Expired { what; seconds } ->
       Ok (Core.Funseeker.empty_result, [ timeout what seconds ]))
 
+(* The walk order must not matter.  A substrate swept first fills the
+   stream, the indexes and the facts in one walk (the harness's order);
+   one scanned first runs the stream-free scan, then a stream-only sweep
+   (FunSeeker's).  Both must raise alike, or agree on all three. *)
+let check_walk_order ~anchored bytes =
+  let module Substrate = Cet_disasm.Substrate in
+  match Cet_elf.Reader.read_diag bytes with
+  | Error _ -> ()
+  | Ok (reader, _) ->
+    let sweep st = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
+    let outcome first =
+      let st = Substrate.create reader in
+      match
+        first st;
+        (Substrate.facts ~anchored st, Substrate.indexes ~anchored st, sweep st)
+      with
+      | r -> Ok r
+      | exception e -> Error (Printexc.exn_slot_name e)
+    in
+    let swept = outcome (fun st -> ignore (sweep st : Cet_disasm.Linear.t)) in
+    let scanned = outcome (fun st -> ignore (Substrate.facts ~anchored st : Substrate.facts)) in
+    if swept <> scanned then
+      failwith
+        (Printf.sprintf
+           "Engine.check_walk_order: a sweep first and a scan first disagree (anchored=%b)"
+           anchored)
+
 (* Per-mutant verdicts are computed in parallel but merged in index
    order, so the summary stays deterministic in [seed] whatever the
    worker count. *)
@@ -218,7 +245,11 @@ let run_recording ~max_seconds ?jobs ~seed ~count () =
   in
   let analyze k =
     let index, cls, mutant, anchored = mutants.(k) in
-    match analyze ~anchored ~max_seconds mutant with
+    match
+      let r = analyze ~anchored ~max_seconds mutant in
+      check_walk_order ~anchored mutant;
+      r
+    with
     | Ok (_, []) -> Clean
     | Ok (_, diags) -> Degraded { timeout = has_timeout diags }
     | Error _ -> Rejected

@@ -7,6 +7,7 @@
     mutant is fed to {!analyze} under a deadline.  The contract under
     test: the robust pipeline NEVER raises and never hangs, whatever the
     bytes; corruption surfaces only as diagnostics or a clean [Error].
+    Each mutant also gets one differential verdict, {!check_walk_order}.
 
     Everything is deterministic in [seed]: the pool, every mutation, and
     therefore the whole {!summary} (timing aside, the deadline is generous
@@ -42,6 +43,14 @@ val analyze :
     {!Core.Funseeker.empty_result} with a [core/no-text] or
     [core/timeout] error diagnostic.  The list holds the parse
     diagnostics, then every degradation in emission order. *)
+
+val check_walk_order : anchored:bool -> string -> unit
+(** The differential verdict {!run} adds to every mutant whose ELF parses
+    ({!Cet_elf.Reader.read_diag}), in the mutant's own walk (plain or
+    anchored): a substrate swept first and one scanned first must both
+    raise (the same exception constructor), or agree on the facts, the
+    index arrays and the stream.  Raises [Failure] when they do not,
+    which {!run} counts as a crash. *)
 
 val classes : string array
 (** The mutation-class names, in draw order. *)

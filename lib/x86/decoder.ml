@@ -442,65 +442,61 @@ let kind_to_string = function
 (* ---- The decode loop -------------------------------------------------- *)
 
 module Ibuf = Cet_util.Ibuf
+module A1 = Bigarray.Array1
 
-type stream = {
-  mutable addrs : int array;
-  mutable targets : int array;
-  mutable lens : Bytes.t;
-  mutable tags : Bytes.t;
-  mutable count : int;
-}
+type stream = { addrs : int array; targets : int array; lens : Bytes.t; tags : Bytes.t }
 
-let stream n =
-  {
-    addrs = Array.make n 0;
-    targets = Array.make n 0;
-    lens = Bytes.create n;
-    tags = Bytes.create n;
-    count = 0;
-  }
+(* The stream sink: one off-heap int array per domain, reached through
+   DLS as [Deadline] and the telemetry registry keep their state.  Kept
+   instruction [i] takes entry [2i], its position in the walked string
+   (below 2^46, as any string in memory is), length and flag byte packed
+   as [pos lsl 16 lor len lsl 8 lor flags], and entry [2i + 1], its
+   target.  A walk makes room for as many instructions as its region has
+   bytes, which bounds what it keeps (an instruction is at least one
+   byte, and kept ones do not overlap), so the loop writes unchecked and
+   no walk grows the buffer.  Only the pages a walk writes become
+   resident, 16 bytes per instruction, and the GC neither scans nor
+   paces on them.  Walks on one domain never nest: the loop calls
+   nothing but the deadline poll. *)
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
 
-(* Average x86 instruction length is ~4 bytes; starting near size/4 makes
-   a doubling copy rare without over-reserving tiny regions. *)
-let capacity_hint size = (size / 4) + 16
+(* The buffer is 32 MiB at least, so it is always a mapping of its own:
+   glibc serves a smaller request from a malloc arena once it has raised
+   its mmap threshold, which it does, up to 32 MiB, as large blocks are
+   freed, and a long-lived block in an arena keeps the memory freed
+   around it resident.  Untouched, the reservation costs no memory. *)
+let min_entries = (32 lsl 20) / 8
 
-let grow st =
-  let cap = (2 * Array.length st.addrs) + 16 in
-  let ints a =
-    let b = Array.make cap 0 in
-    Array.blit a 0 b 0 st.count;
+let buffer n = A1.create Bigarray.int Bigarray.c_layout n
+let no_buffer = buffer 0
+let buffer_key = Domain.DLS.new_key (fun () -> no_buffer)
+
+let reserve len =
+  let b = Domain.DLS.get buffer_key in
+  if A1.dim b >= 2 * len then b
+  else begin
+    let b = buffer (max (2 * len) min_entries) in
+    Domain.DLS.set buffer_key b;
     b
-  in
-  let bytes a =
-    let b = Bytes.create cap in
-    Bytes.blit a 0 b 0 st.count;
-    b
-  in
-  st.addrs <- ints st.addrs;
-  st.targets <- ints st.targets;
-  st.lens <- bytes st.lens;
-  st.tags <- bytes st.tags
+  end
 
-let trim st =
-  let n = st.count in
-  if n = Array.length st.addrs then st
-  else
-    {
-      addrs = Array.sub st.addrs 0 n;
-      targets = Array.sub st.targets 0 n;
-      lens = Bytes.sub st.lens 0 n;
-      tags = Bytes.sub st.tags 0 n;
-      count = n;
-    }
+(* The first [n] instructions, unpacked onto the heap: the stream never
+   aliases the buffer the next walk overwrites. *)
+let copy_out (b : ints) ~base n =
+  let addrs = Array.make n 0 and targets = Array.make n 0 in
+  let lens = Bytes.create n and tags = Bytes.create n in
+  for i = 0 to n - 1 do
+    let e = A1.unsafe_get b (2 * i) in
+    Array.unsafe_set addrs i (base + (e lsr 16));
+    Bytes.unsafe_set lens i (Char.unsafe_chr ((e lsr 8) land 0xFF));
+    Bytes.unsafe_set tags i (Char.unsafe_chr (e land 0xFF));
+    Array.unsafe_set targets i (A1.unsafe_get b ((2 * i) + 1))
+  done;
+  { addrs; targets; lens; tags }
 
-let[@inline] push st s =
-  let n = st.count in
-  if n = Array.length st.addrs then grow st;
-  Array.unsafe_set st.addrs n s.s_addr;
-  Array.unsafe_set st.targets n s.s_target;
-  Bytes.unsafe_set st.lens n (Char.unsafe_chr s.s_len);
-  Bytes.unsafe_set st.tags n (Char.unsafe_chr (scratch_flags s));
-  st.count <- n + 1
+let[@inline] push (b : ints) n ~off s =
+  A1.unsafe_set b (2 * n) ((off lsl 16) lor (s.s_len lsl 8) lor scratch_flags s);
+  A1.unsafe_set b ((2 * n) + 1) s.s_target
 
 type harvest = {
   eb : Ibuf.t;
@@ -562,6 +558,8 @@ let rec seek anchors pos off i =
    decoding. *)
 let deadline_mask = 4095
 
+type walked = { resync_errors : int; insns : int; stream : stream option }
+
 (* The anchored walk is the original trust-tracking loop (kept as a test
    oracle) with its untrusted runs skipped: an untrusted decode can never
    move past an anchor (an instruction that would straddle one jumps *to*
@@ -570,10 +568,13 @@ let deadline_mask = 4095
    first anchor strictly after [off] — [limit] when there is none, and
    always in the plain walk, where nothing can straddle it.  The region
    check is what makes [core]'s contract hold: [off] stays in
-   [pos, limit) and [limit <= String.length buf]. *)
+   [pos, limit) and [limit <= String.length buf].  The stream sink writes
+   kept instruction [i] at entries [2i] and [2i + 1] of this domain's
+   buffer, which has room for [len] instructions before the loop starts. *)
 let walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest =
   if pos < 0 || len < 0 || pos > String.length buf - len then
     invalid_arg "Decoder.walk: region out of range";
+  let b = if stream then reserve len else no_buffer in
   let t = tables arch in
   let limit = pos + len in
   let base = vaddr - pos in
@@ -600,9 +601,9 @@ let walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest =
       end
       else begin
         desynced := false;
-        incr insns;
         (match harvest with Some h -> reap h s ~want_endbr ~lo ~hi | None -> ());
-        (match stream with Some st -> push st s | None -> ());
+        if stream then push b !insns ~off:!off s;
+        incr insns;
         off := stop
       end
     end
@@ -619,4 +620,8 @@ let walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest =
       next := if !ai < nanchors then pos + anchors.(!ai) else limit
     end
   done;
-  (!errors, !insns)
+  {
+    resync_errors = !errors;
+    insns = !insns;
+    stream = (if stream then Some (copy_out b ~base !insns) else None);
+  }

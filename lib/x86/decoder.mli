@@ -110,33 +110,21 @@ val tag_addr_ref : int
     arrays) and the index harvest ([Cet_disasm.Substrate.indexes]'s
     buffers).  [Linear.sweep] runs it with the stream only, the
     substrate's stream-free scan with the harvest only, and a substrate
-    sweep with whichever of the two it has not memoised yet, so the sweep
-    and the scan are the same pass. *)
+    sweep with the stream plus the harvest unless the indexes are
+    memoised already, so the sweep and the scan are the same pass. *)
 
 type stream = {
-  mutable addrs : int array;
-  mutable targets : int array;
-  mutable lens : Bytes.t;
-  mutable tags : Bytes.t;
+  addrs : int array;
+  targets : int array;
+  lens : Bytes.t;
+  tags : Bytes.t;
       (** the tag byte: the kind tag in the low nibble, plus [16] when a
           [3E] (NOTRACK) prefix was present and [32] when an indirect
           branch had a bare-disp32 memory operand (its [goto] slot is the
           target); {!ins_of_flags} reads it back *)
-  mutable count : int;  (** instructions pushed so far *)
 }
-(** Parallel instruction arrays, [count] entries used.  A push past the
-    capacity doubles every array. *)
-
-val stream : int -> stream
-(** An empty stream with room for exactly that many instructions. *)
-
-val capacity_hint : int -> int
-(** A starting capacity for a region of that many bytes when its
-    instruction count is unknown. *)
-
-val trim : stream -> stream
-(** The stream with every array cut to [count] (the same stream when they
-    already are). *)
+(** The kept instructions of one walk as parallel arrays, one entry per
+    instruction and no spare capacity. *)
 
 type harvest = {
   eb : Cet_util.Ibuf.t;  (** end-branches of the walked architecture *)
@@ -150,6 +138,12 @@ type harvest = {
 
 val harvest : unit -> harvest
 
+type walked = {
+  resync_errors : int;
+  insns : int;  (** instructions kept *)
+  stream : stream option;  (** the kept instructions, under [~stream:true] *)
+}
+
 val walk :
   Arch.t ->
   phase:string ->
@@ -158,14 +152,13 @@ val walk :
   pos:int ->
   len:int ->
   vaddr:int ->
-  stream:stream option ->
+  stream:bool ->
   harvest:harvest option ->
-  int * int
+  walked
 (** [walk arch ~phase ~anchors buf ~pos ~len ~vaddr ~stream ~harvest]
     walks the [len] bytes of [buf] from [pos], whose first byte lives at
-    [vaddr], and returns [(resync_errors, instructions kept)].  Raises
-    [Invalid_argument], before reading any byte, unless [0 <= pos],
-    [0 <= len] and [pos + len <= String.length buf].
+    [vaddr].  Raises [Invalid_argument], before reading any byte, unless
+    [0 <= pos], [0 <= len] and [pos + len <= String.length buf].
 
     With [anchors = None] it is the plain sweep: a decode failure advances
     one byte, and each maximal undecodable run is one resync event.  With
@@ -175,6 +168,14 @@ val walk :
     every decode failure are one event each, the walk resuming at the
     next anchor.  The next anchor is a forward cursor over [offsets],
     since the walk position only grows.
+
+    With [~stream:true] the walk writes the stream into an off-heap
+    buffer of the calling domain, with room for [len] instructions (an
+    instruction is at least one byte, so the walk never grows it), and
+    returns a copy of exactly [insns] entries, which no later walk
+    touches.  The buffer stays with the domain: 32 MiB of address space
+    at least, of which the pages the longest region it has streamed
+    wrote, 16 bytes per instruction, are resident.
 
     [phase] names the walk in {!Cet_util.Deadline.check}, polled every
     4096 steps. *)

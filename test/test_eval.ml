@@ -425,6 +425,34 @@ let test_side_experiments_jobs () =
       ("arm", fun jobs -> Harness.render_arm (Harness.arm_bti ~jobs opts));
     ]
 
+(* With spans on, a harness run records one sweep per binary and no
+   scan: the sweep runs first and its one walk also fills the indexes and
+   facts, so a reorder that brought the second walk back shows here. *)
+let test_harness_walks_once () =
+  let module Registry = Cet_telemetry.Registry in
+  Registry.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Registry.disable ();
+      Registry.reset ())
+    (fun () ->
+      Registry.enable ();
+      let r =
+        Harness.run ~profiles:[ micro_profile ]
+          ~configs:[ Cet_compiler.Options.default; { Cet_compiler.Options.default with arch = X86 } ]
+          ~jobs:1 micro_untimed
+      in
+      let spans = (Registry.merged ()).Registry.spans in
+      let calls name =
+        match Hashtbl.find_opt spans name with
+        | Some m -> Cet_telemetry.Hist.count m.Registry.hist
+        | None -> 0
+      in
+      check Alcotest.int "binaries" 2 r.Harness.binaries;
+      check Alcotest.int "harness.binary spans" 2 (calls "harness.binary");
+      check Alcotest.int "one disasm.sweep per binary" 2 (calls "disasm.sweep");
+      check Alcotest.int "no disasm.scan" 0 (calls "disasm.scan"))
+
 let test_ablation_truth_dedup () =
   (* Regression: the SSVI ablation must measure the deduplicated entry
      set.  Pre-fix it took [List.map snd bin.truth] verbatim, so a binary
@@ -893,6 +921,7 @@ let suite =
           test_speed_ignores_table_options;
         Alcotest.test_case "side experiments: same output at every jobs" `Slow
           test_side_experiments_jobs;
+        Alcotest.test_case "one walk of .text per binary" `Quick test_harness_walks_once;
       ] );
     ( "eval.cli",
       [

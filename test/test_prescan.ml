@@ -261,17 +261,18 @@ let test_anchored_vs_reference =
 (* --- the decode loop on a sub-region -------------------------------------- *)
 
 (* [Decoder.walk] over [len] bytes at [pos] of a larger buffer, plain or
-   anchored, with both sinks at once: the stream must be the reference
-   sweep of exactly those bytes, and the harvest the oracle's index
-   lists over it.  The bytes around the region are random too, so a read
-   outside it shows up as a mismatch. *)
+   anchored, with both sinks at once: the stream, written through the
+   domain's buffer, must be the reference sweep of exactly those bytes,
+   and the harvest the oracle's index lists over it.  The bytes around
+   the region are random too, so a read outside it shows up as a
+   mismatch. *)
 let walk_agrees arch ~anchored buf ~pos ~len =
   let region = String.sub buf pos len in
   let vaddr = 0x401000 in
-  let st = Decoder.stream 4 and h = Decoder.harvest () in
+  let h = Decoder.harvest () in
   let anchors = if anchored then Some (Linear.anchor_offsets arch region) else None in
-  let errors, insns =
-    Decoder.walk arch ~phase:"test.walk" ~anchors buf ~pos ~len ~vaddr ~stream:(Some st)
+  let w =
+    Decoder.walk arch ~phase:"test.walk" ~anchors buf ~pos ~len ~vaddr ~stream:true
       ~harvest:(Some h)
   in
   let r =
@@ -282,10 +283,11 @@ let walk_agrees arch ~anchored buf ~pos ~len =
   let same name got want =
     if got <> want then QCheck.Test.fail_reportf "%s: %s differs on %S" what name buf
   in
-  same "kept count" insns (Array.length r.Oracle_sweep.insns);
+  same "kept count" w.Decoder.insns (Array.length r.Oracle_sweep.insns);
   (match
      Oracle_sweep.stream_mismatch
-       (Linear.of_stream arch ~base:vaddr ~code:region st ~resync_errors:errors)
+       (Linear.of_stream arch ~base:vaddr ~code:region (Option.get w.Decoder.stream)
+          ~resync_errors:w.Decoder.resync_errors)
        r
    with
   | None -> ()
@@ -330,28 +332,31 @@ let test_walk_region_checked () =
   let n = String.length buf in
   List.iter
     (fun (pos, len) ->
-      let st = Decoder.stream 4 and h = Decoder.harvest () in
+      let h = Decoder.harvest () in
       (match
          Decoder.walk Arch.X64 ~phase:"test.walk" ~anchors:None buf ~pos ~len ~vaddr:0
-           ~stream:(Some st) ~harvest:(Some h)
+           ~stream:true ~harvest:(Some h)
        with
       | _ -> Alcotest.failf "pos %d len %d: walked" pos len
       | exception Invalid_argument _ -> ());
-      check Alcotest.int (Printf.sprintf "pos %d len %d: nothing pushed" pos len) 0
-        st.Decoder.count)
+      check Alcotest.int (Printf.sprintf "pos %d len %d: nothing harvested" pos len) 0
+        (Cet_util.Ibuf.length h.Decoder.eb))
     [ (-1, n); (-1, 0); (0, -1); (1, n); (n, 1); (n + 1, 0); (1, max_int); (max_int, 1) ];
   List.iter
     (fun (pos, len) ->
+      let w =
+        Decoder.walk Arch.X64 ~phase:"test.walk" ~anchors:None buf ~pos ~len ~vaddr:0
+          ~stream:false ~harvest:None
+      in
       check
         Alcotest.(pair int int)
         (Printf.sprintf "pos %d len %d" pos len)
         (0, len)
-        (Decoder.walk Arch.X64 ~phase:"test.walk" ~anchors:None buf ~pos ~len ~vaddr:0
-           ~stream:None ~harvest:None))
+        (w.Decoder.resync_errors, w.Decoder.insns))
     [ (0, 0); (n, 0); (0, n); (n - 1, 1) ]
 
 (* A walk with neither sink allocates its scratch record and its result
-   pair (13 words), whatever the region: a word per instruction from a
+   record (14 words), whatever the region: a word per instruction from a
    boxed local or a closure in the fused loop would show at once.
    Measured over the largest [.text] of the substrate corpus (114,672
    instructions) and over its first eighth, plain and anchored (the
@@ -365,7 +370,7 @@ let test_walk_allocation_fixed () =
   let walk anchors len () =
     ignore
       (Sys.opaque_identity
-         (Decoder.walk arch ~phase:"test.walk" ~anchors code ~pos:0 ~len ~vaddr:0 ~stream:None
+         (Decoder.walk arch ~phase:"test.walk" ~anchors code ~pos:0 ~len ~vaddr:0 ~stream:false
             ~harvest:None))
   in
   List.iter
@@ -384,6 +389,102 @@ let test_walk_allocation_fixed () =
               anchored len words)
         [ n; n / 8 ])
     [ false; true ]
+
+(* --- the stream buffer ------------------------------------------------------ *)
+
+(* The [.text] of a substrate-corpus binary: its architecture, address
+   and bytes. *)
+let corpus_text name =
+  let bytes, _ = List.assoc name (Lazy.force Test_substrate.corpus) in
+  let reader = Cet_elf.Reader.read bytes in
+  let text = Option.get (Cet_elf.Reader.find_section reader ".text") in
+  (Cet_elf.Reader.arch reader, text.Cet_elf.Reader.vaddr, text.Cet_elf.Reader.data)
+
+let expect_reference tag arch ~base code (sw : Linear.t) =
+  match Oracle_sweep.stream_mismatch sw (Oracle_sweep.sweep_reference arch ~base code) with
+  | None -> ()
+  | Some why -> Alcotest.failf "%s: %s" tag why
+
+(* On a fresh domain, whose buffer starts empty: an empty region, then
+   regions longer than any the domain streamed before, then a short one
+   again.  Every stream must be the reference sweep of its bytes, checked
+   after all the walks, so a stream that aliased the buffer the later
+   walks rewrote would show.  The longest region, 3 MiB of undecodable
+   [67] bytes before the code, outgrows the domain's first buffer; its
+   stream must be the code's own, one resync event more. *)
+let test_buffer_regions () =
+  let arch, base, text = corpus_text "gcc-x64" in
+  let lens = [ 0; 0; 100; 5000; String.length text; 100 ] in
+  let junk = String.make (3 lsl 20) '\x67' in
+  let sweeps, padded, short =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let sweeps =
+             List.map (fun len -> Linear.sweep arch ~base (String.sub text 0 len)) lens
+           in
+           let padded = Linear.sweep arch ~base:(base - String.length junk) (junk ^ text) in
+           (sweeps, padded, Linear.sweep arch ~base (String.sub text 0 100))))
+  in
+  List.iter2
+    (fun len sw ->
+      check Alcotest.bool (Printf.sprintf "%d bytes: no more instructions than bytes" len) true
+        (Linear.length sw <= len);
+      expect_reference (Printf.sprintf "%d bytes" len) arch ~base (String.sub text 0 len) sw)
+    lens sweeps;
+  let whole = List.nth sweeps 4 in
+  check Alcotest.bool "after 3 MiB of junk: the code's instructions" true
+    (padded.Linear.addrs = whole.Linear.addrs
+    && padded.Linear.targets = whole.Linear.targets
+    && padded.Linear.lens = whole.Linear.lens
+    && padded.Linear.tags = whole.Linear.tags);
+  check Alcotest.int "after 3 MiB of junk: one more resync" (whole.Linear.resync_errors + 1)
+    padded.Linear.resync_errors;
+  expect_reference "100 bytes after the longest region" arch ~base (String.sub text 0 100) short;
+  let w =
+    Decoder.walk arch ~phase:"test.walk" ~anchors:None text ~pos:0 ~len:0 ~vaddr:base
+      ~stream:true ~harvest:None
+  in
+  check Alcotest.int "empty region: no instruction" 0 w.Decoder.insns;
+  check Alcotest.int "empty region: empty stream" 0
+    (Array.length (Option.get w.Decoder.stream).Decoder.addrs)
+
+(* Two domains sweeping different binaries at once, each several times,
+   must each get its one-domain sweep. *)
+let test_buffer_two_domains () =
+  let texts = [ corpus_text "gcc-x64"; corpus_text "clang-x86" ] in
+  let sweep (arch, base, code) = Linear.sweep arch ~base code in
+  let alone = List.map sweep texts in
+  let domains =
+    List.map (fun t -> Domain.spawn (fun () -> List.init 3 (fun _ -> sweep t))) texts
+  in
+  List.iteri
+    (fun i (want, got) ->
+      List.iteri
+        (fun k sw ->
+          check Alcotest.bool (Printf.sprintf "binary %d, sweep %d = one-domain sweep" i k) true
+            (sw = want))
+        got)
+    (List.combine alone (List.map Domain.join domains))
+
+(* A sweep that the deadline aborts leaves its buffer half written; the
+   next sweep on that domain must not see it. *)
+let test_buffer_after_deadline () =
+  let arch, base, text = corpus_text "gcc-x64" in
+  let nops = String.make 65536 '\x90' in
+  let expired, clean =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let expired =
+             match
+               Cet_util.Deadline.with_ ~seconds:1e-9 (fun () -> Linear.sweep Arch.X64 nops)
+             with
+             | _ -> false
+             | exception Cet_util.Deadline.Expired _ -> true
+           in
+           (expired, Linear.sweep arch ~base text)))
+  in
+  check Alcotest.bool "the first sweep expires" true expired;
+  expect_reference "the sweep after it" arch ~base text clean
 
 (* --- SWAR anchor scan vs the per-byte oracle ----------------------------- *)
 
@@ -486,5 +587,11 @@ let suite =
             test_walk_region_checked;
           Alcotest.test_case "walk with no sink allocates a fixed few words" `Quick
             test_walk_allocation_fixed;
+          Alcotest.test_case "stream buffer: empty, growing and shrinking regions" `Quick
+            test_buffer_regions;
+          Alcotest.test_case "stream buffer: two domains at once" `Quick
+            test_buffer_two_domains;
+          Alcotest.test_case "stream buffer: a sweep after an expired one" `Quick
+            test_buffer_after_deadline;
         ] );
   ]

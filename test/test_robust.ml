@@ -351,6 +351,31 @@ let test_fuzz_summary_pinned () =
     \  truncate       39 mutants\n"
     (Cet_fuzz.Engine.render (Cet_fuzz.Engine.run ~seed:2022 ~count:200 ()))
 
+(* The walk-order verdict every parsed mutant gets holds on every
+   twentieth prefix of a C++ corpus binary, plain and anchored: a prefix
+   that cuts [.text] short walks what is left, one that drops it makes
+   both substrates raise alike.  So does an image with no [.text]. *)
+let test_fuzz_walk_order () =
+  let bytes = cpp_binary () in
+  let len = String.length bytes in
+  let no_text =
+    let img = sample_image () in
+    Writer.write
+      {
+        img with
+        Image.sections =
+          List.filter (fun (s : Image.section) -> s.Image.name <> ".text") img.Image.sections;
+        symbols = [];
+      }
+  in
+  List.iter
+    (fun anchored ->
+      Cet_fuzz.Engine.check_walk_order ~anchored no_text;
+      for k = 1 to 20 do
+        Cet_fuzz.Engine.check_walk_order ~anchored (String.sub bytes 0 (len * k / 20))
+      done)
+    [ false; true ]
+
 (* ---- Fault-isolated harness ------------------------------------------- *)
 
 let micro_profile =
@@ -812,5 +837,6 @@ let suite =
         Alcotest.test_case "fuzz summary pinned (seed 2022)" `Slow test_fuzz_summary_pinned;
         Alcotest.test_case "truncated ELF ends in a diagnostic" `Quick
           test_truncated_elf_ends_in_diagnostic;
+        Alcotest.test_case "fuzz walk-order verdict on prefixes" `Quick test_fuzz_walk_order;
       ] );
   ]

@@ -179,11 +179,12 @@ let test_sorted_set_ops =
            (fun v -> Linear.mem_sorted sa v = List.mem v a)
            (List.init 30 Fun.id))
 
-(* The telemetry-off sweep must stay lean.  The stream is four arrays
-   sized up front (exactly, once the scan has counted the instructions),
-   so apart from a growth step or two nothing is allocated per
-   instruction: the budget is the scan's, one minor word per instruction.
-   Records cost ~4, and the record stream's buffer ~2 more. *)
+(* The telemetry-off sweep must stay lean.  The walk writes the stream
+   into its domain's off-heap buffer and copies it out at its exact
+   length, in arrays too large for the minor heap, so nothing is
+   allocated there per instruction: the budget is the scan's, one minor
+   word per instruction.  Records cost ~4, and the record stream's buffer
+   ~2 more. *)
 let test_sweep_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   let reader = Reader.read bytes in
@@ -202,26 +203,59 @@ let test_sweep_allocation_budget () =
       let st = Substrate.create reader in
       ignore (Substrate.facts ~anchored st : Substrate.facts);
       measure
-        (Printf.sprintf "exact-size substrate sweep (anchored=%b)" anchored)
+        (Printf.sprintf "substrate sweep after the scan (anchored=%b)" anchored)
         (fun () -> if anchored then Substrate.sweep_anchored st else Substrate.sweep st))
+    [ false; true ]
+
+(* A first sweep, with nothing memoised, fills the stream, the harvest
+   and the indexes in one walk.  Their large arrays go straight to the
+   major heap, where the minor budget above cannot see them: the stream
+   copied out at its exact length is 2.25 words per instruction, and the
+   index arrays most of the rest.  Measured 3.29 words per instruction
+   plain and 3.33 anchored on this binary; the budget adds the minor
+   budget's headroom, one word.  A stream grown from a [size/4] hint and
+   then trimmed cost 5.54 and 5.58 here. *)
+let test_first_sweep_major_budget () =
+  let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
+  let reader = Reader.read bytes in
+  assert (not (Cet_telemetry.Span.enabled ()));
+  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
+  List.iter
+    (fun anchored ->
+      let st = Substrate.create reader in
+      Gc.minor ();
+      let _, _, before = Gc.counters () in
+      ignore
+        (Sys.opaque_identity
+           (if anchored then Substrate.sweep_anchored st else Substrate.sweep st));
+      let _, _, after = Gc.counters () in
+      let per_insn = (after -. before) /. n in
+      if per_insn > 4.4 then
+        Alcotest.failf
+          "first substrate sweep (anchored=%b) allocates %.2f major words per instruction \
+           (budget 4.4)"
+          anchored per_insn)
     [ false; true ]
 
 (* --- stream-free scan vs sweep-derived products ------------------------ *)
 
-(* The stream-free scan (what a substrate runs when no sweep is
-   cached) and the sweep-derived path must be observationally identical:
-   same index arrays, same facts, plain and anchored. *)
+(* The walk order must not matter.  A substrate swept first fills the
+   stream, the index arrays and the facts in one walk (what the harness
+   does); one scanned first runs the stream-free scan (what FunSeeker's
+   path does), then a stream-only sweep.  Both must hold the same index
+   arrays and facts, and both streams must be the reference sweep, plain
+   and anchored. *)
 let check_scan_matches tag bytes =
+  let reader = Reader.read bytes in
   List.iter
     (fun anchored ->
       let tag = Printf.sprintf "%s anchored=%b" tag anchored in
-      let scan_st = Substrate.of_bytes bytes in
+      let sweep st = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
+      let scan_st = Substrate.create reader in
       let ix_scan = Substrate.indexes ~anchored scan_st in
       let fx_scan = Substrate.facts ~anchored scan_st in
-      let sweep_st = Substrate.of_bytes bytes in
-      ignore
-        (if anchored then Substrate.sweep_anchored sweep_st
-         else Substrate.sweep sweep_st);
+      let sweep_st = Substrate.create reader in
+      let swept_first = sweep sweep_st in
       let ix_sweep = Substrate.indexes ~anchored sweep_st in
       let fx_sweep = Substrate.facts ~anchored sweep_st in
       let arr field f =
@@ -244,7 +278,14 @@ let check_scan_matches tag bytes =
       check Alcotest.int (tag ^ " resyncs") fx_sweep.Substrate.f_resync_errors
         fx_scan.Substrate.f_resync_errors;
       check Alcotest.int (tag ^ " insns") fx_sweep.Substrate.f_insns
-        fx_scan.Substrate.f_insns)
+        fx_scan.Substrate.f_insns;
+      let reference = Oracle_sweep.sweep_text_reference ~anchored reader in
+      List.iter
+        (fun (order, sw) ->
+          match Oracle_sweep.stream_mismatch sw reference with
+          | None -> ()
+          | Some why -> Alcotest.failf "%s %s: stream %s" tag order why)
+        [ ("swept first", swept_first); ("scanned first", sweep scan_st) ])
     [ false; true ]
 
 let test_scan_matches_corpus () =
@@ -621,6 +662,14 @@ let test_anchors_are_boundaries_grid () =
       check_anchors (O.to_string opts) bytes)
     O.all_grid
 
+let test_scan_matches_grid () =
+  let profile = Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.coreutils in
+  List.iter
+    (fun (opts : O.t) ->
+      let bytes, _ = build ~profile ~index:0 ~opts in
+      check_scan_matches (O.to_string opts) bytes)
+    O.all_grid
+
 (* Every tool that walks the instruction stream, run over the corpus and
    hashed: IDA-, Ghidra-, FETCH-, Nucleus- and ByteWeight-like, CFG
    recovery and the CET audit.  The stream's representation and the
@@ -840,11 +889,12 @@ let test_traversal_allocation_budget () =
 let test_mismatches_rejected () =
   let module C = Cet_baselines.Common in
   let code = "\x55\x48\x89\xe5\x90\xc3" in
-  let stream = Cet_x86.Decoder.stream 4 in
-  ignore
-    (Cet_x86.Decoder.walk Cet_x86.Arch.X64 ~phase:"test.walk" ~anchors:None code ~pos:0
-       ~len:(String.length code) ~vaddr:0x1000 ~stream:(Some stream) ~harvest:None
-      : int * int);
+  let stream =
+    Option.get
+      (Cet_x86.Decoder.walk Cet_x86.Arch.X64 ~phase:"test.walk" ~anchors:None code ~pos:0
+         ~len:(String.length code) ~vaddr:0x1000 ~stream:true ~harvest:None)
+        .Cet_x86.Decoder.stream
+  in
   List.iter
     (fun (base, code) ->
       Alcotest.check_raises
@@ -907,5 +957,9 @@ let suite =
           test_traversal_allocation_budget;
         Alcotest.test_case "mismatched maps and regions are rejected" `Quick
           test_mismatches_rejected;
+        Alcotest.test_case "scan matches sweep-derived (48 configurations)" `Quick
+          test_scan_matches_grid;
+        Alcotest.test_case "first sweep major-heap budget" `Quick
+          test_first_sweep_major_budget;
       ] );
   ]
