@@ -27,6 +27,24 @@ let read_elf path =
     with Cet_elf.Reader.Malformed msg ->
       fail (Cet_util.Diag.error ~domain:"elf" ~code:"malformed" msg))
 
+(* The sweep of .text as a listing: every instruction it kept, rendered by
+   the exact printer, and one "(bad)" line per byte it skipped. *)
+let listing (sw : Cet_disasm.Linear.t) =
+  let lines = ref [] and next = ref sw.base in
+  let skip_to a =
+    for b = !next to a - 1 do
+      lines := (b, "(bad)") :: !lines
+    done
+  in
+  for i = 0 to Cet_disasm.Linear.length sw - 1 do
+    let ins = Cet_disasm.Linear.ins sw i in
+    skip_to ins.addr;
+    lines := (ins.addr, Cet_x86.Exact.disassemble sw.arch sw.code ~base:sw.base ins) :: !lines;
+    next := ins.addr + ins.len
+  done;
+  skip_to (sw.base + sw.size);
+  List.rev !lines
+
 let explain_addr reader addr =
   let prov = Core.Provenance.create () in
   ignore
@@ -86,10 +104,10 @@ let run file disasm explain =
   if disasm then begin
     match Cet_elf.Reader.find_section reader ".text" with
     | None -> print_endline "no .text"
-    | Some s ->
-      let listing = Cet_x86.Exact.disassemble_all arch s.data ~base:s.vaddr in
-      Printf.printf ".text disassembly (%d instructions):\n" (List.length listing);
-      List.iter (fun (addr, text) -> Printf.printf "  0x%-8x %s\n" addr text) listing
+    | Some _ ->
+      let lines = listing (Cet_disasm.Substrate.sweep (Cet_disasm.Substrate.create reader)) in
+      Printf.printf ".text disassembly (%d instructions):\n" (List.length lines);
+      List.iter (fun (addr, text) -> Printf.printf "  0x%-8x %s\n" addr text) lines
   end
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")

@@ -1,4 +1,5 @@
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 
 let max_depth = 8
 
@@ -37,13 +38,13 @@ let add_sequence root code off ~positive =
 let train corpus =
   let root = new_node () in
   List.iter
-    (fun (reader, entries) ->
-      match Cet_elf.Reader.find_section reader ".text" with
+    (fun (st, entries) ->
+      match Substrate.text st with
       | None -> ()
       | Some text ->
         let entry_set = Hashtbl.create (List.length entries) in
         List.iter (fun a -> Hashtbl.replace entry_set a ()) entries;
-        let sweep = Linear.sweep_text reader in
+        let sweep = Substrate.sweep st in
         for idx = 0 to Linear.length sweep - 1 do
           let addr = Linear.addr sweep idx in
           let off = addr - text.vaddr in
@@ -77,10 +78,10 @@ let score root code ~off =
   !best
 
 let classify_st_impl threshold root st =
-  match Cet_disasm.Substrate.text st with
+  match Substrate.text st with
   | None -> []
   | Some text ->
-    let sweep = Cet_disasm.Substrate.sweep st in
+    let sweep = Substrate.sweep st in
     let hits = ref [] in
     for k = Linear.length sweep - 1 downto 0 do
       let addr = Linear.addr sweep k in

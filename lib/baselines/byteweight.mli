@@ -13,10 +13,11 @@ type model
 val max_depth : int
 (** Prefix length learned (bytes). *)
 
-val train : (Cet_elf.Reader.t * int list) list -> model
+val train : (Cet_disasm.Substrate.t * int list) list -> model
 (** [train corpus] builds the weighted prefix tree from [(binary,
-    entry addresses)] pairs.  Negative examples are the other instruction
-    boundaries of the same binaries. *)
+    entry addresses)] pairs, walking each binary's memoised
+    {!Cet_disasm.Substrate.sweep}.  Negative examples are the other
+    instruction boundaries of the same binaries. *)
 
 val classify_st : ?threshold:float -> model -> Cet_disasm.Substrate.t -> int list
 (** Score every instruction boundary of the substrate's [.text] sweep;

@@ -67,21 +67,23 @@ let analyze_st_impl st =
       done;
       !lo - 1
     in
+    (* The end of the run of padding instructions (the sweep's padding
+       bit) that starts at [addr], stopping at [stop] or past it: where the
+       first instruction that is not padding, or a byte the sweep skipped,
+       begins. *)
+    let padding_end addr ~stop =
+      let rec go i a =
+        if a < stop && i < n && Linear.addr sweep i = a && Linear.padding sweep i then
+          go (i + 1) (a + Linear.len sweep i)
+        else a
+      in
+      go (Linear.first_index_at sweep addr) addr
+    in
     (* Padding blocks (inter-function NOP/INT3 fill) are discarded so their
        fall-through does not glue adjacent functions together. *)
     let is_padding b =
       let stop = if b + 1 < nblocks then starts.(b + 1) else text_end in
-      let rec walk addr =
-        if addr >= stop then true
-        else
-          match Cet_x86.Exact.decode arch text.data ~off:(addr - text.vaddr) with
-          | Some (Cet_x86.Insn.Nop, len)
-          | Some (Cet_x86.Insn.Nopl _, len)
-          | Some (Cet_x86.Insn.Int3, len) ->
-            walk (addr + len)
-          | _ -> false
-      in
-      walk starts.(b)
+      padding_end starts.(b) ~stop >= stop
     in
     let padding = Array.init nblocks is_padding in
     let parent = Array.init nblocks Fun.id in
@@ -134,26 +136,13 @@ let analyze_st_impl st =
        jump-table target.  Leading alignment filler is stripped — when the
        previous function's padding was not split into its own block, the
        function proper starts after the NOP run. *)
-    let strip_leading_padding addr =
-      let rec go a =
-        if a >= text_end then a
-        else
-          match Cet_x86.Exact.decode arch text.data ~off:(a - text.vaddr) with
-          | Some (Cet_x86.Insn.Nop, len)
-          | Some (Cet_x86.Insn.Nopl _, len)
-          | Some (Cet_x86.Insn.Int3, len) ->
-            go (a + len)
-          | _ -> a
-      in
-      go addr
-    in
     let entries = ref [] in
     for b = 0 to nblocks - 1 do
       if
         (not padding.(b)) && indeg.(b) = 0
         && not (Hashtbl.mem table_targets starts.(b))
       then begin
-        let a = strip_leading_padding starts.(b) in
+        let a = padding_end starts.(b) ~stop:text_end in
         if a < text_end then entries := a :: !entries
       end
     done;

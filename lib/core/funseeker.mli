@@ -56,9 +56,10 @@ val analyze_st :
     consume them; for a single binary, pass
     [Cet_disasm.Substrate.of_bytes bytes].
 
-    With [anchored] (default false) the DISASSEMBLE stage uses the
-    end-branch-anchored sweep ({!Cet_disasm.Linear.sweep_anchored}), the
-    §VI mitigation for binaries with inline data in [.text].
+    With [anchored] (default false) the DISASSEMBLE stage reads the
+    indexes and facts of the end-branch-anchored walk
+    ({!Cet_disasm.Substrate.indexes} [~anchored:true]), the §VI
+    mitigation for binaries with inline data in [.text].
 
     With [prov], the analysis also fills the given record with decision
     provenance: every candidate source, every FILTERENDBR decision with

@@ -58,6 +58,7 @@ let length t = Array.length t.addrs
 let addr t i = t.addrs.(i)
 let len t i = Char.code (Bytes.get t.lens i)
 let tag t i = Char.code (Bytes.get t.tags i) land 15
+let padding t i = Char.code (Bytes.get t.tags i) land Decoder.flag_padding <> 0
 let target t i = t.targets.(i)
 
 let ins t i =
@@ -65,12 +66,10 @@ let ins t i =
     ~flags:(Char.code (Bytes.get t.tags i))
     ~target:t.targets.(i)
 
-let sweep_impl ~anchored arch base code =
-  let anchors = if anchored then Some (Prescan.anchor_offsets arch code) else None in
+let sweep_impl arch base code =
   let w =
-    Decoder.walk arch
-      ~phase:(if anchored then "disasm.sweep_anchored" else "disasm.sweep")
-      ~anchors code ~pos:0 ~len:(String.length code) ~vaddr:base ~stream:true ~harvest:None
+    Decoder.walk arch ~phase:"disasm.sweep" ~anchors:None code ~pos:0
+      ~len:(String.length code) ~vaddr:base ~stream:true ~harvest:None
   in
   of_stream arch ~base ~code (Option.get w.stream) ~resync_errors:w.resync_errors
 
@@ -78,33 +77,8 @@ let sweep_impl ~anchored arch base code =
    allocation-free, hence the guard instead of a bare [Span.with_]. *)
 let sweep arch ?(base = 0) code =
   if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"disasm.sweep" (fun () ->
-        sweep_impl ~anchored:false arch base code)
-  else sweep_impl ~anchored:false arch base code
-
-let sweep_anchored arch ?(base = 0) code =
-  if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"disasm.sweep_anchored" (fun () ->
-        sweep_impl ~anchored:true arch base code)
-  else sweep_impl ~anchored:true arch base code
-
-let text_section name reader =
-  match Cet_elf.Reader.find_section reader ".text" with
-  | None -> invalid_arg (name ^ ": no .text section")
-  | Some s -> s
-
-let sweep_text reader =
-  let s = text_section "Linear.sweep_text" reader in
-  sweep (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
-
-let sweep_text_anchored reader =
-  let s = text_section "Linear.sweep_text_anchored" reader in
-  sweep_anchored (Cet_elf.Reader.arch reader) ~base:s.vaddr s.data
-
-(* Offsets of every end-branch byte pattern: F3 0F 1E FA/FB.  The pattern
-   cannot appear inside another instruction's opcode bytes the compilers
-   emit, and a false hit inside immediate data merely adds a resync point. *)
-let anchor_offsets = Prescan.anchor_offsets
+    Cet_telemetry.Span.with_ ~name:"disasm.sweep" (fun () -> sweep_impl arch base code)
+  else sweep_impl arch base code
 
 let in_range t addr = addr >= t.base && addr < t.base + t.size
 

@@ -22,16 +22,16 @@ type t = {
   lens : Bytes.t;  (** one byte per instruction: its length *)
   tags : Bytes.t;
       (** one byte per instruction: the kind tag in the low nibble plus
-          the notrack and goto bits ({!Cet_x86.Decoder.stream}) *)
+          the notrack, goto and padding bits ({!Cet_x86.Decoder.stream}) *)
   buckets : Bytes.t;
       (** the address lookup: one little-endian int32 per 16 bytes of the
           region, entry [b] the index of the first instruction at or after
           [base + 16 * b] (about 0.11 words per instruction); built once by
           {!of_stream} *)
   resync_errors : int;
-      (** desynchronisation events: maximal runs of undecodable (or, for
-          the anchored sweep, untrusted) bytes the sweep recovered from —
-          one per run, however many bytes it spanned *)
+      (** desynchronisation events: maximal runs of undecodable bytes the
+          sweep recovered from — one per run, however many bytes it
+          spanned *)
 }
 
 val of_stream :
@@ -54,6 +54,9 @@ val len : t -> int -> int
 val tag : t -> int -> int
 (** The instruction's kind tag ([Decoder.tag_*]). *)
 
+val padding : t -> int -> bool
+(** Is the instruction NOP or INT3 fill ({!Cet_x86.Decoder.flag_padding})? *)
+
 val target : t -> int -> int
 
 val ins : t -> int -> Cet_x86.Decoder.ins
@@ -61,26 +64,8 @@ val ins : t -> int -> Cet_x86.Decoder.ins
     decoder returns for it. *)
 
 val sweep : Cet_x86.Arch.t -> ?base:int -> string -> t
-(** Disassemble a whole code blob (default [base] 0). *)
-
-val sweep_text : Cet_elf.Reader.t -> t
-(** Sweep the [.text] section of an ELF image.
-    Raises [Invalid_argument] when the image has no [.text]. *)
-
-val sweep_anchored : Cet_x86.Arch.t -> ?base:int -> string -> t
-(** CET-aware sweep (the §VI superset-disassembly direction): end-branch
-    byte patterns are unambiguous 4-byte markers, so every occurrence is
-    forced to be an instruction boundary.  When a decoded instruction
-    would straddle an anchor — which happens when inline data (e.g. a
-    jump table in [.text]) desynchronised the sweep — the sweep discards
-    it and restarts at the anchor.  On binaries without inline data the
-    result equals {!sweep}. *)
-
-val sweep_text_anchored : Cet_elf.Reader.t -> t
-
-val anchor_offsets : Cet_x86.Arch.t -> string -> int array
-(** Offsets of every end-branch byte pattern (F3 0F 1E FA/FB), ascending —
-    the SWAR scan ({!Prescan.anchor_offsets}). *)
+(** Disassemble a whole code blob (default [base] 0).  The [.text] of an
+    ELF image is swept, once, by {!Substrate.sweep}. *)
 
 val in_range : t -> int -> bool
 (** Is the address inside the swept region? *)

@@ -28,7 +28,6 @@ type t = {
   mutable t_text : Reader.section option;
   mutable t_text_known : bool;
   mutable t_sweep : Linear.t option;
-  mutable t_anchored : Linear.t option;
   mutable t_idx : indexes option;
   mutable t_anchored_idx : indexes option;
   mutable t_facts : facts option;
@@ -48,7 +47,6 @@ let make ?diag ?(parse_diags = []) reader =
     t_text = None;
     t_text_known = false;
     t_sweep = None;
-    t_anchored = None;
     t_idx = None;
     t_anchored_idx = None;
     t_facts = None;
@@ -126,7 +124,8 @@ let text_or_fail what t =
    and memoised alongside the facts, so a sweep also answers {!indexes}
    and {!facts}.  The walk decodes out of the file image in place
    ({!Reader.section_view}); anchors and the stream's [code] are the
-   section's own bytes. *)
+   section's own bytes.  Only the plain walk keeps a stream: the anchored
+   one fills its indexes and facts alone. *)
 let walk ~anchored ~phase ~stream t sec =
   let arch = Reader.arch t.t_reader in
   let buf, pos, len = Reader.section_view t.t_reader sec in
@@ -157,30 +156,21 @@ let scan ~anchored t =
 
 (* The stream, plus the indexes and facts in the same pass unless the
    scan has run. *)
-let sweep_with ~anchored t =
-  let sec = text_or_fail "Substrate.sweep" t in
-  let phase = if anchored then "disasm.sweep_anchored" else "disasm.sweep" in
-  let run () =
-    let w = walk ~anchored ~phase ~stream:true t sec in
-    Linear.of_stream (Reader.arch t.t_reader) ~base:sec.Reader.vaddr ~code:sec.Reader.data
-      (Option.get w.stream) ~resync_errors:w.resync_errors
-  in
-  if Cet_telemetry.Span.enabled () then Cet_telemetry.Span.with_ ~name:phase run else run ()
-
 let sweep t =
   match t.t_sweep with
   | Some s -> s
   | None ->
-    let s = sweep_with ~anchored:false t in
+    let sec = text_or_fail "Substrate.sweep" t in
+    let run () =
+      let w = walk ~anchored:false ~phase:"disasm.sweep" ~stream:true t sec in
+      Linear.of_stream (Reader.arch t.t_reader) ~base:sec.Reader.vaddr ~code:sec.Reader.data
+        (Option.get w.stream) ~resync_errors:w.resync_errors
+    in
+    let s =
+      if Cet_telemetry.Span.enabled () then Cet_telemetry.Span.with_ ~name:"disasm.sweep" run
+      else run ()
+    in
     t.t_sweep <- Some s;
-    s
-
-let sweep_anchored t =
-  match t.t_anchored with
-  | Some s -> s
-  | None ->
-    let s = sweep_with ~anchored:true t in
-    t.t_anchored <- Some s;
     s
 
 let indexes ?(anchored = false) t =

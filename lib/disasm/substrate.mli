@@ -2,10 +2,11 @@
 
     Every identifier in this codebase — FunSeeker and the five baseline
     models — consumes the same raw facts about a binary: the parsed ELF,
-    the linear sweep of [.text] (plus the end-branch-anchored variant on
-    demand), the [.eh_frame]/LSDA-derived landing pads and FDE tables, and
-    a handful of derived index arrays (end-branch addresses, direct-call
-    sites and targets, direct-jump refs and targets).  Before the
+    the linear sweep of [.text], the [.eh_frame]/LSDA-derived landing pads
+    and FDE tables, and a handful of derived index arrays (end-branch
+    addresses, direct-call sites and targets, direct-jump refs and
+    targets), of the plain sweep or, on demand, of the
+    end-branch-anchored one, which keeps no instruction stream.  Before the
     substrate, the evaluation harness paid the DISASSEMBLE pass once per
     tool — six sweeps of the same [.text] per binary.
 
@@ -42,12 +43,12 @@ type facts = {
   f_base : int;  (** virtual address of the first [.text] byte *)
   f_size : int;  (** [.text] size in bytes *)
   f_resync_errors : int;
-      (** desynchronisation events, exactly {!Linear.t.resync_errors} of
-          the corresponding sweep *)
+      (** desynchronisation events, for the plain walk exactly
+          {!Linear.t.resync_errors} of {!sweep} *)
   f_insns : int;
-      (** instructions decoded and kept, exactly the length of the
-          corresponding sweep's stream (anchored: untrusted runs excluded)
-          — per-binary profiles report this as decode volume *)
+      (** instructions decoded and kept (anchored: untrusted runs
+          excluded), for the plain walk exactly the length of {!sweep}'s
+          stream — per-binary profiles report this as decode volume *)
 }
 (** The sweep-level facts FunSeeker's analysis needs — deliberately not
     the instruction stream.  Computed by whichever walk of [.text] runs
@@ -93,14 +94,15 @@ val sweep : t -> Linear.t
     once by sweeping first.  Raises [Invalid_argument] when the image has
     no [.text]. *)
 
-val sweep_anchored : t -> Linear.t
-(** The end-branch-anchored sweep, memoised independently of {!sweep}. *)
-
 val indexes : ?anchored:bool -> t -> indexes
-(** The derived index arrays of the (plain or anchored) sweep: harvested
-    by the sweep when it ran first, otherwise by the stream-free scan,
-    which decodes the code bytes without ever allocating the stream —
-    the results are identical either way. *)
+(** The derived index arrays of the plain or anchored walk.  The plain
+    ones are harvested by {!sweep} when it ran first, otherwise by the
+    stream-free scan, which decodes the code bytes without ever
+    allocating the stream — the results are identical either way.  The
+    anchored ones always come from the anchored scan: an instruction
+    that would straddle an end-branch pattern is discarded, and the walk
+    resumes at the pattern, as it does after every decode failure
+    ([Cet_x86.Decoder.walk]). *)
 
 val facts : ?anchored:bool -> t -> facts
 (** The sweep-level facts, memoised with {!indexes} by the same walk.

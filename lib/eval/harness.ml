@@ -536,7 +536,7 @@ let related_work ?jobs (opts : options) =
   let build config index =
     let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
     let res = Cet_compiler.Link.link config ir in
-    ( Reader.read (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image),
+    ( Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image),
       List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth) )
   in
   let n = max 4 profile.Cet_corpus.Profile.programs in
@@ -546,8 +546,7 @@ let related_work ?jobs (opts : options) =
     { Options.default with Options.compiler = Options.Clang; arch = Cet_x86.Arch.X86 }
   in
   let model =
-    Cet_baselines.Byteweight.train
-      (Array.to_list (Work_queue.map wq train_n (fun i -> build gcc i)))
+    Cet_baselines.Byteweight.train (Array.to_list (Work_queue.map wq train_n (build gcc)))
   in
   let score tool configs =
     let work =
@@ -559,8 +558,8 @@ let related_work ?jobs (opts : options) =
     Array.fold_left Metrics.add Metrics.empty
       (Work_queue.map wq (Array.length work) (fun k ->
            let config, index = work.(k) in
-           let reader, truth = build config index in
-           Metrics.compare_sets ~truth ~found:(tool (Substrate.create reader))))
+           let st, truth = build config index in
+           Metrics.compare_sets ~truth ~found:(tool st)))
   in
   let byteweight st = Cet_baselines.Byteweight.classify_st model st in
   let cpp_profile =

@@ -194,28 +194,24 @@ let analyze ?max_seconds ~anchored bytes =
    stream, the indexes and the facts in one walk (the harness's order);
    one scanned first runs the stream-free scan, then a stream-only sweep
    (FunSeeker's).  Both must raise alike, or agree on all three. *)
-let check_walk_order ~anchored bytes =
+let check_walk_order bytes =
   let module Substrate = Cet_disasm.Substrate in
   match Cet_elf.Reader.read_diag bytes with
   | Error _ -> ()
   | Ok (reader, _) ->
-    let sweep st = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
     let outcome first =
       let st = Substrate.create reader in
       match
         first st;
-        (Substrate.facts ~anchored st, Substrate.indexes ~anchored st, sweep st)
+        (Substrate.facts st, Substrate.indexes st, Substrate.sweep st)
       with
       | r -> Ok r
       | exception e -> Error (Printexc.exn_slot_name e)
     in
-    let swept = outcome (fun st -> ignore (sweep st : Cet_disasm.Linear.t)) in
-    let scanned = outcome (fun st -> ignore (Substrate.facts ~anchored st : Substrate.facts)) in
+    let swept = outcome (fun st -> ignore (Substrate.sweep st : Cet_disasm.Linear.t)) in
+    let scanned = outcome (fun st -> ignore (Substrate.facts st : Substrate.facts)) in
     if swept <> scanned then
-      failwith
-        (Printf.sprintf
-           "Engine.check_walk_order: a sweep first and a scan first disagree (anchored=%b)"
-           anchored)
+      failwith "Engine.check_walk_order: a sweep first and a scan first disagree"
 
 (* Per-mutant verdicts are computed in parallel but merged in index
    order, so the summary stays deterministic in [seed] whatever the
@@ -247,7 +243,7 @@ let run_recording ~max_seconds ?jobs ~seed ~count () =
     let index, cls, mutant, anchored = mutants.(k) in
     match
       let r = analyze ~anchored ~max_seconds mutant in
-      check_walk_order ~anchored mutant;
+      check_walk_order mutant;
       r
     with
     | Ok (_, []) -> Clean

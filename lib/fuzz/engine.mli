@@ -44,13 +44,14 @@ val analyze :
     [core/timeout] error diagnostic.  The list holds the parse
     diagnostics, then every degradation in emission order. *)
 
-val check_walk_order : anchored:bool -> string -> unit
+val check_walk_order : string -> unit
 (** The differential verdict {!run} adds to every mutant whose ELF parses
-    ({!Cet_elf.Reader.read_diag}), in the mutant's own walk (plain or
-    anchored): a substrate swept first and one scanned first must both
-    raise (the same exception constructor), or agree on the facts, the
-    index arrays and the stream.  Raises [Failure] when they do not,
-    which {!run} counts as a crash. *)
+    ({!Cet_elf.Reader.read_diag}): a substrate swept first and one
+    scanned first must both raise (the same exception constructor), or
+    agree on the facts, the index arrays and the stream.  Raises
+    [Failure] when they do not, which {!run} counts as a crash.  The
+    anchored walk keeps no stream, so only the plain walk has an order
+    to check. *)
 
 val classes : string array
 (** The mutation-class names, in draw order. *)

@@ -47,6 +47,3 @@ let with_ ~name f =
       pop s;
       raise e
   end
-
-let enter ~name = if Registry.enabled () then push (Registry.ambient ()) name
-let exit_ () = if Registry.enabled () then pop (Registry.ambient ())

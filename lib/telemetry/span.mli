@@ -28,10 +28,3 @@ val now_ns : unit -> int
 
 val with_ : name:string -> (unit -> 'a) -> 'a
 (** Run and time a span.  Exceptions still close the span. *)
-
-val enter : name:string -> unit
-(** Manual span begin, for regions that cannot be wrapped in a closure.
-    Must be balanced by {!exit_} on the same domain. *)
-
-val exit_ : unit -> unit
-(** Close the innermost open span; no-op if none is open. *)

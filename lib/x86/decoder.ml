@@ -25,16 +25,24 @@ let tag_ret = 8
 let tag_halt = 9
 let tag_addr_ref = 10
 
+(* The flag byte a stream keeps per instruction: the tag in the low
+   nibble, plus three bits an [ins] carries beyond it or ignores. *)
+let flag_notrack = 16
+let flag_goto = 32
+let flag_padding = 64
+
 (* ---- Opcode tables ---------------------------------------------------- *)
 
 (* Every opcode of the decoded subset is one of a dozen operand shapes.
    The one-byte map and the [0F] map are stored end to end (index [op] and
-   [256 + op]); each entry is a shape plus an info byte carrying the tag
-   of the plain forms (low nibble) and the immediate that follows the
-   opcode or its ModRM operand (high nibble: a byte count, or [imm_z]). *)
+   [256 + op]); each entry is a shape plus a 16-bit info word carrying the
+   flag bits of the plain forms (low byte: the tag, and [flag_padding] for
+   the NOP and INT3 fill) and the immediate that follows the opcode or its
+   ModRM operand (high byte: a byte count, or [imm_z]). *)
 type shape =
   | Bad  (** outside the decoded subset *)
   | Fixed  (** opcode, then the immediate *)
+  | Nop  (** 90: padding, unless F3 (PAUSE) or REX.B (XCHG with r8) *)
   | Modrm  (** ModRM (+ SIB, displacement), then the immediate *)
   | Rel8  (** 8-bit relative branch *)
   | Rel32  (** 32-bit relative branch; the 66 (rel16) form is rejected *)
@@ -57,6 +65,7 @@ let pf_notrack = 8
 let px_legacy = 16 (* counts toward the 14-prefix limit *)
 let px_rex = 32 (* x86-64 only; must be last before the opcode *)
 let px_reject = 64 (* 67 (address size): outside the subset *)
+let pf_rexb = 128 (* REX.B: 90 is XCHG with r8, not a NOP *)
 
 (* ModRM length rule, one entry per ModRM byte: the displacement length
    (low 3 bits), whether a SIB byte follows, and whether the operand is
@@ -75,7 +84,9 @@ let modrm_rule =
 type tables = {
   prefix : string;  (** byte -> prefix-map entry, 0 for an opcode byte *)
   shape : shape array;  (** one-byte map at [op], 0F map at [256 + op] *)
-  info : string;  (** tag lor (immediate lsl 4), same indexing *)
+  info : string;
+      (** 16-bit native-endian words, same indexing: flag bits lor
+          (immediate lsl 8) *)
   ff : string;  (** FF reg field -> tag, ['\255'] where undefined *)
   rip_relative : bool;  (** bare disp32 and lea operands are RIP-relative *)
 }
@@ -91,14 +102,16 @@ let build arch =
   set_prefix px_reject [ 0x67 ];
   if not x86 then
     for b = 0x40 to 0x4F do
-      Bytes.set prefix b (Char.chr (px_rex lor if b land 8 <> 0 then pf_rexw else 0))
+      let w = if b land 8 <> 0 then pf_rexw else 0 and rb = if b land 1 <> 0 then pf_rexb else 0 in
+      Bytes.set prefix b (Char.chr (px_rex lor w lor rb))
     done;
-  let shape = Array.make 512 Bad and info = Bytes.make 512 '\000' in
-  let set ?(tag = tag_other) ?(imm = 0) sh ops =
+  let shape = Array.make 512 Bad and info = Bytes.make 1024 '\000' in
+  let set ?(tag = tag_other) ?(pad = false) ?(imm = 0) sh ops =
+    let flags = tag lor if pad then flag_padding else 0 in
     List.iter
       (fun op ->
         shape.(op) <- sh;
-        Bytes.set info op (Char.chr (tag lor (imm lsl 4))))
+        Bytes.set_uint16_ne info (2 * op) (flags lor (imm lsl 8)))
       ops
   in
   let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
@@ -129,7 +142,8 @@ let build arch =
   set Modrm ~imm:imm_z [ 0x81 ];
   set Modrm (range 0x84 0x8C @ [ 0x8E; 0x8F ]);
   set Lea [ 0x8D ];
-  set Fixed (range 0x90 0x99 @ range 0x9B 0x9F);
+  set Nop ~pad:true [ 0x90 ];
+  set Fixed (range 0x91 0x99 @ range 0x9B 0x9F);
   set Fixed ~imm:6 (only_x86 [ 0x9A ]) (* callf ptr16:32 *);
   set Fixed ~imm:(if x86 then 4 else 8) (range 0xA0 0xA3) (* mov moffs *);
   set Fixed (range 0xA4 0xA7 @ range 0xAA 0xAF) (* string ops *);
@@ -143,7 +157,8 @@ let build arch =
   set Modrm (only_x86 [ 0xC4; 0xC5 ]) (* les/lds; VEX on x86-64 *);
   set Modrm ~imm:imm_z [ 0xC7 ];
   set Fixed ~imm:3 [ 0xC8 ] (* enter *);
-  set Fixed ([ 0xC9; 0xCC; 0xCF ] @ only_x86 [ 0xCE ]);
+  set Fixed ([ 0xC9; 0xCF ] @ only_x86 [ 0xCE ]);
+  set Fixed ~pad:true [ 0xCC ] (* int3 *);
   set Fixed ~imm:1 [ 0xCD ];
   set Modrm (range 0xD0 0xD3 @ range 0xD8 0xDF) (* shifts, x87 *);
   set Fixed ~imm:1 (only_x86 [ 0xD4; 0xD5 ]) (* aam/aad *);
@@ -165,8 +180,9 @@ let build arch =
   set Fixed (two (only_x64 [ 0x05 ] @ [ 0x0B; 0xA2 ] @ range 0xC8 0xCF))
   (* syscall, ud2, cpuid, bswap *);
   set Endbr (two [ 0x1E ]);
-  set Modrm (two ([ 0x1F; 0xAF; 0xB6; 0xB7; 0xBE; 0xBF ] @ range 0x40 0x4F @ range 0x90 0x9F))
-  (* nop r/m, imul, movzx/movsx, cmovcc, setcc *);
+  set Modrm ~pad:true (two [ 0x1F ]) (* nop r/m, under any prefixes *);
+  set Modrm (two ([ 0xAF; 0xB6; 0xB7; 0xBE; 0xBF ] @ range 0x40 0x4F @ range 0x90 0x9F))
+  (* imul, movzx/movsx, cmovcc, setcc *);
   set Rel32 ~tag:tag_jcc_direct (two (range 0x80 0x8F));
   let bad = '\255' and other = Char.chr tag_other in
   let far = if x86 then other else bad in
@@ -191,7 +207,7 @@ let tables_x86 = build Arch.X86
 type scratch = {
   mutable s_addr : int;  (* virtual address of the scanned instruction *)
   mutable s_len : int;
-  mutable s_tag : int;
+  mutable s_tag : int;  (* the tag, plus [flag_padding] on fill *)
   mutable s_target : int;  (* payload of direct/addr-ref/goto tags *)
   mutable s_has_target : bool;  (* indirect tags: [goto] present *)
   mutable s_notrack : bool;
@@ -216,7 +232,7 @@ let scratch () =
 
 let scratch_addr s = s.s_addr
 let scratch_len s = s.s_len
-let scratch_tag s = s.s_tag
+let scratch_tag s = s.s_tag land 15
 let scratch_target s = s.s_target
 
 (* Constant exception: raising it allocates nothing. *)
@@ -231,6 +247,7 @@ let[@inline] byte code p = Char.code (String.unsafe_get code p)
 let[@inline] need p n limit = if p + n > limit then raise_notrace Scan_fail
 
 external get32u : string -> int -> int32 = "%caml_string_get32u"
+external get16u : string -> int -> int = "%caml_string_get16u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
 let[@inline] i32 code p =
@@ -240,7 +257,7 @@ let[@inline] i32 code p =
 let[@inline] i8 code p = (byte code p lxor 0x80) - 0x80
 
 let[@inline] imm_len info pfx =
-  let n = info lsr 4 in
+  let n = info lsr 8 in
   if n <> imm_z then n else if pfx land pf_opsize <> 0 then 2 else 4
 
 (* The ModRM operand at [p]: records the reg field and any bare disp32 in
@@ -310,12 +327,15 @@ let[@inline] core t (s : scratch) code ~limit ~base ~off =
       end
     in
     let p = !p in
-    let info = Char.code (String.unsafe_get t.info idx) in
-    s.s_tag <- info land 15;
+    let info = get16u t.info (2 * idx) in
+    s.s_tag <- info land 0xFF;
     let q =
       match Array.unsafe_get t.shape idx with
       | Bad -> raise_notrace Scan_fail
       | Fixed -> p + imm_len info pfx
+      | Nop ->
+        if pfx land (pf_rep lor pf_rexb) <> 0 then s.s_tag <- tag_other;
+        p
       | Modrm -> modrm s code limit p + imm_len info pfx
       | Rel8 ->
         need p 1 limit;
@@ -383,11 +403,6 @@ let scan arch s code ~limit ~base ~off =
   if limit < 0 || limit > String.length code then
     invalid_arg "Decoder.scan: limit out of range";
   off >= 0 && off < limit && core (tables arch) s code ~limit ~base ~off
-
-(* The flag byte: the tag in the low nibble, plus the two bits an [ins]
-   carries beyond it. *)
-let flag_notrack = 16
-let flag_goto = 32
 
 let[@inline] scratch_flags s =
   s.s_tag

@@ -83,7 +83,13 @@ val scratch_target : scratch -> int
 
 val ins_of_flags : addr:int -> len:int -> flags:int -> target:int -> ins
 (** The record a scan with these results stands for; [flags] is a
-    {!stream} tag byte. *)
+    {!stream} tag byte, whose {!flag_padding} bit it ignores. *)
+
+val flag_padding : int
+(** The bit of a {!stream} tag byte that marks padding: [90] with
+    neither an [F3] nor a REX.B prefix, the [0F 1F] NOP family under any
+    prefixes, and [CC].  The opcode lookup every scan makes already
+    carries it, so a scan that keeps no stream pays nothing for it. *)
 
 val scratch_ins : scratch -> ins
 (** Materialise the last scan as an {!ins} record (allocates). *)
@@ -109,9 +115,10 @@ val tag_addr_ref : int
     sinks: the instruction stream ([Cet_disasm.Linear.t]'s parallel
     arrays) and the index harvest ([Cet_disasm.Substrate.indexes]'s
     buffers).  [Linear.sweep] runs it with the stream only, the
-    substrate's stream-free scan with the harvest only, and a substrate
-    sweep with the stream plus the harvest unless the indexes are
-    memoised already, so the sweep and the scan are the same pass. *)
+    substrate's stream-free scan (plain or anchored) with the harvest
+    only, and a substrate sweep with the stream plus the harvest unless
+    the indexes are memoised already, so the sweep and the scan are the
+    same pass.  No caller keeps the stream of an anchored walk. *)
 
 type stream = {
   addrs : int array;
@@ -119,9 +126,10 @@ type stream = {
   lens : Bytes.t;
   tags : Bytes.t;
       (** the tag byte: the kind tag in the low nibble, plus [16] when a
-          [3E] (NOTRACK) prefix was present and [32] when an indirect
+          [3E] (NOTRACK) prefix was present, [32] when an indirect
           branch had a bare-disp32 memory operand (its [goto] slot is the
-          target); {!ins_of_flags} reads it back *)
+          target) and {!flag_padding} on NOP and INT3 fill;
+          {!ins_of_flags} reads it back *)
 }
 (** The kept instructions of one walk as parallel arrays, one entry per
     instruction and no spare capacity. *)
@@ -163,7 +171,7 @@ val walk :
     With [anchors = None] it is the plain sweep: a decode failure advances
     one byte, and each maximal undecodable run is one resync event.  With
     [Some offsets] (region-relative, ascending,
-    [Cet_disasm.Prescan.anchor_offsets]) it is the anchored sweep: an
+    [Cet_disasm.Prescan.anchor_offsets]) it is the anchored walk: an
     instruction that would straddle an anchor is discarded, and it and
     every decode failure are one event each, the walk resuming at the
     next anchor.  The next anchor is a forward cursor over [offsets],

@@ -1,6 +1,7 @@
-(* Exact inverse of Encoder over the modelled subset.  The parse mirrors
-   Encoder's emission choices; anything else returns None and the caller
-   falls back to the coarse Decoder. *)
+(* Exact inverse of Encoder over the modelled subset, used to print what
+   the Decoder found.  The parse mirrors Encoder's emission choices;
+   anything else returns None and the printer falls back to the Decoder's
+   coarse kind. *)
 
 type cursor = { code : string; limit : int; mutable p : int }
 
@@ -281,31 +282,14 @@ let decode arch code ~off =
           | _ -> None)
         | 0x99 -> finish Insn.Cdq
         | 0xC9 -> finish Insn.Leave
-        | 0x90 when not !rep -> finish Insn.Nop
+        | 0x90 when not (!rep || rex.b) -> finish Insn.Nop
         | 0xCC -> finish Insn.Int3
         | 0xF4 -> finish Insn.Hlt
         | _ -> None
       with Out_of_subset -> None)
   end
 
-let disassemble arch code ~base ~off =
-  match decode arch code ~off with
-  | Some (insn, len) -> Ok (Format.asprintf "%a" (Insn.pp ~arch) insn, len)
-  | None -> (
-    match Decoder.decode arch code ~base ~off with
-    | Ok i -> Ok (Decoder.kind_to_string i.kind, i.len)
-    | Error e -> Error e)
-
-let disassemble_all arch code ~base =
-  let out = ref [] in
-  let off = ref 0 in
-  while !off < String.length code do
-    match disassemble arch code ~base ~off:!off with
-    | Ok (text, len) ->
-      out := (base + !off, text) :: !out;
-      off := !off + len
-    | Error _ ->
-      out := (base + !off, "(bad)") :: !out;
-      incr off
-  done;
-  List.rev !out
+let disassemble arch code ~base (ins : Decoder.ins) =
+  match decode arch code ~off:(ins.addr - base) with
+  | Some (insn, len) when len = ins.len -> Format.asprintf "%a" (Insn.pp ~arch) insn
+  | _ -> Decoder.kind_to_string ins.kind

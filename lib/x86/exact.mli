@@ -1,10 +1,11 @@
-(** Exact decoding back into the {!Insn.t} AST — the inverse of {!Encoder}
-    over the instruction subset the synthetic compiler emits.
+(** The printer: exact decoding back into the {!Insn.t} AST — the inverse
+    of {!Encoder} over the instruction subset the synthetic compiler emits.
 
-    Where {!Decoder} recovers only lengths and branch classifications (all a
-    linear sweep needs), this module reconstructs full operands, so tools
-    can print real assembly listings.  Encodings outside the modelled
-    subset return [None]; callers fall back to {!Decoder}'s classification.
+    {!Decoder} decides where every instruction starts and what kind it is
+    (all a linear sweep needs); this module reconstructs the full operands
+    of an instruction the decoder found, so tools can print real assembly
+    listings.  Encodings outside the modelled subset return [None], and
+    {!disassemble} falls back to {!Decoder}'s classification.
 
     Invariant (tested property): for every [i : Insn.t] valid on [arch],
     [decode arch (Encoder.encode arch i) ~off:0 = Some (i, length)]. *)
@@ -13,12 +14,8 @@ val decode : Arch.t -> string -> off:int -> (Insn.t * int) option
 (** [decode arch code ~off] parses one instruction at byte offset [off],
     returning the AST and its length. *)
 
-val disassemble :
-  Arch.t -> string -> base:int -> off:int -> (string * int, string) result
-(** Render one instruction as text (via {!Insn.pp}) with its length,
-    falling back to {!Decoder}'s coarse classification for encodings
-    outside the subset; [Error] only when even that fails. *)
-
-val disassemble_all : Arch.t -> string -> base:int -> (int * string) list
-(** Full listing of a code blob: [(address, text)] per instruction, with
-    [+1] resynchronisation like the linear sweep. *)
+val disassemble : Arch.t -> string -> base:int -> Decoder.ins -> string
+(** [disassemble arch code ~base ins] renders [ins], an instruction
+    {!Decoder} found in [code] (whose first byte lives at [base]), as text:
+    {!Insn.pp} of the exact parse at its address when that parse covers
+    the same bytes, else {!Decoder.kind_to_string} of its kind. *)

@@ -1,15 +1,16 @@
 (* The retired byte-at-a-time sweeps and the per-byte anchor scan, kept as
-   differential-testing oracles for [Cet_disasm.Linear] and
-   [Cet_disasm.Prescan].  They run on the retired decoder
-   ([Oracle_decoder.decode]), one instruction record at a time, so a
-   sweep-level test checks the production scan core and the production
-   loops together.  Not memoised, not telemetry-instrumented.  The list
-   extractors at the end are the index-build oracle for
-   [Cet_disasm.Substrate.indexes]. *)
+   differential-testing oracles for [Cet_disasm.Linear],
+   [Cet_disasm.Substrate]'s scans and [Cet_disasm.Prescan].  They run on
+   the retired decoder ([Oracle_decoder.decode]), one instruction record
+   at a time, so a sweep-level test checks the production scan core and
+   the production loops together.  Not memoised, not
+   telemetry-instrumented.  The list extractors at the end are the
+   index-build oracle for [Cet_disasm.Substrate.indexes] and [facts]. *)
 
 module Arch = Cet_x86.Arch
 module Decoder = Cet_x86.Decoder
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 
 (* A reference sweep: one record per instruction, the shape the stream
    had before it became parallel arrays. *)
@@ -65,8 +66,9 @@ let anchor_offsets_naive arch code =
   done;
   Array.of_list !out
 
-(* {!Linear.sweep_anchored} as the original trust-tracking loop: it
-   decodes every byte position, even inside untrusted runs. *)
+(* The anchored walk ([Substrate.indexes ~anchored:true]) as the original
+   trust-tracking loop: it decodes every byte position, even inside
+   untrusted runs. *)
 let sweep_anchored_reference arch ?(base = 0) code =
   let size = String.length code in
   (* Per-offset tables: is an anchor here, and the first anchor strictly
@@ -172,3 +174,34 @@ let call_targets t =
 (* Distinct in-region jump targets, sorted (conditional branches never
    count: only unconditional jumps can be tail calls). *)
 let jmp_targets t = List.sort_uniq Int.compare (List.map snd (jmp_refs t))
+
+(* Where a substrate's index arrays and facts depart from what a
+   reference sweep's extractors give, if anywhere. *)
+let scan_mismatch (ix : Substrate.indexes) (fx : Substrate.facts) (r : t) =
+  let calls = call_sites r and jumps = jmp_refs r in
+  let arrays =
+    [
+      ("endbrs", ix.endbrs, endbr_addrs r);
+      ("call_sites", ix.call_sites, List.map (fun (s, _, _) -> s) calls);
+      ("call_rets", ix.call_rets, List.map (fun (_, ret, _) -> ret) calls);
+      ("call_tgts", ix.call_tgts, List.map (fun (_, _, t) -> t) calls);
+      ("call_targets", ix.call_targets, call_targets r);
+      ("jmp_sites", ix.jmp_sites, List.map fst jumps);
+      ("jmp_tgts", ix.jmp_tgts, List.map snd jumps);
+      ("jmp_targets", ix.jmp_targets, jmp_targets r);
+    ]
+  and facts =
+    [
+      ("f_base", fx.f_base, r.base);
+      ("f_size", fx.f_size, r.size);
+      ("f_resync_errors", fx.f_resync_errors, r.resync_errors);
+      ("f_insns", fx.f_insns, Array.length r.insns);
+    ]
+  in
+  match List.find_opt (fun (_, got, want) -> Array.to_list got <> want) arrays with
+  | Some (name, got, want) ->
+    Some (Printf.sprintf "%s: %d entries <> %d" name (Array.length got) (List.length want))
+  | None ->
+    Option.map
+      (fun (name, got, want) -> Printf.sprintf "%s %d <> %d" name got want)
+      (List.find_opt (fun (_, got, want) -> got <> want) facts)

@@ -57,7 +57,7 @@ let test_fde_starts () =
 
 let test_explore_reaches_called () =
   let res, reader = compile prog in
-  let sweep = Linear.sweep_text reader in
+  let sweep = Substrate.sweep (Substrate.create reader) in
   let entry = Reader.entry reader in
   let main = List.assoc "main" res.Link.truth in
   let ex = Cet_baselines.Common.explore sweep ~roots:[ entry; main ] in
@@ -74,7 +74,7 @@ let test_entry_main_root () =
   List.iter
     (fun opts ->
       let res, reader = compile ~opts prog in
-      let sweep = Linear.sweep_text reader in
+      let sweep = Substrate.sweep (Substrate.create reader) in
       let root = Cet_baselines.Common.entry_main_root sweep ~entry:(Reader.entry reader) in
       check (Alcotest.option Alcotest.int)
         ("main root " ^ O.to_string opts)
@@ -92,7 +92,7 @@ let test_stack_height_finds_tail () =
   in
   let opts = { O.default with opt = O.O2 } in
   let res, reader = compile ~opts p in
-  let sweep = Linear.sweep_text reader in
+  let sweep = Substrate.sweep (Substrate.create reader) in
   let main = List.assoc "main" res.Link.truth in
   let tgt = List.assoc "tgt" res.Link.truth in
   let targets =
@@ -214,7 +214,11 @@ let corpus_build ?(opts = O.default) ~seed index =
     List.sort_uniq compare (List.map snd res.truth) )
 
 let test_byteweight_learns () =
-  let train = List.init 4 (fun i -> corpus_build ~seed:31 i) in
+  let train =
+    List.init 4 (fun i ->
+        let reader, truth = corpus_build ~seed:31 i in
+        (Substrate.create reader, truth))
+  in
   let model = Cet_baselines.Byteweight.train train in
   let reader, truth = corpus_build ~seed:31 5 in
   let found = Cet_baselines.Byteweight.classify_st model (Substrate.create reader) in

@@ -172,7 +172,7 @@ let test_cf_protection_manual () =
 let test_endbr32_on_x86 () =
   let opts = { O.default with arch = Arch.X86 } in
   let _, reader = compile ~opts endbr_prog in
-  let sweep = Linear.sweep_text reader in
+  let sweep = Substrate.sweep (Substrate.create reader) in
   let has64 =
     List.exists (fun i -> Linear.tag sweep i = Dec.tag_endbr64) (List.init (Linear.length sweep) Fun.id)
   in
@@ -230,7 +230,7 @@ let test_switch_notrack () =
     (fun arch ->
       let opts = { O.default with arch } in
       let _, reader = compile ~opts p in
-      let sweep = Linear.sweep_text reader in
+      let sweep = Substrate.sweep (Substrate.create reader) in
       let notrack =
         List.exists
           (fun (i : Dec.ins) ->
@@ -397,7 +397,7 @@ let test_text_sweep_clean () =
   List.iter
     (fun opts ->
       let _, reader = compile ~opts split_prog in
-      let sweep = Linear.sweep_text reader in
+      let sweep = Substrate.sweep (Substrate.create reader) in
       check Alcotest.int (O.to_string opts ^ " resyncs") 0 sweep.resync_errors)
     O.all_grid
 

@@ -11,6 +11,7 @@ module Ir = Cet_compiler.Ir
 module Link = Cet_compiler.Link
 module Reader = Cet_elf.Reader
 module Linear = Cet_disasm.Linear
+module Substrate = Cet_disasm.Substrate
 
 let check = Alcotest.check
 
@@ -110,17 +111,17 @@ let test_resync_counts_runs () =
   check Alcotest.int "clean code, no events" 0 s.Linear.resync_errors
 
 let test_resync_anchored_counts_runs () =
-  (* Same rule for the anchored sweep: the whole untrusted stretch up to
+  (* Same rule for the anchored scan: the whole untrusted stretch up to
      the next end-branch anchor is a single event. *)
-  let s = Linear.sweep_anchored Arch.X64 (nop ^ garbage 8 ^ endbr64 ^ nop) in
-  check Alcotest.int "one event to anchor" 1 s.Linear.resync_errors;
-  let s =
-    Linear.sweep_anchored Arch.X64
-      (nop ^ garbage 8 ^ endbr64 ^ nop ^ garbage 5 ^ endbr64 ^ nop)
+  let resyncs code =
+    (Substrate.facts ~anchored:true
+       (Substrate.of_bytes (Test_substrate.image_with_text Arch.X64 code)))
+      .Substrate.f_resync_errors
   in
-  check Alcotest.int "two events" 2 s.Linear.resync_errors;
-  let s = Linear.sweep_anchored Arch.X64 (endbr64 ^ nop ^ nop) in
-  check Alcotest.int "clean code" 0 s.Linear.resync_errors
+  check Alcotest.int "one event to anchor" 1 (resyncs (nop ^ garbage 8 ^ endbr64 ^ nop));
+  check Alcotest.int "two events" 2
+    (resyncs (nop ^ garbage 8 ^ endbr64 ^ nop ^ garbage 5 ^ endbr64 ^ nop));
+  check Alcotest.int "clean code" 0 (resyncs (endbr64 ^ nop ^ nop))
 
 (* ------------------------------------------------------------------ *)
 (* Assembler corners                                                  *)
@@ -267,7 +268,7 @@ let test_linear_helpers () =
   in
   let res = Link.link O.default prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
-  let sweep = Linear.sweep_text reader in
+  let sweep = Substrate.sweep (Substrate.create reader) in
   (* index_of: exact hits only *)
   let first = Linear.addr sweep 0 in
   check Alcotest.int "index_of hit" 0 (Linear.index_of sweep first);
@@ -311,18 +312,16 @@ let test_inline_tables_and_anchored_sweep () =
   let res = Link.link opts prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
   (* The jump table really is in .text: its bytes are swept as (garbage)
-     instructions — the anchored sweep withholds at least as many of them
+     instructions — the anchored scan withholds at least as many of them
      as the linear sweep emits... *)
-  let lin = Linear.sweep_text reader in
-  let anc = Linear.sweep_text_anchored reader in
-  check Alcotest.bool "anchored emits no more insns" true
-    (Linear.length anc <= Linear.length lin);
+  let st = Substrate.create reader in
+  check Alcotest.bool "anchored keeps no more insns" true
+    ((Substrate.facts ~anchored:true st).f_insns <= Linear.length (Substrate.sweep st));
   (* ...no .rodata table remains... *)
   check Alcotest.bool "no rodata table" true
     (match Reader.find_section reader ".rodata" with None -> true | Some s -> s.size = 0);
   (* ...and both sweeps still let FunSeeker find every function. *)
   let truth = List.sort_uniq compare (List.map snd res.Link.truth) in
-  let st = Cet_disasm.Substrate.create reader in
   List.iter
     (fun anchored ->
       let r = Core.Funseeker.analyze_st ~anchored st in
@@ -346,10 +345,11 @@ let test_anchored_equals_linear_on_clean () =
   in
   let res = Link.link O.default prog in
   let reader = Reader.read (Cet_elf.Writer.write ~strip:true res.image) in
-  let a = Linear.sweep_text reader and b = Linear.sweep_text_anchored reader in
-  check Alcotest.int "same instruction count" (Linear.length a) (Linear.length b);
-  check Alcotest.bool "same stream" true
-    (a.addrs = b.addrs && a.lens = b.lens && a.tags = b.tags && a.targets = b.targets)
+  let st = Substrate.create reader in
+  check Alcotest.bool "same facts" true
+    (Substrate.facts st = Substrate.facts ~anchored:true st);
+  check Alcotest.bool "same indexes" true
+    (Substrate.indexes st = Substrate.indexes ~anchored:true st)
 
 let test_props_keys_distinct () =
   let keys = ref [] in

@@ -879,6 +879,48 @@ let test_cli_pipe_and_directory () =
       check Alcotest.string "cetstat: nothing on stdout" "" out;
       check Alcotest.bool "cetstat: names the directory" true (contains err ("cetstat: " ^ dir ^ ": ")))
 
+(* [inspect --disasm] renders the sweep: on a binary with jump tables in
+   .text, its listing must be the reference sweep's instructions, each
+   printed by the exact printer, with one "(bad)" line per byte the
+   sweep skips. *)
+let test_cli_inspect_disasm () =
+  let bytes, _ = List.assoc "gcc-x64-inline-data" (Lazy.force Test_substrate.corpus) in
+  let r = Oracle_sweep.sweep_text_reference (Cet_elf.Reader.read bytes) in
+  let lines = ref [] and next = ref r.base and skipped = ref 0 in
+  let line addr text = lines := Printf.sprintf "  0x%-8x %s\n" addr text :: !lines in
+  let skip_to a =
+    while !next < a do
+      line !next "(bad)";
+      incr skipped;
+      incr next
+    done
+  in
+  Array.iter
+    (fun (ins : Cet_x86.Decoder.ins) ->
+      skip_to ins.addr;
+      line ins.addr (Cet_x86.Exact.disassemble r.arch r.code ~base:r.base ins);
+      next := ins.addr + ins.len)
+    r.insns;
+  skip_to (r.base + r.size);
+  check Alcotest.bool "the sweep skips bytes" true (!skipped > 0);
+  let want =
+    Printf.sprintf ".text disassembly (%d instructions):\n%s" (List.length !lines)
+      (String.concat "" (List.rev !lines))
+  in
+  with_temp_dir (fun dir ->
+      let elf = Filename.concat dir "a.elf" in
+      Out_channel.with_open_bin elf (fun oc -> output_string oc bytes);
+      let code, out, _ = run_tool ~dir "inspect" [ "--disasm"; elf ] in
+      Sys.remove elf;
+      check Alcotest.int "exit" 0 code;
+      let rec from = function
+        | [] -> []
+        | l :: rest as all ->
+          if String.starts_with ~prefix:".text disassembly" l then all else from rest
+      in
+      check Alcotest.string "listing" want
+        (String.concat "\n" (from (String.split_on_char '\n' out))))
+
 let suite =
   [
     ( "eval.metrics",
@@ -945,5 +987,6 @@ let suite =
           test_cli_mkcorpus_arguments;
         Alcotest.test_case "a pipe reads as its file; a directory is a diagnostic" `Quick
           test_cli_pipe_and_directory;
+        Alcotest.test_case "inspect --disasm renders the sweep" `Quick test_cli_inspect_disasm;
       ] );
   ]

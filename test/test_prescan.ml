@@ -13,6 +13,8 @@
 module Arch = Cet_x86.Arch
 module Decoder = Cet_x86.Decoder
 module Linear = Cet_disasm.Linear
+module Prescan = Cet_disasm.Prescan
+module Substrate = Cet_disasm.Substrate
 
 let check = Alcotest.check
 
@@ -245,35 +247,43 @@ let test_sweep_vs_reference =
             code))
     arches
 
+(* The anchored walk keeps no stream: the substrate's anchored scan of
+   the bytes as a [.text] at 0x1000 must hold the index arrays and facts
+   of the anchored reference sweep. *)
 let test_anchored_vs_reference =
   List.map
     (fun (name, arch) ->
       QCheck.Test.make
-        ~name:(Printf.sprintf "anchored sweep = reference (%s)" name)
+        ~name:(Printf.sprintf "anchored scan = reference (%s)" name)
         ~count:300 (planted arch)
         (fun code ->
-          sweep_equal "sweep_anchored"
-            (Linear.sweep_anchored arch ~base:0x1000 code)
-            (Oracle_sweep.sweep_anchored_reference arch ~base:0x1000 code)
-            code))
+          let st = Substrate.of_bytes (Test_substrate.image_with_text arch code) in
+          match
+            Oracle_sweep.scan_mismatch
+              (Substrate.indexes ~anchored:true st)
+              (Substrate.facts ~anchored:true st)
+              (Oracle_sweep.sweep_anchored_reference arch ~base:0x1000 code)
+          with
+          | None -> true
+          | Some why -> QCheck.Test.fail_reportf "anchored scan: %s on %S" why code))
     arches
 
 (* --- the decode loop on a sub-region -------------------------------------- *)
 
 (* [Decoder.walk] over [len] bytes at [pos] of a larger buffer, plain or
-   anchored, with both sinks at once: the stream, written through the
-   domain's buffer, must be the reference sweep of exactly those bytes,
-   and the harvest the oracle's index lists over it.  The bytes around
-   the region are random too, so a read outside it shows up as a
-   mismatch. *)
+   anchored: the harvest must be the oracle's index lists over the
+   reference sweep of exactly those bytes, and, on the plain walk, which
+   fills both sinks at once, the stream written through the domain's
+   buffer must be that sweep.  The bytes around the region are random
+   too, so a read outside it shows up as a mismatch. *)
 let walk_agrees arch ~anchored buf ~pos ~len =
   let region = String.sub buf pos len in
   let vaddr = 0x401000 in
   let h = Decoder.harvest () in
-  let anchors = if anchored then Some (Linear.anchor_offsets arch region) else None in
+  let anchors = if anchored then Some (Prescan.anchor_offsets arch region) else None in
   let w =
-    Decoder.walk arch ~phase:"test.walk" ~anchors buf ~pos ~len ~vaddr ~stream:true
-      ~harvest:(Some h)
+    Decoder.walk arch ~phase:"test.walk" ~anchors buf ~pos ~len ~vaddr
+      ~stream:(not anchored) ~harvest:(Some h)
   in
   let r =
     (if anchored then Oracle_sweep.sweep_anchored_reference else Oracle_sweep.sweep_reference)
@@ -284,14 +294,18 @@ let walk_agrees arch ~anchored buf ~pos ~len =
     if got <> want then QCheck.Test.fail_reportf "%s: %s differs on %S" what name buf
   in
   same "kept count" w.Decoder.insns (Array.length r.Oracle_sweep.insns);
-  (match
-     Oracle_sweep.stream_mismatch
-       (Linear.of_stream arch ~base:vaddr ~code:region (Option.get w.Decoder.stream)
-          ~resync_errors:w.Decoder.resync_errors)
-       r
-   with
-  | None -> ()
-  | Some why -> QCheck.Test.fail_reportf "%s: stream %s on %S" what why buf);
+  same "resync events" w.Decoder.resync_errors r.Oracle_sweep.resync_errors;
+  Option.iter
+    (fun stream ->
+      match
+        Oracle_sweep.stream_mismatch
+          (Linear.of_stream arch ~base:vaddr ~code:region stream
+             ~resync_errors:w.Decoder.resync_errors)
+          r
+      with
+      | None -> ()
+      | Some why -> QCheck.Test.fail_reportf "%s: stream %s on %S" what why buf)
+    w.Decoder.stream;
   let ints b = Array.to_list (Cet_util.Ibuf.contents b) in
   same "endbrs" (ints h.Decoder.eb) (Oracle_sweep.endbr_addrs r);
   let calls = Oracle_sweep.call_sites r and jumps = Oracle_sweep.jmp_refs r in
@@ -378,7 +392,7 @@ let test_walk_allocation_fixed () =
       List.iter
         (fun len ->
           let anchors =
-            if anchored then Some (Linear.anchor_offsets arch (String.sub code 0 len)) else None
+            if anchored then Some (Prescan.anchor_offsets arch (String.sub code 0 len)) else None
           in
           walk anchors len ();
           let before = Gc.minor_words () in
@@ -495,7 +509,7 @@ let test_anchors_vs_naive =
         ~name:(Printf.sprintf "SWAR anchor_offsets = naive (%s)" name)
         ~count:500 (planted arch)
         (fun code ->
-          Linear.anchor_offsets arch code = Oracle_sweep.anchor_offsets_naive arch code))
+          Prescan.anchor_offsets arch code = Oracle_sweep.anchor_offsets_naive arch code))
     arches
 
 (* Directed anchor placements: offset 0, every phase relative to the
@@ -510,7 +524,7 @@ let test_anchors_directed () =
           Alcotest.(list int)
           (Printf.sprintf "%s anchors in %S" aname code)
           (Array.to_list (Oracle_sweep.anchor_offsets_naive arch code))
-          (Array.to_list (Linear.anchor_offsets arch code))
+          (Array.to_list (Prescan.anchor_offsets arch code))
       in
       case "";
       case "\x90";
@@ -552,7 +566,7 @@ let test_prescan_allocation_budget () =
     Gc.minor_words () -. before
   in
   let n_words = float_of_int (String.length code / 8) in
-  let anchor_words = measure (fun () -> Linear.anchor_offsets Arch.X64 code) in
+  let anchor_words = measure (fun () -> Prescan.anchor_offsets Arch.X64 code) in
   if anchor_words /. n_words > 1.0 then
     Alcotest.failf "anchor_offsets allocates %.2f minor words per code word"
       (anchor_words /. n_words);

@@ -19,7 +19,7 @@ let build ~profile ~index ~opts =
 
 (* A small cross-section of the corpus: both compilers, both arches, C and
    C++ (landing pads), and a jump-tables-in-text binary so the anchored
-   sweep has something to disagree with the linear one about. *)
+   scan has something to disagree with the linear sweep about. *)
 let corpus =
   lazy
     (let coreutils = Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.coreutils in
@@ -72,7 +72,7 @@ let test_equivalence () =
           Cet_baselines.Fetch.analyze_st st);
       twice "nucleus" (fresh Cet_baselines.Nucleus_like.analyze_st) (fun () ->
           Cet_baselines.Nucleus_like.analyze_st st);
-      let model = Cet_baselines.Byteweight.train [ (reader, truth) ] in
+      let model = Cet_baselines.Byteweight.train [ (Substrate.create reader, truth) ] in
       twice "byteweight"
         (fresh (Cet_baselines.Byteweight.classify_st model))
         (fun () -> Cet_baselines.Byteweight.classify_st model st);
@@ -188,8 +188,10 @@ let test_sorted_set_ops =
 let test_sweep_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   let reader = Reader.read bytes in
+  let text = Option.get (Reader.find_section reader ".text") in
   assert (not (Cet_telemetry.Span.enabled ()));
-  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
+  let sweep () = Linear.sweep (Reader.arch reader) ~base:text.vaddr text.data in
+  let n = float_of_int (Linear.length (sweep ())) in
   let measure what f =
     let before = Gc.minor_words () in
     ignore (Sys.opaque_identity (f ()));
@@ -197,45 +199,33 @@ let test_sweep_allocation_budget () =
     if per_insn > 1.0 then
       Alcotest.failf "%s allocates %.2f minor words per instruction (budget 1)" what per_insn
   in
-  measure "Linear.sweep_text" (fun () -> Linear.sweep_text reader);
-  List.iter
-    (fun anchored ->
-      let st = Substrate.create reader in
-      ignore (Substrate.facts ~anchored st : Substrate.facts);
-      measure
-        (Printf.sprintf "substrate sweep after the scan (anchored=%b)" anchored)
-        (fun () -> if anchored then Substrate.sweep_anchored st else Substrate.sweep st))
-    [ false; true ]
+  measure "Linear.sweep" sweep;
+  let st = Substrate.create reader in
+  ignore (Substrate.facts st : Substrate.facts);
+  measure "substrate sweep after the scan" (fun () -> Substrate.sweep st)
 
 (* A first sweep, with nothing memoised, fills the stream, the harvest
    and the indexes in one walk.  Their large arrays go straight to the
    major heap, where the minor budget above cannot see them: the stream
    copied out at its exact length is 2.25 words per instruction, and the
    index arrays most of the rest.  Measured 3.29 words per instruction
-   plain and 3.33 anchored on this binary; the budget adds the minor
-   budget's headroom, one word.  A stream grown from a [size/4] hint and
-   then trimmed cost 5.54 and 5.58 here. *)
+   on this binary; the budget adds the minor budget's headroom, one
+   word.  A stream grown from a [size/4] hint and then trimmed cost 5.54
+   here. *)
 let test_first_sweep_major_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   let reader = Reader.read bytes in
   assert (not (Cet_telemetry.Span.enabled ()));
-  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
-  List.iter
-    (fun anchored ->
-      let st = Substrate.create reader in
-      Gc.minor ();
-      let _, _, before = Gc.counters () in
-      ignore
-        (Sys.opaque_identity
-           (if anchored then Substrate.sweep_anchored st else Substrate.sweep st));
-      let _, _, after = Gc.counters () in
-      let per_insn = (after -. before) /. n in
-      if per_insn > 4.4 then
-        Alcotest.failf
-          "first substrate sweep (anchored=%b) allocates %.2f major words per instruction \
-           (budget 4.4)"
-          anchored per_insn)
-    [ false; true ]
+  let n = float_of_int (Linear.length (Substrate.sweep (Substrate.create reader))) in
+  let st = Substrate.create reader in
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  ignore (Sys.opaque_identity (Substrate.sweep st));
+  let _, _, after = Gc.counters () in
+  let per_insn = (after -. before) /. n in
+  if per_insn > 4.4 then
+    Alcotest.failf
+      "first substrate sweep allocates %.2f major words per instruction (budget 4.4)" per_insn
 
 (* --- stream-free scan vs sweep-derived products ------------------------ *)
 
@@ -243,50 +233,50 @@ let test_first_sweep_major_budget () =
    stream, the index arrays and the facts in one walk (what the harness
    does); one scanned first runs the stream-free scan (what FunSeeker's
    path does), then a stream-only sweep.  Both must hold the same index
-   arrays and facts, and both streams must be the reference sweep, plain
-   and anchored. *)
+   arrays and facts, and both streams must be the reference sweep.  The
+   anchored walk keeps no stream: its scan's index arrays and facts must
+   be the anchored reference sweep's. *)
 let check_scan_matches tag bytes =
   let reader = Reader.read bytes in
+  let scan_st = Substrate.create reader in
+  let ix_scan = Substrate.indexes scan_st in
+  let fx_scan = Substrate.facts scan_st in
+  let sweep_st = Substrate.create reader in
+  let swept_first = Substrate.sweep sweep_st in
+  let ix_sweep = Substrate.indexes sweep_st in
+  let fx_sweep = Substrate.facts sweep_st in
+  let arr field f =
+    check int_list (tag ^ " " ^ field) (Array.to_list (f ix_sweep)) (Array.to_list (f ix_scan))
+  in
+  arr "endbrs" (fun i -> i.Substrate.endbrs);
+  arr "call_sites" (fun i -> i.Substrate.call_sites);
+  arr "call_rets" (fun i -> i.Substrate.call_rets);
+  arr "call_tgts" (fun i -> i.Substrate.call_tgts);
+  arr "call_targets" (fun i -> i.Substrate.call_targets);
+  arr "jmp_sites" (fun i -> i.Substrate.jmp_sites);
+  arr "jmp_tgts" (fun i -> i.Substrate.jmp_tgts);
+  arr "jmp_targets" (fun i -> i.Substrate.jmp_targets);
+  check Alcotest.int (tag ^ " f_base") fx_sweep.Substrate.f_base fx_scan.Substrate.f_base;
+  check Alcotest.int (tag ^ " f_size") fx_sweep.Substrate.f_size fx_scan.Substrate.f_size;
+  check Alcotest.int (tag ^ " resyncs") fx_sweep.Substrate.f_resync_errors
+    fx_scan.Substrate.f_resync_errors;
+  check Alcotest.int (tag ^ " insns") fx_sweep.Substrate.f_insns fx_scan.Substrate.f_insns;
+  let reference = Oracle_sweep.sweep_text_reference reader in
   List.iter
-    (fun anchored ->
-      let tag = Printf.sprintf "%s anchored=%b" tag anchored in
-      let sweep st = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
-      let scan_st = Substrate.create reader in
-      let ix_scan = Substrate.indexes ~anchored scan_st in
-      let fx_scan = Substrate.facts ~anchored scan_st in
-      let sweep_st = Substrate.create reader in
-      let swept_first = sweep sweep_st in
-      let ix_sweep = Substrate.indexes ~anchored sweep_st in
-      let fx_sweep = Substrate.facts ~anchored sweep_st in
-      let arr field f =
-        check int_list (tag ^ " " ^ field)
-          (Array.to_list (f ix_sweep))
-          (Array.to_list (f ix_scan))
-      in
-      arr "endbrs" (fun i -> i.Substrate.endbrs);
-      arr "call_sites" (fun i -> i.Substrate.call_sites);
-      arr "call_rets" (fun i -> i.Substrate.call_rets);
-      arr "call_tgts" (fun i -> i.Substrate.call_tgts);
-      arr "call_targets" (fun i -> i.Substrate.call_targets);
-      arr "jmp_sites" (fun i -> i.Substrate.jmp_sites);
-      arr "jmp_tgts" (fun i -> i.Substrate.jmp_tgts);
-      arr "jmp_targets" (fun i -> i.Substrate.jmp_targets);
-      check Alcotest.int (tag ^ " f_base") fx_sweep.Substrate.f_base
-        fx_scan.Substrate.f_base;
-      check Alcotest.int (tag ^ " f_size") fx_sweep.Substrate.f_size
-        fx_scan.Substrate.f_size;
-      check Alcotest.int (tag ^ " resyncs") fx_sweep.Substrate.f_resync_errors
-        fx_scan.Substrate.f_resync_errors;
-      check Alcotest.int (tag ^ " insns") fx_sweep.Substrate.f_insns
-        fx_scan.Substrate.f_insns;
-      let reference = Oracle_sweep.sweep_text_reference ~anchored reader in
-      List.iter
-        (fun (order, sw) ->
-          match Oracle_sweep.stream_mismatch sw reference with
-          | None -> ()
-          | Some why -> Alcotest.failf "%s %s: stream %s" tag order why)
-        [ ("swept first", swept_first); ("scanned first", sweep scan_st) ])
-    [ false; true ]
+    (fun (order, sw) ->
+      match Oracle_sweep.stream_mismatch sw reference with
+      | None -> ()
+      | Some why -> Alcotest.failf "%s %s: stream %s" tag order why)
+    [ ("swept first", swept_first); ("scanned first", Substrate.sweep scan_st) ];
+  let anchored = Substrate.create reader in
+  match
+    Oracle_sweep.scan_mismatch
+      (Substrate.indexes ~anchored:true anchored)
+      (Substrate.facts ~anchored:true anchored)
+      (Oracle_sweep.sweep_text_reference ~anchored:true reader)
+  with
+  | None -> ()
+  | Some why -> Alcotest.failf "%s anchored scan: %s" tag why
 
 let test_scan_matches_corpus () =
   List.iter (fun (name, (bytes, _)) -> check_scan_matches name bytes) (Lazy.force corpus)
@@ -350,7 +340,7 @@ let test_scan_allocation_budget () =
   let bytes, _ = List.assoc "gcc-x64-cpp" (Lazy.force corpus) in
   assert (not (Cet_telemetry.Span.enabled ()));
   let reader = Reader.read bytes in
-  let n = float_of_int (Linear.length (Linear.sweep_text reader)) in
+  let n = float_of_int (Linear.length (Substrate.sweep (Substrate.create reader))) in
   let run anchored () =
     ignore
       (Sys.opaque_identity (Substrate.indexes ~anchored (Substrate.create reader)))
@@ -418,47 +408,38 @@ let test_indexes_allocation_budget () =
 
 (* Every instruction of the parallel-array stream, rebuilt as a record,
    must be the reference sweep's record, with the same resync count — for
-   the corpus' [.text] decoded as both architectures, plain and anchored,
-   and for both ways a substrate fills its stream (exactly sized after
-   the scan, grown while harvesting before it). *)
+   the corpus' [.text] decoded as both architectures, and for both ways a
+   substrate fills its stream (exactly sized after the scan, grown while
+   harvesting before it).  The anchored walk keeps no stream: its scan of
+   the same bytes, as both architectures, must hold the index arrays and
+   facts the anchored reference sweep's extractors give. *)
 let test_stream_matches_oracle () =
-  let expect tag stream oracle =
-    match Oracle_sweep.stream_mismatch stream oracle with
-    | None -> ()
-    | Some why -> Alcotest.failf "%s: %s" tag why
-  in
+  let expect tag = function None -> () | Some why -> Alcotest.failf "%s: %s" tag why in
   List.iter
     (fun (name, (bytes, _truth)) ->
       let reader = Reader.read bytes in
       let text = Option.get (Reader.find_section reader ".text") in
       List.iter
-        (fun anchored ->
-          let sweep, reference =
-            if anchored then (Linear.sweep_anchored, Oracle_sweep.sweep_anchored_reference)
-            else (Linear.sweep, Oracle_sweep.sweep_reference)
-          in
-          List.iter
-            (fun arch ->
-              expect
-                (Printf.sprintf "%s as %s anchored=%b" name (Cet_x86.Arch.to_string arch)
-                   anchored)
-                (sweep arch ~base:text.vaddr text.data)
-                (reference arch ~base:text.vaddr text.data))
-            [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
-          let oracle = Oracle_sweep.sweep_text_reference ~anchored reader in
-          let substrate_sweep st =
-            if anchored then Substrate.sweep_anchored st else Substrate.sweep st
-          in
-          expect
-            (Printf.sprintf "%s substrate anchored=%b" name anchored)
-            (substrate_sweep (Substrate.create reader))
-            oracle;
-          let scanned = Substrate.create reader in
-          ignore (Substrate.facts ~anchored scanned : Substrate.facts);
-          expect
-            (Printf.sprintf "%s substrate after scan anchored=%b" name anchored)
-            (substrate_sweep scanned) oracle)
-        [ false; true ])
+        (fun arch ->
+          let tag = Printf.sprintf "%s as %s" name (Cet_x86.Arch.to_string arch) in
+          expect tag
+            (Oracle_sweep.stream_mismatch
+               (Linear.sweep arch ~base:text.vaddr text.data)
+               (Oracle_sweep.sweep_reference arch ~base:text.vaddr text.data));
+          let st = Substrate.of_bytes (image_with_text arch text.data) in
+          expect (tag ^ " anchored scan")
+            (Oracle_sweep.scan_mismatch
+               (Substrate.indexes ~anchored:true st)
+               (Substrate.facts ~anchored:true st)
+               (Oracle_sweep.sweep_anchored_reference arch ~base:0x1000 text.data)))
+        [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
+      let oracle = Oracle_sweep.sweep_text_reference reader in
+      expect (name ^ " substrate")
+        (Oracle_sweep.stream_mismatch (Substrate.sweep (Substrate.create reader)) oracle);
+      let scanned = Substrate.create reader in
+      ignore (Substrate.facts scanned : Substrate.facts);
+      expect (name ^ " substrate after scan")
+        (Oracle_sweep.stream_mismatch (Substrate.sweep scanned) oracle))
     (Lazy.force corpus)
 
 (* The stream's footprint: two int arrays and two bytes per instruction,
@@ -467,7 +448,7 @@ let test_stream_matches_oracle () =
 let test_stream_footprint () =
   List.iter
     (fun (name, (bytes, _truth)) ->
-      let sweep = Linear.sweep_text (Reader.read bytes) in
+      let sweep = Substrate.sweep (Substrate.of_bytes bytes) in
       let per_insn =
         float_of_int (Obj.reachable_words (Obj.repr sweep))
         /. float_of_int (Linear.length sweep)
@@ -526,8 +507,8 @@ let check_kernels tag (sw : Linear.t) ref_sw ~entry ~root_sets ~suppress ~extent
         (C.stack_height_tail_targets sw ~extents))
     extent_sets
 
-(* On the corpus, plain and anchored: roots from the entry point and the
-   FDEs, extents as FETCH-like derives them and as the FDEs record them. *)
+(* On the corpus: roots from the entry point and the FDEs, extents as
+   FETCH-like derives them and as the FDEs record them. *)
 let test_kernels_match_oracles () =
   List.iter
     (fun (name, (bytes, _truth)) ->
@@ -536,35 +517,27 @@ let test_kernels_match_oracles () =
       let entry = Reader.entry reader in
       let fdes = Substrate.fde_starts st in
       let extents = Substrate.fde_extents st in
-      List.iter
-        (fun anchored ->
-          let sw = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
-          let text_end = sw.Linear.base + sw.Linear.size in
-          let starts =
-            Array.of_list (List.filter (fun a -> a >= sw.Linear.base && a < text_end) fdes)
-          in
-          let fetch_extents =
-            Array.to_list
-              (Array.mapi
-                 (fun i lo ->
-                   (lo, if i + 1 < Array.length starts then starts.(i + 1) else text_end))
-                 starts)
-          in
-          check_kernels
-            (Printf.sprintf "%s anchored=%b" name anchored)
-            sw
-            (Oracle_sweep.sweep_text_reference ~anchored reader)
-            ~entry
-            ~root_sets:
-              [
-                [ entry ];
-                entry :: fdes;
-                (* mid-instruction, before and past the region *)
-                (entry + 1) :: (sw.Linear.base - 1) :: text_end :: fdes;
-              ]
-            ~suppress:extents
-            ~extent_sets:[ fetch_extents; extents; List.map (fun (lo, hi) -> (hi, lo)) extents ])
-        [ false; true ])
+      let sw = Substrate.sweep st in
+      let text_end = sw.Linear.base + sw.Linear.size in
+      let starts =
+        Array.of_list (List.filter (fun a -> a >= sw.Linear.base && a < text_end) fdes)
+      in
+      let fetch_extents =
+        Array.to_list
+          (Array.mapi
+             (fun i lo -> (lo, if i + 1 < Array.length starts then starts.(i + 1) else text_end))
+             starts)
+      in
+      check_kernels name sw (Oracle_sweep.sweep_text_reference reader) ~entry
+        ~root_sets:
+          [
+            [ entry ];
+            entry :: fdes;
+            (* mid-instruction, before and past the region *)
+            (entry + 1) :: (sw.Linear.base - 1) :: text_end :: fdes;
+          ]
+        ~suppress:extents
+        ~extent_sets:[ fetch_extents; extents; List.map (fun (lo, hi) -> (hi, lo)) extents ])
     (Lazy.force corpus)
 
 (* Code for the kernel oracles: runs of snippets — prologues, stack
@@ -598,25 +571,17 @@ let test_kernels_match_oracles_random =
       let base = 0x1000 and n = String.length code in
       List.iter
         (fun arch ->
-          List.iter
-            (fun anchored ->
-              let sweep, reference =
-                if anchored then (Linear.sweep_anchored, Oracle_sweep.sweep_anchored_reference)
-                else (Linear.sweep, Oracle_sweep.sweep_reference)
-              in
-              check_kernels
-                (Printf.sprintf "%s anchored=%b" (Cet_x86.Arch.to_string arch) anchored)
-                (sweep arch ~base code) (reference arch ~base code) ~entry:base
-                ~root_sets:[ [ base ]; [ base; base + (n / 3); base + (n / 2) + 1 ] ]
-                ~suppress:[ (base + (n / 4), base + (n / 2)) ]
-                ~extent_sets:
-                  [
-                    [ (base, base + n) ];
-                    [ (base, base + (n / 2)); (base + (n / 2), base + n) ];
-                    (* small extents, so jumps leave them *)
-                    List.init ((n / 16) + 1) (fun i -> (base + (16 * i), base + (16 * (i + 1))));
-                  ])
-            [ false; true ])
+          check_kernels (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code)
+            (Oracle_sweep.sweep_reference arch ~base code) ~entry:base
+            ~root_sets:[ [ base ]; [ base; base + (n / 3); base + (n / 2) + 1 ] ]
+            ~suppress:[ (base + (n / 4), base + (n / 2)) ]
+            ~extent_sets:
+              [
+                [ (base, base + n) ];
+                [ (base, base + (n / 2)); (base + (n / 2), base + n) ];
+                (* small extents, so jumps leave them *)
+                List.init ((n / 16) + 1) (fun i -> (base + (16 * i), base + (16 * (i + 1))));
+              ])
         [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
       true)
 
@@ -631,8 +596,8 @@ let test_kernels_match_oracles_random =
 let anchors_inside bytes =
   let reader = Reader.read bytes in
   let text = Option.get (Reader.find_section reader ".text") in
-  let sweep = Linear.sweep_text reader in
-  let anchors = Linear.anchor_offsets (Reader.arch reader) text.Reader.data in
+  let sweep = Substrate.sweep (Substrate.create reader) in
+  let anchors = Cet_disasm.Prescan.anchor_offsets (Reader.arch reader) text.Reader.data in
   ( List.filter
       (fun a -> Linear.index_of sweep (text.Reader.vaddr + a) < 0)
       (Array.to_list anchors),
@@ -670,6 +635,57 @@ let test_scan_matches_grid () =
       check_scan_matches (O.to_string opts) bytes)
     O.all_grid
 
+(* --- the padding bit against the exact parse ------------------------------ *)
+
+(* Does the exact parse at [off] read a NOP or an INT3? *)
+let exact_padding arch code off =
+  match Cet_x86.Exact.decode arch code ~off with
+  | Some ((Cet_x86.Insn.Nop | Nopl _ | Int3), _) -> true
+  | _ -> false
+
+(* The sweep marks padding exactly where the exact parse reads NOP or
+   INT3 fill, on every instruction of a binary. *)
+let check_padding tag bytes =
+  let sw = Substrate.sweep (Substrate.of_bytes bytes) in
+  for i = 0 to Linear.length sw - 1 do
+    let off = Linear.addr sw i - sw.Linear.base in
+    let want = exact_padding sw.Linear.arch sw.Linear.code off in
+    if Linear.padding sw i <> want then
+      Alcotest.failf "%s: padding bit %b at 0x%x (%s), exact parse %b" tag (not want)
+        (Linear.addr sw i)
+        (Cet_util.Hexdump.bytes_inline (String.sub sw.Linear.code off (Linear.len sw i)))
+        want
+  done
+
+let test_padding_bit_corpus () =
+  List.iter (fun (name, (bytes, _)) -> check_padding name bytes) (Lazy.force corpus)
+
+let test_padding_bit_grid () =
+  let profile = Cet_corpus.Profile.scaled 0.05 Cet_corpus.Profile.coreutils in
+  List.iter
+    (fun (opts : O.t) ->
+      let bytes, _ = build ~profile ~index:0 ~opts in
+      check_padding (O.to_string opts) bytes)
+    O.all_grid
+
+(* Where the two differ by design: the decoder's opcode lookup marks [90]
+   and [CC] under a segment prefix, and GCC's ten-byte
+   [nopw %cs:0x0(%rax,%rax,1)], all of which the exact parse leaves to
+   the printer's fallback. *)
+let test_padding_bit_by_design () =
+  List.iter
+    (fun code ->
+      let tag = Cet_util.Hexdump.bytes_inline code in
+      let sw = Linear.sweep Cet_x86.Arch.X64 code in
+      check Alcotest.int (tag ^ ": one instruction") 1 (Linear.length sw);
+      check Alcotest.int (tag ^ ": all its bytes") (String.length code) (Linear.len sw 0);
+      check Alcotest.bool (tag ^ ": padding") true (Linear.padding sw 0);
+      check Alcotest.bool (tag ^ ": no exact NOP or INT3") false
+        (exact_padding Cet_x86.Arch.X64 code 0);
+      check Alcotest.string (tag ^ ": printed as its kind") "other"
+        (Cet_x86.Exact.disassemble Cet_x86.Arch.X64 code ~base:0 (Linear.ins sw 0)))
+    [ "\x26\x90"; "\x64\x90"; "\x2e\xcc"; "\x66\x2e\x0f\x1f\x84\x00\x00\x00\x00\x00" ]
+
 (* Every tool that walks the instruction stream, run over the corpus and
    hashed: IDA-, Ghidra-, FETCH-, Nucleus- and ByteWeight-like, CFG
    recovery and the CET audit.  The stream's representation and the
@@ -687,7 +703,7 @@ let test_tool_outputs_pinned () =
       add (Cet_baselines.Ghidra_like.analyze_st st);
       add (Cet_baselines.Fetch.analyze_st st);
       add (Cet_baselines.Nucleus_like.analyze_st st);
-      let model = Cet_baselines.Byteweight.train [ (reader, truth) ] in
+      let model = Cet_baselines.Byteweight.train [ (st, truth) ] in
       add (Cet_baselines.Byteweight.classify_st model st);
       add (Cet_cfg.Cfg.recover_st st);
       add (Core.Audit.audit_st st))
@@ -725,21 +741,14 @@ let check_lookup tag (sw : Linear.t) (ref_sw : Oracle_sweep.t) =
     if got <> want then fail (Printf.sprintf "bucket %d at" b) a got want
   done
 
-(* The four binaries, plain and anchored; the inline-data one has gaps. *)
+(* The four binaries; the inline-data one has gaps. *)
 let test_lookup_matches_binary_search () =
   List.iter
     (fun (name, (bytes, _truth)) ->
       let reader = Reader.read bytes in
-      List.iter
-        (fun anchored ->
-          let sw =
-            if anchored then Linear.sweep_text_anchored reader else Linear.sweep_text reader
-          in
-          check_lookup
-            (Printf.sprintf "%s anchored=%b" name anchored)
-            sw
-            (Oracle_sweep.sweep_text_reference ~anchored reader))
-        [ false; true ])
+      check_lookup name
+        (Substrate.sweep (Substrate.create reader))
+        (Oracle_sweep.sweep_text_reference reader))
     (Lazy.force corpus)
 
 let test_lookup_matches_binary_search_random =
@@ -783,21 +792,17 @@ let test_extend_matches_explore () =
       let st = Substrate.create reader in
       let entry = Reader.entry reader in
       let fdes = Substrate.fde_starts st in
-      List.iter
-        (fun anchored ->
-          let sw = if anchored then Substrate.sweep_anchored st else Substrate.sweep st in
-          let text_end = sw.Linear.base + sw.Linear.size in
-          let half = List.filteri (fun i _ -> i mod 2 = 0) fdes in
-          let hits =
-            Cet_baselines.Common.prologue_scan sw ~known:[] ~aggressive:true
-              ~visited:(Cet_baselines.Common.explore sw ~roots:[ entry ]).e_visited ()
-          in
-          let tag = Printf.sprintf "%s anchored=%b" name anchored in
-          check_extend (tag ^ " entry, then fdes") sw ~r1:[ entry ] ~r2:(fdes @ [ entry ]);
-          check_extend (tag ^ " half, then hits") sw
-            ~r1:((sw.Linear.base - 1) :: text_end :: (entry + 1) :: entry :: half)
-            ~r2:(hits @ ((entry + 1) :: entry :: fdes)))
-        [ false; true ])
+      let sw = Substrate.sweep st in
+      let text_end = sw.Linear.base + sw.Linear.size in
+      let half = List.filteri (fun i _ -> i mod 2 = 0) fdes in
+      let hits =
+        Cet_baselines.Common.prologue_scan sw ~known:[] ~aggressive:true
+          ~visited:(Cet_baselines.Common.explore sw ~roots:[ entry ]).e_visited ()
+      in
+      check_extend (name ^ " entry, then fdes") sw ~r1:[ entry ] ~r2:(fdes @ [ entry ]);
+      check_extend (name ^ " half, then hits") sw
+        ~r1:((sw.Linear.base - 1) :: text_end :: (entry + 1) :: entry :: half)
+        ~r2:(hits @ ((entry + 1) :: entry :: fdes)))
     (Lazy.force corpus)
 
 let test_extend_matches_explore_random =
@@ -822,13 +827,7 @@ let test_extend_matches_explore_random =
       in
       List.iter
         (fun arch ->
-          List.iter
-            (fun anchored ->
-              let sweep = if anchored then Linear.sweep_anchored else Linear.sweep in
-              check_extend
-                (Printf.sprintf "%s anchored=%b" (Cet_x86.Arch.to_string arch) anchored)
-                (sweep arch ~base code) ~r1 ~r2)
-            [ false; true ])
+          check_extend (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code) ~r1 ~r2)
         [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
       true)
 
@@ -961,5 +960,11 @@ let suite =
           test_scan_matches_grid;
         Alcotest.test_case "first sweep major-heap budget" `Quick
           test_first_sweep_major_budget;
+        Alcotest.test_case "padding bit = exact NOP or INT3 (corpus)" `Quick
+          test_padding_bit_corpus;
+        Alcotest.test_case "padding bit = exact NOP or INT3 (48 configurations)" `Quick
+          test_padding_bit_grid;
+        Alcotest.test_case "padding bit: forms the exact parse leaves out" `Quick
+          test_padding_bit_by_design;
       ] );
   ]

@@ -218,28 +218,6 @@ let test_span_exception_closes () =
       check Alcotest.int "stack drained" 0
         (List.length (Registry.ambient ()).Registry.stack))
 
-let test_span_manual_enter_exit () =
-  (* [enter]/[exit_] nest as [with_] does; an [exit_] with no span open
-     is a no-op, and with the registry off neither records anything. *)
-  with_clean_registry (fun () ->
-      Span.enter ~name:"ghost";
-      Span.exit_ ();
-      check Alcotest.bool "disabled: no span" true (span_metric "ghost" = None);
-      Registry.enable ();
-      Span.enter ~name:"region";
-      Span.enter ~name:"inner";
-      Span.exit_ ();
-      Span.exit_ ();
-      Span.exit_ ();
-      let region = Option.get (span_metric "region") in
-      let inner = Option.get (span_metric "inner") in
-      check Alcotest.int "region closed once" 1 (Hist.count region.Registry.hist);
-      check Alcotest.int "inner closed once" 1 (Hist.count inner.Registry.hist);
-      check Alcotest.bool "region's child time covers inner" true
-        (region.Registry.child_ns >= Hist.sum inner.Registry.hist);
-      check Alcotest.int "stack drained" 0
-        (List.length (Registry.ambient ()).Registry.stack))
-
 (* ------------------------------------------------------------------ *)
 (* Report determinism across ~jobs                                    *)
 (* ------------------------------------------------------------------ *)
@@ -366,7 +344,6 @@ let suite =
         Alcotest.test_case "span: disabled is inert" `Quick
           test_span_disabled_records_nothing;
         Alcotest.test_case "span: exception closes" `Quick test_span_exception_closes;
-        Alcotest.test_case "span: manual enter and exit" `Quick test_span_manual_enter_exit;
         Alcotest.test_case "report: byte-identical across jobs" `Quick
           test_stats_identical_across_jobs;
         Alcotest.test_case "report: zero-sample phase renders '-'" `Quick

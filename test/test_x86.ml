@@ -376,6 +376,7 @@ let qcheck_exact_x86 =
     (QCheck.make (gen_insn ~arch:Arch.X86))
     (exact_roundtrip_prop Arch.X86)
 
+(* The printer renders the instructions the sweep found. *)
 let test_exact_disassemble_text () =
   let blob =
     String.concat ""
@@ -387,20 +388,44 @@ let test_exact_disassemble_text () =
         Enc.encode Arch.X64 Insn.Ret;
       ]
   in
-  let listing = Cet_x86.Exact.disassemble_all Arch.X64 blob ~base:0x1000 in
+  let sweep = Cet_disasm.Linear.sweep Arch.X64 ~base:0x1000 blob in
+  let listing =
+    List.init (Cet_disasm.Linear.length sweep) (fun i ->
+        let ins = Cet_disasm.Linear.ins sweep i in
+        (ins.addr, Cet_x86.Exact.disassemble Arch.X64 blob ~base:0x1000 ins))
+  in
   check Alcotest.int "count" 5 (List.length listing);
   check Alcotest.string "endbr" "endbr64" (List.assoc 0x1000 listing);
   check Alcotest.string "push" "push rbp" (List.assoc 0x1004 listing);
   check Alcotest.string "mov" "mov rbp, rsp" (List.assoc 0x1005 listing);
   check Alcotest.string "ret" "ret" (List.assoc 0x100d listing)
 
+let decoded arch code = Result.get_ok (Dec.decode arch code ~base:0 ~off:0)
+
 let test_exact_fallback () =
   (* cpuid (0F A2) is outside the exact subset but inside the coarse
-     decoder: the listing falls back rather than failing. *)
-  match Cet_x86.Exact.disassemble Arch.X64 "\x0f\xa2" ~base:0 ~off:0 with
-  | Ok (text, 2) -> check Alcotest.string "fallback" "other" text
-  | Ok (_, n) -> Alcotest.failf "bad length %d" n
-  | Error e -> Alcotest.failf "unexpected error %s" e
+     decoder: the listing falls back to its kind rather than failing. *)
+  check Alcotest.string "fallback" "other"
+    (Cet_x86.Exact.disassemble Arch.X64 "\x0f\xa2" ~base:0 (decoded Arch.X64 "\x0f\xa2"))
+
+(* With REX.B, 90 is [xchg eax, r8d] ([xchg rax, r8] under REX.W too),
+   not a NOP: the exact parse leaves it to the decoder's kind, and the
+   sweep does not mark it as padding.  Without REX.B, [48 90] still is
+   one. *)
+let test_exact_rex_b_xchg () =
+  List.iter
+    (fun code ->
+      check Alcotest.bool (hex code ^ ": no exact parse") true
+        (Cet_x86.Exact.decode Arch.X64 code ~off:0 = None);
+      check Alcotest.string (hex code ^ ": printed as its kind") "other"
+        (Cet_x86.Exact.disassemble Arch.X64 code ~base:0 (decoded Arch.X64 code));
+      check Alcotest.bool (hex code ^ ": not padding") false
+        (Cet_disasm.Linear.padding (Cet_disasm.Linear.sweep Arch.X64 code) 0))
+    [ "\x41\x90"; "\x4b\x90"; "\x49\x90" ];
+  check Alcotest.bool "48 90 is a nop" true
+    (Cet_x86.Exact.decode Arch.X64 "\x48\x90" ~off:0 = Some (Insn.Nop, 2));
+  check Alcotest.bool "48 90 is padding" true
+    (Cet_disasm.Linear.padding (Cet_disasm.Linear.sweep Arch.X64 "\x48\x90") 0)
 
 let test_exact_full_coverage_of_compiled_binary () =
   (* The exact decoder must reconstruct EVERY instruction of a compiled
@@ -801,6 +826,7 @@ let suite =
           test_exact_full_coverage_of_compiled_binary;
         Alcotest.test_case "disassembly text" `Quick test_exact_disassemble_text;
         Alcotest.test_case "fallback" `Quick test_exact_fallback;
+        Alcotest.test_case "REX.B 90 is xchg, not nop" `Quick test_exact_rex_b_xchg;
       ] );
     ( "x86.asm",
       [
