@@ -102,7 +102,8 @@ let build arch =
   set_prefix px_reject [ 0x67 ];
   if not x86 then
     for b = 0x40 to 0x4F do
-      let w = if b land 8 <> 0 then pf_rexw else 0 and rb = if b land 1 <> 0 then pf_rexb else 0 in
+      let w = if b land 8 <> 0 then pf_rexw else 0
+      and rb = if b land 1 <> 0 then pf_rexb else 0 in
       Bytes.set prefix b (Char.chr (px_rex lor w lor rb))
     done;
   let shape = Array.make 512 Bad and info = Bytes.make 1024 '\000' in
