@@ -28,22 +28,24 @@ let read_elf path =
       fail (Cet_util.Diag.error ~domain:"elf" ~code:"malformed" msg))
 
 (* The sweep of .text as a listing: every instruction it kept, rendered by
-   the exact printer, and one "(bad)" line per byte it skipped. *)
-let listing (sw : Cet_disasm.Linear.t) =
-  let lines = ref [] and next = ref sw.base in
+   the exact printer, and one "(bad)" line per byte it skipped.  The
+   header counts the instructions alone. *)
+let print_listing (sw : Cet_disasm.Linear.t) =
+  Printf.printf ".text disassembly (%d instructions):\n" (Cet_disasm.Linear.length sw);
+  let line addr text = Printf.printf "  0x%-8x %s\n" addr text in
+  let next = ref sw.base in
   let skip_to a =
     for b = !next to a - 1 do
-      lines := (b, "(bad)") :: !lines
+      line b "(bad)"
     done
   in
   for i = 0 to Cet_disasm.Linear.length sw - 1 do
     let ins = Cet_disasm.Linear.ins sw i in
     skip_to ins.addr;
-    lines := (ins.addr, Cet_x86.Exact.disassemble sw.arch sw.code ~base:sw.base ins) :: !lines;
+    line ins.addr (Cet_x86.Exact.disassemble sw.arch sw.code ~base:sw.base ins);
     next := ins.addr + ins.len
   done;
-  skip_to (sw.base + sw.size);
-  List.rev !lines
+  skip_to (sw.base + sw.size)
 
 let explain_addr reader addr =
   let prov = Core.Provenance.create () in
@@ -104,10 +106,7 @@ let run file disasm explain =
   if disasm then begin
     match Cet_elf.Reader.find_section reader ".text" with
     | None -> print_endline "no .text"
-    | Some _ ->
-      let lines = listing (Cet_disasm.Substrate.sweep (Cet_disasm.Substrate.create reader)) in
-      Printf.printf ".text disassembly (%d instructions):\n" (List.length lines);
-      List.iter (fun (addr, text) -> Printf.printf "  0x%-8x %s\n" addr text) lines
+    | Some _ -> print_listing (Cet_disasm.Substrate.sweep (Cet_disasm.Substrate.create reader))
   end
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
