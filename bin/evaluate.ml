@@ -10,7 +10,6 @@
      evaluate --max-seconds 5 --manifest-out run.jsonl all   # fault-isolated run
      evaluate --triage --triage-out triage.jsonl all         # FP/FN root-cause forensics
      evaluate --top-slow 10 all                              # the slowest binaries
-     evaluate --metrics-out m.prom all                       # OpenMetrics exposition
      evaluate --manifest-out run.jsonl all                   # the run file: one row per binary
 
    `cetstat chrome trace.jsonl` converts a trace for chrome://tracing or
@@ -34,7 +33,7 @@ let require_positive flag x =
   if x <= 0.0 then usage "%s must be positive (got %g)" flag x
 
 let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
-    fail_fast inject_fault triage triage_out top_slow metrics_out manifest_out =
+    fail_fast inject_fault triage triage_out top_slow manifest_out =
   if jobs <= 0 then usage "--jobs must be a positive worker count (got %d)" jobs;
   require_positive "--scale" scale;
   Option.iter (require_positive "--max-seconds") max_seconds;
@@ -88,7 +87,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
           usage "cannot open %s file: %s" flag msg)
   in
   let triage_oc = open_report "--triage-out" triage_out in
-  let metrics_oc = open_report "--metrics-out" metrics_out in
   let trace_oc = open_report "--trace-out" trace_out in
   let manifest_oc = open_report "--manifest-out" manifest_out in
   List.iter
@@ -101,7 +99,7 @@ let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
   (* The manifest's rows are the profile rows, so --manifest-out implies
      profiling. *)
   let profile = top_slow > 0 || manifest_oc <> None in
-  if stats || trace_oc <> None || metrics_oc <> None then
+  if stats || trace_oc <> None then
     Telemetry.enable ~trace:(trace_oc <> None) ();
   let fault =
     match inject_fault with
@@ -128,8 +126,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
   in
   let t0 = Unix.gettimeofday () in
   let status = ref 0 in
-  (* Captured from the results branch for the metrics info labels below. *)
-  let results_digest = ref None in
   let out =
     match what with
     | "manual-endbr" ->
@@ -154,8 +150,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
         Cet_eval.Tables.Triage.write_jsonl oc results.Cet_eval.Harness.triage;
         Printf.eprintf "triage report written to %s (%d errors)\n" path
           (Cet_eval.Tables.Triage.total results.Cet_eval.Harness.triage));
-      if profile then
-        results_digest := Some (Cet_obs.Manifest.digest results.Cet_eval.Harness.profiles);
       (match manifest_oc with
       | None -> ()
       | Some (path, oc) ->
@@ -213,18 +207,6 @@ let run_eval what seed scale progress jobs no_timing stats trace_out max_seconds
   | Some (path, oc) ->
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Report.write_trace oc);
     Printf.eprintf "trace written to %s\n" path);
-  (match metrics_oc with
-  | None -> ()
-  | Some (path, oc) ->
-    (* Run identity rides along as a cet_run_info gauge so a scrape can
-       be joined back to its manifest by digest. *)
-    let info =
-      (match !results_digest with Some d -> [ ("digest", d) ] | None -> [])
-      @ [ ("seed", string_of_int seed) ]
-    in
-    Report.write_openmetrics ~info oc;
-    close_out oc;
-    Printf.eprintf "metrics written to %s\n" path);
   !status
 
 let what =
@@ -331,15 +313,6 @@ let top_slow =
   in
   Arg.(value & opt int 0 & info [ "top-slow" ] ~docv:"K" ~doc)
 
-let metrics_out =
-  let doc =
-    "Write a Prometheus/OpenMetrics text exposition of every telemetry \
-     counter, gauge and phase histogram to $(docv).  Implies telemetry \
-     recording.  The file is opened before the run, so an unwritable path \
-     fails fast with exit code 2."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
 let manifest_out =
   let doc =
     "Write the run file to $(docv): a versioned JSON-lines run manifest, one \
@@ -366,6 +339,6 @@ let cmd =
     Term.(
       const run_eval $ what $ seed $ scale $ progress $ jobs $ no_timing $ stats
       $ trace_out $ max_seconds $ fail_fast $ inject_fault $ triage $ triage_out
-      $ top_slow $ metrics_out $ manifest_out)
+      $ top_slow $ manifest_out)
 
 let () = exit (Cmd.eval' cmd)

@@ -106,9 +106,8 @@ type ins = { addr : int; kind : kind }
 
 let sign_extend v bits = if v land (1 lsl (bits - 1)) <> 0 then v - (1 lsl bits) else v
 
+(* The word at [off], which [sweep] keeps word-aligned and in bounds. *)
 let decode code ~base ~off =
-  if off land 3 <> 0 then invalid_arg "A64.decode: unaligned offset";
-  if off < 0 || off + 4 > String.length code then invalid_arg "A64.decode: out of bounds";
   let byte i = Char.code code.[off + i] in
   let w = byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24) in
   let addr = base + off in

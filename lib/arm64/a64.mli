@@ -28,12 +28,9 @@ type t =
   | Nop
   | Udf
 
-val encode : t -> int32
-(** The instruction word.  Raises [Invalid_argument] on out-of-range
-    displacements or registers. *)
-
 val encode_bytes : t -> string
-(** Little-endian 4-byte encoding. *)
+(** The little-endian 4-byte instruction word.  Raises [Invalid_argument]
+    on out-of-range displacements or registers. *)
 
 type kind =
   | K_bti of bti_kind
@@ -48,10 +45,7 @@ type kind =
 
 type ins = { addr : int; kind : kind }
 
-val decode : string -> base:int -> off:int -> ins
-(** Decode the word at byte offset [off] (must be word-aligned and in
-    bounds, else [Invalid_argument]).  Unrecognised words classify as
-    [K_other] — on a fixed-width ISA there is nothing to resynchronise. *)
-
 val sweep : string -> base:int -> ins list
-(** Linear sweep: every word of the blob, in order. *)
+(** Linear sweep: every whole word of the blob, in order.  Unrecognised
+    words classify as [K_other] — on a fixed-width ISA there is nothing to
+    resynchronise. *)

@@ -10,9 +10,6 @@
 
 type model
 
-val max_depth : int
-(** Prefix length learned (bytes). *)
-
 val train : (Cet_disasm.Substrate.t * int list) list -> model
 (** [train corpus] builds the weighted prefix tree from [(binary,
     entry addresses)] pairs, walking each binary's memoised
@@ -23,7 +20,3 @@ val classify_st : ?threshold:float -> model -> Cet_disasm.Substrate.t -> int lis
 (** Score every instruction boundary of the substrate's [.text] sweep;
     keep addresses whose matched prefix is function-start-weighted above
     [threshold] (default 0.5). *)
-
-val score : model -> string -> off:int -> float
-(** Posterior that the byte sequence starting at [off] begins a function
-    (0.5 when the tree has no evidence). *)

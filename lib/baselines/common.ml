@@ -177,9 +177,7 @@ let prologue_scan (sw : Linear.t) ~known ~aggressive ?visited ?(suppress = []) (
   let known = Linear.sort_dedup_ints (Array.of_list known) in
   (* Lenient: extents recovered from a corrupt .eh_frame can overlap, and
      a suppression table that is merely smaller must not abort the scan. *)
-  let suppress =
-    Cet_util.Itable.of_list_lenient (List.map (fun (lo, hi) -> (lo, hi, ())) suppress)
-  in
+  let suppress = Cet_util.Itable.of_list_lenient suppress in
   let hits = Ibuf.create () in
   for idx = 0 to n - 1 do
     if Bytes.unsafe_get visited idx = '\000' then begin

@@ -37,10 +37,6 @@ val recover_st : ?entries:int list -> Cet_disasm.Substrate.t -> func list
     FunSeeker's analysis are shared rather than recomputed.  Raises
     [Invalid_argument] when the image has no [.text]. *)
 
-val call_graph : func list -> (int * int list) list
-(** [entry → distinct callees] for every recovered function, callees
-    restricted to recovered entries. *)
-
 val block_count : func -> int
 val edge_count : func -> int
 

@@ -39,11 +39,6 @@ type program = {
   extra_imports : string list;
 }
 
-let indirect_return_functions =
-  [ "setjmp"; "_setjmp"; "sigsetjmp"; "savectx"; "vfork"; "getcontext" ]
-
-let is_indirect_return name = List.mem name indirect_return_functions
-
 let func ?(linkage = Exported) ?(address_taken = false) ?(no_endbr = false)
     ?(dead = false) ?(fate = Keep_whole) name body =
   { name; linkage; address_taken; no_endbr; dead; fate; body }

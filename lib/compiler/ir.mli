@@ -71,12 +71,6 @@ type program = {
   extra_imports : string list;  (** imports beyond those found in bodies *)
 }
 
-val indirect_return_functions : string list
-(** GCC's predefined list used by FILTERENDBR: [setjmp], [_setjmp],
-    [sigsetjmp], [savectx], [vfork], [getcontext]. *)
-
-val is_indirect_return : string -> bool
-
 val func :
   ?linkage:linkage ->
   ?address_taken:bool ->
@@ -91,9 +85,6 @@ val validate : program -> (unit, string) result
 (** Check referential integrity: every [Local]/pointer target names a
     function of the program, [main] exists, address-taken targets are
     flagged [address_taken], and [Try_catch] only appears in C++. *)
-
-val fate_stmts : fragment_fate -> stmt list
-(** The statements carried by a split fate ([] for [Keep_whole]). *)
 
 val func_stmts : func -> stmt list
 (** Body plus any split-off statements. *)

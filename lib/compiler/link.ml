@@ -307,4 +307,3 @@ let link_prepared (opts : Options.t) pp =
   { image; truth; fragment_extents; plt_entries }
 
 let link opts p = link_prepared opts (Codegen.prepare p)
-let compile ?(strip = false) opts p = Cet_elf.Writer.write ~strip (link opts p).image

@@ -26,12 +26,6 @@ type result = {
   plt_entries : (string * int) list;  (** import name → PLT entry vaddr *)
 }
 
-val base_address : Options.t -> int
-(** Link base: 0x8049000 (x86 non-PIE), 0x401000 (x86-64 non-PIE), 0x1000
-    (PIE). *)
-
-val plt_entry_size : int
-
 val link : Options.t -> Ir.program -> result
 (** Lower and encode, lay out, patch, and package a program: {!link_prepared}
     of {!Codegen.prepare}.  Raises [Invalid_argument] when {!Ir.validate}
@@ -40,6 +34,3 @@ val link : Options.t -> Ir.program -> result
 val link_prepared : Options.t -> Codegen.prepared -> result
 (** {!link} of a prepared program, which may be linked under several
     configurations, from several domains at once. *)
-
-val compile : ?strip:bool -> Options.t -> Ir.program -> string
-(** [link] followed by ELF serialisation. *)

@@ -12,7 +12,6 @@ let config1 = { filter_endbr = false; include_jump_targets = false; select_tail_
 let config2 = { config1 with filter_endbr = true }
 let config3 = { config2 with include_jump_targets = true }
 let config4 = { config3 with select_tail_calls = true }
-let default_config = config4
 
 type result = {
   functions : int list;
@@ -321,7 +320,7 @@ let analyze_st_impl config anchored prov st =
   (match prov with None -> () | Some p -> List.iter (Provenance.mark_kept p) r.functions);
   r
 
-let analyze_st ?(config = default_config) ?(anchored = false) ?prov st =
+let analyze_st ?(config = config4) ?(anchored = false) ?prov st =
   if Span.enabled () then
     Span.with_ ~name:"funseeker.analyze" (fun () -> analyze_st_impl config anchored prov st)
   else analyze_st_impl config anchored prov st

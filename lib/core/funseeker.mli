@@ -30,9 +30,6 @@ val config3 : config
 val config4 : config
 (** E' ∪ C ∪ J' — the full FunSeeker. *)
 
-val default_config : config
-(** Same as {!config4}. *)
-
 type result = {
   functions : int list;  (** identified entry addresses, sorted *)
   endbr_total : int;  (** |E| *)

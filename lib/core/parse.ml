@@ -16,10 +16,9 @@ let plt reader =
     in
     { plt_lo = s.vaddr; plt_hi = s.vaddr + s.size; entries }
 
-let plt_name map addr = List.assoc_opt addr map.entries
-
 let in_plt map addr = addr >= map.plt_lo && addr < map.plt_hi && map.plt_hi > 0
 
+(* GCC's predefined indirect-return functions, the FILTERENDBR allowlist. *)
 let indirect_return_imports =
   [ "setjmp"; "_setjmp"; "sigsetjmp"; "savectx"; "vfork"; "getcontext" ]
 

@@ -12,28 +12,17 @@ type plt_map = {
   entries : (int * string) list;  (** entry vaddr → imported name *)
 }
 
-val plt : Cet_elf.Reader.t -> plt_map
-(** Recover the PLT map: relocation order gives entry order (entry [i] of
-    [.rel(a).plt] owns the PLT slot at [plt_base + 16*(i+1)]).  Returns an
-    empty map when the binary has no PLT. *)
-
-val plt_name : plt_map -> int -> string option
-(** Name of the import whose PLT entry starts at the given address. *)
-
-val in_plt : plt_map -> int -> bool
-
-val indirect_return_imports : string list
-(** GCC's predefined indirect-return functions, the FILTERENDBR allowlist:
-    [setjmp], [_setjmp], [sigsetjmp], [savectx], [vfork], [getcontext]. *)
-
 val plt_st : Cet_disasm.Substrate.t -> plt_map
-(** {!plt} of the substrate's image.  Over a
-    {!Cet_disasm.Substrate.of_bytes_diag} substrate an unreadable PLT
-    degrades to the empty map (no indirect-return filtering), reported
-    into the substrate as [core/plt]; otherwise it raises like {!plt}. *)
+(** The PLT map of the substrate's image: relocation order gives entry
+    order (entry [i] of [.rel(a).plt] owns the PLT slot at
+    [plt_base + 16*(i+1)]), and a binary without a PLT has an empty map.
+    Over a {!Cet_disasm.Substrate.of_bytes_diag} substrate an unreadable
+    PLT degrades to the empty map (no indirect-return filtering), reported
+    into the substrate as [core/plt]; otherwise it raises. *)
 
 val indirect_return_calls : plt_map -> Cet_disasm.Substrate.indexes -> int array
-(** The direct calls into the PLT slots of {!indirect_return_imports}, as
+(** The direct calls into the PLT slots of GCC's indirect-return functions
+    ([setjmp], [_setjmp], [sigsetjmp], [savectx], [vfork], [getcontext]), as
     ascending indices into the call arrays of the given indexes: the call
     site is [call_sites.(k)] and the end-branch such a call makes
     legitimate sits at its return address [call_rets.(k)].  FILTERENDBR,

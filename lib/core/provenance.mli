@@ -62,9 +62,6 @@ type t
 
 val create : unit -> t
 val find : t -> int -> evidence option
-val get : t -> int -> evidence
-(** The evidence record for an address, created empty on first use. *)
-
 val list : t -> evidence list
 (** All evidence records in address order. *)
 

@@ -106,8 +106,3 @@ let iter_twins ?profiles ?configs ~seed ~scale f =
     (fun (res : Link.result) b -> (b, Cet_elf.Writer.write res.image))
     ?profiles ?configs ~seed ~scale
     (fun (b, unstripped) -> f b ~unstripped)
-
-let count ?(profiles = Profile.all) ?(configs = Options.all_grid) ~scale () =
-  List.fold_left
-    (fun acc p -> acc + (Profile.scaled scale p).Profile.programs * List.length configs)
-    0 profiles

@@ -75,7 +75,3 @@ val iter_twins :
 (** {!iter}, each binary handed over with its unstripped twin: the same
     link written with its symbol table, the ground-truth source.  The
     on-disk corpus needs it; evaluation never builds it. *)
-
-val count : ?profiles:Profile.t list -> ?configs:Cet_compiler.Options.t list ->
-  scale:float -> unit -> int
-(** Number of binaries [iter] will produce. *)

@@ -36,9 +36,6 @@ type t = {
   imports : string array;  (** libc-style import pool *)
 }
 
-val fig3_weights : class_weights
-(** The paper's Figure 3 proportions. *)
-
 val coreutils : t
 val binutils : t
 val spec : t

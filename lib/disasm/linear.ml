@@ -66,20 +66,6 @@ let ins t i =
     ~flags:(Char.code (Bytes.get t.tags i))
     ~target:t.targets.(i)
 
-let sweep_impl arch base code =
-  let w =
-    Decoder.walk arch ~phase:"disasm.sweep" ~anchors:None code ~pos:0
-      ~len:(String.length code) ~vaddr:base ~stream:true ~harvest:None
-  in
-  of_stream arch ~base ~code (Option.get w.stream) ~resync_errors:w.resync_errors
-
-(* DISASSEMBLE is the hot phase; the disabled-telemetry path must stay
-   allocation-free, hence the guard instead of a bare [Span.with_]. *)
-let sweep arch ?(base = 0) code =
-  if Cet_telemetry.Span.enabled () then
-    Cet_telemetry.Span.with_ ~name:"disasm.sweep" (fun () -> sweep_impl arch base code)
-  else sweep_impl arch base code
-
 let in_range t addr = addr >= t.base && addr < t.base + t.size
 
 (* ---- Sorted address arrays ----------------------------------------- *)

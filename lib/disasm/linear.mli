@@ -7,7 +7,8 @@
     number, plus a bucket index that finds an address's instruction in
     O(1) (about 2.4 words per instruction in all); FunSeeker's index
     arrays come from {!Substrate.indexes}.  Both are filled by the one
-    decode loop, {!Cet_x86.Decoder.walk}. *)
+    decode loop, {!Cet_x86.Decoder.walk}, which {!Substrate.sweep} runs
+    once per [.text]. *)
 
 type t = {
   arch : Cet_x86.Arch.t;
@@ -62,10 +63,6 @@ val target : t -> int -> int
 val ins : t -> int -> Cet_x86.Decoder.ins
 (** Instruction [i] as a record (allocates) — exactly the record the
     decoder returns for it. *)
-
-val sweep : Cet_x86.Arch.t -> ?base:int -> string -> t
-(** Disassemble a whole code blob (default [base] 0).  The [.text] of an
-    ELF image is swept, once, by {!Substrate.sweep}. *)
 
 val in_range : t -> int -> bool
 (** Is the address inside the swept region? *)

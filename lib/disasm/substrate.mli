@@ -123,11 +123,6 @@ val landing_pads : t -> int array
     corrupt LSDAs are skipped individually (reported as
     [core/lsda-skipped] by an {!of_bytes_diag} substrate). *)
 
-val fde_frames : t -> Cet_eh.Eh_frame.frame list
-(** Decoded [.eh_frame] FDEs (empty without the section), memoised.  A
-    corrupt walk yields its salvageable prefix (reported as
-    [eh/eh-frame] by an {!of_bytes_diag} substrate). *)
-
 val fde_starts : t -> int list
 (** Sorted distinct [pc_begin] of every FDE, preferring the cheap
     [.eh_frame_hdr] search table like real tools do. *)

@@ -1,5 +1,4 @@
 module W = Cet_util.Bytesio.W
-module R = Cet_util.Bytesio.R
 
 type subprogram = {
   sp_name : string;
@@ -99,90 +98,3 @@ let encode ~ptr_size t =
   W.u8 info ptr_size;
   W.bytes info (W.contents body);
   (abbrev, W.contents info, W.contents str)
-
-(* Decode the abbreviation table into (code -> tag, has_children, attrs). *)
-let decode_abbrevs data =
-  let r = R.of_string data in
-  let tbl = Hashtbl.create 4 in
-  let rec loop () =
-    let code = R.uleb r in
-    if code <> 0 then begin
-      let tag = R.uleb r in
-      let children = R.u8 r = 1 in
-      let attrs = ref [] in
-      let rec attrs_loop () =
-        let a = R.uleb r in
-        let f = R.uleb r in
-        if a <> 0 || f <> 0 then begin
-          attrs := (a, f) :: !attrs;
-          attrs_loop ()
-        end
-      in
-      attrs_loop ();
-      Hashtbl.replace tbl code (tag, children, List.rev !attrs);
-      loop ()
-    end
-  in
-  loop ();
-  tbl
-
-let cstring data off =
-  match String.index_from_opt data off '\000' with
-  | Some stop -> String.sub data off (stop - off)
-  | None -> invalid_arg "Dwarf_info: unterminated string"
-
-let decode ~debug_abbrev ~debug_info ~debug_str =
-  let abbrevs = decode_abbrevs debug_abbrev in
-  let r = R.of_string debug_info in
-  let _len = R.u32 r in
-  let version = R.u16 r in
-  if version <> 4 then invalid_arg "Dwarf_info: version";
-  let _abbrev_off = R.u32 r in
-  let ptr_size = R.u8 r in
-  let read_addr () = if ptr_size = 8 then R.u64 r else R.u32 r in
-  let cu_name = ref "" and producer = ref "" in
-  let subprograms = ref [] in
-  let read_die () =
-    let code = R.uleb r in
-    if code = 0 then false
-    else begin
-      let tag, _children, attrs =
-        match Hashtbl.find_opt abbrevs code with
-        | Some x -> x
-        | None -> invalid_arg "Dwarf_info: unknown abbrev"
-      in
-      let name = ref "" and low = ref 0 and high = ref 0 and ext = ref false in
-      List.iter
-        (fun (a, f) ->
-          let v_str () = cstring debug_str (R.u32 r) in
-          if f = dw_form_strp then begin
-            let s = v_str () in
-            if a = dw_at_name then name := s
-            else if a = dw_at_producer then producer := s
-          end
-          else if f = dw_form_addr then begin
-            let v = read_addr () in
-            if a = dw_at_low_pc then low := v
-          end
-          else if f = dw_form_data8 then begin
-            let v = R.u64 r in
-            if a = dw_at_high_pc then high := v
-          end
-          else if f = dw_form_data1 then ignore (R.u8 r)
-          else if f = dw_form_flag then begin
-            let v = R.u8 r in
-            if a = dw_at_external then ext := v = 1
-          end
-          else invalid_arg "Dwarf_info: unsupported form")
-        attrs;
-      if tag = dw_tag_compile_unit then cu_name := !name
-      else if tag = dw_tag_subprogram then
-        subprograms :=
-          { sp_name = !name; sp_low_pc = !low; sp_high_pc = !high; sp_external = !ext }
-          :: !subprograms;
-      true
-    end
-  in
-  let rec dies () = if (not (R.eof r)) && read_die () then dies () in
-  dies ();
-  { cu_name = !cu_name; producer = !producer; subprograms = List.rev !subprograms }

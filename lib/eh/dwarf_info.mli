@@ -6,7 +6,9 @@
 
     The encoder produces [.debug_abbrev], [.debug_info] and [.debug_str]
     section contents (DWARF v4, 64-bit addresses for x86-64, 32-bit for
-    x86); the decoder parses exactly that shape. *)
+    x86).  No tool reads them back: the corpus is stripped, and its ground
+    truth is the compiler's own list.  The tests' reader
+    ([test/dwarf_reader.ml]) parses exactly this shape. *)
 
 type subprogram = {
   sp_name : string;
@@ -23,7 +25,3 @@ type t = {
 
 val encode : ptr_size:int -> t -> string * string * string
 (** [(debug_abbrev, debug_info, debug_str)] section contents. *)
-
-val decode : debug_abbrev:string -> debug_info:string -> debug_str:string -> t
-(** Inverse of {!encode}.  Raises [Invalid_argument] on structures outside
-    the emitted subset. *)

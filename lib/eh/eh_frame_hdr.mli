@@ -15,13 +15,9 @@ val encode : vaddr:int -> eh_frame_vaddr:int -> entry list -> string
     sorted by [initial_loc] internally.  Size depends only on the entry
     count, so layout can be computed before addresses are final. *)
 
-val decode : vaddr:int -> string -> entry list
-(** Parse section contents; entries come back in table order (sorted).
-    Raises [Invalid_argument] on unsupported structure and
-    [Cet_util.Bytesio.R.Out_of_bounds] on truncation. *)
-
 val decode_result : vaddr:int -> string -> (entry list, Cet_util.Diag.t) result
-(** Non-raising {!decode}: failures become [eh/eh-frame-hdr-malformed] or
+(** Parse section contents; entries come back in table order (sorted).
+    Never raises: failures become [eh/eh-frame-hdr-malformed] or
     [eh/eh-frame-hdr-truncated] diagnostics, so production consumers can
     fall back to walking [.eh_frame] instead of crashing on a truncated
     search table. *)

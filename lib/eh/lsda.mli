@@ -18,24 +18,18 @@ type t = {
   type_count : int;  (** entries in the types table (caught types) *)
 }
 
-val encode : t -> string
-(** Serialise one LSDA.  Uses omitted LPStart, udata4 type-table encoding
-    when [type_count > 0], and uleb call-site encoding — GCC's defaults. *)
-
 val build_table : t list -> string * int list
 (** [build_table lsdas] concatenates encoded LSDAs (4-byte aligned) into
     [.gcc_except_table] contents and returns the byte offset of each — the
-    offsets FDE LSDA pointers reference. *)
-
-val decode : string -> off:int -> t
-(** Parse the LSDA starting at [off] in section contents.  Raises
-    [Invalid_argument] (unsupported encoding, malformed table) or
-    {!Cet_util.Bytesio.R.Out_of_bounds} (truncation). *)
+    offsets FDE LSDA pointers reference.  Each LSDA has an omitted
+    LPStart, a udata4 type-table encoding when [type_count > 0], and a
+    uleb call-site encoding — GCC's defaults. *)
 
 val decode_result : string -> off:int -> (t, Cet_util.Diag.t) result
-(** Non-raising {!decode}: failures become [eh/lsda-malformed] or
-    [eh/lsda-truncated] diagnostics, letting the LSDA walk skip a corrupt
-    record and keep the rest. *)
+(** Parse the LSDA starting at [off] in section contents.  Never raises:
+    failures become [eh/lsda-malformed] (unsupported encoding, malformed
+    table) or [eh/lsda-truncated] diagnostics, letting the LSDA walk skip
+    a corrupt record and keep the rest. *)
 
 val landing_pads : t -> func_start:int -> int list
 (** Absolute virtual addresses of the LSDA's landing pads (non-zero ones),

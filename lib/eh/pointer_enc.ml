@@ -2,7 +2,6 @@ module W = Cet_util.Bytesio.W
 module R = Cet_util.Bytesio.R
 
 let omit = 0xff
-let absptr4 = 0x00
 let absptr8 = 0x04 (* DW_EH_PE_udata8: absolute 8-byte *)
 let pcrel_sdata4 = 0x1b
 let udata4 = 0x03

@@ -8,9 +8,6 @@
 val omit : int
 (** DW_EH_PE_omit (0xff). *)
 
-val absptr4 : int
-(** DW_EH_PE_absptr with 4-byte reads (ELF32 absolute pointers). *)
-
 val absptr8 : int
 
 val pcrel_sdata4 : int

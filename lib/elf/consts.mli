@@ -13,7 +13,6 @@ val em_x86_64 : int
 val em_aarch64 : int
 
 (* Section types *)
-val sht_null : int
 val sht_progbits : int
 val sht_symtab : int
 val sht_strtab : int
@@ -39,11 +38,9 @@ val stt_section : int
 val stt_file : int
 
 val shn_undef : int
-val shn_abs : int
 
 (* Program header *)
 val pt_load : int
-val pt_gnu_property : int
 
 val pf_x : int
 val pf_w : int

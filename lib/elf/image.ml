@@ -23,5 +23,3 @@ type t = {
 let section ?(flags = Consts.shf_alloc) ?(addralign = 1) ?(entsize = 0)
     ?(sh_type = Consts.sht_progbits) ~name ~vaddr data =
   { name; sh_type; flags; vaddr; addralign; entsize; data }
-
-let find_section t name = List.find_opt (fun s -> s.name = name) t.sections

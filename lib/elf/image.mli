@@ -35,5 +35,3 @@ type t = {
 val section : ?flags:int -> ?addralign:int -> ?entsize:int -> ?sh_type:int ->
   name:string -> vaddr:int -> string -> section
 (** Convenience constructor; defaults: PROGBITS, ALLOC, align 1, entsize 0. *)
-
-val find_section : t -> string -> section option

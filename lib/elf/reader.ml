@@ -222,7 +222,6 @@ let pie t = t.pie
 let entry t = t.entry
 let sections t = t.sections
 let find_section t name = List.find_opt (fun s -> s.name = name) t.sections
-let image t = t.image
 
 (* Zero-copy payload access: the (string, pos, len) triple locating the
    section's bytes without the [data] sub-string.  Falls back to [data]
@@ -339,46 +338,3 @@ let cet_enabled t =
         && data land Consts.gnu_property_x86_feature_1_ibt <> 0
       end
     with R.Out_of_bounds _ -> false)
-
-let derived_sections =
-  [
-    ".note.gnu.property";
-    ".dynsym";
-    ".dynstr";
-    ".rel.plt";
-    ".rela.plt";
-    ".symtab";
-    ".strtab";
-    ".shstrtab";
-  ]
-
-let to_image t =
-  let content =
-    List.filter (fun s -> not (List.mem s.name derived_sections)) t.sections
-  in
-  {
-    Image.arch = t.arch;
-    machine =
-      (if t.machine = Consts.em_x86_64 || t.machine = Consts.em_386 then None
-       else Some t.machine);
-    pie = t.pie;
-    cet_note = find_section t ".note.gnu.property" <> None;
-    entry = t.entry;
-    sections =
-      List.map
-        (fun s ->
-          {
-            Image.name = s.name;
-            sh_type = s.sh_type;
-            flags = s.flags;
-            vaddr = s.vaddr;
-            addralign = s.addralign;
-            entsize = s.entsize;
-            data = s.data;
-          })
-        content;
-    symbols = symbols t;
-    dynsyms =
-      (match Array.to_list (dyn_symbols t) with [] -> [] | _null :: rest -> rest);
-    plt_relocs = plt_relocs t;
-  }

@@ -47,10 +47,6 @@ val entry : t -> int
 val sections : t -> section list
 val find_section : t -> string -> section option
 
-val image : t -> string
-(** The raw file bytes the reader parsed — the backing store of every
-    [file_off]. *)
-
 val section_view : t -> section -> string * int * int
 (** [section_view t s] is [(buf, pos, len)] such that the section payload
     is [buf.[pos .. pos+len-1]] — the raw image slice when one backs the
@@ -69,8 +65,3 @@ val plt_relocs : t -> (int * string) list
 
 val cet_enabled : t -> bool
 (** True iff [.note.gnu.property] carries the IBT feature bit. *)
-
-val to_image : t -> Image.t
-(** Reconstruct a writable image (used by {!Strip}).  Derived sections
-    ([.symtab], [.dynsym], notes, string tables…) are not duplicated into
-    [Image.sections]; they are regenerated on write. *)

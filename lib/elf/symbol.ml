@@ -11,9 +11,6 @@ type t = {
   section : string option;
 }
 
-let func ?(bind = Global) ?(size = 0) name value =
-  { name; value; size; kind = Func; bind; section = Some ".text" }
-
 let undef_func name =
   { name; value = 0; size = 0; kind = Func; bind = Global; section = None }
 

@@ -14,9 +14,6 @@ type t = {
   section : string option;  (** defining section name; [None] = undefined *)
 }
 
-val func : ?bind:bind -> ?size:int -> string -> int -> t
-(** [func name addr] builds a defined [STT_FUNC] symbol in [.text]. *)
-
 val undef_func : string -> t
 (** Undefined function symbol (an import, for [.dynsym]). *)
 

@@ -39,20 +39,3 @@ let from_symbols reader =
   else from_symbols_impl reader
 
 let addresses truth = List.sort_uniq compare (List.map snd truth)
-
-let from_dwarf reader =
-  match
-    ( Cet_elf.Reader.find_section reader ".debug_abbrev",
-      Cet_elf.Reader.find_section reader ".debug_info",
-      Cet_elf.Reader.find_section reader ".debug_str" )
-  with
-  | Some ab, Some info, Some str ->
-    let d =
-      Cet_eh.Dwarf_info.decode ~debug_abbrev:ab.data ~debug_info:info.data
-        ~debug_str:str.data
-    in
-    List.filter_map
-      (fun (sp : Cet_eh.Dwarf_info.subprogram) ->
-        if is_fragment_name sp.sp_name then None else Some (sp.sp_name, sp.sp_low_pc))
-      d.Cet_eh.Dwarf_info.subprograms
-  | _ -> []

@@ -14,10 +14,5 @@ val from_symbols : Cet_elf.Reader.t -> (string * int) list
 (** [STT_FUNC] symbols defined in [.text], fragment symbols excluded.
     Empty for stripped binaries. *)
 
-val from_dwarf : Cet_elf.Reader.t -> (string * int) list
-(** The paper's actual source: [DW_TAG_subprogram] DIEs from [.debug_info],
-    fragment entries excluded.  Empty for stripped binaries (debug sections
-    are removed by stripping). *)
-
 val addresses : (string * int) list -> int list
 (** Entry addresses, sorted and deduplicated. *)

@@ -79,11 +79,20 @@ let timed f x =
   let r = f x in
   (r, Unix.gettimeofday () -. t0)
 
-(* Ground-truth entry addresses of one binary, deduplicated: aliased
-   symbols may map distinct names to one address, and every consumer of a
-   truth list measures the set of entries, not the symbol table. *)
-let truth_addrs (bin : Dataset.binary) =
-  List.sort_uniq Int.compare (List.map snd bin.truth)
+(* Ground-truth entry addresses, deduplicated: aliased symbols may map
+   distinct names to one address, and every consumer of a truth list
+   measures the set of entries, not the symbol table. *)
+let entries truth = List.sort_uniq Int.compare (List.map snd truth)
+
+let truth_addrs (bin : Dataset.binary) = entries bin.truth
+
+(* One side-experiment binary: program [index] of [profile], linked under
+   [config] and stripped, as a substrate, with its truth's entries. *)
+let build_side ~seed ~profile config index =
+  let ir = Cet_corpus.Generator.program ~seed ~profile ~index in
+  let res = Cet_compiler.Link.link config ir in
+  ( Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image),
+    entries res.Cet_compiler.Link.truth )
 
 let empty_results () =
   {
@@ -533,12 +542,7 @@ let related_work ?jobs (opts : options) =
     Cet_corpus.Profile.scaled (opts.scale /. 2.0) Cet_corpus.Profile.coreutils
   in
   let wq = pool ?jobs () in
-  let build config index =
-    let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-    let res = Cet_compiler.Link.link config ir in
-    ( Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image),
-      List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth) )
-  in
+  let build = build_side ~seed:opts.seed ~profile in
   let n = max 4 profile.Cet_corpus.Profile.programs in
   let train_n = n / 2 in
   let gcc = Options.default in
@@ -571,12 +575,7 @@ let related_work ?jobs (opts : options) =
   let nucleus_on profile =
     Array.fold_left Metrics.add Metrics.empty
       (Work_queue.map wq profile.Cet_corpus.Profile.programs (fun index ->
-           let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-           let res = Cet_compiler.Link.link gcc ir in
-           let st =
-             Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
-           in
-           let truth = List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth) in
+           let st, truth = build_side ~seed:opts.seed ~profile gcc index in
            Metrics.compare_sets ~truth ~found:(Cet_baselines.Nucleus_like.analyze_st st)))
   in
   {
@@ -627,14 +626,7 @@ let inline_data ?jobs (opts : options) =
         (Metrics.add lin lin', Metrics.add anc anc', resyncs + resyncs'))
       (Metrics.empty, Metrics.empty, 0)
       (Work_queue.map wq profile.Cet_corpus.Profile.programs (fun index ->
-           let ir = Cet_corpus.Generator.program ~seed:opts.seed ~profile ~index in
-           let res = Cet_compiler.Link.link config ir in
-           let st =
-             Substrate.of_bytes (Cet_elf.Writer.write ~strip:true res.Cet_compiler.Link.image)
-           in
-           let truth =
-             List.sort_uniq Int.compare (List.map snd res.Cet_compiler.Link.truth)
-           in
+           let st, truth = build_side ~seed:opts.seed ~profile config index in
            let l = Core.Funseeker.analyze_st st in
            let a = Core.Funseeker.analyze_st ~anchored:true st in
            ( Metrics.compare_sets ~truth ~found:l.Core.Funseeker.functions,
@@ -690,9 +682,7 @@ let arm_bti ?jobs (opts : options) =
              let reader =
                Reader.read (Cet_elf.Writer.write ~strip:true res.Cet_arm64.A64_compile.image)
              in
-             let truth =
-               List.sort_uniq Int.compare (List.map snd res.Cet_arm64.A64_compile.truth)
-             in
+             let truth = entries res.Cet_arm64.A64_compile.truth in
              let r = Cet_arm64.Bti_seeker.analyze reader in
              Metrics.compare_sets ~truth ~found:r.Cet_arm64.Bti_seeker.functions
            in

@@ -62,8 +62,8 @@ type profile = Cet_obs.Manifest.row = {
   p_config : string;  (** {!Cet_compiler.Options.to_string} descriptor *)
   p_arch : string;  (** ["x86"] or ["x64"] *)
   p_digest : string;
-      (** {!content_digest} of the stripped ELF bytes — the binary's
-          stable content identity, present whatever [p_status] *)
+      (** hex MD5 of the stripped ELF bytes — the binary's stable
+          content identity, present whatever [p_status] *)
   p_text_bytes : int;  (** [.text] size ({!Cet_disasm.Substrate.facts}) *)
   p_insns : int;  (** instructions decoded by the linear sweep *)
   p_resyncs : int;  (** sweep desynchronisation events *)
@@ -79,12 +79,6 @@ type profile = Cet_obs.Manifest.row = {
 val profile_phase_names : string list
 (** study, configs, funseeker, ida, ghidra, fetch, triage: the fixed
     phase vocabulary of every row, in order. *)
-
-val content_digest : string -> string
-(** Hex MD5 of a binary's stripped ELF bytes: its content identity.  The
-    corpus is deterministic in the seed, so the digest is stable across
-    runs and [--jobs] — it keys every cross-run join
-    ([cetstat diff]) and, later, the content-addressed result store. *)
 
 val ewma_update : alpha:float -> prev:float option -> float -> float
 (** One exponentially-weighted-moving-average step: the first observation

@@ -30,10 +30,6 @@ let pct num den = if den = 0 then 100.0 else 100.0 *. float_of_int num /. float_
 let precision c = pct c.tp (c.tp + c.fp)
 let recall c = pct c.tp (c.tp + c.fn)
 
-let f1 c =
-  let p = precision c and r = recall c in
-  if p +. r = 0.0 then 0.0 else 2.0 *. p *. r /. (p +. r)
-
 let false_entries ~truth ~found =
   let t = IntSet.of_list truth and f = IntSet.of_list found in
   (IntSet.elements (IntSet.diff f t), IntSet.elements (IntSet.diff t f))

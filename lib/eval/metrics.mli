@@ -14,7 +14,5 @@ val precision : counts -> float
 val recall : counts -> float
 (** TP / (TP + FN), as a percentage; 100 when nothing was expected. *)
 
-val f1 : counts -> float
-
 val false_entries : truth:int list -> found:int list -> int list * int list
 (** [(false_positives, false_negatives)], sorted. *)

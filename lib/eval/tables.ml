@@ -229,9 +229,6 @@ module Triage = struct
       (fun ((config, bucket), n) -> record ~n:!n t ~config ~bucket)
       (sorted_bindings src)
 
-  let count t ~config ~bucket =
-    match Hashtbl.find_opt t (config, bucket) with Some r -> !r | None -> 0
-
   let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0
 
   let bucket_totals t =

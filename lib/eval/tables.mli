@@ -45,7 +45,6 @@ module Table2 : sig
   val record :
     t -> compiler:string -> suite:string -> config:int -> Metrics.counts -> unit
   val merge : t -> t -> unit
-  val counts : t -> compiler:string -> suite:string -> config:int -> Metrics.counts
   val totals : t -> config:int -> Metrics.counts
   val render : t -> string
 end
@@ -65,7 +64,6 @@ module Triage : sig
   (** Plan-order merge of per-worker partials; the rendered table and the
       JSONL dump are byte-identical across [--jobs]. *)
 
-  val count : t -> config:string -> bucket:string -> int
   val total : t -> int
   (** All triaged errors (every FP and FN across the corpus). *)
 

@@ -292,8 +292,8 @@ let run ?(max_seconds = 2.0) ?jobs ~seed ~count () =
 
 (* ---- Crash report (JSONL) --------------------------------------------- *)
 
-(* Version of the crash JSONL format; bump on any key change so replay
-   tooling can refuse rows it does not understand. *)
+(* Version of the crash JSONL format; bump on any key change so a reader
+   can refuse rows it does not understand. *)
 let crash_schema = 2
 
 let write_crashes oc s =
@@ -304,32 +304,6 @@ let write_crashes oc s =
         crash_schema (Jsonl.escape c.c_class) c.c_index (Jsonl.escape c.c_error)
         (Jsonl.escape c.c_backtrace))
     s.crashes
-
-let read_crashes text =
-  let ( let* ) = Result.bind in
-  let field name conv j =
-    match Option.bind (Jsonl.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped field %S" name)
-  in
-  let crash_of j =
-    let* schema = field "schema" Jsonl.int j in
-    if schema <> crash_schema then
-      Error (Printf.sprintf "unsupported schema %d (want %d)" schema crash_schema)
-    else
-      let* c_class = field "class" Jsonl.str j in
-      let* c_index = field "index" Jsonl.int j in
-      let* c_error = field "error" Jsonl.str j in
-      let* c_backtrace = field "backtrace" Jsonl.str j in
-      Ok { c_class; c_index; c_error; c_backtrace }
-  in
-  let* rows = Jsonl.parse_lines text in
-  List.fold_left
-    (fun acc row ->
-      let* acc = acc in
-      let* c = crash_of row in
-      Ok (acc @ [ c ]))
-    (Ok []) rows
 
 let render s =
   let b = Buffer.create 512 in

@@ -53,14 +53,6 @@ val check_walk_order : string -> unit
     anchored walk keeps no stream, so only the plain walk has an order
     to check. *)
 
-val classes : string array
-(** The mutation-class names, in draw order. *)
-
-val mutate : Cet_util.Prng.t -> cls:string -> string -> string
-(** One seeded mutation of the given class applied to a copy of the bytes
-    (exposed for regression tests).  Classes whose target structure cannot
-    be located fall back to blind byte flips. *)
-
 val run : ?max_seconds:float -> ?jobs:int -> seed:int -> count:int -> unit -> summary
 (** Fuzz [count] mutants.  [max_seconds] (default 2.0) bounds each mutant's
     analysis via {!Cet_util.Deadline}.  Mutants are drawn sequentially
@@ -75,15 +67,8 @@ val render : summary -> string
 (** Deterministic human-readable summary, crashes (with backtraces)
     included. *)
 
-val crash_schema : int
-(** Version stamped into every crash row's [schema] field. *)
-
 val write_crashes : out_channel -> summary -> unit
-(** One JSON object per crash per line ([schema]/[class]/[index]/[error]/
-    [backtrace]) — the [--crash-out] report format, mirroring the error
-    and backtrace of a quarantined manifest row. *)
-
-val read_crashes : string -> (crash list, string) result
-(** Parse a whole crash JSONL document back into crash records — the
-    round-trip inverse of {!write_crashes}.  Rejects rows whose [schema]
-    differs from {!crash_schema}. *)
+(** One JSON object per crash per line ([schema] 2, then [class]/[index]/
+    [error]/[backtrace]) — the [--crash-out] report format, mirroring the
+    error and backtrace of a quarantined manifest row.  The tests read it
+    back ([test/crash_file.ml]). *)

@@ -50,9 +50,6 @@ type t = {
   rows : row list;  (** in plan order *)
 }
 
-val schema : int
-(** The manifest schema this module writes and reads (3). *)
-
 val key : row -> string
 (** ["suite/program[config]"] — the identity half of a row. *)
 

@@ -80,10 +80,3 @@ let merge into src =
     if src.max_v > into.max_v then into.max_v <- src.max_v
   end;
   Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets
-
-let reset t =
-  t.count <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0;
-  Array.fill t.buckets 0 nbuckets 0

@@ -48,5 +48,3 @@ val merge : t -> t -> unit
 (** [merge into src] adds [src]'s population to [into].  Commutative and
     associative in the merged contents, so worker sheets can be folded in
     any order. *)
-
-val reset : t -> unit

@@ -118,6 +118,3 @@ let gauge_set name v =
 
 let find_counter s name =
   match Hashtbl.find_opt s.counters name with Some c -> c.n | None -> 0
-
-let span_names s =
-  Hashtbl.fold (fun name _ acc -> name :: acc) s.spans [] |> List.sort compare

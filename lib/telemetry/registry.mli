@@ -90,6 +90,3 @@ val gauge_set : string -> float -> unit
 
 val find_counter : sheet -> string -> int
 (** 0 when absent. *)
-
-val span_names : sheet -> string list
-(** Sorted names of recorded spans. *)

@@ -158,92 +158,3 @@ let write_trace oc =
       Printf.fprintf oc "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.6f}\n"
         (Jsonl.escape name) g.g)
     (sorted_bindings m.Registry.gauges)
-
-(* ------------------------------------------------------------------ *)
-(* OpenMetrics text exposition                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*; registry names use
-   dots and dashes, which all map to '_' under a stable "cet_" prefix. *)
-let metric_name raw =
-  "cet_"
-  ^ String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
-      raw
-
-let seconds ns = float_of_int ns /. 1e9
-
-(* Label values live inside double quotes in the exposition format, which
-   gives backslash, double-quote and line-feed escapes — and nothing
-   else — their own syntax. *)
-let openmetrics_label_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_openmetrics ?(info = []) oc =
-  let m = Registry.merged () in
-  (* The run-identity info gauge first: constant 1, all content in the
-     labels (digest, seed, ...), the Prometheus idiom for joinable
-     metadata — a scrape and a run manifest sharing the digest label are
-     the same run. *)
-  if info <> [] then begin
-    Printf.fprintf oc "# HELP cet_run_info Run identity labels.\n";
-    Printf.fprintf oc "# TYPE cet_run_info gauge\n";
-    Printf.fprintf oc "cet_run_info{%s} 1\n"
-      (String.concat ","
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "%s=\"%s\"" k (openmetrics_label_escape v))
-            info))
-  end;
-  List.iter
-    (fun (name, (c : Registry.counter)) ->
-      let n = metric_name name in
-      Printf.fprintf oc "# HELP %s Registry counter %s.\n" n name;
-      Printf.fprintf oc "# TYPE %s counter\n" n;
-      Printf.fprintf oc "%s_total %d\n" n c.n)
-    (sorted_bindings m.Registry.counters);
-  List.iter
-    (fun (name, (g : Registry.gauge)) ->
-      let n = metric_name name in
-      Printf.fprintf oc "# HELP %s Registry gauge %s.\n" n name;
-      Printf.fprintf oc "# TYPE %s gauge\n" n;
-      Printf.fprintf oc "%s %.6f\n" n g.g)
-    (sorted_bindings m.Registry.gauges);
-  List.iter
-    (fun (name, (metric : Registry.metric)) ->
-      let h = metric.Registry.hist in
-      let n = metric_name ("phase_" ^ name ^ "_seconds") in
-      Printf.fprintf oc "# HELP %s Span durations for phase %s.\n" n name;
-      Printf.fprintf oc "# TYPE %s histogram\n" n;
-      Printf.fprintf oc "# UNIT %s seconds\n" n;
-      (* Power-of-two ns edges become seconds-valued [le] bounds; emit
-         cumulative counts up to the last occupied bucket, then +Inf. *)
-      let last =
-        let l = ref (-1) in
-        for i = 0 to Hist.nbuckets - 1 do
-          if Hist.bucket_count h i > 0 then l := i
-        done;
-        !l
-      in
-      let cum = ref 0 in
-      for i = 0 to last do
-        cum := !cum + Hist.bucket_count h i;
-        Printf.fprintf oc "%s_bucket{le=\"%.9g\"} %d\n" n
-          (seconds (Hist.bucket_upper_bound i))
-          !cum
-      done;
-      Printf.fprintf oc "%s_bucket{le=\"+Inf\"} %d\n" n (Hist.count h);
-      Printf.fprintf oc "%s_sum %.9f\n" n (seconds (Hist.sum h));
-      Printf.fprintf oc "%s_count %d\n" n (Hist.count h))
-    (sorted_bindings m.Registry.spans);
-  output_string oc "# EOF\n"

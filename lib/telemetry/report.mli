@@ -31,19 +31,3 @@ val write_trace : out_channel -> unit
     start order), then one [phase] summary per span name, then [counter]
     and [gauge] objects.  Parseable line by line; [cetstat chrome]
     converts it to the Chrome trace-event format. *)
-
-val openmetrics_label_escape : string -> string
-(** Escape a label {e value} per the exposition format: backslash,
-    double quote and line feed get escapes; everything else is verbatim. *)
-
-val write_openmetrics : ?info:(string * string) list -> out_channel -> unit
-(** Prometheus/OpenMetrics text exposition of the merged registry:
-    counters as [cet_<name>_total], gauges as [cet_<name>], span
-    histograms as [cet_phase_<name>_seconds] with cumulative
-    power-of-two-edge [le] buckets, [_sum]/[_count], and a closing
-    [# EOF].  Names are sanitized to the metric grammar ([[a-zA-Z0-9_]]
-    under a [cet_] prefix).  A non-empty [info] list additionally emits a
-    constant [cet_run_info{k="v",...} 1] gauge carrying run identity
-    (manifest digest, seed) so scrapes are joinable with run manifests;
-    label keys are used verbatim (callers pass grammar-safe keys), label
-    values are escaped with {!openmetrics_label_escape}. *)

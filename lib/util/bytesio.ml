@@ -18,7 +18,6 @@ module W = struct
     u32 w v;
     u32 w (v lsr 32)
 
-  let i8 w v = u8 w (v land 0xff)
   let i32 w v = u32 w (v land 0xFFFFFFFF)
   let bytes w s = Buffer.add_string w s
   let zeros w n = for _ = 1 to n do Buffer.add_char w '\000' done
@@ -55,8 +54,6 @@ module R = struct
     if abs < r.base || abs > r.limit then raise (Out_of_bounds "seek");
     r.cur <- abs
 
-  let remaining r = r.limit - r.cur
-  let eof r = r.cur >= r.limit
 
   let u8 r =
     if r.cur >= r.limit then raise (Out_of_bounds "u8");
@@ -79,10 +76,6 @@ module R = struct
     let b = u32 r in
     if b lsr 30 <> 0 then raise (Out_of_bounds "u64: value exceeds int range");
     a lor (b lsl 32)
-
-  let i8 r =
-    let v = u8 r in
-    if v >= 0x80 then v - 0x100 else v
 
   let i32 r =
     let v = u32 r in

@@ -14,7 +14,6 @@ module W : sig
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
   val u64 : t -> int -> unit
-  val i8 : t -> int -> unit
   val i32 : t -> int -> unit
   val bytes : t -> string -> unit
   val zeros : t -> int -> unit
@@ -41,8 +40,6 @@ module R : sig
 
   val pos : t -> int
   val seek : t -> int -> unit
-  val remaining : t -> int
-  val eof : t -> bool
   val u8 : t -> int
   val u16 : t -> int
   val u32 : t -> int
@@ -50,7 +47,6 @@ module R : sig
   (** Values above [max_int] raise {!Out_of_bounds}; all images here are
       far smaller than 2^62. *)
 
-  val i8 : t -> int
   val i32 : t -> int
   val bytes : t -> int -> string
   val uleb : t -> int

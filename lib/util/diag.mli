@@ -26,25 +26,17 @@ val makef :
   ('a, unit, string, t) format4 ->
   'a
 
-val info : domain:string -> code:string -> string -> t
-val warning : domain:string -> code:string -> string -> t
 val error : domain:string -> code:string -> string -> t
 
-val severity_label : severity -> string
 val to_string : t -> string
 (** ["severity [domain/code]: message"]. *)
 
 val render : t list -> string
 (** One {!to_string} line per diagnostic (with trailing newline), in order. *)
 
-val max_severity : t list -> severity option
-val errors : t list -> t list
-val warnings : t list -> t list
-val has_errors : t list -> bool
-
 (** Accumulates diagnostics in emission order.  Degenerate inputs can emit
-    one diagnostic per corrupt structure, so the retained list is capped
-    (the count is exact); see {!Collector.add}. *)
+    one diagnostic per corrupt structure, so the retained list is capped;
+    see {!Collector.add}. *)
 module Collector : sig
   type diag = t
   type t
@@ -53,7 +45,7 @@ module Collector : sig
 
   val add : t -> diag -> unit
   (** Record a diagnostic.  Beyond an internal cap the diagnostic is
-      counted but not retained, and one [diag/truncated] marker is kept. *)
+      dropped, and one [diag/truncated] marker is kept. *)
 
   val addf :
     t ->
@@ -65,9 +57,4 @@ module Collector : sig
 
   val list : t -> diag list
   (** Retained diagnostics in emission order. *)
-
-  val count : t -> int
-  (** Total emitted, including unretained ones. *)
-
-  val is_empty : t -> bool
 end

@@ -1,52 +1,29 @@
-type 'a t = (int * int * 'a) array
-
-let empty = [||]
-
-let of_list ivs =
-  let ivs = List.filter (fun (lo, hi, _) -> lo < hi) ivs in
-  let arr = Array.of_list ivs in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) arr;
-  Array.iteri
-    (fun i (lo, hi, _) ->
-      if i > 0 then begin
-        let _, prev_hi, _ = arr.(i - 1) in
-        if lo < prev_hi then invalid_arg "Itable.of_list: overlapping intervals"
-      end;
-      ignore (lo, hi))
-    arr;
-  arr
+type t = (int * int) array
 
 let of_list_lenient ivs =
   let ivs =
-    List.filter (fun (lo, hi, _) -> lo < hi) ivs
-    |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
+    List.filter (fun (lo, hi) -> lo < hi) ivs
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   in
   (* Keep the first interval of every overlapping run (stable sort, so the
      outcome is deterministic in the input order). *)
   let kept = ref [] in
   let last_hi = ref min_int in
   List.iter
-    (fun (lo, hi, v) ->
+    (fun (lo, hi) ->
       if lo >= !last_hi then begin
-        kept := (lo, hi, v) :: !kept;
+        kept := (lo, hi) :: !kept;
         last_hi := hi
       end)
     ivs;
   Array.of_list (List.rev !kept)
 
-let find t x =
+let mem t x =
   let rec search lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let l, h, v = t.(mid) in
-      if x < l then search lo mid
-      else if x >= h then search (mid + 1) hi
-      else Some (l, h, v)
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let l, h = t.(mid) in
+    if x < l then search lo mid else if x >= h then search (mid + 1) hi else true
   in
   search 0 (Array.length t)
-
-let mem t x = find t x <> None
-let cardinal = Array.length
-let to_list t = Array.to_list t
-let iter f t = Array.iter (fun (lo, hi, v) -> f lo hi v) t

@@ -1,29 +1,16 @@
-(** Immutable table of disjoint half-open intervals with attached values,
-    supporting O(log n) stabbing queries.  Used for function extents, LSDA
-    call-site ranges, and FDE coverage lookups. *)
+(** Immutable set of disjoint half-open intervals, supporting O(log n)
+    stabbing queries.  The prologue scan's suppression ranges (FDE extents)
+    use it. *)
 
-type 'a t
+type t
 
-val empty : 'a t
+val of_list_lenient : (int * int) list -> t
+(** A table of the [(lo, hi)] pairs, each denoting \[lo, hi\); empty
+    intervals are dropped.  Tolerant of corrupt inputs: overlapping
+    intervals are resolved by keeping the first of each overlapping run
+    in [lo] order (stable, hence deterministic) instead of raising.  For
+    interval sets recovered from untrusted binaries — e.g. FDE extents out
+    of a malformed [.eh_frame]. *)
 
-val of_list : (int * int * 'a) list -> 'a t
-(** [of_list ivs] builds a table from [(lo, hi, v)] triples denoting
-    \[lo, hi).  Intervals must be disjoint (empty intervals are dropped);
-    raises [Invalid_argument] on overlap. *)
-
-val of_list_lenient : (int * int * 'a) list -> 'a t
-(** Like {!of_list} but tolerant of corrupt inputs: overlapping intervals
-    are resolved by keeping the first of each overlapping run in [lo]
-    order (stable, hence deterministic) instead of raising.  For interval
-    sets recovered from untrusted binaries — e.g. FDE extents out of a
-    malformed [.eh_frame]. *)
-
-val find : 'a t -> int -> (int * int * 'a) option
-(** [find t x] returns the interval containing [x], if any. *)
-
-val mem : 'a t -> int -> bool
-val cardinal : 'a t -> int
-val to_list : 'a t -> (int * int * 'a) list
-(** Intervals in increasing order. *)
-
-val iter : (int -> int -> 'a -> unit) -> 'a t -> unit
+val mem : t -> int -> bool
+(** Does an interval contain the point? *)

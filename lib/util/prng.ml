@@ -13,8 +13,6 @@ let next64 g =
   g.state <- Int64.add g.state golden_gamma;
   mix64 g.state
 
-let split g = { state = next64 g }
-
 let int g n =
   assert (n > 0);
   (* Use the top bits: SplitMix64's low bits are fine, but masking to 62 bits
@@ -49,11 +47,3 @@ let choose_weighted g items =
       if target < acc then x else pick acc rest
   in
   pick 0.0 items
-
-let shuffle g arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -2,9 +2,8 @@
 
     All randomness in the corpus generator flows through this module so that
     the whole dataset is reproducible from a single integer seed.  The
-    implementation is SplitMix64 (Steele et al., OOPSLA 2014), which has a
-    trivially splittable state — convenient for generating independent
-    sub-streams per program, per function, and per configuration. *)
+    implementation is SplitMix64 (Steele et al., OOPSLA 2014): one 64-bit
+    state word, advanced by a constant and mixed on every draw. *)
 
 type t
 (** Mutable generator state. *)
@@ -12,12 +11,6 @@ type t
 val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
-
-val split : t -> t
-(** [split g] derives an independent generator from [g], advancing [g]. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int g n] is uniform in \[0, n). Requires [n > 0]. *)
@@ -40,6 +33,3 @@ val choose : t -> 'a array -> 'a
 val choose_weighted : t -> ('a * float) list -> 'a
 (** [choose_weighted g items] picks proportionally to the (positive)
     weights. Requires a non-empty list with positive total weight. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -1,7 +1,4 @@
 type t = X86 | X64
 
-let bits = function X86 -> 32 | X64 -> 64
 let ptr_size = function X86 -> 4 | X64 -> 8
 let to_string = function X86 -> "x86" | X64 -> "x86-64"
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b

@@ -2,15 +2,8 @@
 
 type t = X86 | X64
 
-val bits : t -> int
-(** 32 or 64. *)
-
 val ptr_size : t -> int
 (** Pointer width in bytes: 4 or 8. *)
 
 val to_string : t -> string
 (** ["x86"] or ["x86-64"]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

@@ -114,11 +114,11 @@ val tag_addr_ref : int
     instruction of a region and hands each kept instruction to up to two
     sinks: the instruction stream ([Cet_disasm.Linear.t]'s parallel
     arrays) and the index harvest ([Cet_disasm.Substrate.indexes]'s
-    buffers).  [Linear.sweep] runs it with the stream only, the
-    substrate's stream-free scan (plain or anchored) with the harvest
-    only, and a substrate sweep with the stream plus the harvest unless
-    the indexes are memoised already, so the sweep and the scan are the
-    same pass.  No caller keeps the stream of an anchored walk. *)
+    buffers).  [Cet_disasm.Substrate] is its one caller in the library:
+    the stream-free scan (plain or anchored) runs it with the harvest
+    only, and a sweep with the stream plus the harvest unless the indexes
+    are memoised already, so the sweep and the scan are the same pass.
+    No caller keeps the stream of an anchored walk. *)
 
 type stream = {
   addrs : int array;

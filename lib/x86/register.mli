@@ -25,9 +25,6 @@ type t =
 val index : t -> int
 (** 4-bit encoding (0–15); the top bit goes into REX when needed. *)
 
-val needs_rex : t -> bool
-(** True for [R8]–[R15]. *)
-
 val name64 : t -> string
 (** e.g. ["rax"], ["r11"]. *)
 
@@ -36,5 +33,3 @@ val name32 : t -> string
 
 val of_index : int -> t
 (** Inverse of {!index}. Raises [Invalid_argument] outside 0–15. *)
-
-val all : t array

@@ -24,7 +24,7 @@ let rex ~w ~r ~x ~b =
            lor if b then 1 else 0)
 
 let check_reg arch r =
-  if arch = Arch.X86 && Register.needs_rex r then
+  if arch = Arch.X86 && Register.index r >= 8 then
     invalid_arg "Encoder: extended register in 32-bit mode"
 
 (* Emit REX if needed (x64) for an instruction with operand-size [w],
@@ -37,7 +37,7 @@ let emit_rex w' arch ~w ~reg ~rm ~idx =
     Option.iter (check_reg arch) rm;
     Option.iter (check_reg arch) idx
   | Arch.X64 ->
-    let hi = function Some r -> Register.needs_rex r | None -> false in
+    let hi = function Some r -> Register.index r >= 8 | None -> false in
     let r = hi reg and b = hi rm and x = hi idx in
     if w || r || x || b then W.u8 w' (rex ~w ~r ~x ~b)
 
@@ -67,14 +67,14 @@ let modrm_mem w' (m : Insn.mem) ~ext =
     if m.disp = 0 && not force_disp then emit_modrm 0
     else if fits8 m.disp then begin
       emit_modrm 1;
-      W.i8 w' m.disp
+      W.u8 w' (m.disp land 0xff)
     end
     else begin
       emit_modrm 2;
       W.i32 w' m.disp
     end
   | base, Some (index, scale) ->
-    if Register.index index land 15 = 4 && not (Register.needs_rex index) then
+    if Register.index index land 15 = 4 && Register.index index < 8 then
       invalid_arg "Encoder: rsp cannot be an index register";
     let ss =
       match scale with
@@ -101,7 +101,7 @@ let modrm_mem w' (m : Insn.mem) ~ext =
       if m.disp = 0 && not force_disp then emit 0
       else if fits8 m.disp then begin
         emit 1;
-        W.i8 w' m.disp
+        W.u8 w' (m.disp land 0xff)
       end
       else begin
         emit 2;
@@ -139,7 +139,7 @@ let encode arch insn =
     (* 83 /ext imm8 or 81 /ext imm32 *)
     if fits8 imm then begin
       reg_op ~w:(arch = Arch.X64) ~opc:0x83 ~ext r;
-      W.i8 w' imm
+      W.u8 w' (imm land 0xff)
     end
     else begin
       reg_op ~w:(arch = Arch.X64) ~opc:0x81 ~ext r;
@@ -161,7 +161,7 @@ let encode arch insn =
   | Insn.Jmp_rel8 d ->
     if not (fits8 d) then invalid_arg "Encoder: jmp rel8 out of range";
     W.u8 w' 0xEB;
-    W.i8 w' d
+    W.u8 w' (d land 0xff)
   | Insn.Jcc_rel (c, d) ->
     W.u8 w' 0x0F;
     W.u8 w' (0x80 lor Insn.cond_code c);
@@ -169,7 +169,7 @@ let encode arch insn =
   | Insn.Jcc_rel8 (c, d) ->
     if not (fits8 d) then invalid_arg "Encoder: jcc rel8 out of range";
     W.u8 w' (0x70 lor Insn.cond_code c);
-    W.i8 w' d
+    W.u8 w' (d land 0xff)
   | Insn.Call_reg r -> reg_op ~w:false ~opc:0xFF ~ext:2 r
   | Insn.Call_mem m -> grp_mem ~w:false ~opc:0xFF ~ext:2 m
   | Insn.Jmp_reg { reg; notrack } ->
@@ -191,7 +191,7 @@ let encode arch insn =
   | Insn.Push_imm n ->
     if fits8 n then begin
       W.u8 w' 0x6A;
-      W.i8 w' n
+      W.u8 w' (n land 0xff)
     end
     else begin
       W.u8 w' 0x68;

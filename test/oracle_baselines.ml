@@ -128,9 +128,7 @@ let prologue_scan (sweep : Oracle_sweep.t) ~known ~aggressive ?visited ?(suppres
   List.iter (fun a -> Hashtbl.replace known_set a ()) known;
   (* Lenient: extents recovered from a corrupt .eh_frame can overlap, and
      a suppression table that is merely smaller must not abort the scan. *)
-  let suppress =
-    Cet_util.Itable.of_list_lenient (List.map (fun (lo, hi) -> (lo, hi, ())) suppress)
-  in
+  let suppress = Cet_util.Itable.of_list_lenient suppress in
   let hits = ref [] in
   Array.iteri
     (fun idx (i : Decoder.ins) ->

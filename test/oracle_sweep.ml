@@ -35,8 +35,8 @@ let finish arch base code insns errors =
     resync_errors = errors;
   }
 
-(* {!Linear.sweep}: advance one byte on a decode failure, counting one
-   resynchronisation per undecodable run. *)
+(* The plain sweep ([Decoder.walk] without anchors): advance one byte on
+   a decode failure, counting one resynchronisation per undecodable run. *)
 let sweep_reference arch ?(base = 0) code =
   let size = String.length code in
   let insns = ref [] and errors = ref 0 and off = ref 0 and desynced = ref false in

@@ -228,12 +228,6 @@ let test_byteweight_learns () =
   if Cet_eval.Metrics.precision m < 60.0 then
     Alcotest.failf "precision %.1f too low" (Cet_eval.Metrics.precision m)
 
-let test_byteweight_score_monotone () =
-  (* An untrained model is uninformative. *)
-  let model = Cet_baselines.Byteweight.train [] in
-  check (Alcotest.float 1e-9) "prior" 0.5
-    (Cet_baselines.Byteweight.score model "\xf3\x0f\x1e\xfa" ~off:0)
-
 let test_byteweight_empty_model_finds_nothing () =
   let model = Cet_baselines.Byteweight.train [] in
   let reader, _ = corpus_build ~seed:31 0 in
@@ -336,7 +330,6 @@ let suite =
     ( "baselines.related_work",
       [
         Alcotest.test_case "byteweight learns" `Quick test_byteweight_learns;
-        Alcotest.test_case "byteweight prior" `Quick test_byteweight_score_monotone;
         Alcotest.test_case "byteweight empty model" `Quick test_byteweight_empty_model_finds_nothing;
         Alcotest.test_case "nucleus on C" `Quick test_nucleus_on_c;
         Alcotest.test_case "nucleus landing-pad FPs" `Quick test_nucleus_landing_pad_fps;

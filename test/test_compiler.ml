@@ -188,10 +188,10 @@ let test_setjmp_endbr_after_call () =
   let ix = indexes reader in
   (* Find the call to setjmp's PLT entry; the next instruction must be an
      end-branch (Fig. 2a). *)
-  let plt = Core.Parse.plt reader in
+  let plt = Core.Parse.plt_st (Substrate.create reader) in
   let ret_addr =
     let k = ref 0 in
-    while Core.Parse.plt_name plt ix.Substrate.call_tgts.(!k) <> Some "setjmp" do
+    while List.assoc_opt ix.Substrate.call_tgts.(!k) plt.Core.Parse.entries <> Some "setjmp" do
       incr k
     done;
     ix.Substrate.call_rets.(!k)
@@ -333,13 +333,15 @@ let test_plt_resolution () =
       [ Ir.func "main" [ Ir.Call (Ir.Import "printf"); Ir.Call (Ir.Import "malloc") ] ]
   in
   let res, reader = compile p in
-  let plt = Core.Parse.plt reader in
+  let plt = Core.Parse.plt_st (Substrate.create reader) in
   List.iter
     (fun name ->
       let addr = List.assoc name res.Link.plt_entries in
-      check Alcotest.(option string) ("plt " ^ name) (Some name) (Core.Parse.plt_name plt addr))
+      check Alcotest.(option string) ("plt " ^ name) (Some name)
+        (List.assoc_opt addr plt.Core.Parse.entries))
     [ "printf"; "malloc"; "__libc_start_main" ];
-  check Alcotest.bool "in_plt" true (Core.Parse.in_plt plt (List.assoc "printf" res.Link.plt_entries))
+  let printf = List.assoc "printf" res.Link.plt_entries in
+  check Alcotest.bool "in_plt" true (printf >= plt.plt_lo && printf < plt.plt_hi)
 
 let test_entry_is_start () =
   let res, reader = compile endbr_prog in
@@ -366,7 +368,7 @@ let test_dwarf_ground_truth () =
   (* The paper's GT pipeline: DWARF subprograms, fragments filtered, equals
      the symbol-based view and the compiler's own list. *)
   let res, reader = compile ~opts:{ O.default with opt = O.O2 } split_prog in
-  let dw = Cet_eval.Ground_truth.from_dwarf reader in
+  let dw = Dwarf_reader.ground_truth reader in
   let syms = Cet_eval.Ground_truth.from_symbols reader in
   check Alcotest.(list int) "dwarf = symbols"
     (Cet_eval.Ground_truth.addresses syms)
@@ -381,7 +383,7 @@ let test_dwarf_ground_truth () =
   check Alcotest.bool "debug_info stripped" true
     (Reader.find_section stripped ".debug_info" = None);
   check Alcotest.(list (pair string int)) "no dwarf GT after strip" []
-    (Cet_eval.Ground_truth.from_dwarf stripped)
+    (Dwarf_reader.ground_truth stripped)
 
 let test_truth_matches_symbols_plus_corrections () =
   (* For configurations without the omitted thunk, symtab-derived ground

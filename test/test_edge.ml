@@ -87,7 +87,7 @@ let test_random_bytes_terminate () =
   let blob = String.init 4096 (fun _ -> Char.chr (Cet_util.Prng.int g 256)) in
   List.iter
     (fun arch ->
-      let sweep = Linear.sweep arch blob in
+      let sweep = Sweep.blob arch blob in
       for i = 0 to Linear.length sweep - 1 do
         let len = Linear.len sweep i in
         if len < 1 || len > 15 then Alcotest.failf "bad length %d" len
@@ -103,11 +103,11 @@ let endbr64 = "\xf3\x0f\x1e\xfa"
 let test_resync_counts_runs () =
   (* A desynchronised run is ONE event however many bytes it spans: a
      40-byte jump table must not report 40 resynchronisations. *)
-  let s = Linear.sweep Arch.X64 (nop ^ garbage 40 ^ nop) in
+  let s = Sweep.blob Arch.X64 (nop ^ garbage 40 ^ nop) in
   check Alcotest.int "one run, one event" 1 s.Linear.resync_errors;
-  let s = Linear.sweep Arch.X64 (nop ^ garbage 6 ^ nop ^ garbage 3 ^ nop) in
+  let s = Sweep.blob Arch.X64 (nop ^ garbage 6 ^ nop ^ garbage 3 ^ nop) in
   check Alcotest.int "two runs, two events" 2 s.Linear.resync_errors;
-  let s = Linear.sweep Arch.X64 (nop ^ nop ^ nop) in
+  let s = Sweep.blob Arch.X64 (nop ^ nop ^ nop) in
   check Alcotest.int "clean code, no events" 0 s.Linear.resync_errors
 
 let test_resync_anchored_counts_runs () =
@@ -141,7 +141,7 @@ let test_table_entries () =
   let bytes = Items.assemble ~arch:Arch.X64 ~base:0x401000 ~resolve:(fun _ -> 0) items in
   check Alcotest.string "two entries"
     "00 10 40 00 00 00 00 00 10 10 40 00 00 00 00 00 c3"
-    (Cet_util.Hexdump.bytes_inline bytes)
+    (Hexdump.bytes_inline bytes)
 
 let test_align_already_aligned () =
   let items = [ Items.Align 4; Items.Ins Insn.Ret ] in
@@ -153,7 +153,7 @@ let test_mov_mi_lbl () =
   let bytes = Items.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x8049100) items in
   (* mov dword [esp+4], 0x8049100 = C7 44 24 04 00 91 04 08 *)
   check Alcotest.string "store label" "c7 44 24 04 00 91 04 08"
-    (Cet_util.Hexdump.bytes_inline bytes)
+    (Hexdump.bytes_inline bytes)
 
 let test_undefined_label_raises () =
   let items = [ Items.Jmp_lbl "nowhere" ] in
@@ -198,9 +198,9 @@ let test_strip_idempotent () =
     { Ir.prog_name = "t"; lang = Ir.C; funcs = [ Ir.func "main" [ Ir.Compute 2 ] ];
       extra_imports = [] }
   in
-  let bytes = Link.compile O.default prog in
-  let s1 = Cet_elf.Strip.strip bytes in
-  let s2 = Cet_elf.Strip.strip s1 in
+  let bytes = Cet_elf.Writer.write (Link.link O.default prog).image in
+  let s1 = Strip.strip bytes in
+  let s2 = Strip.strip s1 in
   check Alcotest.string "idempotent" s1 s2
 
 (* ------------------------------------------------------------------ *)

@@ -149,9 +149,11 @@ let sample_lsda =
     type_count = 2;
   }
 
+(* One LSDA through the table writer and back through the reader. *)
+let roundtrip l = Result.get_ok (Lsda.decode_result (fst (Lsda.build_table [ l ])) ~off:0)
+
 let test_lsda_roundtrip () =
-  let bytes = Lsda.encode sample_lsda in
-  let d = Lsda.decode bytes ~off:0 in
+  let d = roundtrip sample_lsda in
   check Alcotest.int "sites" 3 (List.length d.call_sites);
   check Alcotest.int "types" 2 d.type_count;
   List.iter2
@@ -163,7 +165,7 @@ let test_lsda_roundtrip () =
 
 let test_lsda_no_types () =
   let l = { Lsda.call_sites = sample_lsda.call_sites; type_count = 0 } in
-  let d = Lsda.decode (Lsda.encode l) ~off:0 in
+  let d = roundtrip l in
   check Alcotest.int "types" 0 d.type_count;
   check Alcotest.int "sites" 3 (List.length d.call_sites)
 
@@ -179,7 +181,7 @@ let test_lsda_table_offsets () =
   (* Each offset decodes back to its LSDA. *)
   List.iter2
     (fun l off ->
-      let d = Lsda.decode table ~off in
+      let d = Result.get_ok (Lsda.decode_result table ~off) in
       check Alcotest.int "site count" (List.length l.Lsda.call_sites)
         (List.length d.Lsda.call_sites))
     lsdas offsets
@@ -206,7 +208,7 @@ let qcheck_lsda_roundtrip =
         (int_bound 4))
   in
   QCheck.Test.make ~name:"lsda roundtrip" ~count:200 (QCheck.make gen) (fun l ->
-      let d = Lsda.decode (Lsda.encode l) ~off:0 in
+      let d = roundtrip l in
       List.length d.call_sites = List.length l.call_sites
       && List.for_all2
            (fun (a : Lsda.call_site) (b : Lsda.call_site) ->
@@ -230,7 +232,7 @@ let test_eh_frame_hdr_roundtrip () =
   in
   let bytes = EFH.encode ~vaddr:0x8000 ~eh_frame_vaddr:0x9000 entries in
   check Alcotest.int "size formula" (EFH.size 3) (String.length bytes);
-  let decoded = EFH.decode ~vaddr:0x8000 bytes in
+  let decoded = Result.get_ok (EFH.decode_result ~vaddr:0x8000 bytes) in
   (* Entries come back sorted by initial location. *)
   check Alcotest.(list int) "sorted locs" [ 0x1000; 0x2000; 0x3000 ]
     (List.map (fun (e : EFH.entry) -> e.initial_loc) decoded);
@@ -251,11 +253,13 @@ let test_eh_frame_hdr_matches_frames () =
       extra_imports = [];
     }
   in
-  let bytes = Cet_compiler.Link.compile Cet_compiler.Options.default prog in
+  let bytes =
+    Cet_elf.Writer.write (Cet_compiler.Link.link Cet_compiler.Options.default prog).image
+  in
   let reader = Cet_elf.Reader.read bytes in
   let hdr = Option.get (Cet_elf.Reader.find_section reader ".eh_frame_hdr") in
   let frame_sec = Option.get (Cet_elf.Reader.find_section reader ".eh_frame") in
-  let entries = EFH.decode ~vaddr:hdr.vaddr hdr.data in
+  let entries = Result.get_ok (EFH.decode_result ~vaddr:hdr.vaddr hdr.data) in
   let frames = EF.decode ~vaddr:frame_sec.vaddr frame_sec.data in
   check Alcotest.int "one entry per fde" (List.length frames) (List.length entries);
   let frame_locs =
@@ -292,7 +296,7 @@ let test_dwarf_roundtrip () =
   List.iter
     (fun ptr_size ->
       let ab, info, str = DI.encode ~ptr_size sample_di in
-      let d = DI.decode ~debug_abbrev:ab ~debug_info:info ~debug_str:str in
+      let d = Dwarf_reader.decode ~debug_abbrev:ab ~debug_info:info ~debug_str:str in
       check Alcotest.string "cu name" sample_di.DI.cu_name d.DI.cu_name;
       check Alcotest.string "producer" sample_di.DI.producer d.DI.producer;
       check Alcotest.int "count" 3 (List.length d.DI.subprograms);
@@ -328,7 +332,7 @@ let qcheck_dwarf_roundtrip =
   in
   QCheck.Test.make ~name:"dwarf_info roundtrip" ~count:100 (QCheck.make gen) (fun di ->
       let ab, info, str = DI.encode ~ptr_size:8 di in
-      let d = DI.decode ~debug_abbrev:ab ~debug_info:info ~debug_str:str in
+      let d = Dwarf_reader.decode ~debug_abbrev:ab ~debug_info:info ~debug_str:str in
       d.DI.subprograms = di.DI.subprograms)
 
 let suite =

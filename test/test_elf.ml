@@ -10,6 +10,9 @@ module Consts = Cet_elf.Consts
 
 let check = Alcotest.check
 
+let func ?(bind = Symbol.Global) ?(size = 0) name value =
+  { Symbol.name; value; size; kind = Symbol.Func; bind; section = Some ".text" }
+
 let sample_image ?(arch = Arch.X64) ?(pie = true) () =
   let text = String.make 64 '\x90' in
   let rodata = "tables" in
@@ -28,9 +31,9 @@ let sample_image ?(arch = Arch.X64) ?(pie = true) () =
       ];
     symbols =
       [
-        Symbol.func "main" 0x1010 ~size:16;
-        Symbol.func ~bind:Symbol.Local "helper" 0x1020 ~size:8;
-        Symbol.func ~bind:Symbol.Local "helper.cold" 0x1030;
+        func "main" 0x1010 ~size:16;
+        func ~bind:Symbol.Local "helper" 0x1020 ~size:8;
+        func ~bind:Symbol.Local "helper.cold" 0x1030;
       ];
     dynsyms = [ Symbol.undef_func "printf"; Symbol.undef_func "malloc" ];
     plt_relocs = [ (0x3018, "printf"); (0x3020, "malloc") ];
@@ -108,7 +111,7 @@ let test_cet_note () =
 
 let test_strip () =
   let bytes = Writer.write (sample_image ()) in
-  let stripped = Cet_elf.Strip.strip bytes in
+  let stripped = Strip.strip bytes in
   check Alcotest.bool "smaller" true (String.length stripped < String.length bytes);
   let t = Reader.read stripped in
   check Alcotest.int "no symbols" 0 (List.length (Reader.symbols t));
@@ -121,14 +124,14 @@ let test_strip () =
 let test_write_strip_equals_strip () =
   let img = sample_image () in
   let a = Writer.write ~strip:true img in
-  let b = Cet_elf.Strip.strip (Writer.write img) in
+  let b = Strip.strip (Writer.write img) in
   check Alcotest.string "same bytes" a b
 
 let test_to_image_roundtrip () =
   let img = sample_image () in
-  let img2 = Reader.to_image (Reader.read (Writer.write img)) in
+  let img2 = Strip.to_image (Reader.read (Writer.write img)) in
   check Alcotest.string "re-serialise stable" (Writer.write img2)
-    (Writer.write (Reader.to_image (Reader.read (Writer.write img2))))
+    (Writer.write (Strip.to_image (Reader.read (Writer.write img2))))
 
 let test_malformed () =
   let raises s = try ignore (Reader.read s); false with Reader.Malformed _ -> true in

@@ -70,10 +70,6 @@ let qcheck_compare_sets_oracle =
       && Metrics.compare_sets ~truth:(sorted truth) ~found
          = compare_sets_oracle ~truth ~found)
 
-let test_f1 () =
-  let c = { Metrics.tp = 1; fp = 1; fn = 1 } in
-  check flt "f1" 50.0 (Metrics.f1 c)
-
 let test_fragment_names () =
   check Alcotest.bool ".cold" true (GT.is_fragment_name "sort_files.cold");
   check Alcotest.bool ".part.0" true (GT.is_fragment_name "quotearg.part.0");
@@ -578,8 +574,7 @@ let test_cli_unknown_experiment () =
       let code, out, err =
         run_evaluate ~dir
           [
-            "table4"; "--manifest-out"; file "r.jsonl"; "--metrics-out"; file "m.prom";
-            "--trace-out"; file "t.jsonl";
+            "table4"; "--manifest-out"; file "r.jsonl"; "--trace-out"; file "t.jsonl";
           ]
       in
       check Alcotest.int "exit" 2 code;
@@ -593,24 +588,21 @@ let test_cli_unknown_experiment () =
 let test_cli_side_experiment_telemetry () =
   (* The global telemetry flags do apply to the side experiments: the
      experiment prints its table, then the --stats report, and writes the
-     metrics and trace files. *)
+     trace file. *)
   with_temp_dir (fun dir ->
       let file name = Filename.concat dir name in
       let code, out, _ =
         run_evaluate ~dir
           [
-            "inline-data"; "--scale"; "0.001"; "--jobs"; "1"; "--stats"; "--metrics-out";
-            file "m.prom"; "--trace-out"; file "t.jsonl";
+            "inline-data"; "--scale"; "0.001"; "--jobs"; "1"; "--stats"; "--trace-out";
+            file "t.jsonl";
           ]
       in
       check Alcotest.int "exit" 0 code;
       check Alcotest.bool "experiment output" true (contains out "INLINE DATA IN .TEXT");
       check Alcotest.bool "stats report" true (contains out "TELEMETRY: phase breakdown");
-      List.iter
-        (fun name ->
-          check Alcotest.bool (name ^ " written") true
-            (String.length (read_file (file name)) > 0))
-        [ "m.prom"; "t.jsonl" ])
+      check Alcotest.bool "t.jsonl written" true
+        (String.length (read_file (file "t.jsonl")) > 0))
 
 (* A usage error: the exit code, a message naming the option, and no
    file or directory left behind.  Returns the message. *)
@@ -636,7 +628,7 @@ let test_cli_unwritable_report () =
                [ "table2"; "--scale"; "0.001"; flag; missing ]
                ~code:2
                ~option:("cannot open " ^ flag ^ " file")))
-        [ "--triage-out"; "--metrics-out"; "--manifest-out"; "--trace-out" ];
+        [ "--triage-out"; "--manifest-out"; "--trace-out" ];
       (* No report file changes until all are open: when the last one
          fails, a previous run's file keeps its bytes and the new ones are
          not left behind. *)
@@ -645,9 +637,8 @@ let test_cli_unwritable_report () =
       let code, out, err =
         run_evaluate ~dir
           [
-            "table2"; "--scale"; "0.001"; "--triage-out"; kept; "--metrics-out";
-            Filename.concat dir "m.prom"; "--trace-out"; Filename.concat dir "tr.jsonl";
-            "--manifest-out"; missing;
+            "table2"; "--scale"; "0.001"; "--triage-out"; kept; "--trace-out";
+            Filename.concat dir "tr.jsonl"; "--manifest-out"; missing;
           ]
       in
       check Alcotest.int "exit" 2 code;
@@ -930,7 +921,6 @@ let suite =
         Alcotest.test_case "dedup" `Quick test_metrics_dedup;
         Alcotest.test_case "add" `Quick test_metrics_add;
         Alcotest.test_case "false entries" `Quick test_false_entries;
-        Alcotest.test_case "f1" `Quick test_f1;
         QCheck_alcotest.to_alcotest qcheck_compare_sets_oracle;
       ] );
     ( "eval.ground_truth",

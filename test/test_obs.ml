@@ -138,10 +138,10 @@ let test_manifest_strictness () =
   let schema n = Printf.sprintf "\"schema\":%d," n in
   List.iter
     (fun n ->
-      let other = replace_all ~from:(schema Manifest.schema) ~into:(schema n) text in
+      let other = replace_all ~from:(schema 3) ~into:(schema n) text in
       check Alcotest.string
         (Printf.sprintf "schema %d rejected" n)
-        (Printf.sprintf "unsupported manifest schema %d (want %d)" n Manifest.schema)
+        (Printf.sprintf "unsupported manifest schema %d (want 3)" n)
         (reject (Printf.sprintf "schema %d" n) other))
     [ 1; 99 ];
   (* A manifest without its run header is not a manifest. *)

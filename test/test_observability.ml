@@ -1,9 +1,8 @@
-(* Tests for the observability layer (per-binary profiles, OpenMetrics
-   export, the Chrome conversion of a run's trace, the scheduler
-   bridge): the zero-allocation disabled paths, profile determinism
-   across ~jobs, the quarantined profile row, the exposition-format
-   grammar, the top-slow ranking, histogram bucket edges, and steal
-   counting. *)
+(* Tests for the observability layer (per-binary profiles, the Chrome
+   conversion of a run's trace, the scheduler bridge): the
+   zero-allocation disabled paths, profile determinism across ~jobs, the
+   quarantined profile row, the top-slow ranking, histogram bucket
+   edges, and steal counting. *)
 
 module Hist = Cet_telemetry.Hist
 module Registry = Cet_telemetry.Registry
@@ -167,150 +166,6 @@ let test_ewma () =
   in
   check Alcotest.bool "converges to a constant input" true
     (Float.abs (converge 0.0 50 -. 100.0) < 0.01)
-
-(* ------------------------------------------------------------------ *)
-(* OpenMetrics exposition grammar                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Parse the exposition back: every sample belongs to a declared family,
-   histogram buckets are cumulative-monotone with increasing [le] edges,
-   +Inf equals _count, and the file is terminated.  This is the same
-   check `make check` runs from the outside via the smoke rule. *)
-let test_openmetrics_grammar () =
-  with_clean (fun () ->
-      Registry.enable ();
-      Registry.count "harness.binaries";
-      Registry.count "harness.binaries";
-      Registry.gauge_set "corpus.scale" 1.0;
-      Span.with_ ~name:"funseeker.analyze" (fun () ->
-          Span.with_ ~name:"elf.read" (fun () -> ignore (Sys.opaque_identity 1)));
-      Span.with_ ~name:"funseeker.analyze" (fun () -> ());
-      let body = read_back Report.write_openmetrics in
-      let lines =
-        List.filter (fun l -> l <> "") (String.split_on_char '\n' body)
-      in
-      check Alcotest.string "terminated" "# EOF" (List.nth lines (List.length lines - 1));
-      let types = Hashtbl.create 8 in
-      List.iter
-        (fun l ->
-          match String.split_on_char ' ' l with
-          | [ "#"; "TYPE"; name; ty ] -> Hashtbl.replace types name ty
-          | _ -> ())
-        lines;
-      check Alcotest.bool "counter family declared" true
-        (Hashtbl.find_opt types "cet_harness_binaries" = Some "counter");
-      check Alcotest.bool "gauge family declared" true
-        (Hashtbl.find_opt types "cet_corpus_scale" = Some "gauge");
-      check Alcotest.bool "histogram family declared" true
-        (Hashtbl.find_opt types "cet_phase_funseeker_analyze_seconds"
-        = Some "histogram");
-      let valid_name n =
-        n <> ""
-        && String.for_all
-             (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-             n
-      in
-      (* Every sample line resolves to a declared family. *)
-      let sample_lines =
-        List.filter (fun l -> String.length l > 0 && l.[0] <> '#') lines
-      in
-      check Alcotest.bool "samples present" true (sample_lines <> []);
-      List.iter
-        (fun l ->
-          let name =
-            match String.index_opt l '{' with
-            | Some i -> String.sub l 0 i
-            | None -> (
-              match String.index_opt l ' ' with
-              | Some i -> String.sub l 0 i
-              | None -> l)
-          in
-          check Alcotest.bool (Printf.sprintf "valid metric name %S" name) true
-            (valid_name name);
-          let strip suffix n =
-            let ln = String.length n and ls = String.length suffix in
-            if ln >= ls && String.sub n (ln - ls) ls = suffix then
-              Some (String.sub n 0 (ln - ls))
-            else None
-          in
-          let family_declared =
-            Hashtbl.mem types name
-            || List.exists
-                 (fun s ->
-                   match strip s name with
-                   | Some base -> Hashtbl.mem types base
-                   | None -> false)
-                 [ "_total"; "_bucket"; "_sum"; "_count" ]
-          in
-          check Alcotest.bool (Printf.sprintf "family declared for %S" name) true
-            family_declared)
-        sample_lines;
-      (* Histogram internal consistency for the two-sample phase. *)
-      let fam = "cet_phase_funseeker_analyze_seconds" in
-      let float_after_brace l =
-        match String.index_opt l '}' with
-        | Some i ->
-          float_of_string (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
-        | None -> Alcotest.failf "malformed sample %S" l
-      in
-      let le_of l =
-        let marker = "le=\"" in
-        let rec find i =
-          if i + String.length marker > String.length l then
-            Alcotest.failf "no le label in %S" l
-          else if String.sub l i (String.length marker) = marker then
-            i + String.length marker
-          else find (i + 1)
-        in
-        let s = find 0 in
-        let e = String.index_from l s '"' in
-        String.sub l s (e - s)
-      in
-      let buckets =
-        List.filter
-          (fun l -> String.length l > 0 && l.[0] <> '#' && contains l (fam ^ "_bucket{"))
-          lines
-      in
-      check Alcotest.bool "buckets emitted" true (List.length buckets >= 2);
-      let counts = List.map float_after_brace buckets in
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a <= b && monotone rest
-        | _ -> true
-      in
-      check Alcotest.bool "cumulative buckets monotone" true (monotone counts);
-      let les = List.map le_of buckets in
-      check Alcotest.string "last bucket is +Inf" "+Inf"
-        (List.nth les (List.length les - 1));
-      let finite =
-        List.filter_map
-          (fun s -> if s = "+Inf" then None else Some (float_of_string s))
-          les
-      in
-      check Alcotest.bool "le edges strictly increasing" true
-        (let rec inc = function
-           | a :: (b :: _ as rest) -> a < b && inc rest
-           | _ -> true
-         in
-         inc finite);
-      let value_of suffix =
-        match
-          List.find_opt
-            (fun l ->
-              String.length l > 0 && l.[0] <> '#'
-              && (match String.index_opt l ' ' with
-                 | Some i -> String.sub l 0 i = fam ^ suffix
-                 | None -> false))
-            lines
-        with
-        | Some l ->
-          let i = String.index l ' ' in
-          float_of_string (String.trim (String.sub l i (String.length l - i)))
-        | None -> Alcotest.failf "missing %s%s" fam suffix
-      in
-      check (Alcotest.float 1e-9) "+Inf bucket equals _count" (value_of "_count")
-        (List.nth counts (List.length counts - 1));
-      check (Alcotest.float 1e-9) "two samples counted" 2.0 (value_of "_count");
-      check Alcotest.bool "_sum non-negative" true (value_of "_sum" >= 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* The Chrome conversion                                              *)
@@ -501,7 +356,7 @@ let fake_profile ~total name =
     p_program = name;
     p_config = "c";
     p_arch = "x64";
-    p_digest = Harness.content_digest name;
+    p_digest = Digest.to_hex (Digest.string name);
     p_text_bytes = 0;
     p_insns = 0;
     p_resyncs = 0;
@@ -553,30 +408,6 @@ let test_top_slow_ranking () =
   check Alcotest.string "nothing profiled, nothing rendered" ""
     (Harness.render_top_slow (fake_results []) 3)
 
-(* ------------------------------------------------------------------ *)
-(* cet_run_info                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_openmetrics_run_info () =
-  with_clean (fun () ->
-      Registry.enable ();
-      check Alcotest.string "backslash, quote, newline escaped"
-        "a\\\\b\\\"c\\nd"
-        (Report.openmetrics_label_escape "a\\b\"c\nd");
-      let body =
-        read_back
-          (Report.write_openmetrics
-             ~info:[ ("digest", "abc123"); ("seed", "2022") ])
-      in
-      check Alcotest.bool "info gauge emitted" true
-        (contains body "# TYPE cet_run_info gauge");
-      check Alcotest.bool "labels in given order" true
-        (contains body "cet_run_info{digest=\"abc123\",seed=\"2022\"} 1");
-      (* Without run identity the family is omitted entirely — no empty
-         label set, no unlabeled constant. *)
-      let bare = read_back Report.write_openmetrics in
-      check Alcotest.bool "absent without info" false (contains bare "cet_run_info"))
-
 let suite =
   [
     ( "observability",
@@ -588,10 +419,6 @@ let suite =
         Alcotest.test_case "quarantine: zeroed profile row" `Quick
           test_quarantine_zeroed_profile;
         Alcotest.test_case "progress: ewma" `Quick test_ewma;
-        Alcotest.test_case "openmetrics: grammar round-trip" `Quick
-          test_openmetrics_grammar;
-        Alcotest.test_case "openmetrics: cet_run_info labels" `Quick
-          test_openmetrics_run_info;
         Alcotest.test_case "top-slow: ranked by total_ms, ties in plan order" `Quick
           test_top_slow_ranking;
         Alcotest.test_case "trace: chrome trace holds complete spans only" `Quick

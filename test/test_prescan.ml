@@ -242,7 +242,7 @@ let test_sweep_vs_reference =
         ~count:300 (planted arch)
         (fun code ->
           sweep_equal "sweep"
-            (Linear.sweep arch ~base:0x1000 code)
+            (Sweep.blob arch ~base:0x1000 code)
             (Oracle_sweep.sweep_reference arch ~base:0x1000 code)
             code))
     arches
@@ -354,7 +354,7 @@ let test_walk_region_checked () =
       | _ -> Alcotest.failf "pos %d len %d: walked" pos len
       | exception Invalid_argument _ -> ());
       check Alcotest.int (Printf.sprintf "pos %d len %d: nothing harvested" pos len) 0
-        (Cet_util.Ibuf.length h.Decoder.eb))
+        h.Decoder.eb.Cet_util.Ibuf.len)
     [ (-1, n); (-1, 0); (0, -1); (1, n); (n, 1); (n + 1, 0); (1, max_int); (max_int, 1) ];
   List.iter
     (fun (pos, len) ->
@@ -434,10 +434,10 @@ let test_buffer_regions () =
     Domain.join
       (Domain.spawn (fun () ->
            let sweeps =
-             List.map (fun len -> Linear.sweep arch ~base (String.sub text 0 len)) lens
+             List.map (fun len -> Sweep.blob arch ~base (String.sub text 0 len)) lens
            in
-           let padded = Linear.sweep arch ~base:(base - String.length junk) (junk ^ text) in
-           (sweeps, padded, Linear.sweep arch ~base (String.sub text 0 100))))
+           let padded = Sweep.blob arch ~base:(base - String.length junk) (junk ^ text) in
+           (sweeps, padded, Sweep.blob arch ~base (String.sub text 0 100))))
   in
   List.iter2
     (fun len sw ->
@@ -466,7 +466,7 @@ let test_buffer_regions () =
    must each get its one-domain sweep. *)
 let test_buffer_two_domains () =
   let texts = [ corpus_text "gcc-x64"; corpus_text "clang-x86" ] in
-  let sweep (arch, base, code) = Linear.sweep arch ~base code in
+  let sweep (arch, base, code) = Sweep.blob arch ~base code in
   let alone = List.map sweep texts in
   let domains =
     List.map (fun t -> Domain.spawn (fun () -> List.init 3 (fun _ -> sweep t))) texts
@@ -490,12 +490,12 @@ let test_buffer_after_deadline () =
       (Domain.spawn (fun () ->
            let expired =
              match
-               Cet_util.Deadline.with_ ~seconds:1e-9 (fun () -> Linear.sweep Arch.X64 nops)
+               Cet_util.Deadline.with_ ~seconds:1e-9 (fun () -> Sweep.blob Arch.X64 nops)
              with
              | _ -> false
              | exception Cet_util.Deadline.Expired _ -> true
            in
-           (expired, Linear.sweep arch ~base text)))
+           (expired, Sweep.blob arch ~base text)))
   in
   check Alcotest.bool "the first sweep expires" true expired;
   expect_reference "the sweep after it" arch ~base text clean

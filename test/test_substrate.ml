@@ -190,7 +190,7 @@ let test_sweep_allocation_budget () =
   let reader = Reader.read bytes in
   let text = Option.get (Reader.find_section reader ".text") in
   assert (not (Cet_telemetry.Span.enabled ()));
-  let sweep () = Linear.sweep (Reader.arch reader) ~base:text.vaddr text.data in
+  let sweep () = Sweep.blob (Reader.arch reader) ~base:text.vaddr text.data in
   let n = float_of_int (Linear.length (sweep ())) in
   let measure what f =
     let before = Gc.minor_words () in
@@ -199,7 +199,7 @@ let test_sweep_allocation_budget () =
     if per_insn > 1.0 then
       Alcotest.failf "%s allocates %.2f minor words per instruction (budget 1)" what per_insn
   in
-  measure "Linear.sweep" sweep;
+  measure "a blob sweep" sweep;
   let st = Substrate.create reader in
   ignore (Substrate.facts st : Substrate.facts);
   measure "substrate sweep after the scan" (fun () -> Substrate.sweep st)
@@ -424,7 +424,7 @@ let test_stream_matches_oracle () =
           let tag = Printf.sprintf "%s as %s" name (Cet_x86.Arch.to_string arch) in
           expect tag
             (Oracle_sweep.stream_mismatch
-               (Linear.sweep arch ~base:text.vaddr text.data)
+               (Sweep.blob arch ~base:text.vaddr text.data)
                (Oracle_sweep.sweep_reference arch ~base:text.vaddr text.data));
           let st = Substrate.of_bytes (image_with_text arch text.data) in
           expect (tag ^ " anchored scan")
@@ -571,7 +571,7 @@ let test_kernels_match_oracles_random =
       let base = 0x1000 and n = String.length code in
       List.iter
         (fun arch ->
-          check_kernels (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code)
+          check_kernels (Cet_x86.Arch.to_string arch) (Sweep.blob arch ~base code)
             (Oracle_sweep.sweep_reference arch ~base code) ~entry:base
             ~root_sets:[ [ base ]; [ base; base + (n / 3); base + (n / 2) + 1 ] ]
             ~suppress:[ (base + (n / 4), base + (n / 2)) ]
@@ -653,7 +653,7 @@ let check_padding tag bytes =
     if Linear.padding sw i <> want then
       Alcotest.failf "%s: padding bit %b at 0x%x (%s), exact parse %b" tag (not want)
         (Linear.addr sw i)
-        (Cet_util.Hexdump.bytes_inline (String.sub sw.Linear.code off (Linear.len sw i)))
+        (Hexdump.bytes_inline (String.sub sw.Linear.code off (Linear.len sw i)))
         want
   done
 
@@ -675,8 +675,8 @@ let test_padding_bit_grid () =
 let test_padding_bit_by_design () =
   List.iter
     (fun code ->
-      let tag = Cet_util.Hexdump.bytes_inline code in
-      let sw = Linear.sweep Cet_x86.Arch.X64 code in
+      let tag = Hexdump.bytes_inline code in
+      let sw = Sweep.blob Cet_x86.Arch.X64 code in
       check Alcotest.int (tag ^ ": one instruction") 1 (Linear.length sw);
       check Alcotest.int (tag ^ ": all its bytes") (String.length code) (Linear.len sw 0);
       check Alcotest.bool (tag ^ ": padding") true (Linear.padding sw 0);
@@ -758,7 +758,7 @@ let test_lookup_matches_binary_search_random =
       let base = 0x1003 in
       List.iter
         (fun arch ->
-          check_lookup (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code)
+          check_lookup (Cet_x86.Arch.to_string arch) (Sweep.blob arch ~base code)
             (Oracle_sweep.sweep_reference arch ~base code))
         [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
       true)
@@ -827,7 +827,7 @@ let test_extend_matches_explore_random =
       in
       List.iter
         (fun arch ->
-          check_extend (Cet_x86.Arch.to_string arch) (Linear.sweep arch ~base code) ~r1 ~r2)
+          check_extend (Cet_x86.Arch.to_string arch) (Sweep.blob arch ~base code) ~r1 ~r2)
         [ Cet_x86.Arch.X64; Cet_x86.Arch.X86 ];
       true)
 

@@ -9,7 +9,7 @@ module Dec = Cet_x86.Decoder
 
 let check = Alcotest.check
 let qcheck t = QCheck_alcotest.to_alcotest t
-let hex s = Cet_util.Hexdump.bytes_inline s
+let hex s = Hexdump.bytes_inline s
 let check_bytes name expected insn arch = check Alcotest.string name expected (hex (Enc.encode arch insn))
 
 (* ------------------------------------------------------------------ *)
@@ -17,16 +17,14 @@ let check_bytes name expected insn arch = check Alcotest.string name expected (h
 (* ------------------------------------------------------------------ *)
 
 let test_register_roundtrip () =
-  Array.iter
-    (fun r -> check Alcotest.bool "of_index . index" true (Reg.of_index (Reg.index r) = r))
-    Reg.all
+  for i = 0 to 15 do
+    check Alcotest.int "index . of_index" i (Reg.index (Reg.of_index i))
+  done
 
 let test_register_names () =
   check Alcotest.string "rax" "rax" (Reg.name64 Reg.RAX);
   check Alcotest.string "eax" "eax" (Reg.name32 Reg.RAX);
-  check Alcotest.string "r11d" "r11d" (Reg.name32 Reg.R11);
-  check Alcotest.bool "rex" true (Reg.needs_rex Reg.R8);
-  check Alcotest.bool "no rex" false (Reg.needs_rex Reg.RDI)
+  check Alcotest.string "r11d" "r11d" (Reg.name32 Reg.R11)
 
 (* ------------------------------------------------------------------ *)
 (* Encoder golden bytes (checked against GNU as output)               *)
@@ -327,16 +325,16 @@ let roundtrip_prop arch insn =
   let bytes = Enc.encode arch insn in
   match Dec.decode arch bytes ~base:0x4000 ~off:0 with
   | Error m ->
-    QCheck.Test.fail_reportf "decode failed on %s: %s" (Cet_util.Hexdump.bytes_inline bytes) m
+    QCheck.Test.fail_reportf "decode failed on %s: %s" (Hexdump.bytes_inline bytes) m
   | Ok i ->
     if i.len <> String.length bytes then
       QCheck.Test.fail_reportf "length mismatch on %s: %d vs %d"
-        (Cet_util.Hexdump.bytes_inline bytes) i.len (String.length bytes)
+        (Hexdump.bytes_inline bytes) i.len (String.length bytes)
     else (
       match expected_kind arch insn with
       | Some k when k <> i.kind ->
         QCheck.Test.fail_reportf "kind mismatch on %s: got %s"
-          (Cet_util.Hexdump.bytes_inline bytes) (Dec.kind_to_string i.kind)
+          (Hexdump.bytes_inline bytes) (Dec.kind_to_string i.kind)
       | _ -> true)
 
 let qcheck_roundtrip_x64 =
@@ -354,14 +352,14 @@ let exact_roundtrip_prop arch insn =
   match Cet_x86.Exact.decode arch bytes ~off:0 with
   | None ->
     QCheck.Test.fail_reportf "exact decode fell out of subset on %s"
-      (Cet_util.Hexdump.bytes_inline bytes)
+      (Hexdump.bytes_inline bytes)
   | Some (decoded, len) ->
     if len <> String.length bytes then
       QCheck.Test.fail_reportf "exact length mismatch on %s"
-        (Cet_util.Hexdump.bytes_inline bytes)
+        (Hexdump.bytes_inline bytes)
     else if decoded <> insn then
       QCheck.Test.fail_reportf "exact AST mismatch on %s: %s vs %s"
-        (Cet_util.Hexdump.bytes_inline bytes)
+        (Hexdump.bytes_inline bytes)
         (Format.asprintf "%a" (Insn.pp ~arch) decoded)
         (Format.asprintf "%a" (Insn.pp ~arch) insn)
     else true
@@ -388,7 +386,7 @@ let test_exact_disassemble_text () =
         Enc.encode Arch.X64 Insn.Ret;
       ]
   in
-  let sweep = Cet_disasm.Linear.sweep Arch.X64 ~base:0x1000 blob in
+  let sweep = Sweep.blob Arch.X64 ~base:0x1000 blob in
   let listing =
     List.init (Cet_disasm.Linear.length sweep) (fun i ->
         let ins = Cet_disasm.Linear.ins sweep i in
@@ -420,12 +418,12 @@ let test_exact_rex_b_xchg () =
       check Alcotest.string (hex code ^ ": printed as its kind") "other"
         (Cet_x86.Exact.disassemble Arch.X64 code ~base:0 (decoded Arch.X64 code));
       check Alcotest.bool (hex code ^ ": not padding") false
-        (Cet_disasm.Linear.padding (Cet_disasm.Linear.sweep Arch.X64 code) 0))
+        (Cet_disasm.Linear.padding (Sweep.blob Arch.X64 code) 0))
     [ "\x41\x90"; "\x4b\x90"; "\x49\x90" ];
   check Alcotest.bool "48 90 is a nop" true
     (Cet_x86.Exact.decode Arch.X64 "\x48\x90" ~off:0 = Some (Insn.Nop, 2));
   check Alcotest.bool "48 90 is padding" true
-    (Cet_disasm.Linear.padding (Cet_disasm.Linear.sweep Arch.X64 "\x48\x90") 0)
+    (Cet_disasm.Linear.padding (Sweep.blob Arch.X64 "\x48\x90") 0)
 
 let test_exact_full_coverage_of_compiled_binary () =
   (* The exact decoder must reconstruct EVERY instruction of a compiled
@@ -760,8 +758,8 @@ let test_link_allocation () =
       in
       let res, prepared = words (fun () -> Cet_compiler.Link.link_prepared opts pp) in
       let _, whole = words (fun () -> Cet_compiler.Link.link opts ir) in
-      let text = Option.get (Cet_elf.Image.find_section res.image ".text") in
-      let swept = Cet_disasm.Linear.sweep opts.arch ~base:text.vaddr text.data in
+      let text = List.find (fun (s : Cet_elf.Image.section) -> s.name = ".text") res.image.sections in
+      let swept = Sweep.blob opts.arch ~base:text.vaddr text.data in
       let per_insn w = w /. float_of_int (Cet_disasm.Linear.length swept) in
       if per_insn prepared > 5.0 then
         Alcotest.failf "%s: Link.link_prepared allocates %.2f minor words per instruction (budget 5)"
