@@ -54,7 +54,6 @@ module R = struct
     if abs < r.base || abs > r.limit then raise (Out_of_bounds "seek");
     r.cur <- abs
 
-
   let u8 r =
     if r.cur >= r.limit then raise (Out_of_bounds "u8");
     let v = Char.code r.data.[r.cur] in
