@@ -76,6 +76,16 @@ let test_sweep_walks_words () =
   check Alcotest.(list int) "addresses" [ 0x100; 0x104; 0x108 ]
     (List.map (fun (i : A64.ins) -> i.addr) insns)
 
+(* The sweep decodes whole words only: a blob shorter than a word holds no
+   instruction, and the bytes past the last whole word are not decoded. *)
+let test_sweep_bounds () =
+  let addrs code = List.map (fun (i : A64.ins) -> i.addr) (A64.sweep code ~base:0x100) in
+  check Alcotest.(list int) "empty" [] (addrs "");
+  check Alcotest.(list int) "short of a word" [] (addrs "ab");
+  check Alcotest.(list int) "trailing byte" [ 0x100 ] (addrs (A64.encode_bytes A64.Nop ^ "\x00"));
+  check Alcotest.(list int) "trailing half word" [ 0x100; 0x104 ]
+    (addrs (A64.encode_bytes A64.Nop ^ A64.encode_bytes A64.Ret ^ "\x1f\x20\x03"))
+
 (* ------------------------------------------------------------------ *)
 (* Backend + seeker                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -168,6 +178,7 @@ let suite =
         Alcotest.test_case "golden words" `Quick test_encode_golden;
         Alcotest.test_case "invalid operands" `Quick test_encode_rejects;
         Alcotest.test_case "classification" `Quick test_decode_classification;
+        Alcotest.test_case "bounds" `Quick test_sweep_bounds;
         Alcotest.test_case "sweep" `Quick test_sweep_walks_words;
         qcheck qcheck_branch_roundtrip;
       ] );

@@ -228,6 +228,17 @@ let test_byteweight_learns () =
   if Cet_eval.Metrics.precision m < 60.0 then
     Alcotest.failf "precision %.1f too low" (Cet_eval.Metrics.precision m)
 
+(* An untrained model is uninformative: every instruction boundary scores
+   the 0.5 prior, so a threshold just under it keeps the whole sweep. *)
+let test_byteweight_prior () =
+  let model = Cet_baselines.Byteweight.train [] in
+  let reader, _ = corpus_build ~seed:31 0 in
+  let st = Substrate.create reader in
+  let sweep = Substrate.sweep st in
+  check Alcotest.(list int) "every boundary at the prior"
+    (List.init (Linear.length sweep) (Linear.addr sweep))
+    (Cet_baselines.Byteweight.classify_st ~threshold:0.499 model st)
+
 let test_byteweight_empty_model_finds_nothing () =
   let model = Cet_baselines.Byteweight.train [] in
   let reader, _ = corpus_build ~seed:31 0 in
@@ -330,6 +341,7 @@ let suite =
     ( "baselines.related_work",
       [
         Alcotest.test_case "byteweight learns" `Quick test_byteweight_learns;
+        Alcotest.test_case "byteweight prior" `Quick test_byteweight_prior;
         Alcotest.test_case "byteweight empty model" `Quick test_byteweight_empty_model_finds_nothing;
         Alcotest.test_case "nucleus on C" `Quick test_nucleus_on_c;
         Alcotest.test_case "nucleus landing-pad FPs" `Quick test_nucleus_landing_pad_fps;

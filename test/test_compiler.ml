@@ -385,6 +385,44 @@ let test_dwarf_ground_truth () =
   check Alcotest.(list (pair string int)) "no dwarf GT after strip" []
     (Dwarf_reader.ground_truth stripped)
 
+(* A 40-function all-C++ program (landing pads, cold splits, tail calls),
+   for the checks that run under every grid configuration. *)
+let cpp_prog =
+  lazy
+    (let module P = Cet_corpus.Profile in
+     let profile =
+       { (P.scaled 0.05 P.spec) with P.funcs_lo = 40; funcs_hi = 40; lang_cpp_fraction = 1.0 }
+     in
+     Cet_corpus.Generator.program ~seed:2022 ~profile ~index:0)
+
+(* The paper's ground truth on every configuration: the DWARF
+   subprograms, fragments filtered, are the symbol-based entries, and
+   every one of them is in the compiler's own list. *)
+let test_dwarf_ground_truth_grid () =
+  let module GT = Cet_eval.Ground_truth in
+  List.iter
+    (fun opts ->
+      let tag = O.to_string opts in
+      let res, reader = compile ~opts (Lazy.force cpp_prog) in
+      let dw = GT.addresses (Dwarf_reader.ground_truth reader) in
+      check Alcotest.(list int) (tag ^ ": dwarf = symbols")
+        (GT.addresses (GT.from_symbols reader)) dw;
+      check Alcotest.(list int) (tag ^ ": dwarf within compiler truth") []
+        (List.filter (fun a -> not (List.mem a (GT.addresses res.Link.truth))) dw))
+    O.all_grid
+
+(* The test-side strip(1) and the corpus build's stripping writer give the
+   same bytes for every configuration's binary, debug sections, exception
+   tables and dynamic symbols included. *)
+let test_strip_grid () =
+  List.iter
+    (fun opts ->
+      let res = Link.link opts (Lazy.force cpp_prog) in
+      check Alcotest.bool (O.to_string opts) true
+        (Strip.strip (Cet_elf.Writer.write res.Link.image)
+        = Cet_elf.Writer.write ~strip:true res.Link.image))
+    O.all_grid
+
 let test_truth_matches_symbols_plus_corrections () =
   (* For configurations without the omitted thunk, symtab-derived ground
      truth equals the compiler's own entry list. *)
@@ -518,6 +556,9 @@ let suite =
         Alcotest.test_case "entry point" `Quick test_entry_is_start;
         Alcotest.test_case "x86 pie thunk corner case" `Quick test_x86_pie_thunk;
         Alcotest.test_case "dwarf ground truth" `Quick test_dwarf_ground_truth;
+        Alcotest.test_case "dwarf ground truth (48 configurations)" `Quick
+          test_dwarf_ground_truth_grid;
+        Alcotest.test_case "strip(1) = write ~strip (48 configurations)" `Quick test_strip_grid;
         Alcotest.test_case "truth = corrected symbols" `Quick test_truth_matches_symbols_plus_corrections;
         Alcotest.test_case "sweep never resyncs (24 configs)" `Quick test_text_sweep_clean;
         Alcotest.test_case "bytes pinned (576 links)" `Quick test_compiler_bytes_pinned;

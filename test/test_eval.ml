@@ -711,8 +711,9 @@ let test_cli_cetstat_numbers () =
 let test_cli_retired_flags () =
   (* The scheduler-chaos, run-deadline, SLO and journal flags are gone,
      and so are the profile and quarantine files and the Chrome trace
-     format, which the manifest and `cetstat chrome` replace: each is an
-     unknown option, a Cmdliner usage error (exit 124). *)
+     format, which the manifest and `cetstat chrome` replace, and the
+     OpenMetrics export, which nothing read: each is an unknown option, a
+     Cmdliner usage error (exit 124). *)
   with_temp_dir (fun dir ->
       List.iter
         (fun (name, args, option) ->
@@ -728,6 +729,9 @@ let test_cli_retired_flags () =
             [ "table2"; "--scale"; "0.001"; "--quarantine-out"; "q.jsonl" ],
             "--quarantine-out" );
           ("evaluate", [ "table2"; "--scale"; "0.001"; "--trace-format"; "chrome" ], "--trace-format");
+          ( "evaluate",
+            [ "table2"; "--scale"; "0.001"; "--metrics-out"; "m.prom" ],
+            "--metrics-out" );
           ("cetstat", [ "report"; "m.jsonl"; "--profile"; "p.jsonl" ], "--profile");
           ("cetstat", [ "anomalies"; "m.jsonl"; "--profile"; "p.jsonl" ], "--profile");
           ("cetstat", [ "diff"; "a.jsonl"; "b.jsonl"; "--old-profile"; "p.jsonl" ], "--old-profile");

@@ -737,6 +737,32 @@ let test_crash_report_roundtrip () =
   check Alcotest.bool "wrong schema rejected" true
     (Result.is_error (Crash_file.read tampered))
 
+(* A row the reader cannot type is refused by the name of its field, and
+   text that is not JSON lines is refused too: a damaged crash file is not
+   read as fewer crashes. *)
+let test_crash_file_malformed () =
+  let row fields = "{" ^ String.concat "," fields ^ "}\n" in
+  let good =
+    [
+      Printf.sprintf "\"schema\":%d" Crash_file.schema; "\"class\":\"x\""; "\"index\":0";
+      "\"error\":\"e\""; "\"backtrace\":\"\"";
+    ]
+  in
+  check Alcotest.int "the well-formed row reads" 1
+    (match Crash_file.read (row good) with Ok l -> List.length l | Error e -> Alcotest.fail e);
+  List.iteri
+    (fun i name ->
+      check Alcotest.(result pass string) (name ^ " missing")
+        (Error (Printf.sprintf "missing or mistyped field %S" name))
+        (Result.map ignore (Crash_file.read (row (List.filteri (fun j _ -> j <> i) good)))))
+    [ "schema"; "class"; "index"; "error"; "backtrace" ];
+  check Alcotest.(result pass string) "index mistyped"
+    (Error "missing or mistyped field \"index\"")
+    (Result.map ignore
+       (Crash_file.read (row (List.map (fun f -> if f = "\"index\":0" then "\"index\":\"0\"" else f) good))));
+  check Alcotest.bool "not JSON" true
+    (Result.is_error (Crash_file.read (row good ^ "crash\n")))
+
 (* ---- The previous row formats ------------------------------------------ *)
 
 (* Files in the retired formats are refused by name, not misread: the
@@ -824,6 +850,7 @@ let suite =
           test_quarantine_roundtrip;
         Alcotest.test_case "crash report jsonl round-trip" `Quick
           test_crash_report_roundtrip;
+        Alcotest.test_case "crash file: malformed rows refused" `Quick test_crash_file_malformed;
         Alcotest.test_case "old quarantine and crash schemas rejected" `Quick
           test_old_schema_rows_rejected;
         Alcotest.test_case "fuzz deadline degrades, never crashes" `Slow

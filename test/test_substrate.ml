@@ -914,6 +914,123 @@ let test_mismatches_rejected () =
         (C.prologue_scan sw ~known:[] ~aggressive:true ~visited:short.C.e_visited ()
           : int list))
 
+(* --- one decode walk per binary ------------------------------------------- *)
+
+(* [src] with its comments and its string and character literals blanked:
+   the code alone. *)
+let code_only src =
+  let n = String.length src in
+  let b = Bytes.of_string src in
+  let blank i = if i < n then Bytes.set b i ' ' in
+  let rec code i depth =
+    if i >= n then ()
+    else if src.[i] = '(' && i + 1 < n && src.[i + 1] = '*' then (
+      blank i;
+      blank (i + 1);
+      code (i + 2) (depth + 1))
+    else if depth > 0 && src.[i] = '*' && i + 1 < n && src.[i + 1] = ')' then (
+      blank i;
+      blank (i + 1);
+      code (i + 2) (depth - 1))
+    else if src.[i] = '"' then (
+      blank i;
+      string (i + 1) depth)
+    else if src.[i] = '\'' && i + 2 < n && src.[i + 2] = '\'' then (
+      blank (i + 1);
+      code (i + 3) depth)
+    else if src.[i] = '\'' && i + 1 < n && src.[i + 1] = '\\' then (
+      let j = ref (i + 2) in
+      while !j < n && src.[!j] <> '\'' do
+        blank !j;
+        incr j
+      done;
+      blank (i + 1);
+      code (!j + 1) depth)
+    else (
+      if depth > 0 then blank i;
+      code (i + 1) depth)
+  and string i depth =
+    if i >= n then ()
+    else if src.[i] = '\\' then (
+      blank i;
+      blank (i + 1);
+      string (i + 2) depth)
+    else (
+      blank i;
+      if src.[i] = '"' then code (i + 1) depth else string (i + 1) depth)
+  in
+  code 0 0;
+  Bytes.to_string b
+
+(* The module paths of [code], in order: runs of identifier characters and
+   dots. *)
+let paths code =
+  let ident c =
+    match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' | '.' -> true | _ -> false
+  in
+  let words = ref [] and start = ref (-1) in
+  String.iteri
+    (fun i c ->
+      if ident c then (if !start < 0 then start := i)
+      else if !start >= 0 then (
+        words := String.sub code !start (i - !start) :: !words;
+        start := -1))
+    (code ^ " ");
+  List.rev !words
+
+(* Does this source call [Decoder.walk]?  Besides the qualified names, it
+   follows [module X = Decoder] aliases, and a bare [walk] under [open
+   Decoder] counts. *)
+let calls_walk src =
+  let words = paths (code_only src) in
+  let decoder p = p = "Decoder" || p = "Cet_x86.Decoder" in
+  let rec aliases = function
+    | "module" :: x :: p :: rest when decoder p -> x :: aliases rest
+    | _ :: rest -> aliases rest
+    | [] -> []
+  in
+  let names = "Decoder" :: "Cet_x86.Decoder" :: aliases words in
+  let rec opens = function
+    | ("open" | "include") :: p :: rest -> decoder p || opens rest
+    | _ :: rest -> opens rest
+    | [] -> false
+  in
+  List.exists (fun w -> List.exists (fun m -> w = m ^ ".walk") names) words
+  || (opens words && List.mem "walk" words)
+
+let rec ml_files dir =
+  List.concat_map
+    (fun name ->
+      let path = Filename.concat dir name in
+      if name.[0] = '.' then []
+      else if Sys.is_directory path then ml_files path
+      else if Filename.check_suffix name ".ml" then [ path ]
+      else [])
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* In lib/, Substrate is the one caller of [Decoder.walk]: every [.text] a
+   tool analyses is decoded once, by its substrate's memoised walk.  The
+   tests sweep bare blobs through test/sweep.ml. *)
+let test_walk_has_one_caller () =
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  check Alcotest.bool "lint sees through a comment" false
+    (calls_walk "(* Decoder.walk (* nested *) *) let s = \"Decoder.walk\" and c = '\"'");
+  check Alcotest.bool "lint follows an alias" true
+    (calls_walk "let f = let module D = Cet_x86.Decoder in D.walk");
+  match List.find_opt Sys.file_exists [ "../lib"; "lib" ] with
+  | None -> Alcotest.fail "lib/ not reachable from the test directory"
+  | Some root ->
+    let files = ml_files root in
+    check Alcotest.bool "lib/ sources found" true (List.length files > 50);
+    check Alcotest.(list string) "callers"
+      [ Filename.concat root "disasm/substrate.ml" ]
+      (List.filter (fun path -> calls_walk (read path)) files)
+
 let suite =
   [
     ( "substrate",
@@ -935,6 +1052,8 @@ let suite =
         Alcotest.test_case "stream matches the reference sweeps" `Quick
           test_stream_matches_oracle;
         Alcotest.test_case "stream footprint" `Quick test_stream_footprint;
+        Alcotest.test_case "Decoder.walk: Substrate is lib/'s one caller" `Quick
+          test_walk_has_one_caller;
         Alcotest.test_case "kernels match their record-based oracles" `Quick
           test_kernels_match_oracles;
         QCheck_alcotest.to_alcotest test_kernels_match_oracles_random;

@@ -78,6 +78,26 @@ let test_prng_choose_weighted () =
   let ratio = float_of_int !a /. float_of_int !b in
   if ratio < 2.5 || ratio > 3.6 then Alcotest.failf "weighted ratio %f not ~3" ratio
 
+let test_prng_choose_uniform () =
+  let g = Prng.create 23 in
+  let counts = Array.make 4 0 in
+  for _ = 1 to 4000 do
+    let k = Prng.choose g [| 0; 1; 2; 3 |] in
+    counts.(k) <- counts.(k) + 1
+  done;
+  Array.iteri
+    (fun k c ->
+      if c < 850 || c > 1150 then Alcotest.failf "element %d drawn %d times in 4000, not ~1000" k c)
+    counts
+
+let test_prng_bool_fair () =
+  let g = Prng.create 29 in
+  let heads = ref 0 in
+  for _ = 1 to 4000 do
+    if Prng.bool g then incr heads
+  done;
+  if !heads < 1850 || !heads > 2150 then Alcotest.failf "%d heads in 4000, not ~2000" !heads
+
 (* ------------------------------------------------------------------ *)
 (* LEB128                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -246,6 +266,27 @@ let qcheck_itable_vs_linear =
       List.for_all
         (fun x -> Itable.mem t x = List.exists (fun (lo, hi) -> x >= lo && x < hi) ivs)
         (List.init 50 (fun i -> i * 20)))
+
+(* Possibly overlapping and empty intervals, as corrupt FDE extents give,
+   against the documented rule run on a list: in [lo] order (stable), an
+   interval is kept when it starts at or after the end of the last one
+   kept. *)
+let qcheck_itable_lenient =
+  let gen = QCheck.(small_list (pair (int_bound 200) (int_bound 40))) in
+  QCheck.Test.make ~name:"itable lenient = first-of-run model" ~count:300 gen (fun spans ->
+      let ivs = List.map (fun (lo, len) -> (lo, lo + len)) spans in
+      let kept =
+        List.filter (fun (lo, hi) -> lo < hi) ivs
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+        |> List.fold_left
+             (fun kept (lo, hi) ->
+               match kept with (_, last_hi) :: _ when lo < last_hi -> kept | _ -> (lo, hi) :: kept)
+             []
+      in
+      let t = Itable.of_list_lenient ivs in
+      List.for_all
+        (fun x -> Itable.mem t x = List.exists (fun (lo, hi) -> x >= lo && x < hi) kept)
+        (List.init 260 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Hexdump                                                            *)
@@ -426,6 +467,8 @@ let suite =
         Alcotest.test_case "chance extremes" `Quick test_prng_chance_extremes;
         Alcotest.test_case "chance rate" `Quick test_prng_chance_rate;
         Alcotest.test_case "choose_weighted ratio" `Quick test_prng_choose_weighted;
+        Alcotest.test_case "choose uniform" `Quick test_prng_choose_uniform;
+        Alcotest.test_case "bool fair" `Quick test_prng_bool_fair;
       ] );
     ( "util.leb128",
       [
@@ -452,6 +495,7 @@ let suite =
         Alcotest.test_case "find/mem" `Quick test_itable_find;
         Alcotest.test_case "empty dropped" `Quick test_itable_empty_dropped;
         qcheck qcheck_itable_vs_linear;
+        qcheck qcheck_itable_lenient;
       ] );
     ("util.ibuf", [ qcheck qcheck_ibuf_vs_list ]);
     ( "util.hexdump",
